@@ -122,6 +122,7 @@ int main(int argc, char** argv) {
     // fleet_wall_seconds is the day loop alone.
     const auto fill = [](bench::BenchReport& report,
                          const fleet::FleetMetrics& metrics) {
+      report.set_mechanism(metrics.mechanism);
       report.add("users", static_cast<std::uint64_t>(metrics.users));
       report.add("threads", static_cast<std::uint64_t>(metrics.threads));
       report.add("shards", static_cast<std::uint64_t>(metrics.shards));

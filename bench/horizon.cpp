@@ -33,6 +33,7 @@
 #include "bench_util.hpp"
 #include "core/deferral_kernel.hpp"
 #include "core/paper_data.hpp"
+#include "fleet/fleet_metrics.hpp"
 #include "horizon/checkpoint.hpp"
 #include "horizon/multi_day_driver.hpp"
 #include "math/matrix.hpp"
@@ -168,6 +169,7 @@ int main(int argc, char** argv) {
     for (const auto& d : metrics.days) {
       if (d.estimated) estimates += 1.0;
     }
+    report.set_mechanism(driver.mechanism().name());
     report.add("users", static_cast<std::uint64_t>(users));
     report.add("periods",
                static_cast<std::uint64_t>(config.population.periods));
@@ -177,6 +179,11 @@ int main(int argc, char** argv) {
     report.add("final_beta",
                metrics.days.empty() ? 0.0
                                     : metrics.days.back().beta_estimate);
+    report.add("publish_seconds", metrics.publish_seconds);
+    report.add("table_seconds", metrics.table_seconds);
+    report.add("simulate_seconds", metrics.simulate_seconds);
+    report.add("aggregate_seconds", metrics.aggregate_seconds);
+    report.add("pricer_seconds", metrics.pricer_seconds);
     report.emit();
     entries.push_back(
         {"horizon_run", {{"horizon_wall_seconds", loop_seconds}}});
@@ -189,6 +196,10 @@ int main(int argc, char** argv) {
                 config.warmup_days + config.horizon_days,
                 static_cast<unsigned long long>(users), loop_seconds,
                 day_ms, estimates);
+    // The period loop's phases; the rest of the wall is day rollovers
+    // (estimation, re-anchoring) and checkpoint commits.
+    metrics.wall_seconds = loop_seconds;
+    fleet::print_phase_table(metrics);
   }
 
   // ---- kill-and-restore contract at bench scale ---------------------------

@@ -63,8 +63,9 @@ int main(int argc, char** argv) {
   config.fault.storm_channel = {0.06, 0.76, 0.5};
   config.fault.storm_solver = {0.06, 0.76, 1.0};
 
-  // Health ladder + gates on, so the engine sees FSM edges and fallback
-  // budget pressure during the long bursts.
+  // Health ladder + gates on, so the engine sees FSM edges during the
+  // long bursts; a tight channel-fallback budget (group-periods per day)
+  // so the fallback objective sees pressure too.
   PricerGuardConfig guard = PricerGuardConfig::protective();
   guard.fallback_after = 6;
   config.pricer_guard = guard;
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
   config.reanchor_healthy_periods = 2;
 
   config.incident.enabled = true;
-  config.incident.slo_max_fallback_per_day = 12;
+  config.incident.slo_max_fallback_per_day = 2;
   config.incident.dump_path = out_dir + "/incident_dump.tdpi";
 
   MultiDayDriver driver(config);

@@ -323,8 +323,11 @@ void OnlinePricer::observe_missed(std::size_t period) {
   TDP_REQUIRE(period < model_.periods(), "period out of range");
   ++health_stats_.missed_observations;
   pricer_counters().missed_observations.add_always(1);
-  TDP_LOG_WARN << "online pricer: no measurement for period " << period
-               << "; schedule frozen";
+  TDP_LOG_EVERY_POW2(::tdp::LogLevel::kWarn,
+                     health_stats_.missed_observations)
+      << "online pricer: no measurement for period " << period
+      << "; schedule frozen (" << health_stats_.missed_observations
+      << " missed so far)";
   update_health(/*bad=*/true);
 }
 
@@ -428,8 +431,10 @@ OnlinePricer::StepResult OnlinePricer::observe_period_ex(
     result.solve_failed = true;
     result.new_reward = result.old_reward;
     result.expected_cost = model_.total_cost(rewards_, cost_scratch_);
-    TDP_LOG_WARN << "online update period " << period
-                 << ": solve failed, keeping reward " << result.old_reward;
+    TDP_LOG_EVERY_POW2(::tdp::LogLevel::kWarn, health_stats_.solve_failures)
+        << "online update period " << period << ": solve failed, keeping "
+        << "reward " << result.old_reward << " ("
+        << health_stats_.solve_failures << " failed so far)";
   } else {
     result.solve_failed = failed;
     double accepted = best.x;
@@ -448,8 +453,10 @@ OnlinePricer::StepResult OnlinePricer::observe_period_ex(
       // model_.total_cost(probe) (same pair volumes, same reduction and
       // assembly order) at a fraction of the virtual-dispatch cost.
       cost = model_.total_cost(probe, cost_scratch_);
-      TDP_LOG_WARN << "online update period " << period
-                   << ": trust region clamps reward step to " << accepted;
+      TDP_LOG_EVERY_POW2(::tdp::LogLevel::kWarn, health_stats_.clamped_steps)
+          << "online update period " << period
+          << ": trust region clamps reward step to " << accepted << " ("
+          << health_stats_.clamped_steps << " clamped so far)";
     }
     if (result.clamped) pricer_counters().clamped_steps.add_always(1);
     rewards_[period] = accepted;

@@ -1,204 +1,56 @@
 #include "fleet/fleet_driver.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <numeric>
-#include <optional>
-#include <string>
-#include <string_view>
+#include <iterator>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
-#include "core/paper_data.hpp"
-#include "math/piecewise_linear.hpp"
-#include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace tdp::fleet {
 namespace {
 
-/// The fleet's registry instruments. Phase timers are nanosecond counters
-/// (always on: FleetMetrics' phase seconds are views over their per-run
-/// deltas); the robustness counters here cover the driver's own fault
-/// domains, while channel.* / pricer.* are bumped by those components.
-struct FleetCounters {
-  obs::Counter& publish_ns =
-      obs::Registry::global().counter("fleet.phase.publish_ns");
-  obs::Counter& table_ns =
-      obs::Registry::global().counter("fleet.phase.table_ns");
-  obs::Counter& simulate_ns =
-      obs::Registry::global().counter("fleet.phase.simulate_ns");
-  obs::Counter& aggregate_ns =
-      obs::Registry::global().counter("fleet.phase.aggregate_ns");
-  obs::Counter& pricer_ns =
-      obs::Registry::global().counter("fleet.phase.pricer_ns");
-  obs::Counter& periods =
-      obs::Registry::global().counter("fleet.periods_total");
-  obs::Counter& stripes_lost =
-      obs::Registry::global().counter("fleet.shard_stripes_lost_total");
-  obs::Counter& measurement_gaps =
-      obs::Registry::global().counter("fleet.measurement_gaps_total");
-  obs::Counter& measurement_repairs =
-      obs::Registry::global().counter("fleet.measurement_repairs_total");
-  obs::Counter& mech_publishes =
-      obs::Registry::global().counter("mech.publishes_total");
-  obs::Counter& mech_settles =
-      obs::Registry::global().counter("mech.settles_total");
+/// FleetMetrics fields that are per-run deltas of registry counters (the
+/// components bump them at their event sites).
+struct RunCounter {
+  const char* name;
+  std::uint64_t FleetMetrics::*field;
 };
-
-FleetCounters& fleet_counters() {
-  static FleetCounters counters;
-  return counters;
-}
-
-/// PricerHealth -> the incident engine's own health ladder (same rungs;
-/// the engine sits below the pricing layers and keeps its own enum).
-obs::incident::Health map_health(PricerHealth health) {
-  switch (health) {
-    case PricerHealth::kHealthy:
-      return obs::incident::Health::kHealthy;
-    case PricerHealth::kDegraded:
-      return obs::incident::Health::kDegraded;
-    case PricerHealth::kFallback:
-      return obs::incident::Health::kFallback;
-  }
-  return obs::incident::Health::kHealthy;
-}
-
-/// Canonical slice count: explicit config wins, else one slice per shard
-/// (the pre-slice layout); always clamped to [1, users].
-std::size_t effective_slices(const FleetDriverConfig& config,
-                             std::uint64_t users) {
-  const std::size_t requested =
-      config.slices != 0 ? config.slices
-                         : std::max<std::size_t>(config.shards, 1);
-  return std::min<std::size_t>(std::max<std::size_t>(requested, 1),
-                               static_cast<std::size_t>(users));
-}
+constexpr RunCounter kRunCounters[] = {
+    {"channel.fetches_total", &FleetMetrics::price_server_fetches},
+    {"channel.dropped_attempts_total", &FleetMetrics::price_pull_drops},
+    {"channel.retries_total", &FleetMetrics::price_pull_retries},
+    {"channel.stale_periods_total", &FleetMetrics::price_stale_periods},
+    {"channel.fallback_periods_total", &FleetMetrics::price_fallback_periods},
+    {"channel.skewed_periods_total", &FleetMetrics::price_skewed_periods},
+    {"channel.recoveries_total", &FleetMetrics::price_recoveries},
+    {"fleet.shard_stripes_lost_total", &FleetMetrics::shard_stripes_lost},
+    {"fleet.measurement_gaps_total", &FleetMetrics::measurement_gaps},
+    {"fleet.measurement_repairs_total", &FleetMetrics::measurement_repairs},
+    {"pricer.solve_failures_total", &FleetMetrics::solver_failures},
+    {"pricer.clamped_steps_total", &FleetMetrics::reward_clamps},
+    {"pricer.skipped_updates_total", &FleetMetrics::skipped_updates},
+    {"pricer.health_transitions_total", &FleetMetrics::health_transitions},
+    {"pricer.degraded_observations_total",
+     &FleetMetrics::degraded_observations},
+    {"pricer.fallback_observations_total",
+     &FleetMetrics::fallback_observations},
+    {"pricer.recoveries_total", &FleetMetrics::pricer_recoveries},
+};
 
 }  // namespace
 
-DynamicModel baseline_fluid_model(const Population& population) {
-  const std::size_t n = population.periods();
-  DemandProfile arrivals = paper::make_profile(
-      n == 48 ? paper::table7_mix_48() : paper::table8_mix_12(),
-      paper::kStaticNormalizationReward, LagNormalization::kContinuous);
-  const std::vector<double> demand48 = paper::table5_demand_48();
-  const double mean48 =
-      std::accumulate(demand48.begin(), demand48.end(), 0.0) /
-      static_cast<double>(demand48.size());
-  const std::vector<double>& expected = population.expected_demand_units();
-  const double mean =
-      std::accumulate(expected.begin(), expected.end(), 0.0) /
-      static_cast<double>(expected.size());
-  const double capacity =
-      paper::kDynamicCapacityUnits * (mean / mean48);
-  return DynamicModel(
-      std::move(arrivals), capacity,
-      math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0));
-}
-
-FleetDriver::FleetDriver(FleetDriverConfig config)
-    : config_(std::move(config)),
-      population_(config_.population),
-      injector_(config_.fault),
-      channel_(config_.population.periods),
-      fanout_(channel_, paper::kPatienceIndices.size()),
-      guard_(population_.expected_demand_units(),
-             config_.measurement_guard),
-      aggregator_(effective_slices(config_, population_.users()),
-                  population_.periods()),
-      threads_(config_.threads == 0 ? default_thread_count()
-                                    : config_.threads) {
-  channel_.set_resilience(config_.resilience);
-  if (injector_.enabled()) channel_.set_fault_injector(&injector_);
-
-  // Any offline solve happens here (inside the mechanism's constructor).
-  // When the fault plan can fire, the guard defaults to the armed preset; a
-  // clean driver keeps the behavior-preserving default guard.
-  const PricerGuardConfig guard = config_.pricer_guard.value_or(
-      injector_.enabled() ? PricerGuardConfig::protective()
-                          : PricerGuardConfig{});
-  mechanism_ = mech::make_mechanism(config_.mechanism,
-                                    baseline_fluid_model(population_),
-                                    config_.offline_options, guard);
-
-  // Shards group whole slices into contiguous near-equal runs; the slice
-  // layout (and with it every reduction order) depends on users and slice
-  // count only, never on the shard grouping.
-  const std::size_t slices = aggregator_.stripes();
-  const std::size_t shard_count =
-      std::min<std::size_t>(std::max<std::size_t>(config_.shards, 1), slices);
-  const std::uint64_t users = population_.users();
-  // Built on the pool so each shard's arena pages are first-touched by a
-  // worker (NUMA locality with TDP_PIN_THREADS; also parallelizes the
-  // per-user trait derivation). Which worker builds which shard does not
-  // matter for determinism: every per-user value is a pure function of
-  // (seed, user id).
-  if (config_.incident.enabled) {
-    incident_ = std::make_unique<obs::incident::IncidentEngine>(
-        config_.incident);
-  }
-
-  shards_.resize(shard_count);
-  parallel_for(
-      shard_count,
-      [&](std::size_t s) {
-        const std::size_t begin = slices * s / shard_count;
-        const std::size_t end = slices * (s + 1) / shard_count;
-        shards_[s] = std::make_unique<Shard>(population_, begin, end, slices);
-      },
-      threads_);
-  TDP_LOG_INFO << "fleet: " << users << " users over " << slices
-               << " slices in " << shard_count << " shards, " << threads_
-               << " threads, " << population_.periods() << " periods, "
-               << mechanism_->name() << " mechanism";
-}
-
-const OnlinePricer& FleetDriver::pricer() const {
-  const OnlinePricer* pricer = mechanism_->online_pricer();
-  TDP_REQUIRE(pricer != nullptr,
-              "pricer() needs the tube_online mechanism; use mechanism()");
-  return *pricer;
-}
-
-FleetDriver::Observation FleetDriver::observe(
-    std::size_t period, std::uint64_t abs_period, double calibration,
-    const PeriodStats& merged) const {
-  Observation obs;
-  if (!injector_.enabled()) {
-    // Fault-free fast path: the merged aggregate, bit-identical to the
-    // pre-fault driver.
-    obs.sample = merged.offered_work * calibration;
-    return obs;
-  }
-
-  // Slices are measurement fault domains: a lost slice's stripe never
-  // reaches telemetry. Surviving stripes fold in the same ascending slice
-  // order as StripedAggregator::merged, so a no-loss period reproduces the
-  // merged value bitwise — and fault draws depend on the slice id, never on
-  // the shard grouping, so a chaos run survives a reshard bit-for-bit.
-  PeriodStats survived;
-  for (std::size_t s = 0; s < aggregator_.stripes(); ++s) {
-    if (injector_.measurement_fault(s, abs_period) ==
-        FaultInjector::MeasurementFault::kLost) {
-      ++obs.lost_stripes;
-      continue;
-    }
-    survived += aggregator_.stripe(s, period);
-  }
-  const double value = survived.offered_work * calibration;
-
-  // The aggregate stream is its own fault domain on top of shard loss.
-  const FaultInjector::MeasurementFault fault = injector_.measurement_fault(
-      FaultInjector::kAggregateEntity, abs_period);
-  if (fault == FaultInjector::MeasurementFault::kLost) {
-    return obs;  // sample never arrives
-  }
-  obs.sample = injector_.corrupt(fault, value);
-  return obs;
+FleetDriver::FleetDriver(FleetDriverConfig config) : loop_(std::move(config)) {
+  // Any offline solve happens here (inside the mechanism's constructor),
+  // planning against the population's expected aggregate.
+  loop_.build_mechanism(baseline_fluid_model(loop_.population()));
+  TDP_LOG_INFO << "fleet: " << loop_.population().users() << " users over "
+               << loop_.slice_count() << " slices in " << loop_.shard_count()
+               << " shards, " << loop_.thread_count() << " threads, "
+               << loop_.population().periods() << " periods, "
+               << loop_.mechanism().name() << " mechanism";
 }
 
 FleetMetrics FleetDriver::run_day() {
@@ -206,291 +58,42 @@ FleetMetrics FleetDriver::run_day() {
   ran_ = true;
   TDP_OBS_SPAN("fleet.run_day");
 
-  const std::size_t n = population_.periods();
-  const std::size_t classes = population_.patience_classes();
-  const std::size_t total_days = config_.warmup_days + 1;
-  const double calibration = population_.unit_calibration();
+  const std::size_t n = loop_.population().periods();
+  const std::size_t total_days = loop_.config().warmup_days + 1;
 
-  FleetMetrics metrics;
-  metrics.users = population_.users();
-  metrics.periods = n;
-  metrics.shards = shards_.size();
-  metrics.threads = threads_;
-  metrics.days = total_days;
-  metrics.price_groups = fanout_.groups();
-  metrics.offered_units.assign(n, 0.0);
-  metrics.realized_units.assign(n, 0.0);
-
-  // FleetMetrics' timing and robustness fields are per-run views over the
+  // FleetMetrics' robustness fields are per-run views over the
   // process-wide registry: capture each counter's baseline now, read the
   // deltas after the loop. Safe because a driver is single-shot and nothing
   // else exercises this channel/pricer while run_day runs.
-  FleetCounters& fc = fleet_counters();
   obs::Registry& reg = obs::Registry::global();
-  const obs::CounterDelta d_publish(fc.publish_ns);
-  const obs::CounterDelta d_table(fc.table_ns);
-  const obs::CounterDelta d_simulate(fc.simulate_ns);
-  const obs::CounterDelta d_aggregate(fc.aggregate_ns);
-  const obs::CounterDelta d_pricer(fc.pricer_ns);
-  const obs::CounterDelta d_stripes(fc.stripes_lost);
-  const obs::CounterDelta d_gaps(fc.measurement_gaps);
-  const obs::CounterDelta d_repairs(fc.measurement_repairs);
-  const obs::CounterDelta d_fetches(reg.counter("channel.fetches_total"));
-  const obs::CounterDelta d_drops(
-      reg.counter("channel.dropped_attempts_total"));
-  const obs::CounterDelta d_retries(reg.counter("channel.retries_total"));
-  const obs::CounterDelta d_stale(reg.counter("channel.stale_periods_total"));
-  const obs::CounterDelta d_chan_fallback(
-      reg.counter("channel.fallback_periods_total"));
-  const obs::CounterDelta d_skewed(
-      reg.counter("channel.skewed_periods_total"));
-  const obs::CounterDelta d_chan_recoveries(
-      reg.counter("channel.recoveries_total"));
-  const obs::CounterDelta d_solve_failures(
-      reg.counter("pricer.solve_failures_total"));
-  const obs::CounterDelta d_clamps(
-      reg.counter("pricer.clamped_steps_total"));
-  const obs::CounterDelta d_skipped(
-      reg.counter("pricer.skipped_updates_total"));
-  const obs::CounterDelta d_transitions(
-      reg.counter("pricer.health_transitions_total"));
-  const obs::CounterDelta d_degraded(
-      reg.counter("pricer.degraded_observations_total"));
-  const obs::CounterDelta d_fallback_obs(
-      reg.counter("pricer.fallback_observations_total"));
-  const obs::CounterDelta d_recoveries(
-      reg.counter("pricer.recoveries_total"));
+  std::vector<obs::CounterDelta> deltas;
+  deltas.reserve(std::size(kRunCounters));
+  for (const RunCounter& c : kRunCounters) {
+    deltas.emplace_back(reg.counter(c.name));
+  }
 
+  FleetMetrics metrics;
   std::uint64_t all_day_sessions = 0;
   const auto start = std::chrono::steady_clock::now();
-  // Phase timing: `mark` rolls forward at each phase boundary; each lap
-  // charges the elapsed nanoseconds to that phase's registry counter and
-  // closes the phase's trace span (pure observation, no effect on any
-  // simulated value).
-  auto mark = start;
-  std::optional<obs::Span> phase_span;
-  const auto begin_phase = [&phase_span](std::string_view name) {
-    phase_span.emplace(name);
-  };
-  const auto lap = [&mark, &phase_span](obs::Counter& sink) {
-    const auto t = std::chrono::steady_clock::now();
-    sink.add_always(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t - mark)
-            .count()));
-    mark = t;
-    phase_span.reset();
-  };
-
-  // Per-day settlement accumulators (every day, warmup included: budgeted
-  // mechanisms adapt their splits across warmup days too).
-  std::vector<double> day_offered(n, 0.0);
-  std::vector<double> day_realized(n, 0.0);
-  double day_reward_paid = 0.0;
-
   for (std::size_t day = 0; day < total_days; ++day) {
-    const bool measured = day + 1 == total_days;
-    day_offered.assign(n, 0.0);
-    day_realized.assign(n, 0.0);
-    day_reward_paid = 0.0;
-    SubscriberTelemetry day_chan_before;
-    if (incident_ != nullptr) day_chan_before = fanout_.total_telemetry();
-    {
-      const math::Vector& published = mechanism_->rewards();
-      double mean_reward = 0.0;
-      double max_reward = 0.0;
-      for (std::size_t p = 0; p < n; ++p) {
-        mean_reward += published[p];
-        max_reward = std::max(max_reward, published[p]);
-      }
-      mean_reward /= static_cast<double>(n);
-      fc.mech_publishes.add(1);
-      obs::journal_record("mech.publish", -1, -1, mechanism_->name(),
-                          {{"day", static_cast<double>(day)},
-                           {"mean_reward", mean_reward},
-                           {"max_reward", max_reward}});
-    }
-    for (std::size_t period = 0; period < n; ++period) {
-      std::optional<obs::Span> period_span;
-      period_span.emplace("fleet.period");
-      fc.periods.add(1);
-      const std::uint64_t abs_period =
-          static_cast<std::uint64_t>(day) * n + period;
-      // Channel-side degradation counters are deterministic channel state
-      // (not gated telemetry): their delta across this period's sync is
-      // the incident engine's price-channel disturbance signal.
-      SubscriberTelemetry chan_before;
-      if (incident_ != nullptr) chan_before = fanout_.total_telemetry();
-      mark = std::chrono::steady_clock::now();
-      // Publish the current schedule and fan it out (one server fetch per
-      // group; every user in a group reads the group cache).
-      begin_phase("fleet.publish");
-      channel_.publish(mechanism_->rewards());
-      fanout_.sync(day * n + period);
-
-      std::vector<const math::Vector*> schedules(classes);
-      for (std::size_t c = 0; c < classes; ++c) {
-        schedules[c] = &fanout_.schedule(c);
-      }
-      lap(fc.publish_ns);
-      begin_phase("fleet.table");
-      const DeferralTable table(population_, schedules, period);
-      lap(fc.table_ns);
-
-      begin_phase("fleet.simulate");
-      parallel_for(
-          shards_.size(),
-          [&](std::size_t s) {
-            TDP_OBS_SPAN("fleet.shard");
-            shards_[s]->simulate_period(day, period, table, aggregator_);
-          },
-          threads_);
-      lap(fc.simulate_ns);
-
-      begin_phase("fleet.aggregate");
-      const PeriodStats merged = aggregator_.merged(period);
-      all_day_sessions += merged.sessions;
-      day_offered[period] = merged.offered_work * calibration;
-      day_realized[period] = merged.realized_work * calibration;
-      day_reward_paid += merged.reward_paid * calibration;
-      if (measured) {
-        metrics.sessions += merged.sessions;
-        metrics.deferred_sessions += merged.deferred_sessions;
-        metrics.offered_units[period] = merged.offered_work * calibration;
-        metrics.realized_units[period] = merged.realized_work * calibration;
-        metrics.reward_paid_units += merged.reward_paid * calibration;
-      }
-      lap(fc.aggregate_ns);
-
-      bool sig_gap = false;
-      bool sig_repaired = false;
-      std::size_t sig_lost = 0;
-      if (config_.online_pricing) {
-        begin_phase("fleet.pricer");
-        const Observation obs =
-            observe(period, abs_period, calibration, merged);
-        sig_lost = obs.lost_stripes;
-        if (obs.lost_stripes > 0) {
-          fc.stripes_lost.add_always(obs.lost_stripes);
-          obs::journal_record("fleet.stripe_lost",
-                              static_cast<std::int64_t>(period), -1,
-                              "shard measurement stripes lost",
-                              {{"stripes",
-                                static_cast<double>(obs.lost_stripes)},
-                               {"abs_period",
-                                static_cast<double>(abs_period)}});
-        }
-        if (!obs.sample.has_value()) {
-          // Total telemetry blackout for the period: the pricer is told
-          // explicitly and freezes its schedule.
-          sig_gap = true;
-          fc.measurement_gaps.add_always(1);
-          obs::journal_record("fleet.measurement_gap",
-                              static_cast<std::int64_t>(period), -1,
-                              "telemetry blackout, schedule frozen",
-                              {{"abs_period",
-                                static_cast<double>(abs_period)}});
-          mechanism_->observe_missed(period);
-        } else {
-          const MeasurementGuard::Admitted admitted =
-              guard_.admit(period, obs.sample);
-          if (admitted.degraded) fc.measurement_repairs.add_always(1);
-          sig_repaired = admitted.degraded;
-          const std::size_t budget =
-              injector_.exhaust_solver(abs_period)
-                  ? injector_.plan().solver_starved_budget
-                  : mechanism_->solver_budget();
-          mechanism_->observe_period(
-              period, admitted.value,
-              admitted.degraded || obs.lost_stripes > 0, budget);
-        }
-        lap(fc.pricer_ns);
-      }
-
-      if (incident_ != nullptr) {
-        const SubscriberTelemetry chan_now = fanout_.total_telemetry();
-        obs::incident::PeriodSignals sig;
-        sig.day = day;
-        sig.period = static_cast<std::uint32_t>(period);
-        sig.abs_period = abs_period;
-        sig.offered_units = day_offered[period];
-        sig.realized_units = day_realized[period];
-        sig.measurement_gap = sig_gap;
-        sig.measurement_repaired = sig_repaired;
-        sig.lost_stripes = sig_lost;
-        sig.price_groups = fanout_.groups();
-        sig.failed_attempts =
-            chan_now.dropped_attempts - chan_before.dropped_attempts;
-        sig.degraded_groups =
-            (chan_now.stale_periods - chan_before.stale_periods) +
-            (chan_now.fallback_periods - chan_before.fallback_periods) +
-            (chan_now.skewed_periods - chan_before.skewed_periods);
-        sig.solver_starved =
-            config_.online_pricing && injector_.exhaust_solver(abs_period);
-        sig.health = map_health(mechanism_->health());
-        sig.storm_blackout = injector_.storm_active(
-            FaultInjector::StormDomain::kBlackout, abs_period);
-        sig.storm_channel = injector_.storm_active(
-            FaultInjector::StormDomain::kChannel, abs_period);
-        sig.storm_solver = injector_.storm_active(
-            FaultInjector::StormDomain::kSolver, abs_period);
-        incident_->observe_period(sig);
-      }
-    }
-
-    mech::DaySettlement settlement;
-    settlement.offered_units = day_offered;
-    settlement.realized_units = day_realized;
-    settlement.reward_paid_units = day_reward_paid;
-    const mech::SettleInfo settle = mechanism_->settle_day(settlement);
-    fc.mech_settles.add(1);
-    reg.counter(std::string("mech.") + mechanism_->name() + ".days_total")
-        .add(1);
-    obs::journal_record(
-        "mech.settle", -1, -1, mechanism_->name(),
-        {{"day", static_cast<double>(day)},
-         {"budget_spent", settle.budget_spent},
-         {"budget_pool", settle.budget_pool},
-         {"schedule_changed", settle.schedule_changed ? 1.0 : 0.0}});
-    if (measured) {
+    while (!loop_.day_complete()) loop_.step_period();
+    const mech::SettleInfo settle = loop_.settle_day();
+    loop_.close_day();
+    const DayTotals& totals = loop_.day_totals();
+    all_day_sessions += totals.sessions;
+    if (day + 1 == total_days) {
+      static_cast<DayTotals&>(metrics) = totals;
       metrics.rebate_budget_spent = settle.budget_spent;
       metrics.rebate_budget_pool = settle.budget_pool;
-    }
-
-    if (incident_ != nullptr) {
-      const std::uint64_t day_last_abs =
-          static_cast<std::uint64_t>(day) * n + (n - 1);
-      obs::incident::SettleSignals ssig;
-      ssig.day = day;
-      ssig.abs_period = day_last_abs;
-      ssig.schedule_changed = settle.schedule_changed;
-      ssig.books_held = settle.books_held;
-      ssig.budget_spent = settle.budget_spent;
-      ssig.budget_pool = settle.budget_pool;
-      incident_->observe_settle(ssig);
-
-      const SubscriberTelemetry day_chan_now = fanout_.total_telemetry();
-      obs::incident::DaySignals dsig;
-      dsig.day = day;
-      dsig.abs_period = day_last_abs;
-      dsig.peak_to_average_tip = peak_to_average(day_offered);
-      dsig.peak_to_average_tdp = peak_to_average(day_realized);
-      dsig.peak_realized_units =
-          *std::max_element(day_realized.begin(), day_realized.end());
-      dsig.fallback_periods =
-          day_chan_now.fallback_periods - day_chan_before.fallback_periods;
-      incident_->observe_day(dsig);
     }
   }
 
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  metrics.wall_seconds =
-      std::chrono::duration<double>(elapsed).count();
-  metrics.publish_seconds = static_cast<double>(d_publish.delta()) * 1e-9;
-  metrics.table_seconds = static_cast<double>(d_table.delta()) * 1e-9;
-  metrics.simulate_seconds = static_cast<double>(d_simulate.delta()) * 1e-9;
-  metrics.aggregate_seconds = static_cast<double>(d_aggregate.delta()) * 1e-9;
-  metrics.pricer_seconds = static_cast<double>(d_pricer.delta()) * 1e-9;
-  const double user_periods = static_cast<double>(population_.users()) *
+  static_cast<LoopMetrics&>(metrics) = loop_.metrics();
+  metrics.wall_seconds = std::chrono::duration<double>(elapsed).count();
+  metrics.days = total_days;
+  metrics.price_groups = loop_.fanout().groups();
+  const double user_periods = static_cast<double>(metrics.users) *
                               static_cast<double>(n) *
                               static_cast<double>(total_days);
   if (metrics.wall_seconds > 0.0) {
@@ -500,38 +103,23 @@ FleetMetrics FleetDriver::run_day() {
   }
   metrics.peak_to_average_tip = peak_to_average(metrics.offered_units);
   metrics.peak_to_average_tdp = peak_to_average(metrics.realized_units);
-  metrics.pricer_expected_cost = mechanism_->expected_cost();
-  metrics.mechanism = mechanism_->name();
+  const mech::PricingMechanism& mechanism = loop_.mechanism();
+  metrics.pricer_expected_cost = mechanism.expected_cost();
+  metrics.mechanism = mechanism.name();
 
-  // Robustness counters: per-run deltas of the channel/pricer/fleet
-  // registry counters (the components bump them at the event sites).
-  metrics.price_server_fetches = d_fetches.delta();
-  metrics.price_pull_drops = d_drops.delta();
-  metrics.price_pull_retries = d_retries.delta();
-  metrics.price_stale_periods = d_stale.delta();
-  metrics.price_fallback_periods = d_chan_fallback.delta();
-  metrics.price_skewed_periods = d_skewed.delta();
-  metrics.price_recoveries = d_chan_recoveries.delta();
-  metrics.shard_stripes_lost = d_stripes.delta();
-  metrics.measurement_gaps = d_gaps.delta();
-  metrics.measurement_repairs = d_repairs.delta();
-  metrics.solver_failures = d_solve_failures.delta();
-  metrics.reward_clamps = d_clamps.delta();
-  metrics.skipped_updates = d_skipped.delta();
-  metrics.health_transitions = d_transitions.delta();
-  metrics.degraded_observations = d_degraded.delta();
-  metrics.fallback_observations = d_fallback_obs.delta();
-  metrics.pricer_recoveries = d_recoveries.delta();
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    metrics.*kRunCounters[i].field = deltas[i].delta();
+  }
   // The maximum and the final rung are state, not counts: read them from
   // the mechanism directly.
-  const PricerHealthStats* health_stats = mechanism_->health_stats();
+  const PricerHealthStats* health_stats = mechanism.health_stats();
   metrics.max_recovery_periods =
       health_stats != nullptr ? health_stats->max_recovery_periods : 0;
-  metrics.final_health = to_string(mechanism_->health());
-  if (incident_ != nullptr) {
-    metrics.incident_alerts = incident_->alerts_emitted();
-    metrics.incidents_opened = incident_->incidents_opened();
-    metrics.incidents_closed = incident_->incidents_closed();
+  metrics.final_health = to_string(mechanism.health());
+  if (const obs::incident::IncidentEngine* incident = incident_engine()) {
+    metrics.incident_alerts = incident->alerts_emitted();
+    metrics.incidents_opened = incident->incidents_opened();
+    metrics.incidents_closed = incident->incidents_closed();
   }
   return metrics;
 }

@@ -1,157 +1,56 @@
-// The fleet day loop: sharded population simulation driving the online
-// pricer through the TUBE price channel.
+// The fleet day: warmup + 1 days of the control loop (control_loop.hpp),
+// reported as FleetMetrics for the measured final day.
 //
-//   ┌────────────┐ publish ┌──────────────┐ pull/group ┌─────────────┐
-//   │ OnlinePricer├────────►│ PriceChannel ├───────────►│ PriceFanout │
-//   └─────▲──────┘         └──────────────┘            └──────┬──────┘
-//         │ measured aggregate (demand units)                 │ schedules
-//   ┌─────┴────────┐  ordered merge   ┌────────┐  parallel    ▼
-//   │ StripedAggreg│◄─────────────────┤ Shards │◄──── DeferralTable
-//   └──────────────┘                  └────────┘      (per class)
+//   FleetDriver ── owns ──► ControlLoop
+//     run_day():  for each day { step_period() × periods;
+//                                settle_day(); close_day(); }
+//                 then FleetMetrics from the measured day's totals, the
+//                 loop's phase times and per-run registry counter deltas.
 //
-// Each period: the pricer's current schedule is published; the fan-out
-// groups pull it once; a per-class deferral table is built from the pulled
-// schedules; shards simulate their user ranges on the thread pool; stripes
-// merge in fixed shard order; the aggregate pre-deferral arrivals are fed
-// back into OnlinePricer::observe_period, which re-tunes one reward. The
-// first day(s) warm the deferral rings so the measured day sees the cyclic
-// steady state the fluid model assumes.
-//
-// Determinism: population draws depend only on (seed, user, day, period);
-// the shard layout is fixed by configuration, never derived from the thread
-// count; the merge order is fixed. Per-period aggregates — and therefore
-// the pricer's reward trajectory — are bit-identical for any thread count.
-// Fault model: `FleetDriverConfig::fault` injects failures into the
-// *observation* paths only — price pulls and usage telemetry — never into
-// the simulated users themselves, so a chaos run and a clean run describe
-// the same physical fleet and differ only in what the control loop sees.
-// Slices act as measurement fault domains (a lost slice's stripe never
-// reaches the pricer); price-pull faults hit the fan-out groups. When any
-// fault can fire, the pricer's guard is armed (trust region + keep-reward
-// on failure) unless an explicit guard config is given. A zero-fault plan
-// leaves every path bit-identical to a driver with no plan at all.
+// The first day(s) warm the deferral rings so the measured day sees the
+// cyclic steady state the fluid model assumes. When any fault can fire,
+// the pricer's guard is armed (trust region + keep-reward on failure)
+// unless an explicit guard config is given.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <optional>
-#include <vector>
 
-#include "common/fault.hpp"
-#include "dynamic/dynamic_optimizer.hpp"
-#include "dynamic/online_pricer.hpp"
-#include "fleet/aggregator.hpp"
+#include "fleet/control_loop.hpp"
 #include "fleet/fleet_metrics.hpp"
-#include "fleet/population.hpp"
-#include "fleet/price_fanout.hpp"
-#include "fleet/shard.hpp"
-#include "mech/mechanism.hpp"
-#include "obs/incident/incident.hpp"
-#include "tube/measurement_guard.hpp"
-#include "tube/price_channel.hpp"
 
 namespace tdp::fleet {
 
-struct FleetDriverConfig {
-  PopulationConfig population;
-  /// Shard count — the execution grouping for the per-period parallel
-  /// sweep. Clamped to the slice count. Since aggregation is striped per
-  /// canonical *slice* (see aggregator.hpp), any shard count yields
-  /// bit-identical aggregates for a fixed slice layout.
-  std::size_t shards = 64;
-  /// Canonical slice count — part of the experiment definition (it fixes
-  /// the floating-point reduction order and the measurement fault
-  /// domains), deliberately NOT defaulted from the thread count. 0 = one
-  /// slice per shard, which reproduces the pre-slice drivers bitwise.
-  /// Clamped to the user count.
-  std::size_t slices = 0;
-  /// Worker threads for the per-period shard sweep; 0 = TDP_THREADS /
-  /// hardware default. Any value yields bit-identical aggregates.
-  std::size_t threads = 0;
-  /// Days simulated before the measured day to warm the deferral rings.
-  std::size_t warmup_days = 1;
-  /// Feed measured aggregates into the pricing mechanism (off = the
-  /// initial schedule is published unchanged all day).
-  bool online_pricing = true;
-  DynamicOptimizerOptions offline_options;
-  /// Which pricing mechanism drives the fleet (DESIGN.md §13). The default
-  /// TubeOnline run is bit-identical to the pre-arena driver; every
-  /// mechanism sees the same fault plan, telemetry, and journal events.
-  mech::MechanismConfig mechanism;
-
-  /// Fault plan for the chaos run (default: nothing ever fires).
-  FaultPlan fault;
-  /// Staleness/retry policy for degraded price pulls.
-  ChannelResilienceConfig resilience;
-  /// Sanitization policy for the measured-aggregate feed.
-  MeasurementGuardConfig measurement_guard;
-  /// Pricer degradation policy; unset = PricerGuardConfig::protective()
-  /// when the fault plan can fire, legacy no-op guard otherwise.
-  std::optional<PricerGuardConfig> pricer_guard;
-  /// Incident engine (off by default). A pure observer: the driver feeds
-  /// it per-period/settle/day aggregates; enabling it never changes any
-  /// simulated or priced value (bit-identity enforced by tests).
-  obs::incident::IncidentConfig incident;
+struct FleetDriverConfig : LoopConfig {
+  FleetDriverConfig() : LoopConfig(/*default_shards=*/64) {}
 };
-
-/// The fluid dynamic model whose expected arrivals match the population's:
-/// the published mix on the continuous lag grid, at the paper's 48-period
-/// load factor (capacity scales with mean demand so 12-period runs see the
-/// same congestion regime). Shared by FleetDriver's offline solve and the
-/// long-horizon driver's daily re-anchoring.
-DynamicModel baseline_fluid_model(const Population& population);
 
 class FleetDriver {
  public:
   explicit FleetDriver(FleetDriverConfig config);
 
-  const Population& population() const { return population_; }
+  const Population& population() const { return loop_.population(); }
   /// The §III-B pricer — TubeOnline runs only (TDP_REQUIRE otherwise);
   /// mechanism() is the kind-agnostic view.
-  const OnlinePricer& pricer() const;
-  const mech::PricingMechanism& mechanism() const { return *mechanism_; }
-  const PriceChannel& channel() const { return channel_; }
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t slice_count() const { return aggregator_.stripes(); }
-  std::size_t thread_count() const { return threads_; }
+  const OnlinePricer& pricer() const { return loop_.pricer(); }
+  const mech::PricingMechanism& mechanism() const { return loop_.mechanism(); }
+  const PriceChannel& channel() const { return loop_.channel(); }
+  std::size_t shard_count() const { return loop_.shard_count(); }
+  std::size_t slice_count() const { return loop_.slice_count(); }
+  std::size_t thread_count() const { return loop_.thread_count(); }
 
   /// Simulate warmup_days + 1 days; returns metrics for the final day.
   /// Single-shot: a driver instance runs one experiment.
   FleetMetrics run_day();
 
-  const FaultInjector& injector() const { return injector_; }
+  const FaultInjector& injector() const { return loop_.injector(); }
 
   /// The incident engine, or nullptr when not enabled.
   const obs::incident::IncidentEngine* incident_engine() const {
-    return incident_.get();
+    return loop_.incident_engine();
   }
 
  private:
-  /// What the telemetry path reports for one period (std::nullopt = the
-  /// aggregate sample never arrived), plus whether shard stripes were lost.
-  struct Observation {
-    std::optional<double> sample;
-    std::size_t lost_stripes = 0;
-  };
-  Observation observe(std::size_t period, std::uint64_t abs_period,
-                      double calibration, const PeriodStats& merged) const;
-
-  FleetDriverConfig config_;
-  Population population_;
-  FaultInjector injector_;
-  /// The configured mechanism, planning against the baseline fluid model:
-  /// the paper's demand mix at the paper's load factor — exactly the
-  /// population's expected aggregate.
-  std::unique_ptr<mech::PricingMechanism> mechanism_;
-  PriceChannel channel_;
-  PriceFanout fanout_;
-  MeasurementGuard guard_;
-  /// Heap-held so construction can run on the pool workers (first-touch
-  /// NUMA placement of each shard's arena; see Shard's ctor comment).
-  std::vector<std::unique_ptr<Shard>> shards_;
-  StripedAggregator aggregator_;
-  std::size_t threads_;
-  std::unique_ptr<obs::incident::IncidentEngine> incident_;
+  ControlLoop loop_;
   bool ran_ = false;
 };
 

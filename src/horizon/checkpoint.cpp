@@ -338,6 +338,7 @@ void write_section(ser::Writer& w, SectionTag tag,
     case kSecIncident:
       obs::incident::write_config_echo(w, data.incident_config);
       obs::incident::write_state(w, data.incident);
+      w.u64(data.day_channel_fallback_periods);
       break;
   }
   w.end_section(s);
@@ -641,6 +642,7 @@ CheckpointData decode(const std::uint8_t* bytes, std::size_t size) {
         data.incident_config = obs::incident::read_config_echo(r);
         data.incident = obs::incident::read_state(r);
         data.incident_enabled = data.incident_config.enabled;
+        if (r.remaining() > 0) data.day_channel_fallback_periods = r.u64();
         break;
       }
       default:

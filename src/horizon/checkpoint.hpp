@@ -30,6 +30,7 @@
 
 #include "common/fault.hpp"
 #include "dynamic/online_pricer.hpp"
+#include "fleet/control_loop.hpp"
 #include "horizon/horizon_metrics.hpp"
 #include "math/vector_ops.hpp"
 #include "mech/mechanism.hpp"
@@ -57,8 +58,9 @@ struct DayRecord {
   std::vector<double> tip_demand;  ///< offered (TIP) demand units per period
 };
 
-/// The complete serializable state of a MultiDayDriver.
-struct CheckpointData {
+/// The complete serializable state of a MultiDayDriver: the period loop's
+/// state (clock, per-slice rings, channel, fan-out, guard) plus the rest.
+struct CheckpointData : fleet::LoopState {
   // -- configuration echo (determinism-relevant; validated on restore) ----
   std::uint64_t users = 0;
   std::uint32_t periods = 0;
@@ -89,19 +91,7 @@ struct CheckpointData {
   // State: the re-anchor hysteresis counter (always 0 when ungated).
   std::uint64_t healthy_streak_periods = 0;
 
-  // -- simulated clock ----------------------------------------------------
-  std::uint64_t day = 0;     ///< next day to simulate
-  std::uint32_t period = 0;  ///< next period to simulate within `day`
-  std::uint32_t ring_head = 0;
-
-  // -- per-slice deferral rings (ascending slice order) -------------------
-  std::vector<std::vector<double>> ring_work;
-  std::vector<std::vector<double>> ring_reward;
-
-  // -- TUBE control-loop components ---------------------------------------
-  PriceChannelState channel;
-  std::vector<math::Vector> fanout_schedules;
-  MeasurementGuardState guard;
+  // -- online pricer and its model source ---------------------------------
   OnlinePricerState pricer;
   ModelSource model_source = ModelSource::kBaseline;
   double model_beta = 0.0;                ///< kEstimated only
@@ -139,6 +129,11 @@ struct CheckpointData {
   bool incident_enabled = false;
   obs::incident::IncidentConfig incident_config;
   obs::incident::EngineState incident;
+  /// The current day's channel fallback group-periods so far — the
+  /// engine's fallback-budget input at day end
+  /// (fleet::ControlLoop::day_channel_fallbacks). Trails the engine state;
+  /// a section without it decodes as 0.
+  std::uint64_t day_channel_fallback_periods = 0;
 
   // -- observability counters (name, merged value) ------------------------
   std::vector<std::pair<std::string, std::uint64_t>> counters;

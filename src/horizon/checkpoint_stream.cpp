@@ -30,21 +30,11 @@ void write_file_durable(const std::string& path,
 }
 
 std::optional<CheckpointData> try_load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buffer[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return std::nullopt;
   try {
-    return decode(bytes);
-  } catch (const ser::FormatError&) {
-    // Torn, truncated, or corrupt — exactly what recovery must tolerate.
+    return load_checkpoint_file(path);
+  } catch (const Error&) {
+    // Missing, unreadable, torn, truncated or corrupt — exactly what
+    // recovery must tolerate.
     return std::nullopt;
   }
 }

@@ -1,120 +1,55 @@
 #include "horizon/horizon_metrics.hpp"
 
-#include <cstdio>
-
 namespace tdp::horizon {
 namespace {
 
-void append_number(std::string& out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
-}
-
-void append_field(std::string& out, const char* key, double value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_number(out, value);
-}
-
-void append_field(std::string& out, const char* key, std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%llu",
-                static_cast<unsigned long long>(value));
-  out += '"';
-  out += key;
-  out += "\":";
-  out += buffer;
-}
-
-void append_field(std::string& out, const char* key, bool value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += value ? "true" : "false";
-}
-
-void append_array(std::string& out, const char* key,
-                  const std::vector<double>& values) {
-  out += '"';
-  out += key;
-  out += "\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out += ',';
-    append_number(out, values[i]);
-  }
-  out += ']';
-}
-
-void append_day(std::string& out, const DayMetrics& day) {
-  out += '{';
-  append_field(out, "day", day.day);
-  out += ',';
-  append_field(out, "sessions", day.sessions);
-  out += ',';
-  append_field(out, "deferred_sessions", day.deferred_sessions);
-  out += ',';
-  append_field(out, "reward_paid_units", day.reward_paid_units);
-  out += ',';
-  append_field(out, "peak_to_average_tip", day.peak_to_average_tip);
-  out += ',';
-  append_field(out, "peak_to_average_tdp", day.peak_to_average_tdp);
-  out += ',';
-  append_field(out, "estimated", day.estimated);
-  out += ',';
-  append_field(out, "beta_estimate", day.beta_estimate);
-  out += ',';
-  append_field(out, "estimate_residual", day.estimate_residual);
-  out += ',';
-  append_field(out, "reanchored", day.reanchored);
-  out += ',';
-  append_field(out, "fallback_periods", day.fallback_periods);
-  out += ',';
-  append_field(out, "estimation_frozen", day.estimation_frozen);
-  out += ',';
-  append_field(out, "reanchor_rolled_back", day.reanchor_rolled_back);
-  out += ',';
-  append_field(out, "reward_step_linf", day.reward_step_linf);
-  out += ',';
-  append_array(out, "offered_units", day.offered_units);
-  out += ',';
-  append_array(out, "realized_units", day.realized_units);
-  out += ',';
-  append_array(out, "rewards", day.rewards);
-  out += '}';
+std::string day_json(const DayMetrics& day) {
+  return fleet::json::Object()
+      .field("day", day.day)
+      .field("sessions", day.sessions)
+      .field("deferred_sessions", day.deferred_sessions)
+      .field("reward_paid_units", day.reward_paid_units)
+      .field("peak_to_average_tip", day.peak_to_average_tip)
+      .field("peak_to_average_tdp", day.peak_to_average_tdp)
+      .field("estimated", day.estimated)
+      .field("beta_estimate", day.beta_estimate)
+      .field("estimate_residual", day.estimate_residual)
+      .field("reanchored", day.reanchored)
+      .field("fallback_periods", day.fallback_periods)
+      .field("estimation_frozen", day.estimation_frozen)
+      .field("reanchor_rolled_back", day.reanchor_rolled_back)
+      .field("reward_step_linf", day.reward_step_linf)
+      .field("offered_units", day.offered_units)
+      .field("realized_units", day.realized_units)
+      .field("rewards", day.rewards)
+      .str();
 }
 
 }  // namespace
 
 std::string HorizonMetrics::to_json() const {
-  std::string out = "{";
-  append_field(out, "users", users);
-  out += ',';
-  append_field(out, "periods", static_cast<std::uint64_t>(periods));
-  out += ',';
-  append_field(out, "slices", static_cast<std::uint64_t>(slices));
-  out += ',';
-  append_field(out, "shards", static_cast<std::uint64_t>(shards));
-  out += ',';
-  append_field(out, "threads", static_cast<std::uint64_t>(threads));
-  out += ',';
-  append_field(out, "warmup_days", static_cast<std::uint64_t>(warmup_days));
-  out += ',';
-  append_field(out, "horizon_days", static_cast<std::uint64_t>(horizon_days));
-  out += ',';
-  append_field(out, "wall_seconds", wall_seconds);
-  out += ',';
-  out += "\"final_health\":\"";
-  out += final_health;
-  out += "\",";
-  out += "\"days\":[";
+  std::string day_list = "[";
   for (std::size_t i = 0; i < days.size(); ++i) {
-    if (i) out += ',';
-    append_day(out, days[i]);
+    if (i) day_list += ',';
+    day_list += day_json(days[i]);
   }
-  out += "]}";
-  return out;
+  return fleet::json::Object()
+      .field("users", users)
+      .field("periods", std::uint64_t{periods})
+      .field("slices", std::uint64_t{slices})
+      .field("shards", std::uint64_t{shards})
+      .field("threads", std::uint64_t{threads})
+      .field("warmup_days", std::uint64_t{warmup_days})
+      .field("horizon_days", std::uint64_t{horizon_days})
+      .field("wall_seconds", wall_seconds)
+      .field("publish_seconds", publish_seconds)
+      .field("table_seconds", table_seconds)
+      .field("simulate_seconds", simulate_seconds)
+      .field("aggregate_seconds", aggregate_seconds)
+      .field("pricer_seconds", pricer_seconds)
+      .field("final_health", final_health)
+      .raw("days", day_list + ']')
+      .str();
 }
 
 }  // namespace tdp::horizon

@@ -1,10 +1,10 @@
 // Per-day and whole-run metrics for long-horizon operations.
 //
-// Everything in DayMetrics except nothing — all fields — is a deterministic
-// function of the run's configuration: the kill-and-restore property tests
-// compare DayMetrics with EXPECT_EQ on the raw doubles. Wall-clock timing
-// lives only in HorizonMetrics::wall_seconds and is explicitly excluded
-// from bitwise comparisons.
+// Every DayMetrics field is a deterministic function of the run's
+// configuration: the kill-and-restore property tests compare DayMetrics
+// with EXPECT_EQ on the raw doubles. Wall-clock timing lives only in
+// HorizonMetrics' loop metrics (wall and phase seconds) and is explicitly
+// excluded from bitwise comparisons.
 #pragma once
 
 #include <cstddef>
@@ -12,21 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "fleet/fleet_metrics.hpp"
+
 namespace tdp::horizon {
 
-/// One simulated day's deterministic outcomes.
-struct DayMetrics {
+/// One simulated day's deterministic outcomes: the loop's traffic totals
+/// plus the horizon's own.
+struct DayMetrics : fleet::DayTotals {
   std::uint64_t day = 0;  ///< absolute day index (warmup included)
-
-  // Traffic shape (demand units per period).
-  std::vector<double> offered_units;   ///< pre-deferral (TIP baseline)
-  std::vector<double> realized_units;  ///< post-deferral (under TDP)
-  /// Published reward each period saw when it was simulated.
-  std::vector<double> rewards;
-
-  std::uint64_t sessions = 0;
-  std::uint64_t deferred_sessions = 0;
-  double reward_paid_units = 0.0;
   double peak_to_average_tip = 0.0;
   double peak_to_average_tdp = 0.0;
 
@@ -47,19 +40,16 @@ struct DayMetrics {
   double reward_step_linf = 0.0;
 };
 
-/// Whole-run summary. `days` holds the measured (post-warmup) days.
-struct HorizonMetrics {
-  std::uint64_t users = 0;
-  std::size_t periods = 0;
+/// Whole-run summary. `days` holds the measured (post-warmup) days; the
+/// loop's wall and phase times cover this driver instance's run() calls
+/// and periods (a restored run counts from the restore).
+struct HorizonMetrics : fleet::LoopMetrics {
   std::size_t slices = 0;
-  std::size_t shards = 0;
-  std::size_t threads = 0;
   std::size_t warmup_days = 0;
   std::size_t horizon_days = 0;
 
   std::vector<DayMetrics> days;
   std::string final_health = "HEALTHY";
-  double wall_seconds = 0.0;  ///< NOT deterministic; excluded from comparisons
 
   /// Compact single-object JSON (per-day profiles as arrays of arrays).
   std::string to_json() const;

@@ -1,11 +1,18 @@
 // Long-horizon operations: the multi-day control loop with online §IV
 // re-estimation and versioned checkpoint/restore.
 //
-// A MultiDayDriver runs the TUBE control loop (fleet_driver.hpp's
-// publish → fan-out → simulate → aggregate → observe pipeline, period for
-// period, bitwise identical on a clean day) for many consecutive simulated
-// days. On top of the single-day loop it adds the operational layer a
-// deployment needs:
+// A MultiDayDriver runs the shared period loop (fleet/control_loop.hpp —
+// the same engine FleetDriver runs, so a clean day is bitwise FleetDriver's
+// day) for many consecutive simulated days and adds only horizon work:
+//
+//   MultiDayDriver ── owns ──► fleet::ControlLoop
+//     step_period():
+//       day start   drifted lag tables, day-start reward step
+//       loop        loop.step_period(drift tables)
+//       health      HEALTHY streak / FALLBACK count (storm gates only)
+//       day end     loop.settle_day() → adapt users → estimate/re-anchor
+//                   → loop.close_day(re-anchor flags)
+//       commit      streamed checkpoint at the new boundary
 //
 //   * Online estimation. Each finished day contributes one DayRecord of
 //     fleet aggregates — published rewards, offered (TIP) demand and the
@@ -33,50 +40,26 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/fault.hpp"
-#include "dynamic/dynamic_optimizer.hpp"
-#include "dynamic/online_pricer.hpp"
-#include "fleet/aggregator.hpp"
-#include "fleet/fleet_driver.hpp"
-#include "fleet/population.hpp"
-#include "fleet/price_fanout.hpp"
-#include "fleet/shard.hpp"
+#include "fleet/control_loop.hpp"
 #include "horizon/checkpoint.hpp"
 #include "horizon/checkpoint_stream.hpp"
 #include "horizon/horizon_metrics.hpp"
-#include "mech/mechanism.hpp"
-#include "obs/incident/incident.hpp"
-#include "tube/measurement_guard.hpp"
-#include "tube/price_channel.hpp"
 
 namespace tdp::horizon {
 
-struct HorizonConfig {
-  fleet::PopulationConfig population;
-  /// Execution grouping (clamped to the slice count); never affects values.
-  std::size_t shards = 8;
-  /// Canonical slice layout; 0 = one slice per shard. Recorded in every
-  /// checkpoint — restore() reuses the checkpointed layout, so a restoring
-  /// config must leave this 0 or repeat the stored value.
-  std::size_t slices = 0;
-  std::size_t threads = 0;  ///< 0 = TDP_THREADS / hardware default
+struct HorizonConfig : fleet::LoopConfig {
+  HorizonConfig() : LoopConfig(/*default_shards=*/8) {}
 
-  /// Days simulated before the measured horizon to warm the deferral rings
-  /// (their DayMetrics are kept but excluded from metrics().days).
-  std::size_t warmup_days = 1;
-  /// Measured days after warmup.
+  // Horizon rules for the loop fields: restore() reuses the checkpointed
+  // `slices` (a restoring config leaves it 0 or repeats it); the `fault`
+  // plan's drift_* fields move the population's patience indices day by
+  // day; `incident` thresholds are config-echoed and must match on restore.
+
+  /// Measured days after the warmup days.
   std::size_t horizon_days = 7;
-
-  bool online_pricing = true;
-  DynamicOptimizerOptions offline_options;
-
-  /// Pricing mechanism (DESIGN.md §13). The default TubeOnline config
-  /// keeps every pre-arena horizon run bitwise unchanged.
-  mech::MechanismConfig mechanism;
 
   /// Day-over-day user adaptation: after each settled day, every patience
   /// class's index is pulled toward a target set by the mean published
@@ -87,22 +70,6 @@ struct HorizonConfig {
   double adaptation_rate = 0.25;
   /// Sensitivity of the target scale to the mean reward.
   double adaptation_gain = 0.5;
-
-  /// Fault plan. Observation faults behave exactly as in FleetDriver; the
-  /// drift_* fields additionally move the simulated population's patience
-  /// indices day by day (never arming guards — drift is reality changing,
-  /// not telemetry lying).
-  FaultPlan fault;
-  ChannelResilienceConfig resilience;
-  MeasurementGuardConfig measurement_guard;
-  std::optional<PricerGuardConfig> pricer_guard;
-
-  /// Incident engine (off by default). A pure observer fed the same
-  /// aggregates the drivers already compute; enabling it never changes a
-  /// simulated or priced value. Its state checkpoints (kSecIncident) so
-  /// the alert stream survives kill/restore bitwise; the threshold fields
-  /// are config-echoed and restore rejects mismatches.
-  obs::incident::IncidentConfig incident;
 
   /// Run the §IV estimator over the sliding window after each measured day.
   bool estimation = true;
@@ -159,23 +126,23 @@ class MultiDayDriver {
       HorizonConfig config, const std::vector<std::uint8_t>& bytes,
       bool restore_counters = false);
 
-  const fleet::Population& population() const { return population_; }
+  const fleet::Population& population() const { return loop_.population(); }
   /// The TubeOnline mechanism's online pricer. Requires the default
   /// (tube_online) mechanism; other mechanisms have no pricer.
-  const OnlinePricer& pricer() const;
+  const OnlinePricer& pricer() const { return loop_.pricer(); }
   /// The active pricing mechanism (always present).
-  const mech::PricingMechanism& mechanism() const { return *mechanism_; }
+  const mech::PricingMechanism& mechanism() const { return loop_.mechanism(); }
   /// Per-class adaptive patience scale (all ones unless adaptive_users).
   const std::vector<double>& adaptive_scale() const { return adapt_scale_; }
-  std::size_t slice_count() const { return aggregator_.stripes(); }
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t thread_count() const { return threads_; }
+  std::size_t slice_count() const { return loop_.slice_count(); }
+  std::size_t shard_count() const { return loop_.shard_count(); }
+  std::size_t thread_count() const { return loop_.thread_count(); }
 
   /// Simulated clock: the *next* period to simulate.
-  std::uint64_t day() const { return day_; }
-  std::size_t period() const { return period_; }
+  std::uint64_t day() const { return loop_.day(); }
+  std::size_t period() const { return loop_.period(); }
   bool done() const {
-    return day_ >= config_.warmup_days + config_.horizon_days;
+    return day() >= config_.warmup_days + config_.horizon_days;
   }
 
   /// Simulate exactly one period (precondition: !done()). Rolls the day
@@ -203,7 +170,7 @@ class MultiDayDriver {
 
   /// The incident engine, or nullptr when not enabled.
   const obs::incident::IncidentEngine* incident_engine() const {
-    return incident_.get();
+    return loop_.incident_engine();
   }
 
  private:
@@ -211,8 +178,8 @@ class MultiDayDriver {
   MultiDayDriver(RestoreTag, HorizonConfig config, const CheckpointData& data,
                  bool restore_counters);
 
-  /// Shared by both constructors: validates config, builds population-
-  /// derived components. `slice_override` pins the canonical layout (the
+  /// Shared by both constructors: validates config, builds the loop's
+  /// components. `slice_override` pins the canonical layout (the
   /// checkpointed value on restore; 0 = derive from config).
   MultiDayDriver(HorizonConfig config, std::size_t slice_override);
 
@@ -236,32 +203,12 @@ class MultiDayDriver {
                                const std::vector<double>& volumes) const;
   /// Baseline-or-estimated model per model_source_ (restore path).
   DynamicModel rebuild_model() const;
-
-  struct Observation {
-    std::optional<double> sample;
-    std::size_t lost_stripes = 0;
-  };
-  Observation observe(std::size_t period, std::uint64_t abs_period,
-                      double calibration,
-                      const fleet::PeriodStats& merged) const;
+  /// The current day's metrics: partial_ plus the loop's day totals.
+  DayMetrics current_day() const;
 
   HorizonConfig config_;
-  fleet::Population population_;
-  FaultInjector injector_;
-  std::unique_ptr<mech::PricingMechanism> mechanism_;
-  PriceChannel channel_;
-  fleet::PriceFanout fanout_;
-  MeasurementGuard guard_;
-  /// Heap-held so construction can run on the pool workers (first-touch
-  /// NUMA placement of each shard's arena).
-  std::vector<std::unique_ptr<fleet::Shard>> shards_;
-  fleet::StripedAggregator aggregator_;
-  std::size_t threads_;
-
-  // Simulated clock (next period to simulate).
-  std::uint64_t day_ = 0;
-  std::size_t period_ = 0;
-  bool day_started_ = false;
+  /// The period loop (components, clock, day totals, incident engine).
+  fleet::ControlLoop loop_;
 
   /// Current day's drifted lag tables (empty = no drift, use the
   /// population's own). Rebuilt each day, never serialized.
@@ -283,10 +230,8 @@ class MultiDayDriver {
   /// Streaming checkpoint writer (present when checkpoint_path is set).
   std::unique_ptr<CheckpointStream> stream_;
 
-  /// Incident engine (present when config_.incident.enabled).
-  std::unique_ptr<obs::incident::IncidentEngine> incident_;
-
-  // Metrics.
+  // Metrics. partial_ holds the current day's horizon-only fields; its
+  // traffic fields live in the loop's day totals until the day finishes.
   std::vector<DayMetrics> completed_days_;
   DayMetrics partial_;
   math::Vector prev_day_start_rewards_;

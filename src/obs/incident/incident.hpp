@@ -93,8 +93,9 @@ struct IncidentConfig {
   double slo_long_burn = 0.30;  ///< bad fraction over the long window
 
   // -- SLO: fallback budget (per day) -------------------------------------
-  /// Max FALLBACK periods per day before the objective opens (the
-  /// "fallback periods <= Y/day" objective). ~0 disables.
+  /// Max channel fallback group-periods per day (DaySignals::
+  /// fallback_periods) before the objective opens (the "fallback periods
+  /// <= Y/day" objective). ~0 disables.
   std::uint64_t slo_max_fallback_per_day = ~0ull;
 
   // -- SLO: P2A-reduction floor (per day, trailing window) ----------------
@@ -254,6 +255,10 @@ struct DaySignals {
   double peak_to_average_tip = 0.0;
   double peak_to_average_tdp = 0.0;
   double peak_realized_units = 0.0;
+  /// Price-channel fallback group-periods over the day: summed over
+  /// periods, the fan-out groups served the channel's fallback schedule
+  /// (SubscriberTelemetry::fallback_periods). Not the pricer FSM's
+  /// FALLBACK periods (horizon::DayMetrics::fallback_periods).
   std::uint64_t fallback_periods = 0;
   bool estimation_frozen = false;
   bool reanchored = false;

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "core/paper_data.hpp"
 #include "fleet/aggregator.hpp"
@@ -236,6 +240,46 @@ TEST(FleetDriver, ChaosRunDegradesGracefully) {
   // Graceful: the TDP benefit survives degraded control.
   EXPECT_NEAR(chaos.peak_to_average_tdp, clean.peak_to_average_tdp,
               0.10 * clean.peak_to_average_tdp);
+}
+
+TEST(FleetDriver, InjectedFaultWarningsAreRateLimited) {
+  // Faults a run injects on purpose must not flood the log: each pricer
+  // warning site logs only its 1st, 2nd, 4th, 8th, ... event.
+  FleetDriverConfig config;
+  config.population = small_population(2000);
+  config.shards = 8;
+  config.threads = 2;
+  config.warmup_days = 3;
+  config.fault.measurement_loss = 0.05;
+  config.fault.seed = 7;
+
+  std::vector<std::string> warnings;
+  const LogSink previous =
+      set_log_sink([&warnings](LogLevel level, const std::string& message) {
+        if (level == LogLevel::kWarn) warnings.push_back(message);
+      });
+  FleetDriver driver(config);
+  driver.run_day();
+  set_log_sink(previous);
+
+  const auto lines = [&warnings](const char* text) {
+    return static_cast<std::uint64_t>(std::count_if(
+        warnings.begin(), warnings.end(), [text](const std::string& line) {
+          return line.find(text) != std::string::npos;
+        }));
+  };
+  // Powers of two in 1..events: the lines a rate-limited site emits.
+  const auto logged = [](std::uint64_t events) {
+    return static_cast<std::uint64_t>(std::bit_width(events));
+  };
+  const PricerHealthStats& stats = driver.pricer().health_stats();
+  ASSERT_GT(stats.missed_observations, 2u) << "the loss plan must bite";
+  EXPECT_EQ(lines("no measurement for period"),
+            logged(stats.missed_observations));
+  EXPECT_EQ(lines("trust region clamps"), logged(stats.clamped_steps));
+  EXPECT_EQ(lines("solve failed"), logged(stats.solve_failures));
+  EXPECT_LT(warnings.size(), stats.missed_observations +
+                                 stats.clamped_steps + stats.solve_failures);
 }
 
 TEST(FleetDriver, RunsAreSingleShot) {

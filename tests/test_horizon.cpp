@@ -205,31 +205,52 @@ TEST(HorizonKillRestore, CheckpointIsByteStableAcrossRestore) {
 TEST(HorizonDriver, CleanMeasuredDayMatchesFleetDriverBitwise) {
   // The horizon loop is FleetDriver's loop: with estimation disabled, the
   // measured day of a (warmup + 1)-day horizon must reproduce FleetDriver's
-  // measured day bit for bit.
-  HorizonConfig config = small_config();
-  config.horizon_days = 1;
-  config.estimation = false;
+  // measured day bit for bit — on a clean day, and under the reference
+  // 20%-duty channel storm with the incident engine watching, where the
+  // alert stream and the flight recorder (day-end fallback counts
+  // included) must agree too. Drift stays out: the fleet does not model it.
+  HorizonConfig clean = small_config();
+  clean.horizon_days = 1;
+  clean.estimation = false;
+  HorizonConfig storm = clean;
+  storm.fault.storm_channel = {0.06, 0.76, 1.0};
+  storm.fault.seed = 424242;
+  storm.incident.enabled = true;
 
-  fleet::FleetDriverConfig fleet_config;
-  fleet_config.population = config.population;
-  fleet_config.shards = config.shards;
-  fleet_config.slices = config.slices;
-  fleet_config.threads = config.threads;
-  fleet_config.warmup_days = config.warmup_days;
+  for (const HorizonConfig& config : {clean, storm}) {
+    SCOPED_TRACE(config.incident.enabled ? "channel storm" : "clean");
+    fleet::FleetDriverConfig fleet_config;
+    fleet_config.population = config.population;
+    fleet_config.shards = config.shards;
+    fleet_config.slices = config.slices;
+    fleet_config.threads = config.threads;
+    fleet_config.warmup_days = config.warmup_days;
+    fleet_config.fault = config.fault;
+    fleet_config.incident = config.incident;
 
-  MultiDayDriver horizon(config);
-  const HorizonMetrics hm = horizon.run();
-  fleet::FleetDriver fleet_driver(fleet_config);
-  const fleet::FleetMetrics fm = fleet_driver.run_day();
+    MultiDayDriver horizon(config);
+    const HorizonMetrics hm = horizon.run();
+    fleet::FleetDriver fleet_driver(fleet_config);
+    const fleet::FleetMetrics fm = fleet_driver.run_day();
 
-  ASSERT_EQ(hm.days.size(), 1u);
-  EXPECT_EQ(hm.days[0].offered_units, fm.offered_units);
-  EXPECT_EQ(hm.days[0].realized_units, fm.realized_units);
-  EXPECT_EQ(hm.days[0].sessions, fm.sessions);
-  EXPECT_EQ(hm.days[0].deferred_sessions, fm.deferred_sessions);
-  EXPECT_EQ(hm.days[0].reward_paid_units, fm.reward_paid_units);
-  EXPECT_EQ(hm.days[0].peak_to_average_tip, fm.peak_to_average_tip);
-  EXPECT_EQ(hm.days[0].peak_to_average_tdp, fm.peak_to_average_tdp);
+    ASSERT_EQ(hm.days.size(), 1u);
+    EXPECT_EQ(hm.days[0].offered_units, fm.offered_units);
+    EXPECT_EQ(hm.days[0].realized_units, fm.realized_units);
+    EXPECT_EQ(hm.days[0].sessions, fm.sessions);
+    EXPECT_EQ(hm.days[0].deferred_sessions, fm.deferred_sessions);
+    EXPECT_EQ(hm.days[0].reward_paid_units, fm.reward_paid_units);
+    EXPECT_EQ(hm.days[0].peak_to_average_tip, fm.peak_to_average_tip);
+    EXPECT_EQ(hm.days[0].peak_to_average_tdp, fm.peak_to_average_tdp);
+    EXPECT_EQ(horizon.mechanism().rewards(),
+              fleet_driver.mechanism().rewards());
+    if (config.incident.enabled) {
+      ASSERT_GT(fm.price_fallback_periods, 0u) << "the storm must bite";
+      const auto& h = *horizon.incident_engine();
+      const auto& f = *fleet_driver.incident_engine();
+      EXPECT_EQ(h.alerts(), f.alerts());
+      EXPECT_EQ(h.recorder(), f.recorder());
+    }
+  }
 }
 
 TEST(HorizonCheckpoint, EveryTruncationIsRejectedCleanly) {
