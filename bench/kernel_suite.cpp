@@ -8,6 +8,10 @@
 //                        reference objective vs fused value_and_gradient
 //   online_resolve       one online 1-D re-solve period, full-recompute
 //                        golden section vs the incremental column updates
+//   online_observe       whole OnlinePricer::observe_period calls on the
+//                        fleet's 48-period model (demand rescale, model and
+//                        kernel rebuild, solve) vs the solve alone; the
+//                        same-process ratio is gated by a ceiling
 //   deferral_table_build fleet per-period DeferralTable, lag_weight calls
 //                        vs the precomputed UniformLagWeightTable
 //   fleet_shard_step     one shard simulating one period of a 20k-user day
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "core/deferral_kernel.hpp"
 #include "core/kernel_plan.hpp"
 #include "core/paper_data.hpp"
@@ -286,6 +291,80 @@ int main(int argc, char** argv) {
                        {{"reference_seconds", reference_seconds},
                         {"incremental_seconds", incremental_seconds},
                         {"speedup", speedup}}});
+  }
+
+  // ---- online_observe: whole observe_period calls vs the solve alone -----
+  {
+    fleet::PopulationConfig config;
+    config.users = 1000;  // the fluid model only reads the demand shape
+    config.periods = 48;
+    const fleet::Population population(config);
+    const DynamicModel baseline = fleet::baseline_fluid_model(population);
+    const std::size_t n = baseline.periods();
+    OnlinePricer pricer(baseline);
+
+    const double cap =
+        baseline.reward_cap() * DynamicOptimizerOptions{}.reward_cap_factor;
+
+    // Alternate one day of observations (each within +-20% of the baseline
+    // forecast, so each rescales its period and rebuilds the model) with
+    // the same day's golden sections alone, run the way online_resolve
+    // times them: on the pricer's model from a primed scratch. The best
+    // day of each side is kept, so a host slowdown during one round skews
+    // neither the times nor their ratio.
+    const std::size_t rounds = 5;
+    Rng rng(13);
+    double observe_seconds = 0.0;
+    double solve_seconds = 0.0;
+    double sink = 0.0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      std::vector<double> measured(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        measured[p] = baseline.arrivals().tip_demand(p) * rng.uniform(0.8, 1.2);
+      }
+      auto start = Clock::now();
+      for (std::size_t p = 0; p < n; ++p) {
+        sink += pricer.observe_period(p, measured[p]).new_reward;
+      }
+      const double observe_day = seconds_since(start);
+
+      const DynamicModel& model = pricer.model();
+      const math::Vector rewards = pricer.rewards();
+      FlowState scratch;
+      model.prime_flow_state(rewards, /*with_derivatives=*/false, scratch);
+      start = Clock::now();
+      for (std::size_t p = 0; p < n; ++p) {
+        const auto objective = [&](double candidate) {
+          return model.total_cost_with_coordinate(p, candidate, scratch);
+        };
+        sink += math::minimize_golden_section(objective, 0.0, cap, 1e-7, 200).x;
+        model.total_cost_with_coordinate(p, rewards[p], scratch);
+      }
+      const double solve_day = seconds_since(start);
+      if (round == 0 || observe_day < observe_seconds) {
+        observe_seconds = observe_day;
+      }
+      if (round == 0 || solve_day < solve_seconds) solve_seconds = solve_day;
+    }
+    if (sink < 0.0) std::printf("?\n");
+
+    const double observe_per_solve =
+        solve_seconds > 0.0 ? observe_seconds / solve_seconds : 0.0;
+    std::printf(
+        "  online_observe       observe %.3f ms  solve %.3f ms  (%.2fx)\n",
+        1e3 * observe_seconds / static_cast<double>(n),
+        1e3 * solve_seconds / static_cast<double>(n), observe_per_solve);
+    bench::BenchReport report("online_observe");
+    report.add("reps", static_cast<std::uint64_t>(n));
+    report.add("rounds", static_cast<std::uint64_t>(rounds));
+    report.add("observe_seconds", observe_seconds);
+    report.add("solve_seconds", solve_seconds);
+    report.add("observe_per_solve", observe_per_solve);
+    report.emit();
+    entries.push_back({"online_observe",
+                       {{"observe_seconds", observe_seconds},
+                        {"solve_seconds", solve_seconds},
+                        {"observe_per_solve", observe_per_solve}}});
   }
 
   // ---- deferral_table_build: fleet per-period table, ref vs table --------

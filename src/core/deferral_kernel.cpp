@@ -6,7 +6,7 @@
 #include <deque>
 #include <limits>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cyclic.hpp"
@@ -68,23 +68,67 @@ void lag_weight_pair(const WaitingFunction& w, double reward, std::size_t lag,
 
 namespace {
 
-/// Fingerprint of a demand snapshot: convention, period structure, the
-/// identity of every waiting-function object, and the exact bit pattern of
-/// every volume. Exact equality (not just hash equality) gates cache hits.
-struct KernelKey {
-  std::vector<std::uint64_t> words;
+/// Bounded FIFO memo of immutable values shared by shared_ptr. The mutex
+/// guards lookups and insertions only; a missing value is built outside
+/// it, and if another thread inserted the same key meanwhile, the cached
+/// value wins so equal keys share one value. A key that names an object
+/// must hold it (a shared_ptr), so a cached address can never alias a new
+/// object allocated where a freed one lived.
+template <typename Key, typename Value>
+class BoundedMemo {
+ public:
+  static constexpr std::size_t kCapacity = 64;
 
-  bool operator==(const KernelKey& other) const {
-    return words == other.words;
+  /// The value cached under `key`, else `build()`, cached. `hit`, when
+  /// given, reports whether the first lookup found it.
+  template <typename Build>
+  std::shared_ptr<const Value> get(Key key, Build&& build,
+                                   bool* hit = nullptr) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (auto found = find(key)) {
+        if (hit != nullptr) *hit = true;
+        return found;
+      }
+    }
+    if (hit != nullptr) *hit = false;
+    std::shared_ptr<const Value> value = build();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto found = find(key)) return found;
+    entries_.emplace_back(std::move(key), value);
+    if (entries_.size() > kCapacity) entries_.pop_front();
+    return value;
   }
 
-  std::uint64_t hash() const {
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-    for (std::uint64_t w : words) {
-      h ^= w;
-      h *= 1099511628211ull;
+  /// The most recently inserted value (null while empty).
+  std::shared_ptr<const Value> newest() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.empty() ? nullptr : entries_.back().second;
+  }
+
+ private:
+  std::shared_ptr<const Value> find(const Key& key) const {
+    for (const auto& [k, value] : entries_) {
+      if (k == key) return value;
     }
-    return h;
+    return nullptr;
+  }
+
+  std::mutex mutex_;
+  std::deque<std::pair<Key, std::shared_ptr<const Value>>> entries_;
+};
+
+/// Fingerprint of a demand snapshot: convention, period structure, the
+/// identity of every waiting-function object, and the exact bit pattern of
+/// every volume. Exact equality (not just hash equality) gates cache hits;
+/// the hash only skips most unequal keys cheaply. The objects named by
+/// their addresses stay alive in the cached state's class lists.
+struct KernelKey {
+  std::vector<std::uint64_t> words;
+  std::uint64_t hash = 0;
+
+  bool operator==(const KernelKey& other) const {
+    return hash == other.hash && words == other.words;
   }
 };
 
@@ -104,7 +148,56 @@ KernelKey make_key(const DemandProfile& demand, LagConvention convention) {
       key.words.push_back(std::bit_cast<std::uint64_t>(sc.volume));
     }
   }
+  key.hash = 1469598103934665603ull;  // FNV-1a offset basis
+  for (std::uint64_t w : key.words) {
+    key.hash ^= w;
+    key.hash *= 1099511628211ull;
+  }
   return key;
+}
+
+/// One waiting function's unit-reward lag weights under one convention.
+struct UnitWeightKey {
+  WaitingFunctionPtr waiting;  ///< held, so the address cannot be reused
+  std::size_t periods = 0;
+  LagConvention convention = LagConvention::kPeriodStart;
+
+  bool operator==(const UnitWeightKey& other) const {
+    return waiting == other.waiting && periods == other.periods &&
+           convention == other.convention;
+  }
+};
+
+/// weights[lag] = lag_weight(wf, 1.0, lag, convention) for lag in [1, n);
+/// lag 0 is unused (from == to is never a deferral). Under kUniformArrival
+/// the UniformLagWeightTable reproduces the quadrature's arithmetic
+/// exactly, at one pow per Gauss node instead of eight virtual calls.
+std::vector<double> unit_lag_weights(const UnitWeightKey& key) {
+  const std::size_t n = key.periods;
+  std::vector<double> weights(n, 0.0);
+  if (key.convention == LagConvention::kUniformArrival) {
+    const UniformLagWeightTable table(key.waiting, n);
+    for (std::size_t lag = 1; lag < n; ++lag) {
+      weights[lag] = table.weight(1.0, lag);
+    }
+  } else {
+    for (std::size_t lag = 1; lag < n; ++lag) {
+      weights[lag] = lag_weight(*key.waiting, 1.0, lag, key.convention);
+    }
+  }
+  return weights;
+}
+
+/// Waiting-function objects are immutable and shared by every profile
+/// rescaled from one another (the online pricer rebuilds its kernel on
+/// every observation), so their unit weights are computed once per object,
+/// not once per kernel build.
+std::shared_ptr<const std::vector<double>> cached_unit_weights(
+    const UnitWeightKey& key) {
+  static BoundedMemo<UnitWeightKey, std::vector<double>> memo;
+  return memo.get(key, [&key] {
+    return std::make_shared<const std::vector<double>>(unit_lag_weights(key));
+  });
 }
 
 /// Memo effectiveness lives in the metrics registry (always on — the
@@ -144,8 +237,26 @@ struct DeferralKernelState {
 
 namespace {
 
+/// Same waiting-function objects and volume bit patterns, in order.
+bool same_classes(const std::vector<SessionClass>& a,
+                  const std::vector<SessionClass>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    if (a[c].waiting != b[c].waiting ||
+        std::bit_cast<std::uint64_t>(a[c].volume) !=
+            std::bit_cast<std::uint64_t>(b[c].volume)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Builds the state of `demand`; `donor`, when given, is an existing state
+/// whose unit-table rows are copied wherever they provably equal the ones
+/// this build would compute.
 std::shared_ptr<const DeferralKernelState> build_state(
-    const DemandProfile& demand, LagConvention convention) {
+    const DemandProfile& demand, LagConvention convention,
+    const DeferralKernelState* donor) {
   auto state = std::make_shared<DeferralKernelState>();
   state->periods = demand.periods();
   state->convention = convention;
@@ -161,97 +272,66 @@ std::shared_ptr<const DeferralKernelState> build_state(
   if (!state->linear) return state;
 
   const std::size_t n = state->periods;
-
-  // Unit-reward lag weights per distinct waiting function, computed once
-  // per (function, lag) instead of once per (pair, class). Every weight is
-  // bitwise identical to lag_weight(wf, 1.0, lag, convention): the
-  // kPeriodStart branch IS that call, and under kUniformArrival the
-  // UniformLagWeightTable reproduces the quadrature's arithmetic exactly
-  // (one pow per power-law lookup instead of eight virtual calls through
-  // integrate_gauss — this table build used to dominate every online
-  // demand-update's kernel rebuild).
-  std::unordered_map<const WaitingFunction*, std::vector<double>> unit_weight;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const SessionClass& sc : state->classes[i]) {
-      auto [it, inserted] = unit_weight.emplace(sc.waiting.get(),
-                                                std::vector<double>());
-      if (!inserted) continue;
-      std::vector<double>& weights = it->second;
-      weights.assign(n, 0.0);  // lag 0 unused (from == to is skipped)
-      if (convention == LagConvention::kUniformArrival) {
-        const UniformLagWeightTable table(sc.waiting, n);
-        for (std::size_t lag = 1; lag < n; ++lag) {
-          weights[lag] = table.weight(1.0, lag);
-        }
-      } else {
-        for (std::size_t lag = 1; lag < n; ++lag) {
-          weights[lag] = lag_weight(*sc.waiting, 1.0, lag, convention);
-        }
-      }
+  // Each distinct waiting function's cached unit weights, resolved once per
+  // (period, class) rather than once per (pair, class).
+  std::vector<std::pair<const WaitingFunction*,
+                        std::shared_ptr<const std::vector<double>>>>
+      weights;
+  const auto unit_weights = [&](const WaitingFunctionPtr& wf) {
+    for (const auto& [function, table] : weights) {
+      if (function == wf.get()) return table->data();
     }
-  }
+    weights.emplace_back(wf.get(), cached_unit_weights({wf, n, convention}));
+    return weights.back().second->data();
+  };
 
+  // A row of the unit table depends on its own period's classes alone, so
+  // a row whose classes match the donor's bit for bit is copied from it.
+  // The online pricer rescales one period per observation: all other rows
+  // of its new kernel are the previous kernel's.
+  const bool reuse = donor != nullptr && donor->linear &&
+                     donor->periods == n && donor->convention == convention;
+
+  // A computed row accumulates class by class across all its cells at
+  // once: the cells are independent lanes, and each still sums its classes
+  // in class order from 0.0, exactly as the per-pair reference does. The
+  // two runs of `to` on either side of the diagonal read ascending lags.
   state->unit.assign(n * n, 0.0);
   state->unit_inflow.assign(n, 0.0);
   for (std::size_t from = 0; from < n; ++from) {
-    for (std::size_t to = 0; to < n; ++to) {
-      if (to == from) continue;
-      const std::size_t lag = cyclic_lag(from, to, n);
-      double volume = 0.0;
+    double* row = &state->unit[from * n];
+    if (reuse && same_classes(state->classes[from], donor->classes[from])) {
+      std::copy_n(&donor->unit[from * n], n, row);
+    } else {
       for (const SessionClass& sc : state->classes[from]) {
-        volume += sc.volume * unit_weight.find(sc.waiting.get())->second[lag];
+        const double* w = unit_weights(sc.waiting);
+        for (std::size_t to = from + 1; to < n; ++to) {
+          row[to] += sc.volume * w[to - from];
+        }
+        for (std::size_t to = 0; to < from; ++to) {
+          row[to] += sc.volume * w[to + n - from];
+        }
       }
-      state->unit[from * n + to] = volume;
-      state->unit_inflow[to] += volume;
+    }
+    for (std::size_t to = 0; to < n; ++to) {
+      if (to != from) state->unit_inflow[to] += row[to];
     }
   }
   return state;
 }
 
-/// Bounded FIFO memo of recently built states.
-class KernelStateCache {
- public:
-  static constexpr std::size_t kCapacity = 64;
-
-  std::shared_ptr<const DeferralKernelState> get(const DemandProfile& demand,
-                                                 LagConvention convention) {
-    KernelKey key = make_key(demand, convention);
-    const std::uint64_t hash = key.hash();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (const Entry& e : entries_) {
-        if (e.hash == hash && e.key == key) {
-          memo_hits_counter().add_always(1);
-          return e.state;
-        }
-      }
-    }
-    memo_misses_counter().add_always(1);
-    auto state = build_state(demand, convention);
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Another thread may have built the same state concurrently; prefer the
-    // cached one so equal profiles share a single state.
-    for (const Entry& e : entries_) {
-      if (e.hash == hash && e.key == key) return e.state;
-    }
-    entries_.push_back(Entry{hash, std::move(key), state});
-    if (entries_.size() > kCapacity) entries_.pop_front();
-    return state;
-  }
-
- private:
-  struct Entry {
-    std::uint64_t hash;
-    KernelKey key;
-    std::shared_ptr<const DeferralKernelState> state;
-  };
-  std::mutex mutex_;
-  std::deque<Entry> entries_;
-};
-
-KernelStateCache& state_cache() {
-  static KernelStateCache cache;
-  return cache;
+/// Kernels built from bitwise-identical profiles share one state; a new
+/// state borrows unchanged rows from the most recently built one.
+std::shared_ptr<const DeferralKernelState> cached_state(
+    const DemandProfile& demand, LagConvention convention) {
+  static BoundedMemo<KernelKey, DeferralKernelState> memo;
+  bool hit = false;
+  auto state = memo.get(
+      make_key(demand, convention),
+      [&] { return build_state(demand, convention, memo.newest().get()); },
+      &hit);
+  (hit ? memo_hits_counter() : memo_misses_counter()).add_always(1);
+  return state;
 }
 
 }  // namespace
@@ -260,7 +340,7 @@ DeferralKernel::DeferralKernel(const DemandProfile& demand,
                                LagConvention convention)
     : periods_(demand.periods()),
       convention_(convention),
-      state_(state_cache().get(demand, convention)) {
+      state_(cached_state(demand, convention)) {
   linear_ = state_->linear;
 }
 

@@ -22,8 +22,10 @@
 // convention) share one immutable state — the unit tables, the lazily
 // computed validity bound, and the fused evaluation plan (core/kernel_plan)
 // are computed once per distinct profile, not once per model. The batch
-// solver's anchor pattern and the online pricer's confirmed-forecast
-// rescale (a scale-by-1.0 no-op) both hit this cache.
+// solver's anchor pattern hits this cache; the online pricer's rescaled
+// profiles practically never do (a measurement rarely equals the forecast
+// bit for bit), so a rebuild recomputes only what the new volumes change:
+// each waiting function's unit lag weights are cached per object.
 #pragma once
 
 #include <cstddef>

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "common/cyclic.hpp"
 #include "common/error.hpp"
 #include "common/simd.hpp"
 #include "math/quadrature.hpp"
@@ -45,6 +44,14 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
   const std::size_t n = periods_;
   TDP_REQUIRE(n >= 2, "need at least two periods");
 
+  if (linear_) {
+    // Linear kernels evaluate through the unit-reward tables alone; none of
+    // the flattened terms or power tables below would ever be read.
+    unit_ = kernel.unit_table();
+    unit_inflow_ = kernel.unit_inflow_table();
+    return;
+  }
+
   // Flatten the class lists, registering each distinct waiting function
   // once. Term order within a period matches class order — the reference
   // path's accumulation order.
@@ -75,22 +82,6 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
     }
   }
   period_begin_[n] = term_wf_.size();
-
-  lag_.assign(n * n, 0);
-  for (std::size_t from = 0; from < n; ++from) {
-    for (std::size_t to = 0; to < n; ++to) {
-      if (to == from) continue;
-      lag_[from * n + to] = static_cast<std::uint32_t>(cyclic_lag(from, to, n));
-    }
-  }
-
-  if (linear_) {
-    // Linear kernels evaluate through the unit-reward tables; no per-lag
-    // power tables are needed.
-    unit_ = kernel.unit_table();
-    unit_inflow_ = kernel.unit_inflow_table();
-    return;
-  }
 
   // Per-(function, lag) weight tables for the power-law family. The same
   // pow(..., -beta) values serve both the value and the derivative — the
@@ -199,10 +190,14 @@ void KernelPlan::fill_column(std::size_t to, double reward,
   }
 #endif
 
-  for (std::size_t from = 0; from < n; ++from) {
-    if (from == to) continue;
-    fill_cell(from, to, lag_[from * n + to], reward, positive,
-              with_derivatives, s);
+  // The cyclic lag is to - from above the diagonal and n - (from - to)
+  // below it.
+  for (std::size_t from = 0; from < to; ++from) {
+    fill_cell(from, to, to - from, reward, positive, with_derivatives, s);
+  }
+  for (std::size_t from = to + 1; from < n; ++from) {
+    fill_cell(from, to, n - (from - to), reward, positive, with_derivatives,
+              s);
   }
 }
 
@@ -294,14 +289,51 @@ void KernelPlan::reduce_inflow(std::size_t into, bool with_derivatives,
   }
 }
 
-void KernelPlan::reduce_outflow(std::size_t from, FlowState& s) const {
+void KernelPlan::reduce_outflows(FlowState& s) const {
   const std::size_t n = periods_;
-  double total = 0.0;
-  for (std::size_t to = 0; to < n; ++to) {
-    if (to == from) continue;
-    total += s.pair[from * n + to];
+  const double* P = s.pair.data();
+  double* out = s.outflow.data();
+  // Four rows at a time as independent lanes, so the four add chains
+  // overlap instead of one row's chain waiting on the last. Each lane still
+  // sums its row in ascending-`to` order from 0.0 and skips its diagonal
+  // cell rather than adding it as 0.0: bitwise the one-row sum.
+  std::size_t from = 0;
+  for (; from + 4 <= n; from += 4) {
+    const double* r0 = P + from * n;
+    const double* r1 = r0 + n;
+    const double* r2 = r1 + n;
+    const double* r3 = r2 + n;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t to = 0; to < from; ++to) {
+      a0 += r0[to];
+      a1 += r1[to];
+      a2 += r2[to];
+      a3 += r3[to];
+    }
+    for (std::size_t to = from; to < from + 4; ++to) {  // the diagonal block
+      if (to != from) a0 += r0[to];
+      if (to != from + 1) a1 += r1[to];
+      if (to != from + 2) a2 += r2[to];
+      if (to != from + 3) a3 += r3[to];
+    }
+    for (std::size_t to = from + 4; to < n; ++to) {
+      a0 += r0[to];
+      a1 += r1[to];
+      a2 += r2[to];
+      a3 += r3[to];
+    }
+    out[from] = a0;
+    out[from + 1] = a1;
+    out[from + 2] = a2;
+    out[from + 3] = a3;
   }
-  s.outflow[from] = total;
+  for (; from < n; ++from) {
+    double total = 0.0;
+    for (std::size_t to = 0; to < n; ++to) {
+      if (to != from) total += P[from * n + to];
+    }
+    out[from] = total;
+  }
 }
 
 void KernelPlan::evaluate(const std::vector<double>& rewards,
@@ -334,7 +366,7 @@ void KernelPlan::evaluate(const std::vector<double>& rewards,
   }
 #endif
   for (; i < n; ++i) reduce_inflow(i, with_derivatives, s);
-  for (std::size_t i2 = 0; i2 < n; ++i2) reduce_outflow(i2, s);
+  reduce_outflows(s);
 }
 
 void KernelPlan::update_coordinate(std::size_t m, double reward,
@@ -352,14 +384,11 @@ void KernelPlan::update_coordinate(std::size_t m, double reward,
   s.rewards[m] = reward;
   fill_column(m, reward, wd, s);
   reduce_inflow(m, wd, s);
-  // inflow for i != m depends only on column i — unchanged. outflow(from)
-  // sums row `from` across columns including m, so every row containing
-  // the refreshed column is re-reduced over cached values in the reference
-  // order; outflow(m) itself excludes column m and is untouched.
-  for (std::size_t from = 0; from < periods_; ++from) {
-    if (from == m) continue;
-    reduce_outflow(from, s);
-  }
+  // inflow for i != m depends only on column i — unchanged. Every other
+  // row's outflow sums the refreshed column, so the rows are re-reduced
+  // over cached values in the reference order; row m, which excludes
+  // column m, reproduces its cached sum bit for bit.
+  reduce_outflows(s);
 }
 
 UniformLagWeightTable::UniformLagWeightTable(WaitingFunctionPtr wf,

@@ -26,8 +26,9 @@
 // update_coordinate() is the rolling-horizon fast path: when only period
 // m's reward changes, it refreshes column m of the cached matrix (O(n)
 // waiting-function evaluations) and re-derives the flow sums from cached
-// values in the reference summation order, so the refreshed FlowState is
-// bit-identical to a from-scratch evaluate() at the new reward vector.
+// values in the reference summation order (O(n^2) adds: every row's
+// outflow includes column m), so the refreshed FlowState is bit-identical
+// to a from-scratch evaluate() at the new reward vector.
 #pragma once
 
 #include <cstddef>
@@ -63,10 +64,11 @@ struct FlowState {
   std::vector<double> wf_factor;
   std::vector<double> wf_factor_derivative;
 
-  /// Model-level assembly scratch (usage / arrivals / sensitivity rows),
-  /// so fused cost evaluations stay allocation-free.
+  /// Model-level assembly scratch (usage / arrivals / backlog and
+  /// sensitivity rows), so fused cost evaluations stay allocation-free.
   std::vector<double> aux_a;
   std::vector<double> aux_b;
+  std::vector<double> aux_c;
 };
 
 class KernelPlan {
@@ -82,11 +84,6 @@ class KernelPlan {
   /// Process-unique construction serial (see FlowState::plan_serial).
   std::uint64_t serial() const { return serial_; }
 
-  /// Number of distinct waiting-function objects in the snapshot.
-  std::size_t distinct_functions() const { return functions_.size(); }
-  /// Total flattened (function, volume) terms across all periods.
-  std::size_t term_count() const { return term_wf_.size(); }
-
   /// True when the snapshot qualifies for the vectorized fill path: every
   /// period flattens to the same (nonempty) waiting-function slot sequence
   /// and every slot is power-law. Diagnostics/tests; evaluation dispatches
@@ -101,7 +98,8 @@ class KernelPlan {
 
   /// Refresh `state` after changing only coordinate m's reward: recomputes
   /// column m (O(periods) function evaluations) and re-derives the affected
-  /// flow sums from cached pair volumes in the reference summation order.
+  /// flow sums from cached pair volumes in the reference summation order
+  /// (O(periods^2) adds, since every row's outflow sums column m).
   /// Requires a prior evaluate() on this plan; `with_derivatives` must not
   /// exceed what that evaluate computed. Postcondition: `state` is bitwise
   /// identical to evaluate() at the updated reward vector.
@@ -134,7 +132,9 @@ class KernelPlan {
                  FlowState& state) const;
   void reduce_inflow(std::size_t into, bool with_derivatives,
                      FlowState& state) const;
-  void reduce_outflow(std::size_t from, FlowState& state) const;
+  /// outflow[from] for every row: lane-parallel over rows, each row in the
+  /// reference's ascending-`to` order with the diagonal skipped.
+  void reduce_outflows(FlowState& state) const;
 
 #if defined(TDP_HAVE_AVX2)
   /// Vectorized fill_column body (kernel_plan_avx2.cpp, compiled -mavx2):
@@ -161,7 +161,6 @@ class KernelPlan {
   std::vector<double> term_volume_;      ///< volume per term
   std::vector<std::size_t> period_begin_;  ///< term range per period, n+1
 
-  std::vector<std::uint32_t> lag_;  ///< cyclic_lag(from, to) [from * n + to]
   /// kPeriodStart: pow(lag+1, -beta) [wf * n + lag]; lag 0 unused.
   std::vector<double> lag_pow_;
   /// kUniformArrival: pow(u_k+1, -beta) [(wf * n + lag) * 8 + k].

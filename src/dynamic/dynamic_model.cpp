@@ -1,7 +1,10 @@
 #include "dynamic/dynamic_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -19,6 +22,12 @@ double smooth_hinge_derivative(double y, double mu) {
   if (y <= 0.0) return 0.0;
   if (y >= mu) return 1.0;
   return y / mu;
+}
+
+/// Bit-pattern equality: the repeat test of the fused paths' day-cyclic
+/// early exit (unlike ==, it never equates +0.0 with -0.0).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 }  // namespace
@@ -193,6 +202,14 @@ void DynamicModel::smoothed_gradient(const math::Vector& rewards, double mu,
 // in order, reading the deferral flows from the FlowState instead of
 // re-walking the kernel (tests/test_kernel_plan.cpp checks bitwise
 // identity).
+//
+// Day-cyclic early exit: every warmup day runs the same arithmetic on the
+// same arrivals, so a day's values are a function of the state it starts
+// in alone — the backlog, plus the backlog sensitivities on the gradient
+// path. Once a day starts in the state, bit for bit, that the day before
+// started in, every later day repeats that day exactly, and the warmup
+// stops: the last day's values are the repeated day's. The reference
+// methods keep running every day and remain the oracle.
 
 void DynamicModel::prime_flow_state(const math::Vector& rewards,
                                     bool with_derivatives,
@@ -212,13 +229,14 @@ double DynamicModel::assemble_total_cost(FlowState& state) const {
 
   double backlog = 0.0;
   for (std::size_t day = 0; day < warmup_days_; ++day) {
-    const bool last = (day + 1 == warmup_days_);
+    const double day_start = backlog;
     for (std::size_t i = 0; i < n; ++i) {
       const double load = backlog + arr[i];
       const double served = std::min(load, capacity_[i]);
       backlog = load - served;
-      if (last) end_backlog[i] = backlog;
+      end_backlog[i] = backlog;
     }
+    if (same_bits(backlog, day_start)) break;
   }
 
   double reward_total = 0.0;
@@ -251,19 +269,25 @@ double DynamicModel::smoothed_cost(const math::Vector& rewards, double mu,
   prime_flow_state(rewards, /*with_derivatives=*/false, state);
 
   math::Vector& arr = state.aux_a;
+  math::Vector& end_backlog = state.aux_b;
   arr.resize(n);
+  end_backlog.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     arr[i] = tip_[i] - state.outflow[i] + state.inflow[i];
   }
 
-  double cost = 0.0;
   double backlog = 0.0;
   for (std::size_t day = 0; day < warmup_days_; ++day) {
-    const bool last = (day + 1 == warmup_days_);
+    const double day_start = backlog;
     for (std::size_t i = 0; i < n; ++i) {
       backlog = smooth_hinge(backlog + arr[i] - capacity_[i], mu);
-      if (last) cost += cost_.smoothed_value(backlog, mu);
+      end_backlog[i] = backlog;
     }
+    if (same_bits(backlog, day_start)) break;
+  }
+  double cost = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    cost += cost_.smoothed_value(end_backlog[i], mu);
   }
   for (std::size_t i = 0; i < n; ++i) {
     cost += rewards[i] * state.inflow[i];
@@ -281,8 +305,10 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
 
   math::Vector& arr = state.aux_a;
   math::Vector& dbacklog = state.aux_b;
+  math::Vector& dbacklog_day_start = state.aux_c;
   arr.resize(n);
   dbacklog.assign(n, 0.0);
+  dbacklog_day_start.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     arr[i] = tip_[i] - state.outflow[i] + state.inflow[i];
   }
@@ -295,8 +321,7 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
   std::fill(grad.begin(), grad.end(), 0.0);
   double cost = 0.0;
   double backlog = 0.0;
-  for (std::size_t day = 0; day < warmup_days_; ++day) {
-    const bool last = (day + 1 == warmup_days_);
+  const auto run_day = [&](bool last) {
     for (std::size_t i = 0; i < n; ++i) {
       const double pre = backlog + arr[i] - capacity_[i];
       const double sigma = smooth_hinge_derivative(pre, mu);
@@ -314,7 +339,20 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
         }
       }
     }
+  };
+  // Only the last day accumulates, so once a day repeats its start state
+  // the accumulating day runs next, from that repeating state.
+  for (std::size_t day = 0; day + 1 < warmup_days_; ++day) {
+    const double backlog_day_start = backlog;
+    std::copy(dbacklog.begin(), dbacklog.end(), dbacklog_day_start.begin());
+    run_day(/*last=*/false);
+    if (same_bits(backlog, backlog_day_start) &&
+        std::memcmp(dbacklog.data(), dbacklog_day_start.data(),
+                    n * sizeof(double)) == 0) {
+      break;
+    }
   }
+  run_day(/*last=*/true);
   for (std::size_t m = 0; m < n; ++m) {
     cost += rewards[m] * state.inflow[m];
     grad[m] += state.inflow[m] + rewards[m] * state.inflow_derivative[m];

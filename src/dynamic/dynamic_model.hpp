@@ -87,7 +87,11 @@ class DynamicModel {
   // ---- Fused fast path (core/kernel_plan) --------------------------------
   // Bitwise identical to the reference methods of the same name; the
   // online pricer's per-period golden-section solve runs on
-  // total_cost_with_coordinate so each candidate costs O(n) kernel work.
+  // total_cost_with_coordinate so each candidate refreshes one column of
+  // cached flows instead of re-walking the kernel. The warmup stops as
+  // soon as a day starts in the state the day before started in (every
+  // later day would repeat it bit for bit); the reference methods run
+  // every day.
 
   /// Fill `state` with the deferral flows at `rewards`.
   void prime_flow_state(const math::Vector& rewards, bool with_derivatives,

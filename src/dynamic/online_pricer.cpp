@@ -210,11 +210,43 @@ math::GoldenSectionResult OnlinePricer::solve_period_incremental(
 math::GoldenSectionResult OnlinePricer::run_solve(
     const DynamicModel& model, const math::Vector& rewards,
     std::size_t period, std::size_t max_iterations) {
+  TDP_OBS_SPAN("pricer.solve");
   if (incremental_) {
     return solve_period_incremental(model, rewards, period, reward_cap_,
                                     max_iterations, solve_scratch_);
   }
   return solve_period(model, rewards, period, reward_cap_, max_iterations);
+}
+
+void OnlinePricer::update_demand(std::size_t period,
+                                 double measured_arrivals) {
+  TDP_OBS_SPAN("pricer.model_update");
+  // Rescale the period's demand estimate to the measurement. A surge
+  // measurement must not push total daily demand to (or past) total daily
+  // capacity — the backlog would have no steady state — so the update is
+  // clamped to keep a 2% stability margin; the excess is treated as
+  // transient burst rather than recurring demand.
+  const double previous = model_.arrivals().tip_demand(period);
+  if (previous > 0.0) {
+    double total_capacity = 0.0;
+    for (double a : model_.capacity()) total_capacity += a;
+    const double other_demand = model_.arrivals().total_demand() - previous;
+    const double max_period_demand =
+        std::max(0.98 * total_capacity - other_demand, 0.0);
+    const double target = std::min(measured_arrivals, max_period_demand);
+    if (target < measured_arrivals) {
+      TDP_LOG_WARN << "online update clamps period " << period
+                   << " demand from " << measured_arrivals << " to "
+                   << target << " to preserve a stable backlog";
+    }
+    DemandProfile updated = model_.arrivals();
+    updated.scale_period(period, target / previous);
+    model_ = DynamicModel(std::move(updated), model_.capacity(),
+                          model_.backlog_cost(), model_.warmup_days());
+  }
+  // The incremental solve reads the kernel's plan; building it here
+  // charges the whole kernel rebuild to this span.
+  if (incremental_) model_.kernel().plan();
 }
 
 void OnlinePricer::join_speculation() {
@@ -387,30 +419,7 @@ OnlinePricer::StepResult OnlinePricer::observe_period_ex(
                   << " -> " << best.x;
   } else {
     if (speculation_) ++speculation_misses_;
-    // Rescale the period's demand estimate to the measurement. A surge
-    // measurement must not push total daily demand to (or past) total daily
-    // capacity — the backlog would have no steady state — so the update is
-    // clamped to keep a 2% stability margin; the excess is treated as
-    // transient burst rather than recurring demand.
-    const double previous = model_.arrivals().tip_demand(period);
-    if (previous > 0.0) {
-      double total_capacity = 0.0;
-      for (double a : model_.capacity()) total_capacity += a;
-      const double other_demand =
-          model_.arrivals().total_demand() - previous;
-      const double max_period_demand =
-          std::max(0.98 * total_capacity - other_demand, 0.0);
-      const double target = std::min(measured_arrivals, max_period_demand);
-      if (target < measured_arrivals) {
-        TDP_LOG_WARN << "online update clamps period " << period
-                     << " demand from " << measured_arrivals << " to "
-                     << target << " to preserve a stable backlog";
-      }
-      DemandProfile updated = model_.arrivals();
-      updated.scale_period(period, target / previous);
-      model_ = DynamicModel(std::move(updated), model_.capacity(),
-                            model_.backlog_cost(), model_.warmup_days());
-    }
+    update_demand(period, measured_arrivals);
 
     // 1-D re-optimization of this period's reward, all others fixed.
     best = run_solve(model_, rewards_, period, iteration_budget);

@@ -240,6 +240,11 @@ class OnlinePricer {
       std::size_t period, double reward_cap, std::size_t max_iterations,
       FlowState& scratch);
 
+  /// Rescale `period`'s demand estimate to a measurement (clamped to the
+  /// 2% stability margin) and rebuild the model and, when incremental_,
+  /// its kernel plan.
+  void update_demand(std::size_t period, double measured_arrivals);
+
   /// Dispatch on incremental_ using this pricer's member scratch.
   math::GoldenSectionResult run_solve(const DynamicModel& model,
                                       const math::Vector& rewards,
@@ -280,9 +285,10 @@ class OnlinePricer {
   };
   bool speculative_ = false;
   bool incremental_ = true;
-  /// Pair-matrix cache reused across synchronous solves; the resync in
-  /// solve_period_incremental keeps warm starts cheap when the demand
-  /// update was a confirmed-forecast no-op (same memoized kernel state).
+  /// Pair-matrix cache reused across synchronous solves. The resync in
+  /// solve_period_incremental only applies when the demand update was a
+  /// confirmed-forecast no-op (same memoized kernel state); any deviating
+  /// measurement builds a new plan, and the solve reprimes.
   FlowState solve_scratch_;
   /// Scratch for the plan-based full-cost evaluations (expected_cost and
   /// the skip / failure / trust-region-probe paths in observe_period_ex).

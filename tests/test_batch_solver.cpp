@@ -111,6 +111,43 @@ TEST(BatchSolver, GeneratedBatchMatchesMaterializedBatch) {
   }
 }
 
+TEST(BatchSolver, ConcurrentRescaledBuildsMatchUnsharedBuilds) {
+  // Every task rescales one period of one shared profile, the online
+  // pricer's rebuild pattern, so the concurrent kernel builds share their
+  // waiting-function objects: they read one unit-weight cache entry per
+  // function and may copy rows from a state another thread just built.
+  // The reference builds each task from its own fresh objects, which
+  // shares nothing.
+  const StaticModel shared = paper::static_model_12();
+  const auto rescaled = [](DemandProfile profile, std::size_t t) {
+    profile.scale_period(t % profile.periods(),
+                         0.9 + 0.02 * static_cast<double>(t));
+    return profile;
+  };
+  const auto shared_task = [&](std::size_t t) {
+    return StaticModel(rescaled(shared.demand(), t), shared.capacity(),
+                       shared.capacity_cost());
+  };
+  const auto fresh_task = [&](std::size_t t) {
+    return StaticModel(rescaled(paper::static_model_12().demand(), t),
+                       shared.capacity(), shared.capacity_cost());
+  };
+  BatchSolveOptions parallel;
+  parallel.threads = 4;
+  BatchSolveOptions serial;
+  serial.threads = 1;
+  const std::size_t tasks = 16;
+  const auto concurrent = BatchSolver(parallel).solve_generated(tasks,
+                                                               shared_task);
+  const auto reference = BatchSolver(serial).solve_generated(tasks,
+                                                            fresh_task);
+  ASSERT_EQ(concurrent.size(), reference.size());
+  for (std::size_t t = 0; t < tasks; ++t) {
+    SCOPED_TRACE("task " + std::to_string(t));
+    expect_bit_identical(concurrent[t], reference[t]);
+  }
+}
+
 TEST(BatchSolver, TimingIsPopulated) {
   const std::vector<StaticModel> models = perturbation_batch();
   BatchSolveOptions options;

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/cyclic.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/deferral_kernel.hpp"
@@ -299,6 +302,55 @@ TEST(KernelMemo, IdenticalProfilesShareStateAndCountHits) {
   EXPECT_NE(other.state_id(), first.state_id());
 }
 
+/// A linear kernel's unit tables from scratch, one lag_weight per (pair,
+/// class) summed in class order: what the tables must equal bit for bit,
+/// however their rows were built.
+void expect_unit_tables_match_per_pair_sums(const DeferralKernel& kernel,
+                                            const std::string& context) {
+  ASSERT_TRUE(kernel.linear()) << context;
+  const std::size_t n = kernel.periods();
+  std::vector<double> inflow(n, 0.0);
+  for (std::size_t from = 0; from < n; ++from) {
+    for (std::size_t to = 0; to < n; ++to) {
+      if (to == from) continue;
+      const std::size_t lag = cyclic_lag(from, to, n);
+      double volume = 0.0;
+      for (const SessionClass& sc : kernel.classes(from)) {
+        volume += sc.volume *
+                  lag_weight(*sc.waiting, 1.0, lag, kernel.convention());
+      }
+      EXPECT_EQ(kernel.unit_table()[from * n + to], volume)
+          << context << " pair " << from << "," << to;
+      inflow[to] += volume;
+    }
+  }
+  for (std::size_t to = 0; to < n; ++to) {
+    EXPECT_EQ(kernel.unit_inflow_table()[to], inflow[to])
+        << context << " inflow " << to;
+  }
+}
+
+TEST(KernelMemo, RescaledRebuildsMatchPerPairUnitSums) {
+  // The online pricer's pattern: each kernel is built from the previous
+  // one's profile with one period rescaled, so every other row is copied
+  // from the previous state and the unit lag weights come from the
+  // per-function cache. Neither shortcut may move a bit, nor carry rows
+  // or weights across lag conventions: the convention switches every
+  // second step, on the same waiting-function objects.
+  DemandProfile profile = make_test_profile(
+      12, WfFamily::kLinearPower, LagNormalization::kContinuous, 1.5);
+  Rng rng(41);
+  for (std::size_t step = 0; step < 8; ++step) {
+    const LagConvention convention = step % 4 < 2
+                                         ? LagConvention::kUniformArrival
+                                         : LagConvention::kPeriodStart;
+    expect_unit_tables_match_per_pair_sums(DeferralKernel(profile, convention),
+                                           "step " + std::to_string(step));
+    profile.scale_period((5 * step) % profile.periods(),
+                         rng.uniform(0.8, 1.2));
+  }
+}
+
 TEST(StaticModelFused, CostAndGradientBitIdenticalToReference) {
   const StaticModel model(
       make_test_profile(12, WfFamily::kNonlinearPower,
@@ -426,43 +478,210 @@ DynamicModel nonlinear_dynamic_model() {
       math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0));
 }
 
-TEST(DynamicModelFused, CostAndGradientBitIdenticalToReference) {
-  const DynamicModel model = nonlinear_dynamic_model();
-  Rng rng(21);
-  FlowState state;
+/// The fleet's fluid-model shape: Table VII's 48-period mix, continuous
+/// lags, gamma = 1.
+DemandProfile fleet_profile() {
+  return paper::make_profile(paper::table7_mix_48(),
+                             paper::kStaticNormalizationReward,
+                             LagNormalization::kContinuous);
+}
+
+/// The three ways the backlog recursion can warm up, which the fused
+/// paths' day-cyclic early exit must all reproduce bitwise.
+enum class Warmup {
+  kEmptyAfterDay1,  ///< the link never saturates: no backlog at all
+  kSettlesOnDay2,   ///< the fleet's model: day 2 repeats day 1's end state
+  kStillChanging,   ///< never settles: the exit never fires
+};
+
+const char* warmup_name(Warmup shape) {
+  switch (shape) {
+    case Warmup::kEmptyAfterDay1: return "empty-after-day-1";
+    case Warmup::kSettlesOnDay2: return "settles-on-day-2";
+    case Warmup::kStillChanging: return "still-changing";
+  }
+  return "?";
+}
+
+DynamicModel warmup_model(Warmup shape, std::size_t warmup_days) {
+  const math::PiecewiseLinearCost cost =
+      math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0);
+  switch (shape) {
+    case Warmup::kEmptyAfterDay1:
+      return DynamicModel(
+          paper::make_profile(paper::table8_mix_12(),
+                              paper::kStaticNormalizationReward,
+                              LagNormalization::kContinuous, /*gamma=*/0.7),
+          2.0 * paper::kDynamicCapacityUnits, cost, warmup_days);
+    case Warmup::kSettlesOnDay2:
+      return DynamicModel(fleet_profile(), paper::kDynamicCapacityUnits, cost,
+                          warmup_days);
+    case Warmup::kStillChanging: {
+      // Per-period capacity equal to the mean demand: the capacities' sum
+      // clears the daily demand only by rounding (the exact sum falls short
+      // by ~6e-14), so the backlog creeps up every day and never settles.
+      DemandProfile profile = fleet_profile();
+      const std::size_t n = profile.periods();
+      const std::vector<double> capacity(
+          n, profile.total_demand() / static_cast<double>(n));
+      return DynamicModel(std::move(profile), capacity, cost, warmup_days);
+    }
+  }
+  throw PreconditionError("unknown warmup shape");
+}
+
+bool same_bits(const math::Vector& a, const math::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Whether the state has settled after `warmup_days`, seen through the
+/// public API: one more warmup day leaves evaluate()'s backlog unchanged.
+bool settled_after(Warmup shape, std::size_t warmup_days,
+                   const math::Vector& rewards) {
+  return same_bits(warmup_model(shape, warmup_days).evaluate(rewards).backlog,
+                   warmup_model(shape, warmup_days + 1)
+                       .evaluate(rewards)
+                       .backlog);
+}
+
+/// Whether `rewards` puts the model in the warmup shape it stands for.
+bool in_shape(Warmup shape, std::size_t warmup_days,
+              const math::Vector& rewards) {
+  switch (shape) {
+    case Warmup::kEmptyAfterDay1:
+      for (double b : warmup_model(shape, 1).evaluate(rewards).backlog) {
+        if (b != 0.0) return false;
+      }
+      return true;
+    case Warmup::kSettlesOnDay2:
+      return !settled_after(shape, 1, rewards) &&
+             settled_after(shape, 2, rewards);
+    case Warmup::kStillChanging:
+      return !settled_after(shape, warmup_days, rewards);
+  }
+  return false;
+}
+
+/// Random rewards that put the model in `shape`. The still-changing shape
+/// rests on rounding, so a draw under which it settles after all is drawn
+/// again; the other shapes hold with wide margins.
+math::Vector rewards_in_shape(Warmup shape, std::size_t warmup_days,
+                              std::size_t n, Rng& rng) {
+  math::Vector rewards;
+  for (int draw = 0; draw < 32; ++draw) {
+    rewards = random_rewards(rng, n, 1.2);
+    if (in_shape(shape, warmup_days, rewards)) return rewards;
+  }
+  ADD_FAILURE() << "no reward draw puts the model in shape "
+                << warmup_name(shape);
+  return rewards;
+}
+
+constexpr Warmup kWarmupShapes[] = {Warmup::kEmptyAfterDay1,
+                                    Warmup::kSettlesOnDay2,
+                                    Warmup::kStillChanging};
+constexpr std::size_t kWarmupDays[] = {1, 2, 6};
+
+void expect_cost_and_gradient_match(const DynamicModel& model,
+                                    const math::Vector& rewards,
+                                    FlowState& state, const char* context) {
   const std::size_t n = model.periods();
-  for (int trial = 0; trial < 8; ++trial) {
-    const math::Vector rewards = random_rewards(rng, n, 1.5);
-    EXPECT_EQ(model.total_cost(rewards), model.total_cost(rewards, state));
-    for (double mu : {1.0, 1e-4}) {
-      EXPECT_EQ(model.smoothed_cost(rewards, mu),
-                model.smoothed_cost(rewards, mu, state));
-      math::Vector ref_grad(n, 0.0);
-      math::Vector fused_grad(n, 0.0);
-      model.smoothed_gradient(rewards, mu, ref_grad);
-      const double fused_value =
-          model.smoothed_cost_and_gradient(rewards, mu, fused_grad, state);
-      EXPECT_EQ(model.smoothed_cost(rewards, mu), fused_value);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(ref_grad[i], fused_grad[i]) << "grad " << i;
+  EXPECT_EQ(model.total_cost(rewards), model.total_cost(rewards, state))
+      << context;
+  for (double mu : {1.0, 1e-4}) {
+    EXPECT_EQ(model.smoothed_cost(rewards, mu),
+              model.smoothed_cost(rewards, mu, state))
+        << context << " mu " << mu;
+    math::Vector ref_grad(n, 0.0);
+    math::Vector fused_grad(n, 0.0);
+    model.smoothed_gradient(rewards, mu, ref_grad);
+    const double fused_value =
+        model.smoothed_cost_and_gradient(rewards, mu, fused_grad, state);
+    EXPECT_EQ(model.smoothed_cost(rewards, mu), fused_value)
+        << context << " mu " << mu;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(ref_grad[i], fused_grad[i])
+          << context << " mu " << mu << " grad " << i;
+    }
+  }
+}
+
+TEST(DynamicModelFused, CostAndGradientBitIdenticalToReference) {
+  {
+    const DynamicModel model = nonlinear_dynamic_model();
+    Rng rng(21);
+    FlowState state;
+    for (int trial = 0; trial < 8; ++trial) {
+      expect_cost_and_gradient_match(
+          model, random_rewards(rng, model.periods(), 1.5), state,
+          "nonlinear");
+    }
+  }
+  // Every warmup shape at every warmup length: the day-cyclic early exit
+  // fires after day 1, after day 2, or never.
+  for (const Warmup shape : kWarmupShapes) {
+    for (const std::size_t warmup_days : kWarmupDays) {
+      const DynamicModel model = warmup_model(shape, warmup_days);
+      const std::string context = std::string(warmup_name(shape)) +
+                                  " warmup " + std::to_string(warmup_days);
+      Rng rng(22);
+      FlowState state;
+      for (int trial = 0; trial < 4; ++trial) {
+        expect_cost_and_gradient_match(
+            model,
+            rewards_in_shape(shape, warmup_days, model.periods(), rng),
+            state, context.c_str());
       }
     }
   }
 }
 
 TEST(DynamicModelFused, CoordinateUpdateCostMatchesReference) {
-  const DynamicModel model = nonlinear_dynamic_model();
-  Rng rng(31);
-  const std::size_t n = model.periods();
-  math::Vector rewards = random_rewards(rng, n, 1.2);
-  FlowState state;
-  model.prime_flow_state(rewards, /*with_derivatives=*/false, state);
-  for (int step = 0; step < 30; ++step) {
-    const std::size_t m = static_cast<std::size_t>(
-        rng.uniform() * static_cast<double>(n)) % n;
-    rewards[m] = rng.uniform(0.0, 1.2);
-    EXPECT_EQ(model.total_cost(rewards),
-              model.total_cost_with_coordinate(m, rewards[m], state));
+  {
+    const DynamicModel model = nonlinear_dynamic_model();
+    Rng rng(31);
+    const std::size_t n = model.periods();
+    math::Vector rewards = random_rewards(rng, n, 1.2);
+    FlowState state;
+    model.prime_flow_state(rewards, /*with_derivatives=*/false, state);
+    for (int step = 0; step < 30; ++step) {
+      const std::size_t m = static_cast<std::size_t>(
+          rng.uniform() * static_cast<double>(n)) % n;
+      rewards[m] = rng.uniform(0.0, 1.2);
+      EXPECT_EQ(model.total_cost(rewards),
+                model.total_cost_with_coordinate(m, rewards[m], state));
+    }
+  }
+  for (const Warmup shape : kWarmupShapes) {
+    for (const std::size_t warmup_days : kWarmupDays) {
+      const DynamicModel model = warmup_model(shape, warmup_days);
+      Rng rng(32);
+      const std::size_t n = model.periods();
+      math::Vector rewards = random_rewards(rng, n, 1.2);
+      FlowState state;
+      model.prime_flow_state(rewards, /*with_derivatives=*/false, state);
+      for (int step = 0; step < 12; ++step) {
+        // One coordinate moves per step; a move that takes the model out
+        // of its shape is drawn again.
+        std::size_t m = 0;
+        math::Vector next;
+        for (int draw = 0; draw < 32; ++draw) {
+          next = rewards;
+          m = static_cast<std::size_t>(
+              rng.uniform() * static_cast<double>(n)) % n;
+          next[m] = rng.uniform(0.0, 1.2);
+          if (in_shape(shape, warmup_days, next)) break;
+        }
+        ASSERT_TRUE(in_shape(shape, warmup_days, next))
+            << warmup_name(shape) << " warmup " << warmup_days;
+        rewards = next;
+        EXPECT_EQ(model.total_cost(rewards),
+                  model.total_cost_with_coordinate(m, rewards[m], state))
+            << warmup_name(shape) << " warmup " << warmup_days << " step "
+            << step;
+      }
+    }
   }
 }
 
@@ -510,6 +729,38 @@ TEST(OnlinePricerIncremental, DayOfObservationsBitIdenticalToReference) {
   }
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(incremental.rewards()[i], reference.rewards()[i]);
+  }
+
+  // The shape every workload runs: the fleet's 48-period gamma = 1 model,
+  // three days of measurements within +-20% of the baseline forecast, and
+  // one surge the 2% stability clamp must cut back.
+  const DynamicModel fleet(fleet_profile(), paper::kDynamicCapacityUnits,
+                           math::PiecewiseLinearCost::hinge(
+                               paper::kDynamicCostSlope, 0.0));
+  OnlinePricer fleet_incremental(fleet, offline, /*speculative=*/false,
+                                 PricerGuardConfig{}, /*incremental=*/true);
+  OnlinePricer fleet_reference(fleet, offline, /*speculative=*/false,
+                               PricerGuardConfig{}, /*incremental=*/false);
+  const std::size_t periods = fleet.periods();
+  const std::size_t surge_step = periods + 20;  // day 2, period 20
+  for (std::size_t step = 0; step < 3 * periods; ++step) {
+    const std::size_t period = step % periods;
+    const double forecast = fleet.arrivals().tip_demand(period);
+    const double measured = step == surge_step
+                                ? 10.0 * forecast
+                                : forecast * rng.uniform(0.8, 1.2);
+    const auto a = fleet_incremental.observe_period(period, measured);
+    const auto b = fleet_reference.observe_period(period, measured);
+    EXPECT_EQ(a.new_reward, b.new_reward) << "step " << step;
+    EXPECT_EQ(a.expected_cost, b.expected_cost) << "step " << step;
+    if (step == surge_step) {
+      EXPECT_LT(fleet_incremental.model().arrivals().tip_demand(period),
+                measured)
+          << "the surge must hit the stability clamp";
+    }
+  }
+  for (std::size_t i = 0; i < periods; ++i) {
+    EXPECT_EQ(fleet_incremental.rewards()[i], fleet_reference.rewards()[i]);
   }
 }
 

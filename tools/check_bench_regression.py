@@ -6,7 +6,11 @@ when either
 
   * a machine-independent speedup ratio is below its floor (the fused static
     solve must stay >= 5x the reference objective, the incremental online
-    re-solve >= 3x the full-recompute golden section), or
+    re-solve >= 3x the full-recompute golden section),
+  * a whole online observe costs more than MAX_OBSERVE_PER_SOLVE (2.0) times
+    its golden-section solve alone (online_observe's observe_per_solve, a
+    same-process ratio: the demand rescale and the model and kernel rebuild
+    must stay cheap next to the solve), or
   * a wall-time field regressed more than --tolerance (default 15%) against
     the checked-in baseline, after normalizing both runs by their
     calibration_seconds (a fixed reference workload timed in-process, so the
@@ -99,6 +103,10 @@ import sys
 from pathlib import Path
 
 WALL_SUFFIX = "_seconds"
+# Ceiling on online_observe.observe_per_solve in the kernel suite: a whole
+# observation measured ~1.5-1.7x its solve once the model rebuild stopped
+# recomputing fixed values, ~2.3-2.7x before.
+MAX_OBSERVE_PER_SOLVE = 2.0
 
 
 def load(path: Path) -> dict:
@@ -126,6 +134,24 @@ def check_speedup_floors(current: dict, floors: dict[str, tuple[str, float]]
                 f"{bench}: {field} = {value:.2f}x below the {floor:.0f}x floor")
         else:
             print(f"  OK  {bench}.{field} = {value:.1f}x (floor {floor:.0f}x)")
+    return failures
+
+
+def check_ratio_ceilings(current: dict,
+                         ceilings: dict[str, tuple[str, float]]) -> list[str]:
+    failures = []
+    benches = current.get("benches", {})
+    for bench, (field, ceiling) in ceilings.items():
+        value = benches.get(bench, {}).get(field)
+        if value is None:
+            failures.append(f"{bench}: missing field '{field}'")
+        elif value > ceiling:
+            failures.append(
+                f"{bench}: {field} = {value:.2f}x above the "
+                f"{ceiling:.2f}x ceiling")
+        else:
+            print(f"  OK  {bench}.{field} = {value:.2f}x "
+                  f"(ceiling {ceiling:.2f}x)")
     return failures
 
 
@@ -506,6 +532,10 @@ def main() -> int:
             "online_resolve": ("speedup", args.min_online_speedup),
         }
     failures = check_speedup_floors(current, floors)
+    if args.suite == "kernel":
+        failures += check_ratio_ceilings(current, {
+            "online_observe": ("observe_per_solve", MAX_OBSERVE_PER_SOLVE),
+        })
     if args.suite == "mechanism":
         failures += check_mechanism_ordering(current, args.ordering_epsilon,
                                              args.min_tube_reduction)
