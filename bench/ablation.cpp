@@ -14,17 +14,6 @@
 #include "dynamic/paper_dynamic.hpp"
 #include "dynamic/stochastic_sim.hpp"
 
-namespace {
-
-double seconds_since(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
-
 int main() {
   using namespace tdp;
   bench::banner("Ablations", "design-choice studies");
@@ -39,10 +28,10 @@ int main() {
     plain.fista.max_iterations = 20000;
     auto t0 = std::chrono::steady_clock::now();
     const auto fast = optimize_static_prices(model, accel);
-    const double fast_s = seconds_since(t0);
+    const double fast_s = bench::seconds_since(t0);
     t0 = std::chrono::steady_clock::now();
     const auto slow = optimize_static_prices(model, plain);
-    const double slow_s = seconds_since(t0);
+    const double slow_s = bench::seconds_since(t0);
     std::printf("\nA1  FISTA vs plain projected gradient (48p static):\n");
     TextTable t({"Solver", "Iterations", "Time (s)", "Final cost"});
     t.add_row({"FISTA", std::to_string(fast.iterations),

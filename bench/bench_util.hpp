@@ -1,4 +1,5 @@
-// Shared helpers for the table/figure regeneration benches.
+// Shared helpers for the table/figure regeneration benches and the gated
+// perf suites.
 #pragma once
 
 #include <sys/resource.h>
@@ -6,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +16,8 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "core/batch_solver.hpp"
+#include "core/deferral_kernel.hpp"
+#include "core/paper_data.hpp"
 
 // Short commit SHA baked in by bench/CMakeLists.txt so every BENCH_JSON
 // line is traceable to the tree that produced it.
@@ -45,6 +49,82 @@ inline void report_batch(const BatchTiming& timing) {
               "%zu FISTA iterations (%zu in the anchor)\n",
               timing.tasks, timing.threads, timing.wall_seconds,
               timing.total_iterations, timing.anchor_iterations);
+}
+
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Time `fn()` `reps` times and return the total wall seconds. One untimed
+/// warmup call populates lazy caches (plans, memo entries).
+template <typename Fn>
+double time_reps(std::size_t reps, Fn&& fn) {
+  fn();
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < reps; ++r) fn();
+  return seconds_since(start);
+}
+
+/// The calibration workload every gated suite times in-process: a fixed
+/// 12-period reference kernel evaluated 50 times. It tracks host speed, not
+/// any fast path, so tools/check_bench_regression.py divides wall times by
+/// it and gates code changes rather than machine changes.
+inline double calibration_seconds() {
+  const DeferralKernel kernel(
+      paper::make_profile(paper::table8_mix_12(),
+                          paper::kStaticNormalizationReward,
+                          LagNormalization::kDiscrete, 0.7),
+      LagConvention::kPeriodStart);
+  const math::Vector rewards(12, 0.8);
+  double sink = 0.0;
+  const double seconds = time_reps(50, [&] {
+    for (std::size_t i = 0; i < 12; ++i) {
+      sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
+    }
+  });
+  if (sink < 0.0) std::printf("?\n");  // keep the sink alive
+  return seconds;
+}
+
+/// One bench of a schema-1 suite file: numeric fields in insertion order.
+struct SuiteEntry {
+  std::string name;
+  std::vector<std::pair<std::string, double>> fields;
+};
+
+/// Write the schema-1 suite file tools/check_bench_regression.py gates:
+/// calibration_seconds plus a map from bench name to its fields, numbers
+/// as %.17g. Returns false (with a message on stderr) when `path` cannot
+/// be written.
+inline bool write_suite_json(const std::string& path, double calibration,
+                             const std::vector<SuiteEntry>& entries) {
+  const auto field = [](const std::string& key, double value) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    return '"' + key + "\":" + buffer;
+  };
+  std::string json = "{\n  \"schema\": 1,\n  " +
+                     field("calibration_seconds", calibration) +
+                     ",\n  \"benches\": {\n";
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    json += "    \"" + entries[e].name + "\": {";
+    for (std::size_t f = 0; f < entries[e].fields.size(); ++f) {
+      if (f) json += ", ";
+      json += field(entries[e].fields[f].first, entries[e].fields[f].second);
+    }
+    json += e + 1 < entries.size() ? "},\n" : "}\n";
+  }
+  json += "  }\n}\n";
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << json;
+  std::printf("  wrote %s\n", path.c_str());
+  return true;
 }
 
 /// High-water-mark resident set size of this process, in MiB.

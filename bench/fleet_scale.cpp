@@ -13,23 +13,19 @@
 //   ./bench/bench_fleet_scale 1000000 --out BENCH_fleet.json
 //
 // --out writes the schema-1 suite JSON consumed by
-// tools/check_bench_regression.py --suite fleet: a calibration workload
-// (the same fixed reference-kernel loop the kernel suite times, so wall
-// times normalize across hosts) plus one entry per (users, threads) cell
+// tools/check_bench_regression.py --suite fleet: the shared calibration
+// workload (bench::calibration_seconds, so wall times normalize across
+// hosts like every other suite's) plus one entry per (users, threads) cell
 // with the day wall time and throughput.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "fleet/fleet_driver.hpp"
 #include "fleet/fleet_metrics.hpp"
 
@@ -46,42 +42,6 @@ tdp::fleet::FleetMetrics run_fleet(std::uint64_t users, std::size_t threads) {
   tdp::fleet::FleetDriver driver(config);
   return driver.run_day();
 }
-
-/// The kernel suite's calibration workload, repeated here so fleet and
-/// kernel baselines normalize the same way: a fixed 12-period reference
-/// kernel evaluated 50 times. Tracks host speed, not the fleet fast path,
-/// so fleet-code changes stay visible after normalization.
-double calibration_run() {
-  using Clock = std::chrono::steady_clock;
-  const tdp::DeferralKernel kernel(
-      tdp::paper::make_profile(tdp::paper::table8_mix_12(),
-                               tdp::paper::kStaticNormalizationReward,
-                               tdp::LagNormalization::kDiscrete, 0.7),
-      tdp::LagConvention::kPeriodStart);
-  const tdp::math::Vector rewards(12, 0.4);
-  double sink = 0.0;
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < 50; ++r) {
-    for (std::size_t i = 0; i < 12; ++i) {
-      sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-    }
-  }
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  return seconds;
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
-
-struct SuiteEntry {
-  std::string name;
-  std::vector<std::pair<std::string, double>> fields;
-};
 
 bool identical_profiles(const tdp::fleet::FleetMetrics& a,
                         const tdp::fleet::FleetMetrics& b) {
@@ -108,9 +68,9 @@ int main(int argc, char** argv) {
   if (fleet_sizes.empty()) fleet_sizes = {10000, 100000, 1000000};
 
   const std::size_t hw = hardware_threads();
-  const double calibration_seconds =
-      out_path.empty() ? 0.0 : calibration_run();
-  std::vector<SuiteEntry> entries;
+  const double calibration =
+      out_path.empty() ? 0.0 : bench::calibration_seconds();
+  std::vector<bench::SuiteEntry> entries;
   bench::banner("fleet_scale",
                 "sharded user population day, online pricer in the loop");
   std::printf("  hardware threads: %zu\n", hw);
@@ -178,43 +138,21 @@ int main(int argc, char** argv) {
     if (!out_path.empty()) {
       const auto cell = [&](const char* kind,
                             const fleet::FleetMetrics& metrics) {
-        SuiteEntry entry;
-        entry.name = "fleet_" + std::to_string(users) + "_" + kind;
-        entry.fields = {
-            {"users", static_cast<double>(metrics.users)},
-            {"threads", static_cast<double>(metrics.threads)},
-            {"fleet_wall_seconds", metrics.wall_seconds},
-            {"sessions_per_second", metrics.sessions_per_second},
-        };
-        entries.push_back(std::move(entry));
+        entries.push_back(
+            {"fleet_" + std::to_string(users) + "_" + kind,
+             {{"users", static_cast<double>(metrics.users)},
+              {"threads", static_cast<double>(metrics.threads)},
+              {"fleet_wall_seconds", metrics.wall_seconds},
+              {"sessions_per_second", metrics.sessions_per_second}}});
       };
       cell("serial", serial);
       cell("parallel", parallel);
     }
   }
 
-  // ---- BENCH_fleet.json ---------------------------------------------------
-  if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      json += "    \"" + entries[e].name + "\": {";
-      for (std::size_t f = 0; f < entries[e].fields.size(); ++f) {
-        if (f) json += ", ";
-        append_json_field(json, entries[e].fields[f].first.c_str(),
-                          entries[e].fields[f].second);
-      }
-      json += e + 1 < entries.size() ? "},\n" : "}\n";
-    }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
+  if (!out_path.empty() &&
+      !bench::write_suite_json(out_path, calibration, entries)) {
+    return 1;
   }
   return 0;
 }

@@ -25,45 +25,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "fleet/fleet_metrics.hpp"
 #include "horizon/checkpoint.hpp"
 #include "horizon/multi_day_driver.hpp"
-#include "math/matrix.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  fn();
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  return seconds_since(start);
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, double>> fields;
-};
 
 tdp::horizon::HorizonConfig bench_config(std::uint64_t users,
                                          std::size_t days) {
@@ -122,26 +95,9 @@ int main(int argc, char** argv) {
   bench::banner("horizon",
                 "multi-day online estimation loop + checkpoint codec");
 
-  std::vector<BenchEntry> entries;
+  std::vector<bench::SuiteEntry> entries;
 
-  // Calibration: the same fixed reference workload as bench_kernel_suite,
-  // so both suites' baselines normalize host speed identically.
-  double calibration_seconds = 0.0;
-  {
-    const DeferralKernel kernel(
-        paper::make_profile(paper::table8_mix_12(),
-                            paper::kStaticNormalizationReward,
-                            LagNormalization::kDiscrete, 0.7),
-        LagConvention::kPeriodStart);
-    const math::Vector rewards(12, 0.8);
-    double sink = 0.0;
-    calibration_seconds = time_reps(50, [&] {
-      for (std::size_t i = 0; i < 12; ++i) {
-        sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-      }
-    });
-    if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  }
+  const double calibration = bench::calibration_seconds();
 
   const horizon::HorizonConfig config = bench_config(users, days);
 
@@ -162,7 +118,7 @@ int main(int argc, char** argv) {
       if (step == mid_kill_step) mid_bytes = driver.checkpoint_bytes();
       driver.step_period();
     }
-    const double loop_seconds = seconds_since(start);
+    const double loop_seconds = bench::seconds_since(start);
     metrics = driver.metrics();
 
     double estimates = 0.0;
@@ -228,13 +184,13 @@ int main(int argc, char** argv) {
 
     const std::size_t reps = 100;
     const double encode_seconds =
-        time_reps(reps, [&] { (void)horizon::encode(data); });
+        bench::time_reps(reps, [&] { (void)horizon::encode(data); });
     const double decode_seconds =
-        time_reps(reps, [&] { (void)horizon::decode(bytes); });
+        bench::time_reps(reps, [&] { (void)horizon::decode(bytes); });
     const auto restore_start = Clock::now();
     std::unique_ptr<horizon::MultiDayDriver> restored =
         horizon::MultiDayDriver::restore(config, bytes);
-    const double restore_seconds = seconds_since(restore_start);
+    const double restore_seconds = bench::seconds_since(restore_start);
     (void)restored;
 
     report.add("checkpoint_bytes",
@@ -255,28 +211,9 @@ int main(int argc, char** argv) {
                 1e3 * decode_seconds / reps, restore_seconds);
   }
 
-  // ---- BENCH_horizon.json -------------------------------------------------
-  if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      json += "    \"" + entries[e].name + "\": {";
-      for (std::size_t f = 0; f < entries[e].fields.size(); ++f) {
-        if (f) json += ", ";
-        append_json_field(json, entries[e].fields[f].first.c_str(),
-                          entries[e].fields[f].second);
-      }
-      json += e + 1 < entries.size() ? "},\n" : "}\n";
-    }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
+  if (!out_path.empty() &&
+      !bench::write_suite_json(out_path, calibration, entries)) {
+    return 1;
   }
   return 0;
 }

@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -52,31 +51,6 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Time `fn()` `reps` times and return the total wall seconds. One untimed
-/// warmup call populates lazy caches (plans, memo entries).
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  fn();
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  return seconds_since(start);
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, double>> fields;
-};
 
 /// The paper's 12-period mix with concave (gamma < 1) reward sensitivity:
 /// the configuration where the kernel cannot fall back to linear unit
@@ -125,27 +99,9 @@ int main(int argc, char** argv) {
   bench::banner("kernel_suite",
                 "fused SoA kernel vs reference path microbenches");
 
-  std::vector<BenchEntry> entries;
+  std::vector<bench::SuiteEntry> entries;
 
-  // Calibration: a fixed reference workload whose cost tracks host speed.
-  // Baseline comparisons divide wall times by this, so the regression gate
-  // measures code changes, not machine changes.
-  double calibration_seconds = 0.0;
-  {
-    const DeferralKernel kernel(
-        paper::make_profile(paper::table8_mix_12(),
-                            paper::kStaticNormalizationReward,
-                            LagNormalization::kDiscrete, 0.7),
-        LagConvention::kPeriodStart);
-    const math::Vector rewards = mid_rewards(12, 0.8);
-    double sink = 0.0;
-    calibration_seconds = time_reps(50, [&] {
-      for (std::size_t i = 0; i < 12; ++i) {
-        sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-      }
-    });
-    if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  }
+  const double calibration = bench::calibration_seconds();
 
   // ---- kernel_eval: full flows + derivatives, reference vs plan ----------
   {
@@ -155,7 +111,7 @@ int main(int argc, char** argv) {
     const math::Vector rewards = mid_rewards(n, 0.8);
 
     double sink = 0.0;
-    const double reference_seconds = time_reps(reps, [&] {
+    const double reference_seconds = bench::time_reps(reps, [&] {
       // The per-iteration kernel work of the reference smoothed cost +
       // gradient: inflow, inflow derivative and outflow per period, plus
       // the n^2 pair-volume derivatives the gradient sums.
@@ -172,7 +128,7 @@ int main(int argc, char** argv) {
 
     const auto plan = kernel.plan();
     FlowState state;
-    const double fused_seconds = time_reps(reps, [&] {
+    const double fused_seconds = bench::time_reps(reps, [&] {
       plan->evaluate(rewards, /*with_derivatives=*/true, state);
       sink += state.inflow[0];
     });
@@ -207,11 +163,11 @@ int main(int argc, char** argv) {
     auto start = Clock::now();
     const PricingSolution reference =
         optimize_static_prices(model, reference_options);
-    const double reference_seconds = seconds_since(start);
+    const double reference_seconds = bench::seconds_since(start);
 
     start = Clock::now();
     const PricingSolution fused = optimize_static_prices(model, fused_options);
-    const double fused_seconds = seconds_since(start);
+    const double fused_seconds = bench::seconds_since(start);
 
     // The two solves are bitwise identical; any drift here is a bug.
     if (reference.total_cost != fused.total_cost) {
@@ -245,7 +201,7 @@ int main(int argc, char** argv) {
     const std::size_t solve_reps = 24;  // two full days of period solves
     double sink = 0.0;
     std::size_t period = 0;
-    const double reference_seconds = time_reps(solve_reps, [&] {
+    const double reference_seconds = bench::time_reps(solve_reps, [&] {
       // Reference online step: golden section where every candidate is a
       // full O(n^2) total_cost.
       const auto objective = [&](double candidate) {
@@ -260,7 +216,7 @@ int main(int argc, char** argv) {
     FlowState scratch;
     model.prime_flow_state(rewards, /*with_derivatives=*/false, scratch);
     period = 0;
-    const double incremental_seconds = time_reps(solve_reps, [&] {
+    const double incremental_seconds = bench::time_reps(solve_reps, [&] {
       const auto objective = [&](double candidate) {
         return model.total_cost_with_coordinate(period, candidate, scratch);
       };
@@ -326,7 +282,7 @@ int main(int argc, char** argv) {
       for (std::size_t p = 0; p < n; ++p) {
         sink += pricer.observe_period(p, measured[p]).new_reward;
       }
-      const double observe_day = seconds_since(start);
+      const double observe_day = bench::seconds_since(start);
 
       const DynamicModel& model = pricer.model();
       const math::Vector rewards = pricer.rewards();
@@ -340,7 +296,7 @@ int main(int argc, char** argv) {
         sink += math::minimize_golden_section(objective, 0.0, cap, 1e-7, 200).x;
         model.total_cost_with_coordinate(p, rewards[p], scratch);
       }
-      const double solve_day = seconds_since(start);
+      const double solve_day = bench::seconds_since(start);
       if (round == 0 || observe_day < observe_seconds) {
         observe_seconds = observe_day;
       }
@@ -380,7 +336,7 @@ int main(int argc, char** argv) {
 
     double sink = 0.0;
     const std::size_t table_reps = 100;
-    const double reference_seconds = time_reps(table_reps, [&] {
+    const double reference_seconds = bench::time_reps(table_reps, [&] {
       // The pre-table construction loop: one lag_weight quadrature per
       // (class, lag).
       for (std::size_t c = 0; c < classes; ++c) {
@@ -392,7 +348,7 @@ int main(int argc, char** argv) {
         }
       }
     });
-    const double table_seconds = time_reps(table_reps, [&] {
+    const double table_seconds = bench::time_reps(table_reps, [&] {
       const fleet::DeferralTable table(population, schedules, 0);
       sink += table.cumulative(0, 1);
     });
@@ -431,7 +387,7 @@ int main(int argc, char** argv) {
     fleet::StripedAggregator aggregator(1, population.periods());
     double sink = 0.0;
     const std::size_t shard_reps = 10;
-    const double shard_seconds = time_reps(shard_reps, [&] {
+    const double shard_seconds = bench::time_reps(shard_reps, [&] {
       shard.simulate_period(0, 0, table, aggregator);
       sink += aggregator.stripe(0, 0).offered_work;
     });
@@ -448,28 +404,9 @@ int main(int argc, char** argv) {
         {"fleet_shard_step", {{"shard_seconds", shard_seconds}}});
   }
 
-  // ---- BENCH_kernel.json --------------------------------------------------
-  if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      json += "    \"" + entries[e].name + "\": {";
-      for (std::size_t f = 0; f < entries[e].fields.size(); ++f) {
-        if (f) json += ", ";
-        append_json_field(json, entries[e].fields[f].first.c_str(),
-                          entries[e].fields[f].second);
-      }
-      json += e + 1 < entries.size() ? "},\n" : "}\n";
-    }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
+  if (!out_path.empty() &&
+      !bench::write_suite_json(out_path, calibration, entries)) {
+    return 1;
   }
   return 0;
 }

@@ -31,40 +31,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "fleet/fleet_driver.hpp"
 #include "fleet/fleet_metrics.hpp"
-#include "math/matrix.hpp"
 #include "mech/mechanism.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  fn();
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  return seconds_since(start);
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
 
 tdp::fleet::FleetDriverConfig arena_config(std::uint64_t users,
                                            std::size_t threads,
@@ -120,25 +98,7 @@ int main(int argc, char** argv) {
   bench::banner("mechanism_arena",
                 "pricing mechanisms on bit-identical seeded fleets");
 
-  // Calibration: the same fixed reference workload as bench_kernel_suite /
-  // bench_horizon, so all suites' baselines normalize host speed the same
-  // way.
-  double calibration_seconds = 0.0;
-  {
-    const DeferralKernel kernel(
-        paper::make_profile(paper::table8_mix_12(),
-                            paper::kStaticNormalizationReward,
-                            LagNormalization::kDiscrete, 0.7),
-        LagConvention::kPeriodStart);
-    const math::Vector rewards(12, 0.8);
-    double sink = 0.0;
-    calibration_seconds = time_reps(50, [&] {
-      for (std::size_t i = 0; i < 12; ++i) {
-        sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-      }
-    });
-    if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  }
+  const double calibration = bench::calibration_seconds();
 
   const mech::MechanismKind kinds[] = {
       mech::MechanismKind::kFlatTip,
@@ -162,7 +122,7 @@ int main(int argc, char** argv) {
     // own view — comparisons are on what the fleet actually did.
     const DynamicModel judge = fleet::baseline_fluid_model(driver.population());
     row.metrics = driver.run_day();
-    row.run_seconds = seconds_since(start);
+    row.run_seconds = bench::seconds_since(start);
 
     {
       // Thread-count invariance: the same day on 1 thread must reproduce
@@ -218,29 +178,15 @@ int main(int argc, char** argv) {
   bench::print_table(table);
 
   if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < rows.size(); ++e) {
-      const ArenaRow& row = rows[e];
-      json += "    \"arena_" + row.name + "\": {";
-      append_json_field(json, "p2a_reduction", row.p2a_reduction);
-      json += ", ";
-      append_json_field(json, "isp_cost_units", row.isp_cost);
-      json += ", ";
-      append_json_field(json, "user_welfare_units", row.welfare);
-      json += ", ";
-      append_json_field(json, "run_seconds", row.run_seconds);
-      json += e + 1 < rows.size() ? "},\n" : "}\n";
+    std::vector<bench::SuiteEntry> entries;
+    for (const ArenaRow& row : rows) {
+      entries.push_back({"arena_" + row.name,
+                         {{"p2a_reduction", row.p2a_reduction},
+                          {"isp_cost_units", row.isp_cost},
+                          {"user_welfare_units", row.welfare},
+                          {"run_seconds", row.run_seconds}}});
     }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
+    if (!bench::write_suite_json(out_path, calibration, entries)) return 1;
   }
   return 0;
 }

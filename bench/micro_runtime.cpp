@@ -241,23 +241,4 @@ BENCHMARK(BM_MultiStartEstimation)
     ->Arg(static_cast<long>(hardware_threads()))
     ->Unit(benchmark::kMillisecond);
 
-void BM_OnlinePriceStepSpeculative(benchmark::State& state) {
-  // The rolling-horizon loop with speculative pre-solve of the next period:
-  // when the measurement confirms the forecast (the steady-state case), the
-  // published answer is the precomputed one and the measured latency is the
-  // bookkeeping cost only.
-  OnlinePricer pricer(paper::dynamic_model_48(), {}, /*speculative=*/true);
-  std::size_t period = 0;
-  for (auto _ : state) {
-    const double forecast = pricer.model().arrivals().tip_demand(period);
-    benchmark::DoNotOptimize(pricer.observe_period(period, forecast));
-    period = (period + 1) % 48;
-  }
-  state.counters["spec_hits"] =
-      static_cast<double>(pricer.speculation_hits());
-  state.counters["spec_misses"] =
-      static_cast<double>(pricer.speculation_misses());
-}
-BENCHMARK(BM_OnlinePriceStepSpeculative)->Unit(benchmark::kMillisecond);
-
 }  // namespace

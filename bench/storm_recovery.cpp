@@ -8,11 +8,11 @@
 //                     (blackout + channel + solver regimes) vs the same
 //                     fleet with the storms off: p2a_retention is the
 //                     peak-to-average reduction the pricer keeps while the
-//                     weather is bad (gated >= --min-p2a-retention)
+//                     weather is bad (gated >= 0.85)
 //   stream_overhead   the same storm run with streaming v2 checkpoints on
 //                     (atomic tmp/rename commit every --every periods):
 //                     stream_overhead_fraction = on/off - 1 is gated
-//                     <= --max-stream-overhead
+//                     <= 0.15
 //   storm_recovery    kill the streamed run mid-storm, recover from the
 //                     committed file (torn-write-tolerant loader), restore
 //                     onto a different shard count, and finish: the
@@ -32,45 +32,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "horizon/checkpoint.hpp"
 #include "horizon/checkpoint_stream.hpp"
 #include "horizon/multi_day_driver.hpp"
-#include "math/matrix.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  fn();
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  return seconds_since(start);
-}
-
-void append_json_field(std::string& out, const char* key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", key, value);
-  out += buffer;
-}
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, double>> fields;
-};
 
 /// The 20%-duty storm plan the acceptance criteria are written against:
 /// onset 0.06, persist 0.76 -> duty 0.06/(0.06+0.24) = 0.2, mean burst
@@ -140,7 +113,7 @@ double run_wall(const tdp::horizon::HorizonConfig& config,
   tdp::horizon::MultiDayDriver driver(config);
   const auto start = Clock::now();
   while (!driver.done()) driver.step_period();
-  const double wall = seconds_since(start);
+  const double wall = tdp::bench::seconds_since(start);
   if (days_out != nullptr) *days_out = driver.completed_days();
   return wall;
 }
@@ -170,26 +143,9 @@ int main(int argc, char** argv) {
                 "storm-mode P2A retention + streaming checkpoint overhead "
                 "+ crash-under-storm recovery");
 
-  std::vector<BenchEntry> entries;
+  std::vector<bench::SuiteEntry> entries;
 
-  // Calibration: the same fixed reference workload as bench_kernel_suite,
-  // so both suites' baselines normalize host speed identically.
-  double calibration_seconds = 0.0;
-  {
-    const DeferralKernel kernel(
-        paper::make_profile(paper::table8_mix_12(),
-                            paper::kStaticNormalizationReward,
-                            LagNormalization::kDiscrete, 0.7),
-        LagConvention::kPeriodStart);
-    const math::Vector rewards(12, 0.8);
-    double sink = 0.0;
-    calibration_seconds = time_reps(50, [&] {
-      for (std::size_t i = 0; i < 12; ++i) {
-        sink += kernel.inflow(i, rewards[i]) + kernel.outflow(i, rewards);
-      }
-    });
-    if (sink < 0.0) std::printf("?\n");  // keep the sink alive
-  }
+  const double calibration = bench::calibration_seconds();
 
   const horizon::HorizonConfig calm = storm_config(users, days, false);
   const horizon::HorizonConfig stormy = storm_config(users, days, true);
@@ -242,7 +198,7 @@ int main(int argc, char** argv) {
     horizon::MultiDayDriver driver(streaming);
     const auto start = Clock::now();
     while (!driver.done()) driver.step_period();
-    const double streamed_wall = seconds_since(start);
+    const double streamed_wall = bench::seconds_since(start);
     const double overhead =
         storm_wall > 0.0 ? streamed_wall / storm_wall - 1.0 : 0.0;
 
@@ -280,11 +236,11 @@ int main(int argc, char** argv) {
         horizon::load_checkpoint_file_recover(ck_path);
     std::unique_ptr<horizon::MultiDayDriver> restored =
         horizon::MultiDayDriver::restore(resume, recovered);
-    const double recovery_wall = seconds_since(recover_start);
+    const double recovery_wall = bench::seconds_since(recover_start);
 
     const auto resume_start = Clock::now();
     while (!restored->done()) restored->step_period();
-    const double resume_wall = seconds_since(resume_start);
+    const double resume_wall = bench::seconds_since(resume_start);
 
     if (!days_bitwise_equal(storm_days, restored->completed_days())) {
       std::printf("  ERROR: resumed storm run diverged from the "
@@ -307,28 +263,9 @@ int main(int argc, char** argv) {
   std::remove(ck_path.c_str());
   std::remove((ck_path + ".tmp").c_str());
 
-  // ---- BENCH_storm.json ---------------------------------------------------
-  if (!out_path.empty()) {
-    std::string json = "{\n  \"schema\": 1,\n  ";
-    append_json_field(json, "calibration_seconds", calibration_seconds);
-    json += ",\n  \"benches\": {\n";
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      json += "    \"" + entries[e].name + "\": {";
-      for (std::size_t f = 0; f < entries[e].fields.size(); ++f) {
-        if (f) json += ", ";
-        append_json_field(json, entries[e].fields[f].first.c_str(),
-                          entries[e].fields[f].second);
-      }
-      json += e + 1 < entries.size() ? "},\n" : "}\n";
-    }
-    json += "  }\n}\n";
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("  wrote %s\n", out_path.c_str());
+  if (!out_path.empty() &&
+      !bench::write_suite_json(out_path, calibration, entries)) {
+    return 1;
   }
   return 0;
 }

@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     if (in.read(header, 5)) version_byte = static_cast<unsigned char>(header[4]);
   }
   std::printf("\n  crashed at step %zu — recovered checkpoint at day %llu "
-              "period %llu (format v%u: storm gates force the v2 section)\n",
+              "period %llu (format v%u)\n",
               kill_step, static_cast<unsigned long long>(recovered.day),
               static_cast<unsigned long long>(recovered.period), version_byte);
 

@@ -67,10 +67,9 @@ PricerGuardConfig PricerGuardConfig::protective() {
 
 OnlinePricer::OnlinePricer(DynamicModel model,
                            DynamicOptimizerOptions offline_options,
-                           bool speculative, PricerGuardConfig guard,
-                           bool incremental)
+                           PricerGuardConfig guard, bool incremental)
     : model_(std::move(model)), reward_cap_(0.0), guard_(guard),
-      speculative_(speculative), incremental_(incremental) {
+      incremental_(incremental) {
   TDP_REQUIRE(guard_.solver_max_iterations >= 1,
               "solver budget must allow at least one iteration");
   TDP_REQUIRE(guard_.fallback_after >= 1 && guard_.recover_after >= 1,
@@ -83,20 +82,16 @@ OnlinePricer::OnlinePricer(DynamicModel model,
   reward_cap_ = model_.reward_cap() * offline_options.reward_cap_factor;
 }
 
-OnlinePricer::~OnlinePricer() { join_speculation(); }
-
 OnlinePricer::OnlinePricer(RestoreTag, DynamicModel model,
                            const OnlinePricerState& state,
-                           PricerGuardConfig guard, bool speculative,
-                           bool incremental)
+                           PricerGuardConfig guard, bool incremental)
     : model_(std::move(model)), rewards_(state.rewards),
       reward_cap_(state.reward_cap), guard_(guard), health_(state.health),
       health_stats_(state.stats), health_log_(state.log),
       observation_count_(state.observation_count),
       consecutive_bad_(state.consecutive_bad),
       consecutive_good_(state.consecutive_good),
-      excursion_periods_(state.excursion_periods), speculative_(speculative),
-      incremental_(incremental) {
+      excursion_periods_(state.excursion_periods), incremental_(incremental) {
   TDP_REQUIRE(rewards_.size() == model_.periods(),
               "restored rewards do not match the model's period count");
   TDP_REQUIRE(reward_cap_ > 0.0, "restored reward cap must be positive");
@@ -124,7 +119,7 @@ OnlinePricerState OnlinePricer::export_state() const {
 
 std::unique_ptr<OnlinePricer> OnlinePricer::restore(
     DynamicModel baseline, const OnlinePricerState& state,
-    PricerGuardConfig guard, bool speculative, bool incremental) {
+    PricerGuardConfig guard, bool incremental) {
   TDP_REQUIRE(state.volumes.size() == baseline.periods(),
               "restored volumes do not match the model's period count");
   // The online updates only ever rescale per-period volumes; installing the
@@ -142,13 +137,11 @@ std::unique_ptr<OnlinePricer> OnlinePricer::restore(
                        baseline.backlog_cost(), baseline.warmup_days());
   return std::unique_ptr<OnlinePricer>(
       new OnlinePricer(RestoreTag{}, std::move(updated), state, guard,
-                       speculative, incremental));
+                       incremental));
 }
 
 void OnlinePricer::adopt_model(DynamicModel model,
                                const DynamicOptimizerOptions& offline_options) {
-  join_speculation();
-  speculation_.reset();
   model_ = std::move(model);
   const DynamicPricingSolution offline =
       optimize_dynamic_prices(model_, offline_options);
@@ -161,8 +154,6 @@ void OnlinePricer::adopt_model(DynamicModel model,
                                math::Vector solved_rewards) {
   TDP_REQUIRE(solved_rewards.size() == model.periods(),
               "solved schedule does not match the adopted model");
-  join_speculation();
-  speculation_.reset();
   model_ = std::move(model);
   rewards_ = std::move(solved_rewards);
   reward_cap_ = model_.reward_cap() * offline_options.reward_cap_factor;
@@ -208,14 +199,13 @@ math::GoldenSectionResult OnlinePricer::solve_period_incremental(
 }
 
 math::GoldenSectionResult OnlinePricer::run_solve(
-    const DynamicModel& model, const math::Vector& rewards,
     std::size_t period, std::size_t max_iterations) {
   TDP_OBS_SPAN("pricer.solve");
   if (incremental_) {
-    return solve_period_incremental(model, rewards, period, reward_cap_,
+    return solve_period_incremental(model_, rewards_, period, reward_cap_,
                                     max_iterations, solve_scratch_);
   }
-  return solve_period(model, rewards, period, reward_cap_, max_iterations);
+  return solve_period(model_, rewards_, period, reward_cap_, max_iterations);
 }
 
 void OnlinePricer::update_demand(std::size_t period,
@@ -247,37 +237,6 @@ void OnlinePricer::update_demand(std::size_t period,
   // The incremental solve reads the kernel's plan; building it here
   // charges the whole kernel rebuild to this span.
   if (incremental_) model_.kernel().plan();
-}
-
-void OnlinePricer::join_speculation() {
-  if (speculation_thread_.joinable()) speculation_thread_.join();
-}
-
-void OnlinePricer::launch_speculation(std::size_t next_period) {
-  // Snapshot the model and rewards so the worker never touches live state;
-  // the assumed measurement is the current forecast, under which the model
-  // update is a scale-by-1.0 no-op and this pre-solve is exactly the step
-  // the synchronous path would take.
-  speculation_ = std::make_unique<Speculation>(
-      next_period, model_.arrivals().tip_demand(next_period), model_,
-      rewards_);
-  Speculation* task = speculation_.get();
-  const double cap = reward_cap_;
-  const std::size_t budget = guard_.solver_max_iterations;
-  const bool incremental = incremental_;
-  speculation_thread_ = std::thread([task, cap, budget, incremental] {
-    if (incremental) {
-      // Worker-private scratch: the member scratch belongs to the
-      // synchronous path's thread.
-      FlowState scratch;
-      task->best = solve_period_incremental(task->model, task->rewards,
-                                            task->period, cap, budget,
-                                            scratch);
-    } else {
-      task->best =
-          solve_period(task->model, task->rewards, task->period, cap, budget);
-    }
-  });
 }
 
 void OnlinePricer::update_health(bool bad) {
@@ -364,19 +323,14 @@ void OnlinePricer::observe_missed(std::size_t period) {
 }
 
 OnlinePricer::StepResult OnlinePricer::observe_period(
-    std::size_t period, double measured_arrivals) {
-  return observe_period_ex(period, measured_arrivals, /*degraded_input=*/
-                           false, guard_.solver_max_iterations);
-}
-
-OnlinePricer::StepResult OnlinePricer::observe_period_ex(
     std::size_t period, double measured_arrivals, bool degraded_input,
-    std::size_t iteration_budget) {
+    std::optional<std::size_t> iteration_budget) {
   TDP_OBS_SPAN("pricer.observe");
   TDP_REQUIRE(period < model_.periods(), "period out of range");
   TDP_REQUIRE(measured_arrivals >= 0.0, "arrivals must be nonnegative");
-  TDP_REQUIRE(iteration_budget >= 1, "need at least one solver iteration");
-  join_speculation();
+  const std::size_t budget =
+      iteration_budget.value_or(guard_.solver_max_iterations);
+  TDP_REQUIRE(budget >= 1, "need at least one solver iteration");
 
   StepResult result;
   result.period = period;
@@ -387,8 +341,6 @@ OnlinePricer::StepResult OnlinePricer::observe_period_ex(
   // last-known-good schedule. A clean measurement is the recovery probe
   // and takes the normal path below.
   if (health_ == PricerHealth::kFallback && degraded_input) {
-    if (speculation_) ++speculation_misses_;
-    speculation_.reset();
     ++health_stats_.skipped_updates;
     pricer_counters().skipped_updates.add_always(1);
     result.new_reward = result.old_reward;
@@ -397,36 +349,15 @@ OnlinePricer::StepResult OnlinePricer::observe_period_ex(
     TDP_LOG_DEBUG << "online update period " << period
                   << " skipped (FALLBACK, degraded input)";
     update_health(/*bad=*/true);
-    if (speculative_) launch_speculation((period + 1) % model_.periods());
     return result;
   }
 
-  // A confirmed forecast leaves the model bitwise unchanged (the rescale
-  // factor is exactly 1), so a pre-solve made under that assumption is the
-  // synchronous answer and both the demand update and the golden-section
-  // search can be skipped.
-  const bool hit = speculation_ && speculation_->period == period &&
-                   measured_arrivals == speculation_->assumed_arrivals &&
-                   model_.arrivals().tip_demand(period) == measured_arrivals;
+  update_demand(period, measured_arrivals);
 
-  math::GoldenSectionResult best;
-  if (hit) {
-    ++speculation_hits_;
-    result.speculative_hit = true;
-    best = speculation_->best;
-    TDP_LOG_DEBUG << "online update period " << period
-                  << " (speculative hit): reward " << result.old_reward
-                  << " -> " << best.x;
-  } else {
-    if (speculation_) ++speculation_misses_;
-    update_demand(period, measured_arrivals);
-
-    // 1-D re-optimization of this period's reward, all others fixed.
-    best = run_solve(model_, rewards_, period, iteration_budget);
-    TDP_LOG_DEBUG << "online update period " << period << ": reward "
-                  << result.old_reward << " -> " << best.x;
-  }
-  speculation_.reset();
+  // 1-D re-optimization of this period's reward, all others fixed.
+  const math::GoldenSectionResult best = run_solve(period, budget);
+  TDP_LOG_DEBUG << "online update period " << period << ": reward "
+                << result.old_reward << " -> " << best.x;
 
   // Guarded acceptance: a failed solve (budget starved or non-finite) can
   // keep the previous reward; an accepted step can be trust-region bound.
@@ -483,9 +414,6 @@ OnlinePricer::StepResult OnlinePricer::observe_period_ex(
          {"converged", best.converged ? 1.0 : 0.0},
          {"cost", result.expected_cost},
          {"step", result.new_reward - result.old_reward}});
-  }
-  if (speculative_) {
-    launch_speculation((period + 1) % model_.periods());
   }
   return result;
 }

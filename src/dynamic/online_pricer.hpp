@@ -10,19 +10,9 @@
 // "while sub-optimal, this algorithm is easy to implement and avoids the
 // high dimensionality of a full dynamic programming solution."
 //
-// Speculative mode: while a period's measurements stream in, the pricer
-// pre-solves the next period's 1-D problem on a background thread under the
-// assumption that the measurement will match the current forecast. When the
-// real measurement arrives and equals the forecast exactly, the published
-// result is the precomputed one — bit-identical to what the synchronous
-// path would produce, since the model update at an exactly-confirmed
-// forecast is a scale-by-1.0 no-op. Any deviation discards the speculation
-// and recomputes synchronously, so outputs never depend on whether
-// speculation is enabled, only the latency does.
-//
 // Guarded observe path: a production pricer's inputs degrade — measurements
 // get synthesized by the guard, solves get starved of iterations, demand
-// shifts under it. `observe_period_ex` wraps the step with (a) a per-step
+// shifts under it. `observe_period` wraps the step with (a) a per-step
 // iteration budget, (b) a trust-region clamp on how far one observation may
 // move a reward, and (c) keep-previous-reward when the solve fails — and
 // drives an explicit health ladder:
@@ -34,18 +24,18 @@
 // A "bad" observation is a degraded/synthesized input, a missed one, or a
 // failed solve. In FALLBACK the pricer freezes its schedule on degraded
 // input (last-known-good rewards keep publishing) and only probes the model
-// again when a clean measurement arrives. The default PricerGuardConfig is
-// a no-op (infinite trust region, legacy iteration budget, failures
-// accepted as before), so existing callers — and any zero-fault plan — are
-// bit-identical to the unguarded pricer; the ladder still *tracks* health
-// either way.
+// again when a clean measurement arrives. The default PricerGuardConfig
+// guards nothing (infinite trust region, a 200-iteration budget, failed
+// solves accepted at their best point), so a zero-fault plan publishes
+// exactly what the bare 1-D re-solve would; the ladder still *tracks*
+// health either way.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <thread>
+#include <optional>
 #include <vector>
 
 #include "dynamic/dynamic_model.hpp"
@@ -58,17 +48,17 @@ enum class PricerHealth { kHealthy, kDegraded, kFallback };
 
 const char* to_string(PricerHealth health);
 
-/// Degradation policy for the guarded observe path. The default is
-/// behavior-preserving: nothing clamps, nothing is kept back, solves get
-/// the same budget as before this config existed.
+/// Degradation policy for the guarded observe path. The default guards
+/// nothing: no step is clamped, no reward is kept back, and every solve
+/// gets the full budget.
 struct PricerGuardConfig {
   /// Iteration budget per 1-D solve (golden section max_iterations).
   std::size_t solver_max_iterations = 200;
   /// Trust region: one observation may move a reward by at most this
-  /// fraction of the reward cap. Infinity = unclamped (legacy).
+  /// fraction of the reward cap. Infinity = unclamped.
   double trust_region_fraction = std::numeric_limits<double>::infinity();
   /// Keep the previous reward when a solve fails (budget exhausted or a
-  /// non-finite result). False = accept the best-so-far point (legacy).
+  /// non-finite result). False = accept the best-so-far point.
   bool keep_reward_on_failure = false;
   /// Consecutive bad observations before DEGRADED escalates to FALLBACK.
   std::size_t fallback_after = 3;
@@ -100,7 +90,6 @@ struct OnlinePricerState;
 class OnlinePricer {
  public:
   /// Initializes rewards by solving the offline dynamic model.
-  /// `speculative` pre-solves each next period in the background.
   /// `incremental` runs each 1-D solve on the kernel plan's cached pair
   /// matrix (core/kernel_plan): the first candidate primes or resyncs the
   /// matrix and every later candidate is an O(n) column update instead of a
@@ -109,10 +98,8 @@ class OnlinePricer {
   /// reference); disable to run the reference path.
   explicit OnlinePricer(DynamicModel model,
                         DynamicOptimizerOptions offline_options = {},
-                        bool speculative = false,
                         PricerGuardConfig guard = {},
                         bool incremental = true);
-  ~OnlinePricer();
 
   OnlinePricer(const OnlinePricer&) = delete;
   OnlinePricer& operator=(const OnlinePricer&) = delete;
@@ -130,7 +117,6 @@ class OnlinePricer {
     double old_reward = 0.0;
     double new_reward = 0.0;
     double expected_cost = 0.0;   ///< daily cost at the updated rewards
-    bool speculative_hit = false; ///< result came from the pre-solve
     bool solve_failed = false;    ///< budget exhausted / non-finite result
     bool clamped = false;         ///< trust region bound the step
     bool skipped = false;         ///< FALLBACK froze the schedule
@@ -141,16 +127,14 @@ class OnlinePricer {
   /// period's demand estimate is rescaled to match, and the reward for that
   /// period index — which next binds one full day ahead — is re-optimized
   /// with the other n-1 rewards fixed.
-  StepResult observe_period(std::size_t period, double measured_arrivals);
-
-  /// The guarded observe path. `degraded_input` marks a synthesized or
-  /// altered measurement (see MeasurementGuard); `iteration_budget` caps
-  /// this step's 1-D solve (pass guard().solver_max_iterations when no
-  /// fault wants to starve it). Equal to observe_period when called with
-  /// (false, guard().solver_max_iterations) under the default guard.
-  StepResult observe_period_ex(std::size_t period, double measured_arrivals,
-                               bool degraded_input,
-                               std::size_t iteration_budget);
+  ///
+  /// `degraded_input` marks a synthesized or altered measurement (see
+  /// MeasurementGuard); `iteration_budget` caps this step's 1-D solve and
+  /// defaults to guard().solver_max_iterations (an explicit 0 is rejected).
+  StepResult observe_period(
+      std::size_t period, double measured_arrivals,
+      bool degraded_input = false,
+      std::optional<std::size_t> iteration_budget = std::nullopt);
 
   /// The period's measurement never arrived at all (TTL-expired blackout):
   /// advance the health ladder with a bad observation, keep the schedule.
@@ -163,11 +147,7 @@ class OnlinePricer {
     return model_.total_cost(rewards_, cost_scratch_);
   }
 
-  bool speculative() const { return speculative_; }
   bool incremental() const { return incremental_; }
-  /// Steps answered from the background pre-solve / recomputed live.
-  std::size_t speculation_hits() const { return speculation_hits_; }
-  std::size_t speculation_misses() const { return speculation_misses_; }
 
   const PricerGuardConfig& guard() const { return guard_; }
   PricerHealth health() const { return health_; }
@@ -187,10 +167,7 @@ class OnlinePricer {
 
   /// Snapshot everything observe_period / observe_missed mutate: the
   /// published rewards, the per-period demand volumes (the only part of the
-  /// model online updates change), and the health ladder. Any in-flight
-  /// speculation is deliberately not captured — restore never resumes a
-  /// pre-solve, and speculation cannot change published values, only
-  /// latency.
+  /// model online updates change), and the health ladder.
   OnlinePricerState export_state() const;
 
   /// Rebuild a pricer from the *baseline* fluid model (same construction as
@@ -199,8 +176,7 @@ class OnlinePricer {
   /// next observation is bitwise identical to the uninterrupted one's.
   static std::unique_ptr<OnlinePricer> restore(
       DynamicModel baseline, const OnlinePricerState& state,
-      PricerGuardConfig guard = {}, bool speculative = false,
-      bool incremental = true);
+      PricerGuardConfig guard = {}, bool incremental = true);
 
   /// Replace the fluid model (the multi-day driver's daily re-anchor after
   /// re-estimating the population): runs the offline solve on `model` and
@@ -220,7 +196,7 @@ class OnlinePricer {
  private:
   struct RestoreTag {};
   OnlinePricer(RestoreTag, DynamicModel model, const OnlinePricerState& state,
-               PricerGuardConfig guard, bool speculative, bool incremental);
+               PricerGuardConfig guard, bool incremental);
 
   static constexpr std::size_t kMaxTransitionLog = 256;
 
@@ -245,14 +221,10 @@ class OnlinePricer {
   /// its kernel plan.
   void update_demand(std::size_t period, double measured_arrivals);
 
-  /// Dispatch on incremental_ using this pricer's member scratch.
-  math::GoldenSectionResult run_solve(const DynamicModel& model,
-                                      const math::Vector& rewards,
-                                      std::size_t period,
+  /// Re-solve `period` on the current model and rewards, dispatching on
+  /// incremental_ with this pricer's member scratch.
+  math::GoldenSectionResult run_solve(std::size_t period,
                                       std::size_t max_iterations);
-
-  void launch_speculation(std::size_t next_period);
-  void join_speculation();
 
   /// Advance the health ladder after one observation.
   void update_health(bool bad);
@@ -270,35 +242,17 @@ class OnlinePricer {
   std::uint64_t consecutive_good_ = 0;
   std::uint64_t excursion_periods_ = 0;  ///< observations since HEALTHY
 
-  /// One in-flight pre-solve; owned and joined by the calling thread, so
-  /// the worker only ever touches its private snapshot in `speculation_`.
-  struct Speculation {
-    std::size_t period = 0;
-    double assumed_arrivals = 0.0;        ///< forecast the pre-solve assumed
-    math::GoldenSectionResult best;       ///< written by the worker thread
-    DynamicModel model;                   ///< private snapshot
-    math::Vector rewards;                 ///< private snapshot
-    Speculation(std::size_t p, double assumed, DynamicModel m,
-                math::Vector r)
-        : period(p), assumed_arrivals(assumed), model(std::move(m)),
-          rewards(std::move(r)) {}
-  };
-  bool speculative_ = false;
   bool incremental_ = true;
-  /// Pair-matrix cache reused across synchronous solves. The resync in
+  /// Pair-matrix cache reused across solves. The resync in
   /// solve_period_incremental only applies when the demand update was a
   /// confirmed-forecast no-op (same memoized kernel state); any deviating
   /// measurement builds a new plan, and the solve reprimes.
   FlowState solve_scratch_;
   /// Scratch for the plan-based full-cost evaluations (expected_cost and
-  /// the skip / failure / trust-region-probe paths in observe_period_ex).
+  /// the skip / failure / trust-region-probe paths in observe_period).
   /// Distinct from solve_scratch_ so expected_cost() never invalidates a
   /// primed solver state; mutable because expected_cost() is const.
   mutable FlowState cost_scratch_;
-  std::thread speculation_thread_;
-  std::unique_ptr<Speculation> speculation_;
-  std::size_t speculation_hits_ = 0;
-  std::size_t speculation_misses_ = 0;
 };
 
 /// The serializable slice of an OnlinePricer (see export_state / restore).

@@ -30,8 +30,6 @@ class StripedAggregator {
 
   /// Number of canonical slices (one stripe per slice per period).
   std::size_t stripes() const { return stripes_; }
-  /// Legacy name from the shard-striped era; reads as stripes().
-  std::size_t shards() const { return stripes_; }
   std::size_t periods() const { return periods_; }
 
   /// Record slice `slice`'s totals for `period`. Each slice is written only

@@ -118,31 +118,8 @@ PricerHealth read_health(ser::Reader& r) {
 
 namespace detail {
 
-bool needs_v2(const CheckpointData& data) {
-  return data.fault.storm_blackout.enabled() ||
-         data.fault.storm_channel.enabled() ||
-         data.fault.storm_solver.enabled() ||
-         data.carry_floor_fraction != 0.5 || data.estimation_health_gate ||
-         data.reanchor_healthy_periods != 0 ||
-         data.reanchor_objective_guard ||
-         data.reanchor_guard_tolerance != 0.0 || data.incident_enabled;
-}
-
-std::uint32_t format_version_for(const CheckpointData& data) {
-  return needs_v2(data) ? kCheckpointVersion : 1u;
-}
-
 bool section_present(SectionTag tag, const CheckpointData& data) {
-  switch (tag) {
-    case kSecMech:
-      return data.mechanism_kind != 0 || data.adaptive_users;
-    case kSecStorm:
-      return needs_v2(data);
-    case kSecIncident:
-      return data.incident_enabled;
-    default:
-      return true;
-  }
+  return tag != kSecIncident || data.incident_enabled;
 }
 
 bool section_dirty_within_day(SectionTag tag) {
@@ -347,7 +324,7 @@ void write_section(ser::Writer& w, SectionTag tag,
 }  // namespace detail
 
 std::vector<std::uint8_t> encode(const CheckpointData& data) {
-  ser::Writer w(kCheckpointMagic, detail::format_version_for(data));
+  ser::Writer w(kCheckpointMagic, kCheckpointVersion);
   for (const SectionTag tag : detail::kSectionOrder) {
     if (detail::section_present(tag, data)) {
       detail::write_section(w, tag, data);

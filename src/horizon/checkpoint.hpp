@@ -14,13 +14,12 @@
 // hostile bytes: every failure is a ser::FormatError, never UB (fuzzed in
 // tests/test_horizon.cpp).
 //
-// Versioning (DESIGN.md §14): the writer emits format version 1 unless the
-// run actually uses a storm-mode feature (storm regimes, guard carry
-// floor, health-gated re-anchoring) — then it emits version 2, which
-// appends one extra section (kSecStorm) that version-1 readers skip under
-// the unknown-tag policy. Legacy configurations therefore keep producing
-// byte-identical v1 checkpoints (golden-fixture tripwire), and v1 files
-// decode into the v2 defaults.
+// Versioning (DESIGN.md §14): the writer always emits format version 2,
+// with the mechanism (kSecMech) and storm (kSecStorm) sections on every
+// run; version-1 readers skip the v2-only sections under the unknown-tag
+// policy. Version-1 files are read, never written: their missing sections
+// decode to the CheckpointData defaults below, which equal what the writer
+// emits for a default run.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +40,7 @@
 namespace tdp::horizon {
 
 inline constexpr char kCheckpointMagic[] = "TDPC";
-/// Newest format this build writes; emitted only when a v2 feature is in
-/// use (see the versioning note above).
+/// The format this build writes; the reader also accepts version 1.
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// How the pricer's *baseline* fluid model is rebuilt on restore.
@@ -81,7 +79,7 @@ struct CheckpointData : fleet::LoopState {
   double max_spike_factor = 0.0;
   std::uint64_t max_carry_forward = 0;
 
-  // -- storm-mode extensions (kSecStorm; serialized only at version 2) ----
+  // -- storm-mode extensions (kSecStorm; absent from version-1 files) -----
   // Config echo: the guard's carry floor and the health-gate knobs.
   double carry_floor_fraction = 0.5;
   bool estimation_health_gate = false;
@@ -98,19 +96,19 @@ struct CheckpointData : fleet::LoopState {
   std::vector<double> model_volumes;      ///< kEstimated only, per period
 
   // -- pricing mechanism (DESIGN.md §13) ----------------------------------
-  // Serialized as an optional section: checkpoints written under the
-  // default TubeOnline mechanism with no user adaptation omit it and stay
-  // byte-identical to the pre-arena format (golden-fixture compatibility).
+  // kSecMech. A file without it (pre-arena v1) decodes to these defaults,
+  // which equal mech::MechanismConfig's and HorizonConfig's, so it reads
+  // exactly as a default run's checkpoint.
   std::uint32_t mechanism_kind = 0;  ///< mech::MechanismKind
   double rebate_pool = 0.0;
-  double rebate_share_blend = 0.0;
-  double rebate_inflow_floor = 0.0;
+  double rebate_share_blend = 0.3;
+  double rebate_inflow_floor = 0.05;
   bool oracle_refine = true;
   double oracle_capacity_target = 0.85;
   mech::MechanismState mech_state;  ///< non-TubeOnline internal state
   bool adaptive_users = false;
-  double adaptation_rate = 0.0;
-  double adaptation_gain = 0.0;
+  double adaptation_rate = 0.25;
+  double adaptation_gain = 0.5;
   std::vector<double> adapt_scale;  ///< per-class patience scale (EWMA)
 
   // -- online estimation sliding window -----------------------------------

@@ -19,8 +19,9 @@
 
 namespace tdp::horizon::detail {
 
-/// Section tags. v1 wrote 1..12 (12 conditionally); v2 appends kSecStorm,
-/// which v1 readers skip under the unknown-tag policy.
+/// Section tags. v1 files carry 1..12 (12 only for non-default mechanism
+/// runs); v2 adds kSecStorm and kSecIncident, which v1 readers skip under
+/// the unknown-tag policy. The writer always emits v2.
 enum SectionTag : std::uint32_t {
   kSecConfig = 1,
   kSecClock = 2,
@@ -33,14 +34,12 @@ enum SectionTag : std::uint32_t {
   kSecDays = 9,
   kSecPartial = 10,
   kSecObs = 11,
-  // Optional: written only when the run departs from the defaults (a
-  // non-TubeOnline mechanism or adaptive users). Absent = TubeOnline, no
-  // adaptation — keeps pre-arena checkpoints and golden fixtures valid
-  // byte for byte.
+  // Mechanism config echo and state. Always written; a file without it
+  // (pre-arena v1) decodes as TubeOnline with no adaptation.
   kSecMech = 12,
-  // v2 only: storm-regime echo, guard carry floor, health-gate knobs and
-  // state, and the per-day health extras. Must follow kSecDays/kSecPartial
-  // (its per-day arrays index into them).
+  // v2: storm-regime echo, guard carry floor, health-gate knobs and state,
+  // and the per-day health extras. Always written. Must follow
+  // kSecDays/kSecPartial (its per-day arrays index into them).
   kSecStorm = 13,
   // v2 only, written only when the incident engine is enabled: the
   // engine's config echo and complete state (obs/incident/incident.hpp's
@@ -57,17 +56,8 @@ inline constexpr SectionTag kSectionOrder[] = {
 inline constexpr std::size_t kSectionCount =
     sizeof(kSectionOrder) / sizeof(kSectionOrder[0]);
 
-/// True when the checkpoint uses a v2 feature: a storm regime, a non-default
-/// guard carry floor, any health gate, or the incident engine. A pure
-/// function of the config echo, so legacy configurations keep writing
-/// byte-identical v1 files.
-bool needs_v2(const CheckpointData& data);
-
-/// The format version the writer emits for `data` (1 or 2).
-std::uint32_t format_version_for(const CheckpointData& data);
-
-/// Whether this checkpoint writes `tag` at all (kSecMech, kSecStorm, and
-/// kSecIncident are conditional; everything else is required).
+/// Whether this checkpoint writes `tag` at all (only kSecIncident is
+/// conditional: its state exists only when the engine is on).
 bool section_present(SectionTag tag, const CheckpointData& data);
 
 /// Encode exactly one tagged section — begin_section through end_section —

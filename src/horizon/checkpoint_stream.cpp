@@ -50,7 +50,6 @@ void CheckpointStream::commit(const CheckpointData& data, bool day_boundary) {
   // Refresh the dirty chunks. Each section is encoded through its own
   // Writer whose raw payload (no header/CRC) is exactly that section's
   // bytes — self-contained framing makes concatenation associative.
-  const std::uint32_t version = detail::format_version_for(data);
   for (std::size_t i = 0; i < detail::kSectionCount; ++i) {
     const detail::SectionTag tag = detail::kSectionOrder[i];
     if (!detail::section_present(tag, data)) {
@@ -60,7 +59,7 @@ void CheckpointStream::commit(const CheckpointData& data, bool day_boundary) {
     const bool dirty = first_commit_ || day_boundary ||
                        detail::section_dirty_within_day(tag);
     if (!dirty && !chunks_[i].empty()) continue;
-    ser::Writer w(kCheckpointMagic, version);
+    ser::Writer w(kCheckpointMagic, kCheckpointVersion);
     detail::write_section(w, tag, data);
     chunks_[i] = w.take_payload();
     ++sections_reencoded_;
@@ -77,7 +76,7 @@ void CheckpointStream::commit(const CheckpointData& data, bool day_boundary) {
     payload.insert(payload.end(), chunk.begin(), chunk.end());
   }
   const std::vector<std::uint8_t> framed =
-      ser::Writer::frame(kCheckpointMagic, version, payload);
+      ser::Writer::frame(kCheckpointMagic, kCheckpointVersion, payload);
 
   // Atomic publish: stage, fsync, rename. POSIX rename replaces the
   // destination atomically, so readers only ever see the old file or the

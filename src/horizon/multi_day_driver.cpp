@@ -295,8 +295,9 @@ void MultiDayDriver::step_period() {
   loop_.step_period(drift_tables_.empty() ? nullptr : &drift_tables_);
 
   // Health tracking for the storm gates. Runs only when a gate is
-  // configured so ungated runs keep fallback_periods/healthy_streak at
-  // zero and their checkpoints stay byte-identical to format v1.
+  // configured, so ungated runs keep fallback_periods/healthy_streak at
+  // zero — the values a v1 checkpoint, which has no health counters,
+  // restores to.
   if (health_gated() && config_.online_pricing) {
     switch (loop_.mechanism().health()) {
       case PricerHealth::kHealthy:

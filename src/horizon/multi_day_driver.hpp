@@ -188,8 +188,8 @@ class MultiDayDriver {
   void build_drift_tables();
   /// True when any storm-mode health gate is configured. Health tracking
   /// (healthy_streak_periods_, DayMetrics::fallback_periods) runs only when
-  /// gated, so ungated runs keep the new fields at zero and their
-  /// checkpoints stay byte-identical to format v1.
+  /// gated, so ungated runs keep these at zero, as a restore from a v1
+  /// checkpoint (no health counters) would.
   bool health_gated() const {
     return config_.estimation_health_gate ||
            config_.reanchor_healthy_periods > 0 ||

@@ -19,7 +19,7 @@ TubeOnlineMechanism::TubeOnlineMechanism(
     const PricerGuardConfig& guard)
     : PricingMechanism(model_tip_demand(model), model.reward_cap()) {
   pricer_ = std::make_unique<OnlinePricer>(std::move(model), offline_options,
-                                           /*speculative=*/false, guard);
+                                           guard);
 }
 
 TubeOnlineMechanism::TubeOnlineMechanism(std::unique_ptr<OnlinePricer> pricer)

@@ -33,8 +33,8 @@ class TubeOnlineMechanism final : public PricingMechanism {
 
   void observe_period(std::size_t period, double measured_units,
                       bool degraded, std::size_t iteration_budget) override {
-    pricer_->observe_period_ex(period, measured_units, degraded,
-                               iteration_budget);
+    pricer_->observe_period(period, measured_units, degraded,
+                            iteration_budget);
   }
   void observe_missed(std::size_t period) override {
     pricer_->observe_missed(period);

@@ -10,9 +10,10 @@
 //   * Corruption battery: every truncation and byte flip of a real
 //     checkpoint is rejected with a clean error, never UB (runs in the
 //     sanitize lane).
-//   * Golden fixture: a checked-in v1 checkpoint must keep decoding, and
-//     re-encoding it must reproduce the file byte for byte — any format
-//     drift trips here before it silently orphans production checkpoints.
+//   * Golden fixtures: a checked-in v1 checkpoint must keep decoding and
+//     restoring, and a checked-in v2 checkpoint must re-encode to itself
+//     byte for byte — any format drift trips here before it silently
+//     orphans production checkpoints.
 //   * Convergence: under injected patience drift the online §IV estimates
 //     track the drift direction and the reward schedule settles into a
 //     bounded limit cycle instead of oscillating.
@@ -398,15 +399,19 @@ TEST(HorizonEstimation, StationaryPopulationEstimatesAreStable) {
   EXPECT_EQ(metrics.final_health, "HEALTHY");
 }
 
-// ---- Golden checkpoint fixture ---------------------------------------------
+// ---- Golden checkpoint fixtures --------------------------------------------
 //
-// A v1 checkpoint produced by a fixed tiny run is checked into
-// tests/golden/. Decoding it proves version-1 files stay loadable;
-// re-encoding the decoded state must reproduce the file byte for byte, so
-// ANY drift in the format — field order, widths, section tags, CRC — trips
-// this test before it orphans real checkpoints. Regenerate only with an
-// intentional, version-bumped format change:
-//   TDP_REGENERATE_GOLDENS=1 ./tdp_horizon_tests
+// Two checkpoints of one fixed tiny run are checked into tests/golden/:
+//   * horizon_checkpoint_v1.bin, written before the v1 writer was retired.
+//     It is read, never written: it must decode, hold the same state as
+//     the v2 fixture, and restore into a run that finishes bitwise like an
+//     uninterrupted one.
+//   * horizon_checkpoint_v2.bin, what the writer emits today. Re-encoding
+//     the decoded state must reproduce the file byte for byte, so ANY
+//     drift in the format — field order, widths, section tags, CRC — trips
+//     here before it orphans real checkpoints. Regenerate (v2 only; the v1
+//     file is never touched) only with an intentional format change:
+//   TDP_REGENERATE_GOLDENS=1 ./tdp_horizon_tests --gtest_filter='HorizonGolden.*'
 
 HorizonConfig golden_config() {
   HorizonConfig config;
@@ -433,8 +438,24 @@ std::vector<std::uint8_t> golden_checkpoint_bytes() {
   return driver.checkpoint_bytes();
 }
 
-std::string golden_fixture_path() {
-  return std::string(TDP_GOLDEN_DIR) + "/horizon_checkpoint_v1.bin";
+std::string golden_fixture_path(int version) {
+  return std::string(TDP_GOLDEN_DIR) + "/horizon_checkpoint_v" +
+         std::to_string(version) + ".bin";
+}
+
+std::vector<std::uint8_t> read_golden_fixture(int version) {
+  std::ifstream in(golden_fixture_path(version), std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden fixture "
+                         << golden_fixture_path(version);
+  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+}
+
+/// Obs counters are process-cumulative telemetry, not simulated state:
+/// compare checkpoints with them normalized out.
+std::vector<std::uint8_t> encode_without_counters(CheckpointData data) {
+  data.counters.clear();
+  return encode(data);
 }
 
 bool regenerating() {
@@ -442,24 +463,40 @@ bool regenerating() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
+TEST(HorizonGolden, CheckedInV2CheckpointReencodesByteForByte) {
   if (regenerating()) {
     const std::vector<std::uint8_t> bytes = golden_checkpoint_bytes();
-    std::ofstream out(golden_fixture_path(), std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_fixture_path();
+    std::ofstream out(golden_fixture_path(2), std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_fixture_path(2);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
-    GTEST_SKIP() << "regenerated " << golden_fixture_path();
+    GTEST_SKIP() << "regenerated " << golden_fixture_path(2);
   }
+  const std::vector<std::uint8_t> file_bytes = read_golden_fixture(2);
+  ASSERT_GT(file_bytes.size(), 8u);
+  EXPECT_EQ(file_bytes[4], 2u);  // version u32 (little endian) at offset 4
 
-  std::ifstream in(golden_fixture_path(), std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden fixture "
-                         << golden_fixture_path()
-                         << " — run once with TDP_REGENERATE_GOLDENS=1";
-  std::vector<std::uint8_t> file_bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // Tripwire 1: re-encoding reproduces the file exactly.
+  const CheckpointData data = decode(file_bytes);
+  EXPECT_EQ(encode(data), file_bytes)
+      << "checkpoint format drifted: bump kCheckpointVersion and add a "
+         "compatibility path instead of silently changing v2";
 
-  // Tripwire 1: the fixture decodes under the current loader.
+  // Tripwire 2: today's driver still produces the same *simulated* state
+  // from the same run — the full pipeline (config -> simulation ->
+  // checkpoint) is deterministic across builds.
+  EXPECT_EQ(encode_without_counters(decode(golden_checkpoint_bytes())),
+            encode_without_counters(data))
+      << "a fresh run of the golden config no longer reproduces the "
+         "checked-in checkpoint's simulated state";
+}
+
+TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
+  const std::vector<std::uint8_t> file_bytes = read_golden_fixture(1);
+  ASSERT_GT(file_bytes.size(), 8u);
+  EXPECT_EQ(file_bytes[4], 1u);
+
+  // The fixture decodes field by field under the current loader.
   const CheckpointData data = decode(file_bytes);
   EXPECT_EQ(data.users, 600u);
   EXPECT_EQ(data.periods, 12u);
@@ -468,29 +505,21 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
   EXPECT_EQ(data.period, 6u);
   EXPECT_EQ(data.ring_work.size(), 6u);
 
-  // Tripwire 2: re-encoding reproduces the file exactly — the writer still
-  // emits the v1 format the fixture was written in.
-  EXPECT_EQ(encode(data), file_bytes)
-      << "checkpoint format drifted: bump kCheckpointVersion and add a "
-         "compatibility path instead of silently changing v1";
+  // The sections v1 lacks (kSecMech, kSecStorm) decode to exactly what the
+  // v2 writer emits for the same run.
+  EXPECT_EQ(encode_without_counters(data),
+            encode_without_counters(decode(read_golden_fixture(2))))
+      << "the v1 fixture no longer decodes to the v2 fixture's state";
 
-  // Tripwire 3: today's driver still produces the same *simulated* state
-  // from the same run — the full pipeline (config -> simulation ->
-  // checkpoint) is deterministic across builds. Obs counters are
-  // process-cumulative telemetry and are normalized out.
-  CheckpointData regenerated = decode(golden_checkpoint_bytes());
-  CheckpointData golden = data;
-  regenerated.counters.clear();
-  golden.counters.clear();
-  EXPECT_EQ(encode(regenerated), encode(golden))
-      << "a fresh run of the golden config no longer reproduces the "
-         "checked-in checkpoint's simulated state";
-
-  // And the fixture is actually restorable.
+  // And the fixture restores into a run that finishes bitwise like the
+  // uninterrupted one.
   std::unique_ptr<MultiDayDriver> restored =
       MultiDayDriver::restore(golden_config(), file_bytes);
   EXPECT_EQ(restored->day(), 2u);
   EXPECT_EQ(restored->period(), 6u);
+  while (!restored->done()) restored->step_period();
+  expect_days_bitwise_equal(restored->completed_days(),
+                            run_uninterrupted(golden_config()));
 }
 
 }  // namespace

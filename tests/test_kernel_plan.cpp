@@ -706,11 +706,9 @@ TEST(OnlinePricerIncremental, DayOfObservationsBitIdenticalToReference) {
   offline.fista.max_iterations = 400;
 
   OnlinePricer incremental(nonlinear_dynamic_model(), offline,
-                           /*speculative=*/false, PricerGuardConfig{},
-                           /*incremental=*/true);
+                           PricerGuardConfig{}, /*incremental=*/true);
   OnlinePricer reference(nonlinear_dynamic_model(), offline,
-                         /*speculative=*/false, PricerGuardConfig{},
-                         /*incremental=*/false);
+                         PricerGuardConfig{}, /*incremental=*/false);
   EXPECT_TRUE(incremental.incremental());
   EXPECT_FALSE(reference.incremental());
 
@@ -737,10 +735,10 @@ TEST(OnlinePricerIncremental, DayOfObservationsBitIdenticalToReference) {
   const DynamicModel fleet(fleet_profile(), paper::kDynamicCapacityUnits,
                            math::PiecewiseLinearCost::hinge(
                                paper::kDynamicCostSlope, 0.0));
-  OnlinePricer fleet_incremental(fleet, offline, /*speculative=*/false,
-                                 PricerGuardConfig{}, /*incremental=*/true);
-  OnlinePricer fleet_reference(fleet, offline, /*speculative=*/false,
-                               PricerGuardConfig{}, /*incremental=*/false);
+  OnlinePricer fleet_incremental(fleet, offline, PricerGuardConfig{},
+                                 /*incremental=*/true);
+  OnlinePricer fleet_reference(fleet, offline, PricerGuardConfig{},
+                               /*incremental=*/false);
   const std::size_t periods = fleet.periods();
   const std::size_t surge_step = periods + 20;  // day 2, period 20
   for (std::size_t step = 0; step < 3 * periods; ++step) {

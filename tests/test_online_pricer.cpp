@@ -94,62 +94,15 @@ TEST(OnlinePricer, ZeroArrivalObservation) {
   EXPECT_GE(step.new_reward, 0.0);
 }
 
-TEST(OnlinePricer, SpeculativeModeIsBitIdenticalToSynchronous) {
-  // Feed both pricers the same day: half the periods confirm the forecast
-  // exactly (speculation hits), half deviate (speculation discarded and
-  // recomputed). Rewards must match bitwise at every step — speculation may
-  // only change latency, never results.
-  OnlinePricer plain(paper::dynamic_model_48(), fast_options());
-  OnlinePricer spec(paper::dynamic_model_48(), fast_options(),
-                    /*speculative=*/true);
-  EXPECT_FALSE(plain.speculative());
-  EXPECT_TRUE(spec.speculative());
-
-  for (std::size_t period = 0; period < 8; ++period) {
-    const double forecast = plain.model().arrivals().tip_demand(period);
-    const double measured =
-        (period % 2 == 0) ? forecast : forecast * 0.93;
-    const auto step_plain = plain.observe_period(period, measured);
-    const auto step_spec = spec.observe_period(period, measured);
-    EXPECT_FALSE(step_plain.speculative_hit);
-    EXPECT_EQ(step_plain.new_reward, step_spec.new_reward)
-        << "period " << period;
-    EXPECT_EQ(step_plain.expected_cost, step_spec.expected_cost)
-        << "period " << period;
-  }
-  for (std::size_t i = 0; i < 48; ++i) {
-    EXPECT_EQ(plain.rewards()[i], spec.rewards()[i]) << "reward " << i;
-  }
-  // The schedule above alternates confirmations and deviations, so both
-  // outcomes must actually have been exercised. The first observation can
-  // never hit (nothing was speculated yet), hence 3 hits from periods
-  // 2, 4, 6 and misses from the odd periods.
-  EXPECT_GT(spec.speculation_hits(), 0u);
-  EXPECT_GT(spec.speculation_misses(), 0u);
-  EXPECT_EQ(spec.speculation_hits() + spec.speculation_misses(), 7u);
-  EXPECT_EQ(plain.speculation_hits(), 0u);
-}
-
-TEST(OnlinePricer, SpeculativeHitSkipsNothingObservable) {
-  // A run of exactly-confirmed forecasts: every step after the first is a
-  // hit, and each hit still performs the 1-D improvement step.
-  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(),
-                      /*speculative=*/true);
-  for (std::size_t period = 0; period < 4; ++period) {
-    const double forecast = pricer.model().arrivals().tip_demand(period);
-    const double cost_before = pricer.expected_cost();
-    const auto step = pricer.observe_period(period, forecast);
-    EXPECT_EQ(step.speculative_hit, period > 0) << "period " << period;
-    EXPECT_LE(step.expected_cost, cost_before + 1e-6);
-  }
-  EXPECT_EQ(pricer.speculation_hits(), 3u);
-  EXPECT_EQ(pricer.speculation_misses(), 0u);
-}
-
 TEST(OnlinePricer, RejectsBadObservations) {
   OnlinePricer pricer(paper::dynamic_model_48(), fast_options());
   EXPECT_THROW(pricer.observe_period(48, 10.0), PreconditionError);
   EXPECT_THROW(pricer.observe_period(0, -1.0), PreconditionError);
+  // An explicit budget of zero is rejected; only an unset one defaults to
+  // the guard's budget.
+  EXPECT_THROW(pricer.observe_period(0, 10.0, /*degraded_input=*/false,
+                                     /*iteration_budget=*/0),
+               PreconditionError);
 }
 
 // --- guarded observe path / health ladder ---------------------------------
@@ -161,7 +114,7 @@ TEST(OnlinePricer, GuardedObserveWithDefaultsMatchesLegacyBitwise) {
     const double forecast = legacy.model().arrivals().tip_demand(period);
     const double measured = forecast * (period % 2 == 0 ? 1.07 : 0.91);
     const auto a = legacy.observe_period(period, measured);
-    const auto b = guarded.observe_period_ex(
+    const auto b = guarded.observe_period(
         period, measured, /*degraded_input=*/false,
         guarded.guard().solver_max_iterations);
     EXPECT_EQ(a.new_reward, b.new_reward) << "period " << period;
@@ -178,14 +131,13 @@ TEST(OnlinePricer, GuardedObserveWithDefaultsMatchesLegacyBitwise) {
 TEST(OnlinePricer, StarvedSolveKeepsPreviousRewardWhenConfigured) {
   PricerGuardConfig guard;
   guard.keep_reward_on_failure = true;
-  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(),
-                      /*speculative=*/false, guard);
+  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(), guard);
   const double before = pricer.rewards()[0];
   const double forecast = pricer.model().arrivals().tip_demand(0);
   // Two golden-section iterations cannot converge on any real bracket.
-  const auto step = pricer.observe_period_ex(0, forecast * 0.5,
-                                             /*degraded_input=*/false,
-                                             /*iteration_budget=*/2);
+  const auto step = pricer.observe_period(0, forecast * 0.5,
+                                          /*degraded_input=*/false,
+                                          /*iteration_budget=*/2);
   EXPECT_TRUE(step.solve_failed);
   EXPECT_EQ(step.new_reward, before);
   EXPECT_EQ(pricer.rewards()[0], before);
@@ -197,8 +149,7 @@ TEST(OnlinePricer, StarvedSolveKeepsPreviousRewardWhenConfigured) {
 TEST(OnlinePricer, TrustRegionClampsLargeSteps) {
   PricerGuardConfig guard;
   guard.trust_region_fraction = 1e-4;  // 0.01% of the reward cap per step
-  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(),
-                      /*speculative=*/false, guard);
+  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(), guard);
   // A drastic demand shift wants a large reward move; the trust region
   // bounds it to a fraction of what the unguarded pricer would do.
   OnlinePricer free(paper::dynamic_model_48(), fast_options());
@@ -209,8 +160,8 @@ TEST(OnlinePricer, TrustRegionClampsLargeSteps) {
 
   const double before = pricer.rewards()[0];
   const auto step =
-      pricer.observe_period_ex(0, 1.0, /*degraded_input=*/false,
-                               pricer.guard().solver_max_iterations);
+      pricer.observe_period(0, 1.0, /*degraded_input=*/false,
+                            pricer.guard().solver_max_iterations);
   EXPECT_TRUE(step.clamped);
   EXPECT_LT(std::abs(step.new_reward - before), free_move);
   EXPECT_EQ(pricer.health_stats().clamped_steps, 1u);
@@ -220,12 +171,11 @@ TEST(OnlinePricer, HealthLadderDescendsAndRecovers) {
   PricerGuardConfig guard;
   guard.fallback_after = 2;
   guard.recover_after = 2;
-  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(),
-                      /*speculative=*/false, guard);
+  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(), guard);
   const auto feed = [&](std::size_t period, bool degraded) {
     const double forecast = pricer.model().arrivals().tip_demand(period);
-    pricer.observe_period_ex(period, forecast, degraded,
-                             pricer.guard().solver_max_iterations);
+    pricer.observe_period(period, forecast, degraded,
+                          pricer.guard().solver_max_iterations);
   };
 
   EXPECT_EQ(pricer.health(), PricerHealth::kHealthy);
@@ -236,7 +186,7 @@ TEST(OnlinePricer, HealthLadderDescendsAndRecovers) {
 
   // In FALLBACK degraded inputs freeze the schedule entirely.
   const math::Vector frozen = pricer.rewards();
-  const auto step = pricer.observe_period_ex(
+  const auto step = pricer.observe_period(
       2, 1e5, /*degraded_input=*/true, pricer.guard().solver_max_iterations);
   EXPECT_TRUE(step.skipped);
   for (std::size_t i = 0; i < 48; ++i) {
@@ -265,8 +215,7 @@ TEST(OnlinePricer, HealthLadderDescendsAndRecovers) {
 TEST(OnlinePricer, MissedObservationsAdvanceTheLadder) {
   PricerGuardConfig guard;
   guard.fallback_after = 2;
-  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(),
-                      /*speculative=*/false, guard);
+  OnlinePricer pricer(paper::dynamic_model_48(), fast_options(), guard);
   const math::Vector before = pricer.rewards();
   pricer.observe_missed(0);
   pricer.observe_missed(1);
@@ -281,12 +230,12 @@ TEST(OnlinePricer, GuardConfigValidation) {
   PricerGuardConfig zero_budget;
   zero_budget.solver_max_iterations = 0;
   EXPECT_THROW(OnlinePricer(paper::dynamic_model_48(), fast_options(),
-                            false, zero_budget),
+                            zero_budget),
                PreconditionError);
   PricerGuardConfig bad_fraction;
   bad_fraction.trust_region_fraction = -0.5;
   EXPECT_THROW(OnlinePricer(paper::dynamic_model_48(), fast_options(),
-                            false, bad_fraction),
+                            bad_fraction),
                PreconditionError);
 }
 

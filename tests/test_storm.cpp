@@ -11,7 +11,7 @@
 //   * Crash-under-storm: a driver killed mid-storm is recovered from its
 //     streamed v2 checkpoint — committed file or complete tmp, torn tmps
 //     rejected — onto a different shard/thread layout, bitwise identical.
-//   * Format v2: storm configs write version-2 checkpoints whose streamed
+//   * Format v2: every config writes version-2 checkpoints whose streamed
 //     bytes match the stop-the-world encoder exactly; a v1 reader (version
 //     byte patched back) skips the v2-only section cleanly.
 //   * Health gating: days tainted by FALLBACK periods are provably never
@@ -32,6 +32,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/serialize.hpp"
 #include "gtest/gtest.h"
 #include "horizon/checkpoint.hpp"
 #include "horizon/checkpoint_stream.hpp"
@@ -421,17 +422,32 @@ TEST(StreamingCheckpoint, StreamedBytesMatchStopTheWorldEncode) {
   std::remove(path.c_str());
 }
 
-TEST(StreamingCheckpoint, LegacyConfigWritesV1StormConfigWritesV2) {
-  // A config with no storm regimes and no health gates must keep writing
-  // format v1, byte-compatible with the golden fixture's readers.
-  HorizonConfig legacy = storm_config();
-  legacy.fault = FaultPlan{};
-  legacy.fault.measurement_loss = 0.04;  // plain i.i.d. faults stay v1
-  MultiDayDriver legacy_driver(legacy);
-  legacy_driver.step_period();
-  const std::vector<std::uint8_t> v1 = legacy_driver.checkpoint_bytes();
-  ASSERT_GT(v1.size(), 8u);
-  EXPECT_EQ(v1[4], 1u);  // version u32 (little endian) at offset 4
+/// The section tags of framed checkpoint bytes, in file order.
+std::vector<std::uint32_t> section_tags(const std::vector<std::uint8_t>& bytes) {
+  ser::Reader r(bytes, kCheckpointMagic, 1, kCheckpointVersion);
+  std::vector<std::uint32_t> tags;
+  while (!r.at_end()) {
+    tags.push_back(r.begin_section());
+    r.skip_section();
+  }
+  return tags;
+}
+
+TEST(StreamingCheckpoint, EveryConfigWritesV2) {
+  // With or without storm regimes and health gates, the writer emits
+  // format v2 with the mechanism and storm sections; only the incident
+  // section depends on the config (off here).
+  const std::vector<std::uint32_t> all_but_incident = {
+      1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  HorizonConfig plain = storm_config();
+  plain.fault = FaultPlan{};
+  plain.fault.measurement_loss = 0.04;
+  MultiDayDriver plain_driver(plain);
+  plain_driver.step_period();
+  const std::vector<std::uint8_t> plain_bytes = plain_driver.checkpoint_bytes();
+  ASSERT_GT(plain_bytes.size(), 8u);
+  EXPECT_EQ(plain_bytes[4], 2u);  // version u32 (little endian) at offset 4
+  EXPECT_EQ(section_tags(plain_bytes), all_but_incident);
 
   MultiDayDriver storm_driver(storm_config());
   storm_driver.step_period();
@@ -441,6 +457,7 @@ TEST(StreamingCheckpoint, LegacyConfigWritesV1StormConfigWritesV2) {
   EXPECT_EQ(v2[5], 0u);
   EXPECT_EQ(v2[6], 0u);
   EXPECT_EQ(v2[7], 0u);
+  EXPECT_EQ(section_tags(v2), all_but_incident);
 
   // The v2 section echoes the storm plan and health gates for restore
   // validation.
