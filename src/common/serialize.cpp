@@ -85,12 +85,12 @@ void Writer::str(std::string_view s) {
   bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
-void Writer::vec_f64(const std::vector<double>& v) {
+void Writer::vec_f64(const std::vector<double>& v, std::size_t) {
   u64(v.size());
   for (double x : v) f64(x);
 }
 
-void Writer::vec_u64(const std::vector<std::uint64_t>& v) {
+void Writer::vec_u64(const std::vector<std::uint64_t>& v, std::size_t) {
   u64(v.size());
   for (std::uint64_t x : v) u64(x);
 }

@@ -21,6 +21,17 @@
 // any allocation, and all failures throw FormatError — a corrupt checkpoint
 // must produce a clean error, never UB or an OOM crash (enforced by the
 // corruption fuzz tests in tests/test_serialize.cpp).
+//
+// Field lists: a record's byte layout is one template over the codec,
+//
+//   template <class IO, class Record>  // Record is const when IO = Writer
+//   void fields(IO& io, Record& r) { io.u64(r.day); io.flags(r.a, r.b); }
+//
+// run with a Writer and a const record it encodes; run with a Reader and a
+// mutable one it decodes and validates. Writer and Reader therefore share
+// the calls below: scalars and vectors (the Reader's take a reference to
+// fill), list / enumerated / flags, and check. Bounds and checks bind only
+// on read. The rare reader-only step branches on IO::kReading.
 #pragma once
 
 #include <cstddef>
@@ -62,10 +73,40 @@ class Writer {
   void bytes(const std::uint8_t* data, std::size_t size);
   /// Length-prefixed (u32) UTF-8 string.
   void str(std::string_view s);
-  /// Length-prefixed (u64 count) vector of doubles.
-  void vec_f64(const std::vector<double>& v);
+  /// Length-prefixed (u64 count) vector of doubles. The count bound (and,
+  /// for vec_f64_finite, the finiteness check) binds on read only.
+  void vec_f64(const std::vector<double>& v, std::size_t max_count = SIZE_MAX);
+  void vec_f64_finite(const std::vector<double>& v,
+                      std::size_t max_count = SIZE_MAX) {
+    vec_f64(v, max_count);
+  }
   /// Length-prefixed (u64 count) vector of u64.
-  void vec_u64(const std::vector<std::uint64_t>& v);
+  void vec_u64(const std::vector<std::uint64_t>& v,
+               std::size_t max_count = SIZE_MAX);
+
+  // -- field-list calls (see the header comment) --------------------------
+  static constexpr bool kReading = false;
+  /// u64 count, then each(element) per element.
+  template <class T, class Each>
+  void list(const std::vector<T>& v, std::size_t /*max_count*/, Each&& each) {
+    u64(v.size());
+    for (const T& element : v) each(element);
+  }
+  /// An enum (or enum-like integer) as the `Wire` integer type.
+  template <class Wire, class E>
+  void enumerated(E e, std::int64_t /*lo*/, std::int64_t /*hi*/) {
+    put(static_cast<Wire>(e));
+  }
+  /// Up to eight bools packed into one byte, the first in bit 0.
+  template <class... Bits>
+  void flags(Bits... bits) {
+    static_assert(sizeof...(Bits) <= 8, "one flag byte holds eight bits");
+    unsigned packed = 0;
+    unsigned bit = 1;
+    ((packed |= static_cast<bool>(bits) ? bit : 0u, bit <<= 1), ...);
+    u8(static_cast<std::uint8_t>(packed));
+  }
+  void check(bool /*ok*/, const char* /*what*/) {}
 
   /// Open a tagged section; returns a token for end_section. Sections may
   /// not nest (one level of framing keeps corrupt lengths easy to bound).
@@ -89,6 +130,11 @@ class Writer {
       const std::vector<std::uint8_t>& payload);
 
  private:
+  // enumerated's wire types.
+  void put(std::uint8_t v) { u8(v); }
+  void put(std::uint32_t v) { u32(v); }
+  void put(std::int64_t v) { i64(v); }
+
   std::vector<std::uint8_t> payload_;
   std::uint8_t magic_[4];
   std::uint32_t version_;
@@ -126,6 +172,68 @@ class Reader {
   std::vector<double> vec_f64_finite(std::size_t max_count = SIZE_MAX);
   std::vector<std::uint64_t> vec_u64(std::size_t max_count = SIZE_MAX);
 
+  // -- field-list calls (see the header comment) --------------------------
+  // Each fills its argument, so one field list runs for both directions.
+  static constexpr bool kReading = true;
+  void u8(std::uint8_t& v) { v = u8(); }
+  void u32(std::uint32_t& v) { v = u32(); }
+  void u64(std::uint64_t& v) { v = u64(); }
+  void i64(std::int64_t& v) { v = i64(); }
+  void f64(double& v) { v = f64(); }
+  void boolean(bool& v) { v = boolean(); }
+  void str(std::string& s) { s = str(); }
+  void vec_f64(std::vector<double>& v, std::size_t max_count = SIZE_MAX) {
+    v = vec_f64(max_count);
+  }
+  void vec_f64_finite(std::vector<double>& v,
+                      std::size_t max_count = SIZE_MAX) {
+    v = vec_f64_finite(max_count);
+  }
+  void vec_u64(std::vector<std::uint64_t>& v,
+               std::size_t max_count = SIZE_MAX) {
+    v = vec_u64(max_count);
+  }
+  /// u64 count — at most `max_count` and at most the bytes remaining (every
+  /// element takes at least one) — then `v` resized and each(element).
+  template <class T, class Each>
+  void list(std::vector<T>& v, std::size_t max_count, Each&& each) {
+    const std::uint64_t count = u64();
+    if (count > max_count || count > remaining()) {
+      throw FormatError("list length " + std::to_string(count) +
+                        " is implausible");
+    }
+    v.resize(static_cast<std::size_t>(count));
+    for (T& element : v) each(element);
+  }
+  /// A `Wire` integer that must lie in [lo, hi], cast to E.
+  template <class Wire, class E>
+  void enumerated(E& e, std::int64_t lo, std::int64_t hi) {
+    Wire wire{};
+    get(wire);
+    const auto raw = static_cast<std::int64_t>(wire);
+    if (raw < lo || raw > hi) {
+      throw FormatError("enumerated value " + std::to_string(raw) +
+                        " outside [" + std::to_string(lo) + ", " +
+                        std::to_string(hi) + "]");
+    }
+    e = static_cast<E>(raw);
+  }
+  /// One byte of packed bools; bits past the last flag must be clear.
+  template <class... Bits>
+  void flags(Bits&... bits) {
+    static_assert(sizeof...(Bits) <= 8, "one flag byte holds eight bits");
+    const std::uint8_t packed = u8();
+    if ((packed >> sizeof...(Bits)) != 0) {
+      throw FormatError("flag byte " + std::to_string(packed) +
+                        " has unknown bits set");
+    }
+    unsigned bit = 1;
+    ((bits = (packed & bit) != 0, bit <<= 1), ...);
+  }
+  void check(bool ok, const char* what) {
+    if (!ok) throw FormatError(what);
+  }
+
   /// Read the next section header; returns its tag and enters the section.
   /// The section's byte length is validated against the remaining payload.
   std::uint32_t begin_section();
@@ -142,6 +250,10 @@ class Reader {
 
  private:
   void need(std::size_t n) const;
+  // enumerated's wire types.
+  void get(std::uint8_t& v) { v = u8(); }
+  void get(std::uint32_t& v) { v = u32(); }
+  void get(std::int64_t& v) { v = i64(); }
 
   const std::uint8_t* data_;
   std::size_t pos_ = 0;

@@ -11,7 +11,9 @@
 //
 // Encoding: the versioned little-endian framing of common/serialize.hpp —
 // magic "TDPC", tagged sections, CRC-32 trailer. decode() is safe on
-// hostile bytes: every failure is a ser::FormatError, never UB (fuzzed in
+// hostile bytes: every failure is a ser::FormatError, and whatever it
+// accepts has the shapes restore indexes by — ring and per-period vector
+// lengths, clock in range (fuzzed with the CRC re-sealed in
 // tests/test_horizon.cpp).
 //
 // Versioning (DESIGN.md §14): the writer always emits format version 2,
@@ -141,7 +143,9 @@ struct CheckpointData : fleet::LoopState {
 std::vector<std::uint8_t> encode(const CheckpointData& data);
 
 /// Parse framed bytes. Throws ser::FormatError on any structural problem —
-/// corruption, truncation, or version/magic mismatch — never crashes.
+/// corruption, truncation, version/magic mismatch, an out-of-range field,
+/// or a ring or per-period vector whose length does not match the run —
+/// never crashes.
 CheckpointData decode(const std::uint8_t* data, std::size_t size);
 CheckpointData decode(const std::vector<std::uint8_t>& bytes);
 

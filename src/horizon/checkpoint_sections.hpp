@@ -8,7 +8,10 @@
 // present section through its own Writer, caches the chunks, and frames
 // their concatenation. Keeping the inventory (order, presence, dirtiness)
 // in one place is what makes "streamed bytes == encode(checkpoint())" a
-// structural property instead of a test-enforced coincidence.
+// structural property instead of a test-enforced coincidence. Each
+// section's fields are one field list in checkpoint.cpp (DESIGN.md §12),
+// which write_section, encode() and decode() all run, so the writers and
+// the reader cannot disagree on a layout either.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +46,8 @@ enum SectionTag : std::uint32_t {
   kSecStorm = 13,
   // v2 only, written only when the incident engine is enabled: the
   // engine's config echo and complete state (obs/incident/incident.hpp's
-  // write_config_echo + write_state).
+  // config_echo_fields + state_fields), then the day's running channel
+  // fallback count.
   kSecIncident = 14,
 };
 

@@ -1,11 +1,14 @@
-// Byte codec for the incident engine: the checkpoint-embeddable state
-// encoding (write_state/read_state), the determinism-relevant config echo,
-// and the self-contained "TDPI" flight-recorder dump. Field order is
-// frozen — these bytes are part of the determinism contract (dumps are
-// compared bitwise across thread counts and kill/restore) and the
-// pure-Python reader in tools/tdp_triage.py mirrors this layout exactly.
-#include <algorithm>
-#include <cstring>
+// Byte codec for the incident engine: the engine state and the
+// determinism-relevant config echo, each spelled once as a field list
+// (state_fields / config_echo_fields) that encodes when run with a
+// ser::Writer and decodes and validates when run with a ser::Reader; the
+// checkpoint section kSecIncident and the self-contained "TDPI"
+// flight-recorder dump both run them. Field order is frozen — these bytes
+// are part of the determinism contract (dumps are compared bitwise across
+// thread counts and kill/restore) and the pure-Python reader in
+// tools/tdp_triage.py mirrors this layout exactly.
+#include <cstdint>
+#include <vector>
 
 #include "obs/incident/incident.hpp"
 
@@ -18,336 +21,184 @@ constexpr std::uint32_t kDumpSecConfig = 2;
 constexpr std::uint32_t kDumpSecState = 3;
 constexpr std::uint32_t kDumpSecWall = 4;
 
-// Minimum encoded sizes, used to bound list counts against the bytes
-// actually remaining before any allocation (hostile-input discipline).
-constexpr std::size_t kAlertBytes = 8 + 8 + 4 + 8 + 1 + 8 + 8;
-constexpr std::size_t kIncidentBytes =
-    8 + 1 + 1 + 8 + 4 + 8 + 1 + 8 + 8 + 8 + 1 + 1 + 8 + 1;
-constexpr std::size_t kRecorderBytes = 8 + 1 + 8 + 8;
+/// Cap on the trailing-window vectors (list counts are bounded by the bytes
+/// remaining).
+constexpr std::size_t kMaxWindow = 1 << 20;
 
-std::uint64_t checked_count(ser::Reader& r, std::size_t unit,
-                            const char* what) {
-  const std::uint64_t count = r.u64();
-  if (count > r.remaining() / unit) {
-    throw ser::FormatError(std::string("implausible ") + what + " count");
+template <class IO, class H>
+void health_field(IO& io, H& health) {
+  io.template enumerated<std::uint8_t>(health, 0, 2);
+}
+
+template <class IO, class R>
+void reanchor_field(IO& io, R& reanchor) {
+  io.template enumerated<std::int64_t>(reanchor, -1, 3);
+}
+
+template <class IO, class Dump>
+void dump_section_fields(IO& io, std::uint32_t tag, Dump& d) {
+  switch (tag) {
+    case kDumpSecMeta:
+      io.u64(d.day);
+      io.u32(d.period);
+      io.flags(d.has_wall);
+      break;
+    case kDumpSecConfig:
+      config_echo_fields(io, d.config);
+      break;
+    case kDumpSecState:
+      state_fields(io, d.state);
+      break;
+    case kDumpSecWall:
+      io.list(d.wall_counters, SIZE_MAX, [&io](auto& counter) {
+        io.str(counter.first);
+        io.u64(counter.second);
+      });
+      io.vec_f64(d.wall_commit_latencies, kMaxWindow);
+      break;
   }
-  return count;
-}
-
-Health read_health(ser::Reader& r) {
-  const std::uint8_t v = r.u8();
-  if (v > 2) throw ser::FormatError("bad health value");
-  return static_cast<Health>(v);
-}
-
-ReanchorState read_reanchor(ser::Reader& r) {
-  const std::int64_t v = r.i64();
-  if (v < -1 || v > 3) throw ser::FormatError("bad reanchor state");
-  return static_cast<ReanchorState>(v);
 }
 
 }  // namespace
 
-void write_config_echo(ser::Writer& w, const IncidentConfig& config) {
-  w.boolean(config.enabled);
-  w.f64(config.cusum_k);
-  w.f64(config.cusum_h);
-  w.f64(config.channel_cusum_k);
-  w.f64(config.channel_cusum_h);
-  w.f64(config.ewma_alpha);
-  w.f64(config.ewma_z);
-  w.u64(config.ewma_min_days);
-  w.f64(config.pacing_max_ratio);
-  w.u64(config.pacing_grace_days);
-  w.u32(config.slo_short_window);
-  w.u32(config.slo_long_window);
-  w.f64(config.slo_short_burn);
-  w.f64(config.slo_long_burn);
-  w.u64(config.slo_max_fallback_per_day);
-  w.f64(config.slo_p2a_floor);
-  w.u32(config.slo_p2a_window_days);
-  w.u32(config.recorder_capacity);
-  w.u32(config.max_alerts);
+template <class IO, class Config>
+void config_echo_fields(IO& io, Config& config) {
+  io.boolean(config.enabled);
+  io.f64(config.cusum_k);
+  io.f64(config.cusum_h);
+  io.f64(config.channel_cusum_k);
+  io.f64(config.channel_cusum_h);
+  io.f64(config.ewma_alpha);
+  io.f64(config.ewma_z);
+  io.u64(config.ewma_min_days);
+  io.f64(config.pacing_max_ratio);
+  io.u64(config.pacing_grace_days);
+  io.u32(config.slo_short_window);
+  io.u32(config.slo_long_window);
+  io.f64(config.slo_short_burn);
+  io.f64(config.slo_long_burn);
+  io.u64(config.slo_max_fallback_per_day);
+  io.f64(config.slo_p2a_floor);
+  io.u32(config.slo_p2a_window_days);
+  io.u32(config.recorder_capacity);
+  io.u32(config.max_alerts);
 }
 
-IncidentConfig read_config_echo(ser::Reader& r) {
-  IncidentConfig config;
-  config.enabled = r.boolean();
-  config.cusum_k = r.f64();
-  config.cusum_h = r.f64();
-  config.channel_cusum_k = r.f64();
-  config.channel_cusum_h = r.f64();
-  config.ewma_alpha = r.f64();
-  config.ewma_z = r.f64();
-  config.ewma_min_days = r.u64();
-  config.pacing_max_ratio = r.f64();
-  config.pacing_grace_days = r.u64();
-  config.slo_short_window = r.u32();
-  config.slo_long_window = r.u32();
-  config.slo_short_burn = r.f64();
-  config.slo_long_burn = r.f64();
-  config.slo_max_fallback_per_day = r.u64();
-  config.slo_p2a_floor = r.f64();
-  config.slo_p2a_window_days = r.u32();
-  config.recorder_capacity = r.u32();
-  config.max_alerts = r.u32();
-  return config;
+template <class IO, class State>
+void state_fields(IO& io, State& state) {
+  io.u64(state.next_alert_seq);
+  io.u64(state.alerts_dropped);
+  io.list(state.alerts, SIZE_MAX, [&io](auto& alert) {
+    io.u64(alert.seq);
+    io.u64(alert.day);
+    io.u32(alert.period);
+    io.u64(alert.abs_period);
+    io.template enumerated<std::uint8_t>(
+        alert.kind, 0, static_cast<std::int64_t>(AlertKind::kPacingBound));
+    io.f64(alert.value);
+    io.f64(alert.threshold);
+  });
+
+  io.u64(state.next_incident_id);
+  io.list(state.incidents, SIZE_MAX, [&io](auto& incident) {
+    io.u64(incident.id);
+    io.template enumerated<std::uint8_t>(
+        incident.objective, 0, static_cast<std::int64_t>(kObjectiveCount) - 1);
+    io.template enumerated<std::uint8_t>(
+        incident.severity, 0, static_cast<std::int64_t>(Severity::kCritical));
+    io.u64(incident.open_day);
+    io.u32(incident.open_period);
+    io.u64(incident.open_abs_period);
+    io.boolean(incident.closed);
+    io.u64(incident.close_abs_period);
+    io.f64(incident.burn_short);
+    io.f64(incident.burn_long);
+    io.flags(incident.storm_blackout, incident.storm_channel,
+             incident.storm_solver);
+    health_field(io, incident.health);
+    io.i64(incident.last_reanchor_day);
+    reanchor_field(io, incident.last_reanchor);
+  });
+
+  // Detector state sits behind accessors; a decode restores it whole.
+  for (auto* cusum :
+       {&state.cusum_measurement, &state.cusum_channel, &state.cusum_solver}) {
+    double s = cusum->value();
+    std::uint64_t samples = cusum->samples();
+    std::uint64_t firings = cusum->firings();
+    io.f64(s);
+    io.u64(samples);
+    io.u64(firings);
+    if constexpr (IO::kReading) cusum->restore(s, samples, firings);
+  }
+  for (auto* ewma : {&state.ewma_p2a, &state.ewma_peak}) {
+    double mean = ewma->mean();
+    double var = ewma->variance();
+    std::uint64_t samples = ewma->samples();
+    io.f64(mean);
+    io.f64(var);
+    io.u64(samples);
+    if constexpr (IO::kReading) ewma->restore(mean, var, samples);
+  }
+
+  io.boolean(state.has_prev_health);
+  health_field(io, state.prev_health);
+
+  io.list(state.slo_window, SIZE_MAX, [&io](auto& bit) {
+    io.u8(bit);
+    io.check(bit <= 1, "bad slo window bit");
+  });
+  io.u32(state.slo_pos);
+  io.check(state.slo_window.empty() || state.slo_pos < state.slo_window.size(),
+           "slo position out of range");
+  io.u64(state.slo_filled);
+  io.vec_f64_finite(state.p2a_window, kMaxWindow);
+
+  io.u64(state.settles_seen);
+  io.u64(state.days_seen);
+  io.u64(state.last_day);
+  io.u32(state.last_period);
+  io.u64(state.last_abs_period);
+
+  io.flags(state.storm_blackout, state.storm_channel, state.storm_solver);
+  health_field(io, state.health);
+  io.i64(state.last_reanchor_day);
+  reanchor_field(io, state.last_reanchor);
+
+  io.list(state.recorder, SIZE_MAX, [&io](auto& entry) {
+    io.u64(entry.abs_period);
+    io.template enumerated<std::uint8_t>(
+        entry.kind, 0, static_cast<std::int64_t>(RecorderKind::kReanchor));
+    io.f64(entry.a);
+    io.f64(entry.b);
+  });
+  io.u32(state.recorder_pos);
+  io.check(state.recorder_pos <= state.recorder.size(),
+           "recorder position out of range");
+  io.u64(state.recorder_overwritten);
 }
+
+template void config_echo_fields(ser::Writer&, const IncidentConfig&);
+template void config_echo_fields(ser::Reader&, IncidentConfig&);
+template void state_fields(ser::Writer&, const EngineState&);
+template void state_fields(ser::Reader&, EngineState&);
 
 bool config_echo_matches(const IncidentConfig& a, const IncidentConfig& b) {
-  return a.enabled == b.enabled && a.cusum_k == b.cusum_k &&
-         a.cusum_h == b.cusum_h && a.channel_cusum_k == b.channel_cusum_k &&
-         a.channel_cusum_h == b.channel_cusum_h &&
-         a.ewma_alpha == b.ewma_alpha && a.ewma_z == b.ewma_z &&
-         a.ewma_min_days == b.ewma_min_days &&
-         a.pacing_max_ratio == b.pacing_max_ratio &&
-         a.pacing_grace_days == b.pacing_grace_days &&
-         a.slo_short_window == b.slo_short_window &&
-         a.slo_long_window == b.slo_long_window &&
-         a.slo_short_burn == b.slo_short_burn &&
-         a.slo_long_burn == b.slo_long_burn &&
-         a.slo_max_fallback_per_day == b.slo_max_fallback_per_day &&
-         a.slo_p2a_floor == b.slo_p2a_floor &&
-         a.slo_p2a_window_days == b.slo_p2a_window_days &&
-         a.recorder_capacity == b.recorder_capacity &&
-         a.max_alerts == b.max_alerts;
-}
-
-void write_state(ser::Writer& w, const EngineState& state) {
-  w.u64(state.next_alert_seq);
-  w.u64(state.alerts_dropped);
-  w.u64(state.alerts.size());
-  for (const Alert& alert : state.alerts) {
-    w.u64(alert.seq);
-    w.u64(alert.day);
-    w.u32(alert.period);
-    w.u64(alert.abs_period);
-    w.u8(static_cast<std::uint8_t>(alert.kind));
-    w.f64(alert.value);
-    w.f64(alert.threshold);
-  }
-
-  w.u64(state.next_incident_id);
-  w.u64(state.incidents.size());
-  for (const Incident& incident : state.incidents) {
-    w.u64(incident.id);
-    w.u8(static_cast<std::uint8_t>(incident.objective));
-    w.u8(static_cast<std::uint8_t>(incident.severity));
-    w.u64(incident.open_day);
-    w.u32(incident.open_period);
-    w.u64(incident.open_abs_period);
-    w.boolean(incident.closed);
-    w.u64(incident.close_abs_period);
-    w.f64(incident.burn_short);
-    w.f64(incident.burn_long);
-    std::uint8_t storm = 0;
-    if (incident.storm_blackout) storm |= 1;
-    if (incident.storm_channel) storm |= 2;
-    if (incident.storm_solver) storm |= 4;
-    w.u8(storm);
-    w.u8(static_cast<std::uint8_t>(incident.health));
-    w.i64(incident.last_reanchor_day);
-    w.i64(static_cast<std::int64_t>(incident.last_reanchor));
-  }
-
-  for (const CusumDetector* cusum :
-       {&state.cusum_measurement, &state.cusum_channel, &state.cusum_solver}) {
-    w.f64(cusum->value());
-    w.u64(cusum->samples());
-    w.u64(cusum->firings());
-  }
-  for (const EwmaDetector* ewma : {&state.ewma_p2a, &state.ewma_peak}) {
-    w.f64(ewma->mean());
-    w.f64(ewma->variance());
-    w.u64(ewma->samples());
-  }
-
-  w.boolean(state.has_prev_health);
-  w.u8(static_cast<std::uint8_t>(state.prev_health));
-
-  w.u64(state.slo_window.size());
-  w.bytes(state.slo_window.data(), state.slo_window.size());
-  w.u32(state.slo_pos);
-  w.u64(state.slo_filled);
-  w.vec_f64(state.p2a_window);
-
-  w.u64(state.settles_seen);
-  w.u64(state.days_seen);
-  w.u64(state.last_day);
-  w.u32(state.last_period);
-  w.u64(state.last_abs_period);
-
-  std::uint8_t storm = 0;
-  if (state.storm_blackout) storm |= 1;
-  if (state.storm_channel) storm |= 2;
-  if (state.storm_solver) storm |= 4;
-  w.u8(storm);
-  w.u8(static_cast<std::uint8_t>(state.health));
-  w.i64(state.last_reanchor_day);
-  w.i64(static_cast<std::int64_t>(state.last_reanchor));
-
-  w.u64(state.recorder.size());
-  for (const RecorderEntry& entry : state.recorder) {
-    w.u64(entry.abs_period);
-    w.u8(static_cast<std::uint8_t>(entry.kind));
-    w.f64(entry.a);
-    w.f64(entry.b);
-  }
-  w.u32(state.recorder_pos);
-  w.u64(state.recorder_overwritten);
-}
-
-EngineState read_state(ser::Reader& r) {
-  EngineState state;
-  state.next_alert_seq = r.u64();
-  state.alerts_dropped = r.u64();
-  const std::uint64_t alert_count = checked_count(r, kAlertBytes, "alert");
-  state.alerts.reserve(alert_count);
-  for (std::uint64_t i = 0; i < alert_count; ++i) {
-    Alert alert;
-    alert.seq = r.u64();
-    alert.day = r.u64();
-    alert.period = r.u32();
-    alert.abs_period = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(AlertKind::kPacingBound)) {
-      throw ser::FormatError("bad alert kind");
-    }
-    alert.kind = static_cast<AlertKind>(kind);
-    alert.value = r.f64();
-    alert.threshold = r.f64();
-    state.alerts.push_back(alert);
-  }
-
-  state.next_incident_id = r.u64();
-  const std::uint64_t incident_count =
-      checked_count(r, kIncidentBytes, "incident");
-  state.incidents.reserve(incident_count);
-  for (std::uint64_t i = 0; i < incident_count; ++i) {
-    Incident incident;
-    incident.id = r.u64();
-    const std::uint8_t objective = r.u8();
-    if (objective >= kObjectiveCount) {
-      throw ser::FormatError("bad incident objective");
-    }
-    incident.objective = static_cast<Objective>(objective);
-    const std::uint8_t severity = r.u8();
-    if (severity > static_cast<std::uint8_t>(Severity::kCritical)) {
-      throw ser::FormatError("bad incident severity");
-    }
-    incident.severity = static_cast<Severity>(severity);
-    incident.open_day = r.u64();
-    incident.open_period = r.u32();
-    incident.open_abs_period = r.u64();
-    incident.closed = r.boolean();
-    incident.close_abs_period = r.u64();
-    incident.burn_short = r.f64();
-    incident.burn_long = r.f64();
-    const std::uint8_t storm = r.u8();
-    if (storm > 7) throw ser::FormatError("bad incident storm flags");
-    incident.storm_blackout = (storm & 1) != 0;
-    incident.storm_channel = (storm & 2) != 0;
-    incident.storm_solver = (storm & 4) != 0;
-    incident.health = read_health(r);
-    incident.last_reanchor_day = r.i64();
-    incident.last_reanchor = read_reanchor(r);
-    state.incidents.push_back(incident);
-  }
-
-  for (CusumDetector* cusum :
-       {&state.cusum_measurement, &state.cusum_channel, &state.cusum_solver}) {
-    const double s = r.f64();
-    const std::uint64_t samples = r.u64();
-    const std::uint64_t firings = r.u64();
-    cusum->restore(s, samples, firings);
-  }
-  for (EwmaDetector* ewma : {&state.ewma_p2a, &state.ewma_peak}) {
-    const double mean = r.f64();
-    const double var = r.f64();
-    const std::uint64_t samples = r.u64();
-    ewma->restore(mean, var, samples);
-  }
-
-  state.has_prev_health = r.boolean();
-  state.prev_health = read_health(r);
-
-  const std::uint64_t slo_size = checked_count(r, 1, "slo window");
-  state.slo_window.resize(slo_size);
-  for (std::uint64_t i = 0; i < slo_size; ++i) {
-    const std::uint8_t bit = r.u8();
-    if (bit > 1) throw ser::FormatError("bad slo window bit");
-    state.slo_window[i] = bit;
-  }
-  state.slo_pos = r.u32();
-  if (!state.slo_window.empty() && state.slo_pos >= state.slo_window.size()) {
-    throw ser::FormatError("slo position out of range");
-  }
-  state.slo_filled = r.u64();
-  state.p2a_window = r.vec_f64_finite(1 << 20);
-
-  state.settles_seen = r.u64();
-  state.days_seen = r.u64();
-  state.last_day = r.u64();
-  state.last_period = r.u32();
-  state.last_abs_period = r.u64();
-
-  const std::uint8_t storm = r.u8();
-  if (storm > 7) throw ser::FormatError("bad storm flags");
-  state.storm_blackout = (storm & 1) != 0;
-  state.storm_channel = (storm & 2) != 0;
-  state.storm_solver = (storm & 4) != 0;
-  state.health = read_health(r);
-  state.last_reanchor_day = r.i64();
-  state.last_reanchor = read_reanchor(r);
-
-  const std::uint64_t recorder_count =
-      checked_count(r, kRecorderBytes, "recorder");
-  state.recorder.reserve(recorder_count);
-  for (std::uint64_t i = 0; i < recorder_count; ++i) {
-    RecorderEntry entry;
-    entry.abs_period = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(RecorderKind::kReanchor)) {
-      throw ser::FormatError("bad recorder kind");
-    }
-    entry.kind = static_cast<RecorderKind>(kind);
-    entry.a = r.f64();
-    entry.b = r.f64();
-    state.recorder.push_back(entry);
-  }
-  state.recorder_pos = r.u32();
-  if (state.recorder_pos > state.recorder.size()) {
-    throw ser::FormatError("recorder position out of range");
-  }
-  state.recorder_overwritten = r.u64();
-  return state;
+  const auto echo = [](const IncidentConfig& config) {
+    ser::Writer w(kDumpMagic, kDumpVersion);
+    config_echo_fields(w, config);
+    return w.take_payload();
+  };
+  return echo(a) == echo(b);
 }
 
 std::vector<std::uint8_t> encode_dump(const DumpData& data) {
   ser::Writer w(kDumpMagic, kDumpVersion);
-
-  std::size_t token = w.begin_section(kDumpSecMeta);
-  w.u64(data.day);
-  w.u32(data.period);
-  w.u8(data.has_wall ? 1 : 0);
-  w.end_section(token);
-
-  token = w.begin_section(kDumpSecConfig);
-  write_config_echo(w, data.config);
-  w.end_section(token);
-
-  token = w.begin_section(kDumpSecState);
-  write_state(w, data.state);
-  w.end_section(token);
-
-  if (data.has_wall) {
-    token = w.begin_section(kDumpSecWall);
-    w.u64(data.wall_counters.size());
-    for (const auto& [name, value] : data.wall_counters) {
-      w.str(name);
-      w.u64(value);
-    }
-    w.vec_f64(data.wall_commit_latencies);
+  for (const std::uint32_t tag :
+       {kDumpSecMeta, kDumpSecConfig, kDumpSecState, kDumpSecWall}) {
+    if (tag == kDumpSecWall && !data.has_wall) continue;
+    const std::size_t token = w.begin_section(tag);
+    dump_section_fields(w, tag, data);
     w.end_section(token);
   }
   return w.finish();
@@ -356,51 +207,19 @@ std::vector<std::uint8_t> encode_dump(const DumpData& data) {
 DumpData decode_dump(const std::uint8_t* data, std::size_t size) {
   ser::Reader r(data, size, kDumpMagic, kDumpVersion, kDumpVersion);
   DumpData out;
-  bool seen_meta = false;
-  bool seen_config = false;
-  bool seen_state = false;
+  bool seen[kDumpSecWall + 1] = {};
   while (!r.at_end()) {
     const std::uint32_t tag = r.begin_section();
-    switch (tag) {
-      case kDumpSecMeta: {
-        out.day = r.u64();
-        out.period = r.u32();
-        const std::uint8_t flags = r.u8();
-        if (flags > 1) throw ser::FormatError("bad dump flags");
-        out.has_wall = flags != 0;
-        seen_meta = true;
-        r.end_section();
-        break;
-      }
-      case kDumpSecConfig:
-        out.config = read_config_echo(r);
-        seen_config = true;
-        r.end_section();
-        break;
-      case kDumpSecState:
-        out.state = read_state(r);
-        seen_state = true;
-        r.end_section();
-        break;
-      case kDumpSecWall: {
-        const std::uint64_t count = checked_count(r, 4 + 8, "wall counter");
-        out.wall_counters.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          std::string name = r.str();
-          const std::uint64_t value = r.u64();
-          out.wall_counters.emplace_back(std::move(name), value);
-        }
-        out.wall_commit_latencies = r.vec_f64(1 << 20);
-        r.end_section();
-        break;
-      }
-      default:
-        // Forward compatibility: a newer writer may add sections.
-        r.skip_section();
-        break;
+    if (tag < kDumpSecMeta || tag > kDumpSecWall) {
+      // Forward compatibility: a newer writer may add sections.
+      r.skip_section();
+      continue;
     }
+    dump_section_fields(r, tag, out);
+    r.end_section();
+    seen[tag] = true;
   }
-  if (!seen_meta || !seen_config || !seen_state) {
+  if (!seen[kDumpSecMeta] || !seen[kDumpSecConfig] || !seen[kDumpSecState]) {
     throw ser::FormatError("dump missing required section");
   }
   return out;

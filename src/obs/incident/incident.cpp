@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/error.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 
@@ -477,6 +478,12 @@ void IncidentEngine::note_commit_latency(double seconds) {
 }
 
 void IncidentEngine::restore_state(EngineState state) {
+  // The decoder bounds recorder_pos by the ring's size; a full ring also
+  // needs it inside the ring, or the next record() writes past it.
+  TDP_REQUIRE(state.recorder.size() <
+                      std::max<std::uint32_t>(1, config_.recorder_capacity) ||
+                  state.recorder_pos < state.recorder.size(),
+              "incident recorder position outside its full ring");
   state_ = std::move(state);
   if (state_.slo_window.empty()) {
     state_.slo_window.assign(

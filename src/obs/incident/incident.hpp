@@ -320,19 +320,22 @@ struct EngineState {
   std::uint64_t recorder_overwritten = 0;
 };
 
-/// Serialize/parse the engine state field-for-field (shared by the
-/// checkpoint section and the dump). read_state validates every enum and
-/// count against the remaining payload; failures are ser::FormatError.
-void write_state(ser::Writer& w, const EngineState& state);
-EngineState read_state(ser::Reader& r);
+/// The engine state's byte layout, spelled once (common/serialize.hpp field
+/// lists; shared by the checkpoint section and the dump). Run with a
+/// ser::Writer and a const EngineState it encodes; with a ser::Reader and a
+/// mutable one it decodes and validates every enum, flag byte, count and
+/// ring position (ser::FormatError). Instantiated for those two pairs only.
+template <class IO, class State>
+void state_fields(IO& io, State& state);
 
-/// Serialize/parse the determinism-relevant config echo (checkpoint and
+/// The determinism-relevant config echo's layout, likewise (checkpoint and
 /// dump both carry it so a restore or a triage run knows the thresholds).
-void write_config_echo(ser::Writer& w, const IncidentConfig& config);
-IncidentConfig read_config_echo(ser::Reader& r);
+template <class IO, class Config>
+void config_echo_fields(IO& io, Config& config);
 
-/// True when every determinism-relevant field matches (execution knobs —
-/// dump_path, commit latency budget — excluded).
+/// True when the two configs' echoes encode to the same bytes: every
+/// determinism-relevant field is bitwise equal (execution knobs —
+/// dump_path, commit latency budget — are not echoed).
 bool config_echo_matches(const IncidentConfig& a, const IncidentConfig& b);
 
 class IncidentEngine {

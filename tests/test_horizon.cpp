@@ -9,11 +9,15 @@
 //     measured day bitwise (the multi-day loop is the same control loop).
 //   * Corruption battery: every truncation and byte flip of a real
 //     checkpoint is rejected with a clean error, never UB (runs in the
-//     sanitize lane).
+//     sanitize lane); with the CRC re-sealed, a flipped checkpoint is
+//     rejected with a typed error or restores and steps.
+//   * Field validators: each decoder check rejects a CRC-valid checkpoint
+//     that only it can catch, including per-period vectors of the wrong
+//     length.
 //   * Golden fixtures: a checked-in v1 checkpoint must keep decoding and
-//     restoring, and a checked-in v2 checkpoint must re-encode to itself
-//     byte for byte — any format drift trips here before it silently
-//     orphans production checkpoints.
+//     restoring, and the checked-in v2 checkpoints and TDPI dump must
+//     re-encode to themselves byte for byte — any format drift trips here
+//     before it silently orphans production checkpoints.
 //   * Convergence: under injected patience drift the online §IV estimates
 //     track the drift direction and the reward schedule settles into a
 //     bounded limit cycle instead of oscillating.
@@ -25,7 +29,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -34,6 +41,8 @@
 #include "fleet/fleet_driver.hpp"
 #include "gtest/gtest.h"
 #include "horizon/checkpoint.hpp"
+#include "horizon/checkpoint_sections.hpp"
+#include "reframe.hpp"
 
 #ifndef TDP_GOLDEN_DIR
 #error "TDP_GOLDEN_DIR must point at tests/golden"
@@ -297,6 +306,35 @@ TEST(HorizonCheckpoint, RandomCorruptionNeverCrashesLoaderOrRestore) {
     }
   }
   EXPECT_GT(rejected, rounds - 5);
+
+  // Re-framed mode: flip payload bytes only and re-seal the CRC, so the
+  // field validators and restore checks — not the CRC — meet the hostile
+  // bytes. Each mutation is rejected with a typed error, or restores into
+  // a driver that keeps stepping.
+  int stepped = 0;
+  rejected = 0;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<std::uint8_t> mutated = bytes;
+    const std::size_t flips = 1 + rng.uniform_index(4);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[reframe::kHeaderBytes +
+              rng.uniform_index(mutated.size() - reframe::kHeaderBytes -
+                                reframe::kCrcBytes)] ^=
+          static_cast<std::uint8_t>(1 + rng.uniform_index(255));
+    }
+    try {
+      std::unique_ptr<MultiDayDriver> restored =
+          MultiDayDriver::restore(config, reframe::reseal(mutated));
+      for (int s = 0; s < 3 && !restored->done(); ++s) {
+        restored->step_period();
+      }
+      ++stepped;
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(stepped, 0) << "no mutation got past the validators";
+  EXPECT_GT(rejected, 0) << "no mutation was rejected";
 }
 
 TEST(HorizonCheckpoint, MismatchedConfigIsRejected) {
@@ -409,8 +447,9 @@ TEST(HorizonEstimation, StationaryPopulationEstimatesAreStable) {
 //   * horizon_checkpoint_v2.bin, what the writer emits today. Re-encoding
 //     the decoded state must reproduce the file byte for byte, so ANY
 //     drift in the format — field order, widths, section tags, CRC — trips
-//     here before it orphans real checkpoints. Regenerate (v2 only; the v1
-//     file is never touched) only with an intentional format change:
+//     here before it orphans real checkpoints. Regenerate (the v2 fixtures
+//     below; the v1 file is never touched) only with an intentional format
+//     change:
 //   TDP_REGENERATE_GOLDENS=1 ./tdp_horizon_tests --gtest_filter='HorizonGolden.*'
 
 HorizonConfig golden_config() {
@@ -438,17 +477,26 @@ std::vector<std::uint8_t> golden_checkpoint_bytes() {
   return driver.checkpoint_bytes();
 }
 
-std::string golden_fixture_path(int version) {
-  return std::string(TDP_GOLDEN_DIR) + "/horizon_checkpoint_v" +
-         std::to_string(version) + ".bin";
+constexpr char kV1Fixture[] = "horizon_checkpoint_v1.bin";
+constexpr char kV2Fixture[] = "horizon_checkpoint_v2.bin";
+
+std::string golden_path(const std::string& name) {
+  return std::string(TDP_GOLDEN_DIR) + "/" + name;
 }
 
-std::vector<std::uint8_t> read_golden_fixture(int version) {
-  std::ifstream in(golden_fixture_path(version), std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden fixture "
-                         << golden_fixture_path(version);
+std::vector<std::uint8_t> read_golden(const std::string& name) {
+  std::ifstream in(golden_path(name), std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden fixture " << golden_path(name);
   return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
                                    std::istreambuf_iterator<char>());
+}
+
+void write_golden(const std::string& name,
+                  const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(golden_path(name), std::ios::binary);
+  ASSERT_TRUE(out.good()) << "cannot write " << golden_path(name);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 /// Obs counters are process-cumulative telemetry, not simulated state:
@@ -465,14 +513,10 @@ bool regenerating() {
 
 TEST(HorizonGolden, CheckedInV2CheckpointReencodesByteForByte) {
   if (regenerating()) {
-    const std::vector<std::uint8_t> bytes = golden_checkpoint_bytes();
-    std::ofstream out(golden_fixture_path(2), std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_fixture_path(2);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    GTEST_SKIP() << "regenerated " << golden_fixture_path(2);
+    write_golden(kV2Fixture, golden_checkpoint_bytes());
+    GTEST_SKIP() << "regenerated " << golden_path(kV2Fixture);
   }
-  const std::vector<std::uint8_t> file_bytes = read_golden_fixture(2);
+  const std::vector<std::uint8_t> file_bytes = read_golden(kV2Fixture);
   ASSERT_GT(file_bytes.size(), 8u);
   EXPECT_EQ(file_bytes[4], 2u);  // version u32 (little endian) at offset 4
 
@@ -492,7 +536,7 @@ TEST(HorizonGolden, CheckedInV2CheckpointReencodesByteForByte) {
 }
 
 TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
-  const std::vector<std::uint8_t> file_bytes = read_golden_fixture(1);
+  const std::vector<std::uint8_t> file_bytes = read_golden(kV1Fixture);
   ASSERT_GT(file_bytes.size(), 8u);
   EXPECT_EQ(file_bytes[4], 1u);
 
@@ -508,7 +552,7 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
   // The sections v1 lacks (kSecMech, kSecStorm) decode to exactly what the
   // v2 writer emits for the same run.
   EXPECT_EQ(encode_without_counters(data),
-            encode_without_counters(decode(read_golden_fixture(2))))
+            encode_without_counters(decode(read_golden(kV2Fixture))))
       << "the v1 fixture no longer decodes to the v2 fixture's state";
 
   // And the fixture restores into a run that finishes bitwise like the
@@ -520,6 +564,305 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
   while (!restored->done()) restored->step_period();
   expect_days_bitwise_equal(restored->completed_days(),
                             run_uninterrupted(golden_config()));
+}
+
+// The v2 fixture's run leaves sections empty or absent: no kSecIncident, no
+// mechanism state, no adaptive scale, default storm/health echoes. A second
+// run — rebate mechanism, adaptive users, storm plan, health gates and the
+// incident engine — fills every one of them, and its mid-day checkpoint and
+// incident dump are pinned too:
+//   * horizon_checkpoint_v2_storm.bin  its checkpoint_bytes();
+//   * incident_dump_storm.tdpi         its incident engine's dump(false),
+//                                      also read by tools/test_tdp_triage.py.
+// Both re-encode byte for byte. They regenerate with the v2 fixture.
+
+HorizonConfig golden_storm_config() {
+  HorizonConfig config = golden_config();
+  config.mechanism.kind = mech::MechanismKind::kFixedBudgetRebate;
+  config.adaptive_users = true;
+  config.fault.price_pull_drop = 0.05;
+  config.fault.solver_exhaustion = 0.03;
+  config.fault.storm_blackout = {0.06, 0.76, 1.0};
+  config.fault.storm_channel = {0.06, 0.76, 0.5};
+  config.fault.storm_solver = {0.06, 0.76, 1.0};
+  config.estimation_health_gate = true;
+  config.reanchor_healthy_periods = 4;
+  config.reanchor_objective_guard = true;
+  config.reanchor_guard_tolerance = 0.05;
+  config.incident.enabled = true;
+  // Thresholds low enough that incidents open (and some close) by period
+  // 30, and a recorder ring small enough to wrap.
+  config.incident.slo_short_burn = 0.5;
+  config.incident.slo_max_fallback_per_day = 0;
+  config.incident.slo_p2a_floor = 0.5;
+  config.incident.slo_p2a_window_days = 1;
+  config.incident.recorder_capacity = 16;
+  return config;
+}
+
+struct GoldenStormRun {
+  std::vector<std::uint8_t> checkpoint;
+  std::vector<std::uint8_t> dump;
+};
+
+GoldenStormRun golden_storm_run() {
+  MultiDayDriver driver(golden_storm_config());
+  for (int i = 0; i < 30; ++i) driver.step_period();  // mid-day 2, period 6
+  return {driver.checkpoint_bytes(), driver.incident_engine()->dump(false)};
+}
+
+constexpr char kStormCheckpointFixture[] = "horizon_checkpoint_v2_storm.bin";
+constexpr char kStormDumpFixture[] = "incident_dump_storm.tdpi";
+
+TEST(HorizonGolden, StormCheckpointReencodesByteForByte) {
+  if (regenerating()) {
+    write_golden(kStormCheckpointFixture, golden_storm_run().checkpoint);
+    GTEST_SKIP() << "regenerated " << golden_path(kStormCheckpointFixture);
+  }
+  const std::vector<std::uint8_t> file_bytes =
+      read_golden(kStormCheckpointFixture);
+  const CheckpointData data = decode(file_bytes);
+  EXPECT_EQ(encode(data), file_bytes)
+      << "checkpoint format drifted on the storm/rebate/incident sections";
+
+  // The fixture exercises what the plain v2 fixture cannot.
+  EXPECT_EQ(data.day, 2u);
+  EXPECT_EQ(data.period, 6u);
+  EXPECT_EQ(data.mechanism_kind,
+            static_cast<std::uint32_t>(mech::MechanismKind::kFixedBudgetRebate));
+  EXPECT_FALSE(data.mech_state.rewards.empty());
+  EXPECT_FALSE(data.mech_state.vectors.empty());
+  EXPECT_TRUE(data.adaptive_users);
+  EXPECT_FALSE(data.adapt_scale.empty());
+  EXPECT_TRUE(data.fault.storm_blackout.enabled());
+  EXPECT_TRUE(data.estimation_health_gate);
+  EXPECT_EQ(data.reanchor_healthy_periods, 4u);
+  EXPECT_TRUE(data.incident_enabled);
+  EXPECT_FALSE(data.incident.alerts.empty());
+  EXPECT_FALSE(data.incident.incidents.empty());
+  EXPECT_EQ(data.incident.recorder.size(), 16u);
+
+  EXPECT_EQ(encode_without_counters(decode(golden_storm_run().checkpoint)),
+            encode_without_counters(data))
+      << "a fresh run of the storm golden config no longer reproduces the "
+         "checked-in checkpoint's simulated state";
+}
+
+TEST(HorizonGolden, StormIncidentDumpReencodesByteForByte) {
+  if (regenerating()) {
+    write_golden(kStormDumpFixture, golden_storm_run().dump);
+    GTEST_SKIP() << "regenerated " << golden_path(kStormDumpFixture);
+  }
+  const std::vector<std::uint8_t> file_bytes = read_golden(kStormDumpFixture);
+  const obs::incident::DumpData dump = obs::incident::decode_dump(file_bytes);
+  EXPECT_EQ(obs::incident::encode_dump(dump), file_bytes)
+      << "TDPI dump format drifted";
+
+  // tools/test_tdp_triage.py asserts the same values through the Python
+  // reader.
+  EXPECT_EQ(dump.day, 2u);
+  EXPECT_EQ(dump.period, 5u);
+  EXPECT_FALSE(dump.has_wall);
+  EXPECT_EQ(dump.state.alerts.size(), 11u);
+  EXPECT_EQ(dump.state.incidents.size(), 2u);
+  EXPECT_EQ(dump.state.recorder.size(), 16u);
+
+  EXPECT_EQ(golden_storm_run().dump, file_bytes)
+      << "a fresh run of the storm golden config no longer reproduces the "
+         "checked-in incident dump";
+}
+
+// ---- Field validators ------------------------------------------------------
+//
+// The CRC rejects every random flip before a field validator runs, so each
+// case here hands decode() a CRC-valid checkpoint that only the validator
+// under test can reject. Most are built through encode(), which does not
+// validate; packed flags and bools are patched in place and re-sealed.
+
+TEST(HorizonCheckpoint, PerPeriodVectorsOfTheWrongLengthAreRejected) {
+  // Each shape, restored, would index past a per-period vector.
+  MultiDayDriver driver(small_config());
+  for (int i = 0; i < 30; ++i) driver.step_period();  // day 2, period 6
+  const CheckpointData good = driver.checkpoint();
+  ASSERT_GT(good.period, 0u);
+  ASSERT_TRUE(good.has_prev_day_start);
+  ASSERT_FALSE(good.window.empty());
+  EXPECT_NO_THROW(decode(encode(good)));
+
+  using Mutation = void (*)(CheckpointData&);
+  const std::pair<const char*, Mutation> cases[] = {
+      {"partial.offered_units short",
+       [](CheckpointData& d) { d.partial.offered_units.pop_back(); }},
+      {"partial.realized_units empty",
+       [](CheckpointData& d) { d.partial.realized_units.clear(); }},
+      {"partial.rewards short",
+       [](CheckpointData& d) { d.partial.rewards.pop_back(); }},
+      {"prev_day_start_rewards short",
+       [](CheckpointData& d) { d.prev_day_start_rewards.pop_back(); }},
+      {"window[0].tip_demand short",
+       [](CheckpointData& d) { d.window[0].tip_demand.pop_back(); }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    SCOPED_TRACE(name);
+    CheckpointData bad = good;
+    mutate(bad);
+    EXPECT_THROW(decode(encode(bad)), ser::FormatError);
+  }
+
+  // A fresh driver writes an empty partial day at period 0: legal.
+  const CheckpointData start =
+      decode(MultiDayDriver(small_config()).checkpoint_bytes());
+  EXPECT_TRUE(start.partial.offered_units.empty());
+  EXPECT_NO_THROW(MultiDayDriver::restore(small_config(), start));
+}
+
+TEST(HorizonCheckpoint, FieldValidatorsRejectOutOfRangeValues) {
+  // The storm fixture fills every section, kSecIncident included.
+  const std::vector<std::uint8_t> good_bytes =
+      read_golden(kStormCheckpointFixture);
+  const CheckpointData good = decode(good_bytes);
+  ASSERT_FALSE(good.incident.incidents.empty());
+  ASSERT_FALSE(good.guard.has_last_good.empty());
+
+  using Mutation = void (*)(CheckpointData&);
+  const std::pair<const char*, Mutation> cases[] = {
+      {"period count below 2", [](CheckpointData& d) { d.periods = 1; }},
+      {"zero slices", [](CheckpointData& d) { d.slices = 0; }},
+      {"more slices than users",
+       [](CheckpointData& d) { d.slices = d.users + 1; }},
+      {"clock period past the day",
+       [](CheckpointData& d) { d.period = d.periods; }},
+      {"ring head past the day",
+       [](CheckpointData& d) { d.ring_head = d.periods; }},
+      {"ring count differs from slices",
+       [](CheckpointData& d) {
+         d.ring_work.pop_back();
+         d.ring_reward.pop_back();
+       }},
+      {"ring shorter than the day",
+       [](CheckpointData& d) { d.ring_reward[0].pop_back(); }},
+      {"non-finite ring value",
+       [](CheckpointData& d) {
+         d.ring_work[0][0] = std::numeric_limits<double>::infinity();
+       }},
+      {"non-finite pricer reward",
+       [](CheckpointData& d) {
+         d.pricer.rewards.assign(d.periods, 0.0);
+         d.pricer.rewards[1] = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"non-finite pricer volume",
+       [](CheckpointData& d) {
+         d.pricer.volumes.push_back({std::numeric_limits<double>::quiet_NaN()});
+       }},
+      {"pricer health rung 3",
+       [](CheckpointData& d) { d.pricer.health = static_cast<PricerHealth>(3); }},
+      {"health transition to rung 3",
+       [](CheckpointData& d) {
+         d.pricer.log.push_back(
+             {0, PricerHealth::kHealthy, static_cast<PricerHealth>(3)});
+       }},
+      {"model source 2",
+       [](CheckpointData& d) { d.model_source = static_cast<ModelSource>(2); }},
+      {"non-finite window value",
+       [](CheckpointData& d) {
+         d.window.push_back(d.window.empty() ? DayRecord{} : d.window[0]);
+         d.window.back().rewards.assign(d.periods,
+                                        std::numeric_limits<double>::quiet_NaN());
+       }},
+      {"mechanism kind 4", [](CheckpointData& d) { d.mechanism_kind = 4; }},
+      {"mechanism rewards shorter than the day",
+       [](CheckpointData& d) { d.mech_state.rewards.pop_back(); }},
+      {"non-finite mechanism vector",
+       [](CheckpointData& d) {
+         d.mech_state.vectors[0][0] = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"non-finite adaptive scale",
+       [](CheckpointData& d) {
+         d.adapt_scale[0] = std::numeric_limits<double>::infinity();
+       }},
+      {"incident re-anchor state 4",
+       [](CheckpointData& d) {
+         d.incident.incidents[0].last_reanchor =
+             static_cast<obs::incident::ReanchorState>(4);
+       }},
+      {"incident re-anchor state -2",
+       [](CheckpointData& d) {
+         d.incident.last_reanchor =
+             static_cast<obs::incident::ReanchorState>(-2);
+       }},
+      {"incident health 3",
+       [](CheckpointData& d) {
+         d.incident.incidents[0].health = static_cast<obs::incident::Health>(3);
+       }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    SCOPED_TRACE(name);
+    CheckpointData bad = good;
+    mutate(bad);
+    EXPECT_THROW(decode(encode(bad)), ser::FormatError);
+  }
+
+  // Packed flags and bools: toggle the field to locate its byte, then write
+  // the smallest value the validator must refuse.
+  using Toggle = void (*)(CheckpointData&, bool);
+  const std::tuple<const char*, Toggle, std::uint8_t> patched[] = {
+      {"storm-day flags 4",
+       [](CheckpointData& d, bool on) {
+         d.partial.estimation_frozen = on;
+         d.partial.reanchor_rolled_back = false;
+       },
+       4},
+      {"guard flag 2",
+       [](CheckpointData& d, bool on) { d.guard.has_last_good[0] = on; }, 2},
+      {"incident storm flags 8",
+       [](CheckpointData& d, bool on) {
+         d.incident.incidents[0].storm_blackout = on;
+         d.incident.incidents[0].storm_channel = false;
+         d.incident.incidents[0].storm_solver = false;
+       },
+       8},
+      {"config bool 2",
+       [](CheckpointData& d, bool on) { d.online_pricing = on; }, 2},
+  };
+  for (const auto& [name, toggle, value] : patched) {
+    SCOPED_TRACE(name);
+    CheckpointData off = good;
+    toggle(off, false);
+    CheckpointData on = good;
+    toggle(on, true);
+    EXPECT_THROW(decode(reframe::patch_first_difference(encode(off),
+                                                        encode(on), value)),
+                 ser::FormatError);
+  }
+
+  // Section-level rules: the storm extras must pair with kSecDays, every
+  // required section must be present, and none may repeat.
+  const auto [storm_begin, storm_end] =
+      reframe::section_span(good_bytes, detail::kSecStorm);
+  ASSERT_LT(storm_begin, storm_end);
+  std::vector<std::uint8_t> extras = good_bytes;
+  // 8 section header bytes, then 9 + 1 f64, bool, u64, bool, f64, u64.
+  ++extras[storm_begin + 8 + 106];
+  EXPECT_THROW(decode(reframe::reseal(extras)), ser::FormatError)
+      << "storm extras count off by one";
+
+  const auto [clock_begin, clock_end] =
+      reframe::section_span(good_bytes, detail::kSecClock);
+  ASSERT_LT(clock_begin, clock_end);
+  std::vector<std::uint8_t> body = reframe::payload(good_bytes);
+  const std::size_t at = clock_begin - reframe::kHeaderBytes;
+  const std::size_t length = clock_end - clock_begin;
+  std::vector<std::uint8_t> missing = body;
+  missing.erase(missing.begin() + static_cast<std::ptrdiff_t>(at),
+                missing.begin() + static_cast<std::ptrdiff_t>(at + length));
+  EXPECT_THROW(decode(reframe::seal(good_bytes, missing)), ser::FormatError)
+      << "missing kSecClock";
+  std::vector<std::uint8_t> twice = body;
+  twice.insert(twice.begin() + static_cast<std::ptrdiff_t>(at + length),
+               body.begin() + static_cast<std::ptrdiff_t>(at),
+               body.begin() + static_cast<std::ptrdiff_t>(at + length));
+  EXPECT_THROW(decode(reframe::seal(good_bytes, twice)), ser::FormatError)
+      << "duplicate kSecClock";
 }
 
 }  // namespace

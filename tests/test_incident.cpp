@@ -16,13 +16,21 @@
 //     restore rejects a config whose detector thresholds disagree with
 //     the checkpointed echo.
 //   * Dumps: TDPI framing round-trips; corrupted or truncated bytes raise
-//     ser::FormatError instead of parsing garbage.
+//     ser::FormatError instead of parsing garbage, each field validator
+//     rejects a CRC-valid dump only it can catch, and a flipped dump with
+//     its CRC re-sealed is rejected or restores into an engine that keeps
+//     observing.
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "fleet/fleet_driver.hpp"
 #include "gtest/gtest.h"
@@ -32,6 +40,7 @@
 #include "obs/incident/incident.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
+#include "reframe.hpp"
 
 namespace tdp::obs::incident {
 namespace {
@@ -352,6 +361,167 @@ TEST(IncidentDump, CorruptionAndTruncationRaiseFormatError) {
   std::vector<std::uint8_t> bad_magic = bytes;
   bad_magic[0] = 'X';
   EXPECT_THROW(decode_dump(bad_magic), ser::FormatError);
+
+  // Re-framed mode: flip payload bytes only and re-seal the CRC, so the
+  // field validators meet the hostile bytes. Each mutation is rejected
+  // with a typed error, or restores into an engine that keeps observing.
+  Rng rng(20240611);
+  int observed = 0;
+  int rejected = 0;
+  for (int round = 0; round < 400; ++round) {
+    std::vector<std::uint8_t> mutated = bytes;
+    const std::size_t flips = 1 + rng.uniform_index(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[reframe::kHeaderBytes +
+              rng.uniform_index(mutated.size() - reframe::kHeaderBytes -
+                                reframe::kCrcBytes)] ^=
+          static_cast<std::uint8_t>(1 + rng.uniform_index(255));
+    }
+    try {
+      const DumpData decoded = decode_dump(reframe::reseal(mutated));
+      IncidentEngine restored(engine.config());
+      restored.restore_state(decoded.state);
+      for (std::uint64_t t = 40; t < 44; ++t) {
+        restored.observe_period(quiet_period(t));
+      }
+      ++observed;
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(observed, 0) << "no mutation got past the validators";
+  EXPECT_GT(rejected, 0) << "no mutation was rejected";
+
+  // A position at the end of a full ring decodes (the decoder cannot see
+  // the capacity) but cannot restore: the next record would write past it.
+  DumpData full = decode_dump(bytes);
+  ASSERT_EQ(full.state.recorder.size(), engine.config().recorder_capacity);
+  full.state.recorder_pos =
+      static_cast<std::uint32_t>(full.state.recorder.size());
+  const DumpData past_end = decode_dump(encode_dump(full));
+  IncidentEngine refused(engine.config());
+  EXPECT_THROW(refused.restore_state(past_end.state), PreconditionError);
+}
+
+TEST(IncidentDump, FieldValidatorsRejectOutOfRangeValues) {
+  // The CRC rejects every random flip before a field validator runs, so
+  // each case hands decode_dump a CRC-valid dump that only the validator
+  // under test can reject: built through encode_dump (which does not
+  // validate), or, for packed flags and bools, patched and re-sealed.
+  const IncidentEngine engine = populated_engine();
+  DumpData good = decode_dump(engine.dump(false));
+  good.state.incidents.push_back(Incident{});  // the engine opened none
+  ASSERT_FALSE(good.state.alerts.empty());
+  ASSERT_FALSE(good.state.recorder.empty());
+  ASSERT_FALSE(good.state.slo_window.empty());
+
+  using Mutation = void (*)(EngineState&);
+  const std::pair<const char*, Mutation> cases[] = {
+      {"alert kind 7",
+       [](EngineState& s) { s.alerts[0].kind = static_cast<AlertKind>(7); }},
+      {"incident objective 4",
+       [](EngineState& s) {
+         s.incidents[0].objective = static_cast<Objective>(4);
+       }},
+      {"incident severity 3",
+       [](EngineState& s) {
+         s.incidents[0].severity = static_cast<Severity>(3);
+       }},
+      {"incident health 3",
+       [](EngineState& s) { s.incidents[0].health = static_cast<Health>(3); }},
+      {"incident re-anchor state 4",
+       [](EngineState& s) {
+         s.incidents[0].last_reanchor = static_cast<ReanchorState>(4);
+       }},
+      {"incident re-anchor state -2",
+       [](EngineState& s) {
+         s.incidents[0].last_reanchor = static_cast<ReanchorState>(-2);
+       }},
+      {"previous health 3",
+       [](EngineState& s) { s.prev_health = static_cast<Health>(3); }},
+      {"slo window bit 2", [](EngineState& s) { s.slo_window[0] = 2; }},
+      {"slo position past the window",
+       [](EngineState& s) {
+         s.slo_pos = static_cast<std::uint32_t>(s.slo_window.size());
+       }},
+      {"non-finite p2a window value",
+       [](EngineState& s) {
+         s.p2a_window.push_back(std::numeric_limits<double>::quiet_NaN());
+       }},
+      {"health 3", [](EngineState& s) { s.health = static_cast<Health>(3); }},
+      {"re-anchor state 4",
+       [](EngineState& s) {
+         s.last_reanchor = static_cast<ReanchorState>(4);
+       }},
+      {"re-anchor state -2",
+       [](EngineState& s) {
+         s.last_reanchor = static_cast<ReanchorState>(-2);
+       }},
+      {"recorder kind 10",
+       [](EngineState& s) {
+         s.recorder[0].kind = static_cast<RecorderKind>(10);
+       }},
+      {"recorder position past the ring",
+       [](EngineState& s) {
+         s.recorder_pos = static_cast<std::uint32_t>(s.recorder.size() + 1);
+       }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    SCOPED_TRACE(name);
+    DumpData bad = good;
+    mutate(bad.state);
+    EXPECT_THROW(decode_dump(encode_dump(bad)), ser::FormatError);
+  }
+
+  // Packed flags and bools: toggle the field to locate its byte, then
+  // write the smallest value the validator must refuse.
+  using Toggle = void (*)(DumpData&, bool);
+  const std::tuple<const char*, Toggle, std::uint8_t> patched[] = {
+      {"incident storm flags 8",
+       [](DumpData& d, bool on) {
+         d.state.incidents[0].storm_blackout = on;
+         d.state.incidents[0].storm_channel = false;
+         d.state.incidents[0].storm_solver = false;
+       },
+       8},
+      {"storm flags 8",
+       [](DumpData& d, bool on) {
+         d.state.storm_blackout = on;
+         d.state.storm_channel = false;
+         d.state.storm_solver = false;
+       },
+       8},
+      {"incident closed bool 2",
+       [](DumpData& d, bool on) { d.state.incidents[0].closed = on; }, 2},
+      {"previous-health bool 2",
+       [](DumpData& d, bool on) { d.state.has_prev_health = on; }, 2},
+      {"config enabled bool 2",
+       [](DumpData& d, bool on) { d.config.enabled = on; }, 2},
+      {"dump flags 2", [](DumpData& d, bool on) { d.has_wall = on; }, 2},
+  };
+  for (const auto& [name, toggle, value] : patched) {
+    SCOPED_TRACE(name);
+    DumpData off = good;
+    toggle(off, false);
+    DumpData on = good;
+    toggle(on, true);
+    EXPECT_THROW(decode_dump(reframe::patch_first_difference(
+                     encode_dump(off), encode_dump(on), value)),
+                 ser::FormatError);
+  }
+
+  // Every required section must be present.
+  const std::vector<std::uint8_t> bytes = encode_dump(good);
+  for (const std::uint32_t tag : {1u, 2u, 3u}) {
+    SCOPED_TRACE("missing section " + std::to_string(tag));
+    const auto [begin, end] = reframe::section_span(bytes, tag);
+    ASSERT_LT(begin, end);
+    std::vector<std::uint8_t> body = reframe::payload(bytes);
+    body.erase(
+        body.begin() + static_cast<std::ptrdiff_t>(begin - reframe::kHeaderBytes),
+        body.begin() + static_cast<std::ptrdiff_t>(end - reframe::kHeaderBytes));
+    EXPECT_THROW(decode_dump(reframe::seal(bytes, body)), ser::FormatError);
+  }
 }
 
 // ---------------------------------------------------------------------------
