@@ -35,7 +35,8 @@ tdp::fleet::FleetMetrics run_fleet(std::uint64_t users, std::size_t threads) {
   tdp::fleet::FleetDriverConfig config;
   config.population.users = users;
   config.population.periods = 48;
-  config.shards = 128;  // fixed layout: same reduction order at any threads
+  config.slices = 128;  // fixed layout: same reduction order at any threads
+  config.shards = 128;
   config.threads = threads;
   config.warmup_days = 1;
   config.online_pricing = true;

@@ -44,6 +44,7 @@ tdp::horizon::HorizonConfig bench_config(std::uint64_t users,
   config.population.users = users;
   config.population.periods = 48;
   config.population.seed = 20110611;
+  config.slices = 32;
   config.shards = 32;
   config.warmup_days = 1;
   config.horizon_days = days;

@@ -51,7 +51,7 @@ tdp::fleet::FleetDriverConfig arena_config(std::uint64_t users,
   config.population.users = users;
   config.population.periods = 48;
   config.population.seed = 20110611;
-  config.shards = 64;  // fixed layout: same reduction order at any threads
+  config.slices = 64;  // fixed layout: same reduction order at any threads
   config.threads = threads;
   config.warmup_days = 3;
   config.online_pricing = true;

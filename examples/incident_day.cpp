@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   config.population.users = users;
   config.population.periods = 48;
   config.population.seed = 20110611;
+  config.slices = 16;
   config.shards = 16;
   config.warmup_days = 1;
   config.horizon_days = 4;

@@ -19,6 +19,7 @@ tdp::horizon::HorizonConfig week_config() {
   tdp::horizon::HorizonConfig config;
   config.population.users = 20000;
   config.population.periods = 48;
+  config.slices = 16;
   config.shards = 16;
   config.warmup_days = 1;
   config.horizon_days = 6;

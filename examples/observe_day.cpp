@@ -90,8 +90,10 @@ int main(int argc, char** argv) {
   bool ok = true;
   ok = obs::write_chrome_trace(trace_path) && ok;
   ok = obs::Journal::global().write_json(journal_path) && ok;
-  ok = obs::write_text_file(metrics_path, obs::metrics_json()) && ok;
-  ok = obs::write_text_file(prom_path, obs::prometheus_text()) && ok;
+  const std::string metrics = obs::metrics_json();
+  ok = obs::write_file(metrics_path, metrics.data(), metrics.size()) && ok;
+  const std::string prom = obs::prometheus_text();
+  ok = obs::write_file(prom_path, prom.data(), prom.size()) && ok;
   if (!ok) {
     std::fprintf(stderr, "failed to write an artifact under %s\n",
                  out_dir.c_str());

@@ -26,6 +26,7 @@ tdp::horizon::HorizonConfig storm_week_config() {
   config.population.users = 20000;
   config.population.periods = 48;
   config.population.seed = 20110611;
+  config.slices = 16;
   config.shards = 16;
   config.warmup_days = 1;
   config.horizon_days = 5;

@@ -44,7 +44,6 @@ struct StormRegime {
   double intensity = 1.0;  ///< P(site fails | storm ON) per site per period
 
   bool enabled() const { return onset > 0.0; }
-  bool operator==(const StormRegime&) const = default;
 };
 
 /// Rates and parameters of one chaos experiment. All probabilities are
@@ -101,8 +100,6 @@ struct FaultPlan {
   std::size_t drift_step_day = 0;
 
   std::uint64_t seed = 20110704;
-
-  bool operator==(const FaultPlan&) const = default;
 
   /// True when any *observation* fault can ever fire under this plan
   /// (population drift deliberately excluded — see above).

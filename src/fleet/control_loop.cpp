@@ -67,17 +67,12 @@ obs::incident::Health map_health(PricerHealth health) {
   return obs::incident::Health::kHealthy;
 }
 
-/// Canonical slice count: an override (a checkpoint's layout) wins, then
-/// config.slices, else one slice per shard; always clamped to [1, users].
-std::size_t effective_slices(const LoopConfig& config,
-                             std::size_t slice_override, std::uint64_t users) {
-  std::size_t requested = slice_override;
-  if (requested == 0) {
-    requested = config.slices != 0 ? config.slices
-                                   : std::max<std::size_t>(config.shards, 1);
-  }
-  return std::min<std::size_t>(std::max<std::size_t>(requested, 1),
-                               static_cast<std::size_t>(users));
+/// The canonical slice count, checked before the aggregator sizes its
+/// stripes by it.
+std::size_t checked_slices(const LoopConfig& config) {
+  TDP_REQUIRE(config.slices >= 1 && config.slices <= config.population.users,
+              "slices must lie in [1, users]");
+  return config.slices;
 }
 
 /// Phase timer: each lap charges the time since the last boundary to one
@@ -125,16 +120,14 @@ DynamicModel baseline_fluid_model(const Population& population) {
       math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0));
 }
 
-ControlLoop::ControlLoop(LoopConfig config, std::size_t slice_override)
+ControlLoop::ControlLoop(LoopConfig config)
     : config_(std::move(config)),
       population_(config_.population),
       injector_(config_.fault),
       channel_(config_.population.periods),
       fanout_(channel_, paper::kPatienceIndices.size()),
       guard_(population_.expected_demand_units(), config_.measurement_guard),
-      aggregator_(
-          effective_slices(config_, slice_override, population_.users()),
-          population_.periods()),
+      aggregator_(checked_slices(config_), population_.periods()),
       threads_(config_.threads == 0 ? default_thread_count()
                                     : config_.threads) {
   channel_.set_resilience(config_.resilience);

@@ -48,19 +48,23 @@
 namespace tdp::fleet {
 
 /// The period loop's configuration; FleetDriverConfig and
-/// horizon::HorizonConfig extend it (each with its own shard default).
+/// horizon::HorizonConfig extend it (each with its own default layout).
 struct LoopConfig {
-  explicit LoopConfig(std::size_t default_shards) : shards(default_shards) {}
+  /// `default_layout` is the driver's default for both `shards` and
+  /// `slices`.
+  explicit LoopConfig(std::size_t default_layout)
+      : shards(default_layout), slices(default_layout) {}
 
   PopulationConfig population;
-  /// Shard count — the execution grouping of the per-period sweep. Clamped
-  /// to the slice count; never affects a value.
+  /// Shard count — the execution grouping of the per-period sweep: each
+  /// shard runs a contiguous run of whole slices. Clamped to the slice
+  /// count; never affects a value.
   std::size_t shards;
-  /// Canonical slice count — part of the experiment definition (it fixes
-  /// the floating-point reduction order and the measurement fault
-  /// domains), deliberately NOT defaulted from the thread count. 0 = one
-  /// slice per shard. Clamped to the user count.
-  std::size_t slices = 0;
+  /// Canonical slice count, in [1, users] (ControlLoop rejects any other
+  /// value) — part of the experiment definition: it fixes the
+  /// floating-point reduction order and the measurement fault domains.
+  /// Never derived from the shard or thread count.
+  std::size_t slices;
   /// Worker threads for the shard sweep; 0 = TDP_THREADS / hardware
   /// default. Any value yields bit-identical aggregates.
   std::size_t threads = 0;
@@ -109,9 +113,9 @@ DynamicModel baseline_fluid_model(const Population& population);
 class ControlLoop {
  public:
   /// Builds every component but the mechanism (see build_mechanism /
-  /// set_mechanism). `slice_override` pins the canonical slice count (a
-  /// checkpoint's layout); 0 derives it from the config.
-  explicit ControlLoop(LoopConfig config, std::size_t slice_override = 0);
+  /// set_mechanism). Throws PreconditionError unless config.slices lies
+  /// in [1, users].
+  explicit ControlLoop(LoopConfig config);
 
   /// Build the configured mechanism planning against `model` (any offline
   /// solve runs here) and install it.

@@ -21,7 +21,7 @@
 namespace tdp::fleet {
 
 struct FleetDriverConfig : LoopConfig {
-  FleetDriverConfig() : LoopConfig(/*default_shards=*/64) {}
+  FleetDriverConfig() : LoopConfig(/*default_layout=*/64) {}
 };
 
 class FleetDriver {

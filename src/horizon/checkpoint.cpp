@@ -1,10 +1,12 @@
 #include "horizon/checkpoint.hpp"
 
 #include <cstdio>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "horizon/checkpoint_sections.hpp"
+#include "obs/export.hpp"
 #include "obs/incident/incident.hpp"
 
 namespace tdp::horizon {
@@ -78,45 +80,56 @@ void health_field(IO& io, H& health) {
   io.template enumerated<std::uint8_t>(health, 0, 2);
 }
 
-/// One section's fields, tag and length excluded.
+/// A size_t config count on the wire as u32.
+template <class IO, class N>
+void count32(IO& io, N& n) {
+  std::uint32_t wire = static_cast<std::uint32_t>(n);
+  io.u32(wire);
+  if constexpr (IO::kReading) n = wire;
+}
+
+/// One section's fields, tag and length excluded. The config echo (every
+/// d.config field below, DESIGN.md §12) is named here and nowhere else.
 template <class IO, class Data>
 void section_fields(IO& io, SectionTag tag, Data& d) {
+  auto& c = d.config;
   switch (tag) {
     case detail::kSecConfig:
-      io.u64(d.users);
-      io.u32(d.periods);
-      io.u64(d.population_seed);
-      io.f64(d.sessions_per_day);
-      io.u64(d.slices);
-      io.u32(d.warmup_days);
-      io.u32(d.horizon_days);
-      io.boolean(d.online_pricing);
-      io.boolean(d.estimation);
-      io.u32(d.estimation_window);
-      io.u32(d.estimation_min_days);
-      io.u32(d.estimation_starts);
-      io.boolean(d.reanchor);
-      io.f64(d.fault.price_pull_drop);
-      io.f64(d.fault.clock_skew);
-      io.f64(d.fault.measurement_loss);
-      io.f64(d.fault.measurement_nan);
-      io.f64(d.fault.measurement_negative);
-      io.f64(d.fault.measurement_spike);
-      io.f64(d.fault.spike_factor);
-      io.vec_u64(d.fault.measurement_blackouts, kMaxListed);
-      io.f64(d.fault.solver_exhaustion);
-      io.u64(d.fault.solver_starved_budget);
-      io.f64(d.fault.drift_beta_rate);
-      io.f64(d.fault.drift_beta_step);
-      io.u64(d.fault.drift_step_day);
-      io.u64(d.fault.seed);
-      io.u64(d.staleness_ttl);
-      io.u64(d.max_retries);
-      io.f64(d.max_spike_factor);
-      io.u64(d.max_carry_forward);
-      io.check(d.periods >= 2 && d.periods <= kMaxPeriods,
+      io.u64(c.population.users);
+      count32(io, c.population.periods);
+      io.u64(c.population.seed);
+      io.f64(c.population.sessions_per_day);
+      io.u64(c.slices);
+      count32(io, c.warmup_days);
+      count32(io, c.horizon_days);
+      io.boolean(c.online_pricing);
+      io.boolean(c.estimation);
+      count32(io, c.estimation_window);
+      count32(io, c.estimation_min_days);
+      count32(io, c.estimation_starts);
+      io.boolean(c.reanchor);
+      io.f64(c.fault.price_pull_drop);
+      io.f64(c.fault.clock_skew);
+      io.f64(c.fault.measurement_loss);
+      io.f64(c.fault.measurement_nan);
+      io.f64(c.fault.measurement_negative);
+      io.f64(c.fault.measurement_spike);
+      io.f64(c.fault.spike_factor);
+      io.vec_u64(c.fault.measurement_blackouts, kMaxListed);
+      io.f64(c.fault.solver_exhaustion);
+      io.u64(c.fault.solver_starved_budget);
+      io.f64(c.fault.drift_beta_rate);
+      io.f64(c.fault.drift_beta_step);
+      io.u64(c.fault.drift_step_day);
+      io.u64(c.fault.seed);
+      io.u64(c.resilience.staleness_ttl);
+      io.u64(c.resilience.max_retries);
+      io.f64(c.measurement_guard.max_spike_factor);
+      io.u64(c.measurement_guard.max_carry_forward);
+      io.check(c.population.periods >= 2 && c.population.periods <= kMaxPeriods,
                "checkpoint: implausible period count");
-      io.check(d.users != 0 && d.slices != 0 && d.slices <= d.users,
+      io.check(c.population.users != 0 && c.slices != 0 &&
+                   c.slices <= c.population.users,
                "checkpoint: implausible slice layout");
       break;
     case detail::kSecClock:
@@ -210,33 +223,33 @@ void section_fields(IO& io, SectionTag tag, Data& d) {
       });
       break;
     case detail::kSecMech:
-      io.template enumerated<std::uint32_t>(d.mechanism_kind, 0, 3);
-      io.f64(d.rebate_pool);
-      io.f64(d.rebate_share_blend);
-      io.f64(d.rebate_inflow_floor);
-      io.boolean(d.oracle_refine);
-      io.f64(d.oracle_capacity_target);
+      io.template enumerated<std::uint32_t>(c.mechanism.kind, 0, 3);
+      io.f64(c.mechanism.rebate_pool);
+      io.f64(c.mechanism.rebate_share_blend);
+      io.f64(c.mechanism.rebate_inflow_floor);
+      io.boolean(c.mechanism.oracle_refine);
+      io.f64(c.mechanism.oracle_capacity_target);
       io.vec_f64_finite(d.mech_state.rewards, kMaxPeriods);
       io.vec_f64(d.mech_state.scalars, kMaxPeriods);
       io.list(d.mech_state.vectors, kMaxPeriods,
               [&io](auto& v) { io.vec_f64_finite(v, kMaxPeriods); });
-      io.boolean(d.adaptive_users);
-      io.f64(d.adaptation_rate);
-      io.f64(d.adaptation_gain);
+      io.boolean(c.adaptive_users);
+      io.f64(c.adaptation_rate);
+      io.f64(c.adaptation_gain);
       io.vec_f64_finite(d.adapt_scale, kMaxPeriods);
       break;
     case detail::kSecStorm: {
-      for (auto* regime : {&d.fault.storm_blackout, &d.fault.storm_channel,
-                           &d.fault.storm_solver}) {
+      for (auto* regime : {&c.fault.storm_blackout, &c.fault.storm_channel,
+                           &c.fault.storm_solver}) {
         io.f64(regime->onset);
         io.f64(regime->persist);
         io.f64(regime->intensity);
       }
-      io.f64(d.carry_floor_fraction);
-      io.boolean(d.estimation_health_gate);
-      io.u64(d.reanchor_healthy_periods);
-      io.boolean(d.reanchor_objective_guard);
-      io.f64(d.reanchor_guard_tolerance);
+      io.f64(c.measurement_guard.carry_floor_fraction);
+      io.boolean(c.estimation_health_gate);
+      io.u64(c.reanchor_healthy_periods);
+      io.boolean(c.reanchor_objective_guard);
+      io.f64(c.reanchor_guard_tolerance);
       io.u64(d.healthy_streak_periods);
       // Per-day health extras: parallel arrays over kSecDays plus one
       // trailing entry for the partial day, so kSecDays must precede this
@@ -250,12 +263,11 @@ void section_fields(IO& io, SectionTag tag, Data& d) {
       break;
     }
     case detail::kSecIncident:
-      obs::incident::config_echo_fields(io, d.incident_config);
+      obs::incident::config_echo_fields(io, c.incident);
       obs::incident::state_fields(io, d.incident);
+      // The fallback count trails the engine state; a section without it
+      // decodes as 0.
       if constexpr (IO::kReading) {
-        d.incident_enabled = d.incident_config.enabled;
-        // The fallback count trails the engine state; a section without
-        // it decodes as 0.
         if (io.remaining() == 0) break;
       }
       io.u64(d.day_channel_fallback_periods);
@@ -263,12 +275,41 @@ void section_fields(IO& io, SectionTag tag, Data& d) {
   }
 }
 
+/// The sections that carry config echo, named for restore's error.
+constexpr std::pair<SectionTag, const char*> kEchoSections[] = {
+    {detail::kSecConfig, "config"},
+    {detail::kSecMech, "mechanism"},
+    {detail::kSecStorm, "storm"},
+    {detail::kSecIncident, "incident"},
+};
+
+/// One section of `d` as the writer emits it (empty when `d` writes none).
+std::vector<std::uint8_t> section_bytes(SectionTag tag,
+                                        const CheckpointData& d) {
+  ser::Writer w(kCheckpointMagic, kCheckpointVersion);
+  if (detail::section_present(tag, d)) detail::write_section(w, tag, d);
+  return w.take_payload();
+}
+
 }  // namespace
+
+const char* echo_mismatch(const HorizonConfig& a, const HorizonConfig& b) {
+  // Two records whose state is all defaults: a section's bytes differ
+  // exactly where the configs' echoes differ.
+  CheckpointData echo_a;
+  echo_a.config = a;
+  CheckpointData echo_b;
+  echo_b.config = b;
+  for (const auto& [tag, name] : kEchoSections) {
+    if (section_bytes(tag, echo_a) != section_bytes(tag, echo_b)) return name;
+  }
+  return nullptr;
+}
 
 namespace detail {
 
 bool section_present(SectionTag tag, const CheckpointData& data) {
-  return tag != kSecIncident || data.incident_enabled;
+  return tag != kSecIncident || data.config.incident.enabled;
 }
 
 bool section_dirty_within_day(SectionTag tag) {
@@ -331,28 +372,29 @@ CheckpointData decode(const std::uint8_t* bytes, std::size_t size) {
       throw ser::FormatError("checkpoint: missing required section");
     }
   }
+  const std::size_t periods = data.config.population.periods;
   if (data.ring_work.size() != data.ring_reward.size() ||
-      data.ring_work.size() != data.slices) {
+      data.ring_work.size() != data.config.slices) {
     throw ser::FormatError("checkpoint: ring count does not match slices");
   }
   for (std::size_t i = 0; i < data.ring_work.size(); ++i) {
-    if (data.ring_work[i].size() != data.periods ||
-        data.ring_reward[i].size() != data.periods) {
+    if (data.ring_work[i].size() != periods ||
+        data.ring_reward[i].size() != periods) {
       throw ser::FormatError("checkpoint: ring size does not match periods");
     }
   }
-  if (data.ring_head >= data.periods || data.period >= data.periods) {
+  if (data.ring_head >= periods || data.period >= periods) {
     throw ser::FormatError("checkpoint: clock out of range");
   }
-  if (data.mechanism_kind != 0 &&
-      data.mech_state.rewards.size() != data.periods) {
+  if (data.config.mechanism.kind != mech::MechanismKind::kTubeOnline &&
+      data.mech_state.rewards.size() != periods) {
     throw ser::FormatError("checkpoint: mechanism rewards size mismatch");
   }
   // The restored loop indexes these by period: the partial day (empty only
   // at period 0, where a fresh driver writes it so), the day-start
   // schedule once recorded, and every estimation-window day.
-  const auto whole = [&data](const std::vector<double>& v) {
-    return v.size() == data.periods;
+  const auto whole = [periods](const std::vector<double>& v) {
+    return v.size() == periods;
   };
   const auto partial = [&](const std::vector<double>& v) {
     return whole(v) || (data.period == 0 && v.empty());
@@ -379,14 +421,8 @@ CheckpointData decode(const std::vector<std::uint8_t>& bytes) {
 void save_checkpoint_file(const std::string& path,
                           const CheckpointData& data) {
   const std::vector<std::uint8_t> bytes = encode(data);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw Error("cannot open checkpoint file for writing: " + path);
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const int close_err = std::fclose(f);
-  if (written != bytes.size() || close_err != 0) {
-    throw Error("short write to checkpoint file: " + path);
+  if (!obs::write_file(path, bytes.data(), bytes.size())) {
+    throw Error("cannot write checkpoint file: " + path);
   }
 }
 

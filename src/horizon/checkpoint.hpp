@@ -19,9 +19,9 @@
 // Versioning (DESIGN.md §14): the writer always emits format version 2,
 // with the mechanism (kSecMech) and storm (kSecStorm) sections on every
 // run; version-1 readers skip the v2-only sections under the unknown-tag
-// policy. Version-1 files are read, never written: their missing sections
-// decode to the CheckpointData defaults below, which equal what the writer
-// emits for a default run.
+// policy. Version-1 files are read, never written: the echo fields of the
+// sections they lack decode to HorizonConfig's own defaults, and the state
+// fields to the CheckpointData defaults below.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +29,9 @@
 #include <string>
 #include <vector>
 
-#include "common/fault.hpp"
 #include "dynamic/online_pricer.hpp"
 #include "fleet/control_loop.hpp"
+#include "horizon/horizon_config.hpp"
 #include "horizon/horizon_metrics.hpp"
 #include "math/vector_ops.hpp"
 #include "mech/mechanism.hpp"
@@ -61,34 +61,16 @@ struct DayRecord {
 /// The complete serializable state of a MultiDayDriver: the period loop's
 /// state (clock, per-slice rings, channel, fan-out, guard) plus the rest.
 struct CheckpointData : fleet::LoopState {
-  // -- configuration echo (determinism-relevant; validated on restore) ----
-  std::uint64_t users = 0;
-  std::uint32_t periods = 0;
-  std::uint64_t population_seed = 0;
-  double sessions_per_day = 0.0;
-  std::uint64_t slices = 0;  ///< canonical layout; restore reuses this
-  std::uint32_t warmup_days = 0;
-  std::uint32_t horizon_days = 0;
-  bool online_pricing = true;
-  bool estimation = false;
-  std::uint32_t estimation_window = 0;
-  std::uint32_t estimation_min_days = 0;
-  std::uint32_t estimation_starts = 0;
-  bool reanchor = false;
-  FaultPlan fault;  ///< full plan, drift + storm fields included
-  std::uint64_t staleness_ttl = 0;
-  std::uint64_t max_retries = 0;
-  double max_spike_factor = 0.0;
-  std::uint64_t max_carry_forward = 0;
+  // -- configuration echo (DESIGN.md §12) ----------------------------------
+  /// The run's configuration. The fields that define the experiment are
+  /// encoded — each named once, in checkpoint.cpp's section field lists —
+  /// and restore requires the caller's config to encode to the same bytes
+  /// (echo_mismatch). Fields outside the echo (the execution knobs,
+  /// pricer_guard, offline_options) decode to HorizonConfig's defaults.
+  HorizonConfig config;
 
-  // -- storm-mode extensions (kSecStorm; absent from version-1 files) -----
-  // Config echo: the guard's carry floor and the health-gate knobs.
-  double carry_floor_fraction = 0.5;
-  bool estimation_health_gate = false;
-  std::uint64_t reanchor_healthy_periods = 0;
-  bool reanchor_objective_guard = false;
-  double reanchor_guard_tolerance = 0.0;
-  // State: the re-anchor hysteresis counter (always 0 when ungated).
+  // -- storm-mode state (kSecStorm) ----------------------------------------
+  /// The re-anchor hysteresis counter (always 0 when ungated).
   std::uint64_t healthy_streak_periods = 0;
 
   // -- online pricer and its model source ---------------------------------
@@ -97,20 +79,8 @@ struct CheckpointData : fleet::LoopState {
   double model_beta = 0.0;                ///< kEstimated only
   std::vector<double> model_volumes;      ///< kEstimated only, per period
 
-  // -- pricing mechanism (DESIGN.md §13) ----------------------------------
-  // kSecMech. A file without it (pre-arena v1) decodes to these defaults,
-  // which equal mech::MechanismConfig's and HorizonConfig's, so it reads
-  // exactly as a default run's checkpoint.
-  std::uint32_t mechanism_kind = 0;  ///< mech::MechanismKind
-  double rebate_pool = 0.0;
-  double rebate_share_blend = 0.3;
-  double rebate_inflow_floor = 0.05;
-  bool oracle_refine = true;
-  double oracle_capacity_target = 0.85;
+  // -- pricing mechanism (DESIGN.md §13; kSecMech) ------------------------
   mech::MechanismState mech_state;  ///< non-TubeOnline internal state
-  bool adaptive_users = false;
-  double adaptation_rate = 0.25;
-  double adaptation_gain = 0.5;
   std::vector<double> adapt_scale;  ///< per-class patience scale (EWMA)
 
   // -- online estimation sliding window -----------------------------------
@@ -123,11 +93,8 @@ struct CheckpointData : fleet::LoopState {
   bool has_prev_day_start = false;
 
   // -- incident engine (kSecIncident; serialized only when enabled) -------
-  // Config echo (restore rejects threshold mismatches — they would fork
-  // the alert stream) plus the complete engine state, so a restored run
-  // continues the deterministic alert/incident streams bitwise.
-  bool incident_enabled = false;
-  obs::incident::IncidentConfig incident_config;
+  // The complete engine state beside config.incident's echo, so a restored
+  // run continues the deterministic alert/incident streams bitwise.
   obs::incident::EngineState incident;
   /// The current day's channel fallback group-periods so far — the
   /// engine's fallback-budget input at day end
@@ -148,6 +115,12 @@ std::vector<std::uint8_t> encode(const CheckpointData& data);
 /// never crashes.
 CheckpointData decode(const std::uint8_t* data, std::size_t size);
 CheckpointData decode(const std::vector<std::uint8_t>& bytes);
+
+/// The first section whose config echo differs between `a` and `b` —
+/// "config", "mechanism", "storm" or "incident" — or nullptr when every
+/// echo encodes to the same bytes. Each section's echo runs the field
+/// lists encode() runs; the incident echo is empty while the engine is off.
+const char* echo_mismatch(const HorizonConfig& a, const HorizonConfig& b);
 
 /// File convenience wrappers (binary, whole-buffer). save throws tdp::Error
 /// on I/O failure; load throws tdp::Error on I/O failure and

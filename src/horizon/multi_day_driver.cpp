@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -55,91 +56,22 @@ double linf_distance(const math::Vector& a, const math::Vector& b) {
 }
 
 /// Restore-time validation: the checkpoint must describe the same
-/// experiment this config describes. Execution knobs (shards, threads) are
-/// deliberately not compared.
+/// experiment this config describes, echo section by echo section.
 HorizonConfig validate_restore(HorizonConfig config,
                                const CheckpointData& data) {
-  TDP_REQUIRE(config.population.users == data.users &&
-                  config.population.periods == data.periods &&
-                  config.population.seed == data.population_seed &&
-                  config.population.sessions_per_day == data.sessions_per_day,
-              "checkpoint population does not match configuration");
-  TDP_REQUIRE(config.slices == 0 || config.slices == data.slices,
-              "checkpoint slice layout does not match configuration");
-  TDP_REQUIRE(config.warmup_days == data.warmup_days &&
-                  config.horizon_days == data.horizon_days,
-              "checkpoint horizon does not match configuration");
-  TDP_REQUIRE(config.online_pricing == data.online_pricing &&
-                  config.estimation == data.estimation &&
-                  config.estimation_window == data.estimation_window &&
-                  config.estimation_min_days == data.estimation_min_days &&
-                  config.estimation_starts == data.estimation_starts &&
-                  config.reanchor == data.reanchor,
-              "checkpoint estimation settings do not match configuration");
-  TDP_REQUIRE(config.fault == data.fault,
-              "checkpoint fault plan does not match configuration");
-  TDP_REQUIRE(config.estimation_health_gate == data.estimation_health_gate &&
-                  config.reanchor_healthy_periods ==
-                      data.reanchor_healthy_periods &&
-                  config.reanchor_objective_guard ==
-                      data.reanchor_objective_guard &&
-                  config.reanchor_guard_tolerance ==
-                      data.reanchor_guard_tolerance,
-              "checkpoint health gates do not match configuration");
-  TDP_REQUIRE(config.resilience.staleness_ttl == data.staleness_ttl &&
-                  config.resilience.max_retries == data.max_retries,
-              "checkpoint resilience policy does not match configuration");
-  TDP_REQUIRE(
-      config.measurement_guard.max_spike_factor == data.max_spike_factor &&
-          config.measurement_guard.max_carry_forward ==
-              data.max_carry_forward &&
-          config.measurement_guard.carry_floor_fraction ==
-              data.carry_floor_fraction,
-      "checkpoint guard policy does not match configuration");
+  const char* section = echo_mismatch(config, data.config);
+  TDP_REQUIRE(section == nullptr,
+              std::string("checkpoint ") + section +
+                  " echo does not match configuration");
   TDP_REQUIRE(data.day <= config.warmup_days + config.horizon_days,
               "checkpoint clock is past the configured horizon");
-  TDP_REQUIRE(
-      static_cast<std::uint32_t>(config.mechanism.kind) == data.mechanism_kind,
-      "checkpoint mechanism does not match configuration");
-  if (config.mechanism.kind == mech::MechanismKind::kFixedBudgetRebate) {
-    TDP_REQUIRE(
-        config.mechanism.rebate_pool == data.rebate_pool &&
-            config.mechanism.rebate_share_blend == data.rebate_share_blend &&
-            config.mechanism.rebate_inflow_floor == data.rebate_inflow_floor,
-        "checkpoint rebate parameters do not match configuration");
-  }
-  if (config.mechanism.kind == mech::MechanismKind::kDayAheadOracle) {
-    TDP_REQUIRE(config.mechanism.oracle_refine == data.oracle_refine &&
-                    config.mechanism.oracle_capacity_target ==
-                        data.oracle_capacity_target,
-                "checkpoint oracle settings do not match configuration");
-  }
-  TDP_REQUIRE(config.adaptive_users == data.adaptive_users,
-              "checkpoint adaptation mode does not match configuration");
-  if (config.adaptive_users) {
-    TDP_REQUIRE(config.adaptation_rate == data.adaptation_rate &&
-                    config.adaptation_gain == data.adaptation_gain,
-                "checkpoint adaptation settings do not match configuration");
-  }
-  TDP_REQUIRE(config.incident.enabled == data.incident_enabled,
-              "checkpoint incident-engine mode does not match configuration");
-  if (config.incident.enabled) {
-    // Mismatched thresholds would fork the alert stream at the restore
-    // point — the detectors carry accumulated state tuned to the echoed
-    // config, so the restore must prove it is the same experiment.
-    TDP_REQUIRE(
-        obs::incident::config_echo_matches(config.incident,
-                                           data.incident_config),
-        "checkpoint incident thresholds do not match configuration");
-  }
   return config;
 }
 
 }  // namespace
 
-MultiDayDriver::MultiDayDriver(HorizonConfig config,
-                               std::size_t slice_override)
-    : config_(std::move(config)), loop_(config_, slice_override) {
+MultiDayDriver::MultiDayDriver(ComponentsTag, HorizonConfig config)
+    : config_(std::move(config)), loop_(config_) {
   TDP_REQUIRE(config_.horizon_days >= 1, "horizon needs at least one day");
   TDP_REQUIRE(config_.estimation_window >= 1 &&
                   config_.estimation_min_days >= 1 &&
@@ -157,7 +89,7 @@ MultiDayDriver::MultiDayDriver(HorizonConfig config,
 }
 
 MultiDayDriver::MultiDayDriver(HorizonConfig config)
-    : MultiDayDriver(std::move(config), /*slice_override=*/0) {
+    : MultiDayDriver(ComponentsTag{}, std::move(config)) {
   loop_.build_mechanism(fleet::baseline_fluid_model(loop_.population()));
   TDP_LOG_INFO << "horizon: " << loop_.population().users() << " users, "
                << config_.warmup_days << "+" << config_.horizon_days
@@ -169,7 +101,8 @@ MultiDayDriver::MultiDayDriver(HorizonConfig config)
 MultiDayDriver::MultiDayDriver(RestoreTag, HorizonConfig config,
                                const CheckpointData& data,
                                bool restore_counters)
-    : MultiDayDriver(validate_restore(std::move(config), data), data.slices) {
+    : MultiDayDriver(ComponentsTag{},
+                     validate_restore(std::move(config), data)) {
   model_source_ = data.model_source;
   model_beta_ = data.model_beta;
   model_volumes_ = data.model_volumes;
@@ -190,7 +123,7 @@ MultiDayDriver::MultiDayDriver(RestoreTag, HorizonConfig config,
   }
 
   loop_.restore(data, data.partial, data.day_channel_fallback_periods,
-                data.incident_enabled ? &data.incident : nullptr);
+                config_.incident.enabled ? &data.incident : nullptr);
   healthy_streak_periods_ = data.healthy_streak_periods;
   window_ = data.window;
   completed_days_ = data.completed_days;
@@ -541,31 +474,7 @@ HorizonMetrics MultiDayDriver::metrics() const {
 
 CheckpointData MultiDayDriver::checkpoint() const {
   CheckpointData d;
-  const fleet::Population& population = loop_.population();
-  d.users = population.users();
-  d.periods = static_cast<std::uint32_t>(population.periods());
-  d.population_seed = config_.population.seed;
-  d.sessions_per_day = config_.population.sessions_per_day;
-  d.slices = loop_.slice_count();
-  d.warmup_days = static_cast<std::uint32_t>(config_.warmup_days);
-  d.horizon_days = static_cast<std::uint32_t>(config_.horizon_days);
-  d.online_pricing = config_.online_pricing;
-  d.estimation = config_.estimation;
-  d.estimation_window = static_cast<std::uint32_t>(config_.estimation_window);
-  d.estimation_min_days =
-      static_cast<std::uint32_t>(config_.estimation_min_days);
-  d.estimation_starts = static_cast<std::uint32_t>(config_.estimation_starts);
-  d.reanchor = config_.reanchor;
-  d.fault = config_.fault;
-  d.staleness_ttl = config_.resilience.staleness_ttl;
-  d.max_retries = config_.resilience.max_retries;
-  d.max_spike_factor = config_.measurement_guard.max_spike_factor;
-  d.max_carry_forward = config_.measurement_guard.max_carry_forward;
-  d.carry_floor_fraction = config_.measurement_guard.carry_floor_fraction;
-  d.estimation_health_gate = config_.estimation_health_gate;
-  d.reanchor_healthy_periods = config_.reanchor_healthy_periods;
-  d.reanchor_objective_guard = config_.reanchor_objective_guard;
-  d.reanchor_guard_tolerance = config_.reanchor_guard_tolerance;
+  d.config = config_;
   d.healthy_streak_periods = healthy_streak_periods_;
 
   static_cast<fleet::LoopState&>(d) = loop_.export_state();
@@ -581,19 +490,9 @@ CheckpointData MultiDayDriver::checkpoint() const {
   d.model_source = model_source_;
   d.model_beta = model_beta_;
   d.model_volumes = model_volumes_;
-
-  d.mechanism_kind = static_cast<std::uint32_t>(config_.mechanism.kind);
-  d.rebate_pool = config_.mechanism.rebate_pool;
-  d.rebate_share_blend = config_.mechanism.rebate_share_blend;
-  d.rebate_inflow_floor = config_.mechanism.rebate_inflow_floor;
-  d.oracle_refine = config_.mechanism.oracle_refine;
-  d.oracle_capacity_target = config_.mechanism.oracle_capacity_target;
   if (config_.mechanism.kind != mech::MechanismKind::kTubeOnline) {
     d.mech_state = mechanism.export_state();
   }
-  d.adaptive_users = config_.adaptive_users;
-  d.adaptation_rate = config_.adaptation_rate;
-  d.adaptation_gain = config_.adaptation_gain;
   if (config_.adaptive_users) d.adapt_scale = adapt_scale_;
 
   d.window = window_;
@@ -602,9 +501,7 @@ CheckpointData MultiDayDriver::checkpoint() const {
   d.prev_day_start_rewards = prev_day_start_rewards_;
   d.has_prev_day_start = has_prev_day_start_;
 
-  d.incident_enabled = config_.incident.enabled;
   if (const obs::incident::IncidentEngine* incident = loop_.incident_engine()) {
-    d.incident_config = config_.incident;
     d.incident = incident->state();
     d.day_channel_fallback_periods = loop_.day_channel_fallbacks();
   }

@@ -25,11 +25,11 @@
 //     day, and the estimator is how the control loop finds out.
 //
 //   * Checkpoint/restore. checkpoint() serializes the complete control-loop
-//     state at any period boundary (horizon/checkpoint.hpp). restore()
-//     rebuilds a driver from those bytes such that the continued run is
-//     **bitwise identical** to the uninterrupted one — under any shard
-//     count from 1 to the checkpointed slice count and any thread count:
-//     the canonical slice layout is recorded in the checkpoint and shards
+//     state at any period boundary (horizon/checkpoint.hpp), its config
+//     included. restore() rebuilds a driver from those bytes such that the
+//     continued run is **bitwise identical** to the uninterrupted one —
+//     under any shard count from 1 to the slice count and any thread
+//     count: the slice count is part of the echoed config and shards
 //     regroup whole slices on restore.
 //
 // Determinism: every DayMetrics field is a pure function of the
@@ -40,85 +40,27 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "fleet/control_loop.hpp"
 #include "horizon/checkpoint.hpp"
 #include "horizon/checkpoint_stream.hpp"
+#include "horizon/horizon_config.hpp"
 #include "horizon/horizon_metrics.hpp"
 
 namespace tdp::horizon {
-
-struct HorizonConfig : fleet::LoopConfig {
-  HorizonConfig() : LoopConfig(/*default_shards=*/8) {}
-
-  // Horizon rules for the loop fields: restore() reuses the checkpointed
-  // `slices` (a restoring config leaves it 0 or repeats it); the `fault`
-  // plan's drift_* fields move the population's patience indices day by
-  // day; `incident` thresholds are config-echoed and must match on restore.
-
-  /// Measured days after the warmup days.
-  std::size_t horizon_days = 7;
-
-  /// Day-over-day user adaptation: after each settled day, every patience
-  /// class's index is pulled toward a target set by the mean published
-  /// reward (higher rewards -> lower beta -> more patient users). The
-  /// EWMA'd scale composes multiplicatively with FaultPlan drift.
-  bool adaptive_users = false;
-  /// EWMA rate toward the target scale per day, in (0, 1].
-  double adaptation_rate = 0.25;
-  /// Sensitivity of the target scale to the mean reward.
-  double adaptation_gain = 0.5;
-
-  /// Run the §IV estimator over the sliding window after each measured day.
-  bool estimation = true;
-  /// Window depth in days (records beyond this age are dropped).
-  std::size_t estimation_window = 5;
-  /// Minimum records in the window before the first estimate.
-  std::size_t estimation_min_days = 2;
-  /// Multi-start count for estimate_multistart (start 0 is deterministic).
-  std::size_t estimation_starts = 4;
-  /// Rebuild + re-solve the pricer's fluid model from each estimate.
-  bool reanchor = true;
-
-  // -- storm-mode health gating (all defaults preserve legacy behavior) ---
-
-  /// Freeze §IV re-estimation for any day during which the pricer FSM sat
-  /// in FALLBACK: measurements from a fallback window describe the safety
-  /// schedule's world, not the control loop's, and must never be fitted.
-  bool estimation_health_gate = false;
-  /// Hysteresis: re-anchor only after this many consecutive HEALTHY
-  /// periods (0 = re-anchor as soon as an estimate lands, legacy).
-  std::size_t reanchor_healthy_periods = 0;
-  /// Guard adopt_model with a predicted-objective check: re-solve the
-  /// candidate model and roll the re-fit back when its own objective says
-  /// the new schedule is worse than the anchored one.
-  bool reanchor_objective_guard = false;
-  /// Relative slack for the objective guard: adopt while
-  /// candidate_cost <= anchored_cost * (1 + tolerance).
-  double reanchor_guard_tolerance = 0.0;
-
-  // -- streaming checkpoints (execution knobs; never config-echoed) -------
-
-  /// When non-empty, stream incremental v2 checkpoints to this path at
-  /// period boundaries (atomic tmp-file/rename commits).
-  std::string checkpoint_path;
-  /// Commit every k-th period boundary in addition to day boundaries
-  /// (0 = day boundaries only).
-  std::size_t checkpoint_every_periods = 0;
-};
 
 class MultiDayDriver {
  public:
   explicit MultiDayDriver(HorizonConfig config);
 
-  /// Rebuild a driver from checkpoint bytes. The configuration must agree
-  /// with the checkpoint's determinism-relevant echo (population, fault
-  /// plan, estimation settings...); shards/threads are free to differ —
-  /// that is the point. `restore_counters` additionally forces the global
-  /// obs registry's counters to the checkpointed values (process-restart
-  /// fidelity; leave off when other components share the process).
+  /// Rebuild a driver from checkpoint bytes. The configuration must encode
+  /// to the checkpoint's config echo, section by section (echo_mismatch;
+  /// PreconditionError naming the section otherwise); execution knobs such
+  /// as shards and threads are free to differ — that is the point.
+  /// `restore_counters` additionally forces the global obs registry's
+  /// counters to the checkpointed values (process-restart fidelity; leave
+  /// off when other components share the process).
   static std::unique_ptr<MultiDayDriver> restore(HorizonConfig config,
                                                  const CheckpointData& data,
                                                  bool restore_counters = false);
@@ -179,9 +121,9 @@ class MultiDayDriver {
                  bool restore_counters);
 
   /// Shared by both constructors: validates config, builds the loop's
-  /// components. `slice_override` pins the canonical layout (the
-  /// checkpointed value on restore; 0 = derive from config).
-  MultiDayDriver(HorizonConfig config, std::size_t slice_override);
+  /// components, all but the mechanism.
+  struct ComponentsTag {};
+  MultiDayDriver(ComponentsTag, HorizonConfig config);
 
   void start_day();
   void finish_day();

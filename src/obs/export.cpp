@@ -156,12 +156,10 @@ std::string prometheus_text() {
   return prometheus_text(Registry::global().snapshot());
 }
 
-bool write_text_file(const std::string& path, const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
+bool write_file(const std::string& path, const void* data, std::size_t size) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) return false;
-  const std::size_t written =
-      std::fwrite(content.data(), 1, content.size(), file);
-  const bool complete = written == content.size();
+  const bool complete = std::fwrite(data, 1, size, file) == size;
   const bool closed = std::fclose(file) == 0;
   return complete && closed;
 }

@@ -2,8 +2,10 @@
 // benches and examples) and a Prometheus-style text dump. Both serialize a
 // merged Snapshot with instruments sorted by name, so two runs doing the
 // same work produce byte-identical files regardless of registration races.
+// Plus the tree's one whole-file writer, write_file.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "obs/registry.hpp"
@@ -24,7 +26,11 @@ std::string metrics_json();  ///< of Registry::global()
 std::string prometheus_text(const Snapshot& snapshot);
 std::string prometheus_text();  ///< of Registry::global()
 
-/// Write `content` to `path`; false on I/O failure.
-bool write_text_file(const std::string& path, const std::string& content);
+/// Write `size` bytes to `path` whole, replacing any file there; false on
+/// an open, write or close failure. Every whole-file writer (exports,
+/// journal, trace, incident dump, checkpoint file) goes through it; only
+/// the checkpoint streamer's commit, which must fsync before its rename,
+/// has its own path.
+bool write_file(const std::string& path, const void* data, std::size_t size);
 
 }  // namespace tdp::obs

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/error.hpp"
+#include "obs/export.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 
@@ -515,12 +515,7 @@ std::vector<std::uint8_t> IncidentEngine::dump(bool include_wall) const {
 bool IncidentEngine::write_dump(const std::string& path,
                                 bool include_wall) const {
   const std::vector<std::uint8_t> bytes = dump(include_wall);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool complete = written == bytes.size();
-  const bool closed = std::fclose(file) == 0;
-  return complete && closed;
+  return write_file(path, bytes.data(), bytes.size());
 }
 
 }  // namespace tdp::obs::incident

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/export.hpp"
+
 namespace tdp::obs {
 namespace {
 
@@ -66,15 +68,6 @@ void append_event_json(std::string& out, const JournalEvent& event) {
     out += buf;
   }
   out += "}}";
-}
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  const bool complete = written == text.size();
-  const bool closed = std::fclose(file) == 0;
-  return complete && closed;
 }
 
 }  // namespace
@@ -142,7 +135,8 @@ std::string Journal::json() const {
 }
 
 bool Journal::write_json(const std::string& path) const {
-  return write_text(path, json());
+  const std::string text = json();
+  return write_file(path, text.data(), text.size());
 }
 
 std::string Journal::jsonl() const {
@@ -156,7 +150,8 @@ std::string Journal::jsonl() const {
 }
 
 bool Journal::write_jsonl(const std::string& path) const {
-  return write_text(path, jsonl());
+  const std::string text = jsonl();
+  return write_file(path, text.data(), text.size());
 }
 
 void journal_record(

@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/export.hpp"
+
 namespace tdp::obs {
 namespace {
 
@@ -172,13 +174,8 @@ std::string chrome_trace_json() {
 }
 
 bool write_chrome_trace(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
   const std::string json = chrome_trace_json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  const bool ok = written == json.size() && std::fclose(file) == 0;
-  if (!ok && written != json.size()) std::fclose(file);
-  return ok;
+  return write_file(path, json.data(), json.size());
 }
 
 }  // namespace tdp::obs

@@ -143,8 +143,8 @@ TEST(FaultInjector, RejectsInvalidPlans) {
 // machine asking — the injector is a pure function, so simply re-asking
 // from differently-shaped loops must agree. The fleet-level version: two
 // drivers with the same plan but different *thread counts* produce
-// identical chaos outputs (shard count is part of the experiment identity,
-// matching the clean determinism contract).
+// identical chaos outputs (the slice count is part of the experiment
+// identity, matching the clean determinism contract).
 TEST(FaultInjector, FleetChaosRunIsThreadCountIndependent) {
   fleet::FleetDriverConfig config;
   config.population.users = 2000;

@@ -121,40 +121,67 @@ TEST(PriceFanout, MemoryAndFetchesAreGroupBounded) {
 }
 
 // The acceptance gate for the fleet subsystem: running the same day on one
-// thread and on several must produce bit-identical per-period aggregates
-// (EXPECT_EQ on doubles, no tolerance) and an identical reward trajectory,
-// with the online pricer in the loop.
+// thread and on several, grouped into few shards or many, must produce
+// bit-identical per-period aggregates (EXPECT_EQ on doubles, no tolerance)
+// and an identical reward trajectory, with the online pricer in the loop.
+// The slice count stays at its default: shards only group slices.
 TEST(FleetDriver, AggregatesBitIdenticalAcrossThreadCounts) {
-  FleetMetrics results[2];
-  math::Vector rewards[2];
-  const std::size_t thread_counts[2] = {1, 4};
-  for (int run = 0; run < 2; ++run) {
+  struct Layout {
+    std::size_t shards;
+    std::size_t threads;
+  };
+  const Layout layouts[] = {{4, 1}, {4, 4}, {16, 1}, {16, 4}};
+  std::vector<FleetMetrics> results;
+  std::vector<math::Vector> rewards;
+  for (const Layout& layout : layouts) {
     FleetDriverConfig config;
     config.population = small_population(20000);
-    config.shards = 16;
-    config.threads = thread_counts[run];
+    config.shards = layout.shards;
+    config.threads = layout.threads;
     config.warmup_days = 1;
     config.online_pricing = true;
     FleetDriver driver(config);
-    results[run] = driver.run_day();
-    rewards[run] = driver.pricer().rewards();
+    results.push_back(driver.run_day());
+    rewards.push_back(driver.pricer().rewards());
   }
 
-  ASSERT_EQ(results[0].offered_units.size(), results[1].offered_units.size());
-  for (std::size_t i = 0; i < results[0].offered_units.size(); ++i) {
-    EXPECT_EQ(results[0].offered_units[i], results[1].offered_units[i])
-        << "offered usage differs in period " << i;
-    EXPECT_EQ(results[0].realized_units[i], results[1].realized_units[i])
-        << "realized usage differs in period " << i;
+  for (std::size_t run = 1; run < results.size(); ++run) {
+    SCOPED_TRACE(std::to_string(layouts[run].shards) + " shards, " +
+                 std::to_string(layouts[run].threads) + " threads");
+    const FleetMetrics& a = results[0];
+    const FleetMetrics& b = results[run];
+    ASSERT_EQ(a.offered_units.size(), b.offered_units.size());
+    for (std::size_t i = 0; i < a.offered_units.size(); ++i) {
+      EXPECT_EQ(a.offered_units[i], b.offered_units[i])
+          << "offered usage differs in period " << i;
+      EXPECT_EQ(a.realized_units[i], b.realized_units[i])
+          << "realized usage differs in period " << i;
+    }
+    EXPECT_EQ(a.sessions, b.sessions);
+    EXPECT_EQ(a.deferred_sessions, b.deferred_sessions);
+    EXPECT_EQ(a.reward_paid_units, b.reward_paid_units);
+    ASSERT_EQ(rewards[0].size(), rewards[run].size());
+    for (std::size_t i = 0; i < rewards[0].size(); ++i) {
+      EXPECT_EQ(rewards[0][i], rewards[run][i])
+          << "online reward trajectory diverged at period " << i;
+    }
   }
-  EXPECT_EQ(results[0].sessions, results[1].sessions);
-  EXPECT_EQ(results[0].deferred_sessions, results[1].deferred_sessions);
-  EXPECT_EQ(results[0].reward_paid_units, results[1].reward_paid_units);
-  ASSERT_EQ(rewards[0].size(), rewards[1].size());
-  for (std::size_t i = 0; i < rewards[0].size(); ++i) {
-    EXPECT_EQ(rewards[0][i], rewards[1][i])
-        << "online reward trajectory diverged at period " << i;
+}
+
+// The slice count is an explicit part of the experiment: anything outside
+// [1, users] is refused at construction, never clamped or derived.
+TEST(FleetDriver, SliceCountOutsideOneToUsersIsRejected) {
+  FleetDriverConfig config;
+  config.population = small_population(200);
+  config.threads = 1;
+  config.warmup_days = 0;
+  for (const std::size_t slices : {std::size_t{0}, std::size_t{201}}) {
+    SCOPED_TRACE(std::to_string(slices) + " slices");
+    config.slices = slices;
+    EXPECT_THROW(FleetDriver{config}, PreconditionError);
   }
+  config.slices = 200;
+  EXPECT_EQ(FleetDriver(config).slice_count(), 200u);
 }
 
 TEST(FleetDriver, OnlinePricerInTheLoopSmoothsThePeak) {

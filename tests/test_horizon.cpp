@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -112,12 +113,11 @@ std::vector<DayMetrics> run_uninterrupted(const HorizonConfig& config) {
   return driver.completed_days();
 }
 
-/// Kill at `kill_step` period boundaries, restore (optionally onto a
-/// different shard/thread layout), finish, and return all completed days.
-std::vector<DayMetrics> run_killed_and_restored(const HorizonConfig& config,
-                                                std::size_t kill_step,
-                                                std::size_t restore_shards,
-                                                std::size_t restore_threads) {
+/// Kill at `kill_step` period boundaries, restore under `restore_config`,
+/// finish, and return the restored driver.
+std::unique_ptr<MultiDayDriver> run_killed_and_restored(
+    const HorizonConfig& config, std::size_t kill_step,
+    const HorizonConfig& restore_config) {
   std::vector<std::uint8_t> bytes;
   {
     MultiDayDriver victim(config);
@@ -128,13 +128,23 @@ std::vector<DayMetrics> run_killed_and_restored(const HorizonConfig& config,
     // The victim is destroyed here — the "kill". Nothing of it survives
     // but the checkpoint bytes.
   }
-  HorizonConfig restore_config = config;
-  restore_config.shards = restore_shards;
-  restore_config.threads = restore_threads;
   std::unique_ptr<MultiDayDriver> restored =
       MultiDayDriver::restore(restore_config, bytes);
   while (!restored->done()) restored->step_period();
-  return restored->completed_days();
+  return restored;
+}
+
+/// As above, restoring onto another shard/thread layout; returns all
+/// completed days.
+std::vector<DayMetrics> run_killed_and_restored(const HorizonConfig& config,
+                                                std::size_t kill_step,
+                                                std::size_t restore_shards,
+                                                std::size_t restore_threads) {
+  HorizonConfig restore_config = config;
+  restore_config.shards = restore_shards;
+  restore_config.threads = restore_threads;
+  return run_killed_and_restored(config, kill_step, restore_config)
+      ->completed_days();
 }
 
 TEST(HorizonKillRestore, RandomKillPointsFinishBitwiseIdentical) {
@@ -337,39 +347,280 @@ TEST(HorizonCheckpoint, RandomCorruptionNeverCrashesLoaderOrRestore) {
   EXPECT_GT(rejected, 0) << "no mutation was rejected";
 }
 
+// ---- Config echo -----------------------------------------------------------
+//
+// A checkpoint echoes every HorizonConfig field that defines the run, and
+// restore requires the caller's config to encode to the same echo bytes,
+// section by section. Each row below mutates one echoed field alone; the
+// restore must throw and name the section that carries the field.
+
+struct EchoRow {
+  const char* field;
+  const char* section;
+  void (*mutate)(HorizonConfig&);
+};
+
+void expect_echo_rejected(const HorizonConfig& config,
+                          const CheckpointData& data, const EchoRow& row) {
+  SCOPED_TRACE(row.field);
+  HorizonConfig wrong = config;
+  row.mutate(wrong);
+  try {
+    MultiDayDriver::restore(wrong, data);
+    ADD_FAILURE() << "restore accepted a config whose echo differs";
+  } catch (const PreconditionError& error) {
+    const std::string expected =
+        std::string("checkpoint ") + row.section + " echo";
+    EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(HorizonCheckpoint, MismatchedConfigIsRejected) {
   const HorizonConfig config = small_config();
   MultiDayDriver driver(config);
   driver.step_period();
   const CheckpointData data = driver.checkpoint();
+  ASSERT_EQ(echo_mismatch(config, data.config), nullptr);
 
-  HorizonConfig wrong = config;
-  wrong.population.seed += 1;
-  EXPECT_THROW(MultiDayDriver::restore(wrong, data), PreconditionError);
+  const EchoRow rows[] = {
+      {"population.users", "config",
+       [](HorizonConfig& c) { c.population.users += 1; }},
+      {"population.periods", "config",
+       [](HorizonConfig& c) { c.population.periods = 48; }},
+      {"population.seed", "config",
+       [](HorizonConfig& c) { c.population.seed += 1; }},
+      {"population.sessions_per_day", "config",
+       [](HorizonConfig& c) { c.population.sessions_per_day *= 2.0; }},
+      {"slices", "config", [](HorizonConfig& c) { c.slices += 1; }},
+      // 0 is a count like any other, not "the checkpoint's layout".
+      {"slices 0", "config", [](HorizonConfig& c) { c.slices = 0; }},
+      {"warmup_days", "config", [](HorizonConfig& c) { c.warmup_days += 1; }},
+      {"horizon_days", "config",
+       [](HorizonConfig& c) { c.horizon_days += 1; }},
+      {"online_pricing", "config",
+       [](HorizonConfig& c) { c.online_pricing = !c.online_pricing; }},
+      {"estimation", "config",
+       [](HorizonConfig& c) { c.estimation = !c.estimation; }},
+      {"estimation_window", "config",
+       [](HorizonConfig& c) { c.estimation_window += 1; }},
+      {"estimation_min_days", "config",
+       [](HorizonConfig& c) { c.estimation_min_days += 1; }},
+      {"estimation_starts", "config",
+       [](HorizonConfig& c) { c.estimation_starts += 1; }},
+      {"reanchor", "config",
+       [](HorizonConfig& c) { c.reanchor = !c.reanchor; }},
+      {"fault.price_pull_drop", "config",
+       [](HorizonConfig& c) { c.fault.price_pull_drop = 0.1; }},
+      {"fault.clock_skew", "config",
+       [](HorizonConfig& c) { c.fault.clock_skew = 0.1; }},
+      {"fault.measurement_loss", "config",
+       [](HorizonConfig& c) { c.fault.measurement_loss = 0.5; }},
+      {"fault.measurement_nan", "config",
+       [](HorizonConfig& c) { c.fault.measurement_nan = 0.1; }},
+      {"fault.measurement_negative", "config",
+       [](HorizonConfig& c) { c.fault.measurement_negative = 0.1; }},
+      {"fault.measurement_spike", "config",
+       [](HorizonConfig& c) { c.fault.measurement_spike = 0.1; }},
+      {"fault.spike_factor", "config",
+       [](HorizonConfig& c) { c.fault.spike_factor *= 2.0; }},
+      {"fault.measurement_blackouts", "config",
+       [](HorizonConfig& c) { c.fault.measurement_blackouts.push_back(3); }},
+      {"fault.solver_exhaustion", "config",
+       [](HorizonConfig& c) { c.fault.solver_exhaustion = 0.1; }},
+      {"fault.solver_starved_budget", "config",
+       [](HorizonConfig& c) { c.fault.solver_starved_budget += 1; }},
+      {"fault.drift_beta_rate", "config",
+       [](HorizonConfig& c) { c.fault.drift_beta_rate = 0.01; }},
+      {"fault.drift_beta_step", "config",
+       [](HorizonConfig& c) { c.fault.drift_beta_step = 0.1; }},
+      {"fault.drift_step_day", "config",
+       [](HorizonConfig& c) { c.fault.drift_step_day = 2; }},
+      {"fault.seed", "config", [](HorizonConfig& c) { c.fault.seed += 1; }},
+      {"resilience.staleness_ttl", "config",
+       [](HorizonConfig& c) { c.resilience.staleness_ttl += 1; }},
+      {"resilience.max_retries", "config",
+       [](HorizonConfig& c) { c.resilience.max_retries += 1; }},
+      {"measurement_guard.max_spike_factor", "config",
+       [](HorizonConfig& c) { c.measurement_guard.max_spike_factor *= 2.0; }},
+      {"measurement_guard.max_carry_forward", "config",
+       [](HorizonConfig& c) { c.measurement_guard.max_carry_forward += 1; }},
+      {"mechanism.kind", "mechanism",
+       [](HorizonConfig& c) {
+         c.mechanism.kind = mech::MechanismKind::kFixedBudgetRebate;
+       }},
+      // Fields this tube_online, adaptation-off run never reads are echoed
+      // and compared too.
+      {"mechanism.rebate_pool", "mechanism",
+       [](HorizonConfig& c) { c.mechanism.rebate_pool = 100.0; }},
+      {"mechanism.oracle_capacity_target", "mechanism",
+       [](HorizonConfig& c) { c.mechanism.oracle_capacity_target = 0.9; }},
+      {"adaptation_rate", "mechanism",
+       [](HorizonConfig& c) { c.adaptation_rate = 0.5; }},
+      {"mechanism.rebate_share_blend", "mechanism",
+       [](HorizonConfig& c) { c.mechanism.rebate_share_blend = 0.5; }},
+      {"mechanism.rebate_inflow_floor", "mechanism",
+       [](HorizonConfig& c) { c.mechanism.rebate_inflow_floor = 0.1; }},
+      {"mechanism.oracle_refine", "mechanism",
+       [](HorizonConfig& c) {
+         c.mechanism.oracle_refine = !c.mechanism.oracle_refine;
+       }},
+      {"adaptive_users", "mechanism",
+       [](HorizonConfig& c) { c.adaptive_users = true; }},
+      {"adaptation_gain", "mechanism",
+       [](HorizonConfig& c) { c.adaptation_gain = 1.0; }},
+      {"fault.storm_blackout.onset", "storm",
+       [](HorizonConfig& c) { c.fault.storm_blackout.onset = 0.06; }},
+      {"fault.storm_blackout.persist", "storm",
+       [](HorizonConfig& c) { c.fault.storm_blackout.persist = 0.76; }},
+      {"fault.storm_blackout.intensity", "storm",
+       [](HorizonConfig& c) { c.fault.storm_blackout.intensity = 0.5; }},
+      {"fault.storm_channel.onset", "storm",
+       [](HorizonConfig& c) { c.fault.storm_channel.onset = 0.06; }},
+      {"fault.storm_channel.persist", "storm",
+       [](HorizonConfig& c) { c.fault.storm_channel.persist = 0.76; }},
+      {"fault.storm_channel.intensity", "storm",
+       [](HorizonConfig& c) { c.fault.storm_channel.intensity = 0.5; }},
+      {"fault.storm_solver.onset", "storm",
+       [](HorizonConfig& c) { c.fault.storm_solver.onset = 0.06; }},
+      {"fault.storm_solver.persist", "storm",
+       [](HorizonConfig& c) { c.fault.storm_solver.persist = 0.76; }},
+      {"fault.storm_solver.intensity", "storm",
+       [](HorizonConfig& c) { c.fault.storm_solver.intensity = 0.5; }},
+      {"measurement_guard.carry_floor_fraction", "storm",
+       [](HorizonConfig& c) {
+         c.measurement_guard.carry_floor_fraction = 0.25;
+       }},
+      {"estimation_health_gate", "storm",
+       [](HorizonConfig& c) { c.estimation_health_gate = true; }},
+      {"reanchor_healthy_periods", "storm",
+       [](HorizonConfig& c) { c.reanchor_healthy_periods = 4; }},
+      {"reanchor_objective_guard", "storm",
+       [](HorizonConfig& c) { c.reanchor_objective_guard = true; }},
+      {"reanchor_guard_tolerance", "storm",
+       [](HorizonConfig& c) { c.reanchor_guard_tolerance = 0.05; }},
+      // Echoes match by bytes, so -0.0 does not match 0.0.
+      {"reanchor_guard_tolerance -0.0", "storm",
+       [](HorizonConfig& c) { c.reanchor_guard_tolerance = -0.0; }},
+      {"incident.enabled", "incident",
+       [](HorizonConfig& c) { c.incident.enabled = true; }},
+  };
+  for (const EchoRow& row : rows) expect_echo_rejected(config, data, row);
 
-  wrong = config;
-  wrong.fault.measurement_loss = 0.5;
-  EXPECT_THROW(MultiDayDriver::restore(wrong, data), PreconditionError);
+  // With the engine on, every detector threshold is echoed as well.
+  HorizonConfig watched = config;
+  watched.incident.enabled = true;
+  MultiDayDriver watched_driver(watched);
+  watched_driver.step_period();
+  const CheckpointData watched_data = watched_driver.checkpoint();
+  const EchoRow incident_rows[] = {
+      {"incident.enabled off", "incident",
+       [](HorizonConfig& c) { c.incident.enabled = false; }},
+      {"incident.cusum_k", "incident",
+       [](HorizonConfig& c) { c.incident.cusum_k *= 2.0; }},
+      {"incident.cusum_h", "incident",
+       [](HorizonConfig& c) { c.incident.cusum_h *= 2.0; }},
+      {"incident.channel_cusum_k", "incident",
+       [](HorizonConfig& c) { c.incident.channel_cusum_k *= 2.0; }},
+      {"incident.channel_cusum_h", "incident",
+       [](HorizonConfig& c) { c.incident.channel_cusum_h *= 2.0; }},
+      {"incident.ewma_alpha", "incident",
+       [](HorizonConfig& c) { c.incident.ewma_alpha *= 2.0; }},
+      {"incident.ewma_z", "incident",
+       [](HorizonConfig& c) { c.incident.ewma_z *= 2.0; }},
+      {"incident.ewma_min_days", "incident",
+       [](HorizonConfig& c) { c.incident.ewma_min_days += 1; }},
+      {"incident.pacing_max_ratio", "incident",
+       [](HorizonConfig& c) { c.incident.pacing_max_ratio *= 2.0; }},
+      {"incident.pacing_grace_days", "incident",
+       [](HorizonConfig& c) { c.incident.pacing_grace_days += 1; }},
+      {"incident.slo_short_window", "incident",
+       [](HorizonConfig& c) { c.incident.slo_short_window += 1; }},
+      {"incident.slo_long_window", "incident",
+       [](HorizonConfig& c) { c.incident.slo_long_window += 1; }},
+      {"incident.slo_short_burn", "incident",
+       [](HorizonConfig& c) { c.incident.slo_short_burn *= 0.5; }},
+      {"incident.slo_long_burn", "incident",
+       [](HorizonConfig& c) { c.incident.slo_long_burn *= 2.0; }},
+      {"incident.slo_max_fallback_per_day", "incident",
+       [](HorizonConfig& c) { c.incident.slo_max_fallback_per_day = 3; }},
+      {"incident.slo_p2a_floor", "incident",
+       [](HorizonConfig& c) { c.incident.slo_p2a_floor = 0.1; }},
+      {"incident.slo_p2a_window_days", "incident",
+       [](HorizonConfig& c) { c.incident.slo_p2a_window_days += 1; }},
+      {"incident.recorder_capacity", "incident",
+       [](HorizonConfig& c) { c.incident.recorder_capacity += 1; }},
+      {"incident.max_alerts", "incident",
+       [](HorizonConfig& c) { c.incident.max_alerts += 1; }},
+  };
+  for (const EchoRow& row : incident_rows) {
+    expect_echo_rejected(watched, watched_data, row);
+  }
 
-  wrong = config;
-  wrong.slices = config.slices + 1;
-  EXPECT_THROW(MultiDayDriver::restore(wrong, data), PreconditionError);
+  // Echoes match by bytes, so a NaN field matches itself.
+  HorizonConfig nan_config = config;
+  nan_config.reanchor_guard_tolerance =
+      std::numeric_limits<double>::quiet_NaN();
+  MultiDayDriver nan_driver(nan_config);
+  nan_driver.step_period();
+  EXPECT_NO_THROW(MultiDayDriver::restore(nan_config, nan_driver.checkpoint()));
+}
 
-  // The mechanism is part of the run's identity: a checkpoint written
-  // under TubeOnline must not restore under another pricing scheme.
-  wrong = config;
-  wrong.mechanism.kind = mech::MechanismKind::kFixedBudgetRebate;
-  EXPECT_THROW(MultiDayDriver::restore(wrong, data), PreconditionError);
+TEST(HorizonCheckpoint, ExecutionKnobsRestoreBitwise) {
+  // Knobs that say only how a run executes are not echoed: a restore under
+  // any one of them, changed alone, finishes bitwise like the
+  // uninterrupted run. Faults and the incident engine keep every knob live.
+  HorizonConfig config = small_config();
+  config.fault = chaos_plan();
+  config.incident.enabled = true;
+  MultiDayDriver reference(config);
+  reference.run();
+  const std::size_t mid =
+      (config.warmup_days + config.horizon_days) * config.population.periods /
+      2;
+  const std::string stream_path =
+      ::testing::TempDir() + "tdp_knob_stream.bin";
+  const std::string dump_path = ::testing::TempDir() + "tdp_knob_dump.tdpi";
 
-  wrong = config;
-  wrong.adaptive_users = true;
-  EXPECT_THROW(MultiDayDriver::restore(wrong, data), PreconditionError);
+  const std::pair<const char*, std::function<void(HorizonConfig&)>> knobs[] =
+      {
+          {"shards", [](HorizonConfig& c) { c.shards = 3; }},
+          {"threads", [](HorizonConfig& c) { c.threads = 1; }},
+          {"checkpoint_path",
+           [&](HorizonConfig& c) { c.checkpoint_path = stream_path; }},
+          {"checkpoint_every_periods",
+           [](HorizonConfig& c) { c.checkpoint_every_periods = 5; }},
+          {"incident.dump_path",
+           [&](HorizonConfig& c) { c.incident.dump_path = dump_path; }},
+          {"incident.commit_latency_budget_seconds",
+           [](HorizonConfig& c) {
+             c.incident.commit_latency_budget_seconds = 1e-9;
+           }},
+      };
+  for (const auto& [name, mutate] : knobs) {
+    SCOPED_TRACE(name);
+    HorizonConfig knob = config;
+    mutate(knob);
+    const std::unique_ptr<MultiDayDriver> restored =
+        run_killed_and_restored(config, mid, knob);
+    expect_days_bitwise_equal(reference.completed_days(),
+                              restored->completed_days());
+    EXPECT_EQ(restored->incident_engine()->alerts(),
+              reference.incident_engine()->alerts());
+  }
+  std::remove(stream_path.c_str());
+  std::remove((stream_path + ".tmp").c_str());
+  std::remove(dump_path.c_str());
 
-  // Execution knobs are free: resharding is legal, not a mismatch.
-  wrong = config;
-  wrong.shards = 1;
-  wrong.threads = 7;
-  EXPECT_NO_THROW(MultiDayDriver::restore(wrong, data));
+  // Detector thresholds are echoed only while the engine runs: with it off
+  // the run writes no kSecIncident section, so a restore under other
+  // thresholds is accepted and finishes bitwise too.
+  const HorizonConfig quiet = small_config();
+  HorizonConfig retuned = quiet;
+  retuned.incident.cusum_h = 0.9;
+  expect_days_bitwise_equal(
+      run_uninterrupted(quiet),
+      run_killed_and_restored(quiet, mid, retuned)->completed_days());
 }
 
 TEST(HorizonEstimation, TracksInjectedDriftAndSettles) {
@@ -542,9 +793,9 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
 
   // The fixture decodes field by field under the current loader.
   const CheckpointData data = decode(file_bytes);
-  EXPECT_EQ(data.users, 600u);
-  EXPECT_EQ(data.periods, 12u);
-  EXPECT_EQ(data.slices, 6u);
+  EXPECT_EQ(data.config.population.users, 600u);
+  EXPECT_EQ(data.config.population.periods, 12u);
+  EXPECT_EQ(data.config.slices, 6u);
   EXPECT_EQ(data.day, 2u);
   EXPECT_EQ(data.period, 6u);
   EXPECT_EQ(data.ring_work.size(), 6u);
@@ -628,16 +879,16 @@ TEST(HorizonGolden, StormCheckpointReencodesByteForByte) {
   // The fixture exercises what the plain v2 fixture cannot.
   EXPECT_EQ(data.day, 2u);
   EXPECT_EQ(data.period, 6u);
-  EXPECT_EQ(data.mechanism_kind,
-            static_cast<std::uint32_t>(mech::MechanismKind::kFixedBudgetRebate));
+  EXPECT_EQ(data.config.mechanism.kind,
+            mech::MechanismKind::kFixedBudgetRebate);
   EXPECT_FALSE(data.mech_state.rewards.empty());
   EXPECT_FALSE(data.mech_state.vectors.empty());
-  EXPECT_TRUE(data.adaptive_users);
+  EXPECT_TRUE(data.config.adaptive_users);
   EXPECT_FALSE(data.adapt_scale.empty());
-  EXPECT_TRUE(data.fault.storm_blackout.enabled());
-  EXPECT_TRUE(data.estimation_health_gate);
-  EXPECT_EQ(data.reanchor_healthy_periods, 4u);
-  EXPECT_TRUE(data.incident_enabled);
+  EXPECT_TRUE(data.config.fault.storm_blackout.enabled());
+  EXPECT_TRUE(data.config.estimation_health_gate);
+  EXPECT_EQ(data.config.reanchor_healthy_periods, 4u);
+  EXPECT_TRUE(data.config.incident.enabled);
   EXPECT_FALSE(data.incident.alerts.empty());
   EXPECT_FALSE(data.incident.incidents.empty());
   EXPECT_EQ(data.incident.recorder.size(), 16u);
@@ -726,14 +977,22 @@ TEST(HorizonCheckpoint, FieldValidatorsRejectOutOfRangeValues) {
 
   using Mutation = void (*)(CheckpointData&);
   const std::pair<const char*, Mutation> cases[] = {
-      {"period count below 2", [](CheckpointData& d) { d.periods = 1; }},
-      {"zero slices", [](CheckpointData& d) { d.slices = 0; }},
+      {"period count below 2",
+       [](CheckpointData& d) { d.config.population.periods = 1; }},
+      {"zero slices", [](CheckpointData& d) { d.config.slices = 0; }},
       {"more slices than users",
-       [](CheckpointData& d) { d.slices = d.users + 1; }},
+       [](CheckpointData& d) {
+         d.config.slices = d.config.population.users + 1;
+       }},
       {"clock period past the day",
-       [](CheckpointData& d) { d.period = d.periods; }},
+       [](CheckpointData& d) {
+         d.period = static_cast<std::uint32_t>(d.config.population.periods);
+       }},
       {"ring head past the day",
-       [](CheckpointData& d) { d.ring_head = d.periods; }},
+       [](CheckpointData& d) {
+         d.ring_head =
+             static_cast<std::uint32_t>(d.config.population.periods);
+       }},
       {"ring count differs from slices",
        [](CheckpointData& d) {
          d.ring_work.pop_back();
@@ -747,7 +1006,7 @@ TEST(HorizonCheckpoint, FieldValidatorsRejectOutOfRangeValues) {
        }},
       {"non-finite pricer reward",
        [](CheckpointData& d) {
-         d.pricer.rewards.assign(d.periods, 0.0);
+         d.pricer.rewards.assign(d.config.population.periods, 0.0);
          d.pricer.rewards[1] = std::numeric_limits<double>::quiet_NaN();
        }},
       {"non-finite pricer volume",
@@ -766,10 +1025,14 @@ TEST(HorizonCheckpoint, FieldValidatorsRejectOutOfRangeValues) {
       {"non-finite window value",
        [](CheckpointData& d) {
          d.window.push_back(d.window.empty() ? DayRecord{} : d.window[0]);
-         d.window.back().rewards.assign(d.periods,
-                                        std::numeric_limits<double>::quiet_NaN());
+         d.window.back().rewards.assign(
+             d.config.population.periods,
+             std::numeric_limits<double>::quiet_NaN());
        }},
-      {"mechanism kind 4", [](CheckpointData& d) { d.mechanism_kind = 4; }},
+      {"mechanism kind 4",
+       [](CheckpointData& d) {
+         d.config.mechanism.kind = static_cast<mech::MechanismKind>(4);
+       }},
       {"mechanism rewards shorter than the day",
        [](CheckpointData& d) { d.mech_state.rewards.pop_back(); }},
       {"non-finite mechanism vector",
@@ -822,7 +1085,7 @@ TEST(HorizonCheckpoint, FieldValidatorsRejectOutOfRangeValues) {
        },
        8},
       {"config bool 2",
-       [](CheckpointData& d, bool on) { d.online_pricing = on; }, 2},
+       [](CheckpointData& d, bool on) { d.config.online_pricing = on; }, 2},
   };
   for (const auto& [name, toggle, value] : patched) {
     SCOPED_TRACE(name);

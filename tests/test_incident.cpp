@@ -687,14 +687,14 @@ TEST(HorizonIncident, CheckpointCarriesTheEngineStateInKSecIncident) {
   for (std::size_t step = 0; step < 17; ++step) driver.step_period();
 
   const horizon::CheckpointData data = driver.checkpoint();
-  EXPECT_TRUE(data.incident_enabled);
-  EXPECT_TRUE(config_echo_matches(data.incident_config, config.incident));
+  EXPECT_TRUE(data.config.incident.enabled);
+  EXPECT_TRUE(config_echo_matches(data.config.incident, config.incident));
   EXPECT_EQ(data.incident.alerts, driver.incident_engine()->alerts());
 
   // The byte round-trip preserves the section (v2 framing).
   const std::vector<std::uint8_t> bytes = horizon::encode(data);
   const horizon::CheckpointData decoded = horizon::decode(bytes);
-  EXPECT_TRUE(decoded.incident_enabled);
+  EXPECT_TRUE(decoded.config.incident.enabled);
   EXPECT_EQ(decoded.incident.alerts, data.incident.alerts);
   EXPECT_EQ(decoded.incident.incidents, data.incident.incidents);
   EXPECT_EQ(decoded.incident.recorder, data.incident.recorder);
@@ -706,7 +706,7 @@ TEST(HorizonIncident, CheckpointCarriesTheEngineStateInKSecIncident) {
   for (std::size_t step = 0; step < 17; ++step) plain.step_period();
   const horizon::CheckpointData plain_data =
       horizon::decode(plain.checkpoint_bytes());
-  EXPECT_FALSE(plain_data.incident_enabled);
+  EXPECT_FALSE(plain_data.config.incident.enabled);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ fleet::FleetDriverConfig arena_config(std::uint64_t users,
   config.population.users = users;
   config.population.periods = 48;
   config.population.seed = 20110611;
-  config.shards = 16;  // fixed layout: same reduction order at any threads
+  config.slices = 16;  // fixed layout: same reduction order at any threads
   config.threads = threads;
   config.warmup_days = 1;
   config.online_pricing = true;

@@ -463,13 +463,13 @@ TEST(StreamingCheckpoint, EveryConfigWritesV2) {
   // validation.
   const CheckpointData data = decode(v2);
   const FaultPlan plan = storm_plan();
-  EXPECT_EQ(data.fault.storm_blackout.onset, plan.storm_blackout.onset);
-  EXPECT_EQ(data.fault.storm_blackout.persist, plan.storm_blackout.persist);
-  EXPECT_EQ(data.fault.storm_channel.intensity,
-            plan.storm_channel.intensity);
-  EXPECT_EQ(data.fault.storm_solver.onset, plan.storm_solver.onset);
-  EXPECT_FALSE(data.estimation_health_gate);
-  EXPECT_EQ(data.reanchor_healthy_periods, 0u);
+  const FaultPlan& echoed = data.config.fault;
+  EXPECT_EQ(echoed.storm_blackout.onset, plan.storm_blackout.onset);
+  EXPECT_EQ(echoed.storm_blackout.persist, plan.storm_blackout.persist);
+  EXPECT_EQ(echoed.storm_channel.intensity, plan.storm_channel.intensity);
+  EXPECT_EQ(echoed.storm_solver.onset, plan.storm_solver.onset);
+  EXPECT_FALSE(data.config.estimation_health_gate);
+  EXPECT_EQ(data.config.reanchor_healthy_periods, 0u);
 }
 
 TEST(StreamingCheckpoint, V1ReaderSkipsV2OnlySections) {
@@ -490,12 +490,12 @@ TEST(StreamingCheckpoint, V1ReaderSkipsV2OnlySections) {
   // defaults instead of poisoning the load.
   EXPECT_EQ(skipped.day, full.day);
   EXPECT_EQ(skipped.period, full.period);
-  EXPECT_EQ(skipped.users, full.users);
+  EXPECT_EQ(skipped.config.population.users, full.config.population.users);
   EXPECT_EQ(skipped.completed_days.size(), full.completed_days.size());
-  EXPECT_FALSE(skipped.fault.storm_blackout.enabled());
-  EXPECT_FALSE(skipped.fault.storm_channel.enabled());
-  EXPECT_FALSE(skipped.fault.storm_solver.enabled());
-  EXPECT_FALSE(skipped.estimation_health_gate);
+  EXPECT_FALSE(skipped.config.fault.storm_blackout.enabled());
+  EXPECT_FALSE(skipped.config.fault.storm_channel.enabled());
+  EXPECT_FALSE(skipped.config.fault.storm_solver.enabled());
+  EXPECT_FALSE(skipped.config.estimation_health_gate);
   EXPECT_EQ(skipped.healthy_streak_periods, 0u);
 }
 
