@@ -58,7 +58,7 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Time `fn()` `reps` times and return the total wall seconds. One untimed
-/// warmup call populates lazy caches (plans, memo entries).
+/// warmup call populates lazy caches (kernel plans).
 template <typename Fn>
 double time_reps(std::size_t reps, Fn&& fn) {
   fn();

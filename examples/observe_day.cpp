@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   // Every surface on, regardless of environment: this binary exists to
   // produce inspectable artifacts.
   obs::set_metrics_enabled(true);
-  obs::set_journal_enabled(true);
   obs::set_trace_enabled(true);
 
   std::printf("=== observe day: %llu users, 5%% price-pull drops, one "

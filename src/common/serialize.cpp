@@ -133,8 +133,8 @@ std::vector<std::uint8_t> Writer::frame(
   TDP_REQUIRE(magic.size() == 4, "format magic must be exactly 4 bytes");
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderSize + payload.size() + kCrcSize);
-  out.insert(out.end(), magic.data(), magic.data() + 4);
   out.resize(kHeaderSize);
+  std::memcpy(out.data(), magic.data(), 4);
   put_u32_at(out, 4, version);
   const std::uint64_t size = payload.size();
   for (int i = 0; i < 8; ++i) {

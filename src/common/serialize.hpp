@@ -118,10 +118,7 @@ class Writer {
   std::vector<std::uint8_t> finish();
 
   /// The accumulated payload alone — no header, no CRC; the Writer is
-  /// spent afterwards. A streaming writer encodes each section through its
-  /// own Writer, caches the chunks, and frames their concatenation with
-  /// frame() — producing bytes identical to one finish() call over the
-  /// same sections in the same order.
+  /// spent afterwards. frame() of it is what finish() would have returned.
   std::vector<std::uint8_t> take_payload();
 
   /// Assemble header + `payload` + CRC exactly as finish() would.

@@ -124,7 +124,12 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
     // Screen while u is in registers: lane active iff u > screen[cls].
     const __m128i cls4 = _mm_loadu_si128(
         reinterpret_cast<const __m128i*>(cls + i));
-    const __m256d screen4 = _mm256_i32gather_pd(screen, cls4, 8);
+    // The masked form with every lane enabled gathers the same lanes as
+    // _mm256_i32gather_pd, whose GCC 12 expansion reads an undefined
+    // source register and trips -Wmaybe-uninitialized.
+    const __m256d screen4 = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), screen, cls4,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
     const int lanes =
         _mm256_movemask_pd(_mm256_cmp_pd(u, screen4, _CMP_GT_OQ));
     active_mask[i / 64] |=

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -13,7 +12,6 @@
 #include "common/error.hpp"
 #include "core/kernel_plan.hpp"
 #include "math/quadrature.hpp"
-#include "obs/registry.hpp"
 
 namespace tdp {
 
@@ -66,160 +64,16 @@ void lag_weight_pair(const WaitingFunction& w, double reward, std::size_t lag,
   derivative_out = dsum * half;
 }
 
-namespace {
-
-/// Bounded FIFO memo of immutable values shared by shared_ptr. The mutex
-/// guards lookups and insertions only; a missing value is built outside
-/// it, and if another thread inserted the same key meanwhile, the cached
-/// value wins so equal keys share one value. A key that names an object
-/// must hold it (a shared_ptr), so a cached address can never alias a new
-/// object allocated where a freed one lived.
-template <typename Key, typename Value>
-class BoundedMemo {
- public:
-  static constexpr std::size_t kCapacity = 64;
-
-  /// The value cached under `key`, else `build()`, cached. `hit`, when
-  /// given, reports whether the first lookup found it.
-  template <typename Build>
-  std::shared_ptr<const Value> get(Key key, Build&& build,
-                                   bool* hit = nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (auto found = find(key)) {
-        if (hit != nullptr) *hit = true;
-        return found;
-      }
-    }
-    if (hit != nullptr) *hit = false;
-    std::shared_ptr<const Value> value = build();
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto found = find(key)) return found;
-    entries_.emplace_back(std::move(key), value);
-    if (entries_.size() > kCapacity) entries_.pop_front();
-    return value;
-  }
-
-  /// The most recently inserted value (null while empty).
-  std::shared_ptr<const Value> newest() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.empty() ? nullptr : entries_.back().second;
-  }
-
- private:
-  std::shared_ptr<const Value> find(const Key& key) const {
-    for (const auto& [k, value] : entries_) {
-      if (k == key) return value;
-    }
-    return nullptr;
-  }
-
-  std::mutex mutex_;
-  std::deque<std::pair<Key, std::shared_ptr<const Value>>> entries_;
+/// One waiting function's unit-reward lag weights under a state's
+/// convention: lag[l] = lag_weight(*waiting, 1.0, l, convention) for l in
+/// [1, n); lag 0 is unused (from == to is never a deferral).
+struct UnitWeights {
+  const WaitingFunction* waiting = nullptr;  ///< held by the state's classes
+  std::shared_ptr<const std::vector<double>> lag;
 };
 
-/// Fingerprint of a demand snapshot: convention, period structure, the
-/// identity of every waiting-function object, and the exact bit pattern of
-/// every volume. Exact equality (not just hash equality) gates cache hits;
-/// the hash only skips most unequal keys cheaply. The objects named by
-/// their addresses stay alive in the cached state's class lists.
-struct KernelKey {
-  std::vector<std::uint64_t> words;
-  std::uint64_t hash = 0;
-
-  bool operator==(const KernelKey& other) const {
-    return hash == other.hash && words == other.words;
-  }
-};
-
-KernelKey make_key(const DemandProfile& demand, LagConvention convention) {
-  KernelKey key;
-  const std::size_t n = demand.periods();
-  key.words.reserve(2 + 3 * n);
-  key.words.push_back(static_cast<std::uint64_t>(convention));
-  key.words.push_back(static_cast<std::uint64_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& classes = demand.classes(i);
-    key.words.push_back(static_cast<std::uint64_t>(classes.size()));
-    for (const SessionClass& sc : classes) {
-      key.words.push_back(
-          static_cast<std::uint64_t>(
-              reinterpret_cast<std::uintptr_t>(sc.waiting.get())));
-      key.words.push_back(std::bit_cast<std::uint64_t>(sc.volume));
-    }
-  }
-  key.hash = 1469598103934665603ull;  // FNV-1a offset basis
-  for (std::uint64_t w : key.words) {
-    key.hash ^= w;
-    key.hash *= 1099511628211ull;
-  }
-  return key;
-}
-
-/// One waiting function's unit-reward lag weights under one convention.
-struct UnitWeightKey {
-  WaitingFunctionPtr waiting;  ///< held, so the address cannot be reused
-  std::size_t periods = 0;
-  LagConvention convention = LagConvention::kPeriodStart;
-
-  bool operator==(const UnitWeightKey& other) const {
-    return waiting == other.waiting && periods == other.periods &&
-           convention == other.convention;
-  }
-};
-
-/// weights[lag] = lag_weight(wf, 1.0, lag, convention) for lag in [1, n);
-/// lag 0 is unused (from == to is never a deferral). Under kUniformArrival
-/// the UniformLagWeightTable reproduces the quadrature's arithmetic
-/// exactly, at one pow per Gauss node instead of eight virtual calls.
-std::vector<double> unit_lag_weights(const UnitWeightKey& key) {
-  const std::size_t n = key.periods;
-  std::vector<double> weights(n, 0.0);
-  if (key.convention == LagConvention::kUniformArrival) {
-    const UniformLagWeightTable table(key.waiting, n);
-    for (std::size_t lag = 1; lag < n; ++lag) {
-      weights[lag] = table.weight(1.0, lag);
-    }
-  } else {
-    for (std::size_t lag = 1; lag < n; ++lag) {
-      weights[lag] = lag_weight(*key.waiting, 1.0, lag, key.convention);
-    }
-  }
-  return weights;
-}
-
-/// Waiting-function objects are immutable and shared by every profile
-/// rescaled from one another (the online pricer rebuilds its kernel on
-/// every observation), so their unit weights are computed once per object,
-/// not once per kernel build.
-std::shared_ptr<const std::vector<double>> cached_unit_weights(
-    const UnitWeightKey& key) {
-  static BoundedMemo<UnitWeightKey, std::vector<double>> memo;
-  return memo.get(key, [&key] {
-    return std::make_shared<const std::vector<double>>(unit_lag_weights(key));
-  });
-}
-
-/// Memo effectiveness lives in the metrics registry (always on — the
-/// static DeferralKernel::cache_hits()/cache_misses() accessors are views
-/// over these counters and must work with telemetry disabled too).
-obs::Counter& memo_hits_counter() {
-  static obs::Counter& counter =
-      obs::Registry::global().counter("kernel.memo_hits_total");
-  return counter;
-}
-
-obs::Counter& memo_misses_counter() {
-  static obs::Counter& counter =
-      obs::Registry::global().counter("kernel.memo_misses_total");
-  return counter;
-}
-
-}  // namespace
-
-/// Immutable shared construction state. The memo cache retains recently
-/// built states (including their waiting-function shared_ptrs, so a cached
-/// pointer-identity key can never alias a new object at a reused address).
+/// Immutable construction state, shared by a kernel's copies and by
+/// successors whose demand matches it period for period.
 struct DeferralKernelState {
   std::size_t periods = 0;
   LagConvention convention = LagConvention::kPeriodStart;
@@ -227,8 +81,9 @@ struct DeferralKernelState {
   std::vector<std::vector<SessionClass>> classes;
   std::vector<double> unit;         // [from * n + to], empty unless linear
   std::vector<double> unit_inflow;  // [to], empty unless linear
+  std::vector<UnitWeights> weights;  // one per distinct function, if linear
 
-  // Lazily computed, memoized per state.
+  // Lazily computed, once per state.
   mutable std::once_flag safe_reward_once;
   mutable double safe_reward = 0.0;
   mutable std::once_flag plan_once;
@@ -251,18 +106,51 @@ bool same_classes(const std::vector<SessionClass>& a,
   return true;
 }
 
-/// Builds the state of `demand`; `donor`, when given, is an existing state
-/// whose unit-table rows are copied wherever they provably equal the ones
-/// this build would compute.
+/// Under kUniformArrival the UniformLagWeightTable reproduces the
+/// quadrature's arithmetic exactly, at one pow per Gauss node instead of
+/// eight virtual calls.
+std::vector<double> unit_lag_weights(const WaitingFunctionPtr& waiting,
+                                     std::size_t n, LagConvention convention) {
+  std::vector<double> weights(n, 0.0);
+  if (convention == LagConvention::kUniformArrival) {
+    const UniformLagWeightTable table(waiting, n);
+    for (std::size_t lag = 1; lag < n; ++lag) {
+      weights[lag] = table.weight(1.0, lag);
+    }
+  } else {
+    for (std::size_t lag = 1; lag < n; ++lag) {
+      weights[lag] = lag_weight(*waiting, 1.0, lag, convention);
+    }
+  }
+  return weights;
+}
+
+/// The state of `demand`. Whatever of `donor` (may be null) provably
+/// equals this build's result is reused: the whole state when every
+/// period's classes match, else each matching row of the unit tables and
+/// each shared function's unit weights.
 std::shared_ptr<const DeferralKernelState> build_state(
     const DemandProfile& demand, LagConvention convention,
-    const DeferralKernelState* donor) {
+    std::shared_ptr<const DeferralKernelState> donor) {
+  const std::size_t n = demand.periods();
+  if (donor != nullptr &&
+      (donor->periods != n || donor->convention != convention)) {
+    donor = nullptr;  // its rows and weights are of another table
+  }
+  const auto kept = [&](std::size_t period) {
+    return donor != nullptr &&
+           same_classes(demand.classes(period), donor->classes[period]);
+  };
+  std::size_t first_changed = 0;
+  while (first_changed < n && kept(first_changed)) ++first_changed;
+  if (first_changed == n && donor != nullptr) return donor;
+
   auto state = std::make_shared<DeferralKernelState>();
-  state->periods = demand.periods();
+  state->periods = n;
   state->convention = convention;
-  state->classes.reserve(state->periods);
+  state->classes.reserve(n);
   state->linear = true;
-  for (std::size_t i = 0; i < state->periods; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     state->classes.push_back(demand.classes(i));
     for (const SessionClass& sc : state->classes.back()) {
       state->linear = state->linear && sc.waiting->is_linear_in_reward();
@@ -271,36 +159,47 @@ std::shared_ptr<const DeferralKernelState> build_state(
 
   if (!state->linear) return state;
 
-  const std::size_t n = state->periods;
-  // Each distinct waiting function's cached unit weights, resolved once per
-  // (period, class) rather than once per (pair, class).
-  std::vector<std::pair<const WaitingFunction*,
-                        std::shared_ptr<const std::vector<double>>>>
-      weights;
+  // Every distinct waiting function's unit weights, lent by the donor when
+  // it has them. They stay in this state for its own successors.
   const auto unit_weights = [&](const WaitingFunctionPtr& wf) {
-    for (const auto& [function, table] : weights) {
-      if (function == wf.get()) return table->data();
+    for (const UnitWeights& entry : state->weights) {
+      if (entry.waiting == wf.get()) return entry.lag->data();
     }
-    weights.emplace_back(wf.get(), cached_unit_weights({wf, n, convention}));
-    return weights.back().second->data();
+    UnitWeights entry{wf.get(), nullptr};
+    if (donor != nullptr) {
+      for (const UnitWeights& lent : donor->weights) {
+        if (lent.waiting == wf.get()) {
+          entry.lag = lent.lag;
+          break;
+        }
+      }
+    }
+    if (entry.lag == nullptr) {
+      entry.lag = std::make_shared<const std::vector<double>>(
+          unit_lag_weights(wf, n, convention));
+    }
+    state->weights.push_back(std::move(entry));
+    return state->weights.back().lag->data();
   };
+  for (const std::vector<SessionClass>& classes : state->classes) {
+    for (const SessionClass& sc : classes) unit_weights(sc.waiting);
+  }
 
   // A row of the unit table depends on its own period's classes alone, so
   // a row whose classes match the donor's bit for bit is copied from it.
   // The online pricer rescales one period per observation: all other rows
   // of its new kernel are the previous kernel's.
-  const bool reuse = donor != nullptr && donor->linear &&
-                     donor->periods == n && donor->convention == convention;
-
+  //
   // A computed row accumulates class by class across all its cells at
   // once: the cells are independent lanes, and each still sums its classes
   // in class order from 0.0, exactly as the per-pair reference does. The
   // two runs of `to` on either side of the diagonal read ascending lags.
+  const bool lend_rows = donor != nullptr && donor->linear;
   state->unit.assign(n * n, 0.0);
   state->unit_inflow.assign(n, 0.0);
   for (std::size_t from = 0; from < n; ++from) {
     double* row = &state->unit[from * n];
-    if (reuse && same_classes(state->classes[from], donor->classes[from])) {
+    if (lend_rows && (from < first_changed || kept(from))) {
       std::copy_n(&donor->unit[from * n], n, row);
     } else {
       for (const SessionClass& sc : state->classes[from]) {
@@ -320,27 +219,16 @@ std::shared_ptr<const DeferralKernelState> build_state(
   return state;
 }
 
-/// Kernels built from bitwise-identical profiles share one state; a new
-/// state borrows unchanged rows from the most recently built one.
-std::shared_ptr<const DeferralKernelState> cached_state(
-    const DemandProfile& demand, LagConvention convention) {
-  static BoundedMemo<KernelKey, DeferralKernelState> memo;
-  bool hit = false;
-  auto state = memo.get(
-      make_key(demand, convention),
-      [&] { return build_state(demand, convention, memo.newest().get()); },
-      &hit);
-  (hit ? memo_hits_counter() : memo_misses_counter()).add_always(1);
-  return state;
-}
-
 }  // namespace
 
 DeferralKernel::DeferralKernel(const DemandProfile& demand,
-                               LagConvention convention)
+                               LagConvention convention,
+                               const DeferralKernel* predecessor)
     : periods_(demand.periods()),
       convention_(convention),
-      state_(cached_state(demand, convention)) {
+      state_(build_state(demand, convention,
+                         predecessor != nullptr ? predecessor->state_
+                                                : nullptr)) {
   linear_ = state_->linear;
 }
 
@@ -478,16 +366,6 @@ const std::vector<double>& DeferralKernel::unit_table() const {
 
 const std::vector<double>& DeferralKernel::unit_inflow_table() const {
   return state_->unit_inflow;
-}
-
-const void* DeferralKernel::state_id() const { return state_.get(); }
-
-std::uint64_t DeferralKernel::cache_hits() {
-  return memo_hits_counter().value();
-}
-
-std::uint64_t DeferralKernel::cache_misses() {
-  return memo_misses_counter().value();
 }
 
 }  // namespace tdp

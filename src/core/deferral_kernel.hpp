@@ -17,19 +17,19 @@
 // and precomputes unit-reward coefficients when every waiting function is
 // linear in the reward, making model evaluations pure arithmetic.
 //
-// Construction is memoized: kernels built from bitwise-identical demand
-// snapshots (same waiting-function objects, same volume bit patterns, same
-// convention) share one immutable state — the unit tables, the lazily
-// computed validity bound, and the fused evaluation plan (core/kernel_plan)
-// are computed once per distinct profile, not once per model. The batch
-// solver's anchor pattern hits this cache; the online pricer's rescaled
-// profiles practically never do (a measurement rarely equals the forecast
-// bit for bit), so a rebuild recomputes only what the new volumes change:
-// each waiting function's unit lag weights are cached per object.
+// A kernel owns the state it builds — the class lists, the unit tables,
+// the lazily computed validity bound and the fused evaluation plan
+// (core/kernel_plan) — and its copies share it. A kernel built from a
+// predecessor recomputes only what the new volumes change: the online
+// pricer rebuilds its model after every observation, rescaling one period,
+// so the predecessor lends every unit-table row whose period kept the same
+// waiting-function objects and volume bits, plus the unit lag weights of
+// every waiting function the two share. When every period matches — a
+// confirmed forecast — the new kernel shares the predecessor's whole
+// state, plan included.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -64,7 +64,11 @@ void lag_weight_pair(const WaitingFunction& w, double reward, std::size_t lag,
 
 class DeferralKernel {
  public:
-  DeferralKernel(const DemandProfile& demand, LagConvention convention);
+  /// `predecessor`, when given, lends what provably equals this build's
+  /// own result (see above), and nothing unless its convention and period
+  /// count match. It need only outlive the constructor.
+  DeferralKernel(const DemandProfile& demand, LagConvention convention,
+                 const DeferralKernel* predecessor = nullptr);
 
   std::size_t periods() const { return periods_; }
   LagConvention convention() const { return convention_; }
@@ -94,11 +98,11 @@ class DeferralKernel {
   /// bound ("usage deferred out of a period is not greater than demand
   /// under TIP"). Under a normalization matched to the kernel's lag
   /// convention this equals the normalization point P. Returns +inf when
-  /// there is no demand to defer. Computed once per shared state.
+  /// there is no demand to defer. Computed once per state.
   double max_safe_reward() const;
 
   /// The fused structure-of-arrays evaluation plan for this demand
-  /// snapshot, built lazily once per shared state (see core/kernel_plan).
+  /// snapshot, built lazily once per state (see core/kernel_plan).
   std::shared_ptr<const KernelPlan> plan() const;
 
   /// Class mix snapshot for period i (plan construction, tests).
@@ -108,21 +112,13 @@ class DeferralKernel {
   const std::vector<double>& unit_table() const;
   const std::vector<double>& unit_inflow_table() const;
 
-  /// Identity of the shared construction state — equal for kernels that hit
-  /// the same memo entry. Diagnostics/tests only.
-  const void* state_id() const;
-
-  /// Monotone counters for the construction memo (process-wide).
-  static std::uint64_t cache_hits();
-  static std::uint64_t cache_misses();
-
  private:
   std::size_t periods_;
   LagConvention convention_;
   bool linear_ = false;
-  /// Shared immutable snapshot: class lists, unit tables, lazy validity
-  /// bound and evaluation plan. Kernels from bitwise-identical profiles
-  /// point at the same state (bounded process-wide memo).
+  /// Immutable snapshot: class lists, unit tables, unit lag weights, lazy
+  /// validity bound and evaluation plan. Shared by this kernel's copies and
+  /// by successors built from it whose demand matches period for period.
   std::shared_ptr<const DeferralKernelState> state_;
 };
 

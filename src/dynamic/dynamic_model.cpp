@@ -36,10 +36,18 @@ DynamicModel::DynamicModel(DemandProfile arrivals,
                            std::vector<double> capacity,
                            math::PiecewiseLinearCost backlog_cost,
                            std::size_t warmup_days)
+    : DynamicModel(std::move(arrivals), std::move(capacity),
+                   std::move(backlog_cost), warmup_days, nullptr) {}
+
+DynamicModel::DynamicModel(DemandProfile arrivals,
+                           std::vector<double> capacity,
+                           math::PiecewiseLinearCost backlog_cost,
+                           std::size_t warmup_days,
+                           const DeferralKernel* predecessor)
     : arrivals_(std::move(arrivals)),
       capacity_(std::move(capacity)),
       cost_(std::move(backlog_cost)),
-      kernel_(arrivals_, LagConvention::kUniformArrival),
+      kernel_(arrivals_, LagConvention::kUniformArrival, predecessor),
       warmup_days_(warmup_days) {
   TDP_REQUIRE(capacity_.size() == arrivals_.periods(),
               "capacity vector must cover every period");
@@ -70,6 +78,11 @@ DynamicModel::DynamicModel(DemandProfile arrivals, double capacity,
               "daily demand must not exceed daily capacity or the backlog "
               "diverges and no steady state exists");
   tip_ = arrivals_.tip_demand_vector();
+}
+
+DynamicModel DynamicModel::with_arrivals(DemandProfile arrivals) const {
+  return DynamicModel(std::move(arrivals), capacity_, cost_, warmup_days_,
+                      &kernel_);
 }
 
 void DynamicModel::arrivals_after_deferral(const math::Vector& rewards,

@@ -46,6 +46,12 @@ class DynamicModel {
                math::PiecewiseLinearCost backlog_cost,
                std::size_t warmup_days = 6);
 
+  /// This model with new arrivals: same capacity, backlog cost and warmup,
+  /// its kernel built from this one's (DeferralKernel's predecessor), so
+  /// the periods whose classes kept their volume bits cost nothing to
+  /// rebuild. The online pricer's demand updates and restore use it.
+  DynamicModel with_arrivals(DemandProfile arrivals) const;
+
   std::size_t periods() const { return arrivals_.periods(); }
   const DemandProfile& arrivals() const { return arrivals_; }
   const std::vector<double>& capacity() const { return capacity_; }
@@ -116,6 +122,10 @@ class DynamicModel {
                                     FlowState& state) const;
 
  private:
+  DynamicModel(DemandProfile arrivals, std::vector<double> capacity,
+               math::PiecewiseLinearCost backlog_cost, std::size_t warmup_days,
+               const DeferralKernel* predecessor);
+
   /// Post-deferral arrivals a_i(p) and optionally their Jacobian rows.
   void arrivals_after_deferral(const math::Vector& rewards,
                                math::Vector& out) const;

@@ -133,20 +133,9 @@ std::unique_ptr<OnlinePricer> OnlinePricer::restore(
       profile.set_volume(p, c, state.volumes[p][c]);
     }
   }
-  DynamicModel updated(std::move(profile), baseline.capacity(),
-                       baseline.backlog_cost(), baseline.warmup_days());
   return std::unique_ptr<OnlinePricer>(
-      new OnlinePricer(RestoreTag{}, std::move(updated), state, guard,
-                       incremental));
-}
-
-void OnlinePricer::adopt_model(DynamicModel model,
-                               const DynamicOptimizerOptions& offline_options) {
-  model_ = std::move(model);
-  const DynamicPricingSolution offline =
-      optimize_dynamic_prices(model_, offline_options);
-  rewards_ = offline.rewards;
-  reward_cap_ = model_.reward_cap() * offline_options.reward_cap_factor;
+      new OnlinePricer(RestoreTag{}, baseline.with_arrivals(std::move(profile)),
+                       state, guard, incremental));
 }
 
 void OnlinePricer::adopt_model(DynamicModel model,
@@ -176,9 +165,9 @@ math::GoldenSectionResult OnlinePricer::solve_period_incremental(
     FlowState& scratch) {
   // Resync instead of reprime when the scratch already holds this kernel's
   // pair matrix: after a confirmed-forecast update the rescaled demand is
-  // bitwise unchanged, the construction memo returns the same shared kernel
-  // state, and only the coordinates accepted since the last solve need an
-  // O(n) column refresh.
+  // bitwise unchanged, the rebuilt kernel shares its predecessor's state
+  // and plan, and only the coordinates accepted since the last solve need
+  // an O(n) column refresh.
   const KernelPlan* plan = model.kernel().plan().get();
   if (scratch.plan == plan && scratch.plan_serial == plan->serial() &&
       scratch.rewards.size() == rewards.size()) {
@@ -231,8 +220,7 @@ void OnlinePricer::update_demand(std::size_t period,
     }
     DemandProfile updated = model_.arrivals();
     updated.scale_period(period, target / previous);
-    model_ = DynamicModel(std::move(updated), model_.capacity(),
-                          model_.backlog_cost(), model_.warmup_days());
+    model_ = model_.with_arrivals(std::move(updated));
   }
   // The incremental solve reads the kernel's plan; building it here
   // charges the whole kernel rebuild to this span.

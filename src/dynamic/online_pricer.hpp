@@ -179,16 +179,10 @@ class OnlinePricer {
       PricerGuardConfig guard = {}, bool incremental = true);
 
   /// Replace the fluid model (the multi-day driver's daily re-anchor after
-  /// re-estimating the population): runs the offline solve on `model` and
-  /// publishes its schedule, but keeps the health ladder and its statistics
-  /// — re-anchoring is maintenance, not recovery.
-  void adopt_model(DynamicModel model,
-                   const DynamicOptimizerOptions& offline_options = {});
-
-  /// Same, but install an already-solved schedule instead of re-running the
-  /// offline solve — the health-gated re-anchor path solves the candidate
-  /// model first (to compare its predicted objective against the anchored
-  /// plan) and must not pay for, or risk divergence from, a second solve.
+  /// re-estimating the population) and publish `solved_rewards`, the
+  /// caller's offline solve of `model` under `offline_options`, but keep
+  /// the health ladder and its statistics — re-anchoring is maintenance,
+  /// not recovery.
   void adopt_model(DynamicModel model,
                    const DynamicOptimizerOptions& offline_options,
                    math::Vector solved_rewards);
@@ -217,8 +211,8 @@ class OnlinePricer {
       FlowState& scratch);
 
   /// Rescale `period`'s demand estimate to a measurement (clamped to the
-  /// 2% stability margin) and rebuild the model and, when incremental_,
-  /// its kernel plan.
+  /// 2% stability margin) and rebuild the model from the current one
+  /// (DynamicModel::with_arrivals) and, when incremental_, its kernel plan.
   void update_demand(std::size_t period, double measured_arrivals);
 
   /// Re-solve `period` on the current model and rewards, dispatching on
@@ -245,8 +239,9 @@ class OnlinePricer {
   bool incremental_ = true;
   /// Pair-matrix cache reused across solves. The resync in
   /// solve_period_incremental only applies when the demand update was a
-  /// confirmed-forecast no-op (same memoized kernel state); any deviating
-  /// measurement builds a new plan, and the solve reprimes.
+  /// confirmed-forecast no-op (the rebuilt kernel shares its predecessor's
+  /// state); any deviating measurement builds a new plan, and the solve
+  /// reprimes.
   FlowState solve_scratch_;
   /// Scratch for the plan-based full-cost evaluations (expected_cost and
   /// the skip / failure / trust-region-probe paths in observe_period).

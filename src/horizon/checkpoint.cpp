@@ -1,12 +1,15 @@
 #include "horizon/checkpoint.hpp"
 
 #include <cstdio>
+#include <optional>
 #include <utility>
+
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "horizon/checkpoint_sections.hpp"
-#include "obs/export.hpp"
+#include "horizon/checkpoint_stream.hpp"
 #include "obs/incident/incident.hpp"
 
 namespace tdp::horizon {
@@ -275,6 +278,20 @@ void section_fields(IO& io, SectionTag tag, Data& d) {
   }
 }
 
+/// Whether this checkpoint writes `tag` at all (only kSecIncident is
+/// conditional: its state exists only when the engine is on).
+bool section_present(SectionTag tag, const CheckpointData& data) {
+  return tag != detail::kSecIncident || data.config.incident.enabled;
+}
+
+/// Encode exactly one tagged section, begin_section through end_section.
+void write_section(ser::Writer& w, SectionTag tag,
+                   const CheckpointData& data) {
+  const std::size_t token = w.begin_section(tag);
+  section_fields(w, tag, data);
+  w.end_section(token);
+}
+
 /// The sections that carry config echo, named for restore's error.
 constexpr std::pair<SectionTag, const char*> kEchoSections[] = {
     {detail::kSecConfig, "config"},
@@ -287,7 +304,7 @@ constexpr std::pair<SectionTag, const char*> kEchoSections[] = {
 std::vector<std::uint8_t> section_bytes(SectionTag tag,
                                         const CheckpointData& d) {
   ser::Writer w(kCheckpointMagic, kCheckpointVersion);
-  if (detail::section_present(tag, d)) detail::write_section(w, tag, d);
+  if (section_present(tag, d)) write_section(w, tag, d);
   return w.take_payload();
 }
 
@@ -306,41 +323,12 @@ const char* echo_mismatch(const HorizonConfig& a, const HorizonConfig& b) {
   return nullptr;
 }
 
-namespace detail {
-
-bool section_present(SectionTag tag, const CheckpointData& data) {
-  return tag != kSecIncident || data.config.incident.enabled;
-}
-
-bool section_dirty_within_day(SectionTag tag) {
-  switch (tag) {
-    case kSecConfig:  // pure config echo, fixed for the whole run
-    case kSecWindow:  // estimation window only moves at finish_day
-    case kSecDays:    // completed-day list only grows at finish_day
-    case kSecMech:    // settle/adaptation only run at finish_day
-      return false;
-    default:
-      // kSecIncident is deliberately dirty: the CUSUM accumulators and the
-      // recorder ring move every observed period.
-      return true;
-  }
-}
-
-void write_section(ser::Writer& w, SectionTag tag,
-                   const CheckpointData& data) {
-  const std::size_t token = w.begin_section(tag);
-  section_fields(w, tag, data);
-  w.end_section(token);
-}
-
-}  // namespace detail
-
 std::vector<std::uint8_t> encode(const CheckpointData& data) {
   ser::Writer w(kCheckpointMagic, kCheckpointVersion);
-  for (const SectionTag tag : detail::kSectionOrder) {
-    if (detail::section_present(tag, data)) {
-      detail::write_section(w, tag, data);
-    }
+  for (std::uint32_t tag = detail::kSecConfig; tag <= detail::kSecIncident;
+       ++tag) {
+    const auto section = static_cast<SectionTag>(tag);
+    if (section_present(section, data)) write_section(w, section, data);
   }
   return w.finish();
 }
@@ -421,8 +409,23 @@ CheckpointData decode(const std::vector<std::uint8_t>& bytes) {
 void save_checkpoint_file(const std::string& path,
                           const CheckpointData& data) {
   const std::vector<std::uint8_t> bytes = encode(data);
-  if (!obs::write_file(path, bytes.data(), bytes.size())) {
-    throw Error("cannot write checkpoint file: " + path);
+  // Stage, fsync, rename: POSIX rename replaces the destination
+  // atomically, so a reader (or a restart after a crash at any point) sees
+  // the previous file or the new one, never a prefix of either.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) {
+    throw Error("cannot open checkpoint staging file: " + tmp);
+  }
+  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  bool ok = written == bytes.size() && std::fflush(f) == 0;
+  if (ok) ok = ::fsync(fileno(f)) == 0;
+  const int close_err = std::fclose(f);
+  if (!ok || close_err != 0) {
+    throw Error("short write to checkpoint staging file: " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw Error("cannot publish checkpoint: rename failed for " + path);
   }
 }
 
@@ -441,6 +444,38 @@ CheckpointData load_checkpoint_file(const std::string& path) {
   std::fclose(f);
   if (read_error) throw Error("read error on checkpoint file: " + path);
   return decode(bytes);
+}
+
+namespace {
+
+std::optional<CheckpointData> try_load(const std::string& path) {
+  try {
+    return load_checkpoint_file(path);
+  } catch (const Error&) {
+    // Missing, unreadable, torn, truncated or corrupt — exactly what
+    // recovery must tolerate.
+    return std::nullopt;
+  }
+}
+
+}  // namespace
+
+CheckpointData load_checkpoint_file_recover(const std::string& path) {
+  std::optional<CheckpointData> committed = try_load(path);
+  std::optional<CheckpointData> staged = try_load(path + ".tmp");
+  if (committed.has_value() && staged.has_value()) {
+    // Both complete: the crash landed between fsync and rename. Resume
+    // from the later simulated clock; on a tie the committed file wins
+    // (the tmp is then a byte-identical re-commit in flight).
+    const bool staged_newer =
+        staged->day > committed->day ||
+        (staged->day == committed->day && staged->period > committed->period);
+    return staged_newer ? std::move(*staged) : std::move(*committed);
+  }
+  if (committed.has_value()) return std::move(*committed);
+  if (staged.has_value()) return std::move(*staged);
+  throw Error("no recoverable checkpoint at " + path +
+              " (committed and staged copies both unreadable)");
 }
 
 }  // namespace tdp::horizon

@@ -1,30 +1,16 @@
-// Internal: the checkpoint's section inventory, shared by the
-// stop-the-world encoder (checkpoint.cpp) and the incremental streamer
-// (checkpoint_stream.cpp).
-//
-// Each section is self-contained — tag, byte length, fields — so the two
-// writers can produce identical bytes by construction: encode() writes
-// every present section through one Writer; the streamer encodes each
-// present section through its own Writer, caches the chunks, and frames
-// their concatenation. Keeping the inventory (order, presence, dirtiness)
-// in one place is what makes "streamed bytes == encode(checkpoint())" a
-// structural property instead of a test-enforced coincidence. Each
-// section's fields are one field list in checkpoint.cpp (DESIGN.md §12),
-// which write_section, encode() and decode() all run, so the writers and
-// the reader cannot disagree on a layout either.
+// Internal: the checkpoint's section tags. Each section is self-contained
+// — tag, byte length, fields — and its fields are one field list in
+// checkpoint.cpp (DESIGN.md §12), which encode() and decode() both run, so
+// the writer and the reader cannot disagree on a layout.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-
-#include "common/serialize.hpp"
-#include "horizon/checkpoint.hpp"
 
 namespace tdp::horizon::detail {
 
 /// Section tags. v1 files carry 1..12 (12 only for non-default mechanism
 /// runs); v2 adds kSecStorm and kSecIncident, which v1 readers skip under
-/// the unknown-tag policy. The writer always emits v2.
+/// the unknown-tag policy. The writer always emits v2, in tag order.
 enum SectionTag : std::uint32_t {
   kSecConfig = 1,
   kSecClock = 2,
@@ -50,28 +36,5 @@ enum SectionTag : std::uint32_t {
   // fallback count.
   kSecIncident = 14,
 };
-
-/// Canonical write order (encode() and the streamer must agree).
-inline constexpr SectionTag kSectionOrder[] = {
-    kSecConfig, kSecClock,  kSecRings,  kSecChannel, kSecFanout,
-    kSecGuard,  kSecPricer, kSecWindow, kSecDays,    kSecPartial,
-    kSecObs,    kSecMech,   kSecStorm,  kSecIncident,
-};
-inline constexpr std::size_t kSectionCount =
-    sizeof(kSectionOrder) / sizeof(kSectionOrder[0]);
-
-/// Whether this checkpoint writes `tag` at all (only kSecIncident is
-/// conditional: its state exists only when the engine is on).
-bool section_present(SectionTag tag, const CheckpointData& data);
-
-/// Encode exactly one tagged section — begin_section through end_section —
-/// into `w`.
-void write_section(ser::Writer& w, SectionTag tag, const CheckpointData& data);
-
-/// True when the section's bytes can change between two period-boundary
-/// commits inside the same day. False means only a day rollover (settle,
-/// estimation, adaptation) can dirty it — the streamer reuses the cached
-/// chunk for mid-day commits.
-bool section_dirty_within_day(SectionTag tag);
 
 }  // namespace tdp::horizon::detail

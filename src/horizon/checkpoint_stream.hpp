@@ -1,71 +1,24 @@
-// Streaming incremental checkpoints with atomic commit and torn-write
-// recovery (DESIGN.md §14).
+// Checkpoint files and torn-write recovery (DESIGN.md §14).
 //
-// The stop-the-world path (encode + save_checkpoint_file) re-serializes
-// the entire CheckpointData every time — at a million users the
-// completed-day list, estimation window, and counter table are re-encoded
-// for every period boundary even though they only change at day rollovers.
-// CheckpointStream instead caches each section's encoded payload chunk and
-// re-encodes only the sections that can have changed since the last
-// commit: per-period sections (clock, rings, channel, guard, pricer,
-// partial, ...) every commit, day-scoped sections (window, days, mech) at
-// day boundaries, the config echo once. The framed result is byte-for-byte
-// identical to encode(checkpoint()) because both writers emit the same
-// self-contained sections in the same canonical order
-// (checkpoint_sections.hpp) — a property pinned by test.
-//
-// Commit protocol: write the framed buffer to `path + ".tmp"`, flush and
-// fsync, then std::rename over `path` — a crash at any point leaves either
-// the previous committed file, a torn tmp beside it, or both.
-// load_checkpoint_file_recover() sorts that out: it takes whichever of the
-// two parses cleanly (CRC-validated), preferring the later simulated
-// clock when both do.
+// Every checkpoint file is written by save_checkpoint_file
+// (horizon/checkpoint.hpp): encode, write `path + ".tmp"`, flush and
+// fsync, then std::rename over `path`. A crash at any point leaves the
+// previous committed file, a torn or complete tmp beside it, or both.
+// load_checkpoint_file_recover() sorts that out.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "horizon/checkpoint.hpp"
-#include "horizon/checkpoint_sections.hpp"
 
 namespace tdp::horizon {
-
-class CheckpointStream {
- public:
-  /// @param path final (committed) checkpoint path; commits stage through
-  ///             `path + ".tmp"`.
-  explicit CheckpointStream(std::string path);
-
-  /// Re-encode the dirty sections of `data`, frame the cached chunks, and
-  /// atomically replace the committed file. `day_boundary` marks commits
-  /// taken right after a day rollover, where the day-scoped sections
-  /// (window, completed days, mechanism state) must be refreshed too.
-  void commit(const CheckpointData& data, bool day_boundary);
-
-  const std::string& path() const { return path_; }
-  std::string tmp_path() const { return path_ + ".tmp"; }
-
-  std::uint64_t commits() const { return commits_; }
-  /// Sections re-encoded across all commits — the streaming-efficiency
-  /// diagnostic (a stop-the-world writer would re-encode all of them).
-  std::uint64_t sections_reencoded() const { return sections_reencoded_; }
-
- private:
-  std::string path_;
-  /// Encoded payload chunk per canonical section slot (empty = not yet
-  /// encoded or section absent).
-  std::vector<std::vector<std::uint8_t>> chunks_;
-  bool first_commit_ = true;
-  std::uint64_t commits_ = 0;
-  std::uint64_t sections_reencoded_ = 0;
-};
 
 /// Torn-write-tolerant loader: try `path` and `path + ".tmp"`, reject
 /// whichever fails validation (missing, truncated, CRC mismatch), and when
 /// both parse prefer the later simulated clock (day, period) — a complete
-/// tmp the crash beat to the rename is newer than the committed file.
-/// Throws tdp::Error when neither is recoverable.
+/// tmp the crash beat to the rename is newer than the committed file; on
+/// equal clocks the committed file wins. Throws tdp::Error when neither is
+/// recoverable.
 CheckpointData load_checkpoint_file_recover(const std::string& path);
 
 }  // namespace tdp::horizon

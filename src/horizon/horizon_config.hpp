@@ -66,8 +66,8 @@ struct HorizonConfig : fleet::LoopConfig {
 
   // -- streaming checkpoints (execution knobs; never config-echoed) -------
 
-  /// When non-empty, stream incremental v2 checkpoints to this path at
-  /// period boundaries (atomic tmp-file/rename commits).
+  /// When non-empty, commit a v2 checkpoint to this path at period
+  /// boundaries (save_checkpoint_file: atomic tmp-file/rename commits).
   std::string checkpoint_path;
   /// Commit every k-th period boundary in addition to day boundaries
   /// (0 = day boundaries only).

@@ -83,9 +83,6 @@ MultiDayDriver::MultiDayDriver(ComponentsTag, HorizonConfig config)
                    config_.adaptation_gain >= 0.0),
               "adaptation settings out of range");
   adapt_scale_.assign(loop_.population().patience_classes(), 1.0);
-  if (!config_.checkpoint_path.empty()) {
-    stream_ = std::make_unique<CheckpointStream>(config_.checkpoint_path);
-  }
 }
 
 MultiDayDriver::MultiDayDriver(HorizonConfig config)
@@ -247,18 +244,18 @@ void MultiDayDriver::step_period() {
   }
 
   if (loop_.day_complete()) finish_day();
-  maybe_stream_commit();
+  maybe_commit_checkpoint();
 }
 
-void MultiDayDriver::maybe_stream_commit() {
-  if (stream_ == nullptr) return;
+void MultiDayDriver::maybe_commit_checkpoint() {
+  if (config_.checkpoint_path.empty()) return;
   // finish_day has already rolled the clock when this is a day boundary.
-  const bool day_boundary = period() == 0;
+  const bool new_day = period() == 0;
   const bool periodic = config_.checkpoint_every_periods > 0 &&
                         period() % config_.checkpoint_every_periods == 0;
-  if (!day_boundary && !periodic) return;
+  if (!new_day && !periodic) return;
   const auto start = std::chrono::steady_clock::now();
-  stream_->commit(checkpoint(), day_boundary);
+  save_checkpoint_file(config_.checkpoint_path, checkpoint());
   if (obs::incident::IncidentEngine* incident = loop_.incident_engine()) {
     // Wall clock — advisory only; never enters the deterministic streams.
     incident->note_commit_latency(
@@ -384,48 +381,44 @@ void MultiDayDriver::finish_day() {
                 static_cast<double>(healthy_streak_periods_)},
                {"required",
                 static_cast<double>(config_.reanchor_healthy_periods)}});
-        } else if (config_.reanchor_objective_guard) {
-          // Predicted-objective guard: re-solve the candidate model and
-          // adopt only when its own objective says the new schedule beats
-          // the anchored one (within tolerance). A re-fit poisoned by
-          // residual storm corruption predicts a worse day and rolls back.
+        } else {
           DynamicModel candidate = estimated_model(partial_.beta_estimate,
                                                    tip);
-          const DynamicPricingSolution solved =
+          DynamicPricingSolution solved =
               optimize_dynamic_prices(candidate, config_.offline_options);
-          const double candidate_cost = candidate.total_cost(solved.rewards);
-          const double anchored_cost = candidate.total_cost(online->rewards());
-          if (candidate_cost <=
-              anchored_cost * (1.0 + config_.reanchor_guard_tolerance)) {
-            model_beta_ = partial_.beta_estimate;
-            model_volumes_ = tip;
-            model_source_ = ModelSource::kEstimated;
-            online->adopt_model(std::move(candidate),
-                                config_.offline_options, solved.rewards);
-            partial_.reanchored = true;
-            horizon_counters().reanchors.add(1);
+          bool adopt = true;
+          if (config_.reanchor_objective_guard) {
+            // Predicted-objective guard: adopt only when the candidate
+            // model's own objective says the new schedule beats the
+            // anchored one (within tolerance). A re-fit poisoned by
+            // residual storm corruption predicts a worse day and rolls
+            // back.
+            const double candidate_cost = candidate.total_cost(solved.rewards);
+            const double anchored_cost =
+                candidate.total_cost(online->rewards());
+            adopt = candidate_cost <=
+                    anchored_cost * (1.0 + config_.reanchor_guard_tolerance);
+            if (!adopt) {
+              partial_.reanchor_rolled_back = true;
+              horizon_counters().rollbacks.add(1);
+            }
             obs::journal_record(
-                "horizon.reanchor_adopted", -1, -1, "objective guard",
-                {{"day", static_cast<double>(day())},
-                 {"candidate_cost", candidate_cost},
-                 {"anchored_cost", anchored_cost}});
-          } else {
-            partial_.reanchor_rolled_back = true;
-            horizon_counters().rollbacks.add(1);
-            obs::journal_record(
-                "horizon.reanchor_rolledback", -1, -1, "objective guard",
+                adopt ? "horizon.reanchor_adopted"
+                      : "horizon.reanchor_rolledback",
+                -1, -1, "objective guard",
                 {{"day", static_cast<double>(day())},
                  {"candidate_cost", candidate_cost},
                  {"anchored_cost", anchored_cost}});
           }
-        } else {
-          model_beta_ = partial_.beta_estimate;
-          model_volumes_ = tip;
-          model_source_ = ModelSource::kEstimated;
-          online->adopt_model(estimated_model(model_beta_, model_volumes_),
-                              config_.offline_options);
-          partial_.reanchored = true;
-          horizon_counters().reanchors.add(1);
+          if (adopt) {
+            model_beta_ = partial_.beta_estimate;
+            model_volumes_ = tip;
+            model_source_ = ModelSource::kEstimated;
+            online->adopt_model(std::move(candidate), config_.offline_options,
+                                std::move(solved.rewards));
+            partial_.reanchored = true;
+            horizon_counters().reanchors.add(1);
+          }
         }
       }
     }

@@ -12,7 +12,7 @@
 //       health      HEALTHY streak / FALLBACK count (storm gates only)
 //       day end     loop.settle_day() → adapt users → estimate/re-anchor
 //                   → loop.close_day(re-anchor flags)
-//       commit      streamed checkpoint at the new boundary
+//       commit      checkpoint file at the new boundary
 //
 //   * Online estimation. Each finished day contributes one DayRecord of
 //     fleet aggregates — published rewards, offered (TIP) demand and the
@@ -44,7 +44,6 @@
 
 #include "fleet/control_loop.hpp"
 #include "horizon/checkpoint.hpp"
-#include "horizon/checkpoint_stream.hpp"
 #include "horizon/horizon_config.hpp"
 #include "horizon/horizon_metrics.hpp"
 
@@ -137,8 +136,9 @@ class MultiDayDriver {
            config_.reanchor_healthy_periods > 0 ||
            config_.reanchor_objective_guard;
   }
-  /// Stream a checkpoint commit if the clock warrants one.
-  void maybe_stream_commit();
+  /// Commit a checkpoint file (save_checkpoint_file) if the clock
+  /// warrants one.
+  void maybe_commit_checkpoint();
   /// The estimated fluid model: one tied class per period at the window's
   /// mean TIP volumes, with the baseline's capacity and cost.
   DynamicModel estimated_model(double beta,
@@ -168,9 +168,6 @@ class MultiDayDriver {
 
   /// Consecutive HEALTHY periods (tracked only when health_gated()).
   std::uint64_t healthy_streak_periods_ = 0;
-
-  /// Streaming checkpoint writer (present when checkpoint_path is set).
-  std::unique_ptr<CheckpointStream> stream_;
 
   // Metrics. partial_ holds the current day's horizon-only fields; its
   // traffic fields live in the loop's day totals until the day finishes.

@@ -156,6 +156,33 @@ std::string prometheus_text() {
   return prometheus_text(Registry::global().snapshot());
 }
 
+void append_json_escaped(std::string& out, const std::string& text) {
+  for (char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
 bool write_file(const std::string& path, const void* data, std::size_t size) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) return false;

@@ -1,48 +1,12 @@
 #include "obs/journal.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/export.hpp"
+#include "obs/registry.hpp"
 
 namespace tdp::obs {
 namespace {
-
-std::atomic<bool>& journal_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* env = std::getenv("TDP_OBS");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }()};
-  return flag;
-}
-
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void append_event_json(std::string& out, const JournalEvent& event) {
   char buf[96];
@@ -72,21 +36,13 @@ void append_event_json(std::string& out, const JournalEvent& event) {
 
 }  // namespace
 
-bool journal_enabled() {
-  return journal_flag().load(std::memory_order_relaxed);
-}
-
-void set_journal_enabled(bool enabled) {
-  journal_flag().store(enabled, std::memory_order_relaxed);
-}
-
 Journal& Journal::global() {
   static Journal* instance = new Journal();
   return *instance;
 }
 
 void Journal::append(JournalEvent event) {
-  if (!journal_enabled()) return;
+  if (!metrics_enabled()) return;
   const std::lock_guard<std::mutex> lock(mutex_);
   if (events_.size() >= capacity_) {
     ++dropped_;
@@ -158,7 +114,7 @@ void journal_record(
     std::string_view kind, std::int64_t period, std::int64_t shard,
     std::string detail,
     std::initializer_list<std::pair<std::string, double>> fields) {
-  if (!journal_enabled()) return;
+  if (!metrics_enabled()) return;
   JournalEvent event;
   event.kind = std::string(kind);
   event.period = period;

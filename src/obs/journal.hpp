@@ -10,8 +10,9 @@
 // numbered, and bounded: past the capacity the journal counts drops
 // instead of growing, so a chaos soak cannot exhaust memory.
 //
-// The journal is pure observation (nothing reads it back into the system),
-// enabled by default and disabled together with metrics via TDP_OBS=0.
+// The journal is pure observation (nothing reads it back into the system)
+// and runs under the metrics switch (metrics_enabled(): default on,
+// TDP_OBS=0 disables).
 #pragma once
 
 #include <cstdint>
@@ -34,10 +35,6 @@ struct JournalEvent {
   std::vector<std::pair<std::string, double>> fields;  ///< named numbers
 };
 
-/// Journal switch (default on; TDP_OBS=0 disables at startup).
-bool journal_enabled();
-void set_journal_enabled(bool enabled);
-
 class Journal {
  public:
   static Journal& global();
@@ -46,7 +43,7 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Append one event (assigns seq). No-op when the journal is disabled;
+  /// Append one event (assigns seq). No-op while metrics are disabled;
   /// counted as dropped once the capacity is reached.
   void append(JournalEvent event);
 

@@ -25,7 +25,7 @@
 //   add_always()/observe_always()/set_always()
 //                                   — ungated, for the handful of counters
 //                                     that back pre-existing public APIs
-//                                     (DeferralKernel::cache_hits, the
+//                                     (the pricer's health counters, the
 //                                     logger's suppression counts, the
 //                                     fleet phase timers) and therefore
 //                                     must keep counting in both modes.

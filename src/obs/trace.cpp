@@ -76,33 +76,6 @@ void record(std::string_view name, char phase) {
       TraceEvent{std::string(name), phase, ts, buffer.tid});
 }
 
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 bool trace_enabled() { return trace_flag().load(std::memory_order_relaxed); }

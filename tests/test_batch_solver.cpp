@@ -113,11 +113,10 @@ TEST(BatchSolver, GeneratedBatchMatchesMaterializedBatch) {
 
 TEST(BatchSolver, ConcurrentRescaledBuildsMatchUnsharedBuilds) {
   // Every task rescales one period of one shared profile, the online
-  // pricer's rebuild pattern, so the concurrent kernel builds share their
-  // waiting-function objects: they read one unit-weight cache entry per
-  // function and may copy rows from a state another thread just built.
-  // The reference builds each task from its own fresh objects, which
-  // shares nothing.
+  // pricer's rebuild pattern, so the concurrent kernel builds read the
+  // same waiting-function objects from four threads at once. Each build
+  // owns its state, so no thread may see another's rows or weights. The
+  // reference builds each task from its own fresh objects, serially.
   const StaticModel shared = paper::static_model_12();
   const auto rescaled = [](DemandProfile profile, std::size_t t) {
     profile.scale_period(t % profile.periods(),

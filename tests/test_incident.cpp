@@ -587,10 +587,8 @@ TEST(FleetIncident, EngineIsAPureObserver) {
 
 TEST(FleetIncident, AlertStreamIgnoresTheTelemetrySwitch) {
   const bool metrics_was = metrics_enabled();
-  const bool journal_was = journal_enabled();
 
   set_metrics_enabled(true);
-  set_journal_enabled(true);
   fleet::FleetDriver with_obs(fleet_config(2));
   with_obs.run_day();
   const std::vector<Alert> on_alerts = with_obs.incident_engine()->alerts();
@@ -598,14 +596,12 @@ TEST(FleetIncident, AlertStreamIgnoresTheTelemetrySwitch) {
       with_obs.incident_engine()->dump(false);
 
   set_metrics_enabled(false);
-  set_journal_enabled(false);
   fleet::FleetDriver without_obs(fleet_config(2));
   without_obs.run_day();
   EXPECT_EQ(without_obs.incident_engine()->alerts(), on_alerts);
   EXPECT_EQ(without_obs.incident_engine()->dump(false), on_dump);
 
   set_metrics_enabled(metrics_was);
-  set_journal_enabled(journal_was);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -286,22 +287,6 @@ TEST(UniformLagWeightTableTest, MatchesLagWeightBitwise) {
   }
 }
 
-TEST(KernelMemo, IdenticalProfilesShareStateAndCountHits) {
-  const DemandProfile profile = make_test_profile(
-      12, WfFamily::kNonlinearPower, LagNormalization::kDiscrete, 1.5);
-  const std::uint64_t hits_before = DeferralKernel::cache_hits();
-  const DeferralKernel first(profile, LagConvention::kPeriodStart);
-  const DeferralKernel second(profile, LagConvention::kPeriodStart);
-  EXPECT_EQ(first.state_id(), second.state_id());
-  EXPECT_GT(DeferralKernel::cache_hits(), hits_before);
-  // Shared state means shared lazy artifacts: one plan, one validity bound.
-  EXPECT_EQ(first.plan().get(), second.plan().get());
-  EXPECT_EQ(first.max_safe_reward(), second.max_safe_reward());
-  // A different convention over the same mix must NOT share.
-  const DeferralKernel other(profile, LagConvention::kUniformArrival);
-  EXPECT_NE(other.state_id(), first.state_id());
-}
-
 /// A linear kernel's unit tables from scratch, one lag_weight per (pair,
 /// class) summed in class order: what the tables must equal bit for bit,
 /// however their rows were built.
@@ -332,22 +317,30 @@ void expect_unit_tables_match_per_pair_sums(const DeferralKernel& kernel,
 
 TEST(KernelMemo, RescaledRebuildsMatchPerPairUnitSums) {
   // The online pricer's pattern: each kernel is built from the previous
-  // one's profile with one period rescaled, so every other row is copied
-  // from the previous state and the unit lag weights come from the
-  // per-function cache. Neither shortcut may move a bit, nor carry rows
-  // or weights across lag conventions: the convention switches every
-  // second step, on the same waiting-function objects.
+  // one, over its profile with one period rescaled, so every other row is
+  // copied from the predecessor and the unit lag weights are the ones it
+  // computed. Neither shortcut may move a bit, nor carry rows or weights
+  // across lag conventions: the convention switches every second step, on
+  // the same waiting-function objects, and on those steps the profile is
+  // unchanged, so a predecessor that ignored the convention would lend
+  // every row.
   DemandProfile profile = make_test_profile(
       12, WfFamily::kLinearPower, LagNormalization::kContinuous, 1.5);
   Rng rng(41);
+  std::optional<DeferralKernel> previous;
   for (std::size_t step = 0; step < 8; ++step) {
     const LagConvention convention = step % 4 < 2
                                          ? LagConvention::kUniformArrival
                                          : LagConvention::kPeriodStart;
-    expect_unit_tables_match_per_pair_sums(DeferralKernel(profile, convention),
+    const DeferralKernel kernel(profile, convention,
+                                previous ? &*previous : nullptr);
+    expect_unit_tables_match_per_pair_sums(kernel,
                                            "step " + std::to_string(step));
-    profile.scale_period((5 * step) % profile.periods(),
-                         rng.uniform(0.8, 1.2));
+    previous = kernel;
+    if (step % 2 == 0) {
+      profile.scale_period((5 * step) % profile.periods(),
+                           rng.uniform(0.8, 1.2));
+    }
   }
 }
 
@@ -718,12 +711,20 @@ TEST(OnlinePricerIncremental, DayOfObservationsBitIdenticalToReference) {
     // Mix confirmed forecasts (scale-by-1.0 resyncs) with real deviations.
     const double forecast =
         incremental.model().arrivals().tip_demand(period);
+    const bool confirmed = period % 3 == 0;
     const double measured =
-        period % 3 == 0 ? forecast : forecast * rng.uniform(0.8, 1.2);
+        confirmed ? forecast : forecast * rng.uniform(0.8, 1.2);
+    const KernelPlan* plan = incremental.model().kernel().plan().get();
     const auto a = incremental.observe_period(period, measured);
     const auto b = reference.observe_period(period, measured);
     EXPECT_EQ(a.new_reward, b.new_reward) << "period " << period;
     EXPECT_EQ(a.expected_cost, b.expected_cost) << "period " << period;
+    if (confirmed) {
+      // The rebuilt kernel is the one it replaced: the solve resyncs its
+      // primed pair matrix instead of repriming.
+      EXPECT_EQ(incremental.model().kernel().plan().get(), plan)
+          << "period " << period;
+    }
   }
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(incremental.rewards()[i], reference.rewards()[i]);

@@ -8,8 +8,6 @@
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
-#include "core/deferral_kernel.hpp"
-#include "core/paper_data.hpp"
 #include "fleet/fleet_driver.hpp"
 #include "fleet/fleet_metrics.hpp"
 #include "obs/export.hpp"
@@ -20,23 +18,18 @@
 namespace tdp::obs {
 namespace {
 
-/// Restores the three observability switches on scope exit so tests can
+/// Restores the two observability switches on scope exit so tests can
 /// flip them freely without leaking state into later tests.
 class SwitchGuard {
  public:
-  SwitchGuard()
-      : metrics_(metrics_enabled()),
-        journal_(journal_enabled()),
-        trace_(trace_enabled()) {}
+  SwitchGuard() : metrics_(metrics_enabled()), trace_(trace_enabled()) {}
   ~SwitchGuard() {
     set_metrics_enabled(metrics_);
-    set_journal_enabled(journal_);
     set_trace_enabled(trace_);
   }
 
  private:
   bool metrics_;
-  bool journal_;
   bool trace_;
 };
 
@@ -304,7 +297,7 @@ TEST(Trace, BuffersSurviveThreadExitWithoutLosingEvents) {
 
 TEST(Journal, EventsAreSequencedAndBounded) {
   SwitchGuard guard;
-  set_journal_enabled(true);
+  set_metrics_enabled(true);
   Journal& journal = Journal::global();
   journal.clear();
   journal.set_capacity(4);
@@ -328,7 +321,7 @@ TEST(Journal, EventsAreSequencedAndBounded) {
   EXPECT_NE(json.find("\"kind\":\"test.kind\""), std::string::npos);
   EXPECT_NE(json.find("\"seq\":0"), std::string::npos);
 
-  set_journal_enabled(false);
+  set_metrics_enabled(false);
   journal_record("test.kind", 9, -1, "dropped while disabled");
   EXPECT_EQ(Journal::global().appended(), 4u);
 
@@ -338,7 +331,7 @@ TEST(Journal, EventsAreSequencedAndBounded) {
 
 TEST(Journal, JsonlEmitsOneObjectPerLineInSequenceOrder) {
   SwitchGuard guard;
-  set_journal_enabled(true);
+  set_metrics_enabled(true);
   Journal& journal = Journal::global();
   journal.clear();
 
@@ -408,24 +401,6 @@ TEST(Logging, EmittedLinesAreCountedPerLevel) {
   EXPECT_EQ(debug.delta(), 0u);
 }
 
-TEST(KernelMemo, StaticAccessorsAreViewsOverTheRegistry) {
-  const std::uint64_t hits_before = DeferralKernel::cache_hits();
-  const std::uint64_t misses_before = DeferralKernel::cache_misses();
-  CounterDelta hits(Registry::global().counter("kernel.memo_hits_total"));
-  CounterDelta misses(Registry::global().counter("kernel.memo_misses_total"));
-
-  const DemandProfile profile = paper::make_profile(
-      paper::table8_mix_12(), paper::kStaticNormalizationReward);
-  // cold: miss, then memoized: hit
-  const DeferralKernel first(profile, LagConvention::kPeriodStart);
-  const DeferralKernel second(profile, LagConvention::kPeriodStart);
-
-  EXPECT_EQ(DeferralKernel::cache_hits() - hits_before, hits.delta());
-  EXPECT_EQ(DeferralKernel::cache_misses() - misses_before, misses.delta());
-  EXPECT_GE(hits.delta(), 1u);
-  EXPECT_GE(misses.delta(), 1u);
-}
-
 TEST(FleetObservability, TelemetryNeverPerturbsTheSimulation) {
   SwitchGuard guard;
   fleet::FleetDriverConfig config;
@@ -438,11 +413,9 @@ TEST(FleetObservability, TelemetryNeverPerturbsTheSimulation) {
   config.fault.seed = 7;
 
   set_metrics_enabled(true);
-  set_journal_enabled(true);
   const fleet::FleetMetrics on = fleet::FleetDriver(config).run_day();
 
   set_metrics_enabled(false);
-  set_journal_enabled(false);
   set_trace_enabled(false);
   const fleet::FleetMetrics off = fleet::FleetDriver(config).run_day();
 

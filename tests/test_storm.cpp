@@ -332,8 +332,7 @@ TEST(StormKillRestore, TornTmpFallsBackToCommittedCheckpoint) {
   const std::string path = ::testing::TempDir() + "tdp_storm_torn_ck.bin";
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
-  CheckpointStream stream(path);
-  stream.commit(older, true);
+  save_checkpoint_file(path, older);
 
   // A crash mid-write leaves a torn tmp beside the committed file: the
   // newer state's bytes, cut off halfway. Recovery must reject it (CRC)
@@ -355,20 +354,43 @@ TEST(StormKillRestore, CompleteTmpBeatsOlderCommittedFile) {
   const CheckpointData older = driver.checkpoint();
   for (int i = 0; i < 12; ++i) driver.step_period();
   const CheckpointData newer = driver.checkpoint();
+  // The newer clock with other bytes: a re-commit in flight.
+  CheckpointData recommit = newer;
+  recommit.counters.emplace_back("test.recommit", 1);
+  ASSERT_NE(encode(recommit), encode(newer));
 
+  struct Case {
+    const char* name;
+    const CheckpointData* committed;  ///< nullptr: no committed file
+    const CheckpointData* tmp;        ///< written complete
+    const CheckpointData* expected;
+  };
+  const Case cases[] = {
+      // A crash between fsync and rename leaves a *complete* newer tmp
+      // beside the older committed file: recovery resumes from the later
+      // clock.
+      {"newer tmp", &older, &newer, &newer},
+      // A stale complete tmp beside a newer committed file loses.
+      {"older tmp", &newer, &older, &newer},
+      // Equal clocks: the committed file wins.
+      {"equal clocks", &newer, &recommit, &newer},
+      // The first commit died before its rename: the tmp is all there is.
+      {"tmp only", nullptr, &newer, &newer},
+  };
   const std::string path = ::testing::TempDir() + "tdp_storm_race_ck.bin";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+    if (c.committed != nullptr) save_checkpoint_file(path, *c.committed);
+    write_file_bytes(path + ".tmp", encode(*c.tmp));
+    const CheckpointData recovered = load_checkpoint_file_recover(path);
+    EXPECT_EQ(recovered.day, c.expected->day);
+    EXPECT_EQ(recovered.period, c.expected->period);
+    EXPECT_EQ(encode(recovered), encode(*c.expected));
+  }
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
-  CheckpointStream stream(path);
-  stream.commit(older, true);
-
-  // A crash between fsync and rename leaves a *complete* newer tmp beside
-  // the older committed file: recovery resumes from the later clock.
-  write_file_bytes(path + ".tmp", encode(newer));
-  const CheckpointData recovered = load_checkpoint_file_recover(path);
-  EXPECT_EQ(recovered.day, newer.day);
-  EXPECT_EQ(recovered.period, newer.period);
-  EXPECT_EQ(encode(recovered), encode(newer));
 }
 
 TEST(StormKillRestore, NoRecoverableCheckpointThrowsCleanly) {
@@ -386,40 +408,40 @@ TEST(StormKillRestore, NoRecoverableCheckpointThrowsCleanly) {
   std::remove((missing + ".tmp").c_str());
 }
 
-// ---- Streaming writer vs stop-the-world encoder ----------------------------
+// ---- Streamed commits vs the driver's own checkpoint ------------------------
 
 TEST(StreamingCheckpoint, StreamedBytesMatchStopTheWorldEncode) {
-  MultiDayDriver driver(storm_config());
-  const std::string path = ::testing::TempDir() + "tdp_storm_stream_ck.bin";
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-  CheckpointStream stream(path);
+  HorizonConfig config = storm_config();
+  config.checkpoint_path = ::testing::TempDir() + "tdp_storm_stream_ck.bin";
+  config.checkpoint_every_periods = 7;
+  std::remove(config.checkpoint_path.c_str());
+  std::remove((config.checkpoint_path + ".tmp").c_str());
+  MultiDayDriver driver(config);
 
-  // Mid-day commit: every section fresh on the first commit.
+  // The file the driver committed at this boundary is checkpoint() at the
+  // same boundary. Only the counter table may differ: taking a checkpoint
+  // and committing one both count.
+  const auto expect_committed_is_checkpoint = [&] {
+    CheckpointData committed = decode(read_file_bytes(config.checkpoint_path));
+    CheckpointData now = driver.checkpoint();
+    committed.counters.clear();
+    now.counters.clear();
+    EXPECT_EQ(encode(committed), encode(now));
+    // The commit renamed its tmp over the file.
+    EXPECT_FALSE(std::ifstream(config.checkpoint_path + ".tmp").good());
+  };
+
+  // Mid-day commit.
   for (int i = 0; i < 7; ++i) driver.step_period();
-  const CheckpointData first = driver.checkpoint();
-  stream.commit(first, false);
-  EXPECT_EQ(read_file_bytes(path), encode(first));
-  const std::uint64_t full_cost = stream.sections_reencoded();
+  ASSERT_EQ(driver.period(), 7u);
+  expect_committed_is_checkpoint();
 
-  // Second mid-day commit: the day-scoped sections (config echo, window,
-  // completed days) are served from cache, and the framed file still
-  // matches the stop-the-world encoder byte for byte.
-  for (int i = 0; i < 4; ++i) driver.step_period();
-  const CheckpointData second = driver.checkpoint();
-  stream.commit(second, false);
-  EXPECT_EQ(read_file_bytes(path), encode(second));
-  EXPECT_LT(stream.sections_reencoded(), 2 * full_cost);
-
-  // Day-boundary commit: day-scoped sections refresh, bytes still match.
-  driver.step_period();  // period 12 -> rolls the day
+  // Day-boundary commit.
+  for (int i = 0; i < 5; ++i) driver.step_period();  // period 12 rolls the day
   ASSERT_EQ(driver.period(), 0u);
-  const CheckpointData boundary = driver.checkpoint();
-  stream.commit(boundary, true);
-  EXPECT_EQ(read_file_bytes(path), encode(boundary));
-  EXPECT_EQ(stream.commits(), 3u);
+  expect_committed_is_checkpoint();
 
-  std::remove(path.c_str());
+  std::remove(config.checkpoint_path.c_str());
 }
 
 /// The section tags of framed checkpoint bytes, in file order.
