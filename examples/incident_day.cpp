@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000ull;
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
-  // Telemetry on so the incident.* journal events land in the JSONL
-  // artifact; the alert stream itself is deterministic with or without it.
+  // Journal on so the incident.* events land in the JSONL artifact; the
+  // alert stream itself is deterministic with or without it.
   obs::set_metrics_enabled(true);
 
   std::printf("=== incident day: %llu users, 20%%-duty correlated storms, "

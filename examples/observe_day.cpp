@@ -10,13 +10,13 @@
 //   observe_day_journal.json  structured event journal: pricer health-ladder
 //                             transitions, channel fallbacks/recoveries,
 //                             measurement repairs, solver records.
-//   observe_day_metrics.json  merged registry snapshot (counters, gauges,
-//                             histograms), name-sorted.
+//   observe_day_metrics.json  merged registry snapshot: one name-sorted
+//                             "counters" map.
 //   observe_day_metrics.prom  the same snapshot as Prometheus text.
 //
 // Usage: observe_day [users] [output_dir]  (defaults: 100000 users, cwd).
-// CI runs it small (see .github/workflows/ci.yml) and schema-checks the
-// artifacts with tools/validate_trace.py.
+// ctest ToolsTrace.ObserveDayArtifacts and CI run it small and
+// schema-check the artifacts with tools/validate_trace.py.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100000ull;
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
-  // Every surface on, regardless of environment: this binary exists to
-  // produce inspectable artifacts.
+  // Journal and trace on, regardless of environment (counters always
+  // count): this binary exists to produce inspectable artifacts.
   obs::set_metrics_enabled(true);
   obs::set_trace_enabled(true);
 

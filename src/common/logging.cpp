@@ -15,8 +15,7 @@ std::mutex g_sink_mutex;
 LogSink g_sink;  // guarded by g_sink_mutex; empty = stderr
 
 /// Per-level emission counters plus the rate-limiter's suppression count —
-/// the logger's registry view (always on: these back observable behavior,
-/// not optional telemetry).
+/// the logger's registry view.
 obs::Counter& emitted_counter(LogLevel level) {
   static obs::Counter& debug =
       obs::Registry::global().counter("log.emitted_total.debug");
@@ -77,7 +76,7 @@ LogSink set_log_sink(LogSink sink) {
 
 void log_message(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;
-  emitted_counter(level).add_always(1);
+  emitted_counter(level).add(1);
   std::lock_guard<std::mutex> lock(g_sink_mutex);
   if (g_sink) {
     g_sink(level, message);
@@ -92,7 +91,7 @@ bool rate_limit_pass(std::uint64_t occurrence) {
   // Power of two (or the 1st): log. Everything else is suppressed and
   // counted so a throttled flood is still visible in the registry.
   if (occurrence != 0 && (occurrence & (occurrence - 1)) == 0) return true;
-  suppressed_counter().add_always(1);
+  suppressed_counter().add(1);
   return false;
 }
 

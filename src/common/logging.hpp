@@ -42,8 +42,7 @@ namespace detail {
 /// Power-of-two-cadence gate for rate-limited log sites: true when
 /// `occurrence` (1-based) is 1, 2, 4, 8, ... — the cadence every such site
 /// in the repo already used by hand. A false return counts the line in
-/// log.suppressed_total (always, independent of the metrics switch), so
-/// throttled floods stay measurable.
+/// log.suppressed_total, so throttled floods stay measurable.
 bool rate_limit_pass(std::uint64_t occurrence);
 
 class LogLine {

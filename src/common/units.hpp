@@ -39,9 +39,4 @@ constexpr double to_mbps(double demand_units) {
 /// Convert MBps to demand units.
 constexpr double from_mbps(double mbps) { return mbps / kMBpsPerDemandUnit; }
 
-/// Volume (MB) carried by a demand-unit rate sustained for one period.
-constexpr double demand_units_to_mb_per_period(double demand_units) {
-  return to_mbps(demand_units) * kSecondsPerPeriod;
-}
-
 }  // namespace tdp

@@ -91,20 +91,18 @@ std::vector<PricingSolution> BatchSolver::run(
                << timing_.total_iterations << " FISTA iterations ("
                << timing_.anchor_iterations << " anchor) in "
                << timing_.wall_seconds << " s";
-  if (obs::metrics_enabled()) {
-    static obs::Counter& batches =
-        obs::Registry::global().counter("batch.solves_total");
-    static obs::Counter& tasks =
-        obs::Registry::global().counter("batch.tasks_total");
-    batches.add_always(1);
-    tasks.add_always(timing_.tasks);
-    obs::journal_record(
-        "batch.solve", -1, -1, "batch solve finished",
-        {{"tasks", static_cast<double>(timing_.tasks)},
-         {"threads", static_cast<double>(timing_.threads)},
-         {"iterations", static_cast<double>(timing_.total_iterations)},
-         {"wall_seconds", timing_.wall_seconds}});
-  }
+  static obs::Counter& batches =
+      obs::Registry::global().counter("batch.solves_total");
+  static obs::Counter& tasks =
+      obs::Registry::global().counter("batch.tasks_total");
+  batches.add(1);
+  tasks.add(timing_.tasks);
+  obs::journal_record(
+      "batch.solve", -1, -1, "batch solve finished",
+      {{"tasks", static_cast<double>(timing_.tasks)},
+       {"threads", static_cast<double>(timing_.threads)},
+       {"iterations", static_cast<double>(timing_.total_iterations)},
+       {"wall_seconds", timing_.wall_seconds}});
   return results;
 }
 

@@ -41,16 +41,6 @@ double DemandProfile::total_demand() const {
   return total;
 }
 
-void DemandProfile::set_classes(std::size_t period,
-                                std::vector<SessionClass> classes) {
-  TDP_REQUIRE(period < mixes_.size(), "period out of range");
-  for (const SessionClass& sc : classes) {
-    TDP_REQUIRE(sc.waiting != nullptr, "session class needs a waiting function");
-    TDP_REQUIRE(sc.volume >= 0.0, "volume must be nonnegative");
-  }
-  mixes_[period] = std::move(classes);
-}
-
 void DemandProfile::set_volume(std::size_t period, std::size_t class_index,
                                double volume) {
   TDP_REQUIRE(period < mixes_.size(), "period out of range");

@@ -43,9 +43,6 @@ class DemandProfile {
   /// Total daily demand (sum of X_i).
   double total_demand() const;
 
-  /// Replace period `period`'s classes wholesale (perturbation studies).
-  void set_classes(std::size_t period, std::vector<SessionClass> classes);
-
   /// Scale all class volumes in a period by `factor` >= 0. Used by the
   /// online algorithm when measured arrivals differ from the forecast.
   void scale_period(std::size_t period, double factor);

@@ -32,19 +32,9 @@ double StaticModel::deferred_in(std::size_t into, double reward) const {
   return kernel_.inflow(into, reward);
 }
 
-double StaticModel::deferred_in_derivative(std::size_t into,
-                                           double reward) const {
-  return kernel_.inflow_derivative(into, reward);
-}
-
 double StaticModel::deferred_out(std::size_t from,
                                  const math::Vector& rewards) const {
   return kernel_.outflow(from, rewards);
-}
-
-double StaticModel::outflow_derivative(std::size_t from, std::size_t to,
-                                       double reward_to) const {
-  return kernel_.pair_volume_derivative(from, to, reward_to);
 }
 
 math::Vector StaticModel::usage(const math::Vector& rewards) const {

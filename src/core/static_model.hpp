@@ -52,16 +52,8 @@ class StaticModel {
   /// Traffic deferred into period i when its reward is p_i (demand units).
   double deferred_in(std::size_t into, double reward) const;
 
-  /// d/dp of deferred_in.
-  double deferred_in_derivative(std::size_t into, double reward) const;
-
   /// Traffic deferred out of period i under the full reward vector.
   double deferred_out(std::size_t from, const math::Vector& rewards) const;
-
-  /// Sensitivity of period `from`'s outflow toward period `to` w.r.t. the
-  /// reward of period `to`:  sum_{j in from} v_j * dw_j/dp (p_to, lag).
-  double outflow_derivative(std::size_t from, std::size_t to,
-                            double reward_to) const;
 
   /// x_i for all periods under the reward vector (eq. 2).
   math::Vector usage(const math::Vector& rewards) const;

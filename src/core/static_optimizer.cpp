@@ -1,9 +1,9 @@
 #include "core/static_optimizer.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
+#include "core/continuation.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -13,83 +13,31 @@ namespace tdp {
 PricingSolution optimize_static_prices(const StaticModel& model,
                                        const StaticOptimizerOptions& options) {
   TDP_OBS_SPAN("solver.static");
-  TDP_REQUIRE(options.mu_initial >= options.mu_final && options.mu_final > 0.0,
-              "invalid smoothing schedule");
-  TDP_REQUIRE(options.mu_decay > 0.0 && options.mu_decay < 1.0,
-              "mu decay must be in (0, 1)");
-  TDP_REQUIRE(options.reward_cap_factor > 0.0, "reward cap must be positive");
+  ContinuationResult run = minimize_by_continuation(
+      model, options, model.max_reward(), options.initial_rewards, "static");
 
-  const std::size_t n = model.periods();
-  const double cap = model.max_reward() * options.reward_cap_factor;
-  const math::BoxBounds box = math::uniform_box(n, 0.0, cap);
-
-  FlowState scratch;
-  math::Vector p(n, 0.0);
-  if (!options.initial_rewards.empty()) {
-    TDP_REQUIRE(options.initial_rewards.size() == n,
-                "warm-start size must match the model's period count");
-    p = options.initial_rewards;
-    math::project_box(p, 0.0, cap);
-  }
   PricingSolution solution;
-  bool all_converged = true;
-
-  for (double mu = options.mu_initial;; mu *= options.mu_decay) {
-    mu = std::max(mu, options.mu_final);
-
-    math::SmoothObjective objective;
-    if (options.fused) {
-      objective.value = [&model, mu, &scratch](const math::Vector& rewards) {
-        return model.smoothed_cost(rewards, mu, scratch);
-      };
-      objective.value_and_gradient = [&model, mu, &scratch](
-                                         const math::Vector& rewards,
-                                         math::Vector& grad) {
-        return model.smoothed_cost_and_gradient(rewards, mu, grad, scratch);
-      };
-    } else {
-      objective.value = [&model, mu](const math::Vector& rewards) {
-        return model.smoothed_cost(rewards, mu);
-      };
-      objective.gradient = [&model, mu](const math::Vector& rewards,
-                                        math::Vector& grad) {
-        model.smoothed_gradient(rewards, mu, grad);
-      };
-    }
-
-    const math::FistaResult stage =
-        math::minimize_box(objective, box, p, options.fista);
-    p = stage.x;
-    solution.iterations += stage.iterations;
-    all_converged = all_converged && stage.converged;
-    TDP_LOG_DEBUG << "static stage mu=" << mu << " cost=" << stage.value
-                  << " iters=" << stage.iterations;
-
-    if (mu <= options.mu_final) break;
-  }
-
-  solution.rewards = p;
-  solution.usage = model.usage(p);
-  solution.reward_cost = model.reward_cost(p);
+  solution.rewards = std::move(run.rewards);
+  solution.usage = model.usage(solution.rewards);
+  solution.reward_cost = model.reward_cost(solution.rewards);
   solution.capacity_cost = model.capacity_cost_value(solution.usage);
   solution.total_cost = solution.reward_cost + solution.capacity_cost;
   solution.tip_cost = model.tip_cost();
-  solution.converged = all_converged;
+  solution.iterations = run.iterations;
+  solution.converged = run.converged;
 
-  if (obs::metrics_enabled()) {
-    static obs::Counter& solves =
-        obs::Registry::global().counter("solver.static_solves_total");
-    static obs::Counter& iterations =
-        obs::Registry::global().counter("solver.static_iterations_total");
-    solves.add_always(1);
-    iterations.add_always(solution.iterations);
-    obs::journal_record(
-        "solver.converged", -1, -1,
-        all_converged ? "static solve converged" : "static solve hit cap",
-        {{"iterations", static_cast<double>(solution.iterations)},
-         {"cost", solution.total_cost},
-         {"converged", all_converged ? 1.0 : 0.0}});
-  }
+  static obs::Counter& solves =
+      obs::Registry::global().counter("solver.static_solves_total");
+  static obs::Counter& iterations =
+      obs::Registry::global().counter("solver.static_iterations_total");
+  solves.add(1);
+  iterations.add(solution.iterations);
+  obs::journal_record(
+      "solver.converged", -1, -1,
+      run.converged ? "static solve converged" : "static solve hit cap",
+      {{"iterations", static_cast<double>(solution.iterations)},
+       {"cost", solution.total_cost},
+       {"converged", run.converged ? 1.0 : 0.0}});
   return solution;
 }
 

@@ -1,9 +1,8 @@
 #include "dynamic/dynamic_optimizer.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "common/error.hpp"
-#include "common/logging.hpp"
+#include "core/continuation.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -13,74 +12,28 @@ namespace tdp {
 DynamicPricingSolution optimize_dynamic_prices(
     const DynamicModel& model, const DynamicOptimizerOptions& options) {
   TDP_OBS_SPAN("solver.dynamic");
-  TDP_REQUIRE(options.mu_initial >= options.mu_final && options.mu_final > 0.0,
-              "invalid smoothing schedule");
-  TDP_REQUIRE(options.mu_decay > 0.0 && options.mu_decay < 1.0,
-              "mu decay must be in (0, 1)");
-  TDP_REQUIRE(options.reward_cap_factor > 0.0, "reward cap must be positive");
+  ContinuationResult run = minimize_by_continuation(
+      model, options, model.reward_cap(), {}, "dynamic");
 
-  const std::size_t n = model.periods();
-  const double cap = model.reward_cap() * options.reward_cap_factor;
-  const math::BoxBounds box = math::uniform_box(n, 0.0, cap);
-
-  FlowState scratch;
-  math::Vector p(n, 0.0);
   DynamicPricingSolution solution;
-  bool all_converged = true;
-
-  for (double mu = options.mu_initial;; mu *= options.mu_decay) {
-    mu = std::max(mu, options.mu_final);
-
-    math::SmoothObjective objective;
-    if (options.fused) {
-      objective.value = [&model, mu, &scratch](const math::Vector& rewards) {
-        return model.smoothed_cost(rewards, mu, scratch);
-      };
-      objective.value_and_gradient = [&model, mu, &scratch](
-                                         const math::Vector& rewards,
-                                         math::Vector& grad) {
-        return model.smoothed_cost_and_gradient(rewards, mu, grad, scratch);
-      };
-    } else {
-      objective.value = [&model, mu](const math::Vector& rewards) {
-        return model.smoothed_cost(rewards, mu);
-      };
-      objective.gradient = [&model, mu](const math::Vector& rewards,
-                                        math::Vector& grad) {
-        model.smoothed_gradient(rewards, mu, grad);
-      };
-    }
-
-    const math::FistaResult stage =
-        math::minimize_box(objective, box, p, options.fista);
-    p = stage.x;
-    solution.iterations += stage.iterations;
-    all_converged = all_converged && stage.converged;
-    TDP_LOG_DEBUG << "dynamic stage mu=" << mu << " cost=" << stage.value
-                  << " iters=" << stage.iterations;
-
-    if (mu <= options.mu_final) break;
-  }
-
-  solution.rewards = p;
-  solution.evaluation = model.evaluate(p);
+  solution.rewards = std::move(run.rewards);
+  solution.evaluation = model.evaluate(solution.rewards);
   solution.tip_cost = model.tip_cost();
-  solution.converged = all_converged;
+  solution.iterations = run.iterations;
+  solution.converged = run.converged;
 
-  if (obs::metrics_enabled()) {
-    static obs::Counter& solves =
-        obs::Registry::global().counter("solver.dynamic_solves_total");
-    static obs::Counter& iterations =
-        obs::Registry::global().counter("solver.dynamic_iterations_total");
-    solves.add_always(1);
-    iterations.add_always(solution.iterations);
-    obs::journal_record(
-        "solver.converged", -1, -1,
-        all_converged ? "dynamic solve converged" : "dynamic solve hit cap",
-        {{"iterations", static_cast<double>(solution.iterations)},
-         {"cost", solution.evaluation.total_cost},
-         {"converged", all_converged ? 1.0 : 0.0}});
-  }
+  static obs::Counter& solves =
+      obs::Registry::global().counter("solver.dynamic_solves_total");
+  static obs::Counter& iterations =
+      obs::Registry::global().counter("solver.dynamic_iterations_total");
+  solves.add(1);
+  iterations.add(solution.iterations);
+  obs::journal_record(
+      "solver.converged", -1, -1,
+      run.converged ? "dynamic solve converged" : "dynamic solve hit cap",
+      {{"iterations", static_cast<double>(solution.iterations)},
+       {"cost", solution.evaluation.total_cost},
+       {"converged", run.converged ? 1.0 : 0.0}});
   return solution;
 }
 

@@ -1,9 +1,10 @@
 // Price determination for the offline dynamic model.
 //
-// Same smoothing-continuation + FISTA scheme as the static optimizer; the
-// reward box is wider because carry-over lets one deferred unit save backlog
-// cost across a whole congested run (the static P = max f' cap no longer
-// binds — the paper's "breaking the $0.15 barrier").
+// The static optimizer's smoothing-continuation + FISTA loop
+// (core/continuation.hpp); the reward box is wider because carry-over lets
+// one deferred unit save backlog cost across a whole congested run (the
+// static P = max f' cap no longer binds — the paper's "breaking the $0.15
+// barrier").
 #pragma once
 
 #include "dynamic/dynamic_model.hpp"

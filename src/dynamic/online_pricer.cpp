@@ -16,8 +16,8 @@ namespace tdp {
 namespace {
 
 /// Registry mirrors of PricerHealthStats: bumped at the same sites as the
-/// per-instance stats (always on — FleetMetrics reads these as deltas), so
-/// registry views and health_stats() can never disagree.
+/// per-instance stats (FleetMetrics reads these as deltas), so registry
+/// views and health_stats() can never disagree.
 struct PricerCounters {
   obs::Counter& solve_failures =
       obs::Registry::global().counter("pricer.solve_failures_total");
@@ -45,18 +45,6 @@ PricerCounters& pricer_counters() {
 }
 
 }  // namespace
-
-const char* to_string(PricerHealth health) {
-  switch (health) {
-    case PricerHealth::kHealthy:
-      return "HEALTHY";
-    case PricerHealth::kDegraded:
-      return "DEGRADED";
-    case PricerHealth::kFallback:
-      return "FALLBACK";
-  }
-  return "UNKNOWN";
-}
 
 PricerGuardConfig PricerGuardConfig::protective() {
   PricerGuardConfig guard;
@@ -259,7 +247,7 @@ void OnlinePricer::update_health(bool bad) {
   if (prev != PricerHealth::kHealthy) ++excursion_periods_;
   if (next != prev) {
     ++health_stats_.transitions;
-    pricer_counters().transitions.add_always(1);
+    pricer_counters().transitions.add(1);
     if (health_log_.size() < kMaxTransitionLog) {
       health_log_.push_back({observation_count_ - 1, prev, next});
     }
@@ -274,7 +262,7 @@ void OnlinePricer::update_health(bool bad) {
       excursion_periods_ = 1;  // this observation opened the excursion
     } else if (next == PricerHealth::kHealthy) {
       ++health_stats_.recoveries;
-      pricer_counters().recoveries.add_always(1);
+      pricer_counters().recoveries.add(1);
       health_stats_.max_recovery_periods = std::max(
           health_stats_.max_recovery_periods, excursion_periods_);
       excursion_periods_ = 0;
@@ -285,15 +273,15 @@ void OnlinePricer::update_health(bool bad) {
   switch (health_) {
     case PricerHealth::kHealthy:
       ++health_stats_.healthy_observations;
-      pricer_counters().healthy_observations.add_always(1);
+      pricer_counters().healthy_observations.add(1);
       break;
     case PricerHealth::kDegraded:
       ++health_stats_.degraded_observations;
-      pricer_counters().degraded_observations.add_always(1);
+      pricer_counters().degraded_observations.add(1);
       break;
     case PricerHealth::kFallback:
       ++health_stats_.fallback_observations;
-      pricer_counters().fallback_observations.add_always(1);
+      pricer_counters().fallback_observations.add(1);
       break;
   }
 }
@@ -301,7 +289,7 @@ void OnlinePricer::update_health(bool bad) {
 void OnlinePricer::observe_missed(std::size_t period) {
   TDP_REQUIRE(period < model_.periods(), "period out of range");
   ++health_stats_.missed_observations;
-  pricer_counters().missed_observations.add_always(1);
+  pricer_counters().missed_observations.add(1);
   TDP_LOG_EVERY_POW2(::tdp::LogLevel::kWarn,
                      health_stats_.missed_observations)
       << "online pricer: no measurement for period " << period
@@ -330,7 +318,7 @@ OnlinePricer::StepResult OnlinePricer::observe_period(
   // and takes the normal path below.
   if (health_ == PricerHealth::kFallback && degraded_input) {
     ++health_stats_.skipped_updates;
-    pricer_counters().skipped_updates.add_always(1);
+    pricer_counters().skipped_updates.add(1);
     result.new_reward = result.old_reward;
     result.expected_cost = model_.total_cost(rewards_, cost_scratch_);
     result.skipped = true;
@@ -353,7 +341,7 @@ OnlinePricer::StepResult OnlinePricer::observe_period(
                       !std::isfinite(best.value);
   if (failed) {
     ++health_stats_.solve_failures;
-    pricer_counters().solve_failures.add_always(1);
+    pricer_counters().solve_failures.add(1);
   }
   if (failed && guard_.keep_reward_on_failure) {
     result.solve_failed = true;
@@ -386,7 +374,7 @@ OnlinePricer::StepResult OnlinePricer::observe_period(
           << ": trust region clamps reward step to " << accepted << " ("
           << health_stats_.clamped_steps << " clamped so far)";
     }
-    if (result.clamped) pricer_counters().clamped_steps.add_always(1);
+    if (result.clamped) pricer_counters().clamped_steps.add(1);
     rewards_[period] = accepted;
     result.new_reward = accepted;
     result.expected_cost = cost;
@@ -394,6 +382,8 @@ OnlinePricer::StepResult OnlinePricer::observe_period(
 
   update_health(degraded_input || result.solve_failed);
 
+  // journal_record checks the switch too; checking it here spares every
+  // observation building a record while the journal is off.
   if (obs::metrics_enabled()) {
     obs::journal_record(
         "pricer.solve", static_cast<std::int64_t>(period), -1,

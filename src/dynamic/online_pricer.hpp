@@ -38,15 +38,12 @@
 #include <optional>
 #include <vector>
 
+#include "common/health.hpp"
 #include "dynamic/dynamic_model.hpp"
 #include "dynamic/dynamic_optimizer.hpp"
 #include "math/golden_section.hpp"
 
 namespace tdp {
-
-enum class PricerHealth { kHealthy, kDegraded, kFallback };
-
-const char* to_string(PricerHealth health);
 
 /// Degradation policy for the guarded observe path. The default guards
 /// nothing: no step is clamped, no reward is kept back, and every solve

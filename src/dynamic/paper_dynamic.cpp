@@ -1,6 +1,5 @@
 #include "dynamic/paper_dynamic.hpp"
 
-#include "common/error.hpp"
 #include "core/paper_data.hpp"
 #include "math/piecewise_linear.hpp"
 
@@ -10,18 +9,6 @@ DynamicModel dynamic_model_48() {
   DemandProfile arrivals =
       make_profile(table7_mix_48(), kStaticNormalizationReward,
                    LagNormalization::kContinuous);
-  return DynamicModel(
-      std::move(arrivals), kDynamicCapacityUnits,
-      math::PiecewiseLinearCost::hinge(kDynamicCostSlope, 0.0));
-}
-
-DynamicModel dynamic_model_48_with_period1(double period1_units) {
-  TDP_REQUIRE(period1_units >= 0.0, "arrivals must be nonnegative");
-  DemandProfile arrivals =
-      make_profile(table7_mix_48(), kStaticNormalizationReward,
-                   LagNormalization::kContinuous);
-  const double baseline = arrivals.tip_demand(0);
-  arrivals.scale_period(0, period1_units / baseline);
   return DynamicModel(
       std::move(arrivals), kDynamicCapacityUnits,
       math::PiecewiseLinearCost::hinge(kDynamicCostSlope, 0.0));

@@ -17,8 +17,4 @@ namespace tdp::paper {
 /// units (210 MBps), backlog cost f(x) = 1 * max(x, 0) per period.
 DynamicModel dynamic_model_48();
 
-/// Same model with period 1's arrivals scaled to `period1_units` (the
-/// Section V-B online experiment observes 20 units instead of 23).
-DynamicModel dynamic_model_48_with_period1(double period1_units);
-
 }  // namespace tdp::paper

@@ -53,20 +53,6 @@ LoopCounters& loop_counters() {
   return counters;
 }
 
-/// PricerHealth -> the incident engine's own health ladder (same rungs;
-/// the engine sits below the pricing layers and keeps its own enum).
-obs::incident::Health map_health(PricerHealth health) {
-  switch (health) {
-    case PricerHealth::kHealthy:
-      return obs::incident::Health::kHealthy;
-    case PricerHealth::kDegraded:
-      return obs::incident::Health::kDegraded;
-    case PricerHealth::kFallback:
-      return obs::incident::Health::kFallback;
-  }
-  return obs::incident::Health::kHealthy;
-}
-
 /// The canonical slice count, checked before the aggregator sizes its
 /// stripes by it.
 std::size_t checked_slices(const LoopConfig& config) {
@@ -87,7 +73,7 @@ class PhaseClock {
         std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark_)
             .count());
     seconds += static_cast<double>(ns) * 1e-9;
-    counter.add_always(ns);
+    counter.add(ns);
     mark_ = now;
     span_.reset();
   }
@@ -291,7 +277,7 @@ void ControlLoop::step_period(
     const Observation obs = observe(abs_period, calibration, merged);
     sig.lost_stripes = obs.lost_stripes;
     if (obs.lost_stripes > 0) {
-      lc.stripes_lost.add_always(obs.lost_stripes);
+      lc.stripes_lost.add(obs.lost_stripes);
       obs::journal_record(
           "fleet.stripe_lost", static_cast<std::int64_t>(period_), -1,
           "shard measurement stripes lost",
@@ -302,7 +288,7 @@ void ControlLoop::step_period(
       // Total telemetry blackout: the mechanism is told explicitly and
       // freezes its schedule.
       sig.measurement_gap = true;
-      lc.measurement_gaps.add_always(1);
+      lc.measurement_gaps.add(1);
       obs::journal_record("fleet.measurement_gap",
                           static_cast<std::int64_t>(period_), -1,
                           "telemetry blackout, schedule frozen",
@@ -311,7 +297,7 @@ void ControlLoop::step_period(
     } else {
       const MeasurementGuard::Admitted admitted =
           guard_.admit(period_, obs.sample);
-      if (admitted.degraded) lc.measurement_repairs.add_always(1);
+      if (admitted.degraded) lc.measurement_repairs.add(1);
       sig.measurement_repaired = admitted.degraded;
       const std::size_t budget = injector_.exhaust_solver(abs_period)
                                      ? injector_.plan().solver_starved_budget
@@ -342,7 +328,7 @@ void ControlLoop::step_period(
                           (chan.skewed_periods - chan_before.skewed_periods);
     sig.solver_starved =
         config_.online_pricing && injector_.exhaust_solver(abs_period);
-    sig.health = map_health(mechanism_->health());
+    sig.health = mechanism_->health();
     sig.storm_blackout = injector_.storm_active(
         FaultInjector::StormDomain::kBlackout, abs_period);
     sig.storm_channel = injector_.storm_active(

@@ -105,11 +105,6 @@ Rng Population::user_period_rng(std::uint64_t user,
   return root_.fork_stream(user).fork_stream(period);
 }
 
-double Population::patience_index(std::uint32_t cls) const {
-  TDP_REQUIRE(cls < waiting_.size(), "class out of range");
-  return paper::kPatienceIndices[cls];
-}
-
 std::vector<UniformLagWeightTable> Population::scaled_lag_tables(
     const std::vector<double>& beta_scale) const {
   const std::size_t classes = waiting_.size();

@@ -85,9 +85,6 @@ class Population {
     return lag_tables_[cls];
   }
 
-  /// Patience index (beta) of class `cls` as calibrated at construction.
-  double patience_index(std::uint32_t cls) const;
-
   /// Lag-weight tables for per-class patience indices scaled by
   /// `beta_scale` (one factor per class, each > 0). A scale of exactly 1.0
   /// for every class is bitwise identical to lag_table(). The long-horizon

@@ -112,22 +112,19 @@ FistaResult minimize_box(const SmoothObjective& objective,
   result.value = objective.value(result.x);
 
   // Solver telemetry: totals only, bumped once per solve so the iteration
-  // loop itself stays untouched. Gated — a disabled registry costs one
-  // relaxed load here.
-  if (obs::metrics_enabled()) {
-    static obs::Counter& solves =
-        obs::Registry::global().counter("fista.solves_total");
-    static obs::Counter& iterations =
-        obs::Registry::global().counter("fista.iterations_total");
-    static obs::Counter& backtracks =
-        obs::Registry::global().counter("fista.backtracks_total");
-    static obs::Counter& failures =
-        obs::Registry::global().counter("fista.nonconverged_total");
-    solves.add_always(1);
-    iterations.add_always(result.iterations);
-    backtracks.add_always(result.backtracks);
-    if (!result.converged) failures.add_always(1);
-  }
+  // loop itself stays untouched.
+  static obs::Counter& solves =
+      obs::Registry::global().counter("fista.solves_total");
+  static obs::Counter& iterations =
+      obs::Registry::global().counter("fista.iterations_total");
+  static obs::Counter& backtracks =
+      obs::Registry::global().counter("fista.backtracks_total");
+  static obs::Counter& failures =
+      obs::Registry::global().counter("fista.nonconverged_total");
+  solves.add(1);
+  iterations.add(result.iterations);
+  backtracks.add(result.backtracks);
+  if (!result.converged) failures.add(1);
   return result;
 }
 

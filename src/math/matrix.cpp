@@ -82,12 +82,6 @@ Matrix Matrix::gram() const {
   return out;
 }
 
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 Vector solve_lu(Matrix a, Vector b) {
   TDP_REQUIRE(a.rows() == a.cols(), "solve_lu: matrix must be square");
   TDP_REQUIRE(a.rows() == b.size(), "solve_lu: rhs size mismatch");

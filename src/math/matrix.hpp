@@ -48,9 +48,6 @@ class Matrix {
   /// A^T * A (Gram matrix), used by normal equations.
   Matrix gram() const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

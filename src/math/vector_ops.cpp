@@ -14,8 +14,6 @@ double dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
-
 double norm_inf(const Vector& a) {
   double m = 0.0;
   for (double v : a) m = std::max(m, std::abs(v));

@@ -15,9 +15,6 @@ using Vector = std::vector<double>;
 /// Inner product. Sizes must match.
 double dot(const Vector& a, const Vector& b);
 
-/// Euclidean norm.
-double norm2(const Vector& a);
-
 /// Infinity norm.
 double norm_inf(const Vector& a);
 

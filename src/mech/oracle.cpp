@@ -35,7 +35,6 @@ DayAheadOracleMechanism::DayAheadOracleMechanism(
   rewards_ = solution.rewards;
   expected_cost_ = model_.total_cost(rewards_);
   converged_ = solution.converged;
-  solve_iterations_ = solution.iterations;
 }
 
 DynamicModel DayAheadOracleMechanism::priced_model(
@@ -75,7 +74,6 @@ SettleInfo DayAheadOracleMechanism::settle_day(const DaySettlement& day) {
   const DynamicPricingSolution solution =
       optimize_dynamic_prices(priced_model(std::move(demand)), options_);
   converged_ = solution.converged;
-  solve_iterations_ = solution.iterations;
   expected_cost_ = model_.total_cost(solution.rewards);
   info.schedule_changed = !(solution.rewards == rewards_);
   rewards_ = solution.rewards;

@@ -42,7 +42,6 @@ class DayAheadOracleMechanism final : public PricingMechanism {
   void restore_state(const MechanismState& state) override;
 
   bool converged() const { return converged_; }
-  std::size_t solve_iterations() const { return solve_iterations_; }
 
  private:
   /// The configured model with the demand swapped in and the capacity
@@ -55,7 +54,6 @@ class DayAheadOracleMechanism final : public PricingMechanism {
   math::Vector rewards_;
   double expected_cost_ = 0.0;
   bool converged_ = false;
-  std::size_t solve_iterations_ = 0;
 };
 
 }  // namespace tdp::mech

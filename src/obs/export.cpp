@@ -6,12 +6,6 @@
 namespace tdp::obs {
 namespace {
 
-void append_number(std::string& out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
-}
-
 void append_number(std::string& out, std::uint64_t value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%llu",
@@ -19,17 +13,13 @@ void append_number(std::string& out, std::uint64_t value) {
   out += buffer;
 }
 
-void append_number(std::string& out, std::int64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%lld", static_cast<long long>(value));
-  out += buffer;
-}
-
-template <typename Row>
-std::vector<const Row*> sorted_rows(const std::vector<Row>& rows) {
+/// The snapshot's counters in name order: both exporters' byte order.
+std::vector<const Snapshot::CounterRow*> sorted_counters(
+    const Snapshot& snapshot) {
+  using Row = Snapshot::CounterRow;
   std::vector<const Row*> sorted;
-  sorted.reserve(rows.size());
-  for (const Row& row : rows) sorted.push_back(&row);
+  sorted.reserve(snapshot.counters.size());
+  for (const Row& row : snapshot.counters) sorted.push_back(&row);
   std::sort(sorted.begin(), sorted.end(),
             [](const Row* a, const Row* b) { return a->name < b->name; });
   return sorted;
@@ -52,53 +42,13 @@ std::string prometheus_name(const std::string& name) {
 std::string metrics_json(const Snapshot& snapshot) {
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const auto* row : sorted_rows(snapshot.counters)) {
+  for (const auto* row : sorted_counters(snapshot)) {
     if (!first) out += ',';
     first = false;
     out += '"';
     out += row->name;
     out += "\":";
     append_number(out, row->value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto* row : sorted_rows(snapshot.gauges)) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += row->name;
-    out += "\":";
-    append_number(out, row->value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto* row : sorted_rows(snapshot.histograms)) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += row->name;
-    out += "\":{\"count\":";
-    append_number(out, row->count);
-    out += ",\"sum\":";
-    append_number(out, row->sum);
-    out += ",\"sum_fp\":";
-    append_number(out, row->sum_fp);
-    out += ",\"scale\":";
-    append_number(out, row->scale);
-    out += ",\"buckets\":[";
-    for (std::size_t b = 0; b < row->buckets.size(); ++b) {
-      if (b) out += ',';
-      out += "{\"le\":";
-      if (b < row->bounds.size()) {
-        append_number(out, row->bounds[b]);
-      } else {
-        out += "\"+Inf\"";
-      }
-      out += ",\"count\":";
-      append_number(out, row->buckets[b]);
-      out += '}';
-    }
-    out += "]}";
   }
   out += "}}";
   return out;
@@ -108,7 +58,7 @@ std::string metrics_json() { return metrics_json(Registry::global().snapshot());
 
 std::string prometheus_text(const Snapshot& snapshot) {
   std::string out;
-  for (const auto* row : sorted_rows(snapshot.counters)) {
+  for (const auto* row : sorted_counters(snapshot)) {
     const std::string name = prometheus_name(row->name);
     // HELP text is the registry's dotted taxonomy name: deterministic (the
     // exposition bytes are fixture-tested) and it round-trips the original
@@ -116,37 +66,6 @@ std::string prometheus_text(const Snapshot& snapshot) {
     out += "# HELP " + name + " TDP counter " + row->name + '\n';
     out += "# TYPE " + name + " counter\n" + name + ' ';
     append_number(out, row->value);
-    out += '\n';
-  }
-  for (const auto* row : sorted_rows(snapshot.gauges)) {
-    const std::string name = prometheus_name(row->name);
-    out += "# HELP " + name + " TDP gauge " + row->name + '\n';
-    out += "# TYPE " + name + " gauge\n" + name + ' ';
-    append_number(out, row->value);
-    out += '\n';
-  }
-  for (const auto* row : sorted_rows(snapshot.histograms)) {
-    const std::string name = prometheus_name(row->name);
-    out += "# HELP " + name + " TDP histogram " + row->name + '\n';
-    out += "# TYPE " + name + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < row->buckets.size(); ++b) {
-      cumulative += row->buckets[b];
-      out += name + "_bucket{le=\"";
-      if (b < row->bounds.size()) {
-        append_number(out, row->bounds[b]);
-      } else {
-        out += "+Inf";
-      }
-      out += "\"} ";
-      append_number(out, cumulative);
-      out += '\n';
-    }
-    out += name + "_sum ";
-    append_number(out, row->sum);
-    out += '\n';
-    out += name + "_count ";
-    append_number(out, row->count);
     out += '\n';
   }
   return out;

@@ -1,7 +1,7 @@
 // Exporters for the metrics registry: one JSON snapshot writer (reused by
 // benches and examples) and a Prometheus-style text dump. Both serialize a
-// merged Snapshot with instruments sorted by name, so two runs doing the
-// same work produce byte-identical files regardless of registration races.
+// merged Snapshot with counters sorted by name, so two runs doing the same
+// work produce byte-identical files regardless of registration races.
 // Plus the JSON string escaper and the whole-file writer, write_file.
 #pragma once
 
@@ -12,17 +12,13 @@
 
 namespace tdp::obs {
 
-/// {"counters":{name:value,...},"gauges":{...},
-///  "histograms":{name:{"count":...,"sum":...,"sum_fp":...,"scale":...,
-///                      "buckets":[{"le":bound,"count":n},...]}}}
-/// The final bucket's "le" is the string "+Inf".
+/// {"counters":{name:value,...}}: one map of non-negative integers.
 std::string metrics_json(const Snapshot& snapshot);
 std::string metrics_json();  ///< of Registry::global()
 
-/// Prometheus exposition text: "# HELP" + "# TYPE" per metric, names
-/// sanitized (dots -> underscores; the HELP text carries the original
-/// dotted name), histograms as cumulative _bucket series plus _sum and
-/// _count. Byte-stable for a given snapshot (fixture-tested).
+/// Prometheus exposition text: "# HELP" + "# TYPE" + value per counter,
+/// names sanitized (dots -> underscores; the HELP text carries the
+/// original dotted name). Byte-stable for a given snapshot.
 std::string prometheus_text(const Snapshot& snapshot);
 std::string prometheus_text();  ///< of Registry::global()
 

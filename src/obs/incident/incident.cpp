@@ -10,18 +10,6 @@
 
 namespace tdp::obs::incident {
 
-const char* to_string(Health health) {
-  switch (health) {
-    case Health::kHealthy:
-      return "HEALTHY";
-    case Health::kDegraded:
-      return "DEGRADED";
-    case Health::kFallback:
-      return "FALLBACK";
-  }
-  return "?";
-}
-
 const char* to_string(AlertKind kind) {
   switch (kind) {
     case AlertKind::kMeasurementCusum:

@@ -40,21 +40,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/health.hpp"
 #include "common/serialize.hpp"
 #include "obs/incident/detectors.hpp"
 
 namespace tdp::obs::incident {
-
-/// The pricer health ladder as the engine sees it. Mirrors
-/// dynamic/online_pricer.hpp's PricerHealth without depending on it: the
-/// engine sits below the pricing layers and drivers map the enum over.
-enum class Health : std::uint8_t {
-  kHealthy = 0,
-  kDegraded = 1,
-  kFallback = 2,
-};
-
-const char* to_string(Health health);
 
 /// Detector thresholds and SLO objectives. Every field above the
 /// execution-knob divider is determinism-relevant: it shapes the alert
@@ -185,7 +175,7 @@ struct Incident {
   bool storm_blackout = false;  ///< blackout regime ON at open
   bool storm_channel = false;   ///< channel regime ON at open
   bool storm_solver = false;    ///< solver regime ON at open
-  Health health = Health::kHealthy;
+  PricerHealth health = PricerHealth::kHealthy;
   std::int64_t last_reanchor_day = -1;
   ReanchorState last_reanchor = ReanchorState::kNone;
 
@@ -218,8 +208,9 @@ struct RecorderEntry {
 };
 
 // ---------------------------------------------------------------------------
-// Driver-fed signals. Every field is a deterministic aggregate — never a
-// gated obs counter, so the alert stream is identical under TDP_OBS=0.
+// Driver-fed signals. Every field is a deterministic aggregate the driver
+// computed itself — never a registry counter — so the alert stream depends
+// on the run alone. `health` is the pricer's rung after the period.
 
 struct PeriodSignals {
   std::uint64_t day = 0;
@@ -234,7 +225,7 @@ struct PeriodSignals {
   std::uint64_t failed_attempts = 0;  ///< price fetch attempts dropped
   std::uint64_t degraded_groups = 0;  ///< groups serving stale/fallback
   bool solver_starved = false;        ///< re-pricing solve budget cut
-  Health health = Health::kHealthy;
+  PricerHealth health = PricerHealth::kHealthy;
   bool storm_blackout = false;  ///< ground-truth regime state (attribution)
   bool storm_channel = false;
   bool storm_solver = false;
@@ -287,7 +278,7 @@ struct EngineState {
   EwmaDetector ewma_peak;
 
   bool has_prev_health = false;
-  Health prev_health = Health::kHealthy;
+  PricerHealth prev_health = PricerHealth::kHealthy;
 
   /// Loop-disturbance burn window: ring of the last slo_long_window
   /// bad/good bits.
@@ -310,7 +301,7 @@ struct EngineState {
   bool storm_blackout = false;
   bool storm_channel = false;
   bool storm_solver = false;
-  Health health = Health::kHealthy;
+  PricerHealth health = PricerHealth::kHealthy;
   std::int64_t last_reanchor_day = -1;
   ReanchorState last_reanchor = ReanchorState::kNone;
 

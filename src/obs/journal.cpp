@@ -1,12 +1,23 @@
 #include "obs/journal.hpp"
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 
 #include "obs/export.hpp"
-#include "obs/registry.hpp"
 
 namespace tdp::obs {
 namespace {
+
+std::atomic<bool>& metrics_flag() {
+  // Read TDP_OBS exactly once, at first use; only the literal "0" disables
+  // (any other value, including unset, leaves the journal on).
+  static std::atomic<bool> flag{[] {
+    const char* env = std::getenv("TDP_OBS");
+    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
+  }()};
+  return flag;
+}
 
 void append_event_json(std::string& out, const JournalEvent& event) {
   char buf[96];
@@ -35,6 +46,14 @@ void append_event_json(std::string& out, const JournalEvent& event) {
 }
 
 }  // namespace
+
+bool metrics_enabled() {
+  return metrics_flag().load(std::memory_order_relaxed);
+}
+
+void set_metrics_enabled(bool enabled) {
+  metrics_flag().store(enabled, std::memory_order_relaxed);
+}
 
 Journal& Journal::global() {
   static Journal* instance = new Journal();

@@ -11,8 +11,9 @@
 // instead of growing, so a chaos soak cannot exhaust memory.
 //
 // The journal is pure observation (nothing reads it back into the system)
-// and runs under the metrics switch (metrics_enabled(): default on,
-// TDP_OBS=0 disables).
+// and is the one thing the TDP_OBS switch gates (metrics_enabled(): default
+// on, TDP_OBS=0 disables). Registry counters ignore the switch and always
+// count (obs/registry.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,11 @@
 #include <vector>
 
 namespace tdp::obs {
+
+/// The journal's switch: default on; read from TDP_OBS once, at first use
+/// (only the literal "0" disables), and overridable in-process.
+bool metrics_enabled();
+void set_metrics_enabled(bool enabled);
 
 struct JournalEvent {
   std::uint64_t seq = 0;     ///< assigned on append, strictly increasing
@@ -43,7 +49,7 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Append one event (assigns seq). No-op while metrics are disabled;
+  /// Append one event (assigns seq). No-op while the switch is off;
   /// counted as dropped once the capacity is reached.
   void append(JournalEvent event);
 

@@ -1,32 +1,6 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstdlib>
-
 namespace tdp::obs {
-namespace {
-
-std::atomic<bool>& metrics_flag() {
-  // Read TDP_OBS exactly once, at first instrument touch; only the literal
-  // "0" disables (any other value, including unset, leaves metrics on).
-  static std::atomic<bool> flag{[] {
-    const char* env = std::getenv("TDP_OBS");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }()};
-  return flag;
-}
-
-}  // namespace
-
-bool metrics_enabled() {
-  return metrics_flag().load(std::memory_order_relaxed);
-}
-
-void set_metrics_enabled(bool enabled) {
-  metrics_flag().store(enabled, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -53,92 +27,6 @@ void Counter::reset() {
   }
 }
 
-void Gauge::set_always(double value) {
-  bits_.store(std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
-}
-
-double Gauge::value() const {
-  return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-}
-
-void Gauge::reset() { bits_.store(0, std::memory_order_relaxed); }
-
-HistogramSpec HistogramSpec::exponential(double start, double factor,
-                                         std::size_t count) {
-  HistogramSpec spec;
-  spec.bounds.reserve(count);
-  double edge = start;
-  for (std::size_t i = 0; i < count; ++i) {
-    spec.bounds.push_back(edge);
-    edge *= factor;
-  }
-  return spec;
-}
-
-Histogram::Histogram(std::string name, const HistogramSpec& spec)
-    : name_(std::move(name)), bounds_(spec.bounds), scale_(spec.scale) {
-  bucket_cells_ =
-      std::vector<detail::ShardCell>(detail::kShardCells * buckets());
-}
-
-void Histogram::observe_always(double value) {
-  // Inclusive upper edges ("le" semantics): a sample equal to a bound lands
-  // in that bound's bucket, matching the Prometheus exposition.
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
-      bounds_.begin());
-  const std::size_t slot = detail::thread_shard_slot();
-  bucket_cells_[slot * buckets() + bucket].value.fetch_add(
-      1, std::memory_order_relaxed);
-  count_cells_[slot].value.fetch_add(1, std::memory_order_relaxed);
-  // Fixed-point sum: two's-complement add on the uint64 cell keeps negative
-  // increments well-defined and the merge commutative.
-  const std::int64_t increment = std::llround(value * scale_);
-  sum_cells_[slot].value.fetch_add(static_cast<std::uint64_t>(increment),
-                                   std::memory_order_relaxed);
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t bucket) const {
-  std::uint64_t total = 0;
-  for (std::size_t slot = 0; slot < detail::kShardCells; ++slot) {
-    total += bucket_cells_[slot * buckets() + bucket].value.load(
-        std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const detail::ShardCell& cell : count_cells_) {
-    total += cell.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::int64_t Histogram::sum_fp() const {
-  std::uint64_t total = 0;
-  for (const detail::ShardCell& cell : sum_cells_) {
-    total += cell.value.load(std::memory_order_relaxed);
-  }
-  return static_cast<std::int64_t>(total);
-}
-
-double Histogram::sum() const {
-  return static_cast<double>(sum_fp()) / scale_;
-}
-
-void Histogram::reset() {
-  for (detail::ShardCell& cell : bucket_cells_) {
-    cell.value.store(0, std::memory_order_relaxed);
-  }
-  for (detail::ShardCell& cell : count_cells_) {
-    cell.value.store(0, std::memory_order_relaxed);
-  }
-  for (detail::ShardCell& cell : sum_cells_) {
-    cell.value.store(0, std::memory_order_relaxed);
-  }
-}
-
 Registry& Registry::global() {
   static Registry* instance = new Registry();  // never destroyed: cached
   return *instance;                            // references stay valid
@@ -154,26 +42,6 @@ Counter& Registry::counter(std::string_view name) {
   return *counters_.back();
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& existing : gauges_) {
-    if (existing->name() == name) return *existing;
-  }
-  gauges_.push_back(std::unique_ptr<Gauge>(new Gauge(std::string(name))));
-  return *gauges_.back();
-}
-
-Histogram& Registry::histogram(std::string_view name,
-                               const HistogramSpec& spec) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& existing : histograms_) {
-    if (existing->name() == name) return *existing;
-  }
-  histograms_.push_back(
-      std::unique_ptr<Histogram>(new Histogram(std::string(name), spec)));
-  return *histograms_.back();
-}
-
 Snapshot Registry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Snapshot snap;
@@ -181,33 +49,12 @@ Snapshot Registry::snapshot() const {
   for (const auto& counter : counters_) {
     snap.counters.push_back({counter->name(), counter->value()});
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& gauge : gauges_) {
-    snap.gauges.push_back({gauge->name(), gauge->value()});
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& histogram : histograms_) {
-    Snapshot::HistogramRow row;
-    row.name = histogram->name();
-    row.bounds = histogram->bounds();
-    row.buckets.resize(histogram->buckets());
-    for (std::size_t b = 0; b < histogram->buckets(); ++b) {
-      row.buckets[b] = histogram->bucket_count(b);
-    }
-    row.count = histogram->count();
-    row.sum_fp = histogram->sum_fp();
-    row.scale = histogram->scale();
-    row.sum = histogram->sum();
-    snap.histograms.push_back(std::move(row));
-  }
   return snap;
 }
 
 void Registry::reset_values() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& counter : counters_) counter->reset();
-  for (const auto& gauge : gauges_) gauge->reset();
-  for (const auto& histogram : histograms_) histogram->reset();
 }
 
 void Registry::set_counter_value(std::string_view name, std::uint64_t value) {

@@ -59,7 +59,7 @@ void MeasurementEngine::reject_sample(std::size_t flat_index, double value) {
   ++rejected_samples_;
   static obs::Counter& rejected =
       obs::Registry::global().counter("measurement.rejected_samples_total");
-  rejected.add_always(1);
+  rejected.add(1);
   // Rate-limited: warn on the 1st, 2nd, 4th, 8th, ... rejection so a
   // persistently sick exporter cannot flood the log.
   TDP_LOG_EVERY_POW2(::tdp::LogLevel::kWarn, rejected_samples_)

@@ -51,7 +51,7 @@ MeasurementGuard::MeasurementGuard(std::vector<double> reference,
 
 double MeasurementGuard::fill_gap(std::size_t period) {
   ++gaps_filled_;
-  guard_counters().gaps.add_always(1);
+  guard_counters().gaps.add(1);
   ++gap_streak_[period];
   if (has_last_good_[period] &&
       gap_streak_[period] <= config_.max_carry_forward) {
@@ -85,7 +85,7 @@ MeasurementGuard::Admitted MeasurementGuard::admit(
   const double raw = *measured;
   if (std::isnan(raw) || std::isinf(raw)) {
     ++nan_rejected_;
-    guard_counters().nan_rejected.add_always(1);
+    guard_counters().nan_rejected.add(1);
     obs::journal_record("guard.repair", static_cast<std::int64_t>(period), -1,
                         "non-finite sample rejected");
     TDP_LOG_EVERY_POW2(::tdp::LogLevel::kWarn, nan_rejected_)
@@ -97,7 +97,7 @@ MeasurementGuard::Admitted MeasurementGuard::admit(
   }
   if (raw < 0.0) {
     ++negative_rejected_;
-    guard_counters().negative_rejected.add_always(1);
+    guard_counters().negative_rejected.add(1);
     obs::journal_record("guard.repair", static_cast<std::int64_t>(period), -1,
                         "negative sample rejected", {{"value", raw}});
     TDP_LOG_EVERY_POW2(::tdp::LogLevel::kWarn, negative_rejected_)
@@ -118,7 +118,7 @@ MeasurementGuard::Admitted MeasurementGuard::admit(
   const double bound = config_.max_spike_factor * anchor;
   if (anchor > 0.0 && raw > bound) {
     ++spikes_clamped_;
-    guard_counters().spikes.add_always(1);
+    guard_counters().spikes.add(1);
     obs::journal_record("guard.repair", static_cast<std::int64_t>(period), -1,
                         "spike clamped", {{"value", raw}, {"bound", bound}});
     TDP_LOG_EVERY_POW2(::tdp::LogLevel::kWarn, spikes_clamped_)

@@ -10,8 +10,8 @@ namespace tdp {
 namespace {
 
 /// Registry mirrors of the per-subscriber SubscriberTelemetry, aggregated
-/// across all subscribers and channels (always on — the fleet driver reads
-/// these as per-day deltas for FleetMetrics).
+/// across all subscribers and channels (the fleet driver reads these as
+/// per-day deltas for FleetMetrics).
 struct ChannelCounters {
   obs::Counter& fetches =
       obs::Registry::global().counter("channel.fetches_total");
@@ -89,7 +89,7 @@ math::Vector PriceChannel::pull_with_source(std::size_t subscriber,
   // (fresh, stale or fallback — repeats must agree with the first pull).
   if (sub.pulled_ever && abs_period == sub.last_pull_period) {
     ++sub.stats.cache_hits;
-    channel_counters().cache_hits.add_always(1);
+    channel_counters().cache_hits.add(1);
     if (source != nullptr) *source = PullSource::kCache;
     return sub.cache;
   }
@@ -106,7 +106,7 @@ math::Vector PriceChannel::pull_with_source(std::size_t subscriber,
   // normally.
   if (injector_ != nullptr && injector_->skew_clock(subscriber, abs_period)) {
     ++sub.stats.skewed_periods;
-    channel_counters().skewed_periods.add_always(1);
+    channel_counters().skewed_periods.add(1);
     if (source != nullptr) *source = PullSource::kStale;
     return sub.cache;
   }
@@ -122,10 +122,10 @@ math::Vector PriceChannel::pull_with_source(std::size_t subscriber,
     if (injector_ != nullptr &&
         injector_->drop_price_pull(subscriber, abs_period, attempt)) {
       ++sub.stats.dropped_attempts;
-      channel_counters().dropped_attempts.add_always(1);
+      channel_counters().dropped_attempts.add(1);
       if (attempt + 1 < attempts) {
         ++sub.stats.retries;
-        channel_counters().retries.add_always(1);
+        channel_counters().retries.add(1);
       }
       continue;
     }
@@ -136,10 +136,10 @@ math::Vector PriceChannel::pull_with_source(std::size_t subscriber,
   if (fetched) {
     sub.cache = published_;
     ++sub.stats.fetches;
-    channel_counters().fetches.add_always(1);
+    channel_counters().fetches.add(1);
     if (sub.stats.missed_streak > 0) {
       ++sub.stats.recoveries;
-      channel_counters().recoveries.add_always(1);
+      channel_counters().recoveries.add(1);
       obs::journal_record("channel.recovery",
                           static_cast<std::int64_t>(abs_period),
                           static_cast<std::int64_t>(subscriber),
@@ -159,11 +159,11 @@ math::Vector PriceChannel::pull_with_source(std::size_t subscriber,
   ++sub.stats.missed_streak;
   if (sub.stats.missed_streak <= resilience_.staleness_ttl) {
     ++sub.stats.stale_periods;
-    channel_counters().stale_periods.add_always(1);
+    channel_counters().stale_periods.add(1);
     if (source != nullptr) *source = PullSource::kStale;
   } else {
     ++sub.stats.fallback_periods;
-    channel_counters().fallback_periods.add_always(1);
+    channel_counters().fallback_periods.add(1);
     if (sub.stats.missed_streak == resilience_.staleness_ttl + 1) {
       // First fallback period of this excursion: one journal event per
       // excursion, not one per degraded period.

@@ -1055,7 +1055,7 @@ TEST(HorizonCheckpoint, FieldValidatorsRejectOutOfRangeValues) {
        }},
       {"incident health 3",
        [](CheckpointData& d) {
-         d.incident.incidents[0].health = static_cast<obs::incident::Health>(3);
+         d.incident.incidents[0].health = static_cast<PricerHealth>(3);
        }},
   };
   for (const auto& [name, mutate] : cases) {

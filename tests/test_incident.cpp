@@ -120,7 +120,7 @@ TEST(IncidentEngine, LoopDisturbanceOpensOnBothBurnWindowsAndCloses) {
     PeriodSignals sig = quiet_period(t);
     sig.measurement_gap = true;
     sig.storm_blackout = true;
-    sig.health = Health::kDegraded;
+    sig.health = PricerHealth::kDegraded;
     engine.observe_period(sig);
     if (engine.incidents_opened() == 1 && opened_at == 0) opened_at = t;
   }
@@ -130,7 +130,7 @@ TEST(IncidentEngine, LoopDisturbanceOpensOnBothBurnWindowsAndCloses) {
   EXPECT_EQ(incident.open_abs_period, opened_at);
   EXPECT_TRUE(incident.storm_blackout);
   EXPECT_FALSE(incident.storm_channel);
-  EXPECT_EQ(incident.health, Health::kDegraded);
+  EXPECT_EQ(incident.health, PricerHealth::kDegraded);
   EXPECT_EQ(engine.open_incidents(), 1u);
 
   // Re-opening is suppressed while the objective is already open; calm
@@ -240,18 +240,18 @@ TEST(IncidentEngine, DayEndZScoresAlertOnAShapeBreak) {
 TEST(IncidentEngine, HealthEdgesAlertOnEveryTransition) {
   IncidentEngine engine(engine_config());
   PeriodSignals sig = quiet_period(0);
-  sig.health = Health::kHealthy;
+  sig.health = PricerHealth::kHealthy;
   engine.observe_period(sig);
   EXPECT_EQ(engine.alerts_emitted(), 0u);  // first observation: no edge
 
   sig = quiet_period(1);
-  sig.health = Health::kDegraded;
+  sig.health = PricerHealth::kDegraded;
   engine.observe_period(sig);
   sig = quiet_period(2);
-  sig.health = Health::kFallback;
+  sig.health = PricerHealth::kFallback;
   engine.observe_period(sig);
   sig = quiet_period(3);
-  sig.health = Health::kHealthy;
+  sig.health = PricerHealth::kHealthy;
   engine.observe_period(sig);
 
   ASSERT_EQ(engine.alerts_emitted(), 3u);
@@ -270,7 +270,8 @@ TEST(IncidentEngine, AlertRetentionIsBoundedAndCountsDrops) {
   // Alternate health every period: one edge alert each.
   for (std::uint64_t t = 0; t < 10; ++t) {
     PeriodSignals sig = quiet_period(t);
-    sig.health = (t % 2 == 0) ? Health::kDegraded : Health::kHealthy;
+    sig.health =
+        (t % 2 == 0) ? PricerHealth::kDegraded : PricerHealth::kHealthy;
     engine.observe_period(sig);
   }
   EXPECT_EQ(engine.alerts().size(), 4u);
@@ -307,7 +308,8 @@ IncidentEngine populated_engine() {
     sig.measurement_gap = (t % 3 == 0);
     sig.failed_attempts = (t % 5 == 0) ? 4 : 0;
     sig.solver_starved = (t % 7 == 0);
-    sig.health = (t % 4 == 0) ? Health::kDegraded : Health::kHealthy;
+    sig.health =
+        (t % 4 == 0) ? PricerHealth::kDegraded : PricerHealth::kHealthy;
     sig.storm_blackout = t > 20;
     engine.observe_period(sig);
   }
@@ -428,7 +430,9 @@ TEST(IncidentDump, FieldValidatorsRejectOutOfRangeValues) {
          s.incidents[0].severity = static_cast<Severity>(3);
        }},
       {"incident health 3",
-       [](EngineState& s) { s.incidents[0].health = static_cast<Health>(3); }},
+       [](EngineState& s) {
+         s.incidents[0].health = static_cast<PricerHealth>(3);
+       }},
       {"incident re-anchor state 4",
        [](EngineState& s) {
          s.incidents[0].last_reanchor = static_cast<ReanchorState>(4);
@@ -438,7 +442,7 @@ TEST(IncidentDump, FieldValidatorsRejectOutOfRangeValues) {
          s.incidents[0].last_reanchor = static_cast<ReanchorState>(-2);
        }},
       {"previous health 3",
-       [](EngineState& s) { s.prev_health = static_cast<Health>(3); }},
+       [](EngineState& s) { s.prev_health = static_cast<PricerHealth>(3); }},
       {"slo window bit 2", [](EngineState& s) { s.slo_window[0] = 2; }},
       {"slo position past the window",
        [](EngineState& s) {
@@ -448,7 +452,8 @@ TEST(IncidentDump, FieldValidatorsRejectOutOfRangeValues) {
        [](EngineState& s) {
          s.p2a_window.push_back(std::numeric_limits<double>::quiet_NaN());
        }},
-      {"health 3", [](EngineState& s) { s.health = static_cast<Health>(3); }},
+      {"health 3",
+       [](EngineState& s) { s.health = static_cast<PricerHealth>(3); }},
       {"re-anchor state 4",
        [](EngineState& s) {
          s.last_reanchor = static_cast<ReanchorState>(4);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -33,26 +34,22 @@ class SwitchGuard {
   bool trace_;
 };
 
-/// The hammer workload: every task bumps the same instruments with
+/// The hammer workload: every task bumps the same counters with
 /// task-dependent amounts. Same work regardless of how tasks map to
 /// threads, so the merged snapshot must not depend on the thread count.
 void hammer(Registry& registry, std::size_t tasks, std::size_t threads) {
   Counter& even = registry.counter("hammer.even_total");
   Counter& odd = registry.counter("hammer.odd_total");
-  Histogram& hist = registry.histogram(
-      "hammer.values", HistogramSpec{{1.0, 10.0, 100.0}, 1e9});
-  Gauge& gauge = registry.gauge("hammer.tasks");
-  gauge.set_always(static_cast<double>(tasks));
+  Counter& values = registry.counter("hammer.values_total");
   parallel_for(
       tasks,
       [&](std::size_t i) {
         if (i % 2 == 0) {
-          even.add_always(i + 1);
+          even.add(i + 1);
         } else {
-          odd.add_always(2 * i + 1);
+          odd.add(2 * i + 1);
         }
-        hist.observe_always(0.5 * static_cast<double>(i % 7));
-        hist.observe_always(static_cast<double>(i % 211));
+        values.add(i % 211);
       },
       threads);
 }
@@ -63,116 +60,81 @@ TEST(Registry, SnapshotIsBitwiseThreadCountIndependent) {
   Registry parallel;
   hammer(serial, 10000, 1);
   hammer(parallel, 10000, hw > 1 ? hw : 4);
-  // Byte-equal JSON: counter sums, histogram bucket counts AND the
-  // fixed-point sample sum all merge to identical values regardless of
+  // Byte-equal JSON: counter sums merge to identical values regardless of
   // which thread recorded what.
   EXPECT_EQ(metrics_json(serial.snapshot()), metrics_json(parallel.snapshot()));
 }
 
-TEST(Registry, GatedPathsHonorTheSwitchAndAlwaysPathsIgnoreIt) {
+TEST(Registry, CountersIgnoreTheSwitch) {
   SwitchGuard guard;
   Registry registry;
-  Counter& gated = registry.counter("switch.gated");
-  Counter& always = registry.counter("switch.always");
-  Gauge& gauge = registry.gauge("switch.gauge");
-  Histogram& hist = registry.histogram("switch.hist");
+  Counter& counter = registry.counter("switch.counter");
+  Journal& journal = Journal::global();
+  journal.clear();
 
+  // The switch gates the journal and nothing else.
   set_metrics_enabled(false);
-  gated.add(5);
-  always.add_always(5);
-  gauge.set(1.5);
-  hist.observe(1.0);
-  EXPECT_EQ(gated.value(), 0u);
-  EXPECT_EQ(always.value(), 5u);
-  EXPECT_EQ(gauge.value(), 0.0);
-  EXPECT_EQ(hist.count(), 0u);
+  counter.add(5);
+  journal_record("test.kind", 0, -1, "recorded while disabled");
+  EXPECT_EQ(counter.value(), 5u);
+  EXPECT_EQ(journal.appended(), 0u);
 
   set_metrics_enabled(true);
-  gated.add(5);
-  gauge.set(1.5);
-  hist.observe(1.0);
-  EXPECT_EQ(gated.value(), 5u);
-  EXPECT_EQ(gauge.value(), 1.5);
-  EXPECT_EQ(hist.count(), 1u);
+  counter.add(5);
+  journal_record("test.kind", 1, -1, "recorded while enabled");
+  EXPECT_EQ(counter.value(), 10u);
+  EXPECT_EQ(journal.appended(), 1u);
+  journal.clear();
 }
 
 TEST(Registry, GetOrCreateReturnsStableReferences) {
   Registry registry;
   Counter& a = registry.counter("stable.counter");
-  a.add_always(3);
+  a.add(3);
   Counter& b = registry.counter("stable.counter");
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(b.value(), 3u);
 
   CounterDelta delta(a);
-  a.add_always(4);
+  a.add(4);
   EXPECT_EQ(delta.delta(), 4u);
 }
 
-TEST(Registry, HistogramBucketsPartitionTheSamples) {
+TEST(Exporters, MetricsJsonIsCountersOnly) {
   Registry registry;
-  Histogram& hist = registry.histogram(
-      "partition.hist", HistogramSpec{{1.0, 2.0, 4.0}, 1e9});
-  const double samples[] = {0.5, 1.0, 1.5, 3.0, 8.0, 100.0};
-  for (double s : samples) hist.observe_always(s);
-  ASSERT_EQ(hist.buckets(), 4u);
-  // le=1: {0.5, 1.0}; le=2: {1.5}; le=4: {3.0}; +inf: {8, 100}.
-  EXPECT_EQ(hist.bucket_count(0), 2u);
-  EXPECT_EQ(hist.bucket_count(1), 1u);
-  EXPECT_EQ(hist.bucket_count(2), 1u);
-  EXPECT_EQ(hist.bucket_count(3), 2u);
-  EXPECT_EQ(hist.count(), 6u);
-  EXPECT_DOUBLE_EQ(hist.sum(), 114.0);
-
-  std::uint64_t total = 0;
-  const Snapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  for (std::uint64_t c : snap.histograms[0].buckets) total += c;
-  EXPECT_EQ(total, snap.histograms[0].count);
+  registry.counter("exp.requests_total").add(7);
+  registry.counter("exp.errors_total").add(2);
+  // One name-sorted map of integers and no other top-level key.
+  EXPECT_EQ(metrics_json(registry.snapshot()),
+            "{\"counters\":{\"exp.errors_total\":2,"
+            "\"exp.requests_total\":7}}");
 }
 
-TEST(Exporters, PrometheusTextHasSanitizedNamesAndCumulativeBuckets) {
+TEST(Exporters, PrometheusTextHasSanitizedCounterNames) {
   Registry registry;
-  registry.counter("exp.requests_total").add_always(7);
-  registry.gauge("exp.level").set_always(2.0);
-  Histogram& hist =
-      registry.histogram("exp.latency", HistogramSpec{{1.0, 2.0}, 1e9});
-  hist.observe_always(0.5);
-  hist.observe_always(1.5);
-  hist.observe_always(9.0);
-
-  const std::string text = prometheus_text(registry.snapshot());
-  EXPECT_NE(text.find("# TYPE exp_requests_total counter"), std::string::npos);
-  EXPECT_NE(text.find("exp_requests_total 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE exp_level gauge"), std::string::npos);
-  // Cumulative: le=1 -> 1, le=2 -> 2, +Inf -> 3.
-  EXPECT_NE(text.find("exp_latency_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("exp_latency_bucket{le=\"2\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("exp_latency_bucket{le=\"+Inf\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("exp_latency_sum 11"), std::string::npos);
-  EXPECT_NE(text.find("exp_latency_count 3"), std::string::npos);
+  registry.counter("exp.requests_total").add(7);
+  registry.counter("exp.latency-ns").add(3);
+  // Name-sorted; dots and dashes become underscores.
+  EXPECT_EQ(prometheus_text(registry.snapshot()),
+            "# HELP exp_latency_ns TDP counter exp.latency-ns\n"
+            "# TYPE exp_latency_ns counter\n"
+            "exp_latency_ns 3\n"
+            "# HELP exp_requests_total TDP counter exp.requests_total\n"
+            "# TYPE exp_requests_total counter\n"
+            "exp_requests_total 7\n");
 }
 
 TEST(Exporters, PrometheusHelpLinesCarryTheDottedTaxonomyName) {
   Registry registry;
-  registry.counter("exp.requests_total").add_always(7);
-  registry.gauge("exp.level").set_always(2.0);
-  registry.histogram("exp.latency", HistogramSpec{{1.0, 2.0}, 1e9})
-      .observe_always(0.5);
+  registry.counter("exp.requests_total").add(7);
 
   const std::string text = prometheus_text(registry.snapshot());
-  // Every metric gets a # HELP line naming its registry (dotted) identity,
-  // immediately before the # TYPE line scrapers key on.
+  // Every counter gets a # HELP line naming its registry (dotted)
+  // identity, immediately before the # TYPE line scrapers key on.
   EXPECT_NE(
       text.find("# HELP exp_requests_total TDP counter exp.requests_total\n"
                 "# TYPE exp_requests_total counter"),
       std::string::npos);
-  EXPECT_NE(text.find("# HELP exp_level TDP gauge exp.level\n"
-                      "# TYPE exp_level gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("# HELP exp_latency TDP histogram exp.latency\n"
-                      "# TYPE exp_latency histogram"),
-            std::string::npos);
 }
 
 TEST(Exporters, PrometheusTextIsByteStableAcrossIdenticalRegistries) {
@@ -188,8 +150,9 @@ TEST(Exporters, PrometheusTextIsByteStableAcrossIdenticalRegistries) {
   const std::string a = prometheus_text(serial.snapshot());
   const std::string b = prometheus_text(parallel.snapshot());
   EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("# HELP hammer_values TDP histogram hammer.values"),
-            std::string::npos);
+  EXPECT_NE(
+      a.find("# HELP hammer_values_total TDP counter hammer.values_total"),
+      std::string::npos);
 }
 
 TEST(Trace, SpansNestWithMatchedPairsAndMonotoneTimestamps) {
@@ -412,12 +375,28 @@ TEST(FleetObservability, TelemetryNeverPerturbsTheSimulation) {
   config.fault.price_pull_drop = 0.05;
   config.fault.seed = 7;
 
-  set_metrics_enabled(true);
-  const fleet::FleetMetrics on = fleet::FleetDriver(config).run_day();
+  // `moved` receives how far each of these counters grows over one day.
+  const char* const counted[] = {"fleet.periods_total", "mech.publishes_total",
+                                 "kernel.plan_builds_total",
+                                 "fista.iterations_total"};
+  const auto run_day = [&](std::vector<std::uint64_t>& moved) {
+    std::vector<CounterDelta> deltas;
+    for (const char* name : counted) {
+      deltas.emplace_back(Registry::global().counter(name));
+    }
+    const fleet::FleetMetrics metrics = fleet::FleetDriver(config).run_day();
+    for (const CounterDelta& delta : deltas) moved.push_back(delta.delta());
+    return metrics;
+  };
 
+  std::vector<std::uint64_t> on_moved;
+  set_metrics_enabled(true);
+  const fleet::FleetMetrics on = run_day(on_moved);
+
+  std::vector<std::uint64_t> off_moved;
   set_metrics_enabled(false);
   set_trace_enabled(false);
-  const fleet::FleetMetrics off = fleet::FleetDriver(config).run_day();
+  const fleet::FleetMetrics off = run_day(off_moved);
 
   // Bitwise: telemetry is pure observation, so every simulated number is
   // identical with observability on or off.
@@ -430,15 +409,18 @@ TEST(FleetObservability, TelemetryNeverPerturbsTheSimulation) {
   EXPECT_EQ(on.deferred_sessions, off.deferred_sessions);
   EXPECT_EQ(on.reward_paid_units, off.reward_paid_units);
   EXPECT_EQ(on.pricer_expected_cost, off.pricer_expected_cost);
-  // The always-on robustness counters keep counting in both modes.
+  // Counters count in both modes: a counter's value is a function of the
+  // run alone.
   EXPECT_EQ(on.price_pull_drops, off.price_pull_drops);
   EXPECT_EQ(on.price_server_fetches, off.price_server_fetches);
   EXPECT_EQ(on.final_health, off.final_health);
+  for (std::size_t c = 0; c < std::size(counted); ++c) {
+    EXPECT_GT(on_moved[c], 0u) << counted[c];
+    EXPECT_EQ(off_moved[c], on_moved[c]) << counted[c];
+  }
 }
 
 TEST(FleetObservability, MetricsAreViewsOverRegistryDeltas) {
-  SwitchGuard guard;
-  set_metrics_enabled(true);
   fleet::FleetDriverConfig config;
   config.population.users = 300;
   config.population.periods = 12;

@@ -16,9 +16,9 @@ gate measures code changes rather than host-speed changes.
 --update rewrites the baseline from the run instead, once the rules pass.
 
 --fleet-overhead compares bench_fleet_scale stdout logs taken back to back
-with telemetry on (TDP_OBS=1 TDP_TRACE=1) and off (TDP_OBS=0): the min
-fleet_wall_seconds of each (users, threads) cell may grow by at most
-OVERHEAD_TOLERANCE.
+with the journal and trace on (TDP_OBS=1 TDP_TRACE=1) and off (TDP_OBS=0;
+counters count either way): the min fleet_wall_seconds of each (users,
+threads) cell may grow by at most OVERHEAD_TOLERANCE.
 
   tools/check_bench_regression.py --fleet-overhead on.log off.log
 """

@@ -11,8 +11,8 @@ Validates:
   --journal-jsonl FILE
                   the same journal schema in JSONL form (Journal::jsonl():
                   one event object per line), same invariants per event.
-  --metrics FILE  registry snapshot JSON: counters/gauges/histograms maps;
-                  each histogram's bucket counts must sum to its count.
+  --metrics FILE  registry snapshot JSON: one "counters" map of
+                  non-negative integers and no other top-level key.
 
 Exits non-zero with a message on the first violation; prints a one-line
 summary per validated file otherwise. Stdlib only.
@@ -171,24 +171,15 @@ def validate_journal_jsonl(path: str) -> None:
 
 def validate_metrics(path: str) -> None:
     doc = load_json(path)
-    for section in ("counters", "gauges", "histograms"):
-        if section not in doc or not isinstance(doc[section], dict):
-            fail(f"{path}: missing '{section}' object")
+    if not isinstance(doc, dict) or set(doc) != {"counters"}:
+        keys = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        fail(f"{path}: expected one top-level key 'counters', got {keys}")
+    if not isinstance(doc["counters"], dict):
+        fail(f"{path}: 'counters' is not an object")
     for name, value in doc["counters"].items():
         if not isinstance(value, int) or value < 0:
             fail(f"{path}: counter {name!r} is not a nonnegative integer")
-    for name, histogram in doc["histograms"].items():
-        buckets = histogram.get("buckets")
-        if not isinstance(buckets, list) or not buckets:
-            fail(f"{path}: histogram {name!r} has no buckets")
-        if buckets[-1].get("le") != "+Inf":
-            fail(f"{path}: histogram {name!r} lacks the +Inf bucket")
-        total = sum(bucket.get("count", 0) for bucket in buckets)
-        if total != histogram.get("count"):
-            fail(f"{path}: histogram {name!r} buckets sum to {total}, "
-                 f"count says {histogram.get('count')}")
-    print(f"validate_trace: OK {path}: {len(doc['counters'])} counters, "
-          f"{len(doc['gauges'])} gauges, {len(doc['histograms'])} histograms")
+    print(f"validate_trace: OK {path}: {len(doc['counters'])} counters")
 
 
 def main() -> None:
