@@ -70,7 +70,8 @@ struct CheckpointData : fleet::LoopState {
   HorizonConfig config;
 
   // -- storm-mode state (kSecStorm) ----------------------------------------
-  /// The re-anchor hysteresis counter (always 0 when ungated).
+  /// Consecutive HEALTHY periods, the re-anchor hysteresis input. A v1
+  /// file has no kSecStorm, so it decodes as 0.
   std::uint64_t healthy_streak_periods = 0;
 
   // -- online pricer and its model source ---------------------------------

@@ -47,7 +47,8 @@ struct HorizonConfig : fleet::LoopConfig {
   /// Rebuild + re-solve the pricer's fluid model from each estimate.
   bool reanchor = true;
 
-  // -- storm-mode health gating (all defaults preserve legacy behavior) ---
+  // -- storm-mode health gates (all off by default) -----------------------
+  // The driver tracks pricer health on every run; these gates act on it.
 
   /// Freeze §IV re-estimation for any day during which the pricer FSM sat
   /// in FALLBACK: measurements from a fallback window describe the safety

@@ -29,7 +29,8 @@ struct DayMetrics : fleet::DayTotals {
   double estimate_residual = 0.0; ///< squared residual norm of the fit
   bool reanchored = false;        ///< pricer re-solved on the estimated model
 
-  // Storm-mode health gating (all zero unless the gates are configured).
+  // Pricer health, counted on every run; the two flags stay false unless
+  // their storm-mode gate is configured.
   std::uint64_t fallback_periods = 0;  ///< periods the pricer sat in FALLBACK
   bool estimation_frozen = false;      ///< day excluded from the fit window
   bool reanchor_rolled_back = false;   ///< objective guard rejected the re-fit

@@ -224,23 +224,19 @@ void MultiDayDriver::step_period() {
   if (period() == 0) start_day();
   loop_.step_period(drift_tables_.empty() ? nullptr : &drift_tables_);
 
-  // Health tracking for the storm gates. Runs only when a gate is
-  // configured, so ungated runs keep fallback_periods/healthy_streak at
-  // zero — the values a v1 checkpoint, which has no health counters,
-  // restores to.
-  if (health_gated() && config_.online_pricing) {
-    switch (loop_.mechanism().health()) {
-      case PricerHealth::kHealthy:
-        ++healthy_streak_periods_;
-        break;
-      case PricerHealth::kFallback:
-        ++partial_.fallback_periods;
-        healthy_streak_periods_ = 0;
-        break;
-      default:  // DEGRADED: not fallback-tainted, but not healthy either
-        healthy_streak_periods_ = 0;
-        break;
-    }
+  // Health bookkeeping, every period. Only the storm gates read it; a
+  // mechanism without a health ladder reports HEALTHY throughout.
+  switch (loop_.mechanism().health()) {
+    case PricerHealth::kHealthy:
+      ++healthy_streak_periods_;
+      break;
+    case PricerHealth::kFallback:
+      ++partial_.fallback_periods;
+      healthy_streak_periods_ = 0;
+      break;
+    default:  // DEGRADED: not fallback-tainted, but not healthy either
+      healthy_streak_periods_ = 0;
+      break;
   }
 
   if (loop_.day_complete()) finish_day();
@@ -475,8 +471,9 @@ CheckpointData MultiDayDriver::checkpoint() const {
   if (const OnlinePricer* online = mechanism.online_pricer()) {
     d.pricer = online->export_state();
   } else {
-    // No online pricer behind this mechanism: the section still needs a
-    // schedule so pre-arena readers keep a usable view.
+    // No online pricer behind this mechanism. decode() requires the pricer
+    // section all the same, so it carries the mechanism's schedule and cap;
+    // restore rebuilds the mechanism from kSecMech and ignores them.
     d.pricer.rewards = mechanism.rewards();
     d.pricer.reward_cap = mechanism.reward_cap();
   }

@@ -9,7 +9,7 @@
 //     step_period():
 //       day start   drifted lag tables, day-start reward step
 //       loop        loop.step_period(drift tables)
-//       health      HEALTHY streak / FALLBACK count (storm gates only)
+//       health      HEALTHY streak / FALLBACK count (read by the gates)
 //       day end     loop.settle_day() → adapt users → estimate/re-anchor
 //                   → loop.close_day(re-anchor flags)
 //       commit      checkpoint file at the new boundary
@@ -127,15 +127,6 @@ class MultiDayDriver {
   void start_day();
   void finish_day();
   void build_drift_tables();
-  /// True when any storm-mode health gate is configured. Health tracking
-  /// (healthy_streak_periods_, DayMetrics::fallback_periods) runs only when
-  /// gated, so ungated runs keep these at zero, as a restore from a v1
-  /// checkpoint (no health counters) would.
-  bool health_gated() const {
-    return config_.estimation_health_gate ||
-           config_.reanchor_healthy_periods > 0 ||
-           config_.reanchor_objective_guard;
-  }
   /// Commit a checkpoint file (save_checkpoint_file) if the clock
   /// warrants one.
   void maybe_commit_checkpoint();
@@ -166,7 +157,8 @@ class MultiDayDriver {
   double model_beta_ = 0.0;
   std::vector<double> model_volumes_;
 
-  /// Consecutive HEALTHY periods (tracked only when health_gated()).
+  /// Consecutive HEALTHY periods, updated every period. A v1 checkpoint
+  /// carries none, so a run restored from one counts from the restore.
   std::uint64_t healthy_streak_periods_ = 0;
 
   // Metrics. partial_ holds the current day's horizon-only fields; its

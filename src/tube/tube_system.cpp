@@ -63,10 +63,10 @@ TubeSystem::TubeSystem(TubeConfig config)
 }
 
 TubeSystem::PhaseReport TubeSystem::run_phase(
-    const math::Vector* fixed_rewards, mech::PricingMechanism* mechanism,
+    const math::Vector* fixed_rewards, OnlinePricer* pricer,
     std::size_t cycles) {
   TDP_REQUIRE(cycles >= 1, "need at least one cycle");
-  const char* const phase_name = mechanism != nullptr
+  const char* const phase_name = pricer != nullptr
                                      ? "tube.phase.optimized"
                                  : fixed_rewards != nullptr
                                      ? "tube.phase.trial"
@@ -90,24 +90,22 @@ TubeSystem::PhaseReport TubeSystem::run_phase(
   netsim::BottleneckLink link(sim, config_.link_capacity_mbps);
   MeasurementEngine measurement(users, classes);
   PriceChannel channel(n);
-  const FaultInjector injector(config_.fault);
-  channel.set_resilience(config_.resilience);
-  if (injector.enabled()) channel.set_fault_injector(&injector);
 
-  // Sanitization for the measured-arrivals feed into the mechanism: the
-  // prior is the model's own expected TIP demand per period.
+  // Sanitization for the measured-arrivals feed into the pricer: the prior
+  // is the pricer model's own expected TIP demand per period.
   std::unique_ptr<MeasurementGuard> guard;
-  if (mechanism != nullptr) {
-    guard = std::make_unique<MeasurementGuard>(mechanism->tip_demand());
+  if (pricer != nullptr) {
+    guard = std::make_unique<MeasurementGuard>(
+        pricer->model().arrivals().tip_demand_vector());
   }
 
   // Publish the initial schedule.
   math::Vector schedule(n, 0.0);
   if (fixed_rewards != nullptr) schedule = *fixed_rewards;
-  if (mechanism != nullptr) schedule = mechanism->rewards();
+  if (pricer != nullptr) schedule = pricer->rewards();
   channel.publish(schedule);
-  if (mechanism != nullptr && obs::metrics_enabled()) {
-    obs::journal_record("mech.publish", -1, -1, mechanism->name(),
+  if (pricer != nullptr && obs::metrics_enabled()) {
+    obs::journal_record("mech.publish", -1, -1, "tube_online",
                         {{"cycles", static_cast<double>(cycles)}});
   }
 
@@ -206,7 +204,6 @@ TubeSystem::PhaseReport TubeSystem::run_phase(
   // publish prices (online mode).
   double utilization_acc = 0.0;
   std::size_t utilization_samples = 0;
-  double settled_reward_dollars = 0.0;  ///< payouts through the last settle
   for (std::size_t k = 1; k <= cycles * n; ++k) {
     const double boundary = static_cast<double>(k) * period_s;
     sim.at(boundary - 1e-6, [&, k] {
@@ -216,69 +213,23 @@ TubeSystem::PhaseReport TubeSystem::run_phase(
       measurement.close_period(link);
       const std::size_t finished_period = (k - 1) % n;
       price_rrd_.add(elapsed_s_ + sim.now(), schedule[finished_period]);
-      if (mechanism != nullptr) {
-        // Feed back measured arrivals (MB this period) and republish.
-        // The aggregate usage feed is a fault domain: samples can be lost
-        // (blackout -> the mechanism freezes its schedule) or corrupted
-        // (the guard repairs them before they reach the model).
-        const double measured =
-            measurement.total_usage_mb(measurement.periods_recorded() - 1);
-        const std::uint64_t abs = static_cast<std::uint64_t>(k - 1);
-        const FaultInjector::MeasurementFault fault =
-            injector.measurement_fault(FaultInjector::kAggregateEntity, abs);
-        if (fault == FaultInjector::MeasurementFault::kLost) {
-          mechanism->observe_missed(finished_period);
-        } else {
-          const MeasurementGuard::Admitted admitted = guard->admit(
-              finished_period, injector.corrupt(fault, measured));
-          const std::size_t budget =
-              injector.exhaust_solver(abs)
-                  ? injector.plan().solver_starved_budget
-                  : mechanism->solver_budget();
-          mechanism->observe_period(finished_period, admitted.value,
-                                    admitted.degraded, budget);
-        }
-        schedule = mechanism->rewards();
+      if (pricer != nullptr) {
+        // Feed back measured arrivals (MB this period) through the guard
+        // and republish.
+        const MeasurementGuard::Admitted admitted = guard->admit(
+            finished_period,
+            measurement.total_usage_mb(measurement.periods_recorded() - 1));
+        pricer->observe_period(finished_period, admitted.value,
+                               admitted.degraded);
+        schedule = pricer->rewards();
         channel.publish(schedule);
-
-        if (finished_period == n - 1) {
-          // One cycle is the testbed's "day": settle it with the measured
-          // usage of the finished cycle against the profiled TIP demand.
-          mech::DaySettlement settlement;
-          settlement.offered_units = mechanism->tip_demand();
-          settlement.realized_units.assign(n, 0.0);
-          const std::size_t recorded = measurement.periods_recorded();
-          for (std::size_t p = 0; p < n; ++p) {
-            settlement.realized_units[p] =
-                measurement.total_usage_mb(recorded - n + p);
-          }
-          double paid = 0.0;
-          for (const double dollars : report.user_reward_dollars) {
-            paid += dollars;
-          }
-          settlement.reward_paid_units = paid - settled_reward_dollars;
-          settled_reward_dollars = paid;
-          const mech::SettleInfo settle = mechanism->settle_day(settlement);
-          if (obs::metrics_enabled()) {
-            obs::journal_record(
-                "mech.settle", -1, -1, mechanism->name(),
-                {{"cycle", static_cast<double>(k / n)},
-                 {"budget_spent", settle.budget_spent},
-                 {"budget_pool", settle.budget_pool},
-                 {"schedule_changed", settle.schedule_changed ? 1.0 : 0.0}});
-          }
-          if (settle.schedule_changed) {
-            schedule = mechanism->rewards();
-            channel.publish(schedule);
-          }
-        }
       }
     });
   }
 
   sim.run_until(horizon + 1.0);
   elapsed_s_ += horizon;
-  // Report the schedule in force at the end (a mechanism republishes every
+  // Report the schedule in force at the end (the pricer republishes every
   // period).
   report.rewards = schedule;
 
@@ -304,7 +255,7 @@ TubeSystem::PhaseReport TubeSystem::run_phase(
 
   // Hand the aggregate series to the profiler.
   std::vector<double> totals = report.total_period_mb;
-  if (fixed_rewards == nullptr && mechanism == nullptr) {
+  if (fixed_rewards == nullptr && pricer == nullptr) {
     profiler_.set_tip_baseline(std::move(totals));
   } else if (fixed_rewards != nullptr) {
     profiler_.add_tdp_window(*fixed_rewards, std::move(totals));
@@ -363,15 +314,8 @@ DynamicModel TubeSystem::build_priced_model() {
 }
 
 TubeSystem::PhaseReport TubeSystem::run_optimized(std::size_t cycles) {
-  return run_mechanism(mech::MechanismConfig{}, cycles);
-}
-
-TubeSystem::PhaseReport TubeSystem::run_mechanism(
-    const mech::MechanismConfig& mechanism, std::size_t cycles) {
-  const std::unique_ptr<mech::PricingMechanism> active = mech::make_mechanism(
-      mechanism, build_priced_model(), DynamicOptimizerOptions{},
-      PricerGuardConfig{});
-  return run_phase(nullptr, active.get(), cycles);
+  OnlinePricer pricer(build_priced_model());
+  return run_phase(nullptr, &pricer, cycles);
 }
 
 }  // namespace tdp

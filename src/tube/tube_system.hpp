@@ -20,10 +20,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/fault.hpp"
 #include "dynamic/online_pricer.hpp"
 #include "math/vector_ops.hpp"
-#include "mech/mechanism.hpp"
 #include "netsim/traffic.hpp"
 #include "tube/gui_agent.hpp"
 #include "tube/measurement.hpp"
@@ -61,14 +59,6 @@ struct TubeConfig {
   double capacity_target = 0.7;
 
   std::uint64_t seed = 20110620;
-
-  /// Fault plan for chaos experiments: price-pull drops/skew hit the GUI
-  /// agents' channel subscriptions, measurement faults hit the aggregate
-  /// usage feed into the online pricer. Default: nothing ever fires, and
-  /// every phase is bit-identical to a system without the plan.
-  FaultPlan fault;
-  /// Staleness/retry policy applied to the price channel when faults fire.
-  ChannelResilienceConfig resilience;
 };
 
 /// The standard testbed configuration used in Section VI's experiment.
@@ -100,16 +90,9 @@ class TubeSystem {
   PhaseReport run_trial(const math::Vector& rewards, std::size_t cycles);
 
   /// Profile waiting functions from the recorded windows, build the
-  /// dynamic pricing model, and run with online-optimized prices. Fig. 12.
-  /// Equivalent to run_mechanism with the default (TubeOnline) config.
+  /// dynamic pricing model, and run with online-optimized prices (the
+  /// §III-B OnlinePricer). Fig. 12.
   PhaseReport run_optimized(std::size_t cycles);
-
-  /// Arena entry point: profile waiting functions as run_optimized does,
-  /// then drive the testbed under the configured pricing mechanism. Each
-  /// cycle boundary settles the finished day with the mechanism (measured
-  /// usage vs the profiled TIP demand) and republishes any new schedule.
-  PhaseReport run_mechanism(const mech::MechanismConfig& mechanism,
-                            std::size_t cycles);
 
   const ProfilingEngine& profiler() const { return profiler_; }
   const TubeConfig& config() const { return config_; }
@@ -119,8 +102,7 @@ class TubeSystem {
 
  private:
   PhaseReport run_phase(const math::Vector* fixed_rewards,
-                        mech::PricingMechanism* mechanism,
-                        std::size_t cycles);
+                        OnlinePricer* pricer, std::size_t cycles);
 
   /// The profiled dynamic model run_optimized prices against (waiting
   /// functions from the recorded TIP/TDP windows, ISP capacity target,

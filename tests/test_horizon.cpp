@@ -692,16 +692,25 @@ TEST(HorizonEstimation, StationaryPopulationEstimatesAreStable) {
 //
 // Two checkpoints of one fixed tiny run are checked into tests/golden/:
 //   * horizon_checkpoint_v1.bin, written before the v1 writer was retired.
-//     It is read, never written: it must decode, hold the same state as
-//     the v2 fixture, and restore into a run that finishes bitwise like an
-//     uninterrupted one.
+//     It is read, never written: it must decode, hold the v2 fixture's
+//     state apart from the healthy streak (v1 has no health state), and
+//     restore into a run that finishes bitwise like an uninterrupted one.
 //   * horizon_checkpoint_v2.bin, what the writer emits today. Re-encoding
 //     the decoded state must reproduce the file byte for byte, so ANY
 //     drift in the format — field order, widths, section tags, CRC — trips
-//     here before it orphans real checkpoints. Regenerate (the v2 fixtures
-//     below; the v1 file is never touched) only with an intentional format
-//     change:
-//   TDP_REGENERATE_GOLDENS=1 ./tdp_horizon_tests --gtest_filter='HorizonGolden.*'
+//     here before it orphans real checkpoints.
+//
+// Regenerate a v2 fixture only with an intentional change, and one fixture
+// per process: registry counters carry over from one run to the next, so a
+// second fixture written in the same process gets another kSecObs table.
+// The v1 file is never touched.
+//   TDP_REGENERATE_GOLDENS=1 ./tdp_horizon_tests --gtest_filter=<test>
+// with <test> one of
+//   HorizonGolden.CheckedInV2CheckpointReencodesByteForByte  (v2.bin)
+//   HorizonGolden.StormCheckpointReencodesByteForByte  (v2_storm.bin)
+//   HorizonGolden.StormIncidentDumpReencodesByteForByte  (the .tdpi dump)
+// A regenerated fixture may differ from the old one only in the sections
+// the change names; compare the two section by section before committing.
 
 HorizonConfig golden_config() {
   HorizonConfig config;
@@ -801,9 +810,13 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
   EXPECT_EQ(data.ring_work.size(), 6u);
 
   // The sections v1 lacks (kSecMech, kSecStorm) decode to exactly what the
-  // v2 writer emits for the same run.
-  EXPECT_EQ(encode_without_counters(data),
-            encode_without_counters(decode(read_golden(kV2Fixture))))
+  // v2 writer emits for the same run, except the healthy streak: v1 carries
+  // no health state, so it decodes as 0 where the v2 run counted 4.
+  CheckpointData v2 = decode(read_golden(kV2Fixture));
+  EXPECT_EQ(data.healthy_streak_periods, 0u);
+  EXPECT_EQ(v2.healthy_streak_periods, 4u);
+  v2.healthy_streak_periods = 0;
+  EXPECT_EQ(encode_without_counters(data), encode_without_counters(v2))
       << "the v1 fixture no longer decodes to the v2 fixture's state";
 
   // And the fixture restores into a run that finishes bitwise like the
@@ -825,7 +838,8 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
 //   * horizon_checkpoint_v2_storm.bin  its checkpoint_bytes();
 //   * incident_dump_storm.tdpi         its incident engine's dump(false),
 //                                      also read by tools/test_tdp_triage.py.
-// Both re-encode byte for byte. They regenerate with the v2 fixture.
+// Both re-encode byte for byte. Each regenerates in its own process, as
+// above.
 
 HorizonConfig golden_storm_config() {
   HorizonConfig config = golden_config();

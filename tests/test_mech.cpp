@@ -341,7 +341,24 @@ TEST(MechState, RebateStateRoundTripsBitwiseAndRejectsWrongShapes) {
   EXPECT_EQ(restored.shares(), original.shares());
   EXPECT_EQ(restored.spend_scale(), original.spend_scale());
 
-  MechanismState truncated = state;
+  // A 6-scalar state, written before the blackout hold existed, restores
+  // the same schedule and books with zero hold counters.
+  ASSERT_EQ(state.scalars.size(), 8u);
+  MechanismState held = state;
+  held.scalars[7] = 3.0;  // held_settles
+  restored.restore_state(held);
+  ASSERT_EQ(restored.held_settles(), 3u);
+  MechanismState legacy = state;
+  legacy.scalars.resize(6);
+  restored.restore_state(legacy);
+  EXPECT_TRUE(restored.rewards() == original.rewards());
+  EXPECT_EQ(restored.paid_total(), original.paid_total());
+  EXPECT_EQ(restored.days_settled(), original.days_settled());
+  EXPECT_EQ(restored.shares(), original.shares());
+  EXPECT_EQ(restored.spend_scale(), original.spend_scale());
+  EXPECT_EQ(restored.held_settles(), 0u);
+
+  MechanismState truncated = state;  // 7 scalars: neither layout
   truncated.scalars.pop_back();
   EXPECT_THROW(restored.restore_state(truncated), PreconditionError);
   MechanismState missing_vector = state;

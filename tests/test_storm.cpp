@@ -14,6 +14,8 @@
 //   * Format v2: every config writes version-2 checkpoints whose streamed
 //     bytes match the stop-the-world encoder exactly; a v1 reader (version
 //     byte patched back) skips the v2-only section cleanly.
+//   * Health tracking runs on every run, gated or not; a run restored from
+//     v1 bytes (no health state) counts FALLBACK periods from the restore.
 //   * Health gating: days tainted by FALLBACK periods are provably never
 //     fitted (journal-backed), re-anchoring waits out the healthy-streak
 //     hysteresis, and the predicted-objective guard rolls back a re-fit
@@ -521,6 +523,64 @@ TEST(StreamingCheckpoint, V1ReaderSkipsV2OnlySections) {
   EXPECT_EQ(skipped.healthy_streak_periods, 0u);
 }
 
+TEST(StreamingCheckpoint, UngatedRunsTrackHealthAndAV1RestoreCountsFromIt) {
+  // No gate and no storm regime (a v1 reader skips their echo), only
+  // i.i.d. measurement loss heavy enough to drive the pricer into FALLBACK.
+  HorizonConfig config;
+  config.population.users = 600;
+  config.population.periods = 12;
+  config.population.seed = 77;
+  config.shards = 3;
+  config.slices = 6;
+  config.threads = 2;
+  config.warmup_days = 1;
+  config.horizon_days = 2;
+  config.estimation_window = 2;
+  config.estimation_min_days = 2;
+  config.estimation_starts = 2;
+  config.fault.measurement_loss = 0.3;
+  config.fault.seed = 99;
+  const std::vector<DayMetrics> uninterrupted = run_uninterrupted(config);
+
+  // Health is tracked without a gate.
+  std::uint64_t fallback_total = 0;
+  for (const DayMetrics& day : uninterrupted) {
+    fallback_total += day.fallback_periods;
+  }
+  EXPECT_GT(fallback_total, 0u) << "ungated run counted no FALLBACK period";
+
+  // Killed mid-day 2 (period 6): the v2 checkpoint carries the counts.
+  std::vector<std::uint8_t> v2;
+  {
+    MultiDayDriver victim(config);
+    for (int i = 0; i < 30; ++i) victim.step_period();
+    v2 = victim.checkpoint_bytes();
+  }
+  std::unique_ptr<MultiDayDriver> from_v2 = MultiDayDriver::restore(config, v2);
+  while (!from_v2->done()) from_v2->step_period();
+  expect_days_bitwise_equal(from_v2->completed_days(), uninterrupted);
+
+  // A v1 file carries no health state, so a run restored from one counts
+  // FALLBACK periods from the restore on; every simulated field is as
+  // bitwise as from v2.
+  const CheckpointData at_kill = decode(v2);
+  ASSERT_EQ(at_kill.day, 2u);
+  std::vector<std::uint8_t> as_v1 = v2;
+  as_v1[4] = 1;
+  std::unique_ptr<MultiDayDriver> from_v1 =
+      MultiDayDriver::restore(config, as_v1);
+  while (!from_v1->done()) from_v1->step_period();
+  std::vector<DayMetrics> expected = uninterrupted;
+  for (std::size_t d = 0; d < at_kill.day; ++d) {
+    expected[d].fallback_periods = 0;
+  }
+  const std::uint64_t before_kill = at_kill.partial.fallback_periods;
+  ASSERT_GT(before_kill, 0u);
+  ASSERT_LT(before_kill, expected[at_kill.day].fallback_periods);
+  expected[at_kill.day].fallback_periods -= before_kill;
+  expect_days_bitwise_equal(from_v1->completed_days(), expected);
+}
+
 // ---- Health-aware re-anchoring ---------------------------------------------
 
 TEST(HealthGate, EstimationNeverAdoptsFallbackWindowData) {
@@ -584,14 +644,14 @@ TEST(HealthGate, ReanchorHysteresisDefersUntilHealthyStreak) {
   EXPECT_GE(journal_count("horizon.reanchor_deferred"), 1u);
 
   // A trivially-met streak requirement is behavior-transparent: on a clean
-  // run every period is HEALTHY, so hysteresis of 1 reproduces the legacy
-  // run bit for bit (including the all-zero health fields).
-  HorizonConfig legacy = storm_config();
-  legacy.fault = FaultPlan{};
-  legacy.horizon_days = 4;
-  HorizonConfig gated = legacy;
+  // run every period is HEALTHY, so hysteresis of 1 reproduces the ungated
+  // run bit for bit (health fields included: both runs track them).
+  HorizonConfig ungated = storm_config();
+  ungated.fault = FaultPlan{};
+  ungated.horizon_days = 4;
+  HorizonConfig gated = ungated;
   gated.reanchor_healthy_periods = 1;
-  expect_days_bitwise_equal(run_uninterrupted(legacy),
+  expect_days_bitwise_equal(run_uninterrupted(ungated),
                             run_uninterrupted(gated));
 }
 
