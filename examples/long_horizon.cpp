@@ -83,15 +83,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(first_process.day()),
               first_process.period(), path.c_str());
 
-  // The restarted process: load the file, restore (restore_counters=true
-  // also reinstates the obs registry counters, since this "process" owns
-  // them), and finish the week. Restore may regroup slices onto a
-  // different shard/thread count — values cannot change.
+  // The restarted process: load the file, restore, and finish the week.
+  // Restore may regroup slices onto a different shard/thread count —
+  // values cannot change.
   HorizonConfig restart = config;
   restart.shards = 4;  // the replacement host is smaller
   const CheckpointData data = load_checkpoint_file(path);
   std::unique_ptr<MultiDayDriver> second_process =
-      MultiDayDriver::restore(restart, data, /*restore_counters=*/true);
+      MultiDayDriver::restore(restart, data);
   const HorizonMetrics resumed = second_process->run();
 
   std::printf("\n  uninterrupted week:\n");

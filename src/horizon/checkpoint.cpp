@@ -154,7 +154,7 @@ void section_fields(IO& io, SectionTag tag, Data& d) {
       io.vec_f64(d.channel.published, kMaxPeriods);
       io.u64(d.channel.publish_count);
       io.list(d.channel.subscribers, kMaxListed, [&io](auto& sub) {
-        io.vec_f64(sub.cache, kMaxPeriods);
+        io.vec_f64_finite(sub.cache, kMaxPeriods);
         io.u64(sub.last_pull_period);
         io.boolean(sub.pulled_ever);
         telemetry_fields(io, sub.stats);
@@ -219,11 +219,7 @@ void section_fields(IO& io, SectionTag tag, Data& d) {
       io.vec_f64(d.prev_day_start_rewards, kMaxPeriods);
       io.boolean(d.has_prev_day_start);
       break;
-    case detail::kSecObs:
-      io.list(d.counters, kMaxListed, [&io](auto& counter) {
-        io.str(counter.first);
-        io.u64(counter.second);
-      });
+    case detail::kSecObs:  // retired: never written, skipped on read
       break;
     case detail::kSecMech:
       io.template enumerated<std::uint32_t>(c.mechanism.kind, 0, 3);
@@ -278,10 +274,11 @@ void section_fields(IO& io, SectionTag tag, Data& d) {
   }
 }
 
-/// Whether this checkpoint writes `tag` at all (only kSecIncident is
-/// conditional: its state exists only when the engine is on).
+/// Whether this checkpoint writes `tag` at all: never the retired
+/// kSecObs, and kSecIncident only when the engine is on.
 bool section_present(SectionTag tag, const CheckpointData& data) {
-  return tag != detail::kSecIncident || data.config.incident.enabled;
+  return tag != detail::kSecObs &&
+         (tag != detail::kSecIncident || data.config.incident.enabled);
 }
 
 /// Encode exactly one tagged section, begin_section through end_section.
@@ -341,10 +338,12 @@ CheckpointData decode(const std::uint8_t* bytes, std::size_t size) {
   while (!r.at_end()) {
     const std::uint32_t tag = r.begin_section();
     // Unknown sections from a future writer skip under the documented
-    // compatibility policy. A version-1 reader does not know the v2 tags
+    // compatibility policy, and so does the retired counter table that
+    // older writers emitted. A version-1 reader does not know the v2 tags
     // either, so it skips them too — v1 semantics exercised for real (the
     // compat test patches the header version on genuine v2 bytes).
     if (tag < detail::kSecConfig || tag > detail::kSecIncident ||
+        tag == detail::kSecObs ||
         (r.version() < 2 && tag >= detail::kSecStorm)) {
       r.skip_section();
       continue;
@@ -355,7 +354,8 @@ CheckpointData decode(const std::uint8_t* bytes, std::size_t size) {
     seen[tag] = true;
   }
 
-  for (std::uint32_t tag = detail::kSecConfig; tag <= detail::kSecObs; ++tag) {
+  for (std::uint32_t tag = detail::kSecConfig; tag <= detail::kSecPartial;
+       ++tag) {
     if (!seen[tag]) {
       throw ser::FormatError("checkpoint: missing required section");
     }
@@ -378,19 +378,24 @@ CheckpointData decode(const std::uint8_t* bytes, std::size_t size) {
       data.mech_state.rewards.size() != periods) {
     throw ser::FormatError("checkpoint: mechanism rewards size mismatch");
   }
-  // The restored loop indexes these by period: the partial day (empty only
-  // at period 0, where a fresh driver writes it so), the day-start
-  // schedule once recorded, and every estimation-window day.
+  // The restored loop indexes these by period: the published schedule and
+  // every subscriber cache, the partial day (empty only at period 0, where
+  // a fresh driver writes it so), the day-start schedule once recorded,
+  // and every estimation-window day.
   const auto whole = [periods](const std::vector<double>& v) {
     return v.size() == periods;
   };
   const auto partial = [&](const std::vector<double>& v) {
     return whole(v) || (data.period == 0 && v.empty());
   };
-  bool shaped = partial(data.partial.offered_units) &&
+  bool shaped = whole(data.channel.published) &&
+                partial(data.partial.offered_units) &&
                 partial(data.partial.realized_units) &&
                 partial(data.partial.rewards) &&
                 (!data.has_prev_day_start || whole(data.prev_day_start_rewards));
+  for (const auto& subscriber : data.channel.subscribers) {
+    shaped = shaped && whole(subscriber.cache);
+  }
   for (const DayRecord& record : data.window) {
     shaped = shaped && whole(record.rewards) && whole(record.usage_change) &&
              whole(record.tip_demand);

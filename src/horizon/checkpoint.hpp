@@ -4,10 +4,12 @@
 // boundary: the simulated clock, every canonical slice's deferral rings,
 // the price channel and fan-out caches, the measurement guard, the online
 // pricer (rewards, demand volumes, health ladder) and its model source,
-// the estimator's sliding window, completed and in-progress day metrics,
-// and the observability counters. A run killed after writing one and
-// restored from it is bitwise identical to the uninterrupted run — under
-// any shard or thread count that groups whole slices.
+// the estimator's sliding window, and completed and in-progress day
+// metrics — the run's state and nothing of the process, so the same run
+// checkpoints to the same bytes whatever else ran before it. A run killed
+// after writing one and restored from it is bitwise identical to the
+// uninterrupted run — under any shard or thread count that groups whole
+// slices.
 //
 // Encoding: the versioned little-endian framing of common/serialize.hpp —
 // magic "TDPC", tagged sections, CRC-32 trailer. decode() is safe on
@@ -21,7 +23,8 @@
 // run; version-1 readers skip the v2-only sections under the unknown-tag
 // policy. Version-1 files are read, never written: the echo fields of the
 // sections they lack decode to HorizonConfig's own defaults, and the state
-// fields to the CheckpointData defaults below.
+// fields to the CheckpointData defaults below. The retired counter table
+// (tag 11) that v1 and older v2 files carry is skipped on read.
 #pragma once
 
 #include <cstddef>
@@ -102,9 +105,6 @@ struct CheckpointData : fleet::LoopState {
   /// (fleet::ControlLoop::day_channel_fallbacks). Trails the engine state;
   /// a section without it decodes as 0.
   std::uint64_t day_channel_fallback_periods = 0;
-
-  // -- observability counters (name, merged value) ------------------------
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
 /// Serialize to the framed byte format.

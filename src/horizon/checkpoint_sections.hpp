@@ -10,7 +10,8 @@ namespace tdp::horizon::detail {
 
 /// Section tags. v1 files carry 1..12 (12 only for non-default mechanism
 /// runs); v2 adds kSecStorm and kSecIncident, which v1 readers skip under
-/// the unknown-tag policy. The writer always emits v2, in tag order.
+/// the unknown-tag policy. The writer always emits v2, in tag order, and
+/// never kSecObs.
 enum SectionTag : std::uint32_t {
   kSecConfig = 1,
   kSecClock = 2,
@@ -22,6 +23,8 @@ enum SectionTag : std::uint32_t {
   kSecWindow = 8,
   kSecDays = 9,
   kSecPartial = 10,
+  // Retired: the process-wide counter table older writers emitted. The
+  // reader skips it wherever it appears; the tag must never be reused.
   kSecObs = 11,
   // Mechanism config echo and state. Always written; a file without it
   // (pre-arena v1) decodes as TubeOnline with no adaptation.

@@ -96,8 +96,7 @@ MultiDayDriver::MultiDayDriver(HorizonConfig config)
 }
 
 MultiDayDriver::MultiDayDriver(RestoreTag, HorizonConfig config,
-                               const CheckpointData& data,
-                               bool restore_counters)
+                               const CheckpointData& data)
     : MultiDayDriver(ComponentsTag{},
                      validate_restore(std::move(config), data)) {
   model_source_ = data.model_source;
@@ -131,26 +130,18 @@ MultiDayDriver::MultiDayDriver(RestoreTag, HorizonConfig config,
   // bookkeeping ran before the checkpoint, only the (never-serialized)
   // drifted lag tables need rebuilding.
   if (period() > 0) build_drift_tables();
-
-  if (restore_counters) {
-    obs::Registry& registry = obs::Registry::global();
-    for (const auto& [name, value] : data.counters) {
-      registry.set_counter_value(name, value);
-    }
-  }
   horizon_counters().restores.add(1);
 }
 
 std::unique_ptr<MultiDayDriver> MultiDayDriver::restore(
-    HorizonConfig config, const CheckpointData& data, bool restore_counters) {
-  return std::unique_ptr<MultiDayDriver>(new MultiDayDriver(
-      RestoreTag{}, std::move(config), data, restore_counters));
+    HorizonConfig config, const CheckpointData& data) {
+  return std::unique_ptr<MultiDayDriver>(
+      new MultiDayDriver(RestoreTag{}, std::move(config), data));
 }
 
 std::unique_ptr<MultiDayDriver> MultiDayDriver::restore(
-    HorizonConfig config, const std::vector<std::uint8_t>& bytes,
-    bool restore_counters) {
-  return restore(std::move(config), decode(bytes), restore_counters);
+    HorizonConfig config, const std::vector<std::uint8_t>& bytes) {
+  return restore(std::move(config), decode(bytes));
 }
 
 DynamicModel MultiDayDriver::estimated_model(
@@ -494,15 +485,6 @@ CheckpointData MultiDayDriver::checkpoint() const {
   if (const obs::incident::IncidentEngine* incident = loop_.incident_engine()) {
     d.incident = incident->state();
     d.day_channel_fallback_periods = loop_.day_channel_fallbacks();
-  }
-
-  // Wall-clock counters ("_ns", the loop's phase timers) stay out: a
-  // checkpoint holds state, and their values differ run to run.
-  const obs::Snapshot snap = obs::Registry::global().snapshot();
-  for (const obs::Snapshot::CounterRow& row : snap.counters) {
-    if (!row.name.ends_with("_ns")) {
-      d.counters.emplace_back(row.name, row.value);
-    }
   }
   horizon_counters().checkpoints.add(1);
   return d;

@@ -57,15 +57,10 @@ class MultiDayDriver {
   /// to the checkpoint's config echo, section by section (echo_mismatch;
   /// PreconditionError naming the section otherwise); execution knobs such
   /// as shards and threads are free to differ — that is the point.
-  /// `restore_counters` additionally forces the global obs registry's
-  /// counters to the checkpointed values (process-restart fidelity; leave
-  /// off when other components share the process).
   static std::unique_ptr<MultiDayDriver> restore(HorizonConfig config,
-                                                 const CheckpointData& data,
-                                                 bool restore_counters = false);
+                                                 const CheckpointData& data);
   static std::unique_ptr<MultiDayDriver> restore(
-      HorizonConfig config, const std::vector<std::uint8_t>& bytes,
-      bool restore_counters = false);
+      HorizonConfig config, const std::vector<std::uint8_t>& bytes);
 
   const fleet::Population& population() const { return loop_.population(); }
   /// The TubeOnline mechanism's online pricer. Requires the default
@@ -116,8 +111,7 @@ class MultiDayDriver {
 
  private:
   struct RestoreTag {};
-  MultiDayDriver(RestoreTag, HorizonConfig config, const CheckpointData& data,
-                 bool restore_counters);
+  MultiDayDriver(RestoreTag, HorizonConfig config, const CheckpointData& data);
 
   /// Shared by both constructors: validates config, builds the loop's
   /// components, all but the mechanism.

@@ -5,19 +5,19 @@
 //
 // Determinism contract — the property the rest of the repo's bitwise
 // thread-count-independence tests rely on: counter state is integer-only.
-// Each counter owns a fixed array of cache-line-sized shard cells; a thread
-// bumps the cell picked by its (stable) shard slot and a snapshot folds the
-// cells in fixed index order. Integer addition is commutative and
-// associative, so the merged value depends only on *what* was recorded,
-// never on which thread recorded it or how work was split — snapshots are
-// bitwise identical for 1 thread and N threads doing the same work.
+// Integer addition is commutative and associative, so a counter's value
+// depends only on *what* was recorded, never on which thread recorded it
+// or how work was split — snapshots are bitwise identical for 1 thread and
+// N threads doing the same work.
 //
-// Overhead story: one path. Counter::add is one relaxed fetch_add on the
-// calling thread's cell, and call sites bump once per event, period or
-// solve, never per session. It always counts: a counter's value is a
-// function of the run alone, whatever TDP_OBS says (that switch gates only
-// the event journal, obs/journal.hpp). Telemetry never feeds back into any
-// simulated or optimized value — it is pure observation.
+// Overhead story: one path. Counter::add is one relaxed fetch_add on one
+// atomic. Call sites bump once per event, period or solve, never per
+// session and never inside the shard sweep; the only bumps on pool workers
+// are per-solve ones inside batch-solver tasks, so no counter sees write
+// contention worth spreading over cells. It always counts: a counter's
+// value is a function of the run alone, whatever TDP_OBS says (that switch
+// gates only the event journal, obs/journal.hpp). Telemetry never feeds
+// back into any simulated or optimized value — it is pure observation.
 #pragma once
 
 #include <atomic>
@@ -30,34 +30,16 @@
 
 namespace tdp::obs {
 
-namespace detail {
-
-inline constexpr std::size_t kShardCells = 16;
-
-/// One cache line per cell so concurrent writers on different slots never
-/// false-share.
-struct alignas(64) ShardCell {
-  std::atomic<std::uint64_t> value{0};
-};
-
-/// Stable per-thread shard slot in [0, kShardCells). Assigned on first use;
-/// a thread keeps its slot for its lifetime.
-std::size_t thread_shard_slot();
-
-}  // namespace detail
-
 class Registry;
 
-/// Monotone counter. Thread-safe; merged deterministically (integer sum
-/// over fixed cell order).
+/// Monotone counter. Thread-safe; its value is the integer sum of every
+/// add, whatever thread made it.
 class Counter {
  public:
-  void add(std::uint64_t n) {
-    cells_[detail::thread_shard_slot()].value.fetch_add(
-        n, std::memory_order_relaxed);
+  void add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  std::uint64_t value() const {
+    return value_.load(std::memory_order_relaxed);
   }
-  /// Merged value (sum of shard cells in fixed index order).
-  std::uint64_t value() const;
 
   const std::string& name() const { return name_; }
 
@@ -67,10 +49,9 @@ class Counter {
  private:
   friend class Registry;
   explicit Counter(std::string name) : name_(std::move(name)) {}
-  void reset();
 
   std::string name_;
-  detail::ShardCell cells_[detail::kShardCells];
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Baseline-and-delta view over a (global, ever-growing) counter: captures
@@ -88,8 +69,8 @@ class CounterDelta {
   std::uint64_t base_;
 };
 
-/// Point-in-time merged view of every registered counter, listed in
-/// registration order.
+/// Point-in-time view of every registered counter, listed in registration
+/// order.
 struct Snapshot {
   struct CounterRow {
     std::string name;
@@ -112,17 +93,8 @@ class Registry {
   /// Get or create. The same name always returns the same counter.
   Counter& counter(std::string_view name);
 
-  /// Merged view in registration order.
+  /// Every counter's value, in registration order.
   Snapshot snapshot() const;
-
-  /// Zero every counter, keeping all registrations (and every cached
-  /// reference) valid. Test isolation only.
-  void reset_values();
-
-  /// Force one counter to an exact value (checkpoint restore: the restored
-  /// process replays the saved run's counter levels so per-run deltas keep
-  /// meaning). Get-or-create semantics, like counter().
-  void set_counter_value(std::string_view name, std::uint64_t value);
 
  private:
   mutable std::mutex mutex_;

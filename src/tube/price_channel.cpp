@@ -227,13 +227,13 @@ void PriceChannel::restore_state(const PriceChannelState& state) {
   const std::lock_guard<std::mutex> lock(mutex_);
   TDP_REQUIRE(state.subscribers.size() == subscribers_.size(),
               "restored channel state has a different subscriber topology");
-  TDP_REQUIRE(state.published.empty() || state.published.size() == periods_,
+  TDP_REQUIRE(state.published.size() == periods_,
               "restored schedule has the wrong period count");
   published_ = state.published;
   publish_count_ = static_cast<std::size_t>(state.publish_count);
   for (std::size_t i = 0; i < subscribers_.size(); ++i) {
     const PriceChannelState::Subscriber& in = state.subscribers[i];
-    TDP_REQUIRE(in.cache.empty() || in.cache.size() == periods_,
+    TDP_REQUIRE(in.cache.size() == periods_,
                 "restored subscriber cache has the wrong period count");
     subscribers_[i].cache = in.cache;
     subscribers_[i].last_pull_period =

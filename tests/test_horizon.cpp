@@ -200,10 +200,7 @@ TEST(HorizonKillRestore, ReshardAndRethreadPreserveBitwiseIdentity) {
 
 TEST(HorizonKillRestore, CheckpointIsByteStableAcrossRestore) {
   // checkpoint → restore → checkpoint must reproduce the same bytes: the
-  // restored driver is not merely equivalent, it is the same state. The
-  // obs-counter section is process-cumulative telemetry (counters are
-  // global and keep counting across drivers), so it is normalized out —
-  // everything *simulated* must round-trip bitwise.
+  // restored driver is not merely equivalent, it is the same state.
   const HorizonConfig config = small_config();
   MultiDayDriver driver(config);
   for (int i = 0; i < 17; ++i) driver.step_period();
@@ -214,12 +211,24 @@ TEST(HorizonKillRestore, CheckpointIsByteStableAcrossRestore) {
   resharded.threads = 1;
   std::unique_ptr<MultiDayDriver> restored =
       MultiDayDriver::restore(resharded, bytes);
+  EXPECT_EQ(bytes, restored->checkpoint_bytes());
+}
 
-  CheckpointData original = decode(bytes);
-  CheckpointData roundtrip = restored->checkpoint();
-  original.counters.clear();
-  roundtrip.counters.clear();
-  EXPECT_EQ(encode(original), encode(roundtrip));
+TEST(HorizonKillRestore, CheckpointBytesDoNotDependOnProcessHistory) {
+  // A checkpoint holds the run, not the process: another run in between
+  // (which moves every process-wide counter) leaves the bytes unchanged.
+  const auto bytes_after_17_periods = [] {
+    MultiDayDriver driver(small_config());
+    for (int i = 0; i < 17; ++i) driver.step_period();
+    return driver.checkpoint_bytes();
+  };
+  const std::vector<std::uint8_t> first = bytes_after_17_periods();
+
+  HorizonConfig other = small_config();
+  other.population.seed = 7;
+  MultiDayDriver(other).run_day();
+
+  EXPECT_EQ(first, bytes_after_17_periods());
 }
 
 TEST(HorizonDriver, CleanMeasuredDayMatchesFleetDriverBitwise) {
@@ -699,18 +708,20 @@ TEST(HorizonEstimation, StationaryPopulationEstimatesAreStable) {
 //     the decoded state must reproduce the file byte for byte, so ANY
 //     drift in the format — field order, widths, section tags, CRC — trips
 //     here before it orphans real checkpoints.
+// The v1 fixture still carries the retired counter table (section 11),
+// which older v2 writers emitted too; spliced into the v2 fixture it must
+// be skipped like any unknown section.
 //
-// Regenerate a v2 fixture only with an intentional change, and one fixture
-// per process: registry counters carry over from one run to the next, so a
-// second fixture written in the same process gets another kSecObs table.
-// The v1 file is never touched.
+// Regenerate a v2 fixture only with an intentional change. The v1 file is
+// never touched.
 //   TDP_REGENERATE_GOLDENS=1 ./tdp_horizon_tests --gtest_filter=<test>
 // with <test> one of
 //   HorizonGolden.CheckedInV2CheckpointReencodesByteForByte  (v2.bin)
 //   HorizonGolden.StormCheckpointReencodesByteForByte  (v2_storm.bin)
 //   HorizonGolden.StormIncidentDumpReencodesByteForByte  (the .tdpi dump)
 // A regenerated fixture may differ from the old one only in the sections
-// the change names; compare the two section by section before committing.
+// the change names; compare the two section by section before committing
+// (tools/frame_sections.py OLD NEW).
 
 HorizonConfig golden_config() {
   HorizonConfig config;
@@ -759,13 +770,6 @@ void write_golden(const std::string& name,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Obs counters are process-cumulative telemetry, not simulated state:
-/// compare checkpoints with them normalized out.
-std::vector<std::uint8_t> encode_without_counters(CheckpointData data) {
-  data.counters.clear();
-  return encode(data);
-}
-
 bool regenerating() {
   const char* env = std::getenv("TDP_REGENERATE_GOLDENS");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
@@ -786,13 +790,12 @@ TEST(HorizonGolden, CheckedInV2CheckpointReencodesByteForByte) {
       << "checkpoint format drifted: bump kCheckpointVersion and add a "
          "compatibility path instead of silently changing v2";
 
-  // Tripwire 2: today's driver still produces the same *simulated* state
-  // from the same run — the full pipeline (config -> simulation ->
-  // checkpoint) is deterministic across builds.
-  EXPECT_EQ(encode_without_counters(decode(golden_checkpoint_bytes())),
-            encode_without_counters(data))
+  // Tripwire 2: today's driver still produces the same bytes from the
+  // same run — the full pipeline (config -> simulation -> checkpoint) is
+  // deterministic across builds.
+  EXPECT_EQ(golden_checkpoint_bytes(), file_bytes)
       << "a fresh run of the golden config no longer reproduces the "
-         "checked-in checkpoint's simulated state";
+         "checked-in checkpoint";
 }
 
 TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
@@ -816,7 +819,7 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
   EXPECT_EQ(data.healthy_streak_periods, 0u);
   EXPECT_EQ(v2.healthy_streak_periods, 4u);
   v2.healthy_streak_periods = 0;
-  EXPECT_EQ(encode_without_counters(data), encode_without_counters(v2))
+  EXPECT_EQ(encode(data), encode(v2))
       << "the v1 fixture no longer decodes to the v2 fixture's state";
 
   // And the fixture restores into a run that finishes bitwise like the
@@ -830,6 +833,34 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
                             run_uninterrupted(golden_config()));
 }
 
+TEST(HorizonGolden, V2CheckpointWithCounterTableStillRestores) {
+  // A v2 file written before the counter table retired: the v1 fixture's
+  // section 11, spliced into the v2 fixture where the old writer put it.
+  const std::vector<std::uint8_t> v1 = read_golden(kV1Fixture);
+  const std::vector<std::uint8_t> v2 = read_golden(kV2Fixture);
+  const auto [obs_begin, obs_end] = reframe::section_span(v1, detail::kSecObs);
+  ASSERT_LT(obs_begin, obs_end);
+  ASSERT_EQ(reframe::section_span(v2, detail::kSecObs).first, 0u);
+  const std::size_t mech_begin =
+      reframe::section_span(v2, detail::kSecMech).first;
+  ASSERT_GT(mech_begin, reframe::kHeaderBytes);
+
+  std::vector<std::uint8_t> body = reframe::payload(v2);
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(
+                                 mech_begin - reframe::kHeaderBytes),
+              v1.begin() + static_cast<std::ptrdiff_t>(obs_begin),
+              v1.begin() + static_cast<std::ptrdiff_t>(obs_end));
+  const std::vector<std::uint8_t> with_table = reframe::seal(v2, body);
+  ASSERT_EQ(with_table.size(), v2.size() + (obs_end - obs_begin));
+
+  EXPECT_EQ(encode(decode(with_table)), v2);
+  std::unique_ptr<MultiDayDriver> restored =
+      MultiDayDriver::restore(golden_config(), with_table);
+  while (!restored->done()) restored->step_period();
+  expect_days_bitwise_equal(restored->completed_days(),
+                            run_uninterrupted(golden_config()));
+}
+
 // The v2 fixture's run leaves sections empty or absent: no kSecIncident, no
 // mechanism state, no adaptive scale, default storm/health echoes. A second
 // run — rebate mechanism, adaptive users, storm plan, health gates and the
@@ -838,8 +869,7 @@ TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
 //   * horizon_checkpoint_v2_storm.bin  its checkpoint_bytes();
 //   * incident_dump_storm.tdpi         its incident engine's dump(false),
 //                                      also read by tools/test_tdp_triage.py.
-// Both re-encode byte for byte. Each regenerates in its own process, as
-// above.
+// Both re-encode byte for byte.
 
 HorizonConfig golden_storm_config() {
   HorizonConfig config = golden_config();
@@ -907,10 +937,9 @@ TEST(HorizonGolden, StormCheckpointReencodesByteForByte) {
   EXPECT_FALSE(data.incident.incidents.empty());
   EXPECT_EQ(data.incident.recorder.size(), 16u);
 
-  EXPECT_EQ(encode_without_counters(decode(golden_storm_run().checkpoint)),
-            encode_without_counters(data))
+  EXPECT_EQ(golden_storm_run().checkpoint, file_bytes)
       << "a fresh run of the storm golden config no longer reproduces the "
-         "checked-in checkpoint's simulated state";
+         "checked-in checkpoint";
 }
 
 TEST(HorizonGolden, StormIncidentDumpReencodesByteForByte) {
@@ -952,6 +981,7 @@ TEST(HorizonCheckpoint, PerPeriodVectorsOfTheWrongLengthAreRejected) {
   ASSERT_GT(good.period, 0u);
   ASSERT_TRUE(good.has_prev_day_start);
   ASSERT_FALSE(good.window.empty());
+  ASSERT_FALSE(good.channel.subscribers.empty());
   EXPECT_NO_THROW(decode(encode(good)));
 
   using Mutation = void (*)(CheckpointData&);
@@ -966,6 +996,10 @@ TEST(HorizonCheckpoint, PerPeriodVectorsOfTheWrongLengthAreRejected) {
        [](CheckpointData& d) { d.prev_day_start_rewards.pop_back(); }},
       {"window[0].tip_demand short",
        [](CheckpointData& d) { d.window[0].tip_demand.pop_back(); }},
+      {"subscriber cache empty",
+       [](CheckpointData& d) { d.channel.subscribers[0].cache.clear(); }},
+      {"published schedule short",
+       [](CheckpointData& d) { d.channel.published.pop_back(); }},
   };
   for (const auto& [name, mutate] : cases) {
     SCOPED_TRACE(name);
@@ -988,6 +1022,7 @@ TEST(HorizonCheckpoint, FieldValidatorsRejectOutOfRangeValues) {
   const CheckpointData good = decode(good_bytes);
   ASSERT_FALSE(good.incident.incidents.empty());
   ASSERT_FALSE(good.guard.has_last_good.empty());
+  ASSERT_FALSE(good.channel.subscribers.empty());
 
   using Mutation = void (*)(CheckpointData&);
   const std::pair<const char*, Mutation> cases[] = {
@@ -1017,6 +1052,11 @@ TEST(HorizonCheckpoint, FieldValidatorsRejectOutOfRangeValues) {
       {"non-finite ring value",
        [](CheckpointData& d) {
          d.ring_work[0][0] = std::numeric_limits<double>::infinity();
+       }},
+      {"non-finite subscriber cache",
+       [](CheckpointData& d) {
+         d.channel.subscribers[0].cache[1] =
+             std::numeric_limits<double>::quiet_NaN();
        }},
       {"non-finite pricer reward",
        [](CheckpointData& d) {

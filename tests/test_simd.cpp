@@ -24,7 +24,6 @@
 #include "fleet/population.hpp"
 #include "fleet/shard.hpp"
 #include "horizon/multi_day_driver.hpp"
-#include "obs/registry.hpp"
 
 namespace tdp {
 namespace {
@@ -424,9 +423,6 @@ TEST(FleetSimd, CheckpointBytesAreIdenticalScalarVsAvx2) {
   const simd::Mode modes[2] = {simd::Mode::kScalar, simd::Mode::kAvx2};
   for (int run = 0; run < 2; ++run) {
     ModeGuard guard(modes[run]);
-    // The checkpoint embeds the process-global observability counters;
-    // zero them so each run's snapshot starts from the same baseline.
-    obs::Registry::global().reset_values();
     horizon::MultiDayDriver driver(config);
     // Stop mid-day so live ring/RNG state (not just day summaries) is in
     // the checkpoint.

@@ -358,7 +358,7 @@ TEST(StormKillRestore, CompleteTmpBeatsOlderCommittedFile) {
   const CheckpointData newer = driver.checkpoint();
   // The newer clock with other bytes: a re-commit in flight.
   CheckpointData recommit = newer;
-  recommit.counters.emplace_back("test.recommit", 1);
+  ++recommit.channel.publish_count;
   ASSERT_NE(encode(recommit), encode(newer));
 
   struct Case {
@@ -421,14 +421,10 @@ TEST(StreamingCheckpoint, StreamedBytesMatchStopTheWorldEncode) {
   MultiDayDriver driver(config);
 
   // The file the driver committed at this boundary is checkpoint() at the
-  // same boundary. Only the counter table may differ: taking a checkpoint
-  // and committing one both count.
+  // same boundary, byte for byte.
   const auto expect_committed_is_checkpoint = [&] {
-    CheckpointData committed = decode(read_file_bytes(config.checkpoint_path));
-    CheckpointData now = driver.checkpoint();
-    committed.counters.clear();
-    now.counters.clear();
-    EXPECT_EQ(encode(committed), encode(now));
+    EXPECT_EQ(read_file_bytes(config.checkpoint_path),
+              driver.checkpoint_bytes());
     // The commit renamed its tmp over the file.
     EXPECT_FALSE(std::ifstream(config.checkpoint_path + ".tmp").good());
   };
@@ -459,10 +455,11 @@ std::vector<std::uint32_t> section_tags(const std::vector<std::uint8_t>& bytes) 
 
 TEST(StreamingCheckpoint, EveryConfigWritesV2) {
   // With or without storm regimes and health gates, the writer emits
-  // format v2 with the mechanism and storm sections; only the incident
-  // section depends on the config (off here).
+  // format v2 with the mechanism and storm sections and never the retired
+  // counter table (11); only the incident section depends on the config
+  // (off here).
   const std::vector<std::uint32_t> all_but_incident = {
-      1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+      1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13};
   HorizonConfig plain = storm_config();
   plain.fault = FaultPlan{};
   plain.fault.measurement_loss = 0.04;

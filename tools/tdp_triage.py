@@ -122,8 +122,10 @@ class Reader:
         return self.pos == len(self.data)
 
 
-def read_frame(path: str) -> tuple:
-    """Validate the outer frame; returns {tag: body_bytes} sections."""
+def read_frame(path: str, magic: bytes, versions) -> tuple:
+    """Validate the outer frame of a `magic` file whose version is one of
+    `versions`; returns (version, [(tag, body_bytes), ...]) in file
+    order."""
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
@@ -131,17 +133,17 @@ def read_frame(path: str) -> tuple:
         fail(f"{path}: {error}")
     if len(blob) < 20:
         fail(f"{path}: shorter than the smallest possible frame")
-    if blob[0:4] != MAGIC:
-        fail(f"{path}: bad magic {blob[0:4]!r} (want {MAGIC!r})")
+    if blob[0:4] != magic:
+        fail(f"{path}: bad magic {blob[0:4]!r} (want {magic!r})")
     version, payload_size = struct.unpack("<IQ", blob[4:16])
-    if version != VERSION:
+    if version not in versions:
         fail(f"{path}: unsupported version {version}")
     if 16 + payload_size + 4 != len(blob):
         fail(f"{path}: payload size {payload_size} does not match file size")
     payload = blob[16:16 + payload_size]
     (crc,) = struct.unpack("<I", blob[16 + payload_size:])
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        fail(f"{path}: CRC mismatch — corrupt dump")
+        fail(f"{path}: CRC mismatch — corrupt file")
 
     sections = []
     cursor = Reader(payload)
@@ -288,7 +290,7 @@ def read_wall(r: Reader) -> dict:
 
 
 def parse_dump(path: str) -> dict:
-    _, sections = read_frame(path)
+    _, sections = read_frame(path, MAGIC, (VERSION,))
     dump: dict = {}
     for tag, body in sections:
         r = Reader(body)
