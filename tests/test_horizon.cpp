@@ -717,6 +717,7 @@ TEST(HorizonEstimation, StationaryPopulationEstimatesAreStable) {
 //   TDP_REGENERATE_GOLDENS=1 ./tdp_horizon_tests --gtest_filter=<test>
 // with <test> one of
 //   HorizonGolden.CheckedInV2CheckpointReencodesByteForByte  (v2.bin)
+//   HorizonGolden.ReanchorCheckpointReencodesByteForByte  (v2_reanchor.bin)
 //   HorizonGolden.StormCheckpointReencodesByteForByte  (v2_storm.bin)
 //   HorizonGolden.StormIncidentDumpReencodesByteForByte  (the .tdpi dump)
 // A regenerated fixture may differ from the old one only in the sections
@@ -796,6 +797,38 @@ TEST(HorizonGolden, CheckedInV2CheckpointReencodesByteForByte) {
   EXPECT_EQ(golden_checkpoint_bytes(), file_bytes)
       << "a fresh run of the golden config no longer reproduces the "
          "checked-in checkpoint";
+}
+
+// The v2 fixture stops before the run's only re-anchor: the end of day 2
+// fits the window's patience index (§IV) and re-solves the dynamic model
+// on it. horizon_checkpoint_v2_reanchor.bin is the same run's checkpoint
+// once it is done, so the fitted index, the re-solved schedule and the
+// adopted model are pinned byte for byte.
+constexpr char kReanchorFixture[] = "horizon_checkpoint_v2_reanchor.bin";
+
+std::vector<std::uint8_t> golden_reanchor_checkpoint_bytes() {
+  MultiDayDriver driver(golden_config());
+  while (!driver.done()) driver.step_period();  // 3 days, 36 periods
+  return driver.checkpoint_bytes();
+}
+
+TEST(HorizonGolden, ReanchorCheckpointReencodesByteForByte) {
+  if (regenerating()) {
+    write_golden(kReanchorFixture, golden_reanchor_checkpoint_bytes());
+    GTEST_SKIP() << "regenerated " << golden_path(kReanchorFixture);
+  }
+  const std::vector<std::uint8_t> file_bytes = read_golden(kReanchorFixture);
+  const CheckpointData data = decode(file_bytes);
+  EXPECT_EQ(encode(data), file_bytes)
+      << "checkpoint format drifted on the re-anchored run";
+
+  ASSERT_EQ(data.completed_days.size(), 3u);
+  EXPECT_FALSE(data.completed_days[1].reanchored);
+  EXPECT_TRUE(data.completed_days[2].reanchored);
+
+  EXPECT_EQ(golden_reanchor_checkpoint_bytes(), file_bytes)
+      << "a fresh run of the golden config no longer reproduces the "
+         "re-anchored checkpoint: the fit or the re-solve moved";
 }
 
 TEST(HorizonGolden, CheckedInV1CheckpointStaysLoadableByteForByte) {
