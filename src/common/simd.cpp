@@ -108,6 +108,18 @@ void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
   }
 }
 
+void scale_negated_sum_scalar(double* dst, const double* src, double scale,
+                              std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) {
+    dst[k] = scale * (dst[k] + -src[k]);
+  }
+}
+
+void add_scaled_scalar(double* dst, const double* src, double scale,
+                       std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) dst[k] += scale * src[k];
+}
+
 }  // namespace detail
 
 void fork_uniform_batch(const std::uint64_t* state, std::size_t count,
@@ -136,6 +148,28 @@ void fork_uniform_screen_batch(const std::uint64_t* state, std::size_t count,
 #endif
   detail::fork_uniform_screen_batch_scalar(state, count, stream, cls, screen,
                                            u1, state_out, active_mask);
+}
+
+void scale_negated_sum(double* dst, const double* src, double scale,
+                       std::size_t count) {
+#if defined(TDP_HAVE_AVX2)
+  if (mode() == Mode::kAvx2) {
+    detail::scale_negated_sum_avx2(dst, src, scale, count);
+    return;
+  }
+#endif
+  detail::scale_negated_sum_scalar(dst, src, scale, count);
+}
+
+void add_scaled(double* dst, const double* src, double scale,
+                std::size_t count) {
+#if defined(TDP_HAVE_AVX2)
+  if (mode() == Mode::kAvx2) {
+    detail::add_scaled_avx2(dst, src, scale, count);
+    return;
+  }
+#endif
+  detail::add_scaled_scalar(dst, src, scale, count);
 }
 
 }  // namespace tdp::simd

@@ -77,6 +77,23 @@ void fork_uniform_screen_batch(const std::uint64_t* state, std::size_t count,
                                double* u1, std::uint64_t* state_out,
                                std::uint64_t* active_mask);
 
+// ---- Backlog-sensitivity rows of the dynamic model's gradient -------------
+//
+// The fused gradient (DynamicModel::smoothed_cost_and_gradient) carries the
+// backlog's sensitivities to every reward forward through each period i,
+//   dbacklog[m] = sigma_i * (dbacklog[m] + -dV[i][m])   (m != i),
+// and on the last day adds f'(backlog_i) * dbacklog[m] into the gradient.
+// Both are one lane per m with the multiply and the add kept separate (no
+// FMA), so every mode produces the scalar loop's doubles.
+
+/// dst[k] = scale * (dst[k] + -src[k]) for k in [0, count).
+void scale_negated_sum(double* dst, const double* src, double scale,
+                       std::size_t count);
+
+/// dst[k] = dst[k] + scale * src[k] for k in [0, count).
+void add_scaled(double* dst, const double* src, double scale,
+                std::size_t count);
+
 namespace detail {
 // The mode-specific implementations (scalar always present; avx2 present
 // when TDP_HAVE_AVX2). Exposed for the bitwise cross-checks in tests.
@@ -89,6 +106,10 @@ void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
                                       const double* screen, double* u1,
                                       std::uint64_t* state_out,
                                       std::uint64_t* active_mask);
+void scale_negated_sum_scalar(double* dst, const double* src, double scale,
+                              std::size_t count);
+void add_scaled_scalar(double* dst, const double* src, double scale,
+                       std::size_t count);
 #if defined(TDP_HAVE_AVX2)
 void fork_uniform_batch_avx2(const std::uint64_t* state, std::size_t count,
                              std::uint64_t stream, double* u1,
@@ -99,6 +120,10 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
                                     const double* screen, double* u1,
                                     std::uint64_t* state_out,
                                     std::uint64_t* active_mask);
+void scale_negated_sum_avx2(double* dst, const double* src, double scale,
+                            std::size_t count);
+void add_scaled_avx2(double* dst, const double* src, double scale,
+                     std::size_t count);
 #endif
 }  // namespace detail
 

@@ -1,8 +1,9 @@
-// AVX2 implementation of the batched SplitMix64 derivation kernel.
-// Compiled with -mavx2 (per-source flag in CMakeLists.txt); callers reach
-// it only through simd::fork_uniform_batch after the runtime CPUID check.
+// AVX2 implementations of the batched SplitMix64 derivation kernels and
+// the backlog-sensitivity row kernels. Compiled with -mavx2 (per-source
+// flag in CMakeLists.txt); callers reach them only through the simd::
+// dispatchers after the runtime CPUID check.
 //
-// Each 64-bit lane replays exactly the scalar sequence
+// In the RNG kernels each 64-bit lane replays exactly the scalar sequence
 //   Rng child = Rng(state[i]).fork_stream(stream);
 //   u1[i] = child.uniform();
 //   state_out[i] = child.state();
@@ -11,6 +12,9 @@
 // mantissa value is split into 32-bit halves, each converted exactly via
 // the 2^52 magic-number trick, and recombined with one multiply-by-2^32
 // and one add whose result is itself exactly representable (< 2^53).
+//
+// In the row kernels each lane is one element, computed by the scalar
+// loop's explicit operations: a sign flip, one add and one multiply.
 #include "common/simd.hpp"
 
 #if defined(TDP_HAVE_AVX2)
@@ -141,6 +145,30 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
     state_out[i] = child.state();
     if (u1[i] > screen[cls[i]]) active_mask[i / 64] |= 1ull << (i % 64);
   }
+}
+
+void scale_negated_sum_avx2(double* dst, const double* src, double scale,
+                            std::size_t count) {
+  const __m256d scale_v = _mm256_set1_pd(scale);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    const __m256d negated = _mm256_xor_pd(_mm256_loadu_pd(src + k), sign);
+    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(dst + k), negated);
+    _mm256_storeu_pd(dst + k, _mm256_mul_pd(scale_v, sum));
+  }
+  scale_negated_sum_scalar(dst + k, src + k, scale, count - k);
+}
+
+void add_scaled_avx2(double* dst, const double* src, double scale,
+                     std::size_t count) {
+  const __m256d scale_v = _mm256_set1_pd(scale);
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    const __m256d product = _mm256_mul_pd(scale_v, _mm256_loadu_pd(src + k));
+    _mm256_storeu_pd(dst + k, _mm256_add_pd(_mm256_loadu_pd(dst + k), product));
+  }
+  add_scaled_scalar(dst + k, src + k, scale, count - k);
 }
 
 }  // namespace tdp::simd::detail

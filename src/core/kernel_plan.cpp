@@ -150,15 +150,12 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
 void KernelPlan::fill_column(std::size_t to, double reward,
                              bool with_derivatives, FlowState& s) const {
   const std::size_t n = periods_;
-  double* V = s.pair.data();
-  double* dV = s.pair_derivative.data();
-
   if (linear_) {
+    // dV is the reward-independent unit table evaluate() already wrote.
+    double* V = s.pair.data();
     for (std::size_t from = 0; from < n; ++from) {
       if (from == to) continue;
-      const double unit = unit_[from * n + to];
-      V[from * n + to] = reward <= 0.0 ? 0.0 : unit * reward;
-      if (with_derivatives) dV[from * n + to] = unit;
+      V[from * n + to] = linear_cell(unit_[from * n + to], reward);
     }
     return;
   }
@@ -198,6 +195,34 @@ void KernelPlan::fill_column(std::size_t to, double reward,
   for (std::size_t from = to + 1; from < n; ++from) {
     fill_cell(from, to, n - (from - to), reward, positive, with_derivatives,
               s);
+  }
+}
+
+void KernelPlan::fill_linear(bool with_derivatives, FlowState& s) const {
+  const std::size_t n = periods_;
+  // dV is the unit table itself (its diagonal is 0.0), whatever the
+  // rewards: copied once per state and plan, not once per evaluation.
+  if (with_derivatives && s.derivative_serial != serial_) {
+    s.pair_derivative = unit_;
+    s.derivative_serial = serial_;
+  }
+  // fill_column's cells row by row: every cell is written, the diagonal
+  // with the 0.0 a zero-filled matrix would hold, so no fill pass precedes.
+  s.pair.resize(n * n);
+#if defined(TDP_HAVE_AVX2)
+  if (simd::mode() == simd::Mode::kAvx2) {
+    fill_linear_avx2(s);
+    return;
+  }
+#endif
+  const double* rewards = s.rewards.data();
+  for (std::size_t from = 0; from < n; ++from) {
+    const double* unit = &unit_[from * n];
+    double* row = &s.pair[from * n];
+    for (std::size_t to = 0; to < n; ++to) {
+      row[to] = linear_cell(unit[to], rewards[to]);
+    }
+    row[from] = 0.0;
   }
 }
 
@@ -344,17 +369,22 @@ void KernelPlan::evaluate(const std::vector<double>& rewards,
   s.plan_serial = serial_;
   s.has_derivatives = with_derivatives;
   s.rewards = rewards;
-  s.pair.assign(n * n, 0.0);
   s.inflow.assign(n, 0.0);
   s.outflow.assign(n, 0.0);
-  if (with_derivatives) {
-    s.pair_derivative.assign(n * n, 0.0);
-    s.inflow_derivative.assign(n, 0.0);
-  }
-  s.wf_factor.resize(functions_.size());
-  s.wf_factor_derivative.resize(functions_.size());
-  for (std::size_t to = 0; to < n; ++to) {
-    fill_column(to, rewards[to], with_derivatives, s);
+  if (with_derivatives) s.inflow_derivative.assign(n, 0.0);
+  if (linear_) {
+    fill_linear(with_derivatives, s);
+  } else {
+    s.pair.assign(n * n, 0.0);
+    if (with_derivatives) {
+      s.pair_derivative.assign(n * n, 0.0);
+      s.derivative_serial = 0;
+    }
+    s.wf_factor.resize(functions_.size());
+    s.wf_factor_derivative.resize(functions_.size());
+    for (std::size_t to = 0; to < n; ++to) {
+      fill_column(to, rewards[to], with_derivatives, s);
+    }
   }
   std::size_t i = 0;
 #if defined(TDP_HAVE_AVX2)

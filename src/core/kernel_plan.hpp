@@ -59,6 +59,10 @@ struct FlowState {
   /// pointer whose allocation was reused by a newer plan never passes for
   /// a primed state.
   std::uint64_t plan_serial = 0;
+  /// Serial of the linear plan whose unit table pair_derivative holds (0
+  /// when it holds reward-dependent values): a linear kernel's derivative
+  /// matrix does not depend on the rewards, so it is written once.
+  std::uint64_t derivative_serial = 0;
 
   /// Per-distinct-function factor scratch used inside fill_column.
   std::vector<double> wf_factor;
@@ -84,10 +88,11 @@ class KernelPlan {
   /// Process-unique construction serial (see FlowState::plan_serial).
   std::uint64_t serial() const { return serial_; }
 
-  /// True when the snapshot qualifies for the vectorized fill path: every
-  /// period flattens to the same (nonempty) waiting-function slot sequence
-  /// and every slot is power-law. Diagnostics/tests; evaluation dispatches
-  /// on this automatically.
+  /// True when the snapshot qualifies for the vectorized slot fill path:
+  /// every period flattens to the same (nonempty) waiting-function slot
+  /// sequence and every slot is power-law. A linear plan has no slots and
+  /// reports false; its row fill has its own vector path. Diagnostics/
+  /// tests; evaluation dispatches on this automatically.
   bool simd_eligible() const { return simd_ready_; }
 
   /// Fill `state` for the full reward vector: the pair matrix, inflow and
@@ -123,6 +128,15 @@ class KernelPlan {
 
   void fill_column(std::size_t to, double reward, bool with_derivatives,
                    FlowState& state) const;
+  /// The linear path's full fill: the pair matrix row by row from the unit
+  /// table, and the derivative matrix (the unit table) unless `state`
+  /// already holds this plan's.
+  void fill_linear(bool with_derivatives, FlowState& state) const;
+  /// One linear pair volume: the unit volume scaled by the reward, and 0
+  /// for a nonpositive reward.
+  static double linear_cell(double unit, double reward) {
+    return reward <= 0.0 ? 0.0 : unit * reward;
+  }
   /// One (from, to) slot of fill_column: accumulates period `from`'s terms
   /// in class order and stores V / dV. Shared by the scalar column loop and
   /// the vector path's remainder rows, so both execute the exact same
@@ -149,6 +163,9 @@ class KernelPlan {
   /// by adding 0.0.
   void reduce_inflow4_avx2(std::size_t into0, bool with_derivatives,
                            FlowState& state) const;
+  /// Vectorized fill_linear pair rows: four consecutive `to` cells per
+  /// iteration, each lane the scalar linear_cell.
+  void fill_linear_avx2(FlowState& state) const;
 #endif
 
   std::size_t periods_ = 0;

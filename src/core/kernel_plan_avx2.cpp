@@ -191,6 +191,28 @@ void KernelPlan::reduce_inflow4_avx2(std::size_t into0, bool with_derivatives,
   }
 }
 
+void KernelPlan::fill_linear_avx2(FlowState& s) const {
+  const std::size_t n = periods_;
+  const double* rewards = s.rewards.data();
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t from = 0; from < n; ++from) {
+    const double* unit = &unit_[from * n];
+    double* row = &s.pair[from * n];
+    std::size_t to = 0;
+    for (; to + 4 <= n; to += 4) {
+      // linear_cell in every lane: the product, masked to +0.0 where the
+      // reward is <= 0. The not-less-or-equal test keeps a NaN reward's
+      // product, as the scalar comparison's false branch does.
+      const __m256d reward = _mm256_loadu_pd(rewards + to);
+      const __m256d keep = _mm256_cmp_pd(reward, zero, _CMP_NLE_UQ);
+      const __m256d product = _mm256_mul_pd(_mm256_loadu_pd(unit + to), reward);
+      _mm256_storeu_pd(row + to, _mm256_and_pd(product, keep));
+    }
+    for (; to < n; ++to) row[to] = linear_cell(unit[to], rewards[to]);
+    row[from] = 0.0;
+  }
+}
+
 }  // namespace tdp
 
 #endif  // TDP_HAVE_AVX2

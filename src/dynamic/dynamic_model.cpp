@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace tdp {
 namespace {
@@ -331,6 +332,7 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
   // straight off the cached derivative matrix
   // (darr[i][m] = inflow'(i) if m == i else -dV[i][m]).
   const double* dV = state.pair_derivative.data();
+  double* db = dbacklog.data();
   std::fill(grad.begin(), grad.end(), 0.0);
   double cost = 0.0;
   double backlog = 0.0;
@@ -339,17 +341,16 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
       const double pre = backlog + arr[i] - capacity_[i];
       const double sigma = smooth_hinge_derivative(pre, mu);
       backlog = smooth_hinge(pre, mu);
-      for (std::size_t m = 0; m < n; ++m) {
-        const double darr_im =
-            m == i ? state.inflow_derivative[i] : -dV[i * n + m];
-        dbacklog[m] = sigma * (dbacklog[m] + darr_im);
-      }
+      // The off-diagonal update is one lane per m, so it runs as a vector
+      // kernel over the whole row; lane i, whose Jacobian entry is the
+      // inflow derivative instead, is then redone from its saved value.
+      const double diagonal = db[i];
+      simd::scale_negated_sum(db, dV + i * n, sigma, n);
+      db[i] = sigma * (diagonal + state.inflow_derivative[i]);
       if (last) {
         cost += cost_.smoothed_value(backlog, mu);
         const double fprime = cost_.smoothed_derivative(backlog, mu);
-        for (std::size_t m = 0; m < n; ++m) {
-          grad[m] += fprime * dbacklog[m];
-        }
+        simd::add_scaled(grad.data(), db, fprime, n);
       }
     }
   };

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "math/vector_ops.hpp"
@@ -53,14 +54,29 @@ class PatienceMix {
                      const math::Vector& rewards) const;
 
  private:
+  /// omega for a lag in [1, n) whose indices are already checked: the one
+  /// evaluation of eq. 6 behind omega, deferred and net_outflow.
+  double weight(std::size_t from, std::size_t lag, double reward) const;
+
+  /// The lag-power row for `beta`: an existing row with the same bit
+  /// pattern, else a fresh one written over an unused row or appended.
+  std::uint32_t tabulate(double beta);
+
   std::size_t periods_;
   std::size_t types_;
   double max_reward_;
   std::vector<double> alpha_;  // period-major [period * types + type]
   std::vector<double> beta_;
-  /// Cached normalization constants C(beta) = 1/(P * lag_sum(beta)),
-  /// refreshed by set(); omega() is on the estimator's hot path.
-  std::vector<double> normalization_;
+  /// Lag powers, one row per distinct patience index in the mix:
+  /// lag_pow_[row * periods + lag] = pow(lag + 1, -beta) for lags 1..n-1,
+  /// and row_norm_[row] = C(beta) = 1/(P * lag_sum(beta)), summed from the
+  /// same powers in lag_sum's order. set() keeps them, so eq. 6 costs no
+  /// pow: a tied fit's mix needs one row of n - 1 powers.
+  std::vector<std::uint32_t> row_;       // [period * types + type]
+  std::vector<std::uint64_t> row_beta_;  // beta bit pattern per row
+  std::vector<std::size_t> row_uses_;    // entries of row_ naming the row
+  std::vector<double> row_norm_;
+  std::vector<double> lag_pow_;
 };
 
 }  // namespace tdp

@@ -48,7 +48,7 @@ LmResult minimize_levenberg_marquardt(
   LmResult result;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    const Matrix jac = numeric_jacobian(residuals, theta,
+    const Matrix jac = numeric_jacobian(residuals, theta, r,
                                         options.jacobian_step);
     const Vector gradient = jac.multiply_transpose(r);  // J^T r
     if (norm_inf(gradient) < options.gradient_tolerance) {

@@ -7,6 +7,7 @@
 
 #include <functional>
 
+#include "common/error.hpp"
 #include "math/matrix.hpp"
 #include "math/vector_ops.hpp"
 
@@ -29,14 +30,17 @@ inline Vector numeric_gradient(const std::function<double(const Vector&)>& f,
   return grad;
 }
 
-/// Central-difference Jacobian of a vector-valued function r: R^n -> R^m.
+/// Central-difference Jacobian of a vector-valued function r: R^n -> R^m
+/// at a nonempty point x. `r_at_x` is r(x), which callers such as
+/// Levenberg-Marquardt already hold; central differences read only its
+/// length m.
 inline Matrix numeric_jacobian(
     const std::function<Vector(const Vector&)>& r, const Vector& x,
-    double h = 1e-6) {
+    const Vector& r_at_x, double h = 1e-6) {
+  TDP_REQUIRE(!x.empty(), "need at least one parameter");
+  const std::size_t m = r_at_x.size();
   Vector probe = x;
-  probe[0] = x.empty() ? 0.0 : probe[0];
-  const Vector r0 = r(x);
-  Matrix jac(r0.size(), x.size(), 0.0);
+  Matrix jac(m, x.size(), 0.0);
   for (std::size_t j = 0; j < x.size(); ++j) {
     const double original = probe[j];
     probe[j] = original + h;
@@ -44,7 +48,9 @@ inline Matrix numeric_jacobian(
     probe[j] = original - h;
     const Vector rm = r(probe);
     probe[j] = original;
-    for (std::size_t i = 0; i < r0.size(); ++i) {
+    TDP_REQUIRE(rp.size() == m && rm.size() == m,
+                "residual length changed between evaluations");
+    for (std::size_t i = 0; i < m; ++i) {
       jac(i, j) = (rp[i] - rm[i]) / (2.0 * h);
     }
   }

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "common/cyclic.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/waiting_function.hpp"
 #include "estimation/tip_estimator.hpp"
 #include "estimation/wf_estimator.hpp"
 
@@ -72,6 +76,119 @@ TEST(PatienceMix, NetOutflowSumsToZero) {
     }
     EXPECT_NEAR(total, 0.0, 1e-10);
   }
+}
+
+// ---- Eq. 6 written out ----------------------------------------------------
+//
+// PatienceMix tabulates its powers; these write eq. 6 out term by term with
+// one std::pow per term (and lag_sum for C(beta)), in the order the mix
+// evaluated before it kept tables. Every comparison is EXPECT_EQ.
+
+double eq6_omega(const PatienceMix& mix, std::size_t from, std::size_t to,
+                 double reward) {
+  if (reward <= 0.0) return 0.0;
+  const std::size_t n = mix.periods();
+  const double lag = static_cast<double>(cyclic_lag(from, to, n));
+  double total = 0.0;
+  for (std::size_t j = 0; j < mix.types(); ++j) {
+    const double beta = mix.beta(from, j);
+    const double c =
+        1.0 / (mix.max_reward() * PowerLawWaitingFunction::lag_sum(beta, n));
+    total += mix.alpha(from, j) * c * reward * std::pow(lag + 1.0, -beta);
+  }
+  return total;
+}
+
+double eq6_net_outflow(const PatienceMix& mix, std::size_t period,
+                       const std::vector<double>& demand,
+                       const math::Vector& rewards) {
+  double out = 0.0;
+  double in = 0.0;
+  for (std::size_t k = 0; k < mix.periods(); ++k) {
+    if (k == period) continue;
+    out += demand[period] * eq6_omega(mix, period, k, rewards[k]);
+    in += demand[k] * eq6_omega(mix, k, period, rewards[period]);
+  }
+  return out - in;
+}
+
+void expect_mix_matches_eq6(const PatienceMix& mix, Rng& rng,
+                            const std::string& context) {
+  const std::size_t n = mix.periods();
+  std::vector<double> demand(n);
+  math::Vector rewards(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    demand[k] = k == 1 ? 0.0 : rng.uniform(1.0, 30.0);
+    // Zero and negative rewards take eq. 6's p <= 0 branch.
+    rewards[k] = k % 5 == 0   ? 0.0
+                 : k % 7 == 3 ? -rng.uniform(0.0, 0.5)
+                              : rng.uniform(0.0, 1.5);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k == i) continue;
+      EXPECT_EQ(mix.omega(i, k, rewards[k]), eq6_omega(mix, i, k, rewards[k]))
+          << context << " omega " << i << "->" << k;
+      EXPECT_EQ(mix.deferred(i, k, demand[i], rewards[k]),
+                demand[i] * eq6_omega(mix, i, k, rewards[k]))
+          << context << " deferred " << i << "->" << k;
+    }
+    EXPECT_EQ(mix.net_outflow(i, demand, rewards),
+              eq6_net_outflow(mix, i, demand, rewards))
+        << context << " net outflow " << i;
+  }
+}
+
+TEST(PatienceMix, TabulatedMixMatchesEq6WrittenOut) {
+  for (const std::size_t n : {std::size_t{12}, std::size_t{48}}) {
+    Rng rng(60 + n);
+    // Tied m = 1: the horizon's fit, one patience index for every period.
+    PatienceMix tied(n, 1, 1.5);
+    for (std::size_t i = 0; i < n; ++i) tied.set(i, 0, 1.0, 2.4235450098180569);
+    expect_mix_matches_eq6(tied, rng, "tied n=" + std::to_string(n));
+
+    // Untied m = 2: an index per (period, type), some shared.
+    PatienceMix untied(n, 2, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double alpha = rng.uniform(0.0, 1.0);
+      untied.set(i, 0, alpha, i % 3 == 0 ? 1.0 : rng.uniform(0.05, 8.0));
+      untied.set(i, 1, 1.0 - alpha, rng.uniform(0.05, 8.0));
+    }
+    expect_mix_matches_eq6(untied, rng, "untied n=" + std::to_string(n));
+
+    // Re-set every index, so rows that lost their last user are rewritten
+    // for new indices, then tie the mix back to one index.
+    for (std::size_t i = 0; i < n; ++i) {
+      untied.set(i, 0, untied.alpha(i, 0), rng.uniform(0.05, 8.0));
+      untied.set(i, 1, untied.alpha(i, 1), rng.uniform(0.05, 8.0));
+    }
+    expect_mix_matches_eq6(untied, rng, "re-set n=" + std::to_string(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      untied.set(i, 0, untied.alpha(i, 0), 0.7);
+      untied.set(i, 1, untied.alpha(i, 1), 0.7);
+    }
+    expect_mix_matches_eq6(untied, rng, "re-tied n=" + std::to_string(n));
+  }
+}
+
+TEST(PatienceMix, NegativeOrNanDemandStillThrows) {
+  const PatienceMix truth = table3_truth();
+  const math::Vector rewards = {0.4, 0.6, 0.2};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-1.0, nan}) {
+    for (std::size_t where = 0; where < 3; ++where) {
+      std::vector<double> demand = {22.0, 13.0, 8.0};
+      demand[where] = bad;
+      for (std::size_t period = 0; period < 3; ++period) {
+        EXPECT_THROW(truth.net_outflow(period, demand, rewards),
+                     PreconditionError)
+            << "demand " << bad << " at " << where << ", period " << period;
+      }
+    }
+    EXPECT_THROW(truth.deferred(0, 1, bad, 0.5), PreconditionError);
+  }
+  EXPECT_THROW(truth.net_outflow(3, {22.0, 13.0, 8.0}, rewards),
+               PreconditionError);
 }
 
 TEST(Estimation, Table3ReducedEstimatorUnder12PercentError) {

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cyclic.hpp"
@@ -471,6 +472,41 @@ DynamicModel nonlinear_dynamic_model() {
       math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0));
 }
 
+/// The shape the horizon re-solves after each fit: one linear (gamma = 1)
+/// continuous-lag power law shared by every period, with the index fitted
+/// to the golden run's day 2.
+DynamicModel reanchor_dynamic_model(double beta = 2.4235450098180569) {
+  const std::size_t n = 48;
+  const std::vector<double> demand = paper::table5_demand_48();
+  DemandProfile profile(n);
+  const WaitingFunctionPtr waiting = std::make_shared<PowerLawWaitingFunction>(
+      beta, n, paper::kStaticNormalizationReward, 1.0,
+      LagNormalization::kContinuous);
+  for (std::size_t p = 0; p < n; ++p) {
+    profile.add_class(p, SessionClass{waiting, demand[p]});
+  }
+  return DynamicModel(
+      std::move(profile), paper::kDynamicCapacityUnits,
+      math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0));
+}
+
+/// A linear model over 10 periods: no row of its n x n matrices is a whole
+/// number of 4-wide vectors, so every vector kernel runs its scalar tail.
+DynamicModel ten_period_dynamic_model() {
+  const std::vector<double> volumes = {4.0, 6.0, 9.0, 12.0, 10.0,
+                                       7.0, 5.0, 3.0, 2.0,  3.0};
+  DemandProfile profile(volumes.size());
+  const WaitingFunctionPtr waiting = std::make_shared<PowerLawWaitingFunction>(
+      1.8, volumes.size(), paper::kStaticNormalizationReward, 1.0,
+      LagNormalization::kContinuous);
+  for (std::size_t p = 0; p < volumes.size(); ++p) {
+    profile.add_class(p, SessionClass{waiting, volumes[p]});
+  }
+  return DynamicModel(
+      std::move(profile), 7.0,
+      math::PiecewiseLinearCost::hinge(paper::kDynamicCostSlope, 0.0));
+}
+
 /// The fleet's fluid-model shape: Table VII's 48-period mix, continuous
 /// lags, gamma = 1.
 DemandProfile fleet_profile() {
@@ -628,6 +664,37 @@ TEST(DynamicModelFused, CostAndGradientBitIdenticalToReference) {
       }
     }
   }
+  // A linear plan writes its reward-independent derivative table into a
+  // state once; a state primed on linear model A, then B, then A again must
+  // hold each model's own table, bit for bit what a fresh state computes.
+  {
+    const DynamicModel a = reanchor_dynamic_model();
+    const DynamicModel b = reanchor_dynamic_model(1.3);
+    ASSERT_TRUE(a.kernel().linear());
+    ASSERT_TRUE(b.kernel().linear());
+    Rng rng(23);
+    FlowState shared;
+    const DynamicModel* sequence[] = {&a, &b, &a};
+    for (std::size_t step = 0; step < 3; ++step) {
+      const DynamicModel& model = *sequence[step];
+      const std::string context = "linear A/B/A step " + std::to_string(step);
+      const math::Vector rewards = random_rewards(rng, model.periods(), 0.3);
+      for (double mu : {1.0, 1e-4}) {
+        FlowState fresh;
+        math::Vector fresh_grad(model.periods(), 0.0);
+        math::Vector shared_grad(model.periods(), 0.0);
+        EXPECT_EQ(
+            model.smoothed_cost_and_gradient(rewards, mu, fresh_grad, fresh),
+            model.smoothed_cost_and_gradient(rewards, mu, shared_grad, shared))
+            << context << " mu " << mu;
+        EXPECT_TRUE(same_bits(fresh_grad, shared_grad))
+            << context << " mu " << mu;
+        EXPECT_TRUE(same_bits(fresh.pair_derivative, shared.pair_derivative))
+            << context << " mu " << mu;
+      }
+      expect_cost_and_gradient_match(model, rewards, shared, context.c_str());
+    }
+  }
 }
 
 TEST(DynamicModelFused, CoordinateUpdateCostMatchesReference) {
@@ -679,19 +746,28 @@ TEST(DynamicModelFused, CoordinateUpdateCostMatchesReference) {
 }
 
 TEST(DynamicOptimizerFused, SolutionBitIdenticalToReferencePath) {
-  const DynamicModel model = nonlinear_dynamic_model();
-  DynamicOptimizerOptions fused;
-  fused.fused = true;
-  fused.fista.max_iterations = 600;
-  DynamicOptimizerOptions reference = fused;
-  reference.fused = false;
-  const DynamicPricingSolution a = optimize_dynamic_prices(model, fused);
-  const DynamicPricingSolution b = optimize_dynamic_prices(model, reference);
-  for (std::size_t i = 0; i < a.rewards.size(); ++i) {
-    EXPECT_EQ(a.rewards[i], b.rewards[i]) << "reward " << i;
+  // The 12-period nonlinear model, the linear 48-period shape the horizon
+  // re-solves, and a 10-period one whose rows end in vector tails.
+  const std::pair<const char*, DynamicModel> models[] = {
+      {"nonlinear 12", nonlinear_dynamic_model()},
+      {"re-anchor 48", reanchor_dynamic_model()},
+      {"linear 10", ten_period_dynamic_model()},
+  };
+  for (const auto& [name, model] : models) {
+    DynamicOptimizerOptions fused;
+    fused.fused = true;
+    fused.fista.max_iterations = 600;
+    DynamicOptimizerOptions reference = fused;
+    reference.fused = false;
+    const DynamicPricingSolution a = optimize_dynamic_prices(model, fused);
+    const DynamicPricingSolution b = optimize_dynamic_prices(model, reference);
+    ASSERT_EQ(a.rewards.size(), b.rewards.size()) << name;
+    for (std::size_t i = 0; i < a.rewards.size(); ++i) {
+      EXPECT_EQ(a.rewards[i], b.rewards[i]) << name << " reward " << i;
+    }
+    EXPECT_EQ(a.evaluation.total_cost, b.evaluation.total_cost) << name;
+    EXPECT_EQ(a.iterations, b.iterations) << name;
   }
-  EXPECT_EQ(a.evaluation.total_cost, b.evaluation.total_cost);
-  EXPECT_EQ(a.iterations, b.iterations);
 }
 
 TEST(OnlinePricerIncremental, DayOfObservationsBitIdenticalToReference) {

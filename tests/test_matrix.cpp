@@ -138,11 +138,23 @@ TEST(NumDiff, JacobianOfLinearMap) {
   const auto r = [](const Vector& x) {
     return Vector{2.0 * x[0] - x[1], x[0] + 4.0 * x[1]};
   };
-  const Matrix j = numeric_jacobian(r, {0.3, -0.7});
+  const Vector x = {0.3, -0.7};
+  const Matrix j = numeric_jacobian(r, x, r(x));
   EXPECT_NEAR(j(0, 0), 2.0, 1e-6);
   EXPECT_NEAR(j(0, 1), -1.0, 1e-6);
   EXPECT_NEAR(j(1, 0), 1.0, 1e-6);
   EXPECT_NEAR(j(1, 1), 4.0, 1e-6);
+}
+
+TEST(NumDiff, JacobianRejectsEmptyPointAndMismatchedResidual) {
+  const auto r = [](const Vector& x) {
+    return Vector(x.empty() ? 1 : x.size(), 1.0);
+  };
+  // An empty point has no coordinate to probe.
+  EXPECT_THROW(numeric_jacobian(r, Vector{}, Vector{1.0}), PreconditionError);
+  // The residual held at x must have the length the probes return.
+  EXPECT_THROW(numeric_jacobian(r, Vector{0.5, 0.5}, Vector{1.0}),
+               PreconditionError);
 }
 
 }  // namespace

@@ -140,6 +140,41 @@ TEST(RngBatch, Avx2KernelsAreBitIdenticalToScalar) {
 #endif
 }
 
+// ---- Backlog-sensitivity row kernels ---------------------------------------
+
+TEST(SimdRowKernels, MatchTheScalarLoopsBitwise) {
+  Rng rng(2718);
+  // Lengths around the 4-wide vector, so every tail length runs.
+  for (std::size_t count = 0; count <= 13; ++count) {
+    std::vector<double> src(count), start(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      src[k] = k % 3 == 0 ? 0.0 : rng.uniform(-2.0, 2.0);
+      start[k] = rng.uniform(-1.0, 1.0);
+    }
+    for (const double scale : {0.0, 1.0, 0.37}) {
+      std::vector<double> scaled = start, added = start;
+      simd::detail::scale_negated_sum_scalar(scaled.data(), src.data(), scale,
+                                             count);
+      simd::detail::add_scaled_scalar(added.data(), src.data(), scale, count);
+      for (std::size_t k = 0; k < count; ++k) {
+        EXPECT_EQ(scaled[k], scale * (start[k] + -src[k])) << count << "," << k;
+        EXPECT_EQ(added[k], start[k] + scale * src[k]) << count << "," << k;
+      }
+#if defined(TDP_HAVE_AVX2)
+      if (!simd::avx2_supported()) continue;
+      std::vector<double> vscaled = start, vadded = start;
+      simd::detail::scale_negated_sum_avx2(vscaled.data(), src.data(), scale,
+                                           count);
+      simd::detail::add_scaled_avx2(vadded.data(), src.data(), scale, count);
+      for (std::size_t k = 0; k < count; ++k) {
+        EXPECT_EQ(scaled[k], vscaled[k]) << "count " << count << " lane " << k;
+        EXPECT_EQ(added[k], vadded[k]) << "count " << count << " lane " << k;
+      }
+#endif
+    }
+  }
+}
+
 // ---- KernelPlan vector fill path ------------------------------------------
 
 /// A SIMD-eligible profile: the *same* class list every period (so every
@@ -261,6 +296,43 @@ TEST(KernelPlanSimd, EvaluateIsBitIdenticalScalarVsAvx2) {
           EXPECT_EQ(kernel.outflow(i, rewards), simd_state.outflow[i])
               << context << " vs reference outflow, period " << i;
         }
+      }
+    }
+  }
+}
+
+TEST(KernelPlanSimd, LinearEvaluateIsBitIdenticalScalarVsAvx2) {
+  // Linear plans fill their pair rows through their own vector loop.
+  if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
+  Rng rng(778);
+  for (const std::size_t n : {std::size_t{6}, std::size_t{12},
+                              std::size_t{48}}) {
+    const DeferralKernel kernel(
+        uniform_profile(n, /*linear=*/true, LagNormalization::kContinuous,
+                        1.5),
+        LagConvention::kUniformArrival);
+    const auto plan = kernel.plan();
+    ASSERT_NE(plan, nullptr);
+    ASSERT_TRUE(plan->linear());
+    for (const bool with_derivatives : {false, true}) {
+      math::Vector rewards = random_rewards(rng, n, 1.5);
+      rewards[n - 1] = -0.25;  // a negative reward takes the p <= 0 gate too
+      FlowState scalar_state, simd_state;
+      {
+        ModeGuard guard(simd::Mode::kScalar);
+        plan->evaluate(rewards, with_derivatives, scalar_state);
+      }
+      {
+        ModeGuard guard(simd::Mode::kAvx2);
+        plan->evaluate(rewards, with_derivatives, simd_state);
+      }
+      const std::string context = "linear n=" + std::to_string(n) +
+                                  " deriv=" + std::to_string(with_derivatives);
+      expect_states_bitwise_equal(scalar_state, simd_state, n,
+                                  context.c_str());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(kernel.outflow(i, rewards), simd_state.outflow[i])
+            << context << " vs reference outflow, period " << i;
       }
     }
   }
@@ -404,8 +476,9 @@ TEST(FleetSimd, PinnedThreadsPreserveBitIdentityAcrossThreadCounts) {
   }
 }
 
-TEST(FleetSimd, CheckpointBytesAreIdenticalScalarVsAvx2) {
-  if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
+/// A 3-day horizon whose every measured day is fitted (§IV) and
+/// re-anchored.
+horizon::HorizonConfig small_horizon_config() {
   horizon::HorizonConfig config;
   config.population.users = 1500;
   config.population.periods = 12;
@@ -418,6 +491,12 @@ TEST(FleetSimd, CheckpointBytesAreIdenticalScalarVsAvx2) {
   config.estimation_window = 3;
   config.estimation_min_days = 1;
   config.estimation_starts = 2;
+  return config;
+}
+
+TEST(FleetSimd, CheckpointBytesAreIdenticalScalarVsAvx2) {
+  if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
+  const horizon::HorizonConfig config = small_horizon_config();
 
   std::vector<std::uint8_t> bytes[2];
   const simd::Mode modes[2] = {simd::Mode::kScalar, simd::Mode::kAvx2};
@@ -433,6 +512,44 @@ TEST(FleetSimd, CheckpointBytesAreIdenticalScalarVsAvx2) {
   }
   ASSERT_EQ(bytes[0].size(), bytes[1].size());
   EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+TEST(FleetSimd, ReanchoringRunIsIdenticalScalarVsAvx2) {
+  // The run above taken to its end: every measured day fits the window
+  // (§IV) and re-solves the dynamic model on the fit, so both solves run
+  // under each mode.
+  if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
+  const horizon::HorizonConfig config = small_horizon_config();
+
+  std::vector<std::uint8_t> bytes[2];
+  std::vector<horizon::DayMetrics> days[2];
+  const simd::Mode modes[2] = {simd::Mode::kScalar, simd::Mode::kAvx2};
+  for (int run = 0; run < 2; ++run) {
+    ModeGuard guard(modes[run]);
+    horizon::MultiDayDriver driver(config);
+    while (!driver.done()) driver.step_period();
+    bytes[run] = driver.checkpoint_bytes();
+    days[run] = driver.completed_days();
+  }
+  std::size_t reanchors = 0;
+  for (const horizon::DayMetrics& day : days[0]) reanchors += day.reanchored;
+  ASSERT_GE(reanchors, 1u);
+
+  EXPECT_EQ(bytes[0], bytes[1]);
+  ASSERT_EQ(days[0].size(), days[1].size());
+  for (std::size_t d = 0; d < days[0].size(); ++d) {
+    EXPECT_EQ(days[0][d].rewards, days[1][d].rewards) << "day " << d;
+    EXPECT_EQ(days[0][d].realized_units, days[1][d].realized_units)
+        << "day " << d;
+    EXPECT_EQ(days[0][d].estimated, days[1][d].estimated) << "day " << d;
+    EXPECT_EQ(days[0][d].beta_estimate, days[1][d].beta_estimate)
+        << "day " << d;
+    EXPECT_EQ(days[0][d].estimate_residual, days[1][d].estimate_residual)
+        << "day " << d;
+    EXPECT_EQ(days[0][d].reanchored, days[1][d].reanchored) << "day " << d;
+    EXPECT_EQ(days[0][d].reward_step_linf, days[1][d].reward_step_linf)
+        << "day " << d;
+  }
 }
 
 }  // namespace
