@@ -203,8 +203,6 @@ class BenchReport {
     line += ",\"host_isa\":\"" + std::string(simd::host_isa()) + "\"";
     line += ",\"simd_mode\":\"" + std::string(simd::mode_name()) + "\"";
     line += ",\"threads_used\":" + std::to_string(threads_used_);
-    line += ",\"pinned\":";
-    line += pin_threads() ? "true" : "false";
     line += ",\"git_sha\":\"" TDP_GIT_SHA "\"";
     char buffer[64];
     std::snprintf(buffer, sizeof buffer,

@@ -1,46 +1,17 @@
 #include "common/thread_pool.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <memory>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "common/error.hpp"
 
 namespace tdp {
 
-namespace {
-
-// Pin the calling thread to one core. Best-effort: failures (non-Linux,
-// restricted cpuset, core offline) leave the thread unpinned.
-void pin_self_to_core(std::size_t core) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(core % hardware_threads()), &set);
-  (void)sched_setaffinity(0, sizeof(set), &set);
-#else
-  (void)core;
-#endif
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(std::size_t threads, bool pin) {
+ThreadPool::ThreadPool(std::size_t threads) {
   TDP_REQUIRE(threads >= 1, "a pool needs at least the calling thread");
-  if (pin) pin_self_to_core(0);  // the caller participates from core 0
   workers_.reserve(threads - 1);
   for (std::size_t t = 0; t + 1 < threads; ++t) {
-    workers_.emplace_back([this, t, pin] {
-      // Worker t takes core t+1, leaving core 0 for the participating
-      // caller. Self-pinning before the first claim means the worker's
-      // first-touch writes already land on its final core's node.
-      if (pin) pin_self_to_core(t + 1);
-      worker_loop();
-    });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -56,13 +27,16 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::for_each_index(std::size_t count,
                                 const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    TDP_REQUIRE(task_ == nullptr, "pool batches may not nest");
+    std::unique_lock<std::mutex> lock(mutex_);
+    // A batch submitted while another holds the pool (another caller's,
+    // or a nested one from inside a task) runs inline on its caller:
+    // every index still runs exactly once, so no result moves.
+    if (workers_.empty() || count == 1 || task_ != nullptr) {
+      lock.unlock();
+      for (std::size_t i = 0; i < count; ++i) fn(i);
+      return;
+    }
     task_ = &fn;
     task_count_ = count;
     next_index_ = 0;
@@ -137,18 +111,9 @@ std::size_t env_default_threads() {
   return hardware_threads();
 }
 
-bool env_pin_threads() {
-  const char* env = std::getenv("TDP_PIN_THREADS");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "true") == 0 ||
-         std::strcmp(env, "on") == 0;
-}
-
 std::mutex g_pool_mutex;
 std::size_t g_default_threads = 0;  // 0 = not yet initialized
-int g_pin_threads = -1;             // -1 = not yet initialized
 std::unique_ptr<ThreadPool> g_pool;
-bool g_pool_pinned = false;
 
 }  // namespace
 
@@ -165,25 +130,11 @@ void set_default_thread_count(std::size_t threads) {
   if (g_pool && g_pool->thread_count() != threads) g_pool.reset();
 }
 
-bool pin_threads() {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (g_pin_threads < 0) g_pin_threads = env_pin_threads() ? 1 : 0;
-  return g_pin_threads == 1;
-}
-
-void set_pin_threads(bool pin) {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  g_pin_threads = pin ? 1 : 0;
-  if (g_pool && g_pool_pinned != pin) g_pool.reset();
-}
-
 ThreadPool& global_pool() {
   const std::size_t threads = default_thread_count();
-  const bool pin = pin_threads();
   std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (!g_pool || g_pool->thread_count() != threads || g_pool_pinned != pin) {
-    g_pool = std::make_unique<ThreadPool>(threads, pin);
-    g_pool_pinned = pin;
+  if (!g_pool || g_pool->thread_count() != threads) {
+    g_pool = std::make_unique<ThreadPool>(threads);
   }
   return *g_pool;
 }

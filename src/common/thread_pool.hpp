@@ -27,12 +27,9 @@ namespace tdp {
 
 /// A fixed-size pool. `threads` counts the caller: ThreadPool(4) spawns 3
 /// workers and the thread calling for_each_index participates as the 4th.
-/// With `pin` set, worker t is pinned to core (t+1) % ncpu (the caller is
-/// assumed on core 0); pinning is Linux-only and silently a no-op
-/// elsewhere or when affinity calls fail (e.g. restricted cpusets).
 class ThreadPool {
  public:
-  explicit ThreadPool(std::size_t threads, bool pin = false);
+  explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -43,8 +40,9 @@ class ThreadPool {
 
   /// Run fn(i) for every i in [0, count), distributing indices over the
   /// pool; blocks until all complete. The first exception (lowest index)
-  /// is rethrown after the batch drains. Not reentrant: one batch at a
-  /// time per pool.
+  /// is rethrown after the batch drains. The pool runs one batch at a
+  /// time: a batch submitted while another holds it (another caller's, or
+  /// a nested one from inside a task) runs inline on its caller.
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
 
@@ -76,15 +74,6 @@ std::size_t hardware_threads();
 /// at runtime (tests pin it to exercise both serial and parallel paths).
 std::size_t default_thread_count();
 void set_default_thread_count(std::size_t threads);
-
-/// Process-wide thread-pinning policy: the TDP_PIN_THREADS environment
-/// variable (1/true/on enables) read once, overridable at runtime.
-/// Pinning reduces cross-core migration and, with first-touch allocation,
-/// keeps each shard's pages local to its worker's NUMA node; on
-/// single-node hosts it degrades to plain affinity with no other effect.
-/// Changing the policy resets the global pool so new workers honour it.
-bool pin_threads();
-void set_pin_threads(bool pin);
 
 /// The shared pool sized to default_thread_count() (resized lazily when the
 /// default changes). Created on first use.

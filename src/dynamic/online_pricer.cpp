@@ -15,9 +15,9 @@
 namespace tdp {
 namespace {
 
-/// Registry mirrors of PricerHealthStats: bumped at the same sites as the
-/// per-instance stats (FleetMetrics reads these as deltas), so registry
-/// views and health_stats() can never disagree.
+/// Registry mirrors of PricerHealthStats, summed over every pricer in the
+/// process: bumped at the same sites as the per-instance stats, so a
+/// pricer's health_stats() and its share of the registry never disagree.
 struct PricerCounters {
   obs::Counter& solve_failures =
       obs::Registry::global().counter("pricer.solve_failures_total");

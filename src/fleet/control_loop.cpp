@@ -278,6 +278,7 @@ void ControlLoop::step_period(
     sig.lost_stripes = obs.lost_stripes;
     if (obs.lost_stripes > 0) {
       lc.stripes_lost.add(obs.lost_stripes);
+      tallies_.stripes_lost += obs.lost_stripes;
       obs::journal_record(
           "fleet.stripe_lost", static_cast<std::int64_t>(period_), -1,
           "shard measurement stripes lost",
@@ -289,6 +290,7 @@ void ControlLoop::step_period(
       // freezes its schedule.
       sig.measurement_gap = true;
       lc.measurement_gaps.add(1);
+      ++tallies_.measurement_gaps;
       obs::journal_record("fleet.measurement_gap",
                           static_cast<std::int64_t>(period_), -1,
                           "telemetry blackout, schedule frozen",
@@ -297,7 +299,10 @@ void ControlLoop::step_period(
     } else {
       const MeasurementGuard::Admitted admitted =
           guard_.admit(period_, obs.sample);
-      if (admitted.degraded) lc.measurement_repairs.add(1);
+      if (admitted.degraded) {
+        lc.measurement_repairs.add(1);
+        ++tallies_.measurement_repairs;
+      }
       sig.measurement_repaired = admitted.degraded;
       const std::size_t budget = injector_.exhaust_solver(abs_period)
                                      ? injector_.plan().solver_starved_budget

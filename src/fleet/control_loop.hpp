@@ -165,6 +165,15 @@ class ControlLoop {
   void close_day(const obs::incident::DaySignals& flags = {});
 
   const DayTotals& day_totals() const { return totals_; }
+  /// Observation faults this loop absorbed since it was built (a restored
+  /// loop counts from the restore). The registry's fleet.* counters count
+  /// the same events for the whole process.
+  struct FaultTallies {
+    std::uint64_t stripes_lost = 0;         ///< slice stripes never arrived
+    std::uint64_t measurement_gaps = 0;     ///< whole-aggregate losses
+    std::uint64_t measurement_repairs = 0;  ///< guard-sanitized samples
+  };
+  const FaultTallies& fault_tallies() const { return tallies_; }
   /// Layout and per-phase seconds so far (wall_seconds is the caller's).
   LoopMetrics metrics() const;
   /// The day's fan-out group-periods served the channel's fallback
@@ -208,6 +217,7 @@ class ControlLoop {
   std::size_t period_ = 0;
   DayTotals totals_;
   std::uint64_t channel_fallbacks_ = 0;
+  FaultTallies tallies_;
   /// Per-phase wall seconds over the loop's lifetime (phase fields only).
   LoopMetrics phases_;
 };

@@ -1,46 +1,12 @@
 #include "fleet/fleet_driver.hpp"
 
 #include <chrono>
-#include <iterator>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace tdp::fleet {
-namespace {
-
-/// FleetMetrics fields that are per-run deltas of registry counters (the
-/// components bump them at their event sites).
-struct RunCounter {
-  const char* name;
-  std::uint64_t FleetMetrics::*field;
-};
-constexpr RunCounter kRunCounters[] = {
-    {"channel.fetches_total", &FleetMetrics::price_server_fetches},
-    {"channel.dropped_attempts_total", &FleetMetrics::price_pull_drops},
-    {"channel.retries_total", &FleetMetrics::price_pull_retries},
-    {"channel.stale_periods_total", &FleetMetrics::price_stale_periods},
-    {"channel.fallback_periods_total", &FleetMetrics::price_fallback_periods},
-    {"channel.skewed_periods_total", &FleetMetrics::price_skewed_periods},
-    {"channel.recoveries_total", &FleetMetrics::price_recoveries},
-    {"fleet.shard_stripes_lost_total", &FleetMetrics::shard_stripes_lost},
-    {"fleet.measurement_gaps_total", &FleetMetrics::measurement_gaps},
-    {"fleet.measurement_repairs_total", &FleetMetrics::measurement_repairs},
-    {"pricer.solve_failures_total", &FleetMetrics::solver_failures},
-    {"pricer.clamped_steps_total", &FleetMetrics::reward_clamps},
-    {"pricer.skipped_updates_total", &FleetMetrics::skipped_updates},
-    {"pricer.health_transitions_total", &FleetMetrics::health_transitions},
-    {"pricer.degraded_observations_total",
-     &FleetMetrics::degraded_observations},
-    {"pricer.fallback_observations_total",
-     &FleetMetrics::fallback_observations},
-    {"pricer.recoveries_total", &FleetMetrics::pricer_recoveries},
-};
-
-}  // namespace
 
 FleetDriver::FleetDriver(FleetDriverConfig config) : loop_(std::move(config)) {
   // Any offline solve happens here (inside the mechanism's constructor),
@@ -60,17 +26,6 @@ FleetMetrics FleetDriver::run_day() {
 
   const std::size_t n = loop_.population().periods();
   const std::size_t total_days = loop_.config().warmup_days + 1;
-
-  // FleetMetrics' robustness fields are per-run views over the
-  // process-wide registry: capture each counter's baseline now, read the
-  // deltas after the loop. Safe because a driver is single-shot and nothing
-  // else exercises this channel/pricer while run_day runs.
-  obs::Registry& reg = obs::Registry::global();
-  std::vector<obs::CounterDelta> deltas;
-  deltas.reserve(std::size(kRunCounters));
-  for (const RunCounter& c : kRunCounters) {
-    deltas.emplace_back(reg.counter(c.name));
-  }
 
   FleetMetrics metrics;
   std::uint64_t all_day_sessions = 0;
@@ -107,14 +62,33 @@ FleetMetrics FleetDriver::run_day() {
   metrics.pricer_expected_cost = mechanism.expected_cost();
   metrics.mechanism = mechanism.name();
 
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    metrics.*kRunCounters[i].field = deltas[i].delta();
-  }
-  // The maximum and the final rung are state, not counts: read them from
-  // the mechanism directly.
-  const PricerHealthStats* health_stats = mechanism.health_stats();
-  metrics.max_recovery_periods =
-      health_stats != nullptr ? health_stats->max_recovery_periods : 0;
+  // The robustness fields count this run only: each is read from the
+  // component that owns it (a driver is single-shot, so its components'
+  // counts are the run's), never from the process-wide registry.
+  const SubscriberTelemetry channel = loop_.fanout().total_telemetry();
+  metrics.price_server_fetches = channel.fetches;
+  metrics.price_pull_drops = channel.dropped_attempts;
+  metrics.price_pull_retries = channel.retries;
+  metrics.price_stale_periods = channel.stale_periods;
+  metrics.price_fallback_periods = channel.fallback_periods;
+  metrics.price_skewed_periods = channel.skewed_periods;
+  metrics.price_recoveries = channel.recoveries;
+  const ControlLoop::FaultTallies& tallies = loop_.fault_tallies();
+  metrics.shard_stripes_lost = tallies.stripes_lost;
+  metrics.measurement_gaps = tallies.measurement_gaps;
+  metrics.measurement_repairs = tallies.measurement_repairs;
+  // Mechanisms without a health ladder count nothing.
+  const PricerHealthStats health = mechanism.health_stats() != nullptr
+                                       ? *mechanism.health_stats()
+                                       : PricerHealthStats{};
+  metrics.solver_failures = health.solve_failures;
+  metrics.reward_clamps = health.clamped_steps;
+  metrics.skipped_updates = health.skipped_updates;
+  metrics.health_transitions = health.transitions;
+  metrics.degraded_observations = health.degraded_observations;
+  metrics.fallback_observations = health.fallback_observations;
+  metrics.pricer_recoveries = health.recoveries;
+  metrics.max_recovery_periods = health.max_recovery_periods;
   metrics.final_health = to_string(mechanism.health());
   if (const obs::incident::IncidentEngine* incident = incident_engine()) {
     metrics.incident_alerts = incident->alerts_emitted();

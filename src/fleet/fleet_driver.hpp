@@ -5,7 +5,7 @@
 //     run_day():  for each day { step_period() × periods;
 //                                settle_day(); close_day(); }
 //                 then FleetMetrics from the measured day's totals, the
-//                 loop's phase times and per-run registry counter deltas.
+//                 loop's phase times and its components' own counts.
 //
 // The first day(s) warm the deferral rings so the measured day sees the
 // cyclic steady state the fluid model assumes. When any fault can fire,

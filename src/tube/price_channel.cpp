@@ -10,8 +10,7 @@ namespace tdp {
 namespace {
 
 /// Registry mirrors of the per-subscriber SubscriberTelemetry, aggregated
-/// across all subscribers and channels (the fleet driver reads these as
-/// per-day deltas for FleetMetrics).
+/// across all subscribers and channels in the process.
 struct ChannelCounters {
   obs::Counter& fetches =
       obs::Registry::global().counter("channel.fetches_total");

@@ -1,5 +1,6 @@
-// FaultInjector property tests (determinism, shard-layout independence,
-// zero-plan transparency) and MeasurementGuard sanitization tests.
+// FaultInjector property tests (determinism, query-order independence)
+// and MeasurementGuard sanitization tests. A chaos run's thread-count
+// invariance is the invariance battery's (test_invariance.cpp).
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -9,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "fleet/fleet_driver.hpp"
 #include "tube/measurement_guard.hpp"
 
 namespace tdp {
@@ -134,82 +134,6 @@ TEST(FaultInjector, RejectsInvalidPlans) {
   sums.measurement_loss = 0.6;
   sums.measurement_nan = 0.6;
   EXPECT_THROW(FaultInjector{sums}, PreconditionError);
-}
-
-// --- shard-layout independence -------------------------------------------
-
-// The fault sequence seen by a fixed set of (entity, period) sites must not
-// depend on how many other sites exist or on the thread count of the
-// machine asking — the injector is a pure function, so simply re-asking
-// from differently-shaped loops must agree. The fleet-level version: two
-// drivers with the same plan but different *thread counts* produce
-// identical chaos outputs (the slice count is part of the experiment
-// identity, matching the clean determinism contract).
-TEST(FaultInjector, FleetChaosRunIsThreadCountIndependent) {
-  fleet::FleetDriverConfig config;
-  config.population.users = 2000;
-  config.population.periods = 12;
-  config.shards = 8;
-  config.warmup_days = 0;
-  config.fault.price_pull_drop = 0.3;
-  config.fault.measurement_loss = 0.2;
-  config.fault.measurement_spike = 0.1;
-
-  config.threads = 1;
-  fleet::FleetDriver serial(config);
-  const fleet::FleetMetrics a = serial.run_day();
-
-  config.threads = 4;
-  fleet::FleetDriver parallel(config);
-  const fleet::FleetMetrics b = parallel.run_day();
-
-  EXPECT_EQ(a.offered_units, b.offered_units);
-  EXPECT_EQ(a.realized_units, b.realized_units);
-  EXPECT_EQ(a.price_pull_drops, b.price_pull_drops);
-  EXPECT_EQ(a.shard_stripes_lost, b.shard_stripes_lost);
-  EXPECT_EQ(a.measurement_repairs, b.measurement_repairs);
-  EXPECT_EQ(a.solver_failures, b.solver_failures);
-  EXPECT_EQ(a.final_health, b.final_health);
-}
-
-// The zero-fault invariant: a driver given an explicit all-zero plan is
-// bitwise-identical to a driver with no plan at all — aggregates, pricer
-// trajectory, channel accounting, everything.
-TEST(FaultInjector, ZeroFaultPlanIsBitIdenticalToNoPlan) {
-  fleet::FleetDriverConfig config;
-  config.population.users = 3000;
-  config.population.periods = 12;
-  config.shards = 8;
-  config.threads = 2;
-  config.warmup_days = 1;
-
-  fleet::FleetDriver vanilla(config);
-  const fleet::FleetMetrics a = vanilla.run_day();
-  const math::Vector rewards_a = vanilla.pricer().rewards();
-
-  config.fault = FaultPlan{};  // explicit zero plan
-  fleet::FleetDriver zero(config);
-  const fleet::FleetMetrics b = zero.run_day();
-  const math::Vector rewards_b = zero.pricer().rewards();
-
-  EXPECT_EQ(a.offered_units, b.offered_units);
-  EXPECT_EQ(a.realized_units, b.realized_units);
-  EXPECT_EQ(a.sessions, b.sessions);
-  EXPECT_EQ(a.deferred_sessions, b.deferred_sessions);
-  EXPECT_EQ(a.reward_paid_units, b.reward_paid_units);
-  EXPECT_EQ(a.pricer_expected_cost, b.pricer_expected_cost);
-  EXPECT_EQ(a.price_server_fetches, b.price_server_fetches);
-  ASSERT_EQ(rewards_a.size(), rewards_b.size());
-  for (std::size_t i = 0; i < rewards_a.size(); ++i) {
-    EXPECT_EQ(rewards_a[i], rewards_b[i]) << "reward " << i;
-  }
-  // And nothing robustness-related fired.
-  EXPECT_EQ(b.price_pull_drops, 0u);
-  EXPECT_EQ(b.price_fallback_periods, 0u);
-  EXPECT_EQ(b.measurement_gaps, 0u);
-  EXPECT_EQ(b.measurement_repairs, 0u);
-  EXPECT_EQ(b.skipped_updates, 0u);
-  EXPECT_EQ(b.final_health, "HEALTHY");
 }
 
 // --- MeasurementGuard -----------------------------------------------------

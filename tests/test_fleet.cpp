@@ -120,54 +120,6 @@ TEST(PriceFanout, MemoryAndFetchesAreGroupBounded) {
   EXPECT_DOUBLE_EQ(fanout.schedule(2)[3], 0.4);
 }
 
-// The acceptance gate for the fleet subsystem: running the same day on one
-// thread and on several, grouped into few shards or many, must produce
-// bit-identical per-period aggregates (EXPECT_EQ on doubles, no tolerance)
-// and an identical reward trajectory, with the online pricer in the loop.
-// The slice count stays at its default: shards only group slices.
-TEST(FleetDriver, AggregatesBitIdenticalAcrossThreadCounts) {
-  struct Layout {
-    std::size_t shards;
-    std::size_t threads;
-  };
-  const Layout layouts[] = {{4, 1}, {4, 4}, {16, 1}, {16, 4}};
-  std::vector<FleetMetrics> results;
-  std::vector<math::Vector> rewards;
-  for (const Layout& layout : layouts) {
-    FleetDriverConfig config;
-    config.population = small_population(20000);
-    config.shards = layout.shards;
-    config.threads = layout.threads;
-    config.warmup_days = 1;
-    config.online_pricing = true;
-    FleetDriver driver(config);
-    results.push_back(driver.run_day());
-    rewards.push_back(driver.pricer().rewards());
-  }
-
-  for (std::size_t run = 1; run < results.size(); ++run) {
-    SCOPED_TRACE(std::to_string(layouts[run].shards) + " shards, " +
-                 std::to_string(layouts[run].threads) + " threads");
-    const FleetMetrics& a = results[0];
-    const FleetMetrics& b = results[run];
-    ASSERT_EQ(a.offered_units.size(), b.offered_units.size());
-    for (std::size_t i = 0; i < a.offered_units.size(); ++i) {
-      EXPECT_EQ(a.offered_units[i], b.offered_units[i])
-          << "offered usage differs in period " << i;
-      EXPECT_EQ(a.realized_units[i], b.realized_units[i])
-          << "realized usage differs in period " << i;
-    }
-    EXPECT_EQ(a.sessions, b.sessions);
-    EXPECT_EQ(a.deferred_sessions, b.deferred_sessions);
-    EXPECT_EQ(a.reward_paid_units, b.reward_paid_units);
-    ASSERT_EQ(rewards[0].size(), rewards[run].size());
-    for (std::size_t i = 0; i < rewards[0].size(); ++i) {
-      EXPECT_EQ(rewards[0][i], rewards[run][i])
-          << "online reward trajectory diverged at period " << i;
-    }
-  }
-}
-
 // The slice count is an explicit part of the experiment: anything outside
 // [1, users] is refused at construction, never clamped or derived.
 TEST(FleetDriver, SliceCountOutsideOneToUsersIsRejected) {

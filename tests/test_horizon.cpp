@@ -1,10 +1,10 @@
 // The long-horizon battery (ISSUE: multi-day online estimation, versioned
-// checkpoint/restore, crash/corruption tests).
+// checkpoint/restore, crash/corruption tests). Kill-and-restore bitwise
+// identity under every scenario and layout is the invariance battery's
+// (test_invariance.cpp).
 //
-//   * Kill-and-restore: a run killed at a randomized period boundary and
-//     restored from its checkpoint finishes bitwise identical to the
-//     uninterrupted run — including under an active fault plan, and under a
-//     different shard/thread count than the one that wrote the checkpoint.
+//   * Execution knobs: a restore under any knob that is not echoed
+//     finishes bitwise like the uninterrupted run.
 //   * Day-0 equivalence: a clean horizon day reproduces FleetDriver's
 //     measured day bitwise (the multi-day loop is the same control loop).
 //   * Corruption battery: every truncation and byte flip of a real
@@ -44,6 +44,7 @@
 #include "horizon/checkpoint.hpp"
 #include "horizon/checkpoint_sections.hpp"
 #include "reframe.hpp"
+#include "scenarios.hpp"
 
 #ifndef TDP_GOLDEN_DIR
 #error "TDP_GOLDEN_DIR must point at tests/golden"
@@ -52,66 +53,10 @@
 namespace tdp::horizon {
 namespace {
 
-HorizonConfig small_config() {
-  HorizonConfig config;
-  config.population.users = 1500;
-  config.population.periods = 12;
-  config.population.seed = 20110611;
-  config.shards = 4;
-  config.slices = 8;
-  config.threads = 2;
-  config.warmup_days = 1;
-  config.horizon_days = 3;
-  config.estimation_window = 3;
-  config.estimation_min_days = 2;
-  config.estimation_starts = 2;
-  return config;
-}
-
-FaultPlan chaos_plan() {
-  FaultPlan plan;
-  plan.price_pull_drop = 0.05;
-  plan.measurement_loss = 0.04;
-  plan.measurement_nan = 0.02;
-  plan.measurement_spike = 0.02;
-  plan.solver_exhaustion = 0.03;
-  plan.drift_beta_rate = 0.02;
-  plan.seed = 424242;
-  return plan;
-}
-
-/// EXPECT_EQ on every DayMetrics field — raw doubles, no tolerance. The
-/// whole point of the checkpoint contract is bitwise equality.
-void expect_days_bitwise_equal(const std::vector<DayMetrics>& a,
-                               const std::vector<DayMetrics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t d = 0; d < a.size(); ++d) {
-    SCOPED_TRACE("day " + std::to_string(d));
-    EXPECT_EQ(a[d].day, b[d].day);
-    EXPECT_EQ(a[d].offered_units, b[d].offered_units);
-    EXPECT_EQ(a[d].realized_units, b[d].realized_units);
-    EXPECT_EQ(a[d].rewards, b[d].rewards);
-    EXPECT_EQ(a[d].sessions, b[d].sessions);
-    EXPECT_EQ(a[d].deferred_sessions, b[d].deferred_sessions);
-    EXPECT_EQ(a[d].reward_paid_units, b[d].reward_paid_units);
-    EXPECT_EQ(a[d].peak_to_average_tip, b[d].peak_to_average_tip);
-    EXPECT_EQ(a[d].peak_to_average_tdp, b[d].peak_to_average_tdp);
-    EXPECT_EQ(a[d].estimated, b[d].estimated);
-    EXPECT_EQ(a[d].beta_estimate, b[d].beta_estimate);
-    EXPECT_EQ(a[d].estimate_residual, b[d].estimate_residual);
-    EXPECT_EQ(a[d].reanchored, b[d].reanchored);
-    EXPECT_EQ(a[d].reward_step_linf, b[d].reward_step_linf);
-    EXPECT_EQ(a[d].fallback_periods, b[d].fallback_periods);
-    EXPECT_EQ(a[d].estimation_frozen, b[d].estimation_frozen);
-    EXPECT_EQ(a[d].reanchor_rolled_back, b[d].reanchor_rolled_back);
-  }
-}
-
-std::vector<DayMetrics> run_uninterrupted(const HorizonConfig& config) {
-  MultiDayDriver driver(config);
-  driver.run();
-  return driver.completed_days();
-}
+using scenarios::chaos_plan;
+using scenarios::expect_days_bitwise_equal;
+using scenarios::run_uninterrupted;
+using scenarios::small_config;
 
 /// Kill at `kill_step` period boundaries, restore under `restore_config`,
 /// finish, and return the restored driver.
@@ -132,103 +77,6 @@ std::unique_ptr<MultiDayDriver> run_killed_and_restored(
       MultiDayDriver::restore(restore_config, bytes);
   while (!restored->done()) restored->step_period();
   return restored;
-}
-
-/// As above, restoring onto another shard/thread layout; returns all
-/// completed days.
-std::vector<DayMetrics> run_killed_and_restored(const HorizonConfig& config,
-                                                std::size_t kill_step,
-                                                std::size_t restore_shards,
-                                                std::size_t restore_threads) {
-  HorizonConfig restore_config = config;
-  restore_config.shards = restore_shards;
-  restore_config.threads = restore_threads;
-  return run_killed_and_restored(config, kill_step, restore_config)
-      ->completed_days();
-}
-
-TEST(HorizonKillRestore, RandomKillPointsFinishBitwiseIdentical) {
-  const HorizonConfig config = small_config();
-  const std::vector<DayMetrics> reference = run_uninterrupted(config);
-
-  const std::size_t total_steps =
-      (config.warmup_days + config.horizon_days) * config.population.periods;
-  Rng rng(1234);
-  for (int trial = 0; trial < 4; ++trial) {
-    const std::size_t kill = 1 + rng.uniform_index(total_steps - 1);
-    SCOPED_TRACE("killed after " + std::to_string(kill) + " periods");
-    expect_days_bitwise_equal(
-        reference, run_killed_and_restored(config, kill, config.shards,
-                                           config.threads));
-  }
-}
-
-TEST(HorizonKillRestore, SurvivesActiveFaultPlanBitwise) {
-  HorizonConfig config = small_config();
-  config.fault = chaos_plan();
-  const std::vector<DayMetrics> reference = run_uninterrupted(config);
-
-  const std::size_t total_steps =
-      (config.warmup_days + config.horizon_days) * config.population.periods;
-  Rng rng(5678);
-  for (int trial = 0; trial < 3; ++trial) {
-    const std::size_t kill = 1 + rng.uniform_index(total_steps - 1);
-    SCOPED_TRACE("killed after " + std::to_string(kill) + " periods");
-    expect_days_bitwise_equal(
-        reference, run_killed_and_restored(config, kill, config.shards,
-                                           config.threads));
-  }
-}
-
-TEST(HorizonKillRestore, ReshardAndRethreadPreserveBitwiseIdentity) {
-  HorizonConfig config = small_config();
-  config.fault = chaos_plan();  // fault draws must be slice-keyed, prove it
-  const std::vector<DayMetrics> reference = run_uninterrupted(config);
-
-  const std::size_t mid =
-      (config.warmup_days + config.horizon_days) * config.population.periods /
-      2;
-  // 8 checkpointed slices regrouped onto 1, 3 and 8 shards, with assorted
-  // thread counts — all must continue bit-for-bit.
-  expect_days_bitwise_equal(reference,
-                            run_killed_and_restored(config, mid, 1, 1));
-  expect_days_bitwise_equal(reference,
-                            run_killed_and_restored(config, mid, 3, 4));
-  expect_days_bitwise_equal(reference,
-                            run_killed_and_restored(config, mid, 8, 3));
-}
-
-TEST(HorizonKillRestore, CheckpointIsByteStableAcrossRestore) {
-  // checkpoint → restore → checkpoint must reproduce the same bytes: the
-  // restored driver is not merely equivalent, it is the same state.
-  const HorizonConfig config = small_config();
-  MultiDayDriver driver(config);
-  for (int i = 0; i < 17; ++i) driver.step_period();
-  const std::vector<std::uint8_t> bytes = driver.checkpoint_bytes();
-
-  HorizonConfig resharded = config;
-  resharded.shards = 2;
-  resharded.threads = 1;
-  std::unique_ptr<MultiDayDriver> restored =
-      MultiDayDriver::restore(resharded, bytes);
-  EXPECT_EQ(bytes, restored->checkpoint_bytes());
-}
-
-TEST(HorizonKillRestore, CheckpointBytesDoNotDependOnProcessHistory) {
-  // A checkpoint holds the run, not the process: another run in between
-  // (which moves every process-wide counter) leaves the bytes unchanged.
-  const auto bytes_after_17_periods = [] {
-    MultiDayDriver driver(small_config());
-    for (int i = 0; i < 17; ++i) driver.step_period();
-    return driver.checkpoint_bytes();
-  };
-  const std::vector<std::uint8_t> first = bytes_after_17_periods();
-
-  HorizonConfig other = small_config();
-  other.population.seed = 7;
-  MultiDayDriver(other).run_day();
-
-  EXPECT_EQ(first, bytes_after_17_periods());
 }
 
 TEST(HorizonDriver, CleanMeasuredDayMatchesFleetDriverBitwise) {

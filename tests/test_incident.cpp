@@ -8,10 +8,6 @@
 //     the documented burn thresholds with the right severity and
 //     attribution snapshot; the pacing bound arms after its grace period
 //     and never judges held books.
-//   * Determinism: the alert stream and dump(include_wall=false) bytes are
-//     bitwise identical across thread counts, with telemetry on or off,
-//     and across kill/restore at a mid-day period boundary; enabling the
-//     engine never changes a simulated value (pure observer).
 //   * Checkpoints: kSecIncident round-trips the complete engine state;
 //     restore rejects a config whose detector thresholds disagree with
 //     the checkpointed echo.
@@ -20,27 +16,27 @@
 //     rejects a CRC-valid dump only it can catch, and a flipped dump with
 //     its CRC re-sealed is rejected or restores into an engine that keeps
 //     observing.
+//
+// The alert stream's invariance across thread counts, kill/restore and the
+// telemetry switch, and the engine as a pure observer, are the invariance
+// battery's incident cells (test_invariance.cpp).
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
-#include "fleet/fleet_driver.hpp"
 #include "gtest/gtest.h"
 #include "horizon/checkpoint.hpp"
 #include "horizon/multi_day_driver.hpp"
 #include "obs/incident/detectors.hpp"
 #include "obs/incident/incident.hpp"
-#include "obs/journal.hpp"
-#include "obs/registry.hpp"
 #include "reframe.hpp"
+#include "scenarios.hpp"
 
 namespace tdp::obs::incident {
 namespace {
@@ -530,136 +526,10 @@ TEST(IncidentDump, FieldValidatorsRejectOutOfRangeValues) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet integration: pure observation, bitwise determinism
-
-FaultPlan fleet_storm_plan() {
-  FaultPlan plan;
-  plan.price_pull_drop = 0.02;
-  plan.measurement_loss = 0.02;
-  plan.seed = 424242;
-  plan.storm_blackout = {0.06, 0.76, 1.0};
-  plan.storm_channel = {0.06, 0.76, 0.5};
-  plan.storm_solver = {0.06, 0.76, 1.0};
-  return plan;
-}
-
-fleet::FleetDriverConfig fleet_config(std::size_t threads) {
-  fleet::FleetDriverConfig config;
-  config.population.users = 1200;
-  config.population.periods = 12;
-  config.population.seed = 20110611;
-  config.shards = 4;
-  config.slices = 8;
-  config.threads = threads;
-  config.fault = fleet_storm_plan();
-  config.incident.enabled = true;
-  return config;
-}
-
-TEST(FleetIncident, AlertStreamIsThreadCountInvariant) {
-  fleet::FleetDriver serial(fleet_config(1));
-  serial.run_day();
-  fleet::FleetDriver parallel(fleet_config(4));
-  parallel.run_day();
-
-  const IncidentEngine& a = *serial.incident_engine();
-  const IncidentEngine& b = *parallel.incident_engine();
-  EXPECT_EQ(a.alerts(), b.alerts());
-  EXPECT_EQ(a.incidents(), b.incidents());
-  // The whole deterministic dump — detector posture, windows, recorder —
-  // must serialize to identical bytes.
-  EXPECT_EQ(a.dump(false), b.dump(false));
-}
-
-TEST(FleetIncident, EngineIsAPureObserver) {
-  fleet::FleetDriverConfig with = fleet_config(2);
-  fleet::FleetDriverConfig without = with;
-  without.incident.enabled = false;
-
-  const fleet::FleetMetrics on = fleet::FleetDriver(with).run_day();
-  const fleet::FleetMetrics off = fleet::FleetDriver(without).run_day();
-
-  ASSERT_EQ(on.offered_units.size(), off.offered_units.size());
-  for (std::size_t i = 0; i < on.offered_units.size(); ++i) {
-    EXPECT_EQ(on.offered_units[i], off.offered_units[i]);
-    EXPECT_EQ(on.realized_units[i], off.realized_units[i]);
-  }
-  EXPECT_EQ(on.sessions, off.sessions);
-  EXPECT_EQ(on.deferred_sessions, off.deferred_sessions);
-  EXPECT_EQ(on.reward_paid_units, off.reward_paid_units);
-  EXPECT_EQ(on.final_health, off.final_health);
-}
-
-TEST(FleetIncident, AlertStreamIgnoresTheTelemetrySwitch) {
-  const bool metrics_was = metrics_enabled();
-
-  set_metrics_enabled(true);
-  fleet::FleetDriver with_obs(fleet_config(2));
-  with_obs.run_day();
-  const std::vector<Alert> on_alerts = with_obs.incident_engine()->alerts();
-  const std::vector<std::uint8_t> on_dump =
-      with_obs.incident_engine()->dump(false);
-
-  set_metrics_enabled(false);
-  fleet::FleetDriver without_obs(fleet_config(2));
-  without_obs.run_day();
-  EXPECT_EQ(without_obs.incident_engine()->alerts(), on_alerts);
-  EXPECT_EQ(without_obs.incident_engine()->dump(false), on_dump);
-
-  set_metrics_enabled(metrics_was);
-}
-
-// ---------------------------------------------------------------------------
-// Horizon integration: checkpoints and kill/restore
-
-horizon::HorizonConfig horizon_config() {
-  horizon::HorizonConfig config;
-  config.population.users = 1200;
-  config.population.periods = 12;
-  config.population.seed = 20110611;
-  config.shards = 4;
-  config.slices = 8;
-  config.threads = 2;
-  config.warmup_days = 1;
-  config.horizon_days = 2;
-  config.estimation_window = 3;
-  config.estimation_min_days = 2;
-  config.estimation_starts = 2;
-  config.fault = fleet_storm_plan();
-  config.incident.enabled = true;
-  return config;
-}
-
-TEST(HorizonIncident, KillRestoreContinuesTheAlertStreamBitwise) {
-  const horizon::HorizonConfig config = horizon_config();
-  horizon::MultiDayDriver reference(config);
-  reference.run();
-  const std::vector<Alert> ref_alerts =
-      reference.incident_engine()->alerts();
-  const std::vector<std::uint8_t> ref_dump =
-      reference.incident_engine()->dump(false);
-  ASSERT_FALSE(ref_alerts.empty());
-
-  // Kill mid-day (not at a day boundary: the CUSUM accumulators and the
-  // SLO window are hot) and restore onto a different layout.
-  horizon::MultiDayDriver victim(config);
-  for (std::size_t step = 0; step < 17; ++step) victim.step_period();
-  const std::vector<std::uint8_t> bytes = victim.checkpoint_bytes();
-
-  horizon::HorizonConfig resume = config;
-  resume.shards = 2;
-  resume.threads = 1;
-  std::unique_ptr<horizon::MultiDayDriver> restored =
-      horizon::MultiDayDriver::restore(resume,
-                                       horizon::decode(bytes));
-  while (!restored->done()) restored->step_period();
-
-  EXPECT_EQ(restored->incident_engine()->alerts(), ref_alerts);
-  EXPECT_EQ(restored->incident_engine()->dump(false), ref_dump);
-}
+// Horizon integration: checkpoints
 
 TEST(HorizonIncident, RestoreRejectsMismatchedThresholdsAndMode) {
-  const horizon::HorizonConfig config = horizon_config();
+  const horizon::HorizonConfig config = scenarios::incident_config();
   horizon::MultiDayDriver driver(config);
   for (std::size_t step = 0; step < 13; ++step) driver.step_period();
   const horizon::CheckpointData data = driver.checkpoint();
@@ -683,7 +553,7 @@ TEST(HorizonIncident, RestoreRejectsMismatchedThresholdsAndMode) {
 }
 
 TEST(HorizonIncident, CheckpointCarriesTheEngineStateInKSecIncident) {
-  const horizon::HorizonConfig config = horizon_config();
+  const horizon::HorizonConfig config = scenarios::incident_config();
   horizon::MultiDayDriver driver(config);
   for (std::size_t step = 0; step < 17; ++step) driver.step_period();
 

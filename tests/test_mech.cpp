@@ -2,8 +2,6 @@
 //
 //   * Publish contract: flat-TIP publishes zero rewards and defers
 //     nothing; every mechanism's schedule respects the reward cap.
-//   * Determinism: each mechanism's measured day is bitwise identical
-//     across thread counts (the arena's comparability precondition).
 //   * Ordering: on the same seeded fleet, perfect day-ahead information
 //     beats the online pricer, which beats doing nothing — the invariant
 //     the CI arena gate enforces at 100k is reproduced here at 20k.
@@ -13,16 +11,17 @@
 //   * Adaptation: with users updating patience from observed rewards, the
 //     price schedule settles into a bounded limit cycle — clean and under
 //     a 5% chaos fault plan.
-//   * Restore: kill-and-restore mid-horizon is bitwise for non-TubeOnline
-//     mechanisms; a checkpoint echoes its mechanism config and rejects a
+//   * Restore: a checkpoint echoes its mechanism config and rejects a
 //     mismatched restore; MechanismState round-trips exactly and rejects
 //     wrong shapes.
+//
+// Each mechanism's thread-count and kill/restore invariance is the
+// invariance battery's (test_invariance.cpp).
 #include "mech/mechanism.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "horizon/multi_day_driver.hpp"
 #include "mech/oracle.hpp"
 #include "mech/rebate.hpp"
+#include "scenarios.hpp"
 
 namespace tdp::mech {
 namespace {
@@ -55,18 +55,7 @@ fleet::FleetDriverConfig arena_config(std::uint64_t users,
 }
 
 horizon::HorizonConfig small_horizon(MechanismKind kind) {
-  horizon::HorizonConfig config;
-  config.population.users = 1500;
-  config.population.periods = 12;
-  config.population.seed = 20110611;
-  config.shards = 4;
-  config.slices = 8;
-  config.threads = 2;
-  config.warmup_days = 1;
-  config.horizon_days = 3;
-  config.estimation_window = 3;
-  config.estimation_min_days = 2;
-  config.estimation_starts = 2;
+  horizon::HorizonConfig config = scenarios::small_config();
   config.mechanism.kind = kind;
   return config;
 }
@@ -108,21 +97,6 @@ TEST(MechPublish, EveryScheduleRespectsTheRewardCap) {
       EXPECT_LE(reward, mechanism.reward_cap());
     }
     EXPECT_EQ(mechanism.periods(), 48u);
-  }
-}
-
-TEST(MechDeterminism, MeasuredDayIsThreadCountInvariantForEveryMechanism) {
-  for (const MechanismKind kind : kAllKinds) {
-    SCOPED_TRACE(to_string(kind));
-    fleet::FleetDriver wide(arena_config(8000, 3, kind));
-    fleet::FleetDriver narrow(arena_config(8000, 1, kind));
-    const fleet::FleetMetrics a = wide.run_day();
-    const fleet::FleetMetrics b = narrow.run_day();
-    EXPECT_EQ(a.offered_units, b.offered_units);
-    EXPECT_EQ(a.realized_units, b.realized_units);
-    EXPECT_EQ(a.sessions, b.sessions);
-    EXPECT_EQ(a.deferred_sessions, b.deferred_sessions);
-    EXPECT_EQ(a.reward_paid_units, b.reward_paid_units);
   }
 }
 
@@ -213,48 +187,9 @@ TEST(MechAdaptation, AdaptiveUsersSettleIntoBoundedLimitCycle) {
 
 TEST(MechAdaptation, AdaptiveUsersStayBoundedUnderChaosFaults) {
   horizon::HorizonConfig config = small_horizon(MechanismKind::kTubeOnline);
-  config.fault.price_pull_drop = 0.05;
-  config.fault.measurement_loss = 0.04;
-  config.fault.measurement_nan = 0.02;
-  config.fault.measurement_spike = 0.02;
-  config.fault.solver_exhaustion = 0.03;
-  config.fault.seed = 424242;
+  config.fault = scenarios::chaos_plan();
+  config.fault.drift_beta_rate = 0.0;
   expect_adaptive_limit_cycle_bounded(config);
-}
-
-TEST(MechRestore, KillAndRestoreIsBitwiseForEveryMechanism) {
-  for (const MechanismKind kind : kAllKinds) {
-    SCOPED_TRACE(to_string(kind));
-    horizon::HorizonConfig config = small_horizon(kind);
-    config.adaptive_users = true;  // adapt_scale rides in the checkpoint too
-
-    horizon::MultiDayDriver reference(config);
-    reference.run();
-
-    std::vector<std::uint8_t> bytes;
-    {
-      horizon::MultiDayDriver victim(config);
-      for (std::size_t i = 0; i < 17 && !victim.done(); ++i) {
-        victim.step_period();
-      }
-      bytes = victim.checkpoint_bytes();
-    }
-    std::unique_ptr<horizon::MultiDayDriver> restored =
-        horizon::MultiDayDriver::restore(config, bytes);
-    while (!restored->done()) restored->step_period();
-
-    const std::vector<horizon::DayMetrics>& a = reference.completed_days();
-    const std::vector<horizon::DayMetrics>& b = restored->completed_days();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t d = 0; d < a.size(); ++d) {
-      SCOPED_TRACE("day " + std::to_string(d));
-      EXPECT_EQ(a[d].offered_units, b[d].offered_units);
-      EXPECT_EQ(a[d].realized_units, b[d].realized_units);
-      EXPECT_EQ(a[d].rewards, b[d].rewards);
-      EXPECT_EQ(a[d].reward_paid_units, b[d].reward_paid_units);
-      EXPECT_EQ(a[d].reward_step_linf, b[d].reward_step_linf);
-    }
-  }
 }
 
 TEST(MechRestore, MechanismConfigEchoRejectsMismatchedRestore) {

@@ -1,5 +1,7 @@
-// Scalar-vs-SIMD bitwise property tests (common/simd, core/kernel_plan,
-// fleet, horizon checkpoints).
+// Scalar-vs-SIMD bitwise property tests of the kernels (common/simd,
+// core/kernel_plan, the deferral table's lag search). Whole fleet days and
+// horizon runs under forced scalar dispatch are the invariance battery's
+// simd cells (test_invariance.cpp).
 //
 // The vector kernels' contract is *bitwise* identity with the scalar path
 // — every comparison here is EXPECT_EQ on raw doubles / bytes, never a
@@ -12,45 +14,19 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/deferral_kernel.hpp"
 #include "core/kernel_plan.hpp"
-#include "fleet/fleet_driver.hpp"
-#include "fleet/fleet_metrics.hpp"
 #include "fleet/population.hpp"
 #include "fleet/shard.hpp"
-#include "horizon/multi_day_driver.hpp"
+#include "scenarios.hpp"
 
 namespace tdp {
 namespace {
 
-/// Forces a SIMD mode for one scope and restores the previous mode on
-/// exit (the dispatcher caches the mode process-wide).
-class ModeGuard {
- public:
-  explicit ModeGuard(simd::Mode mode) : saved_(simd::mode()) {
-    simd::set_mode(mode);
-  }
-  ~ModeGuard() { simd::set_mode(saved_); }
-
- private:
-  simd::Mode saved_;
-};
-
-class PinGuard {
- public:
-  explicit PinGuard(bool pin) : saved_(pin_threads()) {
-    set_pin_threads(pin);
-  }
-  ~PinGuard() { set_pin_threads(saved_); }
-
- private:
-  bool saved_;
-};
+using scenarios::ModeGuard;
 
 TEST(SimdDispatch, ReportsAValidModeAndHostIsa) {
   const std::string mode = simd::mode_name();
@@ -410,145 +386,6 @@ TEST(DeferralTableSearch, BranchlessFindLagMatchesTheLinearScan) {
       ASSERT_EQ(lag, table.find_lag(c, draw))
           << "class " << c << " draw " << draw;
     }
-  }
-}
-
-// ---- Whole-day and checkpoint identity ------------------------------------
-
-fleet::FleetDriverConfig small_fleet(std::uint64_t users,
-                                     std::size_t threads) {
-  fleet::FleetDriverConfig config;
-  config.population.users = users;
-  config.population.periods = 48;
-  config.population.seed = 20110611;
-  config.shards = 8;
-  config.threads = threads;
-  config.warmup_days = 1;
-  config.online_pricing = true;
-  return config;
-}
-
-void expect_fleet_metrics_bitwise_equal(const fleet::FleetMetrics& a,
-                                        const fleet::FleetMetrics& b) {
-  ASSERT_EQ(a.offered_units.size(), b.offered_units.size());
-  for (std::size_t i = 0; i < a.offered_units.size(); ++i) {
-    EXPECT_EQ(a.offered_units[i], b.offered_units[i]) << "offered " << i;
-    EXPECT_EQ(a.realized_units[i], b.realized_units[i]) << "realized " << i;
-  }
-  EXPECT_EQ(a.sessions, b.sessions);
-  EXPECT_EQ(a.deferred_sessions, b.deferred_sessions);
-  EXPECT_EQ(a.reward_paid_units, b.reward_paid_units);
-  EXPECT_EQ(a.peak_to_average_tip, b.peak_to_average_tip);
-  EXPECT_EQ(a.peak_to_average_tdp, b.peak_to_average_tdp);
-}
-
-TEST(FleetSimd, FullDayIsBitIdenticalScalarVsAvx2) {
-  if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
-  fleet::FleetMetrics results[2];
-  math::Vector rewards[2];
-  const simd::Mode modes[2] = {simd::Mode::kScalar, simd::Mode::kAvx2};
-  for (int run = 0; run < 2; ++run) {
-    ModeGuard guard(modes[run]);
-    fleet::FleetDriver driver(small_fleet(10000, /*threads=*/2));
-    results[run] = driver.run_day();
-    rewards[run] = driver.pricer().rewards();
-  }
-  expect_fleet_metrics_bitwise_equal(results[0], results[1]);
-  ASSERT_EQ(rewards[0].size(), rewards[1].size());
-  for (std::size_t i = 0; i < rewards[0].size(); ++i) {
-    EXPECT_EQ(rewards[0][i], rewards[1][i]) << "reward " << i;
-  }
-}
-
-TEST(FleetSimd, PinnedThreadsPreserveBitIdentityAcrossThreadCounts) {
-  PinGuard pin(true);
-  fleet::FleetMetrics results[2];
-  math::Vector rewards[2];
-  const std::size_t thread_counts[2] = {1, 4};
-  for (int run = 0; run < 2; ++run) {
-    fleet::FleetDriver driver(small_fleet(10000, thread_counts[run]));
-    results[run] = driver.run_day();
-    rewards[run] = driver.pricer().rewards();
-  }
-  expect_fleet_metrics_bitwise_equal(results[0], results[1]);
-  for (std::size_t i = 0; i < rewards[0].size(); ++i) {
-    EXPECT_EQ(rewards[0][i], rewards[1][i]) << "reward " << i;
-  }
-}
-
-/// A 3-day horizon whose every measured day is fitted (§IV) and
-/// re-anchored.
-horizon::HorizonConfig small_horizon_config() {
-  horizon::HorizonConfig config;
-  config.population.users = 1500;
-  config.population.periods = 12;
-  config.population.seed = 20110611;
-  config.shards = 4;
-  config.slices = 8;
-  config.threads = 2;
-  config.warmup_days = 1;
-  config.horizon_days = 2;
-  config.estimation_window = 3;
-  config.estimation_min_days = 1;
-  config.estimation_starts = 2;
-  return config;
-}
-
-TEST(FleetSimd, CheckpointBytesAreIdenticalScalarVsAvx2) {
-  if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
-  const horizon::HorizonConfig config = small_horizon_config();
-
-  std::vector<std::uint8_t> bytes[2];
-  const simd::Mode modes[2] = {simd::Mode::kScalar, simd::Mode::kAvx2};
-  for (int run = 0; run < 2; ++run) {
-    ModeGuard guard(modes[run]);
-    horizon::MultiDayDriver driver(config);
-    // Stop mid-day so live ring/RNG state (not just day summaries) is in
-    // the checkpoint.
-    for (int step = 0; step < 18 && !driver.done(); ++step) {
-      driver.step_period();
-    }
-    bytes[run] = driver.checkpoint_bytes();
-  }
-  ASSERT_EQ(bytes[0].size(), bytes[1].size());
-  EXPECT_EQ(bytes[0], bytes[1]);
-}
-
-TEST(FleetSimd, ReanchoringRunIsIdenticalScalarVsAvx2) {
-  // The run above taken to its end: every measured day fits the window
-  // (§IV) and re-solves the dynamic model on the fit, so both solves run
-  // under each mode.
-  if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
-  const horizon::HorizonConfig config = small_horizon_config();
-
-  std::vector<std::uint8_t> bytes[2];
-  std::vector<horizon::DayMetrics> days[2];
-  const simd::Mode modes[2] = {simd::Mode::kScalar, simd::Mode::kAvx2};
-  for (int run = 0; run < 2; ++run) {
-    ModeGuard guard(modes[run]);
-    horizon::MultiDayDriver driver(config);
-    while (!driver.done()) driver.step_period();
-    bytes[run] = driver.checkpoint_bytes();
-    days[run] = driver.completed_days();
-  }
-  std::size_t reanchors = 0;
-  for (const horizon::DayMetrics& day : days[0]) reanchors += day.reanchored;
-  ASSERT_GE(reanchors, 1u);
-
-  EXPECT_EQ(bytes[0], bytes[1]);
-  ASSERT_EQ(days[0].size(), days[1].size());
-  for (std::size_t d = 0; d < days[0].size(); ++d) {
-    EXPECT_EQ(days[0][d].rewards, days[1][d].rewards) << "day " << d;
-    EXPECT_EQ(days[0][d].realized_units, days[1][d].realized_units)
-        << "day " << d;
-    EXPECT_EQ(days[0][d].estimated, days[1][d].estimated) << "day " << d;
-    EXPECT_EQ(days[0][d].beta_estimate, days[1][d].beta_estimate)
-        << "day " << d;
-    EXPECT_EQ(days[0][d].estimate_residual, days[1][d].estimate_residual)
-        << "day " << d;
-    EXPECT_EQ(days[0][d].reanchored, days[1][d].reanchored) << "day " << d;
-    EXPECT_EQ(days[0][d].reward_step_linf, days[1][d].reward_step_linf)
-        << "day " << d;
   }
 }
 

@@ -6,11 +6,10 @@
 //     query orders — its duty cycle matches the stationary target, and an
 //     enabled-but-zero-intensity regime is bit-transparent to every i.i.d.
 //     fault draw.
-//   * Storm runs: DayMetrics under an active storm plan are shard- and
-//     thread-layout invariant, like every other horizon output.
-//   * Crash-under-storm: a driver killed mid-storm is recovered from its
-//     streamed v2 checkpoint — committed file or complete tmp, torn tmps
-//     rejected — onto a different shard/thread layout, bitwise identical.
+//   * Streamed recovery: a crash leaves the committed file, a complete tmp
+//     or a torn one; recovery picks the newest intact copy and fails
+//     cleanly when there is none. (A storm run killed and restored from its
+//     stream finishes bitwise: test_invariance.cpp's storm cells.)
 //   * Format v2: every config writes version-2 checkpoints whose streamed
 //     bytes match the stop-the-world encoder exactly; a v1 reader (version
 //     byte patched back) skips the v2-only section cleanly.
@@ -41,83 +40,17 @@
 #include "horizon/multi_day_driver.hpp"
 #include "mech/rebate.hpp"
 #include "obs/journal.hpp"
+#include "scenarios.hpp"
 #include "tube/measurement_guard.hpp"
 
 namespace tdp::horizon {
 namespace {
 
-/// 20%-duty storm: onset 0.06, persist 0.76 ->
-/// duty = 0.06 / (0.06 + 0.24) = 0.2, mean burst 1/(1-0.76) ~ 4.2 periods.
-StormRegime twenty_duty(double intensity) {
-  StormRegime regime;
-  regime.onset = 0.06;
-  regime.persist = 0.76;
-  regime.intensity = intensity;
-  return regime;
-}
-
-FaultPlan storm_plan() {
-  FaultPlan plan;
-  plan.price_pull_drop = 0.05;
-  plan.measurement_loss = 0.04;
-  plan.measurement_nan = 0.02;
-  plan.measurement_spike = 0.02;
-  plan.solver_exhaustion = 0.03;
-  plan.storm_blackout = twenty_duty(1.0);
-  plan.storm_channel = twenty_duty(0.5);
-  plan.storm_solver = twenty_duty(1.0);
-  plan.seed = 424242;
-  return plan;
-}
-
-HorizonConfig storm_config() {
-  HorizonConfig config;
-  config.population.users = 1500;
-  config.population.periods = 12;
-  config.population.seed = 20110611;
-  config.shards = 4;
-  config.slices = 8;
-  config.threads = 2;
-  config.warmup_days = 1;
-  config.horizon_days = 3;
-  config.estimation_window = 3;
-  config.estimation_min_days = 2;
-  config.estimation_starts = 2;
-  config.fault = storm_plan();
-  return config;
-}
-
-/// EXPECT_EQ on every DayMetrics field — raw doubles, no tolerance.
-void expect_days_bitwise_equal(const std::vector<DayMetrics>& a,
-                               const std::vector<DayMetrics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t d = 0; d < a.size(); ++d) {
-    SCOPED_TRACE("day " + std::to_string(d));
-    EXPECT_EQ(a[d].day, b[d].day);
-    EXPECT_EQ(a[d].offered_units, b[d].offered_units);
-    EXPECT_EQ(a[d].realized_units, b[d].realized_units);
-    EXPECT_EQ(a[d].rewards, b[d].rewards);
-    EXPECT_EQ(a[d].sessions, b[d].sessions);
-    EXPECT_EQ(a[d].deferred_sessions, b[d].deferred_sessions);
-    EXPECT_EQ(a[d].reward_paid_units, b[d].reward_paid_units);
-    EXPECT_EQ(a[d].peak_to_average_tip, b[d].peak_to_average_tip);
-    EXPECT_EQ(a[d].peak_to_average_tdp, b[d].peak_to_average_tdp);
-    EXPECT_EQ(a[d].estimated, b[d].estimated);
-    EXPECT_EQ(a[d].beta_estimate, b[d].beta_estimate);
-    EXPECT_EQ(a[d].estimate_residual, b[d].estimate_residual);
-    EXPECT_EQ(a[d].reanchored, b[d].reanchored);
-    EXPECT_EQ(a[d].reward_step_linf, b[d].reward_step_linf);
-    EXPECT_EQ(a[d].fallback_periods, b[d].fallback_periods);
-    EXPECT_EQ(a[d].estimation_frozen, b[d].estimation_frozen);
-    EXPECT_EQ(a[d].reanchor_rolled_back, b[d].reanchor_rolled_back);
-  }
-}
-
-std::vector<DayMetrics> run_uninterrupted(const HorizonConfig& config) {
-  MultiDayDriver driver(config);
-  driver.run();
-  return driver.completed_days();
-}
+using scenarios::expect_days_bitwise_equal;
+using scenarios::run_uninterrupted;
+using scenarios::storm_config;
+using scenarios::storm_plan;
+using scenarios::twenty_duty;
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -267,62 +200,7 @@ TEST(StormChain, ChainsArePerDomainIndependent) {
   EXPECT_TRUE(channel_differs_solver);
 }
 
-// ---- Storm runs ------------------------------------------------------------
-
-TEST(StormRun, DayMetricsAreShardAndThreadLayoutInvariant) {
-  const HorizonConfig config = storm_config();
-  const std::vector<DayMetrics> reference = run_uninterrupted(config);
-
-  HorizonConfig narrow = config;
-  narrow.shards = 1;
-  narrow.threads = 1;
-  expect_days_bitwise_equal(reference, run_uninterrupted(narrow));
-
-  HorizonConfig wide = config;
-  wide.shards = 8;
-  wide.threads = 3;
-  expect_days_bitwise_equal(reference, run_uninterrupted(wide));
-}
-
-// ---- Crash under storm + streamed recovery ---------------------------------
-
-TEST(StormKillRestore, CrashMidStormRecoversFromStreamedCheckpointBitwise) {
-  const HorizonConfig config = storm_config();
-  const std::vector<DayMetrics> reference = run_uninterrupted(config);
-  const std::string path = ::testing::TempDir() + "tdp_storm_crash_ck.bin";
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-
-  {
-    HorizonConfig victim_config = config;
-    victim_config.checkpoint_path = path;
-    victim_config.checkpoint_every_periods = 5;
-    MultiDayDriver victim(victim_config);
-    for (int i = 0; i < 23; ++i) victim.step_period();
-    // The victim dies here, mid-storm — only the streamed file survives.
-  }
-
-  const CheckpointData recovered = load_checkpoint_file_recover(path);
-  const std::uint64_t tick =
-      recovered.day * config.population.periods + recovered.period;
-  EXPECT_GT(tick, 0u);
-  EXPECT_LE(tick, 23u);
-
-  // Restore onto two different shard/thread layouts; both must finish the
-  // horizon bit-for-bit.
-  for (const auto& [shards, threads] :
-       {std::pair<std::size_t, std::size_t>{1, 3},
-        std::pair<std::size_t, std::size_t>{8, 1}}) {
-    SCOPED_TRACE("restored onto " + std::to_string(shards) + " shards");
-    HorizonConfig restore_config = config;
-    restore_config.shards = shards;
-    restore_config.threads = threads;
-    std::unique_ptr<MultiDayDriver> restored =
-        MultiDayDriver::restore(restore_config, encode(recovered));
-    while (!restored->done()) restored->step_period();
-    expect_days_bitwise_equal(reference, restored->completed_days());
-  }
-}
+// ---- Streamed recovery ------------------------------------------------------
 
 TEST(StormKillRestore, TornTmpFallsBackToCommittedCheckpoint) {
   MultiDayDriver driver(storm_config());

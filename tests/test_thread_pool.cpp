@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -47,6 +51,43 @@ TEST(ThreadPool, PropagatesLowestIndexException) {
   std::atomic<int> ran{0};
   pool.for_each_index(10, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 10);
+}
+
+TEST(ThreadPool, BatchesSubmittedWhileThePoolIsBusyRunInline) {
+  // Caller A's batch holds the pool until caller B's batch has started,
+  // and every task submits a nested batch: B's batch and the nested ones
+  // find the pool taken and run on their own callers. A throw fails the
+  // test.
+  ThreadPool pool(3);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 5;
+  std::vector<std::atomic<int>> hits(2 * kOuter * kInner);
+  const auto batch = [&](std::size_t caller,
+                         const std::function<void()>& wait) {
+    pool.for_each_index(kOuter, [&, caller](std::size_t i) {
+      wait();
+      pool.for_each_index(kInner, [&, caller, i](std::size_t j) {
+        hits[(caller * kOuter + i) * kInner + j].fetch_add(1);
+      });
+    });
+  };
+  std::atomic<bool> a_holds_the_pool{false};
+  std::atomic<bool> b_started{false};
+  std::future<void> b = std::async(std::launch::async, [&] {
+    while (!a_holds_the_pool.load()) std::this_thread::yield();
+    batch(1, [&] { b_started.store(true); });
+  });
+  batch(0, [&] {
+    a_holds_the_pool.store(true);
+    while (!b_started.load() &&
+           b.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      std::this_thread::yield();
+    }
+  });
+  b.get();
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "index " << k;
+  }
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsInline) {
