@@ -181,20 +181,4 @@ bool FaultInjector::exhaust_solver(std::uint64_t abs_period) const {
   return false;
 }
 
-const char* to_string(FaultInjector::MeasurementFault fault) {
-  switch (fault) {
-    case FaultInjector::MeasurementFault::kNone:
-      return "none";
-    case FaultInjector::MeasurementFault::kLost:
-      return "lost";
-    case FaultInjector::MeasurementFault::kNaN:
-      return "nan";
-    case FaultInjector::MeasurementFault::kNegative:
-      return "negative";
-    case FaultInjector::MeasurementFault::kSpike:
-      return "spike";
-  }
-  return "unknown";
-}
-
 }  // namespace tdp

@@ -190,6 +190,4 @@ class FaultInjector {
   bool enabled_ = false;
 };
 
-const char* to_string(FaultInjector::MeasurementFault fault);
-
 }  // namespace tdp

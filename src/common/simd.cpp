@@ -83,16 +83,6 @@ const char* host_isa() {
 
 namespace detail {
 
-void fork_uniform_batch_scalar(const std::uint64_t* state, std::size_t count,
-                               std::uint64_t stream, double* u1,
-                               std::uint64_t* state_out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    Rng child = Rng(state[i]).fork_stream(stream);
-    u1[i] = child.uniform();
-    state_out[i] = child.state();
-  }
-}
-
 void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
                                       std::size_t count, std::uint64_t stream,
                                       const std::uint32_t* cls,
@@ -121,18 +111,6 @@ void add_scaled_scalar(double* dst, const double* src, double scale,
 }
 
 }  // namespace detail
-
-void fork_uniform_batch(const std::uint64_t* state, std::size_t count,
-                        std::uint64_t stream, double* u1,
-                        std::uint64_t* state_out) {
-#if defined(TDP_HAVE_AVX2)
-  if (mode() == Mode::kAvx2) {
-    detail::fork_uniform_batch_avx2(state, count, stream, u1, state_out);
-    return;
-  }
-#endif
-  detail::fork_uniform_batch_scalar(state, count, stream, u1, state_out);
-}
 
 void fork_uniform_screen_batch(const std::uint64_t* state, std::size_t count,
                                std::uint64_t stream,

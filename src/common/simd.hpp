@@ -51,26 +51,22 @@ const char* mode_name();
 /// (what the CPU supports, independent of the active mode).
 const char* host_isa();
 
-// ---- Batched SplitMix64 stream derivation ---------------------------------
+// ---- Batched SplitMix64 stream derivation with an activity screen -------
 //
 // For each i in [0, count): take the child stream
 // Rng(state[i]).fork_stream(stream), draw its first uniform() into u1[i],
-// and store the child's post-draw state in state_out[i] (so a caller can
-// resume the child's draw sequence with Rng(state_out[i])). Bitwise
-// identical to the Rng calls in every mode; the fleet's per-(user, period)
-// session loop batches its first Poisson draw through this.
-void fork_uniform_batch(const std::uint64_t* state, std::size_t count,
-                        std::uint64_t stream, double* u1,
-                        std::uint64_t* state_out);
-
-/// fork_uniform_batch plus an activity screen evaluated while u1 is still
-/// in registers: `active_mask` gets bit i set iff u1[i] > screen[cls[i]]
-/// (mask words cover 64 entries each; trailing bits stay 0). The fleet
-/// session loop iterates only the set bits — with the paper's mixes ~90%
-/// of user-periods are screened out as proven count==0 without ever
-/// touching their per-user state scalar-side. screen values are per
-/// class: an always-active class uses -1.0 (a uniform is never <= -1),
-/// a never-active class +infinity.
+// store the child's post-draw state in state_out[i] (so a caller can resume
+// the child's draw sequence with Rng(state_out[i])), and set bit i of
+// `active_mask` iff u1[i] > screen[cls[i]] (mask words cover 64 entries
+// each; trailing bits stay 0). The screen runs while u1 is still in
+// registers. Bitwise identical to the Rng calls in every mode.
+//
+// The fleet's per-(user, period) session loop batches its first Poisson
+// draw through this and iterates only the set bits — with the paper's mixes
+// ~90% of user-periods are screened out as proven count==0 without ever
+// touching their per-user state scalar-side. screen values are per class:
+// an always-active class uses -1.0 (a uniform is never <= -1), a
+// never-active class +infinity.
 void fork_uniform_screen_batch(const std::uint64_t* state, std::size_t count,
                                std::uint64_t stream,
                                const std::uint32_t* cls, const double* screen,
@@ -97,9 +93,6 @@ void add_scaled(double* dst, const double* src, double scale,
 namespace detail {
 // The mode-specific implementations (scalar always present; avx2 present
 // when TDP_HAVE_AVX2). Exposed for the bitwise cross-checks in tests.
-void fork_uniform_batch_scalar(const std::uint64_t* state, std::size_t count,
-                               std::uint64_t stream, double* u1,
-                               std::uint64_t* state_out);
 void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
                                       std::size_t count, std::uint64_t stream,
                                       const std::uint32_t* cls,
@@ -111,9 +104,6 @@ void scale_negated_sum_scalar(double* dst, const double* src, double scale,
 void add_scaled_scalar(double* dst, const double* src, double scale,
                        std::size_t count);
 #if defined(TDP_HAVE_AVX2)
-void fork_uniform_batch_avx2(const std::uint64_t* state, std::size_t count,
-                             std::uint64_t stream, double* u1,
-                             std::uint64_t* state_out);
 void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
                                     std::size_t count, std::uint64_t stream,
                                     const std::uint32_t* cls,

@@ -1,12 +1,13 @@
-// AVX2 implementations of the batched SplitMix64 derivation kernels and
+// AVX2 implementations of the batched SplitMix64 derivation kernel and
 // the backlog-sensitivity row kernels. Compiled with -mavx2 (per-source
 // flag in CMakeLists.txt); callers reach them only through the simd::
 // dispatchers after the runtime CPUID check.
 //
-// In the RNG kernels each 64-bit lane replays exactly the scalar sequence
+// In the RNG kernel each 64-bit lane replays exactly the scalar sequence
 //   Rng child = Rng(state[i]).fork_stream(stream);
 //   u1[i] = child.uniform();
 //   state_out[i] = child.state();
+//   if (u1[i] > screen[cls[i]]) <set bit i of active_mask>;
 // All operations are integer (exact in any width) except the final
 // uint64 -> double conversion, which is exact by construction: the 53-bit
 // mantissa value is split into 32-bit halves, each converted exactly via
@@ -64,45 +65,14 @@ inline __m256d u53_to_double(__m256i y) {
 
 }  // namespace
 
-void fork_uniform_batch_avx2(const std::uint64_t* state, std::size_t count,
-                             std::uint64_t stream, double* u1,
-                             std::uint64_t* state_out) {
-  // Lane-invariant parts of fork_stream(): (stream + gamma) * kForkMul and
-  // stream * kStreamMul depend only on `stream`, so hoist them as scalars.
-  const std::uint64_t fork_mix = (stream + Rng::kGamma) * Rng::kForkMul;
-  const __m256i fork_mix_v = _mm256_set1_epi64x(
-      static_cast<long long>(fork_mix));
-  const __m256i stream_mix_v = _mm256_set1_epi64x(
-      static_cast<long long>(stream * Rng::kStreamMul));
-  const __m256i gamma_v = _mm256_set1_epi64x(
-      static_cast<long long>(Rng::kGamma));
-
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i parent = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(state + i));
-    // fork_stream: z = state ^ mix; finalize; child = z ^ stream*kStreamMul.
-    __m256i child = _mm256_xor_si256(
-        finalize(_mm256_xor_si256(parent, fork_mix_v)), stream_mix_v);
-    // uniform(): advance by gamma, finalize, take the top 53 bits.
-    child = _mm256_add_epi64(child, gamma_v);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state_out + i), child);
-    const __m256i bits = _mm256_srli_epi64(finalize(child), 11);
-    _mm256_storeu_pd(
-        u1 + i, _mm256_mul_pd(u53_to_double(bits),
-                              _mm256_set1_pd(0x1.0p-53)));
-  }
-  if (i < count)
-    fork_uniform_batch_scalar(state + i, count - i, stream, u1 + i,
-                              state_out + i);
-}
-
 void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
                                     std::size_t count, std::uint64_t stream,
                                     const std::uint32_t* cls,
                                     const double* screen, double* u1,
                                     std::uint64_t* state_out,
                                     std::uint64_t* active_mask) {
+  // Lane-invariant parts of fork_stream(): (stream + gamma) * kForkMul and
+  // stream * kStreamMul depend only on `stream`, so hoist them as scalars.
   const std::uint64_t fork_mix = (stream + Rng::kGamma) * Rng::kForkMul;
   const __m256i fork_mix_v = _mm256_set1_epi64x(
       static_cast<long long>(fork_mix));
@@ -117,8 +87,10 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
   for (; i + 4 <= count; i += 4) {
     const __m256i parent = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(state + i));
+    // fork_stream: z = state ^ mix; finalize; child = z ^ stream*kStreamMul.
     __m256i child = _mm256_xor_si256(
         finalize(_mm256_xor_si256(parent, fork_mix_v)), stream_mix_v);
+    // uniform(): advance by gamma, finalize, take the top 53 bits.
     child = _mm256_add_epi64(child, gamma_v);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(state_out + i), child);
     const __m256i bits = _mm256_srli_epi64(finalize(child), 11);

@@ -36,34 +36,6 @@ double lag_weight_derivative(const WaitingFunction& w, double reward,
       t - 1.0, t, 1);
 }
 
-void lag_weight_pair(const WaitingFunction& w, double reward, std::size_t lag,
-                     LagConvention convention, double& value_out,
-                     double& derivative_out) {
-  const double t = static_cast<double>(lag);
-  if (convention == LagConvention::kPeriodStart) {
-    w.value_and_reward_derivative(reward, t, value_out, derivative_out);
-    return;
-  }
-  // One sweep over the Gauss nodes of [t-1, t], accumulating both integrals
-  // with the exact arithmetic of integrate_gauss (1 segment) so each sum is
-  // bitwise identical to the corresponding separate call.
-  const double h = t - (t - 1.0);
-  const double mid = (t - 1.0) + 0.5 * h;
-  const double half = 0.5 * h;
-  double vsum = 0.0;
-  double dsum = 0.0;
-  for (std::size_t k = 0; k < math::kGauss8Nodes.size(); ++k) {
-    const double u = mid + half * math::kGauss8Nodes[k];
-    double v = 0.0;
-    double d = 0.0;
-    w.value_and_reward_derivative(reward, u, v, d);
-    vsum += math::kGauss8Weights[k] * v;
-    dsum += math::kGauss8Weights[k] * d;
-  }
-  value_out = vsum * half;
-  derivative_out = dsum * half;
-}
-
 /// One waiting function's unit-reward lag weights under a state's
 /// convention: lag[l] = lag_weight(*waiting, 1.0, l, convention) for l in
 /// [1, n); lag 0 is unused (from == to is never a deferral).

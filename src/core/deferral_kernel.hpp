@@ -54,14 +54,6 @@ double lag_weight(const WaitingFunction& w, double reward, std::size_t lag,
 double lag_weight_derivative(const WaitingFunction& w, double reward,
                              std::size_t lag, LagConvention convention);
 
-/// lag_weight and lag_weight_derivative in one pass: each waiting function
-/// is evaluated once per (lag, reward) — one fused virtual call for
-/// kPeriodStart, one quadrature sweep accumulating both integrals for
-/// kUniformArrival — with results bitwise identical to the separate calls.
-void lag_weight_pair(const WaitingFunction& w, double reward, std::size_t lag,
-                     LagConvention convention, double& value_out,
-                     double& derivative_out);
-
 class DeferralKernel {
  public:
   /// `predecessor`, when given, lends what provably equals this build's

@@ -9,20 +9,6 @@
 namespace tdp {
 
 DefiniteChoiceModel::DefiniteChoiceModel(DemandProfile demand,
-                                         std::vector<double> capacity,
-                                         math::PiecewiseLinearCost
-                                             capacity_cost,
-                                         double stay_threshold)
-    : demand_(std::move(demand)),
-      capacity_(std::move(capacity)),
-      cost_(std::move(capacity_cost)),
-      stay_threshold_(stay_threshold) {
-  TDP_REQUIRE(capacity_.size() == demand_.periods(),
-              "capacity vector must cover every period");
-  TDP_REQUIRE(stay_threshold_ >= 0.0, "threshold must be nonnegative");
-}
-
-DefiniteChoiceModel::DefiniteChoiceModel(DemandProfile demand,
                                          double capacity,
                                          math::PiecewiseLinearCost
                                              capacity_cost,

@@ -26,10 +26,6 @@ namespace tdp {
 class DefiniteChoiceModel {
  public:
   /// @param stay_threshold  minimum waiting value required to move at all.
-  DefiniteChoiceModel(DemandProfile demand, std::vector<double> capacity,
-                      math::PiecewiseLinearCost capacity_cost,
-                      double stay_threshold = 0.0);
-
   DefiniteChoiceModel(DemandProfile demand, double capacity,
                       math::PiecewiseLinearCost capacity_cost,
                       double stay_threshold = 0.0);

@@ -112,39 +112,6 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
       }
     }
   }
-
-  // SIMD eligibility: the vector fill path processes four `from` rows in
-  // lockstep, so every period must flatten to the same master slot
-  // sequence (same waiting-function ids, same order, all power-law). Any
-  // mismatch — ragged class lists, a generic waiting function — falls
-  // back to the scalar column loop. Volumes are re-laid out column-major
-  // per slot so a row group's four lane volumes load contiguously.
-  const std::size_t slots = period_begin_[1] - period_begin_[0];
-  bool uniform = slots > 0;
-  for (std::size_t i = 0; i < n && uniform; ++i) {
-    if (period_begin_[i + 1] - period_begin_[i] != slots) {
-      uniform = false;
-      break;
-    }
-    for (std::size_t t = 0; t < slots; ++t) {
-      if (term_wf_[period_begin_[i] + t] != term_wf_[t]) {
-        uniform = false;
-        break;
-      }
-    }
-  }
-  for (std::size_t t = 0; t < slots && uniform; ++t) {
-    if (functions_[term_wf_[t]].kind == WfKind::kGeneric) uniform = false;
-  }
-  simd_ready_ = uniform;
-  if (simd_ready_) {
-    slot_volume_.assign(slots * n, 0.0);
-    for (std::size_t from = 0; from < n; ++from) {
-      for (std::size_t t = 0; t < slots; ++t) {
-        slot_volume_[t * n + from] = term_volume_[period_begin_[from] + t];
-      }
-    }
-  }
 }
 
 void KernelPlan::fill_column(std::size_t to, double reward,
@@ -179,13 +146,6 @@ void KernelPlan::fill_column(std::size_t to, double reward,
       }
     }
   }
-
-#if defined(TDP_HAVE_AVX2)
-  if (simd_ready_ && simd::mode() == simd::Mode::kAvx2) {
-    fill_column_avx2(to, reward, positive, with_derivatives, s);
-    return;
-  }
-#endif
 
   // The cyclic lag is to - from above the diagonal and n - (from - to)
   // below it.
@@ -268,15 +228,8 @@ void KernelPlan::fill_cell(std::size_t from, std::size_t to, std::size_t lag,
       }
       case WfKind::kGeneric: {
         const WaitingFunction& wf = *functions_[w].wf;
-        if (positive && with_derivatives) {
-          double wv = 0.0;
-          double wd = 0.0;
-          lag_weight_pair(wf, reward, lag, convention_, wv, wd);
-          vol += v * wv;
-          dvol += v * wd;
-        } else if (positive) {
-          vol += v * lag_weight(wf, reward, lag, convention_);
-        } else if (with_derivatives) {
+        if (positive) vol += v * lag_weight(wf, reward, lag, convention_);
+        if (with_derivatives) {
           dvol += v * lag_weight_derivative(wf, reward, lag, convention_);
         }
         break;

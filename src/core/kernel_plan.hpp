@@ -88,13 +88,6 @@ class KernelPlan {
   /// Process-unique construction serial (see FlowState::plan_serial).
   std::uint64_t serial() const { return serial_; }
 
-  /// True when the snapshot qualifies for the vectorized slot fill path:
-  /// every period flattens to the same (nonempty) waiting-function slot
-  /// sequence and every slot is power-law. A linear plan has no slots and
-  /// reports false; its row fill has its own vector path. Diagnostics/
-  /// tests; evaluation dispatches on this automatically.
-  bool simd_eligible() const { return simd_ready_; }
-
   /// Fill `state` for the full reward vector: the pair matrix, inflow and
   /// outflow sums, and (optionally) the derivative matrix and inflow
   /// derivative sums. Resizes the scratch on first use.
@@ -138,9 +131,7 @@ class KernelPlan {
     return reward <= 0.0 ? 0.0 : unit * reward;
   }
   /// One (from, to) slot of fill_column: accumulates period `from`'s terms
-  /// in class order and stores V / dV. Shared by the scalar column loop and
-  /// the vector path's remainder rows, so both execute the exact same
-  /// non-inlined arithmetic.
+  /// in class order and stores V / dV.
   void fill_cell(std::size_t from, std::size_t to, std::size_t lag,
                  double reward, bool positive, bool with_derivatives,
                  FlowState& state) const;
@@ -151,12 +142,6 @@ class KernelPlan {
   void reduce_outflows(FlowState& state) const;
 
 #if defined(TDP_HAVE_AVX2)
-  /// Vectorized fill_column body (kernel_plan_avx2.cpp, compiled -mavx2):
-  /// four consecutive `from` rows per iteration, one lane per row, each
-  /// lane replaying the scalar term sequence operation for operation.
-  /// Requires simd_ready_ and the factor prologue already run.
-  void fill_column_avx2(std::size_t to, double reward, bool positive,
-                        bool with_derivatives, FlowState& state) const;
   /// Vectorized reduce_inflow for four consecutive `into` columns: lanes
   /// are independent column sums in the scalar's ascending-`from` order;
   /// the diagonal (from == into) is skipped per lane with a blend, never
@@ -188,13 +173,6 @@ class KernelPlan {
   /// Linear fast path: unit-reward tables copied from the kernel.
   std::vector<double> unit_;
   std::vector<double> unit_inflow_;
-
-  /// SIMD eligibility (see simd_eligible()) plus the column-major slot
-  /// volumes it needs: slot_volume_[slot * n + from] is period `from`'s
-  /// volume for master slot `slot`, so a 4-row group loads its four lane
-  /// volumes contiguously.
-  bool simd_ready_ = false;
-  std::vector<double> slot_volume_;
 };
 
 /// Precomputed uniform-arrival lag weights for a single waiting function:

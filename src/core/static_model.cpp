@@ -124,36 +124,6 @@ void StaticModel::prime_flow_state(const math::Vector& rewards,
   kernel_.plan()->evaluate(rewards, with_derivatives, state);
 }
 
-double StaticModel::assemble_total_cost(FlowState& state) const {
-  const std::size_t n = periods();
-  // reward_cost's accumulator, then capacity_cost_value's, then their sum —
-  // exactly total_cost = reward_cost(p) + capacity_cost_value(usage(p)).
-  double reward_total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    reward_total += state.rewards[i] * state.inflow[i];
-  }
-  double capacity_total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = tip_[i] - state.outflow[i] + state.inflow[i];
-    capacity_total += cost_.value(x - capacity_[i]);
-  }
-  return reward_total + capacity_total;
-}
-
-double StaticModel::total_cost(const math::Vector& rewards,
-                               FlowState& state) const {
-  prime_flow_state(rewards, /*with_derivatives=*/false, state);
-  return assemble_total_cost(state);
-}
-
-double StaticModel::total_cost_with_coordinate(std::size_t period,
-                                               double reward,
-                                               FlowState& state) const {
-  kernel_.plan()->update_coordinate(period, reward, /*with_derivatives=*/false,
-                                    state);
-  return assemble_total_cost(state);
-}
-
 math::Vector StaticModel::usage(const math::Vector& rewards,
                                 FlowState& state) const {
   const std::size_t n = periods();

@@ -86,19 +86,9 @@ class StaticModel {
   // identical to the reference method of the same name; the reference path
   // stays as the oracle (tests/test_kernel_plan.cpp).
 
-  /// Fill `state` with the deferral flows at `rewards` (the pair matrix is
-  /// cached inside `state` for subsequent update_coordinate calls).
+  /// Fill `state` with the deferral flows at `rewards`.
   void prime_flow_state(const math::Vector& rewards, bool with_derivatives,
                         FlowState& state) const;
-
-  /// total_cost via the plan; primes `state` at `rewards`.
-  double total_cost(const math::Vector& rewards, FlowState& state) const;
-
-  /// total_cost after changing only coordinate `period`'s reward — O(n)
-  /// kernel work against the matrix cached in `state` (which must have been
-  /// primed on this model). Leaves `state` at the updated reward vector.
-  double total_cost_with_coordinate(std::size_t period, double reward,
-                                    FlowState& state) const;
 
   /// usage via the plan; primes `state` at `rewards` (no derivatives).
   math::Vector usage(const math::Vector& rewards, FlowState& state) const;
@@ -117,8 +107,6 @@ class StaticModel {
                                     FlowState& state) const;
 
  private:
-  double assemble_total_cost(FlowState& state) const;
-
   DemandProfile demand_;
   std::vector<double> capacity_;
   math::PiecewiseLinearCost cost_;

@@ -12,7 +12,6 @@
 
 #include "core/static_model.hpp"
 #include "math/fista.hpp"
-#include "math/golden_section.hpp"
 
 namespace tdp {
 
@@ -59,20 +58,5 @@ struct PricingSolution {
 /// Solve the static model's price optimization (globally, per Prop. 3).
 PricingSolution optimize_static_prices(
     const StaticModel& model, const StaticOptimizerOptions& options = {});
-
-/// Re-solve a single period's reward with all others held fixed, by
-/// golden-section search over the exact objective. Uses the incremental
-/// kernel-plan path: the first evaluation primes (or reuses) `state`'s
-/// cached pair matrix and every candidate after that is an O(n) column
-/// update instead of a full O(n^2) evaluation. On return `rewards[period]`
-/// holds the minimizer and `state` is positioned at the updated vector.
-///
-/// `state` must either be unprimed (prime happens here) or already primed
-/// on this model's kernel plan at `rewards` — reusing one state across a
-/// sweep of coordinate re-solves amortizes the O(n^2) prime once.
-math::GoldenSectionResult resolve_static_coordinate(
-    const StaticModel& model, math::Vector& rewards, std::size_t period,
-    FlowState& state, double reward_cap, double tolerance = 1e-7,
-    std::size_t max_iterations = 200);
 
 }  // namespace tdp

@@ -64,27 +64,6 @@ double PowerLawWaitingFunction::reward_derivative(double reward,
          std::pow(lag + 1.0, -beta_);
 }
 
-void PowerLawWaitingFunction::value_and_reward_derivative(
-    double reward, double lag, double& value_out,
-    double& derivative_out) const {
-  TDP_REQUIRE(lag >= 0.0, "lag must be nonnegative");
-  // Shares std::pow(lag + 1, -beta) between the two results. Every branch
-  // reproduces the arithmetic of value() / reward_derivative() exactly —
-  // the fused kernel paths rely on bitwise identity with the separate
-  // calls.
-  const double lag_pow = std::pow(lag + 1.0, -beta_);
-  value_out =
-      reward <= 0.0 ? 0.0 : normalization_ * std::pow(reward, gamma_) * lag_pow;
-  if (reward < 0.0) reward = 0.0;
-  if (gamma_ == 1.0) {
-    derivative_out = normalization_ * lag_pow;
-    return;
-  }
-  if (reward == 0.0) reward = 1e-12;
-  derivative_out =
-      normalization_ * gamma_ * std::pow(reward, gamma_ - 1.0) * lag_pow;
-}
-
 CallableWaitingFunction::CallableWaitingFunction(Fn fn, Fn derivative,
                                                  std::string label)
     : fn_(std::move(fn)),

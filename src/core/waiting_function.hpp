@@ -36,18 +36,6 @@ class WaitingFunction {
   /// Partial derivative of value with respect to the reward.
   virtual double reward_derivative(double reward, double lag) const = 0;
 
-  /// Value and reward derivative in one call. Implementations that share
-  /// work between the two (the power law shares its lag power) must stay
-  /// bitwise identical to the separate calls — the fused kernel paths are
-  /// property-tested against the one-at-a-time reference. Default: the two
-  /// separate calls.
-  virtual void value_and_reward_derivative(double reward, double lag,
-                                           double& value_out,
-                                           double& derivative_out) const {
-    value_out = value(reward, lag);
-    derivative_out = reward_derivative(reward, lag);
-  }
-
   /// Human-readable tag used in diagnostics (e.g. "beta=1.5").
   virtual std::string_view label() const = 0;
 
@@ -87,9 +75,6 @@ class PowerLawWaitingFunction final : public WaitingFunction {
 
   double value(double reward, double lag) const override;
   double reward_derivative(double reward, double lag) const override;
-  void value_and_reward_derivative(double reward, double lag,
-                                   double& value_out,
-                                   double& derivative_out) const override;
   std::string_view label() const override { return label_; }
   bool is_linear_in_reward() const override { return gamma_ == 1.0; }
 
@@ -112,7 +97,7 @@ class PowerLawWaitingFunction final : public WaitingFunction {
   std::string label_;
 };
 
-/// Adapter wrapping arbitrary callables (used by tests and ablations).
+/// Adapter wrapping arbitrary callables (used by tests).
 class CallableWaitingFunction final : public WaitingFunction {
  public:
   using Fn = std::function<double(double reward, double lag)>;

@@ -77,22 +77,6 @@ PatienceMix WaitingFunctionEstimator::unpack(const math::Vector& theta,
   return mix;
 }
 
-math::Vector WaitingFunctionEstimator::pack(const PatienceMix& mix) const {
-  TDP_REQUIRE(mix.periods() == periods_ && mix.types() == types_,
-              "mix shape mismatch");
-  math::Vector theta(parameter_count(false), 0.0);
-  const std::size_t stride = 2 * types_ - 1;
-  for (std::size_t i = 0; i < periods_; ++i) {
-    for (std::size_t j = 0; j + 1 < types_; ++j) {
-      theta[i * stride + j] = mix.alpha(i, j);
-    }
-    for (std::size_t j = 0; j < types_; ++j) {
-      theta[i * stride + (types_ - 1) + j] = mix.beta(i, j);
-    }
-  }
-  return theta;
-}
-
 math::Vector WaitingFunctionEstimator::default_theta(bool tied) const {
   math::Vector theta(parameter_count(tied), 0.0);
   const std::size_t stride = 2 * types_ - 1;
@@ -193,15 +177,10 @@ WaitingFunctionEstimate WaitingFunctionEstimator::fit_from(
 
 WaitingFunctionEstimate WaitingFunctionEstimator::run_fit(
     const std::vector<double>& tip_demand,
-    const std::vector<EstimationDataset>& data,
-    const std::optional<PatienceMix>& initial, bool reduced3,
+    const std::vector<EstimationDataset>& data, bool reduced3,
     bool tied) const {
   validate_fit_inputs(tip_demand, data, reduced3);
-  TDP_REQUIRE(!tied || !initial.has_value(),
-              "tied estimation uses the default start");
-  const math::Vector theta0 =
-      initial.has_value() ? pack(*initial) : default_theta(tied);
-  return fit_from(tip_demand, data, theta0, reduced3, tied);
+  return fit_from(tip_demand, data, default_theta(tied), reduced3, tied);
 }
 
 WaitingFunctionEstimate WaitingFunctionEstimator::estimate_multistart(
@@ -256,25 +235,20 @@ WaitingFunctionEstimate WaitingFunctionEstimator::estimate_multistart(
 
 WaitingFunctionEstimate WaitingFunctionEstimator::estimate(
     const std::vector<double>& tip_demand,
-    const std::vector<EstimationDataset>& data,
-    const std::optional<PatienceMix>& initial) const {
-  return run_fit(tip_demand, data, initial, /*reduced3=*/false,
-                 /*tied=*/false);
+    const std::vector<EstimationDataset>& data) const {
+  return run_fit(tip_demand, data, /*reduced3=*/false, /*tied=*/false);
 }
 
 WaitingFunctionEstimate WaitingFunctionEstimator::estimate_tied(
     const std::vector<double>& tip_demand,
     const std::vector<EstimationDataset>& data) const {
-  return run_fit(tip_demand, data, std::nullopt, /*reduced3=*/false,
-                 /*tied=*/true);
+  return run_fit(tip_demand, data, /*reduced3=*/false, /*tied=*/true);
 }
 
 WaitingFunctionEstimate WaitingFunctionEstimator::estimate_reduced3(
     const std::vector<double>& tip_demand,
-    const std::vector<EstimationDataset>& data,
-    const std::optional<PatienceMix>& initial) const {
-  return run_fit(tip_demand, data, initial, /*reduced3=*/true,
-                 /*tied=*/false);
+    const std::vector<EstimationDataset>& data) const {
+  return run_fit(tip_demand, data, /*reduced3=*/true, /*tied=*/false);
 }
 
 }  // namespace tdp

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "estimation/patience_mix.hpp"
@@ -58,12 +57,12 @@ class WaitingFunctionEstimator {
                                std::uint64_t seed = 1) const;
 
   /// Full estimator: fit alpha/beta for every period against all datasets.
-  /// `initial` optionally seeds the search (defaults to uniform mix,
-  /// beta = 2).
+  /// The search starts from the default start: in every period the m
+  /// proportions are uniform (1/m each) and the patience indices are
+  /// spread 1, 2, ..., m so the types are distinguishable to the fit.
   WaitingFunctionEstimate estimate(
       const std::vector<double>& tip_demand,
-      const std::vector<EstimationDataset>& data,
-      const std::optional<PatienceMix>& initial = std::nullopt) const;
+      const std::vector<EstimationDataset>& data) const;
 
   /// Time-invariant variant: one (alpha_j, beta_j) per session type shared
   /// by every period — "the profiling engine estimates a patience index for
@@ -73,11 +72,11 @@ class WaitingFunctionEstimator {
       const std::vector<double>& tip_demand,
       const std::vector<EstimationDataset>& data) const;
 
-  /// The paper's single-equation reduction for n = 3 (eq. 8).
+  /// The paper's single-equation reduction for n = 3 (eq. 8), from the
+  /// same default start as estimate().
   WaitingFunctionEstimate estimate_reduced3(
       const std::vector<double>& tip_demand,
-      const std::vector<EstimationDataset>& data,
-      const std::optional<PatienceMix>& initial = std::nullopt) const;
+      const std::vector<EstimationDataset>& data) const;
 
   /// Multi-start configuration for estimate_multistart.
   struct MultiStartOptions {
@@ -120,7 +119,7 @@ class WaitingFunctionEstimator {
   /// indices.
   std::size_t parameter_count(bool tied) const;
   PatienceMix unpack(const math::Vector& theta, bool tied) const;
-  math::Vector pack(const PatienceMix& mix) const;
+  /// The default start (see estimate()).
   math::Vector default_theta(bool tied) const;
   void parameter_bounds(bool tied, math::Vector& lower,
                         math::Vector& upper) const;
@@ -138,8 +137,7 @@ class WaitingFunctionEstimator {
 
   WaitingFunctionEstimate run_fit(
       const std::vector<double>& tip_demand,
-      const std::vector<EstimationDataset>& data,
-      const std::optional<PatienceMix>& initial, bool reduced3,
+      const std::vector<EstimationDataset>& data, bool reduced3,
       bool tied) const;
 
   std::size_t periods_;

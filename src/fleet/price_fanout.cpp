@@ -42,11 +42,6 @@ void PriceFanout::restore_schedules(
   schedules_ = schedules;
 }
 
-SubscriberTelemetry PriceFanout::telemetry(std::size_t group) const {
-  TDP_REQUIRE(group < subscribers_.size(), "unknown group");
-  return channel_->telemetry(subscribers_[group]);
-}
-
 SubscriberTelemetry PriceFanout::total_telemetry() const {
   SubscriberTelemetry total;
   for (std::size_t id : subscribers_) {

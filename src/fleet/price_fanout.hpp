@@ -37,9 +37,6 @@ class PriceFanout {
   /// the price server; compare against users * periods for the savings.
   std::size_t total_server_fetches() const;
 
-  /// One group's degradation counters (see SubscriberTelemetry).
-  SubscriberTelemetry telemetry(std::size_t group) const;
-
   /// All groups' degradation counters summed (missed_streak is the max
   /// across groups, not a sum — it is a level, not a count).
   SubscriberTelemetry total_telemetry() const;

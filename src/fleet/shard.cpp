@@ -110,12 +110,6 @@ Shard::Shard(const Population& population, std::size_t begin_slice,
   std::fill(reward_ring_, reward_ring_ + ring_slots_, 0.0);
 }
 
-void Shard::reset() {
-  std::fill(deferred_ring_, deferred_ring_ + ring_slots_, 0.0);
-  std::fill(reward_ring_, reward_ring_ + ring_slots_, 0.0);
-  ring_head_ = 0;
-}
-
 void Shard::set_ring_head(std::size_t head) {
   TDP_REQUIRE(head < population_->periods(), "ring head out of range");
   ring_head_ = head;

@@ -159,9 +159,6 @@ class Shard {
                        const DeferralTable& table,
                        StripedAggregator& aggregator);
 
-  /// Drop all parked deferred work (fresh-day reset for experiments).
-  void reset();
-
   // ---- Checkpoint access (slice-granular, reshard-safe) ------------------
 
   /// Current ring rotation (identical for every slice: rings advance once
@@ -179,7 +176,7 @@ class Shard {
                            const std::vector<double>& reward);
 
  private:
-  /// Users per simd::fork_uniform_batch call in the session loop — big
+  /// Users per simd::fork_uniform_screen_batch call in the session loop — big
   /// enough to amortize dispatch, small enough that the u1/state scratch
   /// stays in L1 (2 KiB per array).
   static constexpr std::size_t kBatch = 256;

@@ -19,12 +19,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix eye(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) eye(i, i) = 1.0;
-  return eye;
-}
-
 Vector Matrix::multiply(const Vector& x) const {
   TDP_REQUIRE(x.size() == cols_, "multiply: dimension mismatch");
   Vector y(rows_, 0.0);

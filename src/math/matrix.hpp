@@ -22,8 +22,6 @@ class Matrix {
   /// Construct from nested initializer lists (rows of equal width).
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 

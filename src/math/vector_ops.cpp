@@ -31,26 +31,6 @@ void axpy(double alpha, const Vector& x, Vector& y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-Vector subtract(const Vector& a, const Vector& b) {
-  TDP_REQUIRE(a.size() == b.size(), "subtract: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vector add(const Vector& a, const Vector& b) {
-  TDP_REQUIRE(a.size() == b.size(), "add: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vector scale(double alpha, const Vector& a) {
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = alpha * a[i];
-  return out;
-}
-
 void project_box(Vector& x, double lo, double hi) {
   TDP_REQUIRE(lo <= hi, "project_box: bounds must be ordered");
   for (double& v : x) v = std::clamp(v, lo, hi);

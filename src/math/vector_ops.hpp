@@ -24,15 +24,6 @@ double sum(const Vector& a);
 /// y += alpha * x (sizes must match).
 void axpy(double alpha, const Vector& x, Vector& y);
 
-/// Element-wise a - b.
-Vector subtract(const Vector& a, const Vector& b);
-
-/// Element-wise a + b.
-Vector add(const Vector& a, const Vector& b);
-
-/// alpha * a.
-Vector scale(double alpha, const Vector& a);
-
 /// Project x onto the box [lo, hi] element-wise (scalar bounds).
 void project_box(Vector& x, double lo, double hi);
 

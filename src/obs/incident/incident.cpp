@@ -56,32 +56,6 @@ const char* to_string(Objective objective) {
   return "?";
 }
 
-const char* to_string(RecorderKind kind) {
-  switch (kind) {
-    case RecorderKind::kDisturbance:
-      return "disturbance";
-    case RecorderKind::kChannelDegraded:
-      return "channel_degraded";
-    case RecorderKind::kSolverStarved:
-      return "solver_starved";
-    case RecorderKind::kHealthEdge:
-      return "health_edge";
-    case RecorderKind::kAlert:
-      return "alert";
-    case RecorderKind::kIncidentOpen:
-      return "incident_open";
-    case RecorderKind::kIncidentClose:
-      return "incident_close";
-    case RecorderKind::kSettle:
-      return "settle";
-    case RecorderKind::kDayEnd:
-      return "day_end";
-    case RecorderKind::kReanchor:
-      return "reanchor";
-  }
-  return "?";
-}
-
 IncidentEngine::IncidentEngine(IncidentConfig config)
     : config_(std::move(config)) {
   state_.slo_window.assign(std::max<std::uint32_t>(1, config_.slo_long_window),

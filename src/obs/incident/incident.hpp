@@ -196,8 +196,6 @@ enum class RecorderKind : std::uint8_t {
   kReanchor = 9,       ///< a = ReanchorState, b = day
 };
 
-const char* to_string(RecorderKind kind);
-
 struct RecorderEntry {
   std::uint64_t abs_period = 0;
   RecorderKind kind = RecorderKind::kDisturbance;

@@ -14,11 +14,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/deferral_kernel.hpp"
 #include "core/kernel_plan.hpp"
+#include "core/paper_data.hpp"
 #include "fleet/population.hpp"
 #include "fleet/shard.hpp"
 #include "scenarios.hpp"
@@ -41,25 +44,43 @@ TEST(SimdDispatch, ReportsAValidModeAndHostIsa) {
 
 // ---- Batched RNG kernels --------------------------------------------------
 
+// Screens spanning the interesting cases: never-active (+inf),
+// always-active (-1; a uniform in [0,1) is never <= -1), and two ordinary
+// thresholds.
+const double kScreens[4] = {std::numeric_limits<double>::infinity(), -1.0,
+                            0.25, 0.9};
+
 TEST(RngBatch, ScalarKernelMatchesTheRngReference) {
   constexpr std::size_t kCount = 1337;  // deliberately not a lane multiple
   constexpr std::uint64_t kStream = 7;
+  constexpr std::size_t kWords = (kCount + 63) / 64;
   std::vector<std::uint64_t> state(kCount);
+  std::vector<std::uint32_t> cls(kCount);
   Rng seeder(20110611);
-  for (auto& s : state) s = seeder.next();
+  for (std::size_t i = 0; i < kCount; ++i) {
+    state[i] = seeder.next();
+    cls[i] = static_cast<std::uint32_t>(seeder.next() % 4);
+  }
 
   std::vector<double> u1(kCount);
   std::vector<std::uint64_t> out(kCount);
-  simd::detail::fork_uniform_batch_scalar(state.data(), kCount, kStream,
-                                          u1.data(), out.data());
+  std::vector<std::uint64_t> mask(kWords, ~0ull);  // the kernel clears it
+  simd::detail::fork_uniform_screen_batch_scalar(
+      state.data(), kCount, kStream, cls.data(), kScreens, u1.data(),
+      out.data(), mask.data());
   for (std::size_t i = 0; i < kCount; ++i) {
     Rng child = Rng(state[i]).fork_stream(kStream);
-    EXPECT_EQ(child.uniform(), u1[i]) << "u1 " << i;
+    const double u = child.uniform();
+    EXPECT_EQ(u, u1[i]) << "u1 " << i;
     EXPECT_EQ(child.state(), out[i]) << "resume state " << i;
     // Resuming from the stored state replays the child's tail sequence.
     Rng resumed(out[i]);
     EXPECT_EQ(child.next(), resumed.next()) << "tail " << i;
+    const bool active = (mask[i / 64] >> (i % 64)) & 1u;
+    EXPECT_EQ(active, u > kScreens[cls[i]]) << "mask " << i;
   }
+  // Trailing bits past kCount stay clear.
+  EXPECT_EQ(mask.back() >> (kCount % 64), 0ull);
 }
 
 TEST(RngBatch, Avx2KernelsAreBitIdenticalToScalar) {
@@ -75,43 +96,22 @@ TEST(RngBatch, Avx2KernelsAreBitIdenticalToScalar) {
     state[i] = seeder.next();
     cls[i] = static_cast<std::uint32_t>(seeder.next() % 4);
   }
-  // Screens spanning the interesting cases: never-active (+inf),
-  // always-active (-1; a uniform in [0,1) is never <= -1), and two
-  // ordinary thresholds.
-  const double screen[4] = {std::numeric_limits<double>::infinity(), -1.0,
-                            0.25, 0.9};
 
   std::vector<double> u_a(kCount), u_b(kCount);
   std::vector<std::uint64_t> s_a(kCount), s_b(kCount);
-  simd::detail::fork_uniform_batch_scalar(state.data(), kCount, kStream,
-                                          u_a.data(), s_a.data());
-  simd::detail::fork_uniform_batch_avx2(state.data(), kCount, kStream,
-                                        u_b.data(), s_b.data());
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(u_a[i], u_b[i]) << "uniform " << i;
-    EXPECT_EQ(s_a[i], s_b[i]) << "state " << i;
-  }
-
   std::vector<std::uint64_t> mask_a(kWords, ~0ull), mask_b(kWords, ~0ull);
   simd::detail::fork_uniform_screen_batch_scalar(
-      state.data(), kCount, kStream, cls.data(), screen, u_a.data(),
+      state.data(), kCount, kStream, cls.data(), kScreens, u_a.data(),
       s_a.data(), mask_a.data());
   simd::detail::fork_uniform_screen_batch_avx2(
-      state.data(), kCount, kStream, cls.data(), screen, u_b.data(),
+      state.data(), kCount, kStream, cls.data(), kScreens, u_b.data(),
       s_b.data(), mask_b.data());
   for (std::size_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(u_a[i], u_b[i]) << "screened uniform " << i;
     EXPECT_EQ(s_a[i], s_b[i]) << "screened state " << i;
-    const bool active = (mask_a[i / 64] >> (i % 64)) & 1u;
-    EXPECT_EQ(active, u_a[i] > screen[cls[i]]) << "mask semantics " << i;
   }
   for (std::size_t w = 0; w < kWords; ++w) {
     EXPECT_EQ(mask_a[w], mask_b[w]) << "mask word " << w;
-  }
-  // Trailing bits past kCount stay clear.
-  const std::size_t tail = kCount % 64;
-  if (tail != 0) {
-    EXPECT_EQ(mask_a.back() >> tail, 0ull);
   }
 #endif
 }
@@ -153,10 +153,9 @@ TEST(SimdRowKernels, MatchTheScalarLoopsBitwise) {
 
 // ---- KernelPlan vector fill path ------------------------------------------
 
-/// A SIMD-eligible profile: the *same* class list every period (so every
-/// period flattens to one shared slot sequence), all power-law. Nonlinear
-/// gammas keep the plan off its linear fast path, so evaluate() actually
-/// walks the fill/reduce loops under test.
+/// The same power-law class list every period. Nonlinear gammas keep the
+/// plan off its linear fast path, so evaluate() walks the scalar column fill
+/// and the vector inflow reduction under test.
 DemandProfile uniform_profile(std::size_t n, bool linear,
                               LagNormalization normalization,
                               double max_reward) {
@@ -206,46 +205,34 @@ void expect_states_bitwise_equal(const FlowState& a, const FlowState& b,
   }
 }
 
-TEST(KernelPlanSimd, UniformProfilesAreEligibleRaggedOnesAreNot) {
-  const DeferralKernel uniform(
-      uniform_profile(12, /*linear=*/false, LagNormalization::kContinuous,
-                      1.5),
-      LagConvention::kUniformArrival);
-  ASSERT_NE(uniform.plan(), nullptr);
-  EXPECT_TRUE(uniform.plan()->simd_eligible());
-
-  // A profile with an empty period can't share one slot sequence.
-  DemandProfile ragged =
-      uniform_profile(12, false, LagNormalization::kContinuous, 1.5);
-  DemandProfile holes(12);
-  Rng rng(5);
-  auto wf = std::make_shared<PowerLawWaitingFunction>(
-      0.8, 12, 1.5, 0.7, LagNormalization::kContinuous);
-  for (std::size_t i = 0; i < 12; ++i) {
-    if (i == 4) continue;
-    holes.add_class(i, SessionClass{wf, 1.0 + rng.uniform(0.0, 2.0)});
-  }
-  const DeferralKernel ragged_kernel(holes, LagConvention::kUniformArrival);
-  ASSERT_NE(ragged_kernel.plan(), nullptr);
-  EXPECT_FALSE(ragged_kernel.plan()->simd_eligible());
+/// The one nonlinear shape a bench builds: Table VIII's 12-period mix at
+/// gamma = 0.7, whose class lists differ by period.
+DemandProfile table8_nonlinear_profile(LagNormalization normalization) {
+  return paper::make_profile(paper::table8_mix_12(),
+                             paper::kStaticNormalizationReward, normalization,
+                             /*gamma=*/0.7);
 }
 
 TEST(KernelPlanSimd, EvaluateIsBitIdenticalScalarVsAvx2) {
   if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
   Rng rng(777);
-  for (const std::size_t n : {std::size_t{6}, std::size_t{12},
-                              std::size_t{48}}) {
-    for (const LagConvention convention :
-         {LagConvention::kPeriodStart, LagConvention::kUniformArrival}) {
-      const LagNormalization norm =
-          convention == LagConvention::kPeriodStart
-              ? LagNormalization::kDiscrete
-              : LagNormalization::kContinuous;
-      const DeferralKernel kernel(
-          uniform_profile(n, /*linear=*/false, norm, 1.5), convention);
+  for (const LagConvention convention :
+       {LagConvention::kPeriodStart, LagConvention::kUniformArrival}) {
+    const LagNormalization norm = convention == LagConvention::kPeriodStart
+                                      ? LagNormalization::kDiscrete
+                                      : LagNormalization::kContinuous;
+    std::vector<std::pair<std::string, DemandProfile>> profiles;
+    for (const std::size_t n : {std::size_t{6}, std::size_t{12},
+                                std::size_t{48}}) {
+      profiles.emplace_back("n=" + std::to_string(n),
+                            uniform_profile(n, /*linear=*/false, norm, 1.5));
+    }
+    profiles.emplace_back("table8", table8_nonlinear_profile(norm));
+    for (const auto& [name, profile] : profiles) {
+      const DeferralKernel kernel(profile, convention);
+      const std::size_t n = kernel.periods();
       const auto plan = kernel.plan();
       ASSERT_NE(plan, nullptr);
-      ASSERT_TRUE(plan->simd_eligible());
       ASSERT_FALSE(plan->linear());
 
       for (const bool with_derivatives : {false, true}) {
@@ -259,8 +246,8 @@ TEST(KernelPlanSimd, EvaluateIsBitIdenticalScalarVsAvx2) {
           ModeGuard guard(simd::Mode::kAvx2);
           plan->evaluate(rewards, with_derivatives, simd_state);
         }
-        const std::string context = "n=" + std::to_string(n) + " deriv=" +
-                                    std::to_string(with_derivatives);
+        const std::string context =
+            name + " deriv=" + std::to_string(with_derivatives);
         expect_states_bitwise_equal(scalar_state, simd_state, n,
                                     context.c_str());
 
@@ -317,40 +304,45 @@ TEST(KernelPlanSimd, LinearEvaluateIsBitIdenticalScalarVsAvx2) {
 TEST(KernelPlanSimd, CoordinateUpdatesAreBitIdenticalScalarVsAvx2) {
   if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
   Rng rng(31337);
-  const std::size_t n = 48;
-  const DeferralKernel kernel(
-      uniform_profile(n, /*linear=*/false, LagNormalization::kContinuous,
-                      1.5),
-      LagConvention::kUniformArrival);
-  const auto plan = kernel.plan();
-  ASSERT_TRUE(plan->simd_eligible());
+  const DeferralKernel kernels[] = {
+      DeferralKernel(uniform_profile(48, /*linear=*/false,
+                                     LagNormalization::kContinuous, 1.5),
+                     LagConvention::kUniformArrival),
+      DeferralKernel(table8_nonlinear_profile(LagNormalization::kContinuous),
+                     LagConvention::kUniformArrival),
+  };
+  for (const DeferralKernel& kernel : kernels) {
+    const std::size_t n = kernel.periods();
+    const auto plan = kernel.plan();
+    ASSERT_FALSE(plan->linear());
 
-  math::Vector rewards = random_rewards(rng, n, 1.5);
-  FlowState scalar_state, simd_state;
-  {
-    ModeGuard guard(simd::Mode::kScalar);
-    plan->evaluate(rewards, /*with_derivatives=*/true, scalar_state);
-  }
-  {
-    ModeGuard guard(simd::Mode::kAvx2);
-    plan->evaluate(rewards, /*with_derivatives=*/true, simd_state);
-  }
-  for (int step = 0; step < 60; ++step) {
-    const std::size_t m = static_cast<std::size_t>(
-        rng.uniform() * static_cast<double>(n)) % n;
-    const double u = rng.uniform();
-    rewards[m] = u < 0.2 ? 0.0 : rng.uniform(0.0, 1.5);
+    math::Vector rewards = random_rewards(rng, n, 1.5);
+    FlowState scalar_state, simd_state;
     {
       ModeGuard guard(simd::Mode::kScalar);
-      plan->update_coordinate(m, rewards[m], /*with_derivatives=*/true,
-                              scalar_state);
+      plan->evaluate(rewards, /*with_derivatives=*/true, scalar_state);
     }
     {
       ModeGuard guard(simd::Mode::kAvx2);
-      plan->update_coordinate(m, rewards[m], /*with_derivatives=*/true,
-                              simd_state);
+      plan->evaluate(rewards, /*with_derivatives=*/true, simd_state);
     }
-    expect_states_bitwise_equal(scalar_state, simd_state, n, "update");
+    for (int step = 0; step < 60; ++step) {
+      const std::size_t m = static_cast<std::size_t>(
+          rng.uniform() * static_cast<double>(n)) % n;
+      const double u = rng.uniform();
+      rewards[m] = u < 0.2 ? 0.0 : rng.uniform(0.0, 1.5);
+      {
+        ModeGuard guard(simd::Mode::kScalar);
+        plan->update_coordinate(m, rewards[m], /*with_derivatives=*/true,
+                                scalar_state);
+      }
+      {
+        ModeGuard guard(simd::Mode::kAvx2);
+        plan->update_coordinate(m, rewards[m], /*with_derivatives=*/true,
+                                simd_state);
+      }
+      expect_states_bitwise_equal(scalar_state, simd_state, n, "update");
+    }
   }
 }
 
