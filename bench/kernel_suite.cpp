@@ -13,7 +13,8 @@
 //                        kernel rebuild, solve) vs the solve alone; the
 //                        same-process ratio is gated by a ceiling
 //   deferral_table_build fleet per-period DeferralTable, lag_weight calls
-//                        vs the precomputed UniformLagWeightTable
+//                        vs the waiting functions' tabulated node powers
+//                        (PowerLawWaitingFunction::uniform_weight)
 //   fleet_shard_step     one shard simulating one period of a 20k-user day
 //
 // Every reference/fused pair is bitwise identical (tests/test_kernel_plan);
@@ -340,7 +341,7 @@ int main(int argc, char** argv) {
       // The pre-table construction loop: one lag_weight quadrature per
       // (class, lag).
       for (std::size_t c = 0; c < classes; ++c) {
-        const WaitingFunction& w =
+        const PowerLawWaitingFunction& w =
             *population.waiting(static_cast<std::uint32_t>(c));
         for (std::size_t lag = 1; lag < n; ++lag) {
           sink += lag_weight(w, schedule[(lag) % n], lag,

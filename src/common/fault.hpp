@@ -90,7 +90,8 @@ struct FaultPlan {
   // patience indices themselves, so the clean and the observed world drift
   // together. It therefore never arms guards and never contributes to
   // any(). The multi-day driver reads beta_drift_scale() and rebuilds the
-  // deferral lag tables for each day; single-day drivers ignore it.
+  // population's waiting functions for each day; single-day drivers ignore
+  // it.
   /// Smooth geometric drift: every class's patience index is scaled by
   /// (1 + drift_beta_rate)^day. Must exceed -1.
   double drift_beta_rate = 0.0;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "common/cyclic.hpp"
@@ -15,8 +14,8 @@
 
 namespace tdp {
 
-double lag_weight(const WaitingFunction& w, double reward, std::size_t lag,
-                  LagConvention convention) {
+double lag_weight(const PowerLawWaitingFunction& w, double reward,
+                  std::size_t lag, LagConvention convention) {
   const double t = static_cast<double>(lag);
   if (convention == LagConvention::kPeriodStart) {
     return w.value(reward, t);
@@ -25,7 +24,7 @@ double lag_weight(const WaitingFunction& w, double reward, std::size_t lag,
       [&w, reward](double u) { return w.value(reward, u); }, t - 1.0, t, 1);
 }
 
-double lag_weight_derivative(const WaitingFunction& w, double reward,
+double lag_weight_derivative(const PowerLawWaitingFunction& w, double reward,
                              std::size_t lag, LagConvention convention) {
   const double t = static_cast<double>(lag);
   if (convention == LagConvention::kPeriodStart) {
@@ -36,14 +35,6 @@ double lag_weight_derivative(const WaitingFunction& w, double reward,
       t - 1.0, t, 1);
 }
 
-/// One waiting function's unit-reward lag weights under a state's
-/// convention: lag[l] = lag_weight(*waiting, 1.0, l, convention) for l in
-/// [1, n); lag 0 is unused (from == to is never a deferral).
-struct UnitWeights {
-  const WaitingFunction* waiting = nullptr;  ///< held by the state's classes
-  std::shared_ptr<const std::vector<double>> lag;
-};
-
 /// Immutable construction state, shared by a kernel's copies and by
 /// successors whose demand matches it period for period.
 struct DeferralKernelState {
@@ -53,7 +44,6 @@ struct DeferralKernelState {
   std::vector<std::vector<SessionClass>> classes;
   std::vector<double> unit;         // [from * n + to], empty unless linear
   std::vector<double> unit_inflow;  // [to], empty unless linear
-  std::vector<UnitWeights> weights;  // one per distinct function, if linear
 
   // Lazily computed, once per state.
   mutable std::once_flag safe_reward_once;
@@ -78,36 +68,16 @@ bool same_classes(const std::vector<SessionClass>& a,
   return true;
 }
 
-/// Under kUniformArrival the UniformLagWeightTable reproduces the
-/// quadrature's arithmetic exactly, at one pow per Gauss node instead of
-/// eight virtual calls.
-std::vector<double> unit_lag_weights(const WaitingFunctionPtr& waiting,
-                                     std::size_t n, LagConvention convention) {
-  std::vector<double> weights(n, 0.0);
-  if (convention == LagConvention::kUniformArrival) {
-    const UniformLagWeightTable table(waiting, n);
-    for (std::size_t lag = 1; lag < n; ++lag) {
-      weights[lag] = table.weight(1.0, lag);
-    }
-  } else {
-    for (std::size_t lag = 1; lag < n; ++lag) {
-      weights[lag] = lag_weight(*waiting, 1.0, lag, convention);
-    }
-  }
-  return weights;
-}
-
 /// The state of `demand`. Whatever of `donor` (may be null) provably
 /// equals this build's result is reused: the whole state when every
-/// period's classes match, else each matching row of the unit tables and
-/// each shared function's unit weights.
+/// period's classes match, else each matching row of the unit tables.
 std::shared_ptr<const DeferralKernelState> build_state(
     const DemandProfile& demand, LagConvention convention,
     std::shared_ptr<const DeferralKernelState> donor) {
   const std::size_t n = demand.periods();
   if (donor != nullptr &&
       (donor->periods != n || donor->convention != convention)) {
-    donor = nullptr;  // its rows and weights are of another table
+    donor = nullptr;  // its rows are of another table
   }
   const auto kept = [&](std::size_t period) {
     return donor != nullptr &&
@@ -131,32 +101,6 @@ std::shared_ptr<const DeferralKernelState> build_state(
 
   if (!state->linear) return state;
 
-  // Every distinct waiting function's unit weights, lent by the donor when
-  // it has them. They stay in this state for its own successors.
-  const auto unit_weights = [&](const WaitingFunctionPtr& wf) {
-    for (const UnitWeights& entry : state->weights) {
-      if (entry.waiting == wf.get()) return entry.lag->data();
-    }
-    UnitWeights entry{wf.get(), nullptr};
-    if (donor != nullptr) {
-      for (const UnitWeights& lent : donor->weights) {
-        if (lent.waiting == wf.get()) {
-          entry.lag = lent.lag;
-          break;
-        }
-      }
-    }
-    if (entry.lag == nullptr) {
-      entry.lag = std::make_shared<const std::vector<double>>(
-          unit_lag_weights(wf, n, convention));
-    }
-    state->weights.push_back(std::move(entry));
-    return state->weights.back().lag->data();
-  };
-  for (const std::vector<SessionClass>& classes : state->classes) {
-    for (const SessionClass& sc : classes) unit_weights(sc.waiting);
-  }
-
   // A row of the unit table depends on its own period's classes alone, so
   // a row whose classes match the donor's bit for bit is copied from it.
   // The online pricer rescales one period per observation: all other rows
@@ -175,7 +119,7 @@ std::shared_ptr<const DeferralKernelState> build_state(
       std::copy_n(&donor->unit[from * n], n, row);
     } else {
       for (const SessionClass& sc : state->classes[from]) {
-        const double* w = unit_weights(sc.waiting);
+        const double* w = sc.waiting->unit_weights(convention);
         for (std::size_t to = from + 1; to < n; ++to) {
           row[to] += sc.volume * w[to - from];
         }

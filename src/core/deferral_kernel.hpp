@@ -5,26 +5,21 @@
 //   V(from, to, p) = sum_{j in from} v_j * w_j(p, lag(from, to))
 //
 // — the volume deferred from one period to another at reward p — and its
-// reward derivative. The kernel snapshots the demand mix, supports two lag
-// conventions (Prop. 5):
-//
-//   kPeriodStart:    sessions start at the period boundary; the lag is the
-//                    integer cyclic distance (static model, Section II);
-//   kUniformArrival: arrival times are uniform within the period, so the
-//                    effective waiting-function weight is the average
-//                    integral_0^1 w(p, L-1+u) du (dynamic model, Appendix F);
-//
-// and precomputes unit-reward coefficients when every waiting function is
-// linear in the reward, making model evaluations pure arithmetic.
+// reward derivative. The kernel snapshots the demand mix, supports the two
+// lag conventions of Prop. 5 (LagConvention, core/waiting_function.hpp:
+// sessions starting at the period boundary, or arriving uniformly within
+// it), and builds unit-reward tables when every waiting function is linear
+// in the reward, making model evaluations pure arithmetic.
 //
 // A kernel owns the state it builds — the class lists, the unit tables,
 // the lazily computed validity bound and the fused evaluation plan
-// (core/kernel_plan) — and its copies share it. A kernel built from a
+// (core/kernel_plan) — and its copies share it. A unit table's row sums
+// its classes' volumes times each function's own unit lag weights
+// (PowerLawWaitingFunction::unit_weights). A kernel built from a
 // predecessor recomputes only what the new volumes change: the online
 // pricer rebuilds its model after every observation, rescaling one period,
 // so the predecessor lends every unit-table row whose period kept the same
-// waiting-function objects and volume bits, plus the unit lag weights of
-// every waiting function the two share. When every period matches — a
+// waiting-function objects and volume bits. When every period matches — a
 // confirmed forecast — the new kernel shares the predecessor's whole
 // state, plan included.
 #pragma once
@@ -37,8 +32,6 @@
 
 namespace tdp {
 
-enum class LagConvention { kPeriodStart, kUniformArrival };
-
 class KernelPlan;
 struct DeferralKernelState;
 
@@ -46,12 +39,13 @@ struct DeferralKernelState;
 /// w(p, L) for kPeriodStart, or the uniform-arrival average
 /// integral_{L-1}^{L} w(p, u) du for kUniformArrival. Shared by the kernel
 /// and the session-level stochastic simulator so the two agree exactly in
-/// expectation.
-double lag_weight(const WaitingFunction& w, double reward, std::size_t lag,
-                  LagConvention convention);
+/// expectation, and the quadrature reference every tabulated weight of
+/// PowerLawWaitingFunction equals bitwise.
+double lag_weight(const PowerLawWaitingFunction& w, double reward,
+                  std::size_t lag, LagConvention convention);
 
 /// d/dp of lag_weight.
-double lag_weight_derivative(const WaitingFunction& w, double reward,
+double lag_weight_derivative(const PowerLawWaitingFunction& w, double reward,
                              std::size_t lag, LagConvention convention);
 
 class DeferralKernel {
@@ -108,9 +102,9 @@ class DeferralKernel {
   std::size_t periods_;
   LagConvention convention_;
   bool linear_ = false;
-  /// Immutable snapshot: class lists, unit tables, unit lag weights, lazy
-  /// validity bound and evaluation plan. Shared by this kernel's copies and
-  /// by successors built from it whose demand matches period for period.
+  /// Immutable snapshot: class lists, unit tables, lazy validity bound and
+  /// evaluation plan. Shared by this kernel's copies and by successors
+  /// built from it whose demand matches period for period.
   std::shared_ptr<const DeferralKernelState> state_;
 };
 

@@ -30,7 +30,7 @@ std::size_t DefiniteChoiceModel::chosen_lag(std::size_t period,
   TDP_REQUIRE(class_index < classes.size(), "class out of range");
   TDP_REQUIRE(rewards.size() == n, "reward vector size mismatch");
 
-  const WaitingFunction& w = *classes[class_index].waiting;
+  const PowerLawWaitingFunction& w = *classes[class_index].waiting;
   std::size_t best_lag = 0;
   double best_value = stay_threshold_;
   for (std::size_t lag = 1; lag < n; ++lag) {

@@ -12,6 +12,8 @@ void DemandProfile::add_class(std::size_t period, SessionClass session_class) {
   TDP_REQUIRE(period < mixes_.size(), "period out of range");
   TDP_REQUIRE(session_class.waiting != nullptr,
               "session class needs a waiting function");
+  TDP_REQUIRE(session_class.waiting->periods() == periods(),
+              "waiting function is built for another period count");
   TDP_REQUIRE(session_class.volume >= 0.0, "volume must be nonnegative");
   mixes_[period].push_back(std::move(session_class));
 }

@@ -29,7 +29,9 @@ class DemandProfile {
 
   std::size_t periods() const { return mixes_.size(); }
 
-  /// Add a session class to period i (0-based).
+  /// Add a session class to period i (0-based). Its waiting function must
+  /// be built for this profile's period count: its lag tables and
+  /// normalization are sized to that n.
   void add_class(std::size_t period, SessionClass session_class);
 
   const std::vector<SessionClass>& classes(std::size_t period) const;

@@ -6,28 +6,10 @@
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
-#include "math/quadrature.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace tdp {
-namespace {
-
-constexpr std::size_t kGaussN = math::kGauss8Nodes.size();
-
-/// The Gauss abscissa integrate_gauss(f, lag-1, lag, 1) evaluates at node k,
-/// reproduced operation for operation (lo = a + h*0, mid = lo + h/2).
-double gauss_abscissa(std::size_t lag, std::size_t k, double& half_out) {
-  const double t = static_cast<double>(lag);
-  const double a = t - 1.0;
-  const double h = (t - a) / 1.0;
-  const double lo = a + h * 0.0;
-  const double mid = lo + 0.5 * h;
-  half_out = 0.5 * h;
-  return mid + half_out * math::kGauss8Nodes[k];
-}
-
-}  // namespace
 
 KernelPlan::KernelPlan(const DeferralKernel& kernel)
     : periods_(kernel.periods()),
@@ -45,8 +27,8 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
   TDP_REQUIRE(n >= 2, "need at least two periods");
 
   if (linear_) {
-    // Linear kernels evaluate through the unit-reward tables alone; none of
-    // the flattened terms or power tables below would ever be read.
+    // Linear kernels evaluate through the unit-reward tables alone; the
+    // flattened terms below would never be read.
     unit_ = kernel.unit_table();
     unit_inflow_ = kernel.unit_inflow_table();
     return;
@@ -55,63 +37,19 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
   // Flatten the class lists, registering each distinct waiting function
   // once. Term order within a period matches class order — the reference
   // path's accumulation order.
-  std::unordered_map<const WaitingFunction*, std::uint32_t> ids;
+  std::unordered_map<const PowerLawWaitingFunction*, std::uint32_t> ids;
   period_begin_.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     period_begin_[i] = term_wf_.size();
     for (const SessionClass& sc : kernel.classes(i)) {
-      const WaitingFunction* raw = sc.waiting.get();
       auto [it, inserted] = ids.emplace(
-          raw, static_cast<std::uint32_t>(functions_.size()));
-      if (inserted) {
-        WfEntry entry;
-        entry.wf = sc.waiting;
-        if (const auto* power =
-                dynamic_cast<const PowerLawWaitingFunction*>(raw)) {
-          entry.kind = convention_ == LagConvention::kPeriodStart
-                           ? WfKind::kPowerStart
-                           : WfKind::kPowerUniform;
-          entry.norm = power->normalization();
-          entry.gamma = power->gamma();
-          entry.norm_gamma = power->normalization() * power->gamma();
-        }
-        functions_.push_back(std::move(entry));
-      }
+          sc.waiting.get(), static_cast<std::uint32_t>(functions_.size()));
+      if (inserted) functions_.push_back(sc.waiting);
       term_wf_.push_back(it->second);
       term_volume_.push_back(sc.volume);
     }
   }
   period_begin_[n] = term_wf_.size();
-
-  // Per-(function, lag) weight tables for the power-law family. The same
-  // pow(..., -beta) values serve both the value and the derivative — the
-  // power law shares its lag factor between them.
-  const std::size_t nwf = functions_.size();
-  if (convention_ == LagConvention::kPeriodStart) {
-    lag_pow_.assign(nwf * n, 0.0);
-  } else {
-    node_pow_.assign(nwf * n * kGaussN, 0.0);
-    lag_half_.assign(n, 0.0);
-  }
-  for (std::size_t w = 0; w < nwf; ++w) {
-    if (functions_[w].kind == WfKind::kGeneric) continue;
-    const auto* power =
-        dynamic_cast<const PowerLawWaitingFunction*>(functions_[w].wf.get());
-    const double beta = power->beta();
-    for (std::size_t lag = 1; lag < n; ++lag) {
-      if (convention_ == LagConvention::kPeriodStart) {
-        const double t = static_cast<double>(lag);
-        lag_pow_[w * n + lag] = std::pow(t + 1.0, -beta);
-      } else {
-        for (std::size_t k = 0; k < kGaussN; ++k) {
-          double half = 0.0;
-          const double u = gauss_abscissa(lag, k, half);
-          node_pow_[(w * n + lag) * kGaussN + k] = std::pow(u + 1.0, -beta);
-          lag_half_[lag] = half;
-        }
-      }
-    }
-  }
 }
 
 void KernelPlan::fill_column(std::size_t to, double reward,
@@ -127,22 +65,24 @@ void KernelPlan::fill_column(std::size_t to, double reward,
     return;
   }
 
-  // Reward factors shared by every slot in this column: one pow per
-  // distinct power-law function instead of one per (class, pair).
+  // Reward factors shared by every slot in this column, as value() and
+  // reward_derivative() form them: one pow per distinct function instead
+  // of one per (class, pair).
   const bool positive = reward > 0.0;
   double* factor = s.wf_factor.data();
   double* dfactor = s.wf_factor_derivative.data();
   for (std::size_t w = 0; w < functions_.size(); ++w) {
-    const WfEntry& e = functions_[w];
-    if (e.kind == WfKind::kGeneric) continue;
-    if (positive) factor[w] = e.norm * std::pow(reward, e.gamma);
+    const PowerLawWaitingFunction& wf = *functions_[w];
+    const double norm = wf.normalization();
+    const double gamma = wf.gamma();
+    if (positive) factor[w] = norm * std::pow(reward, gamma);
     if (with_derivatives) {
       double r = reward < 0.0 ? 0.0 : reward;
-      if (e.gamma == 1.0) {
-        dfactor[w] = e.norm;
+      if (gamma == 1.0) {
+        dfactor[w] = norm;
       } else {
         if (r == 0.0) r = 1e-12;
-        dfactor[w] = e.norm_gamma * std::pow(r, e.gamma - 1.0);
+        dfactor[w] = norm * gamma * std::pow(r, gamma - 1.0);
       }
     }
   }
@@ -150,11 +90,10 @@ void KernelPlan::fill_column(std::size_t to, double reward,
   // The cyclic lag is to - from above the diagonal and n - (from - to)
   // below it.
   for (std::size_t from = 0; from < to; ++from) {
-    fill_cell(from, to, to - from, reward, positive, with_derivatives, s);
+    fill_cell(from, to, to - from, positive, with_derivatives, s);
   }
   for (std::size_t from = to + 1; from < n; ++from) {
-    fill_cell(from, to, n - (from - to), reward, positive, with_derivatives,
-              s);
+    fill_cell(from, to, n - (from - to), positive, with_derivatives, s);
   }
 }
 
@@ -187,53 +126,28 @@ void KernelPlan::fill_linear(bool with_derivatives, FlowState& s) const {
 }
 
 void KernelPlan::fill_cell(std::size_t from, std::size_t to, std::size_t lag,
-                           double reward, bool positive,
-                           bool with_derivatives, FlowState& s) const {
+                           bool positive, bool with_derivatives,
+                           FlowState& s) const {
   const std::size_t n = periods_;
   double* V = s.pair.data();
   double* dV = s.pair_derivative.data();
   const double* factor = s.wf_factor.data();
   const double* dfactor = s.wf_factor_derivative.data();
+  const bool uniform = convention_ == LagConvention::kUniformArrival;
   double vol = 0.0;
   double dvol = 0.0;
   const std::size_t end = period_begin_[from + 1];
   for (std::size_t t = period_begin_[from]; t < end; ++t) {
     const std::uint32_t w = term_wf_[t];
     const double v = term_volume_[t];
-    switch (functions_[w].kind) {
-      case WfKind::kPowerStart: {
-        const double lp = lag_pow_[w * n + lag];
-        if (positive) vol += v * (factor[w] * lp);
-        if (with_derivatives) dvol += v * (dfactor[w] * lp);
-        break;
-      }
-      case WfKind::kPowerUniform: {
-        const double* np = &node_pow_[(w * n + lag) * kGaussN];
-        const double half = lag_half_[lag];
-        if (positive) {
-          double acc = 0.0;
-          for (std::size_t k = 0; k < kGaussN; ++k) {
-            acc += math::kGauss8Weights[k] * (factor[w] * np[k]);
-          }
-          vol += v * (acc * half);
-        }
-        if (with_derivatives) {
-          double acc = 0.0;
-          for (std::size_t k = 0; k < kGaussN; ++k) {
-            acc += math::kGauss8Weights[k] * (dfactor[w] * np[k]);
-          }
-          dvol += v * (acc * half);
-        }
-        break;
-      }
-      case WfKind::kGeneric: {
-        const WaitingFunction& wf = *functions_[w].wf;
-        if (positive) vol += v * lag_weight(wf, reward, lag, convention_);
-        if (with_derivatives) {
-          dvol += v * lag_weight_derivative(wf, reward, lag, convention_);
-        }
-        break;
-      }
+    const PowerLawWaitingFunction& wf = *functions_[w];
+    if (uniform) {
+      if (positive) vol += v * wf.gauss_average(factor[w], lag);
+      if (with_derivatives) dvol += v * wf.gauss_average(dfactor[w], lag);
+    } else {
+      const double lp = wf.lag_power(lag);
+      if (positive) vol += v * (factor[w] * lp);
+      if (with_derivatives) dvol += v * (dfactor[w] * lp);
     }
   }
   // pair_volume returns 0 outright for nonpositive rewards; the
@@ -372,45 +286,6 @@ void KernelPlan::update_coordinate(std::size_t m, double reward,
   // over cached values in the reference order; row m, which excludes
   // column m, reproduces its cached sum bit for bit.
   reduce_outflows(s);
-}
-
-UniformLagWeightTable::UniformLagWeightTable(WaitingFunctionPtr wf,
-                                             std::size_t periods)
-    : wf_(std::move(wf)), periods_(periods) {
-  TDP_REQUIRE(wf_ != nullptr, "waiting function must be set");
-  TDP_REQUIRE(periods_ >= 2, "need at least two periods");
-  const auto* power =
-      dynamic_cast<const PowerLawWaitingFunction*>(wf_.get());
-  if (power == nullptr) return;
-  power_ = true;
-  norm_ = power->normalization();
-  gamma_ = power->gamma();
-  const double beta = power->beta();
-  node_pow_.assign(periods_ * kGaussN, 0.0);
-  half_.assign(periods_, 0.0);
-  for (std::size_t lag = 1; lag < periods_; ++lag) {
-    for (std::size_t k = 0; k < kGaussN; ++k) {
-      double half = 0.0;
-      const double u = gauss_abscissa(lag, k, half);
-      node_pow_[lag * kGaussN + k] = std::pow(u + 1.0, -beta);
-      half_[lag] = half;
-    }
-  }
-}
-
-double UniformLagWeightTable::weight(double reward, std::size_t lag) const {
-  TDP_REQUIRE(lag >= 1 && lag < periods_, "lag out of range");
-  if (!power_) {
-    return lag_weight(*wf_, reward, lag, LagConvention::kUniformArrival);
-  }
-  if (reward <= 0.0) return 0.0;
-  const double factor = norm_ * std::pow(reward, gamma_);
-  const double* np = &node_pow_[lag * kGaussN];
-  double acc = 0.0;
-  for (std::size_t k = 0; k < kGaussN; ++k) {
-    acc += math::kGauss8Weights[k] * (factor * np[k]);
-  }
-  return acc * half_[lag];
 }
 
 }  // namespace tdp

@@ -1,27 +1,23 @@
 // Fused structure-of-arrays evaluation plan for the deferral kernel.
 //
 // The reference DeferralKernel walks per-period session-class lists through
-// virtual WaitingFunction calls for every pair_volume / inflow / outflow
-// query — O(n^2 * classes) virtual dispatches and transcendental calls per
-// objective evaluation. The KernelPlan flattens one demand snapshot into
-// contiguous arrays:
+// PowerLawWaitingFunction::value calls for every pair_volume / inflow /
+// outflow query — O(n^2 * classes) transcendental calls per objective
+// evaluation, eight per pair under uniform arrivals. The KernelPlan
+// flattens one demand snapshot into contiguous arrays:
 //
 //   terms:      per source period, (waiting-function id, volume) pairs in
 //               class order — one flat array indexed by period_begin_;
-//   functions:  the distinct waiting-function objects, with the power-law
-//               family specialised (normalization C, exponent gamma);
-//   lag tables: for kPeriodStart, pow(lag+1, -beta) per (function, lag);
-//               for kUniformArrival, the 8 Gauss-node powers
-//               pow(u_k+1, -beta) per (function, lag) plus the segment
-//               half-width, mirroring math::integrate_gauss bitwise.
+//   functions:  the distinct waiting-function objects, whose own lag
+//               powers (pow(lag+1, -beta), or the 8 Gauss-node powers
+//               under kUniformArrival) the cells read.
 //
 // evaluate() then fills the full pair-volume matrix for all n reward
 // columns in one blocked pass: one pow per (function, column) instead of
-// one per (class, pair), no virtual dispatch for power-law classes, and a
-// fixed summation order chosen to match the reference path operation for
-// operation. The contract is *bitwise* identity: every double produced
-// here EXPECT_EQs the corresponding DeferralKernel result (see
-// tests/test_kernel_plan.cpp).
+// one per (class, pair), and a fixed summation order chosen to match the
+// reference path operation for operation. The contract is *bitwise*
+// identity: every double produced here EXPECT_EQs the corresponding
+// DeferralKernel result (see tests/test_kernel_plan.cpp).
 //
 // update_coordinate() is the rolling-horizon fast path: when only period
 // m's reward changes, it refreshes column m of the cached matrix (O(n)
@@ -105,20 +101,6 @@ class KernelPlan {
                          FlowState& state) const;
 
  private:
-  enum class WfKind : std::uint8_t {
-    kGeneric,       ///< arbitrary WaitingFunction: per-term virtual calls
-    kPowerStart,    ///< power law under kPeriodStart: value = B(p) * lag_pow
-    kPowerUniform,  ///< power law under kUniformArrival: Gauss-node powers
-  };
-
-  struct WfEntry {
-    WaitingFunctionPtr wf;
-    WfKind kind = WfKind::kGeneric;
-    double norm = 0.0;        ///< power-law C
-    double gamma = 1.0;       ///< power-law reward exponent
-    double norm_gamma = 0.0;  ///< C * gamma (derivative prefactor)
-  };
-
   void fill_column(std::size_t to, double reward, bool with_derivatives,
                    FlowState& state) const;
   /// The linear path's full fill: the pair matrix row by row from the unit
@@ -133,7 +115,7 @@ class KernelPlan {
   /// One (from, to) slot of fill_column: accumulates period `from`'s terms
   /// in class order and stores V / dV.
   void fill_cell(std::size_t from, std::size_t to, std::size_t lag,
-                 double reward, bool positive, bool with_derivatives,
+                 bool positive, bool with_derivatives,
                  FlowState& state) const;
   void reduce_inflow(std::size_t into, bool with_derivatives,
                      FlowState& state) const;
@@ -158,46 +140,14 @@ class KernelPlan {
   bool linear_ = false;
   std::uint64_t serial_ = 0;
 
-  std::vector<WfEntry> functions_;
+  std::vector<WaitingFunctionPtr> functions_;  ///< distinct, first-use order
   std::vector<std::uint32_t> term_wf_;   ///< function id per term
   std::vector<double> term_volume_;      ///< volume per term
   std::vector<std::size_t> period_begin_;  ///< term range per period, n+1
 
-  /// kPeriodStart: pow(lag+1, -beta) [wf * n + lag]; lag 0 unused.
-  std::vector<double> lag_pow_;
-  /// kUniformArrival: pow(u_k+1, -beta) [(wf * n + lag) * 8 + k].
-  std::vector<double> node_pow_;
-  /// Gauss segment half-width per lag (mirrors integrate_gauss).
-  std::vector<double> lag_half_;
-
   /// Linear fast path: unit-reward tables copied from the kernel.
   std::vector<double> unit_;
   std::vector<double> unit_inflow_;
-};
-
-/// Precomputed uniform-arrival lag weights for a single waiting function:
-/// weight(reward, lag) is bitwise identical to
-/// lag_weight(w, reward, lag, LagConvention::kUniformArrival) but costs one
-/// pow (power-law case) instead of eight virtual calls through the
-/// quadrature. Used by the fleet's per-period deferral tables.
-class UniformLagWeightTable {
- public:
-  /// @param wf      the waiting function (kept alive by the table).
-  /// @param periods n; valid lags are 1..n-1.
-  UniformLagWeightTable(WaitingFunctionPtr wf, std::size_t periods);
-
-  double weight(double reward, std::size_t lag) const;
-
-  std::size_t periods() const { return periods_; }
-
- private:
-  WaitingFunctionPtr wf_;
-  std::size_t periods_ = 0;
-  bool power_ = false;
-  double norm_ = 0.0;
-  double gamma_ = 1.0;
-  std::vector<double> node_pow_;  ///< [lag * 8 + k]; lag 0 unused
-  std::vector<double> half_;      ///< [lag]
 };
 
 }  // namespace tdp

@@ -1,7 +1,6 @@
 #include "core/waiting_function.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -27,7 +26,7 @@ double PowerLawWaitingFunction::lag_integral(double beta,
 PowerLawWaitingFunction::PowerLawWaitingFunction(
     double beta, std::size_t periods, double max_reward, double gamma,
     LagNormalization normalization)
-    : beta_(beta), gamma_(gamma) {
+    : beta_(beta), gamma_(gamma), periods_(periods) {
   TDP_REQUIRE(beta >= 0.0, "patience index must be nonnegative");
   TDP_REQUIRE(max_reward > 0.0, "max reward must be positive");
   TDP_REQUIRE(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
@@ -35,11 +34,28 @@ PowerLawWaitingFunction::PowerLawWaitingFunction(
                           ? lag_sum(beta, periods)
                           : lag_integral(beta, periods);
   normalization_ = 1.0 / (std::pow(max_reward, gamma) * mass);
-  std::ostringstream label;
-  label << "beta=" << beta;
-  if (gamma != 1.0) label << ",gamma=" << gamma;
-  if (normalization == LagNormalization::kContinuous) label << ",cont";
-  label_ = label.str();
+  TDP_REQUIRE(std::isfinite(normalization_) && normalization_ > 0.0,
+              "power-law normalization must be finite and positive");
+
+  // integrate_gauss(f, lag - 1, lag, 1) evaluates f at mid + half * x_k
+  // with h = 1, so mid = (lag - 1) + 0.5 and half = 0.5, every step exact.
+  constexpr std::size_t kNodes = math::kGauss8Nodes.size();
+  lag_pow_.assign(periods, 0.0);
+  node_pow_.assign(periods * kNodes, 0.0);
+  unit_start_.assign(periods, 0.0);
+  unit_uniform_.assign(periods, 0.0);
+  for (std::size_t lag = 1; lag < periods; ++lag) {
+    const double t = static_cast<double>(lag);
+    lag_pow_[lag] = std::pow(t + 1.0, -beta);
+    const double mid = (t - 1.0) + 0.5;
+    for (std::size_t k = 0; k < kNodes; ++k) {
+      const double u = mid + 0.5 * math::kGauss8Nodes[k];
+      node_pow_[lag * kNodes + k] = std::pow(u + 1.0, -beta);
+    }
+    // value(1, lag) and uniform_weight(1, lag): 1^gamma is exactly 1.
+    unit_start_[lag] = normalization_ * lag_pow_[lag];
+    unit_uniform_[lag] = gauss_average(normalization_, lag);
+  }
 }
 
 double PowerLawWaitingFunction::value(double reward, double lag) const {
@@ -64,23 +80,11 @@ double PowerLawWaitingFunction::reward_derivative(double reward,
          std::pow(lag + 1.0, -beta_);
 }
 
-CallableWaitingFunction::CallableWaitingFunction(Fn fn, Fn derivative,
-                                                 std::string label)
-    : fn_(std::move(fn)),
-      derivative_(std::move(derivative)),
-      label_(std::move(label)) {
-  TDP_REQUIRE(static_cast<bool>(fn_), "callable must be set");
-}
-
-double CallableWaitingFunction::value(double reward, double lag) const {
-  return fn_(reward, lag);
-}
-
-double CallableWaitingFunction::reward_derivative(double reward,
-                                                  double lag) const {
-  if (derivative_) return derivative_(reward, lag);
-  const double h = 1e-7;
-  return (fn_(reward + h, lag) - fn_(reward - h, lag)) / (2.0 * h);
+double PowerLawWaitingFunction::uniform_weight(double reward,
+                                               std::size_t lag) const {
+  TDP_REQUIRE(lag >= 1 && lag < periods_, "lag out of range");
+  if (reward <= 0.0) return 0.0;
+  return gauss_average(normalization_ * std::pow(reward, gamma_), lag);
 }
 
 }  // namespace tdp

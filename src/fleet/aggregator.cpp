@@ -34,8 +34,4 @@ const PeriodStats& StripedAggregator::stripe(std::size_t slice,
   return stripes_data_[slice * periods_ + period];
 }
 
-void StripedAggregator::clear() {
-  for (PeriodStats& stats : stripes_data_) stats = PeriodStats{};
-}
-
 }  // namespace tdp::fleet

@@ -45,9 +45,6 @@ class StripedAggregator {
   /// — when slices act as measurement fault domains.
   const PeriodStats& stripe(std::size_t slice, std::size_t period) const;
 
-  /// Reset all stripes to zero (start of a new day).
-  void clear();
-
  private:
   std::size_t stripes_;
   std::size_t periods_;

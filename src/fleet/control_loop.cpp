@@ -197,8 +197,7 @@ ControlLoop::Observation ControlLoop::observe(
   return obs;
 }
 
-void ControlLoop::step_period(
-    const std::vector<UniformLagWeightTable>* lag_tables) {
+void ControlLoop::step_period(const std::vector<WaitingFunctionPtr>* drifted) {
   const std::size_t n = population_.periods();
   TDP_REQUIRE(period_ < n, "close the completed day before stepping on");
   LoopCounters& lc = loop_counters();
@@ -245,7 +244,7 @@ void ControlLoop::step_period(
   phase.lap(phases_.publish_seconds, lc.publish_ns);
 
   phase.begin("fleet.table");
-  const DeferralTable table(population_, schedules, period_, lag_tables);
+  const DeferralTable table(population_, schedules, period_, drifted);
   phase.lap(phases_.table_seconds, lc.table_ns);
 
   phase.begin("fleet.simulate");

@@ -149,11 +149,10 @@ class ControlLoop {
   bool day_complete() const { return period_ == population_.periods(); }
 
   /// Simulate period() of day(); a day's first period resets the day
-  /// totals and journals the published schedule. `lag_tables` (one per
-  /// patience class) replaces the population's lag weights — the horizon's
-  /// drifted patience indices.
-  void step_period(
-      const std::vector<UniformLagWeightTable>* lag_tables = nullptr);
+  /// totals and journals the published schedule. `drifted` (one per
+  /// patience class) replaces the population's waiting functions — the
+  /// horizon's drifted patience indices.
+  void step_period(const std::vector<WaitingFunctionPtr>* drifted = nullptr);
 
   /// Settle the completed day with the mechanism (journal, counters,
   /// incident settle signals).

@@ -35,11 +35,6 @@ Object& Object::field(const char* name, std::uint64_t value) {
   return *this;
 }
 
-Object& Object::field(const char* name, bool value) {
-  key(name) += value ? "true" : "false";
-  return *this;
-}
-
 Object& Object::field(const char* name, const std::string& value) {
   key(name) += '"' + value + '"';
   return *this;

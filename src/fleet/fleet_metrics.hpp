@@ -98,13 +98,11 @@ namespace json {
 
 /// One JSON object built field by field — {"key":value,...} with no
 /// whitespace; doubles print round-trip exact (%.17g), strings verbatim
-/// (callers pass identifiers). FleetMetrics and horizon::HorizonMetrics
-/// serialize through it.
+/// (callers pass identifiers). FleetMetrics serializes through it.
 class Object {
  public:
   Object& field(const char* name, double value);
   Object& field(const char* name, std::uint64_t value);
-  Object& field(const char* name, bool value);
   Object& field(const char* name, const std::string& value);
   Object& field(const char* name, const std::vector<double>& values);
   /// A value that is already JSON (a nested object or array).

@@ -66,12 +66,10 @@ Population::Population(PopulationConfig config)
   // Waiting functions on the continuous lag grid (the dynamic model's
   // convention) normalized at the paper's maximum rational reward.
   waiting_.reserve(classes);
-  lag_tables_.reserve(classes);
   for (std::size_t c = 0; c < classes; ++c) {
     waiting_.push_back(std::make_shared<PowerLawWaitingFunction>(
         paper::kPatienceIndices[c], n, paper::kStaticNormalizationReward,
         1.0, LagNormalization::kContinuous));
-    lag_tables_.emplace_back(waiting_.back(), n);
   }
 
   // Calibration: expected aggregate work per period in user units is
@@ -105,25 +103,23 @@ Rng Population::user_period_rng(std::uint64_t user,
   return root_.fork_stream(user).fork_stream(period);
 }
 
-std::vector<UniformLagWeightTable> Population::scaled_lag_tables(
+std::vector<WaitingFunctionPtr> Population::scaled_waiting(
     const std::vector<double>& beta_scale) const {
   const std::size_t classes = waiting_.size();
-  const std::size_t n = config_.periods;
   TDP_REQUIRE(beta_scale.size() == classes,
               "need one beta scale per patience class");
-  std::vector<UniformLagWeightTable> tables;
-  tables.reserve(classes);
+  std::vector<WaitingFunctionPtr> drifted;
+  drifted.reserve(classes);
   for (std::size_t c = 0; c < classes; ++c) {
     TDP_REQUIRE(beta_scale[c] > 0.0, "beta scales must be positive");
     // Same construction path as the calibrated defaults, so a scale of 1.0
-    // reproduces lag_table(c) bitwise.
-    const auto drifted = std::make_shared<PowerLawWaitingFunction>(
-        paper::kPatienceIndices[c] * beta_scale[c], n,
+    // reproduces waiting(c) bitwise.
+    drifted.push_back(std::make_shared<PowerLawWaitingFunction>(
+        paper::kPatienceIndices[c] * beta_scale[c], config_.periods,
         paper::kStaticNormalizationReward, 1.0,
-        LagNormalization::kContinuous);
-    tables.emplace_back(drifted, n);
+        LagNormalization::kContinuous));
   }
-  return tables;
+  return drifted;
 }
 
 double Population::session_rate(std::uint32_t cls, std::size_t period) const {

@@ -18,7 +18,7 @@
 
 #include "common/rng.hpp"
 #include "core/demand_profile.hpp"
-#include "core/kernel_plan.hpp"
+#include "core/waiting_function.hpp"
 
 namespace tdp::fleet {
 
@@ -73,24 +73,20 @@ class Population {
   double mean_session_size() const { return mean_session_size_; }
 
   /// Waiting function of each patience class (continuous-lag normalization,
-  /// matching the dynamic model the aggregates feed).
+  /// matching the dynamic model the aggregates feed). DeferralTable
+  /// rebuilds read its tabulated uniform-arrival weights.
   const WaitingFunctionPtr& waiting(std::uint32_t cls) const {
     return waiting_[cls];
   }
 
-  /// Precomputed uniform-arrival lag weights for a patience class — bitwise
-  /// identical to lag_weight() on waiting(cls) but without the per-node
-  /// quadrature dispatch. DeferralTable rebuilds read through this.
-  const UniformLagWeightTable& lag_table(std::uint32_t cls) const {
-    return lag_tables_[cls];
-  }
-
-  /// Lag-weight tables for per-class patience indices scaled by
+  /// Waiting functions for per-class patience indices scaled by
   /// `beta_scale` (one factor per class, each > 0). A scale of exactly 1.0
-  /// for every class is bitwise identical to lag_table(). The long-horizon
-  /// driver feeds these into DeferralTable's lag_override to drift the
-  /// population day by day without rebuilding the population.
-  std::vector<UniformLagWeightTable> scaled_lag_tables(
+  /// for every class is bitwise identical to waiting(). The long-horizon
+  /// driver feeds these into DeferralTable's waiting_override to drift the
+  /// population day by day without rebuilding the population. A scale
+  /// whose drifted function cannot be normalized (an infinite index)
+  /// throws PreconditionError.
+  std::vector<WaitingFunctionPtr> scaled_waiting(
       const std::vector<double>& beta_scale) const;
 
   /// Fraction of users in each patience class (Table VII day totals).
@@ -113,7 +109,6 @@ class Population {
   double mean_session_size_ = 1.0;
   double unit_calibration_ = 1.0;
   std::vector<WaitingFunctionPtr> waiting_;
-  std::vector<UniformLagWeightTable> lag_tables_;  ///< per class
   std::vector<double> class_share_;      ///< per class, sums to 1
   std::vector<double> class_cdf_;        ///< cumulative shares
   std::vector<double> session_rate_;     ///< [cls * periods + period]

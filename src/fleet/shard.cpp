@@ -17,32 +17,33 @@ DeferralTable::DeferralTable(
     const Population& population,
     const std::vector<const math::Vector*>& schedule_by_class,
     std::size_t period,
-    const std::vector<UniformLagWeightTable>* lag_override)
+    const std::vector<WaitingFunctionPtr>* waiting_override)
     : periods_(population.periods()) {
   const std::size_t n = periods_;
   const std::size_t classes = population.patience_classes();
   TDP_REQUIRE(schedule_by_class.size() == classes,
               "need one reward schedule per patience class");
   TDP_REQUIRE(period < n, "period out of range");
-  TDP_REQUIRE(lag_override == nullptr || lag_override->size() == classes,
-              "need one lag-weight table per patience class");
+  TDP_REQUIRE(
+      waiting_override == nullptr || waiting_override->size() == classes,
+      "need one waiting function per patience class");
 
   cumulative_.assign(classes * n, 0.0);
   reward_.assign(classes * n, 0.0);
   for (std::size_t c = 0; c < classes; ++c) {
     const math::Vector& schedule = *schedule_by_class[c];
     TDP_REQUIRE(schedule.size() == n, "schedule size mismatch");
-    // Precomputed per-class lag weights — bitwise identical to calling
-    // lag_weight() on the class's waiting function (test_kernel_plan.cpp).
-    // A drift override swaps in tables built from perturbed patience
+    // The class's tabulated uniform-arrival weights — bitwise identical to
+    // lag_weight() on its waiting function (test_waiting_function.cpp). A
+    // drift override swaps in functions built from perturbed patience
     // indices without touching the population's calibrated defaults.
-    const UniformLagWeightTable& weights =
-        lag_override ? (*lag_override)[c]
-                     : population.lag_table(static_cast<std::uint32_t>(c));
+    const PowerLawWaitingFunction& waiting =
+        waiting_override ? *(*waiting_override)[c]
+                         : *population.waiting(static_cast<std::uint32_t>(c));
     double total = 0.0;
     for (std::size_t lag = 1; lag < n; ++lag) {
       const std::size_t target = (period + lag) % n;
-      const double p = weights.weight(schedule[target], lag);
+      const double p = waiting.uniform_weight(schedule[target], lag);
       total += p;
       cumulative_[c * n + lag] = total;
       reward_[c * n + lag] = schedule[target];

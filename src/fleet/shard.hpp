@@ -61,19 +61,19 @@ inline std::uint64_t slice_user_begin(std::uint64_t users,
 /// most t periods; the residual mass stays put.
 class DeferralTable {
  public:
-  /// Standard table on the population's built-in lag weights.
+  /// Standard table on the population's own waiting functions.
   DeferralTable(const Population& population,
                 const std::vector<const math::Vector*>& schedule_by_class,
                 std::size_t period)
       : DeferralTable(population, schedule_by_class, period, nullptr) {}
 
-  /// Drift-aware variant: `lag_override` (one table per patience class)
-  /// replaces the population's lag weights — the long-horizon driver feeds
-  /// tables built from drifted patience indices here.
+  /// Drift-aware variant: `waiting_override` (one function per patience
+  /// class) replaces the population's waiting functions — the long-horizon
+  /// driver feeds functions built from drifted patience indices here.
   DeferralTable(const Population& population,
                 const std::vector<const math::Vector*>& schedule_by_class,
                 std::size_t period,
-                const std::vector<UniformLagWeightTable>* lag_override);
+                const std::vector<WaitingFunctionPtr>* waiting_override);
 
   std::size_t periods() const { return periods_; }
 

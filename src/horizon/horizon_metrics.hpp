@@ -50,9 +50,6 @@ struct HorizonMetrics : fleet::LoopMetrics {
 
   std::vector<DayMetrics> days;
   std::string final_health = "HEALTHY";
-
-  /// Compact single-object JSON (per-day profiles as arrays of arrays).
-  std::string to_json() const;
 };
 
 }  // namespace tdp::horizon

@@ -128,8 +128,8 @@ MultiDayDriver::MultiDayDriver(RestoreTag, HorizonConfig config,
   has_prev_day_start_ = data.has_prev_day_start;
   // Mid-day checkpoints resume into an already-started day: the day-start
   // bookkeeping ran before the checkpoint, only the (never-serialized)
-  // drifted lag tables need rebuilding.
-  if (period() > 0) build_drift_tables();
+  // drifted waiting functions need rebuilding.
+  if (period() > 0) build_drift_waiting();
   horizon_counters().restores.add(1);
 }
 
@@ -169,8 +169,8 @@ DynamicModel MultiDayDriver::rebuild_model() const {
   return fleet::baseline_fluid_model(loop_.population());
 }
 
-void MultiDayDriver::build_drift_tables() {
-  drift_tables_.clear();
+void MultiDayDriver::build_drift_waiting() {
+  drift_waiting_.clear();
   const fleet::Population& population = loop_.population();
   const FaultInjector& injector = loop_.injector();
   const std::size_t classes = population.patience_classes();
@@ -188,11 +188,11 @@ void MultiDayDriver::build_drift_tables() {
     if (scale[c] != 1.0) all_one = false;
   }
   if (all_one) return;  // bitwise identical to an undrifted population
-  drift_tables_ = population.scaled_lag_tables(scale);
+  drift_waiting_ = population.scaled_waiting(scale);
 }
 
 void MultiDayDriver::start_day() {
-  build_drift_tables();
+  build_drift_waiting();
   partial_ = DayMetrics{};
   partial_.day = day();
   const math::Vector& rewards = loop_.mechanism().rewards();
@@ -213,7 +213,7 @@ DayMetrics MultiDayDriver::current_day() const {
 void MultiDayDriver::step_period() {
   TDP_REQUIRE(!done(), "the horizon is complete");
   if (period() == 0) start_day();
-  loop_.step_period(drift_tables_.empty() ? nullptr : &drift_tables_);
+  loop_.step_period(drift_waiting_.empty() ? nullptr : &drift_waiting_);
 
   // Health bookkeeping, every period. Only the storm gates read it; a
   // mechanism without a health ladder reports HEALTHY throughout.

@@ -7,8 +7,8 @@
 //
 //   MultiDayDriver ── owns ──► fleet::ControlLoop
 //     step_period():
-//       day start   drifted lag tables, day-start reward step
-//       loop        loop.step_period(drift tables)
+//       day start   drifted waiting functions, day-start reward step
+//       loop        loop.step_period(drifted waiting functions)
 //       health      HEALTHY streak / FALLBACK count (read by the gates)
 //       day end     loop.settle_day() → adapt users → estimate/re-anchor
 //                   → loop.close_day(re-anchor flags)
@@ -120,7 +120,7 @@ class MultiDayDriver {
 
   void start_day();
   void finish_day();
-  void build_drift_tables();
+  void build_drift_waiting();
   /// Commit a checkpoint file (save_checkpoint_file) if the clock
   /// warrants one.
   void maybe_commit_checkpoint();
@@ -137,9 +137,9 @@ class MultiDayDriver {
   /// The period loop (components, clock, day totals, incident engine).
   fleet::ControlLoop loop_;
 
-  /// Current day's drifted lag tables (empty = no drift, use the
+  /// Current day's drifted waiting functions (empty = no drift, use the
   /// population's own). Rebuilt each day, never serialized.
-  std::vector<UniformLagWeightTable> drift_tables_;
+  std::vector<WaitingFunctionPtr> drift_waiting_;
 
   /// Per-class adaptive patience scale (EWMA; all ones when adaptation is
   /// off). Composes multiplicatively with the injector's drift scale.

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/paper_data.hpp"
 
@@ -134,6 +135,21 @@ TEST(DeferralKernel, PaperProfileKernelProperties) {
   EXPECT_EQ(kernel.periods(), 48u);
   EXPECT_NEAR(kernel.max_safe_reward(),
               paper::kStaticNormalizationReward, 1e-9);
+}
+
+TEST(DemandProfile, RejectsWaitingFunctionBuiltForAnotherPeriodCount) {
+  // A function's normalization and lag tables are sized to its own n: a
+  // 12-period function in a 48-period profile would defer with the wrong
+  // mass and read past its tables.
+  DemandProfile profile(48);
+  const auto twelve = std::make_shared<PowerLawWaitingFunction>(2.0, 12, 1.5);
+  EXPECT_THROW(profile.add_class(0, SessionClass{twelve, 1.0}),
+               PreconditionError);
+  EXPECT_TRUE(profile.classes(0).empty());
+  const auto matched =
+      std::make_shared<PowerLawWaitingFunction>(2.0, 48, 1.5);
+  profile.add_class(0, SessionClass{matched, 1.0});
+  EXPECT_EQ(profile.classes(0).size(), 1u);
 }
 
 TEST(LagWeight, MatchesDirectEvaluation) {

@@ -525,6 +525,19 @@ TEST(HorizonEstimation, TracksInjectedDriftAndSettles) {
   EXPECT_LT(max_linf_tail, 0.5 * paper::kStaticNormalizationReward);
 }
 
+TEST(HorizonEstimation, OverflowingDriftFailsLoudly) {
+  // drift_beta_step = 1e308 passes the plan's "> -1" check, but from
+  // drift_step_day on it scales every patience index >= 2 past the largest
+  // double. The drifted waiting functions cannot be normalized, so the run
+  // must stop with a typed error instead of feeding the fleet NaN deferral
+  // probabilities.
+  HorizonConfig config = small_config();
+  config.fault.drift_beta_step = 1e308;
+  config.fault.drift_step_day = 1;
+  MultiDayDriver driver(config);
+  EXPECT_THROW(driver.run(), PreconditionError);
+}
+
 TEST(HorizonEstimation, StationaryPopulationEstimatesAreStable) {
   HorizonConfig config = small_config();
   config.horizon_days = 6;

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -32,15 +31,10 @@
 namespace tdp {
 namespace {
 
-enum class WfFamily { kLinearPower, kNonlinearPower, kCallable };
+enum class WfFamily { kLinearPower, kNonlinearPower };
 
 const char* family_name(WfFamily family) {
-  switch (family) {
-    case WfFamily::kLinearPower: return "linear";
-    case WfFamily::kNonlinearPower: return "nonlinear";
-    case WfFamily::kCallable: return "callable";
-  }
-  return "?";
+  return family == WfFamily::kLinearPower ? "linear" : "nonlinear";
 }
 
 /// A demand profile exercising shared waiting functions (one per class,
@@ -51,33 +45,11 @@ DemandProfile make_test_profile(std::size_t n, WfFamily family,
   std::vector<WaitingFunctionPtr> wfs;
   for (std::size_t s = 0; s < 4; ++s) {
     const double beta = 0.5 + static_cast<double>(s) * 1.1;
-    switch (family) {
-      case WfFamily::kLinearPower:
-        wfs.push_back(std::make_shared<PowerLawWaitingFunction>(
-            beta, n, max_reward, 1.0, normalization));
-        break;
-      case WfFamily::kNonlinearPower:
-        wfs.push_back(std::make_shared<PowerLawWaitingFunction>(
-            beta, n, max_reward, 0.6 + 0.1 * static_cast<double>(s),
-            normalization));
-        break;
-      case WfFamily::kCallable: {
-        // Bounded concave-in-p family the plan cannot specialize: forces
-        // the generic per-term dispatch path.
-        const double scale = 0.02 + 0.01 * static_cast<double>(s);
-        wfs.push_back(std::make_shared<CallableWaitingFunction>(
-            [scale, beta](double p, double t) {
-              if (p <= 0.0) return 0.0;
-              return scale * std::log1p(p) / std::pow(t + 1.0, beta);
-            },
-            [scale, beta](double p, double t) {
-              if (p < 0.0) return 0.0;
-              return scale / (1.0 + p) / std::pow(t + 1.0, beta);
-            },
-            "test-log"));
-        break;
-      }
-    }
+    const double gamma = family == WfFamily::kLinearPower
+                             ? 1.0
+                             : 0.6 + 0.1 * static_cast<double>(s);
+    wfs.push_back(std::make_shared<PowerLawWaitingFunction>(
+        beta, n, max_reward, gamma, normalization));
   }
 
   DemandProfile profile(n);
@@ -152,9 +124,8 @@ TEST(KernelPlan, BitwiseIdentityAcrossConventionsFamiliesAndSizes) {
   Rng rng(2024);
   for (const std::size_t n : {std::size_t{2}, std::size_t{12},
                               std::size_t{48}}) {
-    for (const WfFamily family : {WfFamily::kLinearPower,
-                                  WfFamily::kNonlinearPower,
-                                  WfFamily::kCallable}) {
+    for (const WfFamily family :
+         {WfFamily::kLinearPower, WfFamily::kNonlinearPower}) {
       for (const LagConvention convention :
            {LagConvention::kPeriodStart, LagConvention::kUniformArrival}) {
         const LagNormalization norm =
@@ -239,30 +210,6 @@ TEST(KernelPlan, UpdateCoordinateRejectsForeignState) {
                PreconditionError);
 }
 
-TEST(UniformLagWeightTableTest, MatchesLagWeightBitwise) {
-  const std::size_t n = 48;
-  const std::vector<WaitingFunctionPtr> wfs = {
-      std::make_shared<PowerLawWaitingFunction>(
-          0.5, n, 1.5, 1.0, LagNormalization::kContinuous),
-      std::make_shared<PowerLawWaitingFunction>(
-          3.0, n, 1.5, 0.8, LagNormalization::kContinuous),
-      std::make_shared<CallableWaitingFunction>([](double p, double t) {
-        return p <= 0.0 ? 0.0 : 0.01 * p / std::sqrt(t + 1.0);
-      })};
-  Rng rng(7);
-  for (const auto& wf : wfs) {
-    const UniformLagWeightTable table(wf, n);
-    for (std::size_t lag = 1; lag < n; ++lag) {
-      for (int trial = 0; trial < 4; ++trial) {
-        const double p = trial == 0 ? 0.0 : rng.uniform(0.0, 1.5);
-        EXPECT_EQ(table.weight(p, lag),
-                  lag_weight(*wf, p, lag, LagConvention::kUniformArrival))
-            << wf->label() << " lag=" << lag << " p=" << p;
-      }
-    }
-  }
-}
-
 /// A linear kernel's unit tables from scratch, one lag_weight per (pair,
 /// class) summed in class order: what the tables must equal bit for bit,
 /// however their rows were built.
@@ -294,10 +241,10 @@ void expect_unit_tables_match_per_pair_sums(const DeferralKernel& kernel,
 TEST(KernelMemo, RescaledRebuildsMatchPerPairUnitSums) {
   // The online pricer's pattern: each kernel is built from the previous
   // one, over its profile with one period rescaled, so every other row is
-  // copied from the predecessor and the unit lag weights are the ones it
-  // computed. Neither shortcut may move a bit, nor carry rows or weights
-  // across lag conventions: the convention switches every second step, on
-  // the same waiting-function objects, and on those steps the profile is
+  // copied from the predecessor and the rest read the waiting functions'
+  // own unit weights. Neither may move a bit, nor carry rows across lag
+  // conventions: the convention switches every second step, on the same
+  // waiting-function objects, and on those steps the profile is
   // unchanged, so a predecessor that ignored the convention would lend
   // every row.
   DemandProfile profile = make_test_profile(

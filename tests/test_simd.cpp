@@ -252,7 +252,7 @@ TEST(KernelPlanSimd, EvaluateIsBitIdenticalScalarVsAvx2) {
                                     context.c_str());
 
         // Absolute correctness, not just scalar-agreement: the vector
-        // result must still match the reference kernel's virtual path.
+        // result must still match the reference kernel's per-pair path.
         for (std::size_t i = 0; i < n; ++i) {
           EXPECT_EQ(kernel.inflow(i, rewards[i]), simd_state.inflow[i])
               << context << " vs reference, period " << i;

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "core/deferral_kernel.hpp"
 #include "math/quadrature.hpp"
 
 namespace tdp {
@@ -114,14 +119,57 @@ TEST(PowerLaw, RejectsBadParameters) {
   EXPECT_THROW(w.value(0.5, -1.0), PreconditionError);
 }
 
-TEST(CallableWaitingFunction, WrapsFunctionAndNumericDerivative) {
-  const CallableWaitingFunction w(
-      [](double p, double t) { return p * p / (1.0 + t); }, nullptr, "test");
-  EXPECT_DOUBLE_EQ(w.value(2.0, 1.0), 2.0);
-  EXPECT_NEAR(w.reward_derivative(2.0, 1.0), 2.0, 1e-5);
-  EXPECT_EQ(w.label(), "test");
-  EXPECT_FALSE(w.is_linear_in_reward());
-  EXPECT_THROW(CallableWaitingFunction(nullptr), PreconditionError);
+TEST(PowerLaw, RejectsNonFiniteNormalization) {
+  // An infinite index sends the lag mass to 0 under either normalization,
+  // and at beta = 1100 the discrete lag sum underflows to 0 at n = 48
+  // (2^-1100 is below the smallest subnormal): C would be infinite and
+  // value() NaN, so construction must fail instead.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(PowerLawWaitingFunction(inf, 48, 1.5), PreconditionError);
+  EXPECT_THROW(PowerLawWaitingFunction(inf, 48, 1.5, 1.0,
+                                       LagNormalization::kContinuous),
+               PreconditionError);
+  EXPECT_THROW(PowerLawWaitingFunction(1100.0, 48, 1.5), PreconditionError);
+  // The continuous mass at beta = 1100 is ~1/1099: a finite function.
+  const PowerLawWaitingFunction steep(1100.0, 48, 1.5, 1.0,
+                                      LagNormalization::kContinuous);
+  EXPECT_TRUE(std::isfinite(steep.normalization()));
+  EXPECT_TRUE(std::isfinite(steep.value(1.0, 1.0)));
+}
+
+TEST(PowerLaw, TabulatedWeightsMatchLagWeightBitwise) {
+  // Every lag table the function owns is the quadrature reference,
+  // lag_weight, bit for bit: the uniform-arrival weight at any reward, the
+  // unit-reward weights under both conventions, and the lag powers.
+  const std::size_t n = 48;
+  const std::vector<WaitingFunctionPtr> wfs = {
+      std::make_shared<PowerLawWaitingFunction>(
+          0.5, n, 1.5, 1.0, LagNormalization::kContinuous),
+      std::make_shared<PowerLawWaitingFunction>(
+          3.0, n, 1.5, 0.8, LagNormalization::kContinuous),
+      std::make_shared<PowerLawWaitingFunction>(
+          2.0, n, 1.5, 1.0, LagNormalization::kDiscrete)};
+  Rng rng(7);
+  for (const auto& wf : wfs) {
+    const double* start = wf->unit_weights(LagConvention::kPeriodStart);
+    const double* uniform = wf->unit_weights(LagConvention::kUniformArrival);
+    for (std::size_t lag = 1; lag < n; ++lag) {
+      const double t = static_cast<double>(lag);
+      EXPECT_EQ(wf->lag_power(lag), std::pow(t + 1.0, -wf->beta()));
+      EXPECT_EQ(start[lag],
+                lag_weight(*wf, 1.0, lag, LagConvention::kPeriodStart));
+      EXPECT_EQ(uniform[lag],
+                lag_weight(*wf, 1.0, lag, LagConvention::kUniformArrival));
+      for (int trial = 0; trial < 4; ++trial) {
+        const double p = trial == 0 ? 0.0 : rng.uniform(0.0, 1.5);
+        EXPECT_EQ(wf->uniform_weight(p, lag),
+                  lag_weight(*wf, p, lag, LagConvention::kUniformArrival))
+            << "beta=" << wf->beta() << " lag=" << lag << " p=" << p;
+      }
+    }
+    EXPECT_THROW(wf->uniform_weight(1.0, 0), PreconditionError);
+    EXPECT_THROW(wf->uniform_weight(1.0, n), PreconditionError);
+  }
 }
 
 }  // namespace
