@@ -13,9 +13,10 @@
 //                       alert of the matching detector within
 //                       --max-detection-lag periods (default 4); the bench
 //                       reports max/mean lag and fails on a missed onset
-//   incident_overhead   the same storm run with the engine off vs on:
-//                       incident_overhead_fraction = on/off - 1 is gated
-//                       <= 0.15, and the two runs'
+//   incident_overhead   the same storm run with the engine off vs on,
+//                       alternating over five rounds in this process:
+//                       incident_overhead_fraction = best on / best off
+//                       - 1 is gated <= 0.15, and every round's two runs'
 //                       DayMetrics must be bitwise identical (the engine
 //                       is a pure observer — a divergence fails the bench)
 //
@@ -30,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -183,30 +185,39 @@ int main(int argc, char** argv) {
   }
 
   // ---- incident_overhead + incident_detection on the reference storm ------
-  std::vector<horizon::DayMetrics> off_days;
+  // Alternating engine-off and engine-on runs in this process, the best run
+  // of each side kept, so a host slowdown during one round skews neither
+  // wall time nor their ratio. Every engine-on run must reproduce the
+  // engine-off days bit for bit; the last one feeds incident_detection.
+  const std::size_t rounds = 5;
   double off_wall = 0.0;
-  {
-    horizon::MultiDayDriver driver(storm_config(users, days, true, false));
-    const auto start = Clock::now();
-    while (!driver.done()) driver.step_period();
-    off_wall = bench::seconds_since(start);
-    off_days = driver.completed_days();
-  }
+  double on_wall = 0.0;
+  std::unique_ptr<horizon::MultiDayDriver> stormy;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    horizon::MultiDayDriver off(storm_config(users, days, true, false));
+    auto start = Clock::now();
+    while (!off.done()) off.step_period();
+    const double off_round = bench::seconds_since(start);
 
-  horizon::MultiDayDriver stormy(storm_config(users, days, true, true));
-  const auto on_start = Clock::now();
-  while (!stormy.done()) stormy.step_period();
-  const double on_wall = bench::seconds_since(on_start);
+    stormy = std::make_unique<horizon::MultiDayDriver>(
+        storm_config(users, days, true, true));
+    start = Clock::now();
+    while (!stormy->done()) stormy->step_period();
+    const double on_round = bench::seconds_since(start);
 
-  if (!days_bitwise_equal(off_days, stormy.completed_days())) {
-    std::printf("  ERROR: engine-on storm run diverged from engine-off "
-                "(the incident engine must be a pure observer)\n");
-    return 1;
+    if (!days_bitwise_equal(off.completed_days(), stormy->completed_days())) {
+      std::printf("  ERROR: engine-on storm run diverged from engine-off "
+                  "(the incident engine must be a pure observer)\n");
+      return 1;
+    }
+    if (round == 0 || off_round < off_wall) off_wall = off_round;
+    if (round == 0 || on_round < on_wall) on_wall = on_round;
   }
 
   {
     bench::BenchReport report("incident_overhead");
     const double overhead = off_wall > 0.0 ? on_wall / off_wall - 1.0 : 0.0;
+    report.add("rounds", static_cast<std::uint64_t>(rounds));
     report.add("engine_off_wall_seconds", off_wall);
     report.add("engine_on_wall_seconds", on_wall);
     report.add("incident_overhead_fraction", overhead);
@@ -216,14 +227,15 @@ int main(int argc, char** argv) {
                         {"engine_on_wall_seconds", on_wall},
                         {"incident_overhead_fraction", overhead}}});
     std::printf("  incident_overhead  %.3f s on vs %.3f s off "
-                "(%.2f%% overhead), day metrics bit-identical: yes\n",
-                on_wall, off_wall, 1e2 * overhead);
+                "(%.2f%% overhead, best of %zu), day metrics bit-identical: "
+                "yes\n",
+                on_wall, off_wall, 1e2 * overhead, rounds);
   }
 
   {
     bench::BenchReport report("incident_detection");
     const FaultInjector truth(storm_config(users, days, true, false).fault);
-    const inc::IncidentEngine& engine = *stormy.incident_engine();
+    const inc::IncidentEngine& engine = *stormy->incident_engine();
 
     const FaultInjector::StormDomain domains[] = {
         FaultInjector::StormDomain::kBlackout,

@@ -12,6 +12,10 @@
 //                        fleet's 48-period model (demand rescale, model and
 //                        kernel rebuild, solve) vs the solve alone; the
 //                        same-process ratio is gated by a ceiling
+//   dynamic_solve        the fleet's 48-period offline dynamic solve (the
+//                        horizon's re-anchor re-solve), reference objective
+//                        vs the fused plan, plus the fused per-call cost of
+//                        smoothed_cost and smoothed_cost_and_gradient
 //   deferral_table_build fleet per-period DeferralTable, lag_weight calls
 //                        vs the waiting functions' tabulated node powers
 //                        (PowerLawWaitingFunction::uniform_weight)
@@ -45,6 +49,7 @@
 #include "fleet/fleet_driver.hpp"
 #include "fleet/population.hpp"
 #include "fleet/aggregator.hpp"
+#include "fleet/control_loop.hpp"
 #include "fleet/shard.hpp"
 #include "math/golden_section.hpp"
 #include "math/piecewise_linear.hpp"
@@ -322,6 +327,98 @@ int main(int argc, char** argv) {
                        {{"observe_seconds", observe_seconds},
                         {"solve_seconds", solve_seconds},
                         {"observe_per_solve", observe_per_solve}}});
+  }
+
+  // ---- dynamic_solve: the fleet's offline dynamic solve, ref vs fused -----
+  {
+    fleet::PopulationConfig config;
+    config.users = 1000;  // the fluid model only reads the demand shape
+    config.periods = 48;
+    const fleet::Population population(config);
+    const DynamicModel model = fleet::baseline_fluid_model(population);
+    DynamicOptimizerOptions reference_options;
+    reference_options.fused = false;
+    const DynamicOptimizerOptions fused_options;
+
+    // Alternating rounds, best solve of each side kept, so a host slowdown
+    // during one round skews neither the times nor their ratio.
+    const std::size_t rounds = 3;
+    double reference_seconds = 0.0;
+    double fused_seconds = 0.0;
+    DynamicPricingSolution reference;
+    DynamicPricingSolution fused;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      auto start = Clock::now();
+      reference = optimize_dynamic_prices(model, reference_options);
+      const double reference_round = bench::seconds_since(start);
+      start = Clock::now();
+      fused = optimize_dynamic_prices(model, fused_options);
+      const double fused_round = bench::seconds_since(start);
+      if (round == 0 || reference_round < reference_seconds) {
+        reference_seconds = reference_round;
+      }
+      if (round == 0 || fused_round < fused_seconds) {
+        fused_seconds = fused_round;
+      }
+    }
+    // The two solves are bitwise identical; any drift here is a bug.
+    if (reference.rewards != fused.rewards ||
+        reference.iterations != fused.iterations) {
+      std::fprintf(stderr,
+                   "FATAL: fused dynamic solve diverged from reference\n");
+      return 1;
+    }
+    const double speedup =
+        fused_seconds > 0.0 ? reference_seconds / fused_seconds : 0.0;
+
+    // One fused call of each objective at the solution, best of five
+    // batches.
+    const std::size_t call_reps = 200;
+    const double mu = fused_options.mu_final;
+    math::Vector grad(model.periods(), 0.0);
+    FlowState state;
+    double sink = 0.0;
+    double cost_seconds = 0.0;
+    double gradient_seconds = 0.0;
+    for (std::size_t batch = 0; batch < 5; ++batch) {
+      const double cost_batch = bench::time_reps(call_reps, [&] {
+        sink += model.smoothed_cost(fused.rewards, mu, state);
+      });
+      const double gradient_batch = bench::time_reps(call_reps, [&] {
+        sink += model.smoothed_cost_and_gradient(fused.rewards, mu, grad,
+                                                 state);
+      });
+      if (batch == 0 || cost_batch < cost_seconds) cost_seconds = cost_batch;
+      if (batch == 0 || gradient_batch < gradient_seconds) {
+        gradient_seconds = gradient_batch;
+      }
+    }
+    if (sink < 0.0) std::printf("?\n");
+    const double cost_call_us =
+        1e6 * cost_seconds / static_cast<double>(call_reps);
+    const double gradient_call_us =
+        1e6 * gradient_seconds / static_cast<double>(call_reps);
+
+    std::printf(
+        "  dynamic_solve        ref %.1f ms  fused %.1f ms  (%.1fx, %zu "
+        "iterations; cost %.2f us, cost+grad %.2f us per call)\n",
+        1e3 * reference_seconds, 1e3 * fused_seconds, speedup,
+        fused.iterations, cost_call_us, gradient_call_us);
+    bench::BenchReport report("dynamic_solve");
+    report.add("rounds", static_cast<std::uint64_t>(rounds));
+    report.add("iterations", static_cast<std::uint64_t>(fused.iterations));
+    report.add("reference_seconds", reference_seconds);
+    report.add("fused_seconds", fused_seconds);
+    report.add("speedup", speedup);
+    report.add("cost_call_us", cost_call_us);
+    report.add("cost_and_gradient_call_us", gradient_call_us);
+    report.emit();
+    entries.push_back({"dynamic_solve",
+                       {{"reference_seconds", reference_seconds},
+                        {"fused_seconds", fused_seconds},
+                        {"speedup", speedup},
+                        {"cost_call_us", cost_call_us},
+                        {"cost_and_gradient_call_us", gradient_call_us}}});
   }
 
   // ---- deferral_table_build: fleet per-period table, ref vs table --------

@@ -98,16 +98,20 @@ void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
   }
 }
 
-void scale_negated_sum_scalar(double* dst, const double* src, double scale,
-                              std::size_t count) {
-  for (std::size_t k = 0; k < count; ++k) {
-    dst[k] = scale * (dst[k] + -src[k]);
+void sensitivity_sweep_scalar(double* db, double* grad, const double* rows,
+                              const double* diag, const double* sigma,
+                              const double* fprime, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = rows + i * n;
+    const double scale = sigma[i];
+    for (std::size_t m = 0; m < i; ++m) db[m] = scale * (db[m] + -row[m]);
+    db[i] = scale * (db[i] + diag[i]);
+    for (std::size_t m = i + 1; m < n; ++m) {
+      db[m] = scale * (db[m] + -row[m]);
+    }
+    if (grad == nullptr) continue;
+    for (std::size_t m = 0; m < n; ++m) grad[m] = grad[m] + fprime[i] * db[m];
   }
-}
-
-void add_scaled_scalar(double* dst, const double* src, double scale,
-                       std::size_t count) {
-  for (std::size_t k = 0; k < count; ++k) dst[k] += scale * src[k];
 }
 
 }  // namespace detail
@@ -128,26 +132,16 @@ void fork_uniform_screen_batch(const std::uint64_t* state, std::size_t count,
                                            u1, state_out, active_mask);
 }
 
-void scale_negated_sum(double* dst, const double* src, double scale,
-                       std::size_t count) {
+void sensitivity_sweep(double* db, double* grad, const double* rows,
+                       const double* diag, const double* sigma,
+                       const double* fprime, std::size_t n) {
 #if defined(TDP_HAVE_AVX2)
   if (mode() == Mode::kAvx2) {
-    detail::scale_negated_sum_avx2(dst, src, scale, count);
+    detail::sensitivity_sweep_avx2(db, grad, rows, diag, sigma, fprime, n);
     return;
   }
 #endif
-  detail::scale_negated_sum_scalar(dst, src, scale, count);
-}
-
-void add_scaled(double* dst, const double* src, double scale,
-                std::size_t count) {
-#if defined(TDP_HAVE_AVX2)
-  if (mode() == Mode::kAvx2) {
-    detail::add_scaled_avx2(dst, src, scale, count);
-    return;
-  }
-#endif
-  detail::add_scaled_scalar(dst, src, scale, count);
+  detail::sensitivity_sweep_scalar(db, grad, rows, diag, sigma, fprime, n);
 }
 
 }  // namespace tdp::simd

@@ -23,6 +23,7 @@
 // vector TUs and mode() is pinned to kScalar.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -73,24 +74,39 @@ void fork_uniform_screen_batch(const std::uint64_t* state, std::size_t count,
                                double* u1, std::uint64_t* state_out,
                                std::uint64_t* active_mask);
 
-// ---- Backlog-sensitivity rows of the dynamic model's gradient -------------
+// ---- Backlog-sensitivity sweep of the dynamic model's gradient -----------
 //
-// The fused gradient (DynamicModel::smoothed_cost_and_gradient) carries the
-// backlog's sensitivities to every reward forward through each period i,
-//   dbacklog[m] = sigma_i * (dbacklog[m] + -dV[i][m])   (m != i),
-// and on the last day adds f'(backlog_i) * dbacklog[m] into the gradient.
-// Both are one lane per m with the multiply and the add kept separate (no
-// FMA), so every mode produces the scalar loop's doubles.
-
-/// dst[k] = scale * (dst[k] + -src[k]) for k in [0, count).
-void scale_negated_sum(double* dst, const double* src, double scale,
-                       std::size_t count);
-
-/// dst[k] = dst[k] + scale * src[k] for k in [0, count).
-void add_scaled(double* dst, const double* src, double scale,
-                std::size_t count);
+// One warmup day of the fused gradient (DynamicModel::
+// smoothed_cost_and_gradient) carries the backlog's sensitivity to every
+// reward forward through periods i = 0 .. n-1,
+//   db[m] = sigma[i] * (db[m] + J[i][m]),
+//   J[i][m] = -rows[i * n + m] for m != i,  diag[i] for m == i,
+// and on an accumulating day (grad non-null) adds after each period
+//   grad[m] = grad[m] + fprime[i] * db[m].
+// Lane m never reads another lane, so the vector body keeps a block of
+// lanes in registers across all n periods instead of storing and
+// reloading the whole row every period; each lane still runs the scalar
+// loop's operations in its order — a sign flip (or lane i's diagonal
+// entry, blended in), one add, one multiply, and when accumulating one
+// multiply and one add, never fused — so every mode produces the same
+// doubles.
+void sensitivity_sweep(double* db, double* grad, const double* rows,
+                       const double* diag, const double* sigma,
+                       const double* fprime, std::size_t n);
 
 namespace detail {
+/// Blend masks for the diagonal lane of a block of up to 12 four-lane
+/// vectors (the AVX2 KernelPlan outflow reduction and sensitivity sweep):
+/// _mm256_blendv_pd reads only each lane's sign bit, and the four entries
+/// at kDiagonalWindow.data() + 47 - t + 4 * k have it set in exactly the
+/// lane j of vector k with 4 * k + j == t (t < 48, k < 12), so only the
+/// vector that holds lane t blends.
+inline constexpr std::array<double, 95> kDiagonalWindow = [] {
+  std::array<double, 95> window{};
+  window[47] = -0.0;
+  return window;
+}();
+
 // The mode-specific implementations (scalar always present; avx2 present
 // when TDP_HAVE_AVX2). Exposed for the bitwise cross-checks in tests.
 void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
@@ -99,10 +115,9 @@ void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
                                       const double* screen, double* u1,
                                       std::uint64_t* state_out,
                                       std::uint64_t* active_mask);
-void scale_negated_sum_scalar(double* dst, const double* src, double scale,
-                              std::size_t count);
-void add_scaled_scalar(double* dst, const double* src, double scale,
-                       std::size_t count);
+void sensitivity_sweep_scalar(double* db, double* grad, const double* rows,
+                              const double* diag, const double* sigma,
+                              const double* fprime, std::size_t n);
 #if defined(TDP_HAVE_AVX2)
 void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
                                     std::size_t count, std::uint64_t stream,
@@ -110,10 +125,9 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
                                     const double* screen, double* u1,
                                     std::uint64_t* state_out,
                                     std::uint64_t* active_mask);
-void scale_negated_sum_avx2(double* dst, const double* src, double scale,
-                            std::size_t count);
-void add_scaled_avx2(double* dst, const double* src, double scale,
-                     std::size_t count);
+void sensitivity_sweep_avx2(double* db, double* grad, const double* rows,
+                            const double* diag, const double* sigma,
+                            const double* fprime, std::size_t n);
 #endif
 }  // namespace detail
 

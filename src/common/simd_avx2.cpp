@@ -1,7 +1,7 @@
 // AVX2 implementations of the batched SplitMix64 derivation kernel and
-// the backlog-sensitivity row kernels. Compiled with -mavx2 (per-source
-// flag in CMakeLists.txt); callers reach them only through the simd::
-// dispatchers after the runtime CPUID check.
+// the backlog-sensitivity sweep. Compiled with -mavx2 (per-source flag in
+// CMakeLists.txt); callers reach them only through the simd:: dispatchers
+// after the runtime CPUID check.
 //
 // In the RNG kernel each 64-bit lane replays exactly the scalar sequence
 //   Rng child = Rng(state[i]).fork_stream(stream);
@@ -14,13 +14,20 @@
 // the 2^52 magic-number trick, and recombined with one multiply-by-2^32
 // and one add whose result is itself exactly representable (< 2^53).
 //
-// In the row kernels each lane is one element, computed by the scalar
-// loop's explicit operations: a sign flip, one add and one multiply.
+// In the sensitivity sweep each lane is one reward's sensitivity, computed
+// by the scalar loop's explicit operations: a sign flip (or the diagonal
+// entry, blended into lane i), one add and one multiply per period, and on
+// an accumulating day one multiply and one add into the gradient. A block
+// of up to twelve vectors (four when accumulating) stays in registers
+// while it walks all n periods; lanes past the last whole vector run the
+// scalar operations one lane at a time.
 #include "common/simd.hpp"
 
 #if defined(TDP_HAVE_AVX2)
 
 #include <immintrin.h>
+
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -119,28 +126,119 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
   }
 }
 
-void scale_negated_sum_avx2(double* dst, const double* src, double scale,
-                            std::size_t count) {
-  const __m256d scale_v = _mm256_set1_pd(scale);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d negated = _mm256_xor_pd(_mm256_loadu_pd(src + k), sign);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(dst + k), negated);
-    _mm256_storeu_pd(dst + k, _mm256_mul_pd(scale_v, sum));
+namespace {
+
+/// The sweep for lanes [m0, m0 + 4 * K): every period's update with the
+/// lanes' sensitivities (and, when kGrad, their gradient entries) held in
+/// registers.
+template <std::size_t K, bool kGrad>
+void sweep_block(double* db, double* grad, const double* rows,
+                 const double* diag, const double* sigma, const double* fprime,
+                 std::size_t n, std::size_t m0) {
+  static_assert(K <= 12, "kDiagonalWindow covers twelve vectors");
+  // Every loop over k is unrolled, so sens[] and acc[] live in registers.
+  __m256d sens[K];
+  __m256d acc[K];
+#pragma GCC unroll 12
+  for (std::size_t k = 0; k < K; ++k) {
+    sens[k] = _mm256_loadu_pd(db + m0 + 4 * k);
+    if constexpr (kGrad) acc[k] = _mm256_loadu_pd(grad + m0 + 4 * k);
   }
-  scale_negated_sum_scalar(dst + k, src + k, scale, count - k);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  // Period i; for i in the block, vector D holds lane i, whose Jacobian
+  // entry is the inflow derivative, not -dV: that vector alone blends it
+  // in (D == K: no lane of the block is i).
+  const auto period = [&]<std::size_t D>(std::size_t i) {
+    const __m256d scale = _mm256_set1_pd(sigma[i]);
+    const double* row = rows + i * n + m0;
+#pragma GCC unroll 12
+    for (std::size_t k = 0; k < K; ++k) {
+      __m256d entry = _mm256_xor_pd(_mm256_loadu_pd(row + 4 * k), sign);
+      if (k == D) {
+        entry = _mm256_blendv_pd(
+            entry, _mm256_set1_pd(diag[i]),
+            _mm256_loadu_pd(kDiagonalWindow.data() + 47 - (i - m0) + 4 * k));
+      }
+      sens[k] = _mm256_mul_pd(scale, _mm256_add_pd(sens[k], entry));
+    }
+    if constexpr (kGrad) {
+      const __m256d slope = _mm256_set1_pd(fprime[i]);
+#pragma GCC unroll 12
+      for (std::size_t k = 0; k < K; ++k) {
+        acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(slope, sens[k]));
+      }
+    }
+  };
+  for (std::size_t i = 0; i < m0; ++i) period.template operator()<K>(i);
+  [&]<std::size_t... D>(std::index_sequence<D...>) {
+    ((void)[&] {
+      for (std::size_t i = m0 + 4 * D; i < m0 + 4 * D + 4; ++i) {
+        period.template operator()<D>(i);
+      }
+    }(), ...);
+  }(std::make_index_sequence<K>{});
+  for (std::size_t i = m0 + 4 * K; i < n; ++i) {
+    period.template operator()<K>(i);
+  }
+#pragma GCC unroll 12
+  for (std::size_t k = 0; k < K; ++k) {
+    _mm256_storeu_pd(db + m0 + 4 * k, sens[k]);
+    if constexpr (kGrad) _mm256_storeu_pd(grad + m0 + 4 * k, acc[k]);
+  }
 }
 
-void add_scaled_avx2(double* dst, const double* src, double scale,
-                     std::size_t count) {
-  const __m256d scale_v = _mm256_set1_pd(scale);
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d product = _mm256_mul_pd(scale_v, _mm256_loadu_pd(src + k));
-    _mm256_storeu_pd(dst + k, _mm256_add_pd(_mm256_loadu_pd(dst + k), product));
+template <bool kGrad>
+void sweep(double* db, double* grad, const double* rows, const double* diag,
+           const double* sigma, const double* fprime, std::size_t n) {
+  // Vectors per block, as many as 16 registers hold beside the broadcasts
+  // and the row: 48 sensitivities, or 16 with their 16 gradient entries.
+  constexpr std::size_t kWide = kGrad ? 4 : 12;
+  std::size_t m = 0;
+  for (; m + 4 * kWide <= n; m += 4 * kWide) {
+    sweep_block<kWide, kGrad>(db, grad, rows, diag, sigma, fprime, n, m);
   }
-  add_scaled_scalar(dst + k, src + k, scale, count - k);
+  for (; m + 16 <= n; m += 16) {
+    sweep_block<4, kGrad>(db, grad, rows, diag, sigma, fprime, n, m);
+  }
+  switch ((n - m) / 4) {
+    case 3:
+      sweep_block<3, kGrad>(db, grad, rows, diag, sigma, fprime, n, m);
+      m += 12;
+      break;
+    case 2:
+      sweep_block<2, kGrad>(db, grad, rows, diag, sigma, fprime, n, m);
+      m += 8;
+      break;
+    case 1:
+      sweep_block<1, kGrad>(db, grad, rows, diag, sigma, fprime, n, m);
+      m += 4;
+      break;
+    default:
+      break;
+  }
+  for (; m < n; ++m) {  // the scalar loop's operations, one lane at a time
+    double sens = db[m];
+    double acc = kGrad ? grad[m] : 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double entry = i == m ? diag[i] : -rows[i * n + m];
+      sens = sigma[i] * (sens + entry);
+      if constexpr (kGrad) acc = acc + fprime[i] * sens;
+    }
+    db[m] = sens;
+    if constexpr (kGrad) grad[m] = acc;
+  }
+}
+
+}  // namespace
+
+void sensitivity_sweep_avx2(double* db, double* grad, const double* rows,
+                            const double* diag, const double* sigma,
+                            const double* fprime, std::size_t n) {
+  if (grad == nullptr) {
+    sweep<false>(db, grad, rows, diag, sigma, fprime, n);
+  } else {
+    sweep<true>(db, grad, rows, diag, sigma, fprime, n);
+  }
 }
 
 }  // namespace tdp::simd::detail

@@ -1,5 +1,6 @@
 #include "core/kernel_plan.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <unordered_map>
@@ -31,6 +32,12 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
     // flattened terms below would never be read.
     unit_ = kernel.unit_table();
     unit_inflow_ = kernel.unit_inflow_table();
+    unit_by_column_.resize(n * n);
+    for (std::size_t from = 0; from < n; ++from) {
+      for (std::size_t to = 0; to < n; ++to) {
+        unit_by_column_[to * n + from] = unit_[from * n + to];
+      }
+    }
     return;
   }
 
@@ -52,18 +59,42 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
   period_begin_[n] = term_wf_.size();
 }
 
+void KernelPlan::scale_unit_columns(std::size_t first, std::size_t last,
+                                    bool with_derivatives,
+                                    FlowState& s) const {
+  // The inflow is a table lookup; dV is the reward-independent unit table
+  // evaluate() copied.
+  for (std::size_t to = first; to < last; ++to) {
+    const double reward = s.rewards[to];
+    s.inflow[to] = reward <= 0.0 ? 0.0 : unit_inflow_[to] * reward;
+    if (with_derivatives) s.inflow_derivative[to] = unit_inflow_[to];
+  }
+#if defined(TDP_HAVE_AVX2)
+  if (simd::mode() == simd::Mode::kAvx2) {
+    scale_unit_columns_avx2(first, last, s);
+    return;
+  }
+#endif
+  const std::size_t n = periods_;
+  for (std::size_t to = first; to < last; ++to) {
+    const double reward = s.rewards[to];
+    const double* unit = unit_by_column_.data() + to * n;
+    double* column = s.pair.data() + to * n;
+    if (reward <= 0.0) {
+      std::fill(column, column + n, 0.0);
+    } else {
+      for (std::size_t from = 0; from < n; ++from) {
+        column[from] = unit[from] * reward;
+      }
+    }
+    column[to] = 0.0;
+  }
+}
+
 void KernelPlan::fill_column(std::size_t to, double reward,
                              bool with_derivatives, FlowState& s) const {
   const std::size_t n = periods_;
-  if (linear_) {
-    // dV is the reward-independent unit table evaluate() already wrote.
-    double* V = s.pair.data();
-    for (std::size_t from = 0; from < n; ++from) {
-      if (from == to) continue;
-      V[from * n + to] = linear_cell(unit_[from * n + to], reward);
-    }
-    return;
-  }
+  double* column = s.pair.data() + to * n;
 
   // Reward factors shared by every slot in this column, as value() and
   // reward_derivative() form them: one pow per distinct function instead
@@ -88,49 +119,36 @@ void KernelPlan::fill_column(std::size_t to, double reward,
   }
 
   // The cyclic lag is to - from above the diagonal and n - (from - to)
-  // below it.
-  for (std::size_t from = 0; from < to; ++from) {
-    fill_cell(from, to, to - from, positive, with_derivatives, s);
-  }
-  for (std::size_t from = to + 1; from < n; ++from) {
-    fill_cell(from, to, n - (from - to), positive, with_derivatives, s);
-  }
-}
-
-void KernelPlan::fill_linear(bool with_derivatives, FlowState& s) const {
-  const std::size_t n = periods_;
-  // dV is the unit table itself (its diagonal is 0.0), whatever the
-  // rewards: copied once per state and plan, not once per evaluation.
-  if (with_derivatives && s.derivative_serial != serial_) {
-    s.pair_derivative = unit_;
-    s.derivative_serial = serial_;
-  }
-  // fill_column's cells row by row: every cell is written, the diagonal
-  // with the 0.0 a zero-filled matrix would hold, so no fill pass precedes.
-  s.pair.resize(n * n);
-#if defined(TDP_HAVE_AVX2)
-  if (simd::mode() == simd::Mode::kAvx2) {
-    fill_linear_avx2(s);
-    return;
-  }
-#endif
-  const double* rewards = s.rewards.data();
-  for (std::size_t from = 0; from < n; ++from) {
-    const double* unit = &unit_[from * n];
-    double* row = &s.pair[from * n];
-    for (std::size_t to = 0; to < n; ++to) {
-      row[to] = linear_cell(unit[to], rewards[to]);
-    }
-    row[from] = 0.0;
-  }
-}
-
-void KernelPlan::fill_cell(std::size_t from, std::size_t to, std::size_t lag,
-                           bool positive, bool with_derivatives,
-                           FlowState& s) const {
-  const std::size_t n = periods_;
-  double* V = s.pair.data();
+  // below it. pair_volume returns 0 outright for nonpositive rewards; the
+  // derivative has no such early exit.
   double* dV = s.pair_derivative.data();
+  double total = 0.0;
+  double dtotal = 0.0;
+  const auto fill = [&](std::size_t from, std::size_t lag) {
+    double dvol = 0.0;
+    const double vol = cell(from, lag, positive, with_derivatives, s, dvol);
+    column[from] = positive ? vol : 0.0;
+    total += column[from];
+    if (with_derivatives) {
+      dV[from * n + to] = dvol;
+      dtotal += dvol;
+    }
+  };
+  for (std::size_t from = 0; from < to; ++from) fill(from, to - from);
+  for (std::size_t from = to + 1; from < n; ++from) {
+    fill(from, n - (from - to));
+  }
+  column[to] = 0.0;
+  s.inflow[to] = reward <= 0.0 ? 0.0 : total;
+  if (with_derivatives) {
+    dV[to * n + to] = 0.0;
+    s.inflow_derivative[to] = dtotal;
+  }
+}
+
+double KernelPlan::cell(std::size_t from, std::size_t lag, bool positive,
+                        bool with_derivatives, const FlowState& s,
+                        double& derivative) const {
   const double* factor = s.wf_factor.data();
   const double* dfactor = s.wf_factor_derivative.data();
   const bool uniform = convention_ == LagConvention::kUniformArrival;
@@ -150,81 +168,28 @@ void KernelPlan::fill_cell(std::size_t from, std::size_t to, std::size_t lag,
       if (with_derivatives) dvol += v * (dfactor[w] * lp);
     }
   }
-  // pair_volume returns 0 outright for nonpositive rewards; the
-  // derivative has no such early exit.
-  V[from * n + to] = positive ? vol : 0.0;
-  if (with_derivatives) dV[from * n + to] = dvol;
-}
-
-void KernelPlan::reduce_inflow(std::size_t into, bool with_derivatives,
-                               FlowState& s) const {
-  const std::size_t n = periods_;
-  const double reward = s.rewards[into];
-  if (linear_) {
-    s.inflow[into] = reward <= 0.0 ? 0.0 : unit_inflow_[into] * reward;
-    if (with_derivatives) s.inflow_derivative[into] = unit_inflow_[into];
-    return;
-  }
-  double total = 0.0;
-  for (std::size_t from = 0; from < n; ++from) {
-    if (from == into) continue;
-    total += s.pair[from * n + into];
-  }
-  s.inflow[into] = reward <= 0.0 ? 0.0 : total;
-  if (with_derivatives) {
-    double dtotal = 0.0;
-    for (std::size_t from = 0; from < n; ++from) {
-      if (from == into) continue;
-      dtotal += s.pair_derivative[from * n + into];
-    }
-    s.inflow_derivative[into] = dtotal;
-  }
+  derivative = dvol;
+  return vol;
 }
 
 void KernelPlan::reduce_outflows(FlowState& s) const {
-  const std::size_t n = periods_;
-  const double* P = s.pair.data();
-  double* out = s.outflow.data();
-  // Four rows at a time as independent lanes, so the four add chains
-  // overlap instead of one row's chain waiting on the last. Each lane still
-  // sums its row in ascending-`to` order from 0.0 and skips its diagonal
-  // cell rather than adding it as 0.0: bitwise the one-row sum.
-  std::size_t from = 0;
-  for (; from + 4 <= n; from += 4) {
-    const double* r0 = P + from * n;
-    const double* r1 = r0 + n;
-    const double* r2 = r1 + n;
-    const double* r3 = r2 + n;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    for (std::size_t to = 0; to < from; ++to) {
-      a0 += r0[to];
-      a1 += r1[to];
-      a2 += r2[to];
-      a3 += r3[to];
-    }
-    for (std::size_t to = from; to < from + 4; ++to) {  // the diagonal block
-      if (to != from) a0 += r0[to];
-      if (to != from + 1) a1 += r1[to];
-      if (to != from + 2) a2 += r2[to];
-      if (to != from + 3) a3 += r3[to];
-    }
-    for (std::size_t to = from + 4; to < n; ++to) {
-      a0 += r0[to];
-      a1 += r1[to];
-      a2 += r2[to];
-      a3 += r3[to];
-    }
-    out[from] = a0;
-    out[from + 1] = a1;
-    out[from + 2] = a2;
-    out[from + 3] = a3;
+#if defined(TDP_HAVE_AVX2)
+  if (simd::mode() == simd::Mode::kAvx2) {
+    reduce_outflows_avx2(s);
+    return;
   }
-  for (; from < n; ++from) {
-    double total = 0.0;
-    for (std::size_t to = 0; to < n; ++to) {
-      if (to != from) total += P[from * n + to];
+#endif
+  // Column by column into every row's running sum: each row still adds its
+  // cells in ascending `to` from 0.0 and skips its diagonal cell.
+  const std::size_t n = periods_;
+  double* out = s.outflow.data();
+  std::fill(out, out + n, 0.0);
+  for (std::size_t to = 0; to < n; ++to) {
+    const double* column = s.pair.data() + to * n;
+    for (std::size_t from = 0; from < to; ++from) out[from] += column[from];
+    for (std::size_t from = to + 1; from < n; ++from) {
+      out[from] += column[from];
     }
-    out[from] = total;
   }
 }
 
@@ -236,15 +201,23 @@ void KernelPlan::evaluate(const std::vector<double>& rewards,
   s.plan_serial = serial_;
   s.has_derivatives = with_derivatives;
   s.rewards = rewards;
-  s.inflow.assign(n, 0.0);
-  s.outflow.assign(n, 0.0);
-  if (with_derivatives) s.inflow_derivative.assign(n, 0.0);
+  // The column fills write every cell and every flow sum, so nothing is
+  // zero-filled first.
+  s.pair.resize(n * n);
+  s.inflow.resize(n);
+  s.outflow.resize(n);
+  if (with_derivatives) s.inflow_derivative.resize(n);
   if (linear_) {
-    fill_linear(with_derivatives, s);
+    // dV is the unit table itself, whatever the rewards: copied once per
+    // state and plan, not once per evaluation.
+    if (with_derivatives && s.derivative_serial != serial_) {
+      s.pair_derivative = unit_;
+      s.derivative_serial = serial_;
+    }
+    scale_unit_columns(0, n, with_derivatives, s);
   } else {
-    s.pair.assign(n * n, 0.0);
     if (with_derivatives) {
-      s.pair_derivative.assign(n * n, 0.0);
+      s.pair_derivative.resize(n * n);
       s.derivative_serial = 0;
     }
     s.wf_factor.resize(functions_.size());
@@ -253,16 +226,6 @@ void KernelPlan::evaluate(const std::vector<double>& rewards,
       fill_column(to, rewards[to], with_derivatives, s);
     }
   }
-  std::size_t i = 0;
-#if defined(TDP_HAVE_AVX2)
-  // Four column sums at a time over the freshly filled pair matrix; each
-  // lane keeps the scalar reduction order. The linear path's inflow is a
-  // table lookup, not a matrix reduction — leave it scalar.
-  if (!linear_ && simd::mode() == simd::Mode::kAvx2) {
-    for (; i + 4 <= n; i += 4) reduce_inflow4_avx2(i, with_derivatives, s);
-  }
-#endif
-  for (; i < n; ++i) reduce_inflow(i, with_derivatives, s);
   reduce_outflows(s);
 }
 
@@ -279,12 +242,15 @@ void KernelPlan::update_coordinate(std::size_t m, double reward,
   // a full evaluate) holds for the whole state.
   const bool wd = s.has_derivatives;
   s.rewards[m] = reward;
-  fill_column(m, reward, wd, s);
-  reduce_inflow(m, wd, s);
+  if (linear_) {
+    scale_unit_columns(m, m + 1, wd, s);
+  } else {
+    fill_column(m, reward, wd, s);
+  }
   // inflow for i != m depends only on column i — unchanged. Every other
-  // row's outflow sums the refreshed column, so the rows are re-reduced
-  // over cached values in the reference order; row m, which excludes
-  // column m, reproduces its cached sum bit for bit.
+  // row's outflow sums the rewritten column, so the rows are re-reduced
+  // over cached values in the reference order; row m, which skips column
+  // m, reproduces its cached sum bit for bit.
   reduce_outflows(s);
 }
 

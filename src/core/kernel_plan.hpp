@@ -12,17 +12,20 @@
 //               powers (pow(lag+1, -beta), or the 8 Gauss-node powers
 //               under kUniformArrival) the cells read.
 //
-// evaluate() then fills the full pair-volume matrix for all n reward
-// columns in one blocked pass: one pow per (function, column) instead of
-// one per (class, pair), and a fixed summation order chosen to match the
-// reference path operation for operation. The contract is *bitwise*
+// evaluate() then fills the pair-volume matrix one reward column at a
+// time: one pow per (function, column) instead of one per (class, pair),
+// and a fixed summation order chosen to match the reference path operation
+// for operation. The matrix is stored column-major (FlowState::pair), so a
+// column is one contiguous run; its inflow is summed while the column is
+// written, and every row's outflow is reduced by one SIMD lane per row
+// walking the columns in ascending order. The contract is *bitwise*
 // identity: every double produced here EXPECT_EQs the corresponding
 // DeferralKernel result (see tests/test_kernel_plan.cpp).
 //
 // update_coordinate() is the rolling-horizon fast path: when only period
-// m's reward changes, it refreshes column m of the cached matrix (O(n)
-// waiting-function evaluations) and re-derives the flow sums from cached
-// values in the reference summation order (O(n^2) adds: every row's
+// m's reward changes, it rewrites column m of the cached matrix (O(n)
+// waiting-function evaluations) and re-reduces every row's outflow from
+// cached values in the reference summation order (O(n^2) adds: every row's
 // outflow includes column m), so the refreshed FlowState is bit-identical
 // to a from-scratch evaluate() at the new reward vector.
 #pragma once
@@ -42,9 +45,16 @@ class KernelPlan;
 /// sums derived from it. Owned by the caller (models keep one per solver
 /// loop) so repeated evaluations are allocation-free. Fill with
 /// KernelPlan::evaluate, refresh single columns with update_coordinate.
+///
+/// The two matrices have opposite layouts, each the one its readers walk:
+/// `pair` is column-major, so a coordinate update rewrites one contiguous
+/// column and the outflow lanes load four adjacent rows of a column at
+/// once; `pair_derivative` is row-major, so the dynamic model's backlog
+/// sensitivities read Jacobian row i as one contiguous run. Both hold 0.0
+/// on the diagonal.
 struct FlowState {
   std::vector<double> rewards;           ///< reward column per period
-  std::vector<double> pair;              ///< V[from * n + to]
+  std::vector<double> pair;              ///< V[to * n + from]
   std::vector<double> pair_derivative;   ///< dV/dp_to[from * n + to]
   std::vector<double> inflow;            ///< sum_from V[from][i]
   std::vector<double> inflow_derivative; ///< sum_from dV[from][i]
@@ -64,11 +74,13 @@ struct FlowState {
   std::vector<double> wf_factor;
   std::vector<double> wf_factor_derivative;
 
-  /// Model-level assembly scratch (usage / arrivals / backlog and
-  /// sensitivity rows), so fused cost evaluations stay allocation-free.
+  /// Model-level assembly scratch (usage / arrivals / backlog, the
+  /// sensitivity lanes and each period's hinge slopes), so fused cost
+  /// evaluations stay allocation-free.
   std::vector<double> aux_a;
   std::vector<double> aux_b;
   std::vector<double> aux_c;
+  std::vector<double> aux_d;
 };
 
 class KernelPlan {
@@ -90,10 +102,11 @@ class KernelPlan {
   void evaluate(const std::vector<double>& rewards, bool with_derivatives,
                 FlowState& state) const;
 
-  /// Refresh `state` after changing only coordinate m's reward: recomputes
-  /// column m (O(periods) function evaluations) and re-derives the affected
-  /// flow sums from cached pair volumes in the reference summation order
-  /// (O(periods^2) adds, since every row's outflow sums column m).
+  /// Refresh `state` after changing only coordinate m's reward: rewrites
+  /// column m and its inflow (O(periods) function evaluations) and
+  /// re-reduces the outflows from cached pair volumes in the reference
+  /// summation order (O(periods^2) adds, since every row's outflow sums
+  /// column m).
   /// Requires a prior evaluate() on this plan; `with_derivatives` must not
   /// exceed what that evaluate computed. Postcondition: `state` is bitwise
   /// identical to evaluate() at the updated reward vector.
@@ -101,38 +114,40 @@ class KernelPlan {
                          FlowState& state) const;
 
  private:
+  /// Columns [first, last) of a linear plan: every cell the unit volume
+  /// scaled by its column's reward (0.0 for a nonpositive reward), the
+  /// diagonal 0.0, and each column's inflow (and inflow derivative) from
+  /// the unit column sums.
+  void scale_unit_columns(std::size_t first, std::size_t last,
+                          bool with_derivatives, FlowState& state) const;
+  /// Column `to` of a nonlinear plan: the pair matrix's column (its
+  /// diagonal cell 0.0), that column's inflow, and with derivatives
+  /// column `to` of the derivative matrix and its inflow derivative. The
+  /// inflow sums the column's cells as they are written: ascending `from`,
+  /// the diagonal skipped, as the reference's inflow does.
   void fill_column(std::size_t to, double reward, bool with_derivatives,
                    FlowState& state) const;
-  /// The linear path's full fill: the pair matrix row by row from the unit
-  /// table, and the derivative matrix (the unit table) unless `state`
-  /// already holds this plan's.
-  void fill_linear(bool with_derivatives, FlowState& state) const;
-  /// One linear pair volume: the unit volume scaled by the reward, and 0
-  /// for a nonpositive reward.
-  static double linear_cell(double unit, double reward) {
-    return reward <= 0.0 ? 0.0 : unit * reward;
-  }
-  /// One (from, to) slot of fill_column: accumulates period `from`'s terms
-  /// in class order and stores V / dV.
-  void fill_cell(std::size_t from, std::size_t to, std::size_t lag,
-                 bool positive, bool with_derivatives,
-                 FlowState& state) const;
-  void reduce_inflow(std::size_t into, bool with_derivatives,
-                     FlowState& state) const;
-  /// outflow[from] for every row: lane-parallel over rows, each row in the
-  /// reference's ascending-`to` order with the diagonal skipped.
+  /// One off-diagonal cell of a nonlinear column: period `from`'s terms at
+  /// cyclic lag `lag`, accumulated in class order. Returns the volume (0.0
+  /// unless `positive`) and, with derivatives, stores its reward derivative
+  /// in `derivative`.
+  double cell(std::size_t from, std::size_t lag, bool positive,
+              bool with_derivatives, const FlowState& state,
+              double& derivative) const;
+  /// outflow[from] for every row: one lane per row, each summing its row
+  /// from 0.0 in ascending `to` with the diagonal cell skipped, never added
+  /// as 0.0 — the reference's outflow order.
   void reduce_outflows(FlowState& state) const;
 
 #if defined(TDP_HAVE_AVX2)
-  /// Vectorized reduce_inflow for four consecutive `into` columns: lanes
-  /// are independent column sums in the scalar's ascending-`from` order;
-  /// the diagonal (from == into) is skipped per lane with a blend, never
-  /// by adding 0.0.
-  void reduce_inflow4_avx2(std::size_t into0, bool with_derivatives,
-                           FlowState& state) const;
-  /// Vectorized fill_linear pair rows: four consecutive `to` cells per
-  /// iteration, each lane the scalar linear_cell.
-  void fill_linear_avx2(FlowState& state) const;
+  /// scale_unit_columns' cells four rows at a time, each lane the scalar
+  /// product.
+  void scale_unit_columns_avx2(std::size_t first, std::size_t last,
+                               FlowState& state) const;
+  /// reduce_outflows with four rows per vector: each lane loads its row's
+  /// cell from a column's contiguous run and keeps its partial sum through
+  /// a blend at its diagonal column.
+  void reduce_outflows_avx2(FlowState& state) const;
 #endif
 
   std::size_t periods_ = 0;
@@ -145,8 +160,11 @@ class KernelPlan {
   std::vector<double> term_volume_;      ///< volume per term
   std::vector<std::size_t> period_begin_;  ///< term range per period, n+1
 
-  /// Linear fast path: unit-reward tables copied from the kernel.
+  /// Linear fast path: unit-reward tables copied from the kernel — the
+  /// pair table row-major (the derivative matrix itself) and column-major
+  /// (what a column of the pair matrix scales), and its column sums.
   std::vector<double> unit_;
+  std::vector<double> unit_by_column_;
   std::vector<double> unit_inflow_;
 };
 

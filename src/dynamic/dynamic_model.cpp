@@ -320,53 +320,55 @@ double DynamicModel::smoothed_cost_and_gradient(const math::Vector& rewards,
   math::Vector& arr = state.aux_a;
   math::Vector& dbacklog = state.aux_b;
   math::Vector& dbacklog_day_start = state.aux_c;
+  math::Vector& slopes = state.aux_d;  // sigma_i, then f'(backlog_i)
   arr.resize(n);
   dbacklog.assign(n, 0.0);
   dbacklog_day_start.resize(n);
+  slopes.resize(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
     arr[i] = tip_[i] - state.outflow[i] + state.inflow[i];
   }
 
-  // One warmup sweep computes the smoothed cost and the forward-accumulated
-  // backlog sensitivities together; the arrival Jacobian rows are read
-  // straight off the cached derivative matrix
-  // (darr[i][m] = inflow'(i) if m == i else -dV[i][m]).
-  const double* dV = state.pair_derivative.data();
-  double* db = dbacklog.data();
-  std::fill(grad.begin(), grad.end(), 0.0);
+  // The backlog recursion never reads the sensitivities, so each day runs
+  // in two passes: a scalar pass over the backlog that records every
+  // period's hinge slope sigma_i (and, accumulating, f'(backlog_i) and the
+  // day's cost), then one sweep that carries the sensitivities through the
+  // day, reading the arrival Jacobian rows straight off the cached
+  // derivative matrix (darr[i][m] = inflow'(i) if m == i else -dV[i][m]).
+  // Every day after the first accumulates from zero, so a day that ends in
+  // the state it started in has already produced, bit for bit, what the
+  // last day would: the warmup stops there instead of running it again.
+  // The first day starts from the zero state and skips the accumulation:
+  // should it end where it started, the next day replays it.
+  double* sigma = slopes.data();
+  double* fprime = sigma + n;
   double cost = 0.0;
   double backlog = 0.0;
-  const auto run_day = [&](bool last) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double pre = backlog + arr[i] - capacity_[i];
-      const double sigma = smooth_hinge_derivative(pre, mu);
-      backlog = smooth_hinge(pre, mu);
-      // The off-diagonal update is one lane per m, so it runs as a vector
-      // kernel over the whole row; lane i, whose Jacobian entry is the
-      // inflow derivative instead, is then redone from its saved value.
-      const double diagonal = db[i];
-      simd::scale_negated_sum(db, dV + i * n, sigma, n);
-      db[i] = sigma * (diagonal + state.inflow_derivative[i]);
-      if (last) {
-        cost += cost_.smoothed_value(backlog, mu);
-        const double fprime = cost_.smoothed_derivative(backlog, mu);
-        simd::add_scaled(grad.data(), db, fprime, n);
-      }
-    }
-  };
-  // Only the last day accumulates, so once a day repeats its start state
-  // the accumulating day runs next, from that repeating state.
-  for (std::size_t day = 0; day + 1 < warmup_days_; ++day) {
+  for (std::size_t day = 0; day < warmup_days_; ++day) {
+    const bool accumulate = day > 0 || warmup_days_ == 1;
     const double backlog_day_start = backlog;
     std::copy(dbacklog.begin(), dbacklog.end(), dbacklog_day_start.begin());
-    run_day(/*last=*/false);
-    if (same_bits(backlog, backlog_day_start) &&
+    std::fill(grad.begin(), grad.end(), 0.0);
+    cost = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double pre = backlog + arr[i] - capacity_[i];
+      sigma[i] = smooth_hinge_derivative(pre, mu);
+      backlog = smooth_hinge(pre, mu);
+      if (accumulate) {
+        cost += cost_.smoothed_value(backlog, mu);
+        fprime[i] = cost_.smoothed_derivative(backlog, mu);
+      }
+    }
+    simd::sensitivity_sweep(dbacklog.data(),
+                            accumulate ? grad.data() : nullptr,
+                            state.pair_derivative.data(),
+                            state.inflow_derivative.data(), sigma, fprime, n);
+    if (accumulate && same_bits(backlog, backlog_day_start) &&
         std::memcmp(dbacklog.data(), dbacklog_day_start.data(),
                     n * sizeof(double)) == 0) {
       break;
     }
   }
-  run_day(/*last=*/true);
   for (std::size_t m = 0; m < n; ++m) {
     cost += rewards[m] * state.inflow[m];
     grad[m] += state.inflow[m] + rewards[m] * state.inflow_derivative[m];

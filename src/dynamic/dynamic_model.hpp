@@ -97,7 +97,11 @@ class DynamicModel {
   // cached flows instead of re-walking the kernel. The warmup stops as
   // soon as a day starts in the state the day before started in (every
   // later day would repeat it bit for bit); the reference methods run
-  // every day.
+  // every day. The fused gradient runs each day as a scalar pass over the
+  // backlog (hinge slopes, f' and the day's cost) and one
+  // simd::sensitivity_sweep that carries the backlog sensitivities through
+  // the day in registers, reading Jacobian rows off the plan's row-major
+  // derivative matrix.
 
   /// Fill `state` with the deferral flows at `rewards`.
   void prime_flow_state(const math::Vector& rewards, bool with_derivatives,

@@ -111,11 +111,12 @@ void expect_state_matches(const ReferenceFlows& ref, const FlowState& state,
     EXPECT_EQ(ref.outflow[i], state.outflow[i]) << context << " outflow "
                                                 << i;
     for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(ref.pair[i * n + j], state.pair[i * n + j])
-          << context << " pair " << i << "," << j;
+      // The plan's pair matrix is column-major, its derivative row-major.
+      EXPECT_EQ(ref.pair[i * n + j], state.pair[j * n + i])
+          << context << " pair " << i << "->" << j;
       EXPECT_EQ(ref.pair_derivative[i * n + j],
                 state.pair_derivative[i * n + j])
-          << context << " dpair " << i << "," << j;
+          << context << " dpair " << i << "->" << j;
     }
   }
 }
@@ -189,10 +190,17 @@ TEST(KernelPlan, IncrementalCoordinateUpdateIsBitIdenticalToFullEvaluate) {
                       incremental.inflow_derivative[i]);
             EXPECT_EQ(full.outflow[i], incremental.outflow[i]);
           }
-          for (std::size_t k = 0; k < n * n; ++k) {
-            EXPECT_EQ(full.pair[k], incremental.pair[k]);
-            EXPECT_EQ(full.pair_derivative[k],
-                      incremental.pair_derivative[k]);
+          // Column m of pair (contiguous) and of pair_derivative (strided)
+          // was rewritten; every cell of both must equal the full fill's.
+          for (std::size_t from = 0; from < n; ++from) {
+            for (std::size_t to = 0; to < n; ++to) {
+              EXPECT_EQ(full.pair[to * n + from],
+                        incremental.pair[to * n + from])
+                  << "pair " << from << "->" << to;
+              EXPECT_EQ(full.pair_derivative[from * n + to],
+                        incremental.pair_derivative[from * n + to])
+                  << "dpair " << from << "->" << to;
+            }
           }
         }
       }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -116,46 +117,149 @@ TEST(RngBatch, Avx2KernelsAreBitIdenticalToScalar) {
 #endif
 }
 
-// ---- Backlog-sensitivity row kernels ---------------------------------------
+// ---- Backlog-sensitivity sweep ----------------------------------------------
 
-TEST(SimdRowKernels, MatchTheScalarLoopsBitwise) {
-  Rng rng(2718);
-  // Lengths around the 4-wide vector, so every tail length runs.
-  for (std::size_t count = 0; count <= 13; ++count) {
-    std::vector<double> src(count), start(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      src[k] = k % 3 == 0 ? 0.0 : rng.uniform(-2.0, 2.0);
-      start[k] = rng.uniform(-1.0, 1.0);
-    }
-    for (const double scale : {0.0, 1.0, 0.37}) {
-      std::vector<double> scaled = start, added = start;
-      simd::detail::scale_negated_sum_scalar(scaled.data(), src.data(), scale,
-                                             count);
-      simd::detail::add_scaled_scalar(added.data(), src.data(), scale, count);
-      for (std::size_t k = 0; k < count; ++k) {
-        EXPECT_EQ(scaled[k], scale * (start[k] + -src[k])) << count << "," << k;
-        EXPECT_EQ(added[k], start[k] + scale * src[k]) << count << "," << k;
-      }
-#if defined(TDP_HAVE_AVX2)
-      if (!simd::avx2_supported()) continue;
-      std::vector<double> vscaled = start, vadded = start;
-      simd::detail::scale_negated_sum_avx2(vscaled.data(), src.data(), scale,
-                                           count);
-      simd::detail::add_scaled_avx2(vadded.data(), src.data(), scale, count);
-      for (std::size_t k = 0; k < count; ++k) {
-        EXPECT_EQ(scaled[k], vscaled[k]) << "count " << count << " lane " << k;
-        EXPECT_EQ(added[k], vadded[k]) << "count " << count << " lane " << k;
-      }
-#endif
+/// Same bits, or both NaN: IEEE 754 leaves a NaN result's sign and payload
+/// to the implementation, and a compiler may turn the scalar twin's
+/// `a + -b` into `a - b`, whose NaN keeps b's sign.
+bool same_double(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// One sweep's inputs and in/out lanes. `kind` 0 draws ordinary entries,
+/// 1 seeds signed zeros into every input, 2 also seeds infinities and NaNs
+/// into a few lanes (each non-finite entry poisons only the lanes that
+/// read it, so the other lanes stay comparable).
+struct SweepCase {
+  std::size_t n = 0;
+  std::vector<double> db, grad, rows, diag, sigma, fprime;
+};
+
+SweepCase sweep_case(std::size_t n, int kind, Rng& rng) {
+  SweepCase c;
+  c.n = n;
+  c.db.resize(n);
+  c.grad.resize(n);
+  c.rows.resize(n * n);
+  c.diag.resize(n);
+  c.sigma.resize(n);
+  c.fprime.resize(n);
+  const auto draw = [&](double lo, double hi) {
+    const double u = rng.uniform();
+    if (kind >= 1 && u < 0.1) return -0.0;
+    if (kind >= 1 && u < 0.2) return 0.0;
+    return rng.uniform(lo, hi);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    c.db[i] = draw(-1.0, 1.0);
+    c.grad[i] = draw(-1.0, 1.0);
+    c.diag[i] = draw(0.0, 2.0);
+    c.fprime[i] = draw(0.0, 30.0);
+    // sigma is the smoothed hinge's slope: 0 below the kink, 1 above it,
+    // fractional inside the smoothing band.
+    const double u = rng.uniform();
+    c.sigma[i] = u < 0.3 ? 0.0 : u < 0.6 ? 1.0 : rng.uniform(0.0, 1.0);
+    if (kind >= 1 && u < 0.05) c.sigma[i] = -0.0;
+  }
+  for (double& r : c.rows) r = draw(0.0, 2.0);
+  for (std::size_t i = 0; i < n; ++i) c.rows[i * n + i] = 0.0;
+  if (kind == 2) {
+    const double inf = std::numeric_limits<double>::infinity();
+    c.rows[(n / 2) * n + (n - 1)] = inf;
+    c.rows[(n - 1) * n] = -inf;
+    c.rows[n / 3] = std::numeric_limits<double>::quiet_NaN();
+    c.diag[n / 2] = -inf;
+    c.db[n - 1] = inf;
+    c.fprime[n / 3] = inf;
+  }
+  return c;
+}
+
+/// The recursion written out lane by lane, as DynamicModel::
+/// smoothed_gradient states it.
+void sweep_written_out(SweepCase& c, bool with_grad) {
+  const std::size_t n = c.n;
+  for (std::size_t m = 0; m < n; ++m) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double entry = m == i ? c.diag[i] : -c.rows[i * n + m];
+      c.db[m] = c.sigma[i] * (c.db[m] + entry);
+      if (with_grad) c.grad[m] += c.fprime[i] * c.db[m];
     }
   }
 }
 
-// ---- KernelPlan vector fill path ------------------------------------------
+using SweepFn = void (*)(double*, double*, const double*, const double*,
+                         const double*, const double*, std::size_t);
+
+void run_sweep(SweepFn fn, SweepCase& c, bool with_grad) {
+  fn(c.db.data(), with_grad ? c.grad.data() : nullptr, c.rows.data(),
+     c.diag.data(), c.sigma.data(), c.fprime.data(), c.n);
+}
+
+void expect_same_lanes(const SweepCase& a, const SweepCase& b,
+                       const std::string& context) {
+  for (std::size_t m = 0; m < a.n; ++m) {
+    EXPECT_TRUE(same_double(a.db[m], b.db[m]))
+        << context << " db lane " << m << ": " << a.db[m] << " vs "
+        << b.db[m];
+    EXPECT_TRUE(same_double(a.grad[m], b.grad[m]))
+        << context << " grad lane " << m << ": " << a.grad[m] << " vs "
+        << b.grad[m];
+  }
+}
+
+const std::vector<std::size_t>& sweep_sizes() {
+  // Every block and tail shape of the vector body, and the model sizes.
+  static const std::vector<std::size_t> sizes = {
+      1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 47, 48, 49, 96};
+  return sizes;
+}
+
+TEST(SimdSensitivitySweep, ScalarTwinMatchesTheWrittenOutRecursion) {
+  Rng rng(2718);
+  for (const std::size_t n : sweep_sizes()) {
+    for (const int kind : {0, 1, 2}) {
+      const SweepCase start = sweep_case(n, kind, rng);
+      for (const bool with_grad : {false, true}) {
+        SweepCase expected = start, scalar = start;
+        sweep_written_out(expected, with_grad);
+        run_sweep(&simd::detail::sensitivity_sweep_scalar, scalar, with_grad);
+        expect_same_lanes(expected, scalar,
+                          "n=" + std::to_string(n) + " kind=" +
+                              std::to_string(kind) +
+                              " grad=" + std::to_string(with_grad));
+      }
+    }
+  }
+}
+
+TEST(SimdSensitivitySweep, Avx2BodyIsBitIdenticalToScalarTwin) {
+  if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
+#if defined(TDP_HAVE_AVX2)
+  Rng rng(31416);
+  for (const std::size_t n : sweep_sizes()) {
+    for (const int kind : {0, 1, 2}) {
+      const SweepCase start = sweep_case(n, kind, rng);
+      for (const bool with_grad : {false, true}) {
+        SweepCase scalar = start, vector = start;
+        run_sweep(&simd::detail::sensitivity_sweep_scalar, scalar, with_grad);
+        run_sweep(&simd::detail::sensitivity_sweep_avx2, vector, with_grad);
+        expect_same_lanes(scalar, vector,
+                          "n=" + std::to_string(n) + " kind=" +
+                              std::to_string(kind) +
+                              " grad=" + std::to_string(with_grad));
+      }
+    }
+  }
+#endif
+}
+
+// ---- KernelPlan vector outflow path ------------------------------------------
 
 /// The same power-law class list every period. Nonlinear gammas keep the
-/// plan off its linear fast path, so evaluate() walks the scalar column fill
-/// and the vector inflow reduction under test.
+/// plan off its linear fast path, so evaluate() walks the scalar column
+/// fill; both kinds share the vector outflow reduction under test.
 DemandProfile uniform_profile(std::size_t n, bool linear,
                               LagNormalization normalization,
                               double max_reward) {
@@ -195,11 +299,12 @@ void expect_states_bitwise_equal(const FlowState& a, const FlowState& b,
           << context << " dinflow " << i;
     }
     for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(a.pair[i * n + j], b.pair[i * n + j])
-          << context << " pair " << i << "," << j;
+      // pair is column-major, pair_derivative row-major.
+      EXPECT_EQ(a.pair[j * n + i], b.pair[j * n + i])
+          << context << " pair " << i << "->" << j;
       if (a.has_derivatives && b.has_derivatives) {
         EXPECT_EQ(a.pair_derivative[i * n + j], b.pair_derivative[i * n + j])
-            << context << " dpair " << i << "," << j;
+            << context << " dpair " << i << "->" << j;
       }
     }
   }
@@ -265,7 +370,8 @@ TEST(KernelPlanSimd, EvaluateIsBitIdenticalScalarVsAvx2) {
 }
 
 TEST(KernelPlanSimd, LinearEvaluateIsBitIdenticalScalarVsAvx2) {
-  // Linear plans fill their pair rows through their own vector loop.
+  // Linear plans scale their columns from the column-major unit table and
+  // reduce outflows through the vector path.
   if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
   Rng rng(778);
   for (const std::size_t n : {std::size_t{6}, std::size_t{12},
@@ -297,6 +403,101 @@ TEST(KernelPlanSimd, LinearEvaluateIsBitIdenticalScalarVsAvx2) {
         EXPECT_EQ(kernel.outflow(i, rewards), simd_state.outflow[i])
             << context << " vs reference outflow, period " << i;
       }
+    }
+  }
+}
+
+/// Bit pattern of every outflow (so a -0.0 would not pass for +0.0).
+std::vector<std::uint64_t> outflow_bits(const FlowState& state) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : state.outflow) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return bits;
+}
+
+TEST(KernelPlanSimd, LinearOutflowsMatchReferenceAcrossEvaluatesAndUpdates) {
+  // Every row's outflow, after full evaluates and after chains of
+  // coordinate updates, in both modes: against DeferralKernel::outflow and
+  // against each other. Sizes cover whole vector blocks (12, 48) and rows
+  // past the last whole vector (13, 49); rewards include 0, -0.0 and
+  // negatives.
+  Rng rng(4711);
+  const bool avx2 = simd::avx2_supported();
+  for (const std::size_t n : {std::size_t{12}, std::size_t{13},
+                              std::size_t{48}, std::size_t{49}}) {
+    const DeferralKernel kernel(
+        uniform_profile(n, /*linear=*/true, LagNormalization::kContinuous,
+                        1.5),
+        LagConvention::kUniformArrival);
+    const auto plan = kernel.plan();
+    ASSERT_TRUE(plan->linear());
+    const auto draw = [&] {
+      const double u = rng.uniform();
+      if (u < 0.1) return 0.0;
+      if (u < 0.2) return -0.0;
+      if (u < 0.3) return -rng.uniform(0.0, 1.0);
+      return rng.uniform(0.0, 1.5);
+    };
+    math::Vector rewards(n);
+    for (double& r : rewards) r = draw();
+    rewards[0] = -0.0;
+
+    const auto reference = [&] {
+      std::vector<std::uint64_t> bits;
+      for (std::size_t i = 0; i < n; ++i) {
+        bits.push_back(
+            std::bit_cast<std::uint64_t>(kernel.outflow(i, rewards)));
+      }
+      return bits;
+    };
+    FlowState scalar_chain, vector_chain;
+    {
+      ModeGuard guard(simd::Mode::kScalar);
+      plan->evaluate(rewards, /*with_derivatives=*/false, scalar_chain);
+    }
+    if (avx2) {
+      ModeGuard guard(simd::Mode::kAvx2);
+      plan->evaluate(rewards, /*with_derivatives=*/false, vector_chain);
+    }
+    for (int step = 0; step <= 80; ++step) {
+      const std::string context =
+          "n=" + std::to_string(n) + " step " + std::to_string(step);
+      if (step > 0) {
+        const std::size_t m = static_cast<std::size_t>(
+            rng.uniform() * static_cast<double>(n)) % n;
+        rewards[m] = draw();
+        {
+          ModeGuard guard(simd::Mode::kScalar);
+          plan->update_coordinate(m, rewards[m], false, scalar_chain);
+        }
+        if (avx2) {
+          ModeGuard guard(simd::Mode::kAvx2);
+          plan->update_coordinate(m, rewards[m], false, vector_chain);
+        }
+      }
+      const std::vector<std::uint64_t> expected = reference();
+      EXPECT_EQ(expected, outflow_bits(scalar_chain))
+          << context << " scalar chain";
+      FlowState scalar_full;
+      {
+        ModeGuard guard(simd::Mode::kScalar);
+        plan->evaluate(rewards, /*with_derivatives=*/false, scalar_full);
+      }
+      EXPECT_EQ(expected, outflow_bits(scalar_full))
+          << context << " scalar full";
+      if (!avx2) continue;
+      FlowState vector_full;
+      {
+        ModeGuard guard(simd::Mode::kAvx2);
+        plan->evaluate(rewards, /*with_derivatives=*/false, vector_full);
+      }
+      EXPECT_EQ(expected, outflow_bits(vector_chain))
+          << context << " avx2 chain";
+      EXPECT_EQ(expected, outflow_bits(vector_full))
+          << context << " avx2 full";
+      expect_states_bitwise_equal(scalar_chain, vector_chain, n,
+                                  context.c_str());
     }
   }
 }

@@ -126,6 +126,18 @@ class GateTable(unittest.TestCase):
                     "--update", "--baseline", str(target)), 0)
                 self.assertEqual(json.loads(target.read_text()), base)
 
+    def test_dynamic_solve_speedup_floor(self) -> None:
+        # The floor passes this tree's slowest of ten runs (7.27) and fails
+        # the parent's fastest (5.67), whose fused dynamic solve reduced
+        # outflows four rows at a time and stored and reloaded the whole
+        # sensitivity row every period.
+        base = baseline("kernel")
+        for speedup, expected in ((7.27, 0), (5.67, 1), (4.7, 1)):
+            run = copy.deepcopy(base)
+            run["benches"]["dynamic_solve"]["speedup"] = speedup
+            with self.subTest(speedup=speedup):
+                self.assertEqual(self.verdict("kernel", run), expected)
+
     def test_fleet_overhead_tolerance(self) -> None:
         def log(name: str, wall: float) -> str:
             record = {"users": 100000, "threads": 4,
