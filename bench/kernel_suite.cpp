@@ -17,9 +17,13 @@
 //                        vs the fused plan, plus the fused per-call cost of
 //                        smoothed_cost and smoothed_cost_and_gradient
 //   deferral_table_build fleet per-period DeferralTable, lag_weight calls
-//                        vs the waiting functions' tabulated node powers
-//                        (PowerLawWaitingFunction::uniform_weight)
+//                        vs the table (one pow per distinct schedule and
+//                        gamma, the waiting functions' tabulated node
+//                        powers)
 //   fleet_shard_step     one shard simulating one period of a 20k-user day
+//   fleet_sweep          a 10k-user fleet day (128 slices, 64 shards) on 1
+//                        thread vs 4, in alternating rounds: ms per period
+//                        of each side and their ratio, parallel_speedup
 //
 // Every reference/fused pair is bitwise identical (tests/test_kernel_plan);
 // the suite records wall time per side and the speedup ratio. Ratios are
@@ -38,6 +42,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/deferral_kernel.hpp"
 #include "core/kernel_plan.hpp"
 #include "core/paper_data.hpp"
@@ -500,6 +505,76 @@ int main(int argc, char** argv) {
     report.emit();
     entries.push_back(
         {"fleet_shard_step", {{"shard_seconds", shard_seconds}}});
+  }
+
+  // ---- fleet_sweep: a 10k-user fleet day on 1 thread vs 4 ----------------
+  {
+    // The small-fleet period loop, where the pool's dispatch competes with
+    // ~2 us shard tasks. The process default is set to the parallel
+    // side's count so its sweeps run on the global pool, as perfbench's
+    // do, not on a transient pool per sweep.
+    constexpr std::size_t kThreads = 4;
+    const std::size_t original_default = default_thread_count();
+    set_default_thread_count(kThreads);
+    const auto run_day = [](std::size_t threads) {
+      fleet::FleetDriverConfig config;
+      config.population.users = 10000;
+      config.population.periods = 48;
+      config.slices = 128;
+      config.shards = 64;
+      config.threads = threads;
+      fleet::FleetDriver driver(config);
+      return driver.run_day();
+    };
+    const auto ms_per_period = [](const fleet::FleetMetrics& m) {
+      return 1e3 * m.wall_seconds /
+             static_cast<double>(m.days * m.periods);
+    };
+    // Alternating rounds, best day of each side kept, so a host slowdown
+    // during one round skews neither the times nor their ratio.
+    const std::size_t rounds = 7;
+    double serial_ms = 0.0;
+    double parallel_ms = 0.0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      const fleet::FleetMetrics serial = run_day(1);
+      const fleet::FleetMetrics parallel = run_day(kThreads);
+      // Any thread count yields the same aggregates; a drift is a bug.
+      if (serial.offered_units != parallel.offered_units ||
+          serial.realized_units != parallel.realized_units ||
+          serial.sessions != parallel.sessions) {
+        std::fprintf(stderr,
+                     "FATAL: fleet day differs between 1 and %zu threads\n",
+                     kThreads);
+        return 1;
+      }
+      if (round == 0 || ms_per_period(serial) < serial_ms) {
+        serial_ms = ms_per_period(serial);
+      }
+      if (round == 0 || ms_per_period(parallel) < parallel_ms) {
+        parallel_ms = ms_per_period(parallel);
+      }
+    }
+    set_default_thread_count(original_default);
+    const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
+
+    std::printf(
+        "  fleet_sweep          1 thread %.4f ms  %zu threads %.4f ms per "
+        "10k-user period (%.2fx)\n",
+        serial_ms, kThreads, parallel_ms, speedup);
+    bench::BenchReport report("fleet_sweep");
+    report.set_threads_used(kThreads);
+    report.add("rounds", static_cast<std::uint64_t>(rounds));
+    report.add("users", static_cast<std::uint64_t>(10000));
+    report.add("threads", static_cast<std::uint64_t>(kThreads));
+    report.add("serial_ms_per_period", serial_ms);
+    report.add("parallel_ms_per_period", parallel_ms);
+    report.add("parallel_speedup", speedup);
+    report.emit();
+    entries.push_back({"fleet_sweep",
+                       {{"threads", static_cast<double>(kThreads)},
+                        {"serial_ms_per_period", serial_ms},
+                        {"parallel_ms_per_period", parallel_ms},
+                        {"parallel_speedup", speedup}}});
   }
 
   if (!out_path.empty() &&

@@ -13,7 +13,9 @@
 //                     (atomic tmp/rename commit every --every periods)
 //                     and off, alternating over five rounds in this
 //                     process: stream_overhead_fraction = best on / best
-//                     off - 1 is gated <= 0.15
+//                     off - 1 is gated <= 0.15; the row also reports the
+//                     driver's own commit count per run and the mean and
+//                     longest commit in ms (HorizonMetrics)
 //   storm_recovery    kill the streamed run mid-storm, recover from the
 //                     committed file (torn-write-tolerant loader), restore
 //                     onto a different shard count, and finish: the
@@ -28,6 +30,7 @@
 //
 //   ./bench/bench_storm_recovery [--out BENCH_storm.json] [--users N]
 //                                [--days N] [--every K]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -111,12 +114,14 @@ bool days_bitwise_equal(const std::vector<tdp::horizon::DayMetrics>& a,
 }
 
 double run_wall(const tdp::horizon::HorizonConfig& config,
-                std::vector<tdp::horizon::DayMetrics>* days_out = nullptr) {
+                std::vector<tdp::horizon::DayMetrics>* days_out = nullptr,
+                tdp::horizon::HorizonMetrics* metrics_out = nullptr) {
   tdp::horizon::MultiDayDriver driver(config);
   const auto start = Clock::now();
   while (!driver.done()) driver.step_period();
   const double wall = tdp::bench::seconds_since(start);
   if (days_out != nullptr) *days_out = driver.completed_days();
+  if (metrics_out != nullptr) *metrics_out = driver.metrics();
   return wall;
 }
 
@@ -200,31 +205,55 @@ int main(int argc, char** argv) {
     // Alternating bare and streamed runs in this process, the best run of
     // each side kept, so a host slowdown during one round skews neither
     // wall time nor their ratio.
+    // The driver times its own commits, so a high fraction shows whether
+    // the commits got dearer or the bare run got shorter.
     const std::size_t rounds = 5;
     double bare_wall = 0.0;
     double streamed_wall = 0.0;
+    std::uint64_t commits = 0;
+    double commit_seconds = 0.0;
+    double commit_seconds_max = 0.0;
     for (std::size_t round = 0; round < rounds; ++round) {
       const double bare = run_wall(stormy);
-      const double streamed = run_wall(streaming);
+      horizon::HorizonMetrics streamed_metrics;
+      const double streamed = run_wall(streaming, nullptr, &streamed_metrics);
       if (round == 0 || bare < bare_wall) bare_wall = bare;
       if (round == 0 || streamed < streamed_wall) streamed_wall = streamed;
+      commits = streamed_metrics.stream_commits;
+      commit_seconds += streamed_metrics.commit_seconds;
+      commit_seconds_max =
+          std::max(commit_seconds_max, streamed_metrics.commit_seconds_max);
     }
     const double overhead =
         bare_wall > 0.0 ? streamed_wall / bare_wall - 1.0 : 0.0;
+    const double commit_ms_mean =
+        commits > 0 ? 1e3 * commit_seconds /
+                          static_cast<double>(commits * rounds)
+                    : 0.0;
+    const double commit_ms_max = 1e3 * commit_seconds_max;
 
     report.add("commit_every_periods", static_cast<std::uint64_t>(every));
     report.add("rounds", static_cast<std::uint64_t>(rounds));
     report.add("bare_wall_seconds", bare_wall);
     report.add("streamed_wall_seconds", streamed_wall);
+    report.add("commits", commits);
+    report.add("commit_ms_mean", commit_ms_mean);
+    report.add("commit_ms_max", commit_ms_max);
     report.add("stream_overhead_fraction", overhead);
     report.emit();
     entries.push_back({"stream_overhead",
                        {{"bare_wall_seconds", bare_wall},
                         {"streamed_wall_seconds", streamed_wall},
+                        {"commits", static_cast<double>(commits)},
+                        {"commit_ms_mean", commit_ms_mean},
+                        {"commit_ms_max", commit_ms_max},
                         {"stream_overhead_fraction", overhead}}});
     std::printf("  stream_overhead    %.3f s streamed vs %.3f s bare "
-                "(%.1f%% overhead, commit every %zu periods, best of %zu)\n",
-                streamed_wall, bare_wall, 1e2 * overhead, every, rounds);
+                "(%.1f%% overhead, commit every %zu periods, best of %zu; "
+                "%llu commits per run, %.3f ms mean, %.3f ms max)\n",
+                streamed_wall, bare_wall, 1e2 * overhead, every, rounds,
+                static_cast<unsigned long long>(commits), commit_ms_mean,
+                commit_ms_max);
   }
 
   // ---- storm_recovery: kill mid-storm, recover, resume, verify ------------

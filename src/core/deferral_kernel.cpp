@@ -42,8 +42,9 @@ struct DeferralKernelState {
   LagConvention convention = LagConvention::kPeriodStart;
   bool linear = false;
   std::vector<std::vector<SessionClass>> classes;
-  std::vector<double> unit;         // [from * n + to], empty unless linear
-  std::vector<double> unit_inflow;  // [to], empty unless linear
+  /// Null unless linear; shared with the plan, which holds no pointer back
+  /// to this state (the state holds the plan).
+  std::shared_ptr<const UnitTables> unit;
 
   // Lazily computed, once per state.
   mutable std::once_flag safe_reward_once;
@@ -104,19 +105,27 @@ std::shared_ptr<const DeferralKernelState> build_state(
   // A row of the unit table depends on its own period's classes alone, so
   // a row whose classes match the donor's bit for bit is copied from it.
   // The online pricer rescales one period per observation: all other rows
-  // of its new kernel are the previous kernel's.
+  // of its new kernel are the previous kernel's. The column-major copy is
+  // the donor's, patched where a row is recomputed.
   //
   // A computed row accumulates class by class across all its cells at
   // once: the cells are independent lanes, and each still sums its classes
   // in class order from 0.0, exactly as the per-pair reference does. The
   // two runs of `to` on either side of the diagonal read ascending lags.
-  const bool lend_rows = donor != nullptr && donor->linear;
-  state->unit.assign(n * n, 0.0);
-  state->unit_inflow.assign(n, 0.0);
+  const UnitTables* lender =
+      donor != nullptr && donor->linear ? donor->unit.get() : nullptr;
+  auto unit = std::make_shared<UnitTables>();
+  unit->by_row.assign(n * n, 0.0);
+  if (lender != nullptr) {
+    unit->by_column = lender->by_column;
+  } else {
+    unit->by_column.assign(n * n, 0.0);
+  }
+  unit->inflow.assign(n, 0.0);
   for (std::size_t from = 0; from < n; ++from) {
-    double* row = &state->unit[from * n];
-    if (lend_rows && (from < first_changed || kept(from))) {
-      std::copy_n(&donor->unit[from * n], n, row);
+    double* row = &unit->by_row[from * n];
+    if (lender != nullptr && (from < first_changed || kept(from))) {
+      std::copy_n(&lender->by_row[from * n], n, row);
     } else {
       for (const SessionClass& sc : state->classes[from]) {
         const double* w = sc.waiting->unit_weights(convention);
@@ -127,11 +136,15 @@ std::shared_ptr<const DeferralKernelState> build_state(
           row[to] += sc.volume * w[to + n - from];
         }
       }
+      for (std::size_t to = 0; to < n; ++to) {
+        unit->by_column[to * n + from] = row[to];
+      }
     }
     for (std::size_t to = 0; to < n; ++to) {
-      if (to != from) state->unit_inflow[to] += row[to];
+      if (to != from) unit->inflow[to] += row[to];
     }
   }
+  state->unit = std::move(unit);
   return state;
 }
 
@@ -153,7 +166,7 @@ double DeferralKernel::pair_volume(std::size_t from, std::size_t to,
   TDP_REQUIRE(from < periods_ && to < periods_ && from != to,
               "invalid period pair");
   if (reward <= 0.0) return 0.0;
-  if (linear_) return state_->unit[from * periods_ + to] * reward;
+  if (linear_) return state_->unit->by_row[from * periods_ + to] * reward;
   const std::size_t lag = cyclic_lag(from, to, periods_);
   double volume = 0.0;
   for (const SessionClass& sc : state_->classes[from]) {
@@ -167,7 +180,7 @@ double DeferralKernel::pair_volume_derivative(std::size_t from,
                                               double reward) const {
   TDP_REQUIRE(from < periods_ && to < periods_ && from != to,
               "invalid period pair");
-  if (linear_) return state_->unit[from * periods_ + to];
+  if (linear_) return state_->unit->by_row[from * periods_ + to];
   const std::size_t lag = cyclic_lag(from, to, periods_);
   double deriv = 0.0;
   for (const SessionClass& sc : state_->classes[from]) {
@@ -180,7 +193,7 @@ double DeferralKernel::pair_volume_derivative(std::size_t from,
 double DeferralKernel::inflow(std::size_t into, double reward) const {
   TDP_REQUIRE(into < periods_, "period out of range");
   if (reward <= 0.0) return 0.0;
-  if (linear_) return state_->unit_inflow[into] * reward;
+  if (linear_) return state_->unit->inflow[into] * reward;
   double total = 0.0;
   for (std::size_t from = 0; from < periods_; ++from) {
     if (from == into) continue;
@@ -192,7 +205,7 @@ double DeferralKernel::inflow(std::size_t into, double reward) const {
 double DeferralKernel::inflow_derivative(std::size_t into,
                                          double reward) const {
   TDP_REQUIRE(into < periods_, "period out of range");
-  if (linear_) return state_->unit_inflow[into];
+  if (linear_) return state_->unit->inflow[into];
   double total = 0.0;
   for (std::size_t from = 0; from < periods_; ++from) {
     if (from == into) continue;
@@ -210,7 +223,7 @@ double DeferralKernel::outflow(std::size_t from,
     if (to == from) continue;
     if (linear_) {
       if (rewards[to] > 0.0) {
-        total += state_->unit[from * periods_ + to] * rewards[to];
+        total += state_->unit->by_row[from * periods_ + to] * rewards[to];
       }
     } else {
       total += pair_volume(from, to, rewards[to]);
@@ -233,7 +246,7 @@ double DeferralKernel::max_safe_reward() const {
       for (std::size_t i = 0; i < periods_; ++i) {
         double unit_out = 0.0;
         for (std::size_t m = 0; m < periods_; ++m) {
-          if (m != i) unit_out += state_->unit[i * periods_ + m];
+          if (m != i) unit_out += state_->unit->by_row[i * periods_ + m];
         }
         if (unit_out > 0.0 && demand[i] > 0.0) {
           cap = std::min(cap, demand[i] / unit_out);
@@ -276,12 +289,8 @@ const std::vector<SessionClass>& DeferralKernel::classes(
   return state_->classes[period];
 }
 
-const std::vector<double>& DeferralKernel::unit_table() const {
+std::shared_ptr<const UnitTables> DeferralKernel::unit_tables() const {
   return state_->unit;
-}
-
-const std::vector<double>& DeferralKernel::unit_inflow_table() const {
-  return state_->unit_inflow;
 }
 
 }  // namespace tdp

@@ -35,6 +35,14 @@ namespace tdp {
 class KernelPlan;
 struct DeferralKernelState;
 
+/// A linear kernel's unit-reward pair volumes V(from, to, 1) in both
+/// layouts, and their column sums. The diagonal holds 0.0.
+struct UnitTables {
+  std::vector<double> by_row;     ///< [from * n + to]
+  std::vector<double> by_column;  ///< [to * n + from]
+  std::vector<double> inflow;     ///< [to], sum over from != to
+};
+
 /// Effective waiting weight for a whole-period lag L under a convention:
 /// w(p, L) for kPeriodStart, or the uniform-arrival average
 /// integral_{L-1}^{L} w(p, u) du for kUniformArrival. Shared by the kernel
@@ -94,9 +102,8 @@ class DeferralKernel {
   /// Class mix snapshot for period i (plan construction, tests).
   const std::vector<SessionClass>& classes(std::size_t period) const;
 
-  /// Unit-reward pair volumes / column sums (empty unless linear()).
-  const std::vector<double>& unit_table() const;
-  const std::vector<double>& unit_inflow_table() const;
+  /// Unit-reward tables (null unless linear()), shared with the plan.
+  std::shared_ptr<const UnitTables> unit_tables() const;
 
  private:
   std::size_t periods_;

@@ -30,14 +30,7 @@ KernelPlan::KernelPlan(const DeferralKernel& kernel)
   if (linear_) {
     // Linear kernels evaluate through the unit-reward tables alone; the
     // flattened terms below would never be read.
-    unit_ = kernel.unit_table();
-    unit_inflow_ = kernel.unit_inflow_table();
-    unit_by_column_.resize(n * n);
-    for (std::size_t from = 0; from < n; ++from) {
-      for (std::size_t to = 0; to < n; ++to) {
-        unit_by_column_[to * n + from] = unit_[from * n + to];
-      }
-    }
+    unit_ = kernel.unit_tables();
     return;
   }
 
@@ -66,8 +59,8 @@ void KernelPlan::scale_unit_columns(std::size_t first, std::size_t last,
   // evaluate() copied.
   for (std::size_t to = first; to < last; ++to) {
     const double reward = s.rewards[to];
-    s.inflow[to] = reward <= 0.0 ? 0.0 : unit_inflow_[to] * reward;
-    if (with_derivatives) s.inflow_derivative[to] = unit_inflow_[to];
+    s.inflow[to] = reward <= 0.0 ? 0.0 : unit_->inflow[to] * reward;
+    if (with_derivatives) s.inflow_derivative[to] = unit_->inflow[to];
   }
 #if defined(TDP_HAVE_AVX2)
   if (simd::mode() == simd::Mode::kAvx2) {
@@ -78,7 +71,7 @@ void KernelPlan::scale_unit_columns(std::size_t first, std::size_t last,
   const std::size_t n = periods_;
   for (std::size_t to = first; to < last; ++to) {
     const double reward = s.rewards[to];
-    const double* unit = unit_by_column_.data() + to * n;
+    const double* unit = unit_->by_column.data() + to * n;
     double* column = s.pair.data() + to * n;
     if (reward <= 0.0) {
       std::fill(column, column + n, 0.0);
@@ -211,7 +204,7 @@ void KernelPlan::evaluate(const std::vector<double>& rewards,
     // dV is the unit table itself, whatever the rewards: copied once per
     // state and plan, not once per evaluation.
     if (with_derivatives && s.derivative_serial != serial_) {
-      s.pair_derivative = unit_;
+      s.pair_derivative = unit_->by_row;
       s.derivative_serial = serial_;
     }
     scale_unit_columns(0, n, with_derivatives, s);

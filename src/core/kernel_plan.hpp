@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/deferral_kernel.hpp"
@@ -85,8 +86,9 @@ struct FlowState {
 
 class KernelPlan {
  public:
-  /// Snapshots the kernel's demand mix. The plan copies everything it needs
-  /// (and keeps the waiting functions alive); the kernel may be destroyed.
+  /// Snapshots the kernel's demand mix. The plan keeps what it reads alive
+  /// (the waiting functions, or a linear kernel's unit tables, which it
+  /// shares); the kernel may be destroyed.
   explicit KernelPlan(const DeferralKernel& kernel);
 
   std::size_t periods() const { return periods_; }
@@ -160,12 +162,11 @@ class KernelPlan {
   std::vector<double> term_volume_;      ///< volume per term
   std::vector<std::size_t> period_begin_;  ///< term range per period, n+1
 
-  /// Linear fast path: unit-reward tables copied from the kernel — the
-  /// pair table row-major (the derivative matrix itself) and column-major
-  /// (what a column of the pair matrix scales), and its column sums.
-  std::vector<double> unit_;
-  std::vector<double> unit_by_column_;
-  std::vector<double> unit_inflow_;
+  /// Linear fast path: the kernel's unit-reward tables, shared, not
+  /// copied — the pair table row-major (the derivative matrix itself) and
+  /// column-major (what a column of the pair matrix scales), and its
+  /// column sums. Null for a nonlinear plan.
+  std::shared_ptr<const UnitTables> unit_;
 };
 
 }  // namespace tdp

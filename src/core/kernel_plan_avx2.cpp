@@ -86,7 +86,7 @@ void KernelPlan::scale_unit_columns_avx2(std::size_t first, std::size_t last,
   const std::size_t n = periods_;
   for (std::size_t to = first; to < last; ++to) {
     const double reward = s.rewards[to];
-    const double* unit = unit_by_column_.data() + to * n;
+    const double* unit = unit_->by_column.data() + to * n;
     double* column = s.pair.data() + to * n;
     if (reward <= 0.0) {
       std::fill(column, column + n, 0.0);

@@ -52,7 +52,7 @@ PowerLawWaitingFunction::PowerLawWaitingFunction(
       const double u = mid + 0.5 * math::kGauss8Nodes[k];
       node_pow_[lag * kNodes + k] = std::pow(u + 1.0, -beta);
     }
-    // value(1, lag) and uniform_weight(1, lag): 1^gamma is exactly 1.
+    // value(1, lag) and its uniform-arrival average: 1^gamma is exactly 1.
     unit_start_[lag] = normalization_ * lag_pow_[lag];
     unit_uniform_[lag] = gauss_average(normalization_, lag);
   }
@@ -78,13 +78,6 @@ double PowerLawWaitingFunction::reward_derivative(double reward,
   }
   return normalization_ * gamma_ * std::pow(reward, gamma_ - 1.0) *
          std::pow(lag + 1.0, -beta_);
-}
-
-double PowerLawWaitingFunction::uniform_weight(double reward,
-                                               std::size_t lag) const {
-  TDP_REQUIRE(lag >= 1 && lag < periods_, "lag out of range");
-  if (reward <= 0.0) return 0.0;
-  return gauss_average(normalization_ * std::pow(reward, gamma_), lag);
 }
 
 }  // namespace tdp

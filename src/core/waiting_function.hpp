@@ -90,7 +90,9 @@ class PowerLawWaitingFunction {
 
   /// The uniform-arrival average of factor * (u+1)^-beta over [lag-1, lag]
   /// for a lag in [1, n): integrate_gauss's one-segment arithmetic on the
-  /// tabulated node powers, whose half-width is exactly 0.5.
+  /// tabulated node powers, whose half-width is exactly 0.5. With factor
+  /// C * p^gamma (p > 0) it is lag_weight(*this, p, lag, kUniformArrival)
+  /// bit for bit, at one pow instead of eight through the quadrature.
   double gauss_average(double factor, std::size_t lag) const {
     const double* nodes = &node_pow_[lag * math::kGauss8Nodes.size()];
     double acc = 0.0;
@@ -99,10 +101,6 @@ class PowerLawWaitingFunction {
     }
     return acc * 0.5;
   }
-
-  /// lag_weight(*this, reward, lag, kUniformArrival), bitwise, for a lag in
-  /// [1, n): one pow instead of eight through the quadrature.
-  double uniform_weight(double reward, std::size_t lag) const;
 
   /// Unit-reward weights lag_weight(*this, 1.0, lag, convention) indexed
   /// by lag in [1, n); entry 0 is 0 (from == to is never a deferral).

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/error.hpp"
@@ -28,25 +29,58 @@ DeferralTable::DeferralTable(
       waiting_override == nullptr || waiting_override->size() == classes,
       "need one waiting function per patience class");
 
+  // pow(reward, gamma) of every lag's target reward, taken once per
+  // distinct (schedule, gamma) and shared by the classes that match. The
+  // key is the schedule's bits, not its address: the fan-out hands each
+  // class its own copy of the same schedule.
+  struct Powers {
+    const math::Vector* schedule;
+    double gamma;
+    std::size_t offset;  ///< into `powers`, indexed by lag
+  };
+  std::vector<Powers> keys;
+  std::vector<double> powers;
+
   cumulative_.assign(classes * n, 0.0);
   reward_.assign(classes * n, 0.0);
   for (std::size_t c = 0; c < classes; ++c) {
     const math::Vector& schedule = *schedule_by_class[c];
     TDP_REQUIRE(schedule.size() == n, "schedule size mismatch");
-    // The class's tabulated uniform-arrival weights — bitwise identical to
-    // lag_weight() on its waiting function (test_waiting_function.cpp). A
-    // drift override swaps in functions built from perturbed patience
+    // A drift override swaps in functions built from perturbed patience
     // indices without touching the population's calibrated defaults.
     const PowerLawWaitingFunction& waiting =
         waiting_override ? *(*waiting_override)[c]
                          : *population.waiting(static_cast<std::uint32_t>(c));
+    const double gamma = waiting.gamma();
+    auto key = std::find_if(keys.begin(), keys.end(), [&](const Powers& k) {
+      return k.gamma == gamma &&
+             std::memcmp(k.schedule->data(), schedule.data(),
+                         n * sizeof(double)) == 0;
+    });
+    if (key == keys.end()) {
+      keys.push_back({&schedule, gamma, powers.size()});
+      key = keys.end() - 1;
+      powers.resize(powers.size() + n, 0.0);
+      for (std::size_t lag = 1; lag < n; ++lag) {
+        const double reward = schedule[(period + lag) % n];
+        powers[key->offset + lag] =
+            reward <= 0.0 ? 0.0 : std::pow(reward, gamma);
+      }
+    }
+    const double* power = powers.data() + key->offset;
+
+    // Each weight is lag_weight(waiting, reward, lag, kUniformArrival) bit
+    // for bit: C * p^gamma averaged over the tabulated Gauss-node powers
+    // (test_fleet.cpp checks the table against lag_weight).
+    const double norm = waiting.normalization();
     double total = 0.0;
     for (std::size_t lag = 1; lag < n; ++lag) {
-      const std::size_t target = (period + lag) % n;
-      const double p = waiting.uniform_weight(schedule[target], lag);
+      const double reward = schedule[(period + lag) % n];
+      const double p =
+          reward <= 0.0 ? 0.0 : waiting.gauss_average(norm * power[lag], lag);
       total += p;
       cumulative_[c * n + lag] = total;
-      reward_[c * n + lag] = schedule[target];
+      reward_[c * n + lag] = reward;
     }
     if (total > 1.0) {
       // Rewards above the probabilistic validity bound; renormalize

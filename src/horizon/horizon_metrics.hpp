@@ -48,6 +48,14 @@ struct HorizonMetrics : fleet::LoopMetrics {
   std::size_t warmup_days = 0;
   std::size_t horizon_days = 0;
 
+  /// Streamed checkpoint commits this driver instance made, and their
+  /// summed and longest wall time (each save_checkpoint_file, encode
+  /// through rename). Timing like the loop's: never checkpointed, never
+  /// compared bitwise.
+  std::uint64_t stream_commits = 0;
+  double commit_seconds = 0.0;
+  double commit_seconds_max = 0.0;
+
   std::vector<DayMetrics> days;
   std::string final_health = "HEALTHY";
 };

@@ -243,13 +243,16 @@ void MultiDayDriver::maybe_commit_checkpoint() {
   if (!new_day && !periodic) return;
   const auto start = std::chrono::steady_clock::now();
   save_checkpoint_file(config_.checkpoint_path, checkpoint());
+  // Wall clock — advisory only; never enters the deterministic streams.
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   if (obs::incident::IncidentEngine* incident = loop_.incident_engine()) {
-    // Wall clock — advisory only; never enters the deterministic streams.
-    incident->note_commit_latency(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count());
+    incident->note_commit_latency(seconds);
   }
+  ++stream_commits_;
+  commit_seconds_ += seconds;
+  commit_seconds_max_ = std::max(commit_seconds_max_, seconds);
   horizon_counters().stream_commits.add(1);
 }
 
@@ -449,6 +452,9 @@ HorizonMetrics MultiDayDriver::metrics() const {
                 completed_days_.end());
   m.final_health = to_string(loop_.mechanism().health());
   m.wall_seconds = wall_seconds_;
+  m.stream_commits = stream_commits_;
+  m.commit_seconds = commit_seconds_;
+  m.commit_seconds_max = commit_seconds_max_;
   return m;
 }
 

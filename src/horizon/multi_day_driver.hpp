@@ -162,6 +162,9 @@ class MultiDayDriver {
   math::Vector prev_day_start_rewards_;
   bool has_prev_day_start_ = false;
   double wall_seconds_ = 0.0;
+  std::uint64_t stream_commits_ = 0;
+  double commit_seconds_ = 0.0;
+  double commit_seconds_max_ = 0.0;
 };
 
 }  // namespace tdp::horizon

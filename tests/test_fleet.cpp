@@ -4,13 +4,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/deferral_kernel.hpp"
 #include "core/paper_data.hpp"
 #include "fleet/aggregator.hpp"
 #include "fleet/fleet_driver.hpp"
@@ -89,6 +92,89 @@ TEST(DeferralTable, ZeroRewardsMeanNobodyDefers) {
     EXPECT_EQ(table.cumulative(c, 47), 0.0);
   }
   EXPECT_EQ(table.probability_clamps(), 0u);
+}
+
+TEST(DeferralTable, EntriesMatchRunningSumsOfLagWeightBitwise) {
+  // Every entry against the quadrature reference: cumulative(c, lag) is
+  // the running sum of lag_weight(w_c, r, lag, kUniformArrival) over the
+  // lags' target rewards (renormalized by the total when it exceeds one)
+  // and reward(c, lag) the target's reward, bit for bit. The classes
+  // share schedules by content (two equal copies) and by address, differ
+  // in schedule and, under the override, in gamma, so any reuse of a
+  // reward's power across a different schedule or gamma shows.
+  const Population pop(small_population(100));
+  const std::size_t n = pop.periods();
+  const std::size_t classes = pop.patience_classes();
+  const double cap = paper::kStaticNormalizationReward;
+  Rng rng(29);
+  math::Vector shared(n);
+  for (double& r : shared) r = rng.uniform(0.0, cap);
+  shared[3] = 0.0;
+  shared[9] = -0.0;
+  shared[20] = -0.25;
+  const math::Vector shared_copy = shared;
+  math::Vector other(n);
+  for (double& r : other) r = rng.uniform(0.0, 0.5 * cap);
+  other[0] = -0.0;
+  // Above the validity bound: the raw probabilities sum above one.
+  const math::Vector above(n, 4.0 * cap);
+
+  std::vector<const math::Vector*> schedules(classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    const math::Vector* pick[] = {&shared, &shared_copy, &other, &shared};
+    schedules[c] = pick[c % 4];
+  }
+  schedules[classes - 1] = &above;
+
+  // A gamma < 1 population on even classes, beside the default functions.
+  std::vector<WaitingFunctionPtr> mixed;
+  for (std::size_t c = 0; c < classes; ++c) {
+    const WaitingFunctionPtr& own = pop.waiting(static_cast<std::uint32_t>(c));
+    mixed.push_back(c % 2 == 1 ? own
+                               : std::make_shared<PowerLawWaitingFunction>(
+                                     own->beta(), n, cap, 0.6,
+                                     LagNormalization::kContinuous));
+  }
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const std::vector<const std::vector<WaitingFunctionPtr>*> overrides = {
+      nullptr, &mixed};
+  for (const std::vector<WaitingFunctionPtr>* override_fns : overrides) {
+    for (const std::size_t period : {std::size_t{0}, std::size_t{17}, n - 1}) {
+      const DeferralTable table(pop, schedules, period, override_fns);
+      std::size_t clamps = 0;
+      for (std::size_t c = 0; c < classes; ++c) {
+        const PowerLawWaitingFunction& w =
+            override_fns ? *mixed[c]
+                         : *pop.waiting(static_cast<std::uint32_t>(c));
+        std::vector<double> running(n, 0.0);
+        double total = 0.0;
+        for (std::size_t lag = 1; lag < n; ++lag) {
+          total += lag_weight(w, (*schedules[c])[(period + lag) % n], lag,
+                              LagConvention::kUniformArrival);
+          running[lag] = total;
+        }
+        if (total > 1.0) {
+          ++clamps;
+          for (std::size_t lag = 1; lag < n; ++lag) running[lag] /= total;
+        }
+        const auto cls = static_cast<std::uint32_t>(c);
+        for (std::size_t lag = 1; lag < n; ++lag) {
+          const std::string where = "class " + std::to_string(c) + " lag " +
+                                    std::to_string(lag) + " period " +
+                                    std::to_string(period) +
+                                    (override_fns ? " (mixed gamma)" : "");
+          EXPECT_EQ(bits(table.cumulative(cls, lag)), bits(running[lag]))
+              << where;
+          EXPECT_EQ(bits(table.reward(cls, lag)),
+                    bits((*schedules[c])[(period + lag) % n]))
+              << where;
+        }
+      }
+      EXPECT_EQ(clamps, 1u);
+      EXPECT_EQ(table.probability_clamps(), clamps);
+    }
+  }
 }
 
 TEST(Aggregator, MergesStripesInFixedShardOrder) {

@@ -220,10 +220,12 @@ TEST(KernelPlan, UpdateCoordinateRejectsForeignState) {
 
 /// A linear kernel's unit tables from scratch, one lag_weight per (pair,
 /// class) summed in class order: what the tables must equal bit for bit,
-/// however their rows were built.
+/// in both layouts, however their rows were built.
 void expect_unit_tables_match_per_pair_sums(const DeferralKernel& kernel,
                                             const std::string& context) {
   ASSERT_TRUE(kernel.linear()) << context;
+  const std::shared_ptr<const UnitTables> unit = kernel.unit_tables();
+  ASSERT_NE(unit, nullptr) << context;
   const std::size_t n = kernel.periods();
   std::vector<double> inflow(n, 0.0);
   for (std::size_t from = 0; from < n; ++from) {
@@ -235,14 +237,17 @@ void expect_unit_tables_match_per_pair_sums(const DeferralKernel& kernel,
         volume += sc.volume *
                   lag_weight(*sc.waiting, 1.0, lag, kernel.convention());
       }
-      EXPECT_EQ(kernel.unit_table()[from * n + to], volume)
+      EXPECT_EQ(unit->by_row[from * n + to], volume)
           << context << " pair " << from << "," << to;
+      EXPECT_EQ(unit->by_column[to * n + from], volume)
+          << context << " column-major pair " << from << "," << to;
       inflow[to] += volume;
     }
+    EXPECT_EQ(unit->by_row[from * n + from], 0.0) << context;
+    EXPECT_EQ(unit->by_column[from * n + from], 0.0) << context;
   }
   for (std::size_t to = 0; to < n; ++to) {
-    EXPECT_EQ(kernel.unit_inflow_table()[to], inflow[to])
-        << context << " inflow " << to;
+    EXPECT_EQ(unit->inflow[to], inflow[to]) << context << " inflow " << to;
   }
 }
 

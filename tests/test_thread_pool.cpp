@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <future>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,6 +91,125 @@ TEST(ThreadPool, BatchesSubmittedWhileThePoolIsBusyRunInline) {
   for (std::size_t k = 0; k < hits.size(); ++k) {
     EXPECT_EQ(hits[k].load(), 1) << "index " << k;
   }
+}
+
+/// Busy-waits for `duration`: a task, or a gap between batches, that keeps
+/// its thread on the CPU the way the fleet's shard tasks and serial phases
+/// do.
+void spin_for(std::chrono::microseconds duration) {
+  const auto until = std::chrono::steady_clock::now() + duration;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(ThreadPool, BackToBackBatchesAcrossTheSpinWindowRunEveryIndexOnce) {
+  // The fleet sweep's shape: batches of 64 microsecond tasks, one after
+  // another. The gaps between batches vary around the spin window: none,
+  // a quarter of it (workers catch the next batch while spinning) and two
+  // windows (workers park and are woken by the next batch).
+  ThreadPool pool(4);
+  constexpr std::size_t kBatches = 2000;
+  constexpr std::size_t kTasks = 64;
+  std::vector<std::atomic<int>> hits(kTasks);
+  std::size_t bad_batches = 0;
+  for (std::size_t batch = 0; batch < kBatches; ++batch) {
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    pool.for_each_index(kTasks, [&](std::size_t i) {
+      spin_for(std::chrono::microseconds(1 + i % 3));
+      hits[i].fetch_add(1);
+    });
+    bool once = true;
+    for (const auto& h : hits) once = once && h.load() == 1;
+    if (!once) ++bad_batches;
+    if (batch % 16 == 15) {
+      std::this_thread::sleep_for(2 * ThreadPool::kSpinWindow);
+    } else if (batch % 4 == 1) {
+      spin_for(ThreadPool::kSpinWindow / 4);
+    }
+  }
+  EXPECT_EQ(bad_batches, 0u);
+}
+
+TEST(ThreadPool, BatchJoinedByParkedWorkersRethrowsTheLowestIndex) {
+  ThreadPool pool(4);
+  pool.for_each_index(8, [](std::size_t) {});
+  for (int trial = 0; trial < 10; ++trial) {
+    // Longer than the spin window: every worker has parked.
+    std::this_thread::sleep_for(3 * ThreadPool::kSpinWindow);
+    std::vector<std::atomic<int>> hits(64);
+    try {
+      pool.for_each_index(64, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        spin_for(std::chrono::microseconds(20));
+        if (i == 5 || i == 40) {
+          throw NumericalError("task " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "expected an exception";
+    } catch (const NumericalError& e) {
+      EXPECT_NE(std::string(e.what()).find("task 5"), std::string::npos)
+          << e.what();
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "trial " << trial << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, JoinsWithoutWaitingOutTheSpinWindow) {
+  // Right after a batch the workers are spinning. A pool whose spinning
+  // workers missed the stop flag would join only once they parked, a spin
+  // window later. Each case is timed against a baseline that has no spin
+  // left to wait out, fastest of many runs, so a slow host or a sanitizer
+  // build moves both sides alike.
+  using Clock = std::chrono::steady_clock;
+  const auto fastest = [](const std::function<Clock::duration()>& timed) {
+    auto best = Clock::duration::max();
+    for (int trial = 0; trial < 30; ++trial) best = std::min(best, timed());
+    return best;
+  };
+  const auto destroy_after = [](std::chrono::microseconds idle) {
+    auto pool = std::make_unique<ThreadPool>(4);
+    pool->for_each_index(64, [](std::size_t) {});
+    std::this_thread::sleep_for(idle);
+    const auto start = Clock::now();
+    pool.reset();
+    return Clock::now() - start;
+  };
+  // Baseline: the workers have parked, so the stop wakes them at once.
+  const auto parked = fastest([&] {
+    return destroy_after(2 * ThreadPool::kSpinWindow);
+  });
+  const auto spinning = fastest([&] {
+    return destroy_after(std::chrono::microseconds(0));
+  });
+  EXPECT_LT(spinning, parked + ThreadPool::kSpinWindow / 2);
+
+  // parallel_for at a thread count other than the default builds, runs
+  // and destroys a one-worker pool on every call. Baseline: the same pool
+  // built and run, then destroyed once its worker has parked.
+  std::atomic<std::size_t> ran{0};
+  const auto count = [&](std::size_t) { ran.fetch_add(1); };
+  const auto run_then_park = fastest([&] {
+    auto start = Clock::now();
+    auto pool = std::make_unique<ThreadPool>(2);
+    pool->for_each_index(64, count);
+    const auto built = Clock::now() - start;
+    std::this_thread::sleep_for(2 * ThreadPool::kSpinWindow);
+    start = Clock::now();
+    pool.reset();
+    return built + (Clock::now() - start);
+  });
+  const std::size_t original = default_thread_count();
+  set_default_thread_count(4);
+  const auto transient = fastest([&] {
+    const auto start = Clock::now();
+    parallel_for(64, count, 2);
+    return Clock::now() - start;
+  });
+  set_default_thread_count(original);
+  EXPECT_EQ(ran.load(), std::size_t{60} * 64);
+  EXPECT_LT(transient, run_then_park + ThreadPool::kSpinWindow / 2);
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsInline) {

@@ -139,8 +139,10 @@ TEST(PowerLaw, RejectsNonFiniteNormalization) {
 
 TEST(PowerLaw, TabulatedWeightsMatchLagWeightBitwise) {
   // Every lag table the function owns is the quadrature reference,
-  // lag_weight, bit for bit: the uniform-arrival weight at any reward, the
-  // unit-reward weights under both conventions, and the lag powers.
+  // lag_weight, bit for bit: the uniform-arrival weight at any positive
+  // reward (gauss_average of C * p^gamma, as the fleet's deferral table
+  // forms it), the unit-reward weights under both conventions, and the lag
+  // powers.
   const std::size_t n = 48;
   const std::vector<WaitingFunctionPtr> wfs = {
       std::make_shared<PowerLawWaitingFunction>(
@@ -161,14 +163,13 @@ TEST(PowerLaw, TabulatedWeightsMatchLagWeightBitwise) {
       EXPECT_EQ(uniform[lag],
                 lag_weight(*wf, 1.0, lag, LagConvention::kUniformArrival));
       for (int trial = 0; trial < 4; ++trial) {
-        const double p = trial == 0 ? 0.0 : rng.uniform(0.0, 1.5);
-        EXPECT_EQ(wf->uniform_weight(p, lag),
+        const double p = trial == 0 ? 1.5 : rng.uniform(0.0, 1.5);
+        EXPECT_EQ(wf->gauss_average(
+                      wf->normalization() * std::pow(p, wf->gamma()), lag),
                   lag_weight(*wf, p, lag, LagConvention::kUniformArrival))
             << "beta=" << wf->beta() << " lag=" << lag << " p=" << p;
       }
     }
-    EXPECT_THROW(wf->uniform_weight(1.0, 0), PreconditionError);
-    EXPECT_THROW(wf->uniform_weight(1.0, n), PreconditionError);
   }
 }
 

@@ -49,6 +49,16 @@ RULES: dict[str, list[tuple]] = {
         # reference objective: 7.27-9.06 over ten runs with the outflow
         # lanes and the in-register sensitivity sweep, 4.19-5.67 before.
         ("dynamic_solve", "speedup", ">=", 6.5),
+        # The per-period deferral table against per-(class, lag) lag_weight
+        # calls: 26.3-35.7 over ten runs with one pow per distinct schedule
+        # and gamma, 8.3-14.0 with one per class.
+        ("deferral_table_build", "speedup", ">=", 20.0),
+        # A 10k-user fleet day on 4 threads against 1 (ROADMAP item 5: no
+        # slower on 4): 1.42-1.70 over ten runs with the spin-then-park
+        # pool, 0.50-1.38 with the mutex-claimed one. Needs a scheduler
+        # that spreads the pool's threads over cores; packed onto one
+        # core, both trees read 0.88-1.02.
+        ("fleet_sweep", "parallel_speedup", ">=", 1.4),
     ],
     "horizon": [],
     "mechanism": [

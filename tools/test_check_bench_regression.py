@@ -126,17 +126,24 @@ class GateTable(unittest.TestCase):
                     "--update", "--baseline", str(target)), 0)
                 self.assertEqual(json.loads(target.read_text()), base)
 
-    def test_dynamic_solve_speedup_floor(self) -> None:
-        # The floor passes this tree's slowest of ten runs (7.27) and fails
-        # the parent's fastest (5.67), whose fused dynamic solve reduced
-        # outflows four rows at a time and stored and reloaded the whole
-        # sensitivity row every period.
+    def test_speedup_floors_split_this_tree_from_the_parent(self) -> None:
+        # Each floor passes the slowest of ten runs of the tree that set it
+        # and fails the fastest of ten at its parent. dynamic_solve: the
+        # parent reduced outflows four rows at a time and stored and
+        # reloaded the whole sensitivity row every period.
+        # deferral_table_build: the parent took pow(reward, gamma) once per
+        # class. fleet_sweep: the parent claimed indices under a mutex and
+        # woke its parked workers every batch.
+        cases = (("dynamic_solve", "speedup", 7.27, 5.67),
+                 ("deferral_table_build", "speedup", 26.3, 14.0),
+                 ("fleet_sweep", "parallel_speedup", 1.42, 1.38))
         base = baseline("kernel")
-        for speedup, expected in ((7.27, 0), (5.67, 1), (4.7, 1)):
-            run = copy.deepcopy(base)
-            run["benches"]["dynamic_solve"]["speedup"] = speedup
-            with self.subTest(speedup=speedup):
-                self.assertEqual(self.verdict("kernel", run), expected)
+        for bench, field, slowest, parent_fastest in cases:
+            for value, expected in ((slowest, 0), (parent_fastest, 1)):
+                run = copy.deepcopy(base)
+                run["benches"][bench][field] = value
+                with self.subTest(bench=bench, value=value):
+                    self.assertEqual(self.verdict("kernel", run), expected)
 
     def test_fleet_overhead_tolerance(self) -> None:
         def log(name: str, wall: float) -> str:
