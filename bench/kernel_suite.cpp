@@ -9,9 +9,11 @@
 //   online_resolve       one online 1-D re-solve period, full-recompute
 //                        golden section vs the incremental column updates
 //   online_observe       whole OnlinePricer::observe_period calls on the
-//                        fleet's 48-period model (demand rescale, model and
+//                        fleet's 48-period model (in-place demand rescale,
 //                        kernel rebuild, solve) vs the solve alone; the
-//                        same-process ratio is gated by a ceiling
+//                        same-process ratio is gated by a ceiling, and the
+//                        update and solve are reported in us per
+//                        observation
 //   dynamic_solve        the fleet's 48-period offline dynamic solve (the
 //                        horizon's re-anchor re-solve), reference objective
 //                        vs the fused plan, plus the fused per-call cost of
@@ -23,7 +25,8 @@
 //   fleet_shard_step     one shard simulating one period of a 20k-user day
 //   fleet_sweep          a 10k-user fleet day (128 slices, 64 shards) on 1
 //                        thread vs 4, in alternating rounds: ms per period
-//                        of each side and their ratio, parallel_speedup
+//                        of each side and their ratio, parallel_speedup,
+//                        and the CPUs each side's threads ran on
 //
 // Every reference/fused pair is bitwise identical (tests/test_kernel_plan);
 // the suite records wall time per side and the speedup ratio. Ratios are
@@ -33,6 +36,7 @@
 // tolerates host-speed differences.
 //
 //   ./bench/bench_kernel_suite --out BENCH_kernel.json [--reps N]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +62,10 @@
 #include "fleet/shard.hpp"
 #include "math/golden_section.hpp"
 #include "math/piecewise_linear.hpp"
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace {
 
@@ -90,6 +98,47 @@ tdp::DynamicModel nonlinear_dynamic_model() {
 
 tdp::math::Vector mid_rewards(std::size_t n, double level) {
   return tdp::math::Vector(n, level);
+}
+
+/// Whether two linear kernels' unit tables hold the same bits.
+bool same_unit_tables(const tdp::DeferralKernel& a,
+                      const tdp::DeferralKernel& b) {
+  const auto ta = a.unit_tables();
+  const auto tb = b.unit_tables();
+  if (ta == nullptr || tb == nullptr) return ta == tb;
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  return same(ta->by_row, tb->by_row) && same(ta->by_column, tb->by_column) &&
+         same(ta->inflow, tb->inflow);
+}
+
+/// How many distinct CPUs `threads` threads run on: a batch of 64 short
+/// tasks on them (the global pool when `threads` is its size, inline on
+/// the caller for 1), each recording sched_getcpu() after spinning 2 us.
+/// 0 where the platform cannot tell.
+std::size_t cpus_used(std::size_t threads) {
+#if defined(__linux__)
+  constexpr std::size_t kTasks = 64;
+  std::vector<int> cpu(kTasks, -1);
+  tdp::parallel_for(
+      kTasks,
+      [&cpu](std::size_t i) {
+        const auto until = Clock::now() + std::chrono::microseconds(2);
+        while (Clock::now() < until) {
+        }
+        cpu[i] = sched_getcpu();
+      },
+      threads);
+  std::sort(cpu.begin(), cpu.end());
+  return static_cast<std::size_t>(
+      std::unique(cpu.begin(), cpu.end()) - cpu.begin());
+#else
+  (void)threads;
+  return 0;
+#endif
 }
 
 }  // namespace
@@ -274,14 +323,16 @@ int main(int argc, char** argv) {
         baseline.reward_cap() * DynamicOptimizerOptions{}.reward_cap_factor;
 
     // Alternate one day of observations (each within +-20% of the baseline
-    // forecast, so each rescales its period and rebuilds the model) with
-    // the same day's golden sections alone, run the way online_resolve
-    // times them: on the pricer's model from a primed scratch. The best
-    // day of each side is kept, so a host slowdown during one round skews
-    // neither the times nor their ratio.
+    // forecast, so each rescales its period and rebuilds the kernel) with
+    // the same day's demand updates alone, replayed on a copy of the model
+    // the day started from, and the day's golden sections alone, run the
+    // way online_resolve times them: on the pricer's model from a primed
+    // scratch. The best day of each side is kept, so a host slowdown
+    // during one round skews neither the times nor their ratio.
     const std::size_t rounds = 5;
     Rng rng(13);
     double observe_seconds = 0.0;
+    double update_seconds = 0.0;
     double solve_seconds = 0.0;
     double sink = 0.0;
     for (std::size_t round = 0; round < rounds; ++round) {
@@ -289,11 +340,34 @@ int main(int argc, char** argv) {
       for (std::size_t p = 0; p < n; ++p) {
         measured[p] = baseline.arrivals().tip_demand(p) * rng.uniform(0.8, 1.2);
       }
+      DynamicModel replica = pricer.model();
       auto start = Clock::now();
       for (std::size_t p = 0; p < n; ++p) {
         sink += pricer.observe_period(p, measured[p]).new_reward;
       }
       const double observe_day = bench::seconds_since(start);
+
+      // The pricer's update: the period rescaled to its measurement (no
+      // observation here reaches the stability clamp) and the new
+      // kernel's plan.
+      start = Clock::now();
+      for (std::size_t p = 0; p < n; ++p) {
+        replica.rescale_period(p,
+                               measured[p] / replica.arrivals().tip_demand(p));
+        replica.kernel().plan();
+      }
+      const double update_day = bench::seconds_since(start);
+
+      // The updates rescale in place; with_arrivals rebuilds the same
+      // kernel from a copy of the profile. Any difference is a bug.
+      if (!same_unit_tables(
+              pricer.model().kernel(),
+              baseline.with_arrivals(pricer.model().arrivals()).kernel())) {
+        std::fprintf(stderr,
+                     "FATAL: in-place demand update diverged from "
+                     "with_arrivals\n");
+        return 1;
+      }
 
       const DynamicModel& model = pricer.model();
       const math::Vector rewards = pricer.rewards();
@@ -311,27 +385,38 @@ int main(int argc, char** argv) {
       if (round == 0 || observe_day < observe_seconds) {
         observe_seconds = observe_day;
       }
+      if (round == 0 || update_day < update_seconds) {
+        update_seconds = update_day;
+      }
       if (round == 0 || solve_day < solve_seconds) solve_seconds = solve_day;
     }
     if (sink < 0.0) std::printf("?\n");
 
     const double observe_per_solve =
         solve_seconds > 0.0 ? observe_seconds / solve_seconds : 0.0;
+    const double update_us = 1e6 * update_seconds / static_cast<double>(n);
+    const double solve_us = 1e6 * solve_seconds / static_cast<double>(n);
     std::printf(
-        "  online_observe       observe %.3f ms  solve %.3f ms  (%.2fx)\n",
+        "  online_observe       observe %.3f ms  solve %.3f ms  (%.2fx; "
+        "update %.2f us, solve %.2f us per observation)\n",
         1e3 * observe_seconds / static_cast<double>(n),
-        1e3 * solve_seconds / static_cast<double>(n), observe_per_solve);
+        1e3 * solve_seconds / static_cast<double>(n), observe_per_solve,
+        update_us, solve_us);
     bench::BenchReport report("online_observe");
     report.add("reps", static_cast<std::uint64_t>(n));
     report.add("rounds", static_cast<std::uint64_t>(rounds));
     report.add("observe_seconds", observe_seconds);
     report.add("solve_seconds", solve_seconds);
     report.add("observe_per_solve", observe_per_solve);
+    report.add("update_us", update_us);
+    report.add("solve_us", solve_us);
     report.emit();
     entries.push_back({"online_observe",
                        {{"observe_seconds", observe_seconds},
                         {"solve_seconds", solve_seconds},
-                        {"observe_per_solve", observe_per_solve}}});
+                        {"observe_per_solve", observe_per_solve},
+                        {"update_us", update_us},
+                        {"solve_us", solve_us}}});
   }
 
   // ---- dynamic_solve: the fleet's offline dynamic solve, ref vs fused -----
@@ -346,8 +431,9 @@ int main(int argc, char** argv) {
     const DynamicOptimizerOptions fused_options;
 
     // Alternating rounds, best solve of each side kept, so a host slowdown
-    // during one round skews neither the times nor their ratio.
-    const std::size_t rounds = 3;
+    // during one round skews neither the times nor their ratio. Seven, as
+    // fleet_sweep runs: with three the speedup's spread reached its floor.
+    const std::size_t rounds = 7;
     double reference_seconds = 0.0;
     double fused_seconds = 0.0;
     DynamicPricingSolution reference;
@@ -532,12 +618,19 @@ int main(int argc, char** argv) {
     };
     // Alternating rounds, best day of each side kept, so a host slowdown
     // during one round skews neither the times nor their ratio.
+    // After each day a short batch on the same threads records the CPUs
+    // they run on (cpus_used); each side reports its best day's count, so
+    // a failing parallel_speedup shows whether its threads shared a CPU.
     const std::size_t rounds = 7;
     double serial_ms = 0.0;
     double parallel_ms = 0.0;
+    std::size_t serial_cpus = 0;
+    std::size_t parallel_cpus = 0;
     for (std::size_t round = 0; round < rounds; ++round) {
       const fleet::FleetMetrics serial = run_day(1);
+      const std::size_t serial_round_cpus = cpus_used(1);
       const fleet::FleetMetrics parallel = run_day(kThreads);
+      const std::size_t parallel_round_cpus = cpus_used(kThreads);
       // Any thread count yields the same aggregates; a drift is a bug.
       if (serial.offered_units != parallel.offered_units ||
           serial.realized_units != parallel.realized_units ||
@@ -549,9 +642,11 @@ int main(int argc, char** argv) {
       }
       if (round == 0 || ms_per_period(serial) < serial_ms) {
         serial_ms = ms_per_period(serial);
+        serial_cpus = serial_round_cpus;
       }
       if (round == 0 || ms_per_period(parallel) < parallel_ms) {
         parallel_ms = ms_per_period(parallel);
+        parallel_cpus = parallel_round_cpus;
       }
     }
     set_default_thread_count(original_default);
@@ -559,8 +654,9 @@ int main(int argc, char** argv) {
 
     std::printf(
         "  fleet_sweep          1 thread %.4f ms  %zu threads %.4f ms per "
-        "10k-user period (%.2fx)\n",
-        serial_ms, kThreads, parallel_ms, speedup);
+        "10k-user period (%.2fx; on %zu and %zu CPUs)\n",
+        serial_ms, kThreads, parallel_ms, speedup, serial_cpus,
+        parallel_cpus);
     bench::BenchReport report("fleet_sweep");
     report.set_threads_used(kThreads);
     report.add("rounds", static_cast<std::uint64_t>(rounds));
@@ -569,12 +665,18 @@ int main(int argc, char** argv) {
     report.add("serial_ms_per_period", serial_ms);
     report.add("parallel_ms_per_period", parallel_ms);
     report.add("parallel_speedup", speedup);
+    report.add("serial_cpus_used", static_cast<std::uint64_t>(serial_cpus));
+    report.add("parallel_cpus_used",
+               static_cast<std::uint64_t>(parallel_cpus));
     report.emit();
     entries.push_back({"fleet_sweep",
                        {{"threads", static_cast<double>(kThreads)},
                         {"serial_ms_per_period", serial_ms},
                         {"parallel_ms_per_period", parallel_ms},
-                        {"parallel_speedup", speedup}}});
+                        {"parallel_speedup", speedup},
+                        {"serial_cpus_used", static_cast<double>(serial_cpus)},
+                        {"parallel_cpus_used",
+                         static_cast<double>(parallel_cpus)}}});
   }
 
   if (!out_path.empty() &&

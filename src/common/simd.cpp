@@ -1,5 +1,6 @@
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -114,6 +115,17 @@ void sensitivity_sweep_scalar(double* db, double* grad, const double* rows,
   }
 }
 
+void off_diagonal_sums_scalar(const double* m, std::size_t n, double* out) {
+  // Line by line into every sum: each still adds its cells in ascending
+  // line order from 0.0 and skips its diagonal cell.
+  std::fill(out, out + n, 0.0);
+  for (std::size_t c = 0; c < n; ++c) {
+    const double* line = m + c * n;
+    for (std::size_t r = 0; r < c; ++r) out[r] += line[r];
+    for (std::size_t r = c + 1; r < n; ++r) out[r] += line[r];
+  }
+}
+
 }  // namespace detail
 
 void fork_uniform_screen_batch(const std::uint64_t* state, std::size_t count,
@@ -142,6 +154,16 @@ void sensitivity_sweep(double* db, double* grad, const double* rows,
   }
 #endif
   detail::sensitivity_sweep_scalar(db, grad, rows, diag, sigma, fprime, n);
+}
+
+void off_diagonal_sums(const double* m, std::size_t n, double* out) {
+#if defined(TDP_HAVE_AVX2)
+  if (mode() == Mode::kAvx2) {
+    detail::off_diagonal_sums_avx2(m, n, out);
+    return;
+  }
+#endif
+  detail::off_diagonal_sums_scalar(m, n, out);
 }
 
 }  // namespace tdp::simd

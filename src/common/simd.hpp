@@ -94,9 +94,22 @@ void sensitivity_sweep(double* db, double* grad, const double* rows,
                        const double* diag, const double* sigma,
                        const double* fprime, std::size_t n);
 
+// ---- Off-diagonal line sums of a square matrix ----------------------------
+//
+// For every r in [0, n): out[r] = sum over c != r of m[c * n + r], summed
+// from 0.0 in ascending c with the diagonal cell skipped (never added as
+// 0.0). Read column-major, that is every row's sum: the kernel plan's
+// outflows (FlowState::pair). Read row-major, it is every column's sum: a
+// linear kernel's unit inflow (UnitTables::by_row). The vector body keeps
+// a block of up to 48 sums in registers while it walks the n lines once,
+// and the lane a line is diagonal for keeps its sum through a blend, so
+// each lane runs the scalar loop's adds in its order. `out` must not
+// overlap `m`.
+void off_diagonal_sums(const double* m, std::size_t n, double* out);
+
 namespace detail {
 /// Blend masks for the diagonal lane of a block of up to 12 four-lane
-/// vectors (the AVX2 KernelPlan outflow reduction and sensitivity sweep):
+/// vectors (the AVX2 off-diagonal sums and sensitivity sweep):
 /// _mm256_blendv_pd reads only each lane's sign bit, and the four entries
 /// at kDiagonalWindow.data() + 47 - t + 4 * k have it set in exactly the
 /// lane j of vector k with 4 * k + j == t (t < 48, k < 12), so only the
@@ -118,6 +131,7 @@ void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
 void sensitivity_sweep_scalar(double* db, double* grad, const double* rows,
                               const double* diag, const double* sigma,
                               const double* fprime, std::size_t n);
+void off_diagonal_sums_scalar(const double* m, std::size_t n, double* out);
 #if defined(TDP_HAVE_AVX2)
 void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
                                     std::size_t count, std::uint64_t stream,
@@ -128,6 +142,7 @@ void fork_uniform_screen_batch_avx2(const std::uint64_t* state,
 void sensitivity_sweep_avx2(double* db, double* grad, const double* rows,
                             const double* diag, const double* sigma,
                             const double* fprime, std::size_t n);
+void off_diagonal_sums_avx2(const double* m, std::size_t n, double* out);
 #endif
 }  // namespace detail
 

@@ -1,7 +1,7 @@
-// AVX2 implementations of the batched SplitMix64 derivation kernel and
-// the backlog-sensitivity sweep. Compiled with -mavx2 (per-source flag in
-// CMakeLists.txt); callers reach them only through the simd:: dispatchers
-// after the runtime CPUID check.
+// AVX2 implementations of the batched SplitMix64 derivation kernel, the
+// off-diagonal line sums and the backlog-sensitivity sweep. Compiled with
+// -mavx2 (per-source flag in CMakeLists.txt); callers reach them only
+// through the simd:: dispatchers after the runtime CPUID check.
 //
 // In the RNG kernel each 64-bit lane replays exactly the scalar sequence
 //   Rng child = Rng(state[i]).fork_stream(stream);
@@ -13,6 +13,14 @@
 // mantissa value is split into 32-bit halves, each converted exactly via
 // the 2^52 magic-number trick, and recombined with one multiply-by-2^32
 // and one add whose result is itself exactly representable (< 2^53).
+//
+// In the off-diagonal sums each lane is one line sum: four adjacent cells
+// of a line are one contiguous load, and a block of up to twelve vectors
+// keeps its partial sums in registers while it walks every line once in
+// ascending order. Lines whose index falls inside the block are diagonal
+// for one lane, which keeps its partial sum through a blend — the skipped
+// cell is never added, exactly like the scalar loop. Sums past the last
+// whole vector run one at a time.
 //
 // In the sensitivity sweep each lane is one reward's sensitivity, computed
 // by the scalar loop's explicit operations: a sign flip (or the diagonal
@@ -238,6 +246,79 @@ void sensitivity_sweep_avx2(double* db, double* grad, const double* rows,
     sweep<false>(db, grad, rows, diag, sigma, fprime, n);
   } else {
     sweep<true>(db, grad, rows, diag, sigma, fprime, n);
+  }
+}
+
+namespace {
+
+/// Sums for lines' cells [r0, r0 + 4 * K) of the n x n matrix m, line c
+/// at m + c * n. Every loop over k is unrolled, so total[] lives in
+/// registers.
+template <std::size_t K>
+void off_diagonal_block(const double* m, std::size_t n, std::size_t r0,
+                        double* out) {
+  static_assert(K <= 12, "kDiagonalWindow covers twelve vectors");
+  __m256d total[K];
+#pragma GCC unroll 12
+  for (std::size_t k = 0; k < K; ++k) total[k] = _mm256_setzero_pd();
+  const auto add_line = [&](std::size_t c) {
+    const double* line = m + c * n + r0;
+#pragma GCC unroll 12
+    for (std::size_t k = 0; k < K; ++k) {
+      total[k] = _mm256_add_pd(total[k], _mm256_loadu_pd(line + 4 * k));
+    }
+  };
+  // Lines r0 + 4 * D .. + 3 are diagonal for sums of vector D alone: that
+  // vector blends, so the diagonal lane keeps its partial sum.
+  const auto add_diagonal_lines = [&]<std::size_t D>() {
+    for (std::size_t t = 4 * D; t < 4 * D + 4; ++t) {
+      const double* line = m + (r0 + t) * n + r0;
+#pragma GCC unroll 12
+      for (std::size_t k = 0; k < K; ++k) {
+        const __m256d sum =
+            _mm256_add_pd(total[k], _mm256_loadu_pd(line + 4 * k));
+        total[k] = k != D ? sum
+                          : _mm256_blendv_pd(
+                                sum, total[k],
+                                _mm256_loadu_pd(kDiagonalWindow.data() + 47 -
+                                                t + 4 * k));
+      }
+    }
+  };
+  for (std::size_t c = 0; c < r0; ++c) add_line(c);
+  [&]<std::size_t... D>(std::index_sequence<D...>) {
+    (add_diagonal_lines.template operator()<D>(), ...);
+  }(std::make_index_sequence<K>{});
+  for (std::size_t c = r0 + 4 * K; c < n; ++c) add_line(c);
+#pragma GCC unroll 12
+  for (std::size_t k = 0; k < K; ++k) {
+    _mm256_storeu_pd(out + r0 + 4 * k, total[k]);
+  }
+}
+
+/// Vectors per block: twelve sums in registers cover a 48-period day.
+constexpr std::size_t kSumBlock = 12;
+
+}  // namespace
+
+void off_diagonal_sums_avx2(const double* m, std::size_t n, double* out) {
+  std::size_t r = 0;
+  for (; r + 4 * kSumBlock <= n; r += 4 * kSumBlock) {
+    off_diagonal_block<kSumBlock>(m, n, r, out);
+  }
+  for (; r + 16 <= n; r += 16) off_diagonal_block<4>(m, n, r, out);
+  switch ((n - r) / 4) {
+    case 3: off_diagonal_block<3>(m, n, r, out); r += 12; break;
+    case 2: off_diagonal_block<2>(m, n, r, out); r += 8; break;
+    case 1: off_diagonal_block<1>(m, n, r, out); r += 4; break;
+    default: break;
+  }
+  for (; r < n; ++r) {
+    double total = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (c != r) total += m[c * n + r];
+    }
+    out[r] = total;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "common/cyclic.hpp"
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "core/kernel_plan.hpp"
 #include "math/quadrature.hpp"
 
@@ -41,7 +42,9 @@ struct DeferralKernelState {
   std::size_t periods = 0;
   LagConvention convention = LagConvention::kPeriodStart;
   bool linear = false;
-  std::vector<std::vector<SessionClass>> classes;
+  /// One class row per period, shared with every state built from this one
+  /// whose period kept the same classes.
+  std::vector<std::shared_ptr<const std::vector<SessionClass>>> classes;
   /// Null unless linear; shared with the plan, which holds no pointer back
   /// to this state (the state holds the plan).
   std::shared_ptr<const UnitTables> unit;
@@ -71,7 +74,8 @@ bool same_classes(const std::vector<SessionClass>& a,
 
 /// The state of `demand`. Whatever of `donor` (may be null) provably
 /// equals this build's result is reused: the whole state when every
-/// period's classes match, else each matching row of the unit tables.
+/// period's classes match, else each matching period's class row and
+/// unit-table row.
 std::shared_ptr<const DeferralKernelState> build_state(
     const DemandProfile& demand, LagConvention convention,
     std::shared_ptr<const DeferralKernelState> donor) {
@@ -82,20 +86,29 @@ std::shared_ptr<const DeferralKernelState> build_state(
   }
   const auto kept = [&](std::size_t period) {
     return donor != nullptr &&
-           same_classes(demand.classes(period), donor->classes[period]);
+           same_classes(demand.classes(period), *donor->classes[period]);
   };
   std::size_t first_changed = 0;
   while (first_changed < n && kept(first_changed)) ++first_changed;
   if (first_changed == n && donor != nullptr) return donor;
 
+  // A period whose classes match the donor's bit for bit shares its row;
+  // the online pricer rescales one period per observation, so its new
+  // kernel copies one row of classes, not all of them.
   auto state = std::make_shared<DeferralKernelState>();
   state->periods = n;
   state->convention = convention;
   state->classes.reserve(n);
   state->linear = true;
   for (std::size_t i = 0; i < n; ++i) {
-    state->classes.push_back(demand.classes(i));
-    for (const SessionClass& sc : state->classes.back()) {
+    if (i < first_changed || (i > first_changed && kept(i))) {
+      state->classes.push_back(donor->classes[i]);
+    } else {
+      state->classes.push_back(
+          std::make_shared<const std::vector<SessionClass>>(
+              demand.classes(i)));
+    }
+    for (const SessionClass& sc : *state->classes.back()) {
       state->linear = state->linear && sc.waiting->is_linear_in_reward();
     }
   }
@@ -103,47 +116,44 @@ std::shared_ptr<const DeferralKernelState> build_state(
   if (!state->linear) return state;
 
   // A row of the unit table depends on its own period's classes alone, so
-  // a row whose classes match the donor's bit for bit is copied from it.
-  // The online pricer rescales one period per observation: all other rows
-  // of its new kernel are the previous kernel's. The column-major copy is
-  // the donor's, patched where a row is recomputed.
+  // both layouts start as the donor's tables and only the rows of periods
+  // with new classes are recomputed and patched in.
   //
   // A computed row accumulates class by class across all its cells at
   // once: the cells are independent lanes, and each still sums its classes
   // in class order from 0.0, exactly as the per-pair reference does. The
   // two runs of `to` on either side of the diagonal read ascending lags.
-  const UnitTables* lender =
-      donor != nullptr && donor->linear ? donor->unit.get() : nullptr;
+  const bool lend = donor != nullptr && donor->linear;
   auto unit = std::make_shared<UnitTables>();
-  unit->by_row.assign(n * n, 0.0);
-  if (lender != nullptr) {
-    unit->by_column = lender->by_column;
+  if (lend) {
+    unit->by_row = donor->unit->by_row;
+    unit->by_column = donor->unit->by_column;
   } else {
+    unit->by_row.assign(n * n, 0.0);
     unit->by_column.assign(n * n, 0.0);
   }
-  unit->inflow.assign(n, 0.0);
   for (std::size_t from = 0; from < n; ++from) {
+    if (lend && state->classes[from] == donor->classes[from]) continue;
     double* row = &unit->by_row[from * n];
-    if (lender != nullptr && (from < first_changed || kept(from))) {
-      std::copy_n(&lender->by_row[from * n], n, row);
-    } else {
-      for (const SessionClass& sc : state->classes[from]) {
-        const double* w = sc.waiting->unit_weights(convention);
-        for (std::size_t to = from + 1; to < n; ++to) {
-          row[to] += sc.volume * w[to - from];
-        }
-        for (std::size_t to = 0; to < from; ++to) {
-          row[to] += sc.volume * w[to + n - from];
-        }
+    std::fill(row, row + n, 0.0);
+    for (const SessionClass& sc : *state->classes[from]) {
+      const double* w = sc.waiting->unit_weights(convention);
+      for (std::size_t to = from + 1; to < n; ++to) {
+        row[to] += sc.volume * w[to - from];
       }
-      for (std::size_t to = 0; to < n; ++to) {
-        unit->by_column[to * n + from] = row[to];
+      for (std::size_t to = 0; to < from; ++to) {
+        row[to] += sc.volume * w[to + n - from];
       }
     }
     for (std::size_t to = 0; to < n; ++to) {
-      if (to != from) unit->inflow[to] += row[to];
+      unit->by_column[to * n + from] = row[to];
     }
   }
+  // Each column's inflow sums its cells in ascending `from` from 0.0, the
+  // diagonal skipped: the plan's outflow reduction run over the row-major
+  // table.
+  unit->inflow.resize(n);
+  simd::off_diagonal_sums(unit->by_row.data(), n, unit->inflow.data());
   state->unit = std::move(unit);
   return state;
 }
@@ -169,7 +179,7 @@ double DeferralKernel::pair_volume(std::size_t from, std::size_t to,
   if (linear_) return state_->unit->by_row[from * periods_ + to] * reward;
   const std::size_t lag = cyclic_lag(from, to, periods_);
   double volume = 0.0;
-  for (const SessionClass& sc : state_->classes[from]) {
+  for (const SessionClass& sc : *state_->classes[from]) {
     volume += sc.volume * lag_weight(*sc.waiting, reward, lag, convention_);
   }
   return volume;
@@ -183,7 +193,7 @@ double DeferralKernel::pair_volume_derivative(std::size_t from,
   if (linear_) return state_->unit->by_row[from * periods_ + to];
   const std::size_t lag = cyclic_lag(from, to, periods_);
   double deriv = 0.0;
-  for (const SessionClass& sc : state_->classes[from]) {
+  for (const SessionClass& sc : *state_->classes[from]) {
     deriv += sc.volume *
              lag_weight_derivative(*sc.waiting, reward, lag, convention_);
   }
@@ -237,7 +247,7 @@ double DeferralKernel::max_safe_reward() const {
     double cap = std::numeric_limits<double>::infinity();
     std::vector<double> demand(periods_, 0.0);
     for (std::size_t i = 0; i < periods_; ++i) {
-      for (const SessionClass& sc : state_->classes[i]) {
+      for (const SessionClass& sc : *state_->classes[i]) {
         demand[i] += sc.volume;
       }
     }
@@ -286,7 +296,7 @@ std::shared_ptr<const KernelPlan> DeferralKernel::plan() const {
 const std::vector<SessionClass>& DeferralKernel::classes(
     std::size_t period) const {
   TDP_REQUIRE(period < periods_, "period out of range");
-  return state_->classes[period];
+  return *state_->classes[period];
 }
 
 std::shared_ptr<const UnitTables> DeferralKernel::unit_tables() const {

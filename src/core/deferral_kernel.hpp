@@ -16,12 +16,16 @@
 // (core/kernel_plan) — and its copies share it. A unit table's row sums
 // its classes' volumes times each function's own unit lag weights
 // (PowerLawWaitingFunction::unit_weights). A kernel built from a
-// predecessor recomputes only what the new volumes change: the online
-// pricer rebuilds its model after every observation, rescaling one period,
-// so the predecessor lends every unit-table row whose period kept the same
-// waiting-function objects and volume bits. When every period matches — a
-// confirmed forecast — the new kernel shares the predecessor's whole
-// state, plan included.
+// predecessor recomputes only what the new volumes change, period by
+// period: a period that kept the same waiting-function objects and volume
+// bits shares its class row with the predecessor and keeps its unit-table
+// row. The online pricer rescales one period per observation
+// (DynamicModel::rescale_period), so its new kernel copies one period's
+// classes, copies both unit tables whole and recomputes one row of them;
+// the unit inflow, which every row feeds, is re-summed by the same
+// off-diagonal reduction as the plan's outflows (simd::off_diagonal_sums).
+// When every period matches — a confirmed forecast — the new kernel
+// shares the predecessor's whole state, plan included.
 #pragma once
 
 #include <cstddef>

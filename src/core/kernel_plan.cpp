@@ -166,24 +166,7 @@ double KernelPlan::cell(std::size_t from, std::size_t lag, bool positive,
 }
 
 void KernelPlan::reduce_outflows(FlowState& s) const {
-#if defined(TDP_HAVE_AVX2)
-  if (simd::mode() == simd::Mode::kAvx2) {
-    reduce_outflows_avx2(s);
-    return;
-  }
-#endif
-  // Column by column into every row's running sum: each row still adds its
-  // cells in ascending `to` from 0.0 and skips its diagonal cell.
-  const std::size_t n = periods_;
-  double* out = s.outflow.data();
-  std::fill(out, out + n, 0.0);
-  for (std::size_t to = 0; to < n; ++to) {
-    const double* column = s.pair.data() + to * n;
-    for (std::size_t from = 0; from < to; ++from) out[from] += column[from];
-    for (std::size_t from = to + 1; from < n; ++from) {
-      out[from] += column[from];
-    }
-  }
+  simd::off_diagonal_sums(s.pair.data(), periods_, s.outflow.data());
 }
 
 void KernelPlan::evaluate(const std::vector<double>& rewards,

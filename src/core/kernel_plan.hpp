@@ -18,9 +18,10 @@
 // for operation. The matrix is stored column-major (FlowState::pair), so a
 // column is one contiguous run; its inflow is summed while the column is
 // written, and every row's outflow is reduced by one SIMD lane per row
-// walking the columns in ascending order. The contract is *bitwise*
-// identity: every double produced here EXPECT_EQs the corresponding
-// DeferralKernel result (see tests/test_kernel_plan.cpp).
+// walking the columns in ascending order (simd::off_diagonal_sums, the
+// reduction a linear kernel's unit inflow also runs). The contract is
+// *bitwise* identity: every double produced here EXPECT_EQs the
+// corresponding DeferralKernel result (see tests/test_kernel_plan.cpp).
 //
 // update_coordinate() is the rolling-horizon fast path: when only period
 // m's reward changes, it rewrites column m of the cached matrix (O(n)
@@ -136,9 +137,10 @@ class KernelPlan {
   double cell(std::size_t from, std::size_t lag, bool positive,
               bool with_derivatives, const FlowState& state,
               double& derivative) const;
-  /// outflow[from] for every row: one lane per row, each summing its row
-  /// from 0.0 in ascending `to` with the diagonal cell skipped, never added
-  /// as 0.0 — the reference's outflow order.
+  /// outflow[from] for every row (simd::off_diagonal_sums over the
+  /// column-major pair matrix): each row summed from 0.0 in ascending `to`
+  /// with the diagonal cell skipped, never added as 0.0 — the reference's
+  /// outflow order.
   void reduce_outflows(FlowState& state) const;
 
 #if defined(TDP_HAVE_AVX2)
@@ -146,10 +148,6 @@ class KernelPlan {
   /// product.
   void scale_unit_columns_avx2(std::size_t first, std::size_t last,
                                FlowState& state) const;
-  /// reduce_outflows with four rows per vector: each lane loads its row's
-  /// cell from a column's contiguous run and keeps its partial sum through
-  /// a blend at its diagonal column.
-  void reduce_outflows_avx2(FlowState& state) const;
 #endif
 
   std::size_t periods_ = 0;

@@ -25,8 +25,16 @@ double smooth_hinge_derivative(double y, double mu) {
   return y / mu;
 }
 
-/// Bit-pattern equality: the repeat test of the fused paths' day-cyclic
-/// early exit (unlike ==, it never equates +0.0 with -0.0).
+/// The steady-state condition of every model: with daily demand at or
+/// above daily capacity the backlog diverges.
+void require_steady_state(double daily_demand, double daily_capacity) {
+  TDP_REQUIRE(daily_demand < daily_capacity,
+              "daily demand must not exceed daily capacity or the backlog "
+              "diverges and no steady state exists");
+}
+
+/// Bit-pattern equality: the repeat test of the fused paths' early exits
+/// (unlike ==, it never equates +0.0 with -0.0).
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -58,9 +66,7 @@ DynamicModel::DynamicModel(DemandProfile arrivals,
     TDP_REQUIRE(a >= 0.0, "capacity must be nonnegative");
     total_capacity += a;
   }
-  TDP_REQUIRE(arrivals_.total_demand() < total_capacity,
-              "daily demand must not exceed daily capacity or the backlog "
-              "diverges and no steady state exists");
+  require_steady_state(arrivals_.total_demand(), total_capacity);
   tip_ = arrivals_.tip_demand_vector();
 }
 
@@ -74,16 +80,36 @@ DynamicModel::DynamicModel(DemandProfile arrivals, double capacity,
       warmup_days_(warmup_days) {
   TDP_REQUIRE(capacity >= 0.0, "capacity must be nonnegative");
   TDP_REQUIRE(warmup_days_ >= 1, "need at least one warmup day");
-  TDP_REQUIRE(arrivals_.total_demand() <
-                  capacity * static_cast<double>(periods()),
-              "daily demand must not exceed daily capacity or the backlog "
-              "diverges and no steady state exists");
+  require_steady_state(arrivals_.total_demand(),
+                       capacity * static_cast<double>(periods()));
   tip_ = arrivals_.tip_demand_vector();
 }
 
 DynamicModel DynamicModel::with_arrivals(DemandProfile arrivals) const {
   return DynamicModel(std::move(arrivals), capacity_, cost_, warmup_days_,
                       &kernel_);
+}
+
+void DynamicModel::rescale_period(std::size_t period, double factor) {
+  TDP_REQUIRE(period < periods(), "period out of range");
+  TDP_REQUIRE(factor >= 0.0, "scale factor must be nonnegative");
+  // The period's new TIP demand and the day's, each summed as tip_demand
+  // and total_demand sum them, so the check is the constructor's and runs
+  // before anything changes.
+  double period_demand = 0.0;
+  for (const SessionClass& sc : arrivals_.classes(period)) {
+    period_demand += sc.volume * factor;
+  }
+  double total_demand = 0.0;
+  for (std::size_t i = 0; i < periods(); ++i) {
+    total_demand += i == period ? period_demand : tip_[i];
+  }
+  double total_capacity = 0.0;
+  for (double a : capacity_) total_capacity += a;
+  require_steady_state(total_demand, total_capacity);
+  arrivals_.scale_period(period, factor);
+  tip_[period] = period_demand;
+  kernel_ = DeferralKernel(arrivals_, LagConvention::kUniformArrival, &kernel_);
 }
 
 void DynamicModel::arrivals_after_deferral(const math::Vector& rewards,
@@ -217,13 +243,18 @@ void DynamicModel::smoothed_gradient(const math::Vector& rewards, double mu,
 // re-walking the kernel (tests/test_kernel_plan.cpp checks bitwise
 // identity).
 //
-// Day-cyclic early exit: every warmup day runs the same arithmetic on the
-// same arrivals, so a day's values are a function of the state it starts
-// in alone — the backlog, plus the backlog sensitivities on the gradient
-// path. Once a day starts in the state, bit for bit, that the day before
-// started in, every later day repeats that day exactly, and the warmup
-// stops: the last day's values are the repeated day's. The reference
-// methods keep running every day and remain the oracle.
+// Early exits: every warmup day runs the same arithmetic on the same
+// arrivals, so a day's values from any period on are a function of the
+// state entering that period alone — the backlog, plus the backlog
+// sensitivities on the gradient path. The exact cost needs only the
+// backlog, so it stops where a day rejoins the day before: at the first
+// period whose end backlog has the bits the day before left there, every
+// later period of the day repeats the day before, the day ends where the
+// day before ended, and every later day repeats it. The smoothed paths
+// stop once a day starts in the state, bit for bit, that the day before
+// started in (day-cyclic). Either way the warmup stops with the last
+// day's values in hand. The reference methods keep running every day and
+// remain the oracle.
 
 void DynamicModel::prime_flow_state(const math::Vector& rewards,
                                     bool with_derivatives,
@@ -241,16 +272,28 @@ double DynamicModel::assemble_total_cost(FlowState& state) const {
     arr[i] = tip_[i] - state.outflow[i] + state.inflow[i];
   }
 
+  // The first day runs whole from the empty link. Every later day
+  // overwrites the day before's backlogs up to the period where it
+  // rejoins them, whose backlog and every one after it end_backlog
+  // already holds.
   double backlog = 0.0;
-  for (std::size_t day = 0; day < warmup_days_; ++day) {
-    const double day_start = backlog;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double load = backlog + arr[i];
-      const double served = std::min(load, capacity_[i]);
-      backlog = load - served;
+  const auto period_backlog = [&](std::size_t i) {
+    const double load = backlog + arr[i];
+    const double served = std::min(load, capacity_[i]);
+    return load - served;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    backlog = period_backlog(i);
+    end_backlog[i] = backlog;
+  }
+  for (std::size_t day = 1; day < warmup_days_; ++day) {
+    std::size_t i = 0;
+    for (; i < n; ++i) {
+      backlog = period_backlog(i);
+      if (same_bits(backlog, end_backlog[i])) break;
       end_backlog[i] = backlog;
     }
-    if (same_bits(backlog, day_start)) break;
+    if (i < n) break;
   }
 
   double reward_total = 0.0;

@@ -49,8 +49,17 @@ class DynamicModel {
   /// This model with new arrivals: same capacity, backlog cost and warmup,
   /// its kernel built from this one's (DeferralKernel's predecessor), so
   /// the periods whose classes kept their volume bits cost nothing to
-  /// rebuild. The online pricer's demand updates and restore use it.
+  /// rebuild. The online pricer's restore uses it to install saved volumes.
   DynamicModel with_arrivals(DemandProfile arrivals) const;
+
+  /// Scale every class volume of `period` by `factor` >= 0 in place: the
+  /// online pricer's demand update. Bitwise what with_arrivals does with a
+  /// copy of the profile scaled by DemandProfile::scale_period — the same
+  /// volumes, TIP demand, capacity check and kernel, rebuilt from this
+  /// model's kernel so that only the rescaled period's row is recomputed
+  /// — without copying the profile. A factor that would push the daily
+  /// demand to the daily capacity throws and leaves the model unchanged.
+  void rescale_period(std::size_t period, double factor);
 
   std::size_t periods() const { return arrivals_.periods(); }
   const DemandProfile& arrivals() const { return arrivals_; }
@@ -94,14 +103,16 @@ class DynamicModel {
   // Bitwise identical to the reference methods of the same name; the
   // online pricer's per-period golden-section solve runs on
   // total_cost_with_coordinate so each candidate refreshes one column of
-  // cached flows instead of re-walking the kernel. The warmup stops as
-  // soon as a day starts in the state the day before started in (every
-  // later day would repeat it bit for bit); the reference methods run
-  // every day. The fused gradient runs each day as a scalar pass over the
-  // backlog (hinge slopes, f' and the day's cost) and one
-  // simd::sensitivity_sweep that carries the backlog sensitivities through
-  // the day in registers, reading Jacobian rows off the plan's row-major
-  // derivative matrix.
+  // cached flows instead of re-walking the kernel. The warmup stops early;
+  // the reference methods run every day. The exact cost's warmup stops
+  // inside a day, at the first period whose backlog has the bits the day
+  // before left there: from that period on the day repeats the day
+  // before, and so does every later day. The smoothed paths stop once a
+  // day ends in the state it started in. The fused gradient runs each day
+  // as a scalar pass over the backlog (hinge slopes, f' and the day's
+  // cost) and one simd::sensitivity_sweep that carries the backlog
+  // sensitivities through the day in registers, reading Jacobian rows off
+  // the plan's row-major derivative matrix.
 
   /// Fill `state` with the deferral flows at `rewards`.
   void prime_flow_state(const math::Vector& rewards, bool with_derivatives,

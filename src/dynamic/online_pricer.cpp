@@ -206,9 +206,7 @@ void OnlinePricer::update_demand(std::size_t period,
                    << " demand from " << measured_arrivals << " to "
                    << target << " to preserve a stable backlog";
     }
-    DemandProfile updated = model_.arrivals();
-    updated.scale_period(period, target / previous);
-    model_ = model_.with_arrivals(std::move(updated));
+    model_.rescale_period(period, target / previous);
   }
   // The incremental solve reads the kernel's plan; building it here
   // charges the whole kernel rebuild to this span.

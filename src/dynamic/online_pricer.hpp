@@ -10,6 +10,15 @@
 // "while sub-optimal, this algorithm is easy to implement and avoids the
 // high dimensionality of a full dynamic programming solution."
 //
+// One observation changes one period of the model, and pays for about
+// that much: the period's volumes are rescaled in place and the kernel is
+// rebuilt from its predecessor (DynamicModel::rescale_period), which
+// recomputes that period's unit-table row and shares the rest; each
+// golden-section candidate then rewrites one column of the cached pair
+// matrix and runs the backlog recursion only until the candidate's
+// warmup day rejoins the day before (DynamicModel::
+// total_cost_with_coordinate).
+//
 // Guarded observe path: a production pricer's inputs degrade — measurements
 // get synthesized by the guard, solves get starved of iterations, demand
 // shifts under it. `observe_period` wraps the step with (a) a per-step
@@ -208,8 +217,9 @@ class OnlinePricer {
       FlowState& scratch);
 
   /// Rescale `period`'s demand estimate to a measurement (clamped to the
-  /// 2% stability margin) and rebuild the model from the current one
-  /// (DynamicModel::with_arrivals) and, when incremental_, its kernel plan.
+  /// 2% stability margin) in place (DynamicModel::rescale_period: one
+  /// period's volumes, one kernel row, no profile copy) and, when
+  /// incremental_, build the new kernel's plan.
   void update_demand(std::size_t period, double measured_arrivals);
 
   /// Re-solve `period` on the current model and rewards, dispatching on

@@ -45,19 +45,6 @@ PiecewiseLinearCost PiecewiseLinearCost::hinge(double slope,
   return PiecewiseLinearCost(0.0, {{breakpoint, slope}}, 0.0);
 }
 
-double PiecewiseLinearCost::value(double x) const {
-  double v = value_at_zero_ + base_slope_ * x;
-  for (const Hinge& h : hinges_) {
-    const double y = x - h.breakpoint;
-    if (y > 0.0) v += h.slope_jump * y;
-    // Keep f(0) exact: the representation anchors hinges at their raw
-    // max(x-b, 0) value, so subtract the hinge's own contribution at x=0.
-    const double y0 = -h.breakpoint;
-    if (y0 > 0.0) v -= h.slope_jump * y0;
-  }
-  return v;
-}
-
 double PiecewiseLinearCost::derivative_right(double x) const {
   double s = base_slope_;
   for (const Hinge& h : hinges_) {

@@ -38,8 +38,20 @@ class PiecewiseLinearCost {
   /// The paper's canonical cost a*max(x - b, 0).
   static PiecewiseLinearCost hinge(double slope, double breakpoint = 0.0);
 
-  /// Exact value f(x).
-  double value(double x) const;
+  /// Exact value f(x). Inline: the dynamic model's fused cost calls it
+  /// once per period of every golden-section candidate.
+  double value(double x) const {
+    double v = value_at_zero_ + base_slope_ * x;
+    for (const Hinge& h : hinges_) {
+      const double y = x - h.breakpoint;
+      if (y > 0.0) v += h.slope_jump * y;
+      // Keep f(0) exact: the representation anchors hinges at their raw
+      // max(x-b, 0) value, so subtract the hinge's own contribution at x=0.
+      const double y0 = -h.breakpoint;
+      if (y0 > 0.0) v -= h.slope_jump * y0;
+    }
+    return v;
+  }
 
   /// Right derivative f'(x+); equals the subgradient a.e.
   double derivative_right(double x) const;

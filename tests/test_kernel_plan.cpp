@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -26,6 +28,8 @@
 #include "dynamic/dynamic_model.hpp"
 #include "dynamic/dynamic_optimizer.hpp"
 #include "dynamic/online_pricer.hpp"
+#include "fleet/control_loop.hpp"
+#include "fleet/population.hpp"
 #include "math/piecewise_linear.hpp"
 
 namespace tdp {
@@ -403,12 +407,21 @@ DemandProfile fleet_profile() {
                              LagNormalization::kContinuous);
 }
 
-/// The three ways the backlog recursion can warm up, which the fused
-/// paths' day-cyclic early exit must all reproduce bitwise.
+/// The ways the backlog recursion can warm up, which the fused paths'
+/// early exits (the exact cost's rejoin, the smoothed paths' day-cyclic
+/// exit) must all reproduce bitwise.
 enum class Warmup {
-  kEmptyAfterDay1,  ///< the link never saturates: no backlog at all
-  kSettlesOnDay2,   ///< the fleet's model: day 2 repeats day 1's end state
-  kStillChanging,   ///< never settles: the exit never fires
+  kEmptyAfterDay1,  ///< the link never saturates: day 2 rejoins at once
+  kSettlesOnDay2,   ///< the fleet's model: day 2 rejoins day 1 mid-day
+  kStillChanging,   ///< never settles: no exit ever fires
+  /// Period 0 carries no load and no capacity, so its load equals its
+  /// capacity exactly: on day 1 it ends empty (min's tie), and on every
+  /// later day it hands the day's start backlog on unchanged. Day 2's
+  /// period 0 thus ends with the day-start value yet not with day 1's.
+  kLoadEqualsCapacity,
+  /// Day 2 meets day 1 at no period; day 3 meets day 2 mid-day, where a
+  /// large arrival rounds away the backlog day 2 gained on day 1.
+  kRejoinsOnDay3,
 };
 
 const char* warmup_name(Warmup shape) {
@@ -416,6 +429,8 @@ const char* warmup_name(Warmup shape) {
     case Warmup::kEmptyAfterDay1: return "empty-after-day-1";
     case Warmup::kSettlesOnDay2: return "settles-on-day-2";
     case Warmup::kStillChanging: return "still-changing";
+    case Warmup::kLoadEqualsCapacity: return "load-equals-capacity";
+    case Warmup::kRejoinsOnDay3: return "rejoins-on-day-3";
   }
   return "?";
 }
@@ -443,6 +458,46 @@ DynamicModel warmup_model(Warmup shape, std::size_t warmup_days) {
           n, profile.total_demand() / static_cast<double>(n));
       return DynamicModel(std::move(profile), capacity, cost, warmup_days);
     }
+    case Warmup::kLoadEqualsCapacity: {
+      // The fleet's mix without period 0's classes, and no capacity in
+      // period 0; with period 0's reward at 0 nothing defers into it.
+      const DemandProfile fleet = fleet_profile();
+      const std::size_t n = fleet.periods();
+      DemandProfile profile(n);
+      for (std::size_t p = 1; p < n; ++p) {
+        for (const SessionClass& sc : fleet.classes(p)) {
+          profile.add_class(p, sc);
+        }
+      }
+      std::vector<double> capacity(n, paper::kDynamicCapacityUnits);
+      capacity[0] = 0.0;
+      return DynamicModel(std::move(profile), capacity, cost, warmup_days);
+    }
+    case Warmup::kRejoinsOnDay3: {
+      // Four periods, each one class of a function normalized at 1e30, so
+      // deferral moves ~1e-30 of a volume, below half an ulp of every
+      // volume: at any reward in [0, 1.2] the arrivals are the volumes bit
+      // for bit. Every capacity is the mean volume, the last one ulp more,
+      // so the capacities clear the demand by rounding alone. Period 0 of
+      // day 2 leaves 2^-43 of day 1's end backlog, half an ulp of period
+      // 1's load, which rounds that load up and keeps day 2 above day 1
+      // at every period; period 0 of day 3 leaves 1.5 ulps, and period
+      // 1's load rounds to day 2's.
+      const std::vector<double> volumes = {
+          0x1.15b764f137f31p+2, 0x1.fb86ff0befabdp+10, 0x1.c74a4cd751291p+2,
+          0x1.7039e1793cf3ep-1};
+      const std::vector<double> capacity = {
+          0x1.fe9207f9e75c9p+8, 0x1.fe9207f9e75c9p+8, 0x1.fe9207f9e75c9p+8,
+          0x1.fe9207f9e75cap+8};
+      DemandProfile profile(volumes.size());
+      const WaitingFunctionPtr waiting =
+          std::make_shared<PowerLawWaitingFunction>(
+              1.5, volumes.size(), 1e30, 1.0, LagNormalization::kContinuous);
+      for (std::size_t p = 0; p < volumes.size(); ++p) {
+        profile.add_class(p, SessionClass{waiting, volumes[p]});
+      }
+      return DynamicModel(std::move(profile), capacity, cost, warmup_days);
+    }
   }
   throw PreconditionError("unknown warmup shape");
 }
@@ -462,10 +517,44 @@ bool settled_after(Warmup shape, std::size_t warmup_days,
                        .backlog);
 }
 
+/// The last warmup day's backlogs after `days` days: day `days`.
+math::Vector day_backlog(Warmup shape, std::size_t days,
+                         const math::Vector& rewards) {
+  return warmup_model(shape, days).evaluate(rewards).backlog;
+}
+
+/// The first period at which `day` ends with the bits `before` ended
+/// with, or a.size() when it never does.
+std::size_t first_meeting(const math::Vector& day,
+                          const math::Vector& before) {
+  std::size_t i = 0;
+  while (i < day.size() && std::memcmp(&day[i], &before[i],
+                                       sizeof(double)) != 0) {
+    ++i;
+  }
+  return i;
+}
+
 /// Whether `rewards` puts the model in the warmup shape it stands for.
 bool in_shape(Warmup shape, std::size_t warmup_days,
               const math::Vector& rewards) {
   switch (shape) {
+    case Warmup::kLoadEqualsCapacity: {
+      const math::Vector day1 = day_backlog(shape, 1, rewards);
+      const math::Vector day2 = day_backlog(shape, 2, rewards);
+      return warmup_model(shape, 1).evaluate(rewards).arrivals[0] == 0.0 &&
+             day1[0] == 0.0 && day1.back() > 0.0 &&
+             std::memcmp(&day2[0], &day1.back(), sizeof(double)) == 0 &&
+             first_meeting(day2, day1) > 0;
+    }
+    case Warmup::kRejoinsOnDay3: {
+      const math::Vector day2 = day_backlog(shape, 2, rewards);
+      const std::size_t meets = first_meeting(day_backlog(shape, 3, rewards),
+                                              day2);
+      return first_meeting(day2, day_backlog(shape, 1, rewards)) ==
+                 day2.size() &&
+             meets > 0 && meets + 1 < day2.size();
+    }
     case Warmup::kEmptyAfterDay1:
       for (double b : warmup_model(shape, 1).evaluate(rewards).backlog) {
         if (b != 0.0) return false;
@@ -482,12 +571,15 @@ bool in_shape(Warmup shape, std::size_t warmup_days,
 
 /// Random rewards that put the model in `shape`. The still-changing shape
 /// rests on rounding, so a draw under which it settles after all is drawn
-/// again; the other shapes hold with wide margins.
+/// again; the other shapes hold with wide margins, the load-equals-capacity
+/// one with period 0's reward at 0 (a coordinate move there is drawn
+/// again) and the day-3 one at every reward the tests draw.
 math::Vector rewards_in_shape(Warmup shape, std::size_t warmup_days,
                               std::size_t n, Rng& rng) {
   math::Vector rewards;
   for (int draw = 0; draw < 32; ++draw) {
     rewards = random_rewards(rng, n, 1.2);
+    if (shape == Warmup::kLoadEqualsCapacity) rewards[0] = 0.0;
     if (in_shape(shape, warmup_days, rewards)) return rewards;
   }
   ADD_FAILURE() << "no reward draw puts the model in shape "
@@ -495,9 +587,9 @@ math::Vector rewards_in_shape(Warmup shape, std::size_t warmup_days,
   return rewards;
 }
 
-constexpr Warmup kWarmupShapes[] = {Warmup::kEmptyAfterDay1,
-                                    Warmup::kSettlesOnDay2,
-                                    Warmup::kStillChanging};
+constexpr Warmup kWarmupShapes[] = {
+    Warmup::kEmptyAfterDay1, Warmup::kSettlesOnDay2, Warmup::kStillChanging,
+    Warmup::kLoadEqualsCapacity, Warmup::kRejoinsOnDay3};
 constexpr std::size_t kWarmupDays[] = {1, 2, 6};
 
 void expect_cost_and_gradient_match(const DynamicModel& model,
@@ -535,8 +627,8 @@ TEST(DynamicModelFused, CostAndGradientBitIdenticalToReference) {
           "nonlinear");
     }
   }
-  // Every warmup shape at every warmup length: the day-cyclic early exit
-  // fires after day 1, after day 2, or never.
+  // Every warmup shape at every warmup length: the exits fire on day 2,
+  // day 3 or never, at a day's first period or mid-day.
   for (const Warmup shape : kWarmupShapes) {
     for (const std::size_t warmup_days : kWarmupDays) {
       const DynamicModel model = warmup_model(shape, warmup_days);
@@ -606,7 +698,7 @@ TEST(DynamicModelFused, CoordinateUpdateCostMatchesReference) {
       const DynamicModel model = warmup_model(shape, warmup_days);
       Rng rng(32);
       const std::size_t n = model.periods();
-      math::Vector rewards = random_rewards(rng, n, 1.2);
+      math::Vector rewards = rewards_in_shape(shape, warmup_days, n, rng);
       FlowState state;
       model.prime_flow_state(rewards, /*with_derivatives=*/false, state);
       for (int step = 0; step < 12; ++step) {
@@ -724,6 +816,127 @@ TEST(OnlinePricerIncremental, DayOfObservationsBitIdenticalToReference) {
   }
   for (std::size_t i = 0; i < periods; ++i) {
     EXPECT_EQ(fleet_incremental.rewards()[i], fleet_reference.rewards()[i]);
+  }
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// `a` against `b` by bit pattern: every class volume (the profile's and
+/// the kernel's snapshot) and TIP demand, the three unit tables, the
+/// validity bound and the reward cap, and the exact cost at random rewards
+/// through the reference path, the plan and a coordinate update (the
+/// fused paths read the model's cached TIP vector).
+void expect_same_model(const DynamicModel& a, const DynamicModel& b,
+                       Rng& rng, const std::string& context) {
+  const std::size_t n = a.periods();
+  ASSERT_EQ(n, b.periods()) << context;
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::vector<SessionClass>& classes = a.arrivals().classes(p);
+    const std::vector<SessionClass>& expected = b.arrivals().classes(p);
+    ASSERT_EQ(classes.size(), expected.size()) << context;
+    ASSERT_EQ(a.kernel().classes(p).size(), classes.size()) << context;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      EXPECT_EQ(classes[c].waiting, expected[c].waiting) << context;
+      EXPECT_EQ(bits(classes[c].volume), bits(expected[c].volume))
+          << context << " period " << p << " class " << c;
+      EXPECT_EQ(bits(a.kernel().classes(p)[c].volume),
+                bits(classes[c].volume))
+          << context << " kernel period " << p << " class " << c;
+    }
+    EXPECT_EQ(bits(a.arrivals().tip_demand(p)),
+              bits(b.arrivals().tip_demand(p)))
+        << context << " tip " << p;
+  }
+  const std::shared_ptr<const UnitTables> unit = a.kernel().unit_tables();
+  const std::shared_ptr<const UnitTables> expected_unit =
+      b.kernel().unit_tables();
+  ASSERT_EQ(unit == nullptr, expected_unit == nullptr) << context;
+  if (unit != nullptr) {
+    EXPECT_TRUE(same_bits(unit->by_row, expected_unit->by_row)) << context;
+    EXPECT_TRUE(same_bits(unit->by_column, expected_unit->by_column))
+        << context;
+    EXPECT_TRUE(same_bits(unit->inflow, expected_unit->inflow)) << context;
+  }
+  EXPECT_EQ(bits(a.kernel().max_safe_reward()),
+            bits(b.kernel().max_safe_reward()))
+      << context;
+  EXPECT_EQ(bits(a.reward_cap()), bits(b.reward_cap())) << context;
+  FlowState state;
+  FlowState expected_state;
+  for (int trial = 0; trial < 2; ++trial) {
+    const math::Vector rewards = random_rewards(rng, n, 1.2);
+    EXPECT_EQ(bits(a.total_cost(rewards)), bits(b.total_cost(rewards)))
+        << context;
+    EXPECT_EQ(bits(a.total_cost(rewards, state)),
+              bits(b.total_cost(rewards, expected_state)))
+        << context;
+    const std::size_t m =
+        static_cast<std::size_t>(rng.uniform() * static_cast<double>(n)) % n;
+    const double reward = rng.uniform(0.0, 1.2);
+    EXPECT_EQ(bits(a.total_cost_with_coordinate(m, reward, state)),
+              bits(b.total_cost_with_coordinate(m, reward, expected_state)))
+        << context << " coordinate " << m;
+  }
+}
+
+TEST(DynamicModelRescale, InPlaceChainMatchesWithArrivalsBitwise) {
+  // The online pricer's update: one period's volumes rescaled in place,
+  // the kernel rebuilt from the one it replaces. Each step must equal what
+  // with_arrivals builds from an equally scaled copy of the profile, on the
+  // fleet's linear baseline and on a gamma = 0.7 model, through factors of
+  // 1.0 (a confirmed forecast: the kernel keeps its state and plan) and 0.
+  fleet::PopulationConfig config;
+  config.users = 1000;
+  config.periods = 48;
+  const fleet::Population population(config);
+  const std::pair<const char*, DynamicModel> models[] = {
+      {"fleet baseline", fleet::baseline_fluid_model(population)},
+      {"gamma 0.7", nonlinear_dynamic_model()},
+  };
+  for (const auto& [name, start] : models) {
+    DynamicModel in_place = start;
+    DynamicModel rebuilt = start;
+    const std::size_t n = start.periods();
+    Rng rng(77);
+    for (std::size_t step = 0; step < 48; ++step) {
+      const std::size_t period = (7 * step) % n;
+      const double factor = step % 6 == 2 ? 1.0
+                            : step == 9   ? 0.0
+                                          : rng.uniform(0.8, 1.2);
+      const std::string context = std::string(name) + " step " +
+                                  std::to_string(step) + " factor " +
+                                  std::to_string(factor);
+      const KernelPlan* plan = in_place.kernel().plan().get();
+      const std::shared_ptr<const UnitTables> unit =
+          in_place.kernel().unit_tables();
+      in_place.rescale_period(period, factor);
+      DemandProfile scaled = rebuilt.arrivals();
+      scaled.scale_period(period, factor);
+      rebuilt = rebuilt.with_arrivals(std::move(scaled));
+      if (factor == 1.0) {
+        EXPECT_EQ(in_place.kernel().plan().get(), plan) << context;
+        EXPECT_EQ(in_place.kernel().unit_tables(), unit) << context;
+      }
+      expect_same_model(in_place, rebuilt, rng, context);
+    }
+    // A factor past the capacity check throws, as with_arrivals does, and
+    // leaves the model as it was.
+    ASSERT_GT(in_place.arrivals().tip_demand(1), 0.0) << name;
+    DemandProfile surge = in_place.arrivals();
+    surge.scale_period(1, 1e6);
+    EXPECT_THROW(rebuilt.with_arrivals(std::move(surge)), PreconditionError)
+        << name;
+    EXPECT_THROW(in_place.rescale_period(1, 1e6), PreconditionError) << name;
+    expect_same_model(in_place, rebuilt, rng, std::string(name) + " throw");
+    // The chain's end against a model built with no predecessor, and the
+    // unit tables against the per-pair reference sums.
+    const DynamicModel fresh(in_place.arrivals(), in_place.capacity(),
+                             in_place.backlog_cost(),
+                             in_place.warmup_days());
+    expect_same_model(in_place, fresh, rng, std::string(name) + " fresh");
+    if (in_place.kernel().linear()) {
+      expect_unit_tables_match_per_pair_sums(in_place.kernel(), name);
+    }
   }
 }
 

@@ -255,6 +255,62 @@ TEST(SimdSensitivitySweep, Avx2BodyIsBitIdenticalToScalarTwin) {
 #endif
 }
 
+// ---- Off-diagonal line sums -------------------------------------------------
+
+/// An n x n matrix of ordinary cells with signed zeros, and with `poison`
+/// an infinity and NaNs off the diagonal. Every diagonal cell is NaN: a sum
+/// that added its diagonal cell would turn NaN.
+std::vector<double> line_sum_case(std::size_t n, bool poison, Rng& rng) {
+  std::vector<double> m(n * n);
+  for (double& x : m) {
+    const double u = rng.uniform();
+    x = u < 0.1 ? -0.0 : u < 0.2 ? 0.0 : rng.uniform(-1.0, 2.0);
+  }
+  if (poison && n > 1) {
+    m[(n - 1) * n] = std::numeric_limits<double>::infinity();
+    m[n / 2] = std::numeric_limits<double>::quiet_NaN();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i * n + i] = std::numeric_limits<double>::quiet_NaN();
+  }
+  return m;
+}
+
+TEST(SimdOffDiagonalSums, BothBodiesMatchTheWrittenOutSums) {
+  Rng rng(1618);
+  for (const std::size_t n : sweep_sizes()) {
+    for (const bool poison : {false, true}) {
+      const std::vector<double> m = line_sum_case(n, poison, rng);
+      std::vector<double> expected(n);
+      for (std::size_t r = 0; r < n; ++r) {
+        double total = 0.0;
+        for (std::size_t c = 0; c < n; ++c) {
+          if (c != r) total += m[c * n + r];
+        }
+        expected[r] = total;
+      }
+      const std::string context =
+          "n=" + std::to_string(n) + " poison=" + std::to_string(poison);
+      std::vector<double> scalar(n, 7.0);
+      simd::detail::off_diagonal_sums_scalar(m.data(), n, scalar.data());
+      for (std::size_t r = 0; r < n; ++r) {
+        EXPECT_TRUE(same_double(expected[r], scalar[r]))
+            << context << " scalar sum " << r;
+      }
+#if defined(TDP_HAVE_AVX2)
+      if (simd::avx2_supported()) {
+        std::vector<double> vector(n, 7.0);
+        simd::detail::off_diagonal_sums_avx2(m.data(), n, vector.data());
+        for (std::size_t r = 0; r < n; ++r) {
+          EXPECT_TRUE(same_double(scalar[r], vector[r]))
+              << context << " avx2 sum " << r;
+        }
+      }
+#endif
+    }
+  }
+}
+
 // ---- KernelPlan vector outflow path ------------------------------------------
 
 /// The same power-law class list every period. Nonlinear gammas keep the
