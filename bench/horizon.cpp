@@ -141,6 +141,7 @@ int main(int argc, char** argv) {
     report.add("simulate_seconds", metrics.simulate_seconds);
     report.add("aggregate_seconds", metrics.aggregate_seconds);
     report.add("pricer_seconds", metrics.pricer_seconds);
+    report.add("draw_wait_seconds", metrics.draw_wait_seconds);
     report.emit();
     entries.push_back(
         {"horizon_run", {{"horizon_wall_seconds", loop_seconds}}});

@@ -77,9 +77,10 @@ int main(int argc, char** argv) {
               m.price_fallback_periods, m.price_recoveries,
               m.measurement_gaps, m.measurement_repairs);
   std::printf("  wall %.3f s (publish %.3f, tables %.3f, simulate %.3f, "
-              "aggregate %.3f, pricer %.3f)\n",
+              "aggregate %.3f, pricer %.3f, draw wait %.3f)\n",
               m.wall_seconds, m.publish_seconds, m.table_seconds,
-              m.simulate_seconds, m.aggregate_seconds, m.pricer_seconds);
+              m.simulate_seconds, m.aggregate_seconds, m.pricer_seconds,
+              m.draw_wait_seconds);
 
   const std::string trace_path = out_dir + "/observe_day_trace.json";
   const std::string journal_path = out_dir + "/observe_day_journal.json";

@@ -72,10 +72,11 @@ void ThreadPool::for_each_index(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  // The batch is closed with no worker inside: its fields are ours.
+  // The batch is closed with no worker inside: its fields are ours. Index
+  // 0 is the caller's: workers claim from 1.
   task_ = &fn;
   task_count_ = count;
-  next_index_.store(0, std::memory_order_relaxed);
+  next_index_.store(1, std::memory_order_relaxed);
   error_ = nullptr;
   error_index_ = 0;
   const std::uint64_t epoch = (batch_.load() >> kEpochShift) + 1;
@@ -84,6 +85,7 @@ void ThreadPool::for_each_index(std::size_t count,
     std::lock_guard<std::mutex> lock(mutex_);
     work_cv_.notify_all();
   }
+  run_index(0);
   drain_batch();
   // Every index is claimed: shut out late joiners, then wait for the
   // workers still running theirs.
@@ -96,20 +98,23 @@ void ThreadPool::for_each_index(std::size_t count,
 }
 
 void ThreadPool::drain_batch() {
-  const std::function<void(std::size_t)>& fn = *task_;
   const std::size_t count = task_count_;
   for (;;) {
     const std::size_t index =
         next_index_.fetch_add(1, std::memory_order_relaxed);
     if (index >= count) return;
-    try {
-      fn(index);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!error_ || index < error_index_) {
-        error_ = std::current_exception();
-        error_index_ = index;
-      }
+    run_index(index);
+  }
+}
+
+void ThreadPool::run_index(std::size_t index) {
+  try {
+    (*task_)(index);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_ || index < error_index_) {
+      error_ = std::current_exception();
+      error_index_ = index;
     }
   }
 }

@@ -15,10 +15,11 @@
 // read the stop flag, so a pool joins at once.
 //
 // Determinism contract: parallel_for(n, fn) invokes fn(i) exactly once for
-// every i in [0, n). Which thread runs which index is unspecified, so fn
-// must only write to per-index state (the callers in core/estimation write
-// into pre-sized result slots). Under that discipline results are
-// bit-identical for any thread count, including 1.
+// every i in [0, n). Index 0 runs on the caller; which thread runs any
+// other index is unspecified, so fn must only write to per-index state
+// (the callers in core/estimation write into pre-sized result slots).
+// Under that discipline results are bit-identical for any thread count,
+// including 1.
 #pragma once
 
 #include <atomic>
@@ -54,10 +55,12 @@ class ThreadPool {
   std::size_t thread_count() const { return workers_.size() + 1; }
 
   /// Run fn(i) for every i in [0, count), distributing indices over the
-  /// pool; blocks until all complete. The first exception (lowest index)
-  /// is rethrown after the batch drains. The pool runs one batch at a
-  /// time: a batch submitted while another holds it (another caller's, or
-  /// a nested one from inside a task) runs inline on its caller.
+  /// pool; blocks until all complete. Index 0 runs on the calling thread,
+  /// so a task that needs the caller's warm caches goes there. The first
+  /// exception (lowest index) is rethrown after the batch drains. The
+  /// pool runs one batch at a time: a batch submitted while another holds
+  /// it (another caller's, or a nested one from inside a task) runs inline
+  /// on its caller.
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
 
@@ -65,6 +68,8 @@ class ThreadPool {
   void worker_loop();
   /// Claim-and-run loop shared by the joined workers and the caller.
   void drain_batch();
+  /// Run one index of the current batch, keeping the lowest one's error.
+  void run_index(std::size_t index);
   /// Spin on `ready` for kSpinWindow, then park on `cv` until it holds;
   /// `parked` is raised while parked so a notifier knows to wake.
   template <typename Ready>
@@ -116,9 +121,10 @@ void set_default_thread_count(std::size_t threads);
 /// default changes). Created on first use.
 ThreadPool& global_pool();
 
-/// Run fn(i) for i in [0, n) on `threads` threads (0 = default). threads<=1
-/// or n<=1 runs inline on the caller with no pool involvement. Uses the
-/// global pool when `threads` matches its size, otherwise a transient pool.
+/// Run fn(i) for i in [0, n) on `threads` threads (0 = default), fn(0) on
+/// the caller. threads<=1 or n<=1 runs inline on the caller with no pool
+/// involvement. Uses the global pool when `threads` matches its size,
+/// otherwise a transient pool.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t threads = 0);
 

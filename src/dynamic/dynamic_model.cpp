@@ -61,12 +61,11 @@ DynamicModel::DynamicModel(DemandProfile arrivals,
   TDP_REQUIRE(capacity_.size() == arrivals_.periods(),
               "capacity vector must cover every period");
   TDP_REQUIRE(warmup_days_ >= 1, "need at least one warmup day");
-  double total_capacity = 0.0;
   for (double a : capacity_) {
     TDP_REQUIRE(a >= 0.0, "capacity must be nonnegative");
-    total_capacity += a;
+    total_capacity_ += a;
   }
-  require_steady_state(arrivals_.total_demand(), total_capacity);
+  require_steady_state(arrivals_.total_demand(), total_capacity_);
   tip_ = arrivals_.tip_demand_vector();
 }
 
@@ -82,6 +81,7 @@ DynamicModel::DynamicModel(DemandProfile arrivals, double capacity,
   TDP_REQUIRE(warmup_days_ >= 1, "need at least one warmup day");
   require_steady_state(arrivals_.total_demand(),
                        capacity * static_cast<double>(periods()));
+  for (double a : capacity_) total_capacity_ += a;
   tip_ = arrivals_.tip_demand_vector();
 }
 
@@ -104,9 +104,7 @@ void DynamicModel::rescale_period(std::size_t period, double factor) {
   for (std::size_t i = 0; i < periods(); ++i) {
     total_demand += i == period ? period_demand : tip_[i];
   }
-  double total_capacity = 0.0;
-  for (double a : capacity_) total_capacity += a;
-  require_steady_state(total_demand, total_capacity);
+  require_steady_state(total_demand, total_capacity_);
   arrivals_.scale_period(period, factor);
   tip_[period] = period_demand;
   kernel_ = DeferralKernel(arrivals_, LagConvention::kUniformArrival, &kernel_);
@@ -278,9 +276,13 @@ double DynamicModel::assemble_total_cost(FlowState& state) const {
   // already holds.
   double backlog = 0.0;
   const auto period_backlog = [&](std::size_t i) {
+    // load - std::min(load, cap) with the select after the subtract: the
+    // same operands and subtract (std::min picks cap exactly when
+    // cap < load), so every backlog keeps its bits, and the subtract no
+    // longer waits on the compare in the period-to-period recursion.
     const double load = backlog + arr[i];
-    const double served = std::min(load, capacity_[i]);
-    return load - served;
+    const double cap = capacity_[i];
+    return cap < load ? load - cap : load - load;
   };
   for (std::size_t i = 0; i < n; ++i) {
     backlog = period_backlog(i);

@@ -64,6 +64,11 @@ class DynamicModel {
   std::size_t periods() const { return arrivals_.periods(); }
   const DemandProfile& arrivals() const { return arrivals_; }
   const std::vector<double>& capacity() const { return capacity_; }
+  /// The capacity summed in period order, once, at construction.
+  double total_capacity() const { return total_capacity_; }
+  /// Each period's TIP demand, kept equal to arrivals().tip_demand_vector()
+  /// bit for bit; summed in period order it is arrivals().total_demand().
+  const math::Vector& tip_demand() const { return tip_; }
   const math::PiecewiseLinearCost& backlog_cost() const { return cost_; }
   const DeferralKernel& kernel() const { return kernel_; }
   std::size_t warmup_days() const { return warmup_days_; }
@@ -154,7 +159,8 @@ class DynamicModel {
   math::PiecewiseLinearCost cost_;
   DeferralKernel kernel_;
   std::size_t warmup_days_;
-  math::Vector tip_;  ///< cached tip_demand_vector() for the fast path
+  double total_capacity_ = 0.0;
+  math::Vector tip_;  ///< cached tip_demand_vector()
 };
 
 }  // namespace tdp

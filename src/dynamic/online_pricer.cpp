@@ -193,13 +193,16 @@ void OnlinePricer::update_demand(std::size_t period,
   // capacity — the backlog would have no steady state — so the update is
   // clamped to keep a 2% stability margin; the excess is treated as
   // transient burst rather than recurring demand.
-  const double previous = model_.arrivals().tip_demand(period);
+  // The model's cached TIP demand summed in period order is the profile's
+  // total_demand() bit for bit, without walking every class.
+  const math::Vector& tip = model_.tip_demand();
+  const double previous = tip[period];
   if (previous > 0.0) {
-    double total_capacity = 0.0;
-    for (double a : model_.capacity()) total_capacity += a;
-    const double other_demand = model_.arrivals().total_demand() - previous;
+    double total_demand = 0.0;
+    for (double d : tip) total_demand += d;
+    const double other_demand = total_demand - previous;
     const double max_period_demand =
-        std::max(0.98 * total_capacity - other_demand, 0.0);
+        std::max(0.98 * model_.total_capacity() - other_demand, 0.0);
     const double target = std::min(measured_arrivals, max_period_demand);
     if (target < measured_arrivals) {
       TDP_LOG_WARN << "online update clamps period " << period

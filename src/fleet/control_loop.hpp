@@ -10,13 +10,15 @@
 //
 // step_period() runs one period: publish the mechanism's schedule, fan it
 // out (one server fetch per group), build the period's DeferralTable, sweep
-// the shards on the thread pool, merge stripes in slice order, fold the
-// merge into the day's totals, hand the observed aggregate through the
-// MeasurementGuard to the mechanism, and feed the incident engine. Each
-// phase is timed and traced (fleet.publish / table / simulate / aggregate /
-// pricer). settle_day() and close_day() end a day. FleetDriver runs
-// warmup + 1 days on it; horizon::MultiDayDriver adds drift, estimation
-// and checkpoints around it.
+// the shards on the thread pool (each applies the table to its drawn
+// sessions), merge stripes in slice order, fold the merge into the day's
+// totals, then hand the observed aggregate through the MeasurementGuard to
+// the mechanism in one pool batch with the shards' draws of the day's next
+// period, and feed the incident engine. Each phase is timed and traced
+// (fleet.publish / table / simulate / aggregate / pricer, and the
+// draw_wait after the pricer). settle_day() and close_day() end a day.
+// FleetDriver runs warmup + 1 days on it; horizon::MultiDayDriver adds
+// drift, estimation and checkpoints around it.
 //
 // Determinism: population draws depend only on (seed, user, day, period);
 // the slice layout is fixed by configuration, never by the shard or thread

@@ -82,6 +82,7 @@ std::string FleetMetrics::to_json() const {
       .field("simulate_seconds", simulate_seconds)
       .field("aggregate_seconds", aggregate_seconds)
       .field("pricer_seconds", pricer_seconds)
+      .field("draw_wait_seconds", draw_wait_seconds)
       .field("peak_to_average_tip", peak_to_average_tip)
       .field("peak_to_average_tdp", peak_to_average_tdp)
       .field("reward_paid_units", reward_paid_units)
@@ -120,7 +121,7 @@ std::string FleetMetrics::to_json() const {
 void print_phase_table(const LoopMetrics& m) {
   const double total = m.publish_seconds + m.table_seconds +
                        m.simulate_seconds + m.aggregate_seconds +
-                       m.pricer_seconds;
+                       m.pricer_seconds + m.draw_wait_seconds;
   const auto row = [total](const char* name, double seconds) {
     const double share = total > 0.0 ? 100.0 * seconds / total : 0.0;
     const int bar = static_cast<int>(share / 2.0 + 0.5);
@@ -132,6 +133,7 @@ void print_phase_table(const LoopMetrics& m) {
   row("shard simulation", m.simulate_seconds);
   row("aggregate merge", m.aggregate_seconds);
   row("online pricer", m.pricer_seconds);
+  row("draw wait", m.draw_wait_seconds);
   std::printf("  %-22s %8.3f s  (loop coverage %.1f%% of wall)\n",
               "phase total", total,
               m.wall_seconds > 0.0 ? 100.0 * total / m.wall_seconds : 0.0);

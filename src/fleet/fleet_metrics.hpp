@@ -36,9 +36,12 @@ struct LoopMetrics {
   // estimation, re-anchoring and checkpoint commits).
   double publish_seconds = 0.0;    ///< schedule publish + fan-out sync
   double table_seconds = 0.0;      ///< per-period DeferralTable builds
-  double simulate_seconds = 0.0;   ///< sharded user walks (thread pool)
+  double simulate_seconds = 0.0;   ///< shards apply the table (pool)
   double aggregate_seconds = 0.0;  ///< stripe merges + day folds
   double pricer_seconds = 0.0;     ///< telemetry, guard, online re-solve
+  /// The wait, after the pricer returns, for the next period's session
+  /// draws that ran beside it.
+  double draw_wait_seconds = 0.0;
 };
 
 /// A fleet run: the loop's metrics, the measured (final) day's totals, and

@@ -177,6 +177,205 @@ TEST(DeferralTable, EntriesMatchRunningSumsOfLagWeightBitwise) {
   }
 }
 
+/// The slice walk spelled out from the population's public streams: the
+/// Knuth count by Rng::poisson, exponential sizes, one deferral uniform per
+/// session and the lag by linear scan of the table — the oracle the
+/// batched, screened and split shard walk must match bit for bit.
+class ReferenceWalk {
+ public:
+  ReferenceWalk(const Population& pop, std::size_t slices)
+      : pop_(&pop),
+        slices_(slices),
+        work_(slices, std::vector<double>(pop.periods(), 0.0)),
+        reward_(slices, std::vector<double>(pop.periods(), 0.0)) {}
+
+  /// One period of every slice; rings advance once per call.
+  std::vector<PeriodStats> step(std::size_t day, std::size_t period,
+                                const DeferralTable& table) {
+    const std::size_t n = pop_->periods();
+    std::vector<PeriodStats> out(slices_);
+    for (std::size_t s = 0; s < slices_; ++s) {
+      PeriodStats& stats = out[s];
+      stats.realized_work += work_[s][head_];
+      stats.reward_paid += reward_[s][head_];
+      work_[s][head_] = 0.0;
+      reward_[s][head_] = 0.0;
+      const std::uint64_t end = slice_user_begin(pop_->users(), slices_, s + 1);
+      for (std::uint64_t u = slice_user_begin(pop_->users(), slices_, s);
+           u < end; ++u) {
+        const UserSpec spec = pop_->spec(u);
+        const std::uint32_t cls = spec.patience_class;
+        const double rate = spec.activity * pop_->session_rate(cls, period);
+        if (rate <= 0.0) continue;
+        Rng rng = pop_->user_period_rng(u, day * n + period);
+        const std::uint64_t count = rng.poisson(rate);
+        stats.sessions += count;
+        for (std::uint64_t k = 0; k < count; ++k) {
+          const double work = rng.exponential(pop_->mean_session_size());
+          stats.offered_work += work;
+          const double draw = rng.uniform();
+          if (draw >= table.cumulative(cls, n - 1)) {
+            stats.realized_work += work;
+            continue;
+          }
+          std::size_t lag = 1;
+          while (draw >= table.cumulative(cls, lag)) ++lag;
+          ++stats.deferred_sessions;
+          stats.deferred_work += work;
+          const std::size_t slot = (head_ + lag) % n;
+          work_[s][slot] += work;
+          reward_[s][slot] += table.reward(cls, lag) * work;
+        }
+      }
+    }
+    head_ = (head_ + 1) % n;
+    return out;
+  }
+
+  const std::vector<double>& ring_work(std::size_t slice) const {
+    return work_[slice];
+  }
+  const std::vector<double>& ring_reward(std::size_t slice) const {
+    return reward_[slice];
+  }
+
+ private:
+  const Population* pop_;
+  std::size_t slices_;
+  std::vector<std::vector<double>> work_;
+  std::vector<std::vector<double>> reward_;
+  std::size_t head_ = 0;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_stats(const PeriodStats& a, const PeriodStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(bits(a.offered_work), bits(b.offered_work)) << where;
+  EXPECT_EQ(bits(a.realized_work), bits(b.realized_work)) << where;
+  EXPECT_EQ(bits(a.deferred_work), bits(b.deferred_work)) << where;
+  EXPECT_EQ(bits(a.reward_paid), bits(b.reward_paid)) << where;
+  EXPECT_EQ(a.sessions, b.sessions) << where;
+  EXPECT_EQ(a.deferred_sessions, b.deferred_sessions) << where;
+}
+
+/// Two shards over `slices` slices, each owning a contiguous half.
+std::vector<std::unique_ptr<Shard>> two_shards(const Population& pop,
+                                               std::size_t slices) {
+  std::vector<std::unique_ptr<Shard>> shards;
+  shards.push_back(std::make_unique<Shard>(pop, 0, slices / 2, slices));
+  shards.push_back(std::make_unique<Shard>(pop, slices / 2, slices, slices));
+  return shards;
+}
+
+TEST(Shard, DrawingAheadThenApplyingMatchesTheInlineWalkBitwise) {
+  // The control loop draws a day's period t+1 while the pricer observes
+  // period t, then applies t+1's table to those draws. Over two days of a
+  // schedule that defers, that must give the stripes and rings the inline
+  // walk gives, and both must match the reference walk.
+  const Population pop(small_population(3000));
+  const std::size_t n = pop.periods();
+  const std::size_t slices = 6;
+  Rng rng(41);
+  math::Vector rewards(n);
+  for (double& r : rewards) {
+    r = rng.uniform(0.0, paper::kStaticNormalizationReward);
+  }
+  const std::vector<const math::Vector*> schedules(pop.patience_classes(),
+                                                   &rewards);
+
+  std::vector<std::unique_ptr<Shard>> inline_shards = two_shards(pop, slices);
+  std::vector<std::unique_ptr<Shard>> ahead_shards = two_shards(pop, slices);
+  StripedAggregator inline_agg(slices, n);
+  StripedAggregator ahead_agg(slices, n);
+  ReferenceWalk reference(pop, slices);
+  std::uint64_t deferred = 0;
+  for (std::size_t day = 0; day < 2; ++day) {
+    for (auto& shard : ahead_shards) shard->draw_period(day, 0);
+    for (std::size_t period = 0; period < n; ++period) {
+      const DeferralTable table(pop, schedules, period);
+      for (auto& shard : inline_shards) {
+        shard->simulate_period(day, period, table, inline_agg);
+      }
+      for (auto& shard : ahead_shards) {
+        shard->simulate_period(day, period, table, ahead_agg);
+        if (period + 1 < n) shard->draw_period(day, period + 1);
+      }
+      const std::vector<PeriodStats> expected =
+          reference.step(day, period, table);
+      for (std::size_t s = 0; s < slices; ++s) {
+        const std::string where = "day " + std::to_string(day) + " period " +
+                                  std::to_string(period) + " slice " +
+                                  std::to_string(s);
+        expect_same_stats(ahead_agg.stripe(s, period),
+                          inline_agg.stripe(s, period), where + " ahead");
+        expect_same_stats(inline_agg.stripe(s, period), expected[s],
+                          where + " reference");
+        deferred += expected[s].deferred_sessions;
+      }
+    }
+    for (std::size_t s = 0; s < slices; ++s) {
+      const Shard& inline_shard = *inline_shards[s < slices / 2 ? 0 : 1];
+      const Shard& ahead_shard = *ahead_shards[s < slices / 2 ? 0 : 1];
+      std::vector<double> inline_work, inline_reward, ahead_work, ahead_reward;
+      inline_shard.export_slice_rings(s, inline_work, inline_reward);
+      ahead_shard.export_slice_rings(s, ahead_work, ahead_reward);
+      for (std::size_t slot = 0; slot < n; ++slot) {
+        const std::string where = "day " + std::to_string(day) + " slice " +
+                                  std::to_string(s) + " slot " +
+                                  std::to_string(slot);
+        EXPECT_EQ(bits(ahead_work[slot]), bits(inline_work[slot])) << where;
+        EXPECT_EQ(bits(ahead_reward[slot]), bits(inline_reward[slot]))
+            << where;
+        EXPECT_EQ(bits(inline_work[slot]), bits(reference.ring_work(s)[slot]))
+            << where;
+        EXPECT_EQ(bits(inline_reward[slot]),
+                  bits(reference.ring_reward(s)[slot]))
+            << where;
+      }
+    }
+  }
+  EXPECT_GT(deferred, 1000u) << "the schedule must defer sessions";
+}
+
+TEST(Shard, HeldDrawsOfAnotherPeriodAreRedrawn) {
+  // A shard holding the draws of another period, or of the same period on
+  // another day, must draw the period it is asked for.
+  const Population pop(small_population(2000));
+  const std::size_t n = pop.periods();
+  const std::size_t slices = 4;
+  const math::Vector rewards(n, 0.5 * paper::kStaticNormalizationReward);
+  const std::vector<const math::Vector*> schedules(pop.patience_classes(),
+                                                   &rewards);
+  const std::size_t period = 17;
+  const DeferralTable table(pop, schedules, period);
+  const std::pair<std::size_t, std::size_t> held[] = {{0, period + 1},
+                                                      {1, period}};
+  for (const auto& [held_day, held_period] : held) {
+    Shard fresh(pop, 0, slices, slices);
+    Shard stale(pop, 0, slices, slices);
+    StripedAggregator fresh_agg(slices, n);
+    StripedAggregator stale_agg(slices, n);
+    stale.draw_period(held_day, held_period);
+    fresh.simulate_period(0, period, table, fresh_agg);
+    stale.simulate_period(0, period, table, stale_agg);
+    // The held draws would have read differently.
+    Shard other(pop, 0, slices, slices);
+    StripedAggregator other_agg(slices, n);
+    other.simulate_period(held_day, held_period, table, other_agg);
+    for (std::size_t s = 0; s < slices; ++s) {
+      const std::string where = "held day " + std::to_string(held_day) +
+                                " period " + std::to_string(held_period) +
+                                " slice " + std::to_string(s);
+      expect_same_stats(stale_agg.stripe(s, period),
+                        fresh_agg.stripe(s, period), where);
+      EXPECT_NE(bits(other_agg.stripe(s, held_period).offered_work),
+                bits(fresh_agg.stripe(s, period).offered_work))
+          << where;
+    }
+  }
+}
+
 TEST(Aggregator, MergesStripesInFixedShardOrder) {
   StripedAggregator agg(3, 2);
   for (std::size_t s = 0; s < 3; ++s) {

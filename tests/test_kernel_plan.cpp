@@ -918,6 +918,17 @@ TEST(DynamicModelRescale, InPlaceChainMatchesWithArrivalsBitwise) {
         EXPECT_EQ(in_place.kernel().unit_tables(), unit) << context;
       }
       expect_same_model(in_place, rebuilt, rng, context);
+      // The pricer's stability clamp sums the cached TIP vector and reads
+      // the capacity summed at construction: each must be the sum it
+      // replaced, bit for bit.
+      double tip_total = 0.0;
+      for (double d : in_place.tip_demand()) tip_total += d;
+      EXPECT_EQ(bits(tip_total), bits(in_place.arrivals().total_demand()))
+          << context;
+      double capacity_total = 0.0;
+      for (double a : in_place.capacity()) capacity_total += a;
+      EXPECT_EQ(bits(in_place.total_capacity()), bits(capacity_total))
+          << context;
     }
     // A factor past the capacity check throws, as with_arrivals does, and
     // leaves the model as it was.

@@ -430,13 +430,21 @@ TEST(FleetObservability, MetricsAreViewsOverRegistryDeltas) {
 
   CounterDelta fetches(Registry::global().counter("channel.fetches_total"));
   CounterDelta periods(Registry::global().counter("fleet.periods_total"));
+  CounterDelta draw_wait(
+      Registry::global().counter("fleet.phase.draw_wait_ns"));
   const fleet::FleetMetrics metrics = fleet::FleetDriver(config).run_day();
 
   EXPECT_EQ(metrics.price_server_fetches, fetches.delta());
   EXPECT_EQ(periods.delta(),
             static_cast<std::uint64_t>(metrics.periods) * metrics.days);
-  // Phase timers flowed through the registry's nanosecond counters.
+  // Phase timers flowed through the registry's nanosecond counters. Every
+  // period but a day's last draws the next one beside the pricer, and the
+  // caller's wait for those draws is its own phase.
   EXPECT_GT(metrics.simulate_seconds, 0.0);
+  EXPECT_GT(metrics.draw_wait_seconds, 0.0);
+  EXPECT_GT(draw_wait.delta(), 0u);
+  EXPECT_NE(metrics.to_json().find("\"draw_wait_seconds\":"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -29,6 +29,36 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   }
 }
 
+TEST(ThreadPool, IndexZeroRunsOnTheCaller) {
+  // The fleet loop runs its pricer as index 0 beside the shards' draws:
+  // it must stay on the thread whose caches hold the pricer's model, in
+  // back-to-back batches (workers spinning) and after the workers parked.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int batch = 0; batch < 200; ++batch) {
+    if (batch == 100) {
+      std::this_thread::sleep_for(2 * ThreadPool::kSpinWindow);
+    }
+    std::thread::id first;
+    std::atomic<int> ran{0};
+    pool.for_each_index(65, [&](std::size_t i) {
+      if (i == 0) first = std::this_thread::get_id();
+      ran.fetch_add(1);
+    });
+    ASSERT_EQ(ran.load(), 65) << "batch " << batch;
+    ASSERT_EQ(first, caller) << "batch " << batch;
+  }
+  // Index 0 throwing is the lowest index; the batch still drains.
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.for_each_index(8,
+                                   [&](std::size_t i) {
+                                     ran.fetch_add(1);
+                                     if (i == 0) throw NumericalError("zero");
+                                   }),
+               NumericalError);
+  EXPECT_EQ(ran.load(), 8);
+}
+
 TEST(ThreadPool, ReusableAcrossBatches) {
   ThreadPool pool(3);
   std::atomic<std::size_t> total{0};
