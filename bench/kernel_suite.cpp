@@ -17,11 +17,17 @@
 //   dynamic_solve        the fleet's 48-period offline dynamic solve (the
 //                        horizon's re-anchor re-solve), reference objective
 //                        vs the fused plan, plus the fused per-call cost of
-//                        smoothed_cost and smoothed_cost_and_gradient
+//                        smoothed_cost and smoothed_cost_and_gradient, and
+//                        the CPUs each side ran on
 //   deferral_table_build fleet per-period DeferralTable, lag_weight calls
 //                        vs the table (one pow per distinct schedule and
 //                        gamma, the waiting functions' tabulated node
 //                        powers)
+//   screen_batch         simd::fork_uniform_screen_batch over 10k users in
+//                        the shard's 256-user calls, every body the host
+//                        runs (scalar, AVX2, AVX-512) in alternating
+//                        rounds: ns per user of each and the AVX-512
+//                        body's speedup over the AVX2 one
 //   fleet_shard_step     one shard simulating one period of a 20k-user day
 //   fleet_sweep          a 10k-user fleet day (128 slices, 64 shards) on 1
 //                        thread vs 4, in alternating rounds: ms per period
@@ -46,6 +52,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "core/deferral_kernel.hpp"
 #include "core/kernel_plan.hpp"
@@ -115,12 +122,28 @@ bool same_unit_tables(const tdp::DeferralKernel& a,
          same(ta->inflow, tb->inflow);
 }
 
+/// The CPU the calling thread runs on; -1 where the platform cannot tell.
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+/// How many distinct CPUs `cpus` names (0 when none is known).
+std::size_t distinct_cpus(std::vector<int> cpus) {
+  cpus.erase(std::remove(cpus.begin(), cpus.end(), -1), cpus.end());
+  std::sort(cpus.begin(), cpus.end());
+  return static_cast<std::size_t>(
+      std::unique(cpus.begin(), cpus.end()) - cpus.begin());
+}
+
 /// How many distinct CPUs `threads` threads run on: a batch of 64 short
 /// tasks on them (the global pool when `threads` is its size, inline on
-/// the caller for 1), each recording sched_getcpu() after spinning 2 us.
-/// 0 where the platform cannot tell.
+/// the caller for 1), each recording its CPU after spinning 2 us. 0 where
+/// the platform cannot tell.
 std::size_t cpus_used(std::size_t threads) {
-#if defined(__linux__)
   constexpr std::size_t kTasks = 64;
   std::vector<int> cpu(kTasks, -1);
   tdp::parallel_for(
@@ -129,16 +152,10 @@ std::size_t cpus_used(std::size_t threads) {
         const auto until = Clock::now() + std::chrono::microseconds(2);
         while (Clock::now() < until) {
         }
-        cpu[i] = sched_getcpu();
+        cpu[i] = current_cpu();
       },
       threads);
-  std::sort(cpu.begin(), cpu.end());
-  return static_cast<std::size_t>(
-      std::unique(cpu.begin(), cpu.end()) - cpu.begin());
-#else
-  (void)threads;
-  return 0;
-#endif
+  return distinct_cpus(std::move(cpu));
 }
 
 }  // namespace
@@ -433,18 +450,26 @@ int main(int argc, char** argv) {
     // Alternating rounds, best solve of each side kept, so a host slowdown
     // during one round skews neither the times nor their ratio. Seven, as
     // fleet_sweep runs: with three the speedup's spread reached its floor.
+    // Each side's CPU is read as each of its rounds starts and ends, so a
+    // low speedup shows whether either side moved between CPUs.
     const std::size_t rounds = 7;
     double reference_seconds = 0.0;
     double fused_seconds = 0.0;
     DynamicPricingSolution reference;
     DynamicPricingSolution fused;
+    std::vector<int> reference_cpus;
+    std::vector<int> fused_cpus;
     for (std::size_t round = 0; round < rounds; ++round) {
+      reference_cpus.push_back(current_cpu());
       auto start = Clock::now();
       reference = optimize_dynamic_prices(model, reference_options);
       const double reference_round = bench::seconds_since(start);
+      reference_cpus.push_back(current_cpu());
+      fused_cpus.push_back(current_cpu());
       start = Clock::now();
       fused = optimize_dynamic_prices(model, fused_options);
       const double fused_round = bench::seconds_since(start);
+      fused_cpus.push_back(current_cpu());
       if (round == 0 || reference_round < reference_seconds) {
         reference_seconds = reference_round;
       }
@@ -490,11 +515,16 @@ int main(int argc, char** argv) {
     const double gradient_call_us =
         1e6 * gradient_seconds / static_cast<double>(call_reps);
 
+    const std::size_t reference_cpus_used =
+        distinct_cpus(std::move(reference_cpus));
+    const std::size_t fused_cpus_used = distinct_cpus(std::move(fused_cpus));
     std::printf(
         "  dynamic_solve        ref %.1f ms  fused %.1f ms  (%.1fx, %zu "
-        "iterations; cost %.2f us, cost+grad %.2f us per call)\n",
+        "iterations; cost %.2f us, cost+grad %.2f us per call; on %zu and "
+        "%zu CPUs)\n",
         1e3 * reference_seconds, 1e3 * fused_seconds, speedup,
-        fused.iterations, cost_call_us, gradient_call_us);
+        fused.iterations, cost_call_us, gradient_call_us,
+        reference_cpus_used, fused_cpus_used);
     bench::BenchReport report("dynamic_solve");
     report.add("rounds", static_cast<std::uint64_t>(rounds));
     report.add("iterations", static_cast<std::uint64_t>(fused.iterations));
@@ -503,13 +533,19 @@ int main(int argc, char** argv) {
     report.add("speedup", speedup);
     report.add("cost_call_us", cost_call_us);
     report.add("cost_and_gradient_call_us", gradient_call_us);
+    report.add("reference_cpus_used",
+               static_cast<std::uint64_t>(reference_cpus_used));
+    report.add("fused_cpus_used", static_cast<std::uint64_t>(fused_cpus_used));
     report.emit();
-    entries.push_back({"dynamic_solve",
-                       {{"reference_seconds", reference_seconds},
-                        {"fused_seconds", fused_seconds},
-                        {"speedup", speedup},
-                        {"cost_call_us", cost_call_us},
-                        {"cost_and_gradient_call_us", gradient_call_us}}});
+    entries.push_back(
+        {"dynamic_solve",
+         {{"reference_seconds", reference_seconds},
+          {"fused_seconds", fused_seconds},
+          {"speedup", speedup},
+          {"cost_call_us", cost_call_us},
+          {"cost_and_gradient_call_us", gradient_call_us},
+          {"reference_cpus_used", static_cast<double>(reference_cpus_used)},
+          {"fused_cpus_used", static_cast<double>(fused_cpus_used)}}});
   }
 
   // ---- deferral_table_build: fleet per-period table, ref vs table --------
@@ -559,6 +595,124 @@ int main(int argc, char** argv) {
                        {{"reference_seconds", reference_seconds},
                         {"table_seconds", table_seconds},
                         {"speedup", speedup}}});
+  }
+
+  // ---- screen_batch: the per-user stream screen, every body the host runs -
+  {
+    // 10k users in the shard's 256-user calls, one batch's output buffers
+    // reused per call as the shard reuses them, so u1 and the resume states
+    // stay in L1.
+    constexpr std::size_t kUsers = 10000;
+    constexpr std::size_t kBatch = 256;
+    constexpr std::size_t kClasses = 32;
+    using Body = void (*)(const std::uint64_t*, std::size_t, std::uint64_t,
+                          const std::uint32_t*, const double*, double*,
+                          std::uint64_t*, std::uint64_t*);
+    struct Side {
+      const char* name;
+      Body body;
+      double seconds = 0.0;
+    };
+    std::vector<Side> sides = {
+        {"scalar", &simd::detail::fork_uniform_screen_batch_scalar}};
+#if defined(TDP_HAVE_AVX2)
+    if (simd::avx2_supported()) {
+      sides.push_back({"avx2", &simd::detail::fork_uniform_screen_batch_avx2});
+    }
+#endif
+#if defined(TDP_HAVE_AVX512)
+    if (simd::avx512_supported()) {
+      sides.push_back(
+          {"avx512", &simd::detail::fork_uniform_screen_batch_avx512});
+    }
+#endif
+    std::vector<std::uint64_t> parents(kUsers);
+    std::vector<std::uint32_t> cls(kUsers);
+    std::vector<double> screen(kClasses);
+    Rng rng(20110611);
+    for (std::size_t i = 0; i < kUsers; ++i) {
+      parents[i] = rng.next();
+      cls[i] = static_cast<std::uint32_t>(rng.uniform_index(kClasses));
+    }
+    // Most user-periods screen out, as with the paper's mixes.
+    for (double& threshold : screen) threshold = rng.uniform(0.8, 1.0);
+
+    std::vector<double> u1(kUsers);
+    std::vector<std::uint64_t> resume(kUsers);
+    std::vector<std::uint64_t> mask((kUsers + 63) / 64);
+    std::uint64_t sink = 0;
+    // Every user in the shard's batches; `whole` keeps each batch's
+    // outputs at its users' offsets (the bitwise check), else one batch's
+    // buffers are reused.
+    const auto walk = [&](Body body, std::uint64_t stream, bool whole) {
+      for (std::size_t base = 0; base < kUsers; base += kBatch) {
+        const std::size_t len = std::min(kBatch, kUsers - base);
+        const std::size_t out = whole ? base : 0;
+        body(parents.data() + base, len, stream, cls.data() + base,
+             screen.data(), u1.data() + out, resume.data() + out,
+             mask.data() + out / 64);
+        sink += mask[out / 64];
+      }
+    };
+    // Every body writes the scalar twin's bits; a drift is a bug.
+    walk(sides[0].body, 7, true);
+    const std::vector<double> u1_ref = u1;
+    const std::vector<std::uint64_t> resume_ref = resume;
+    const std::vector<std::uint64_t> mask_ref = mask;
+    for (const Side& side : sides) {
+      if (&side == &sides[0]) continue;
+      walk(side.body, 7, true);
+      if (std::memcmp(u1.data(), u1_ref.data(), kUsers * sizeof(double)) !=
+              0 ||
+          resume != resume_ref || mask != mask_ref) {
+        std::fprintf(stderr, "FATAL: %s screen body diverged from scalar\n",
+                     side.name);
+        return 1;
+      }
+    }
+
+    // Alternating rounds, the order reversed every other round, best
+    // round of each body kept.
+    const std::size_t rounds = 7;
+    const std::size_t walks = 100;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t k = 0; k < sides.size(); ++k) {
+        Side& side = sides[round % 2 == 0 ? k : sides.size() - 1 - k];
+        std::uint64_t stream = 0;
+        const double seconds = bench::time_reps(
+            walks, [&] { walk(side.body, stream++, false); });
+        if (round == 0 || seconds < side.seconds) side.seconds = seconds;
+      }
+    }
+    if (sink == 1) std::printf("?\n");
+
+    bench::BenchReport report("screen_batch");
+    report.add("rounds", static_cast<std::uint64_t>(rounds));
+    report.add("users", static_cast<std::uint64_t>(kUsers));
+    bench::SuiteEntry entry{"screen_batch", {}};
+    std::printf("  screen_batch        ");
+    double avx2_seconds = 0.0;
+    double avx512_seconds = 0.0;
+    for (const Side& side : sides) {
+      const double ns =
+          1e9 * side.seconds / static_cast<double>(walks * kUsers);
+      const std::string field = std::string(side.name) + "_ns_per_user";
+      report.add(field, ns);
+      entry.fields.emplace_back(field, ns);
+      std::printf(" %s %.2f ns", side.name, ns);
+      if (std::strcmp(side.name, "avx2") == 0) avx2_seconds = side.seconds;
+      if (std::strcmp(side.name, "avx512") == 0) avx512_seconds = side.seconds;
+    }
+    std::printf(" per user");
+    if (avx2_seconds > 0.0 && avx512_seconds > 0.0) {  // both bodies ran
+      const double speedup = avx2_seconds / avx512_seconds;
+      report.add("avx512_speedup", speedup);
+      entry.fields.emplace_back("avx512_speedup", speedup);
+      std::printf(" (avx512 %.2fx avx2)", speedup);
+    }
+    std::printf("\n");
+    report.emit();
+    entries.push_back(std::move(entry));
   }
 
   // ---- fleet_shard_step: one shard, one period, 20k users ---------------

@@ -12,41 +12,67 @@ namespace tdp::simd {
 
 namespace {
 
-bool cpu_has(const char* feature) {
+bool cpu_has_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  if (std::strcmp(feature, "avx2") == 0)
-    return __builtin_cpu_supports("avx2") != 0;
-  if (std::strcmp(feature, "avx512f") == 0)
-    return __builtin_cpu_supports("avx512f") != 0;
-  return false;
+  return __builtin_cpu_supports("avx2") != 0;
 #else
-  (void)feature;
   return false;
 #endif
 }
 
+/// AVX-512 F, DQ and VL: what the screen body needs, and what host_isa()
+/// reports as "avx512".
+bool cpu_has_avx512() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
+#else
+  return false;
+#endif
+}
+
+bool mode_supported(Mode m) {
+  switch (m) {
+    case Mode::kScalar: return true;
+    case Mode::kAvx2: return avx2_supported();
+    case Mode::kAvx512: return avx512_supported();
+  }
+  return false;
+}
+
 Mode detect_mode() {
-  Mode best = avx2_supported() ? Mode::kAvx2 : Mode::kScalar;
   const char* env = std::getenv("TDP_SIMD");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0)
-    return best;
+  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
+    if (avx512_supported()) return Mode::kAvx512;
+    return avx2_supported() ? Mode::kAvx2 : Mode::kScalar;
+  }
   if (std::strcmp(env, "scalar") == 0) return Mode::kScalar;
   if (std::strcmp(env, "avx2") == 0) {
     TDP_REQUIRE(avx2_supported(), "TDP_SIMD=avx2 but host/build lacks AVX2");
     return Mode::kAvx2;
   }
   TDP_REQUIRE(false, "TDP_SIMD must be one of: auto, scalar, avx2");
-  return best;
+  return Mode::kScalar;
 }
 
-// kScalar=0 / kAvx2=1 stored +1 so 0 means "not yet resolved".
+// A Mode stored +1 so 0 means "not yet resolved".
 std::atomic<int> g_mode{0};
 
 }  // namespace
 
 bool avx2_supported() {
 #if defined(TDP_HAVE_AVX2)
-  static const bool supported = cpu_has("avx2");
+  static const bool supported = cpu_has_avx2();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+bool avx512_supported() {
+#if defined(TDP_HAVE_AVX512)
+  static const bool supported = avx2_supported() && cpu_has_avx512();
   return supported;
 #else
   return false;
@@ -67,18 +93,23 @@ Mode mode() {
 }
 
 void set_mode(Mode m) {
-  TDP_REQUIRE(m == Mode::kScalar || avx2_supported(),
+  TDP_REQUIRE(mode_supported(m),
               "cannot force a SIMD mode this host/build does not support");
   g_mode.store(static_cast<int>(m) + 1, std::memory_order_release);
 }
 
 const char* mode_name() {
-  return mode() == Mode::kAvx2 ? "avx2" : "scalar";
+  switch (mode()) {
+    case Mode::kScalar: break;
+    case Mode::kAvx2: return "avx2";
+    case Mode::kAvx512: return "avx512";
+  }
+  return "scalar";
 }
 
 const char* host_isa() {
-  if (cpu_has("avx512f")) return "avx512";
-  if (cpu_has("avx2")) return "avx2";
+  if (cpu_has_avx512()) return "avx512";
+  if (cpu_has_avx2()) return "avx2";
   return "sse2";
 }
 
@@ -133,8 +164,16 @@ void fork_uniform_screen_batch(const std::uint64_t* state, std::size_t count,
                                const std::uint32_t* cls, const double* screen,
                                double* u1, std::uint64_t* state_out,
                                std::uint64_t* active_mask) {
+#if defined(TDP_HAVE_AVX512)
+  if (mode() == Mode::kAvx512) {
+    detail::fork_uniform_screen_batch_avx512(state, count, stream, cls,
+                                             screen, u1, state_out,
+                                             active_mask);
+    return;
+  }
+#endif
 #if defined(TDP_HAVE_AVX2)
-  if (mode() == Mode::kAvx2) {
+  if (mode() != Mode::kScalar) {
     detail::fork_uniform_screen_batch_avx2(state, count, stream, cls, screen,
                                            u1, state_out, active_mask);
     return;
@@ -148,7 +187,7 @@ void sensitivity_sweep(double* db, double* grad, const double* rows,
                        const double* diag, const double* sigma,
                        const double* fprime, std::size_t n) {
 #if defined(TDP_HAVE_AVX2)
-  if (mode() == Mode::kAvx2) {
+  if (mode() != Mode::kScalar) {
     detail::sensitivity_sweep_avx2(db, grad, rows, diag, sigma, fprime, n);
     return;
   }
@@ -158,7 +197,7 @@ void sensitivity_sweep(double* db, double* grad, const double* rows,
 
 void off_diagonal_sums(const double* m, std::size_t n, double* out) {
 #if defined(TDP_HAVE_AVX2)
-  if (mode() == Mode::kAvx2) {
+  if (mode() != Mode::kScalar) {
     detail::off_diagonal_sums_avx2(m, n, out);
     return;
   }

@@ -11,8 +11,8 @@
 // in any width, so they vectorize freely.
 //
 // Dispatch is resolved once per process from CPUID plus the TDP_SIMD
-// environment variable ("scalar" forces the fallback, "avx2" requests the
-// vector path, unset/"auto" uses the best supported). Tests flip the mode
+// environment variable ("scalar" forces the fallback, "avx2" the AVX2
+// bodies, unset/"auto" uses the best supported mode). Tests flip the mode
 // at runtime via set_mode() to prove scalar-vs-SIMD bit identity on the
 // same host (tests/test_simd.cpp).
 //
@@ -20,7 +20,10 @@
 // with -mavx2 (gated by the compiler check in src/common/CMakeLists.txt);
 // nothing in those TUs runs unless mode() says the host supports it. On
 // compilers or targets without AVX2 support the build simply omits the
-// vector TUs and mode() is pinned to kScalar.
+// vector TUs and mode() is pinned to kScalar. One kernel, the screen
+// batch, also has an AVX-512 body (simd_avx512.cpp, built where the
+// compiler takes -mavx512f -mavx512dq -mavx512vl); in kAvx512 every other
+// kernel runs its AVX2 body.
 #pragma once
 
 #include <array>
@@ -32,24 +35,31 @@ namespace tdp::simd {
 enum class Mode : std::uint8_t {
   kScalar = 0,  ///< portable fallback, always available
   kAvx2 = 1,    ///< 4 × 64-bit lanes (requires CPU + build support)
+  kAvx512 = 2,  ///< the screen batch in 8 × 64-bit lanes, the rest AVX2
 };
 
 /// True when this build contains the AVX2 kernels and the CPU reports
 /// AVX2. A false return pins mode() to kScalar.
 bool avx2_supported();
 
+/// True when this build contains the AVX-512 screen body, the AVX2
+/// kernels run, and the CPU reports AVX-512 F, DQ and VL (the predicate
+/// host_isa() reads too).
+bool avx512_supported();
+
 /// The active mode: TDP_SIMD env override if valid, else the best
-/// supported width. Cached after the first call.
+/// supported mode. Cached after the first call.
 Mode mode();
 
-/// Force a mode (tests). Forcing kAvx2 on a host without support throws.
+/// Force a mode (tests). Forcing a mode the host/build lacks throws.
 void set_mode(Mode mode);
 
-/// "scalar" or "avx2" for logs and BENCH_JSON.
+/// "scalar", "avx2" or "avx512" for logs and BENCH_JSON.
 const char* mode_name();
 
-/// Host ISA summary for bench provenance: "avx512", "avx2", or "sse2"
-/// (what the CPU supports, independent of the active mode).
+/// Host ISA summary for bench provenance: "avx512" (F, DQ and VL),
+/// "avx2", or "sse2" (what the CPU supports, independent of the active
+/// mode and of the build).
 const char* host_isa();
 
 // ---- Batched SplitMix64 stream derivation with an activity screen -------
@@ -121,7 +131,8 @@ inline constexpr std::array<double, 95> kDiagonalWindow = [] {
 }();
 
 // The mode-specific implementations (scalar always present; avx2 present
-// when TDP_HAVE_AVX2). Exposed for the bitwise cross-checks in tests.
+// when TDP_HAVE_AVX2, avx512 when TDP_HAVE_AVX512). Exposed for the
+// bitwise cross-checks in tests and the kernel suite.
 void fork_uniform_screen_batch_scalar(const std::uint64_t* state,
                                       std::size_t count, std::uint64_t stream,
                                       const std::uint32_t* cls,
@@ -143,6 +154,14 @@ void sensitivity_sweep_avx2(double* db, double* grad, const double* rows,
                             const double* diag, const double* sigma,
                             const double* fprime, std::size_t n);
 void off_diagonal_sums_avx2(const double* m, std::size_t n, double* out);
+#endif
+#if defined(TDP_HAVE_AVX512)
+void fork_uniform_screen_batch_avx512(const std::uint64_t* state,
+                                      std::size_t count, std::uint64_t stream,
+                                      const std::uint32_t* cls,
+                                      const double* screen, double* u1,
+                                      std::uint64_t* state_out,
+                                      std::uint64_t* active_mask);
 #endif
 }  // namespace detail
 

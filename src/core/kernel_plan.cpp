@@ -63,7 +63,7 @@ void KernelPlan::scale_unit_columns(std::size_t first, std::size_t last,
     if (with_derivatives) s.inflow_derivative[to] = unit_->inflow[to];
   }
 #if defined(TDP_HAVE_AVX2)
-  if (simd::mode() == simd::Mode::kAvx2) {
+  if (simd::mode() != simd::Mode::kScalar) {
     scale_unit_columns_avx2(first, last, s);
     return;
   }

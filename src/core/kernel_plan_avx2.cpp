@@ -1,6 +1,6 @@
 // AVX2 implementation of a linear KernelPlan's column scaling. Compiled
 // with -mavx2 (per-source flag in src/core/CMakeLists.txt); reached only
-// when simd::mode() == kAvx2 at runtime. The outflow reduction is
+// in a vector mode (kAvx2 or kAvx512) at runtime. The outflow reduction is
 // simd::off_diagonal_sums (common/simd_avx2.cpp).
 //
 // Lane discipline (see common/simd.hpp): a lane is one independent output

@@ -13,7 +13,8 @@
 //
 //   threads     1 and 4 threads
 //   shards      the 8 slices grouped into 1, 3 and 8 shards
-//   simd        forced scalar dispatch against the default (needs AVX2)
+//   simd        forced scalar dispatch against the default, and forced
+//               AVX2 where the default runs the AVX-512 screen (needs AVX2)
 //   restore     three seeded kills (a day boundary, mid-day, anywhere),
 //               each restored onto another layout; at the kill,
 //               checkpoint -> restore -> checkpoint is byte-stable
@@ -319,8 +320,19 @@ void shared_axis(Axis axis, const HorizonConfig& config, const Run& reference,
       }
       break;
     case Axis::kSimd: {
-      const scenarios::ModeGuard scalar(simd::Mode::kScalar);
-      expect_equal(reference, rerun("scalar", config.shards, config.threads));
+      // The default mode against every supported lower one: scalar
+      // always, and AVX2 when the default runs the AVX-512 screen, so the
+      // whole loop also runs the AVX2 screen on such hosts.
+      std::vector<simd::Mode> lower = {simd::Mode::kScalar};
+      if (simd::mode() == simd::Mode::kAvx512) {
+        lower.push_back(simd::Mode::kAvx2);
+      }
+      for (const simd::Mode mode : lower) {
+        const scenarios::ModeGuard forced(mode);
+        SCOPED_TRACE(std::string("forced ") + simd::mode_name());
+        expect_equal(reference,
+                     rerun(simd::mode_name(), config.shards, config.threads));
+      }
       break;
     }
     case Axis::kConcurrent: {

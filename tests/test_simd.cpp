@@ -5,15 +5,19 @@
 //
 // The vector kernels' contract is *bitwise* identity with the scalar path
 // — every comparison here is EXPECT_EQ on raw doubles / bytes, never a
-// tolerance. Tests that need the AVX2 path skip cleanly on hosts whose
-// CPU (or build) lacks it; the scalar assertions always run.
+// tolerance. Tests that need the AVX2 or AVX-512 path skip cleanly on
+// hosts whose CPU (or build) lacks it, naming the missing feature; the
+// scalar assertions always run.
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -32,14 +36,59 @@ namespace {
 
 using scenarios::ModeGuard;
 
+/// Why the AVX-512 screen body cannot run here, naming the missing
+/// feature; empty when it can.
+std::string avx512_missing() {
+#if !defined(TDP_HAVE_AVX512)
+  return "no AVX-512 body in this build (the compiler lacks -mavx512f "
+         "-mavx512dq -mavx512vl)";
+#else
+  if (!simd::avx2_supported()) return "no AVX2 on this host";
+  if (__builtin_cpu_supports("avx512f") == 0) return "the CPU lacks AVX-512F";
+  if (__builtin_cpu_supports("avx512dq") == 0) {
+    return "the CPU lacks AVX-512DQ";
+  }
+  if (__builtin_cpu_supports("avx512vl") == 0) {
+    return "the CPU lacks AVX-512VL";
+  }
+  return "";
+#endif
+}
+
 TEST(SimdDispatch, ReportsAValidModeAndHostIsa) {
   const std::string mode = simd::mode_name();
-  EXPECT_TRUE(mode == "scalar" || mode == "avx2") << mode;
+  EXPECT_TRUE(mode == "scalar" || mode == "avx2" || mode == "avx512") << mode;
   const std::string isa = simd::host_isa();
   EXPECT_TRUE(isa == "sse2" || isa == "avx2" || isa == "avx512") << isa;
+  // Dispatch and provenance read one CPUID predicate.
+  EXPECT_EQ(simd::avx512_supported(), avx512_missing().empty());
+  if (simd::avx512_supported()) {
+    EXPECT_EQ(isa, "avx512");
+  }
   if (!simd::avx2_supported()) {
     EXPECT_EQ(simd::mode(), simd::Mode::kScalar);
     EXPECT_THROW(simd::set_mode(simd::Mode::kAvx2), std::exception);
+  }
+  if (!simd::avx512_supported()) {
+    EXPECT_NE(simd::mode(), simd::Mode::kAvx512);
+    EXPECT_THROW(simd::set_mode(simd::Mode::kAvx512), std::exception);
+  }
+  // Unforced, the best supported mode runs.
+  const char* env = std::getenv("TDP_SIMD");
+  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
+    EXPECT_EQ(simd::mode(), simd::avx512_supported() ? simd::Mode::kAvx512
+                            : simd::avx2_supported() ? simd::Mode::kAvx2
+                                                     : simd::Mode::kScalar);
+  }
+  const std::pair<simd::Mode, std::string> names[] = {
+      {simd::Mode::kScalar, "scalar"},
+      {simd::Mode::kAvx2, "avx2"},
+      {simd::Mode::kAvx512, "avx512"}};
+  for (const auto& [forced, name] : names) {
+    if (forced == simd::Mode::kAvx2 && !simd::avx2_supported()) continue;
+    if (forced == simd::Mode::kAvx512 && !simd::avx512_supported()) continue;
+    ModeGuard guard(forced);
+    EXPECT_EQ(simd::mode_name(), name);
   }
 }
 
@@ -113,6 +162,123 @@ TEST(RngBatch, Avx2KernelsAreBitIdenticalToScalar) {
   }
   for (std::size_t w = 0; w < kWords; ++w) {
     EXPECT_EQ(mask_a[w], mask_b[w]) << "mask word " << w;
+  }
+#endif
+}
+
+using ScreenFn = void (*)(const std::uint64_t*, std::size_t, std::uint64_t,
+                          const std::uint32_t*, const double*, double*,
+                          std::uint64_t*, std::uint64_t*);
+
+/// One screen batch's outputs, written over sentinels, so a store past
+/// `count` (or to a mask word past its last) shows.
+struct ScreenOut {
+  std::vector<double> u1;
+  std::vector<std::uint64_t> state;
+  std::vector<std::uint64_t> mask;
+};
+
+/// Runs `fn` on the first `count` users, from inputs exactly that long.
+ScreenOut run_screen(ScreenFn fn, const std::vector<std::uint64_t>& state,
+                     const std::vector<std::uint32_t>& cls, std::size_t count,
+                     std::uint64_t stream, const double* screen) {
+  const std::vector<std::uint64_t> parents(state.begin(),
+                                           state.begin() + count);
+  const std::vector<std::uint32_t> classes(cls.begin(), cls.begin() + count);
+  ScreenOut out{std::vector<double>(state.size(), -2.0),
+                std::vector<std::uint64_t>(state.size(), 0x5E5E5E5Eull),
+                std::vector<std::uint64_t>(state.size() / 64 + 2, ~0ull)};
+  fn(parents.data(), count, stream, classes.data(), screen, out.u1.data(),
+     out.state.data(), out.mask.data());
+  return out;
+}
+
+/// Same bits in every output, sentinels included; names the first lane
+/// that differs.
+void expect_same_screen(const ScreenOut& a, const ScreenOut& b,
+                        const std::string& context) {
+  for (std::size_t i = 0; i < a.u1.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a.u1[i]) !=
+            std::bit_cast<std::uint64_t>(b.u1[i]) ||
+        a.state[i] != b.state[i]) {
+      ADD_FAILURE() << context << ": lane " << i << " u1 " << a.u1[i]
+                    << " vs " << b.u1[i] << ", state " << a.state[i]
+                    << " vs " << b.state[i];
+      return;
+    }
+  }
+  for (std::size_t w = 0; w < a.mask.size(); ++w) {
+    EXPECT_EQ(a.mask[w], b.mask[w]) << context << ": mask word " << w;
+  }
+}
+
+TEST(RngBatch, Avx512KernelIsBitIdenticalToScalarAndAvx2) {
+  const std::string missing = avx512_missing();
+  if (!missing.empty()) GTEST_SKIP() << missing;
+#if defined(TDP_HAVE_AVX512)
+  // Every count from 0 through two 256-user batches and a 7-lane tail.
+  constexpr std::size_t kMax = 2 * 256 + 7;
+  constexpr std::size_t kTie = 100;  // the lane whose own u1 is a screen
+  std::vector<std::uint64_t> state(kMax);
+  std::vector<std::uint32_t> cls(kMax);
+  Rng seeder(2011);
+  for (std::size_t i = 0; i < kMax; ++i) {
+    state[i] = seeder.next();
+    cls[i] = static_cast<std::uint32_t>(i < 32 ? i : seeder.next() % 32);
+  }
+  // Parents at both ends of the state range, on lane, vector and mask-word
+  // edges.
+  for (const std::size_t i : {0, 7, 8, 63, 64, 255, 256, 511, 518}) {
+    state[i] = 0;
+  }
+  for (const std::size_t i : {1, 9, 65, 257, 512, 517}) state[i] = ~0ull;
+  cls[kTie] = 5;
+
+  for (const std::uint64_t stream : {0ull, 1ull, 1ull << 40}) {
+    // Classes 0..31: always active (-1.0), never active (+inf), ordinary
+    // thresholds, and class 5 screening at lane kTie's own u1, which the
+    // strict > leaves inactive.
+    std::array<double, 32> screen;
+    for (double& threshold : screen) threshold = seeder.uniform();
+    screen[0] = -1.0;
+    screen[1] = std::numeric_limits<double>::infinity();
+    screen[5] = run_screen(&simd::detail::fork_uniform_screen_batch_scalar,
+                           state, cls, kMax, stream, screen.data())
+                    .u1[kTie];
+    for (std::size_t count = 0; count <= kMax; ++count) {
+      const std::string context = "stream " + std::to_string(stream) +
+                                  ", count " + std::to_string(count);
+      const ScreenOut scalar =
+          run_screen(&simd::detail::fork_uniform_screen_batch_scalar, state,
+                     cls, count, stream, screen.data());
+      const ScreenOut avx2 =
+          run_screen(&simd::detail::fork_uniform_screen_batch_avx2, state,
+                     cls, count, stream, screen.data());
+      const ScreenOut avx512 =
+          run_screen(&simd::detail::fork_uniform_screen_batch_avx512, state,
+                     cls, count, stream, screen.data());
+      expect_same_screen(scalar, avx512, context + ", scalar vs avx512");
+      expect_same_screen(avx2, avx512, context + ", avx2 vs avx512");
+      if (count > kTie) {
+        EXPECT_EQ((scalar.mask[kTie / 64] >> (kTie % 64)) & 1u, 0u)
+            << context << ": a u1 equal to its screen is inactive";
+      }
+      if (count == kMax) {  // every class screens as its threshold says
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ((scalar.mask[i / 64] >> (i % 64)) & 1u,
+                    scalar.u1[i] > screen[cls[i]] ? 1u : 0u)
+              << context << ": lane " << i;
+        }
+      }
+    }
+    // The public entry point in kAvx512 runs the same body.
+    ModeGuard guard(simd::Mode::kAvx512);
+    expect_same_screen(
+        run_screen(&simd::detail::fork_uniform_screen_batch_avx512, state,
+                   cls, kMax, stream, screen.data()),
+        run_screen(&simd::fork_uniform_screen_batch, state, cls, kMax,
+                   stream, screen.data()),
+        "dispatched, stream " + std::to_string(stream));
   }
 #endif
 }

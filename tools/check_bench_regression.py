@@ -37,7 +37,9 @@ ORDERING_EPSILON = 0.01    # slack in the mechanism ordering
 # RULES[suite] = [(bench, field, op, bound)]: the run fails unless
 # benches[bench][field] <op> bound holds; a missing bench or field fails.
 # Bench "*" means every bench in the run. A bound (bench, field, offset)
-# reads that field's value plus the offset.
+# reads that field's value plus the offset. A fifth element names a field
+# of the same bench without which the row does not apply (a body only
+# some hosts run).
 RULES: dict[str, list[tuple]] = {
     "kernel": [
         # Fused static solve and incremental online re-solve against their
@@ -52,13 +54,30 @@ RULES: dict[str, list[tuple]] = {
         # lanes and the in-register sensitivity sweep, 4.19-5.67 before.
         # Best of seven alternating rounds per side: 6.68-9.99 over twenty
         # runs, where three rounds had read 6.51-9.42.
+        # Ten alternating Release runs per tree with the AVX-512 screen
+        # (which this solve does not run): 6.71-7.95 (median 7.48) against
+        # 6.98-7.88 (7.37) for the tree before, every side of every run on
+        # one CPU (reference_cpus_used, fused_cpus_used); at that tree's
+        # commit one run in ten per tree had read 5.30 and 5.78.
         ("dynamic_solve", "speedup", ">=", 6.5),
         # The per-period deferral table against per-(class, lag) lag_weight
         # calls: 26.3-35.7 over ten runs with one pow per distinct schedule
         # and gamma, 8.3-14.0 with one per class.
         ("deferral_table_build", "speedup", ">=", 20.0),
+        # The per-user stream screen, ns per user in the shard's 256-user
+        # calls: every host runs the scalar body, and where the AVX-512
+        # body runs too, it must beat the AVX2 one by half again. Ten
+        # Release runs: 2.11-2.21 (AVX2 2.70-3.63 ns, AVX-512 1.23-1.64 ns
+        # per user).
+        ("screen_batch", "scalar_ns_per_user", ">", 0.0),
+        ("screen_batch", "avx512_speedup", ">=", 1.5, "avx512_ns_per_user"),
         # A 10k-user fleet day on 4 threads against 1 (ROADMAP item 5: no
-        # slower on 4): 1.80-2.50 over ten Release runs with the pricer
+        # slower on 4). With the AVX-512 screen both sides got faster and
+        # the 1-thread side more, so the ratio fell: 1.61-1.81 (median
+        # 1.73) against 1.74-2.06 (1.90) over ten alternating Release runs
+        # per tree; median ms a period 4 threads 0.058 -> 0.053, 1 thread
+        # 0.106 -> 0.092; parallel_cpus_used 4 in all twenty. Before it:
+        # 1.80-2.50 over ten Release runs with the pricer
         # beside the next period's draws (1.58-1.94 for the tree before,
         # alternated with them), parallel_cpus_used 4 in all twenty. The
         # ratio rose with the 4-thread side: per period, median [q1, q3],
@@ -119,10 +138,13 @@ def load(path: Path) -> dict:
 def check_rules(current: dict, rules: list[tuple]) -> list[str]:
     benches = current.get("benches", {})
     failures = []
-    for bench, field, op, bound in rules:
+    for bench, field, op, bound, *needs in rules:
         if bench == "*" and not benches:
             failures.append(f"no benches in the run for '*.{field}'")
         for name in sorted(benches) if bench == "*" else [bench]:
+            if needs and needs[0] not in benches.get(name, {}):
+                print(f"  --  {name}.{field} {op}: no {needs[0]} in the run")
+                continue
             value = benches.get(name, {}).get(field)
             if isinstance(bound, tuple):
                 ref = benches.get(bound[0], {}).get(bound[1])

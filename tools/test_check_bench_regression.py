@@ -61,7 +61,7 @@ class GateTable(unittest.TestCase):
         for suite, rules in gate.RULES.items():
             base = baseline(suite)
             self.assertEqual(self.verdict(suite, base), 0)
-            for bench, field, op, bound in rules:
+            for bench, field, op, bound, *_ in rules:
                 limit = bound
                 if isinstance(bound, tuple):
                     limit = base["benches"][bound[0]][bound[1]] + bound[2]
@@ -81,6 +81,23 @@ class GateTable(unittest.TestCase):
                         with self.subTest(rule=f"{name}.{field} {op}",
                                           case=case):
                             self.assertEqual(self.verdict(suite, run), 1)
+
+    def test_a_row_with_a_needed_field_applies_only_when_it_is_there(
+            self) -> None:
+        # The AVX-512 screen's speedup is gated only where that body ran;
+        # the scalar row still needs the bench.
+        base = baseline("kernel")
+        entry = base["benches"]["screen_batch"]
+        self.assertIn("avx512_ns_per_user", entry)
+        avx2_host = copy.deepcopy(base)
+        for field in ("avx512_ns_per_user", "avx512_speedup"):
+            del avx2_host["benches"]["screen_batch"][field]
+        self.assertEqual(self.verdict("kernel", avx2_host), 0)
+        slow = copy.deepcopy(avx2_host)
+        slow["benches"]["screen_batch"]["avx512_speedup"] = 1.0
+        self.assertEqual(self.verdict("kernel", slow), 0)
+        slow["benches"]["screen_batch"]["avx512_ns_per_user"] = 1.0
+        self.assertEqual(self.verdict("kernel", slow), 1)
 
     def test_wall_and_throughput_tolerances(self) -> None:
         for suite in gate.RULES:
@@ -133,9 +150,13 @@ class GateTable(unittest.TestCase):
         # reloaded the whole sensitivity row every period.
         # deferral_table_build: the parent took pow(reward, gamma) once per
         # class. fleet_sweep: the parent claimed indices under a mutex and
-        # woke its parked workers every batch.
+        # woke its parked workers every batch. screen_batch: its AVX2 body
+        # is the parent's screen, so the side that must fail is the same
+        # body in 256-bit AVX-512VL vectors (2.04 against 2.70 ns per
+        # user, best of fifteen rounds).
         cases = (("dynamic_solve", "speedup", 7.27, 5.67),
                  ("deferral_table_build", "speedup", 26.3, 14.0),
+                 ("screen_batch", "avx512_speedup", 2.11, 1.32),
                  ("fleet_sweep", "parallel_speedup", 1.42, 1.38))
         base = baseline("kernel")
         for bench, field, slowest, parent_fastest in cases:
