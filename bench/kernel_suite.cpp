@@ -29,6 +29,13 @@
 //                        rounds: ns per user of each and the AVX-512
 //                        body's speedup over the AVX2 one
 //   fleet_shard_step     one shard simulating one period of a 20k-user day
+//   draw_period          Shard::draw_period over every period of a
+//                        100k-user day, every SIMD mode the host runs in
+//                        alternating rounds: ns per user-period of each,
+//                        the scalar mode's time over the best one's
+//                        (best_speedup), and the draw's counts (screen
+//                        survivors, one-session paths, Rng fallbacks,
+//                        sessions), which must agree across modes
 //   fleet_sweep          a 10k-user fleet day (128 slices, 64 shards) on 1
 //                        thread vs 4, in alternating rounds: ms per period
 //                        of each side and their ratio, parallel_speedup,
@@ -44,6 +51,7 @@
 //   ./bench/bench_kernel_suite --out BENCH_kernel.json [--reps N]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -604,10 +612,10 @@ int main(int argc, char** argv) {
     // stay in L1.
     constexpr std::size_t kUsers = 10000;
     constexpr std::size_t kBatch = 256;
-    constexpr std::size_t kClasses = 32;
     using Body = void (*)(const std::uint64_t*, std::size_t, std::uint64_t,
-                          const std::uint32_t*, const double*, double*,
-                          std::uint64_t*, std::uint64_t*);
+                          const std::uint32_t*, const double*, const double*,
+                          const double*, double*, std::uint64_t*,
+                          std::uint64_t*);
     struct Side {
       const char* name;
       Body body;
@@ -628,14 +636,22 @@ int main(int argc, char** argv) {
 #endif
     std::vector<std::uint64_t> parents(kUsers);
     std::vector<std::uint32_t> cls(kUsers);
-    std::vector<double> screen(kClasses);
+    std::vector<double> activity(kUsers);
+    std::vector<double> class_rate(simd::kMaxClasses);
+    std::vector<double> screen(simd::kMaxClasses);
     Rng rng(20110611);
     for (std::size_t i = 0; i < kUsers; ++i) {
       parents[i] = rng.next();
-      cls[i] = static_cast<std::uint32_t>(rng.uniform_index(kClasses));
+      cls[i] = static_cast<std::uint32_t>(
+          rng.uniform_index(simd::kMaxClasses));
+      activity[i] = rng.uniform(0.5, 1.5);
     }
-    // Most user-periods screen out, as with the paper's mixes.
-    for (double& threshold : screen) threshold = rng.uniform(0.8, 1.0);
+    // Most user-periods screen out, as with the paper's mixes: rates of a
+    // few sessions a day over 48 periods, Population's screens.
+    for (std::size_t c = 0; c < simd::kMaxClasses; ++c) {
+      class_rate[c] = rng.uniform(0.0, 0.2);
+      screen[c] = std::exp(-1.6 * class_rate[c]);
+    }
 
     std::vector<double> u1(kUsers);
     std::vector<std::uint64_t> resume(kUsers);
@@ -649,8 +665,8 @@ int main(int argc, char** argv) {
         const std::size_t len = std::min(kBatch, kUsers - base);
         const std::size_t out = whole ? base : 0;
         body(parents.data() + base, len, stream, cls.data() + base,
-             screen.data(), u1.data() + out, resume.data() + out,
-             mask.data() + out / 64);
+             activity.data() + base, class_rate.data(), screen.data(),
+             u1.data() + out, resume.data() + out, mask.data() + out / 64);
         sink += mask[out / 64];
       }
     };
@@ -745,6 +761,106 @@ int main(int argc, char** argv) {
     report.emit();
     entries.push_back(
         {"fleet_shard_step", {{"shard_seconds", shard_seconds}}});
+  }
+
+  // ---- draw_period: the shard's session draw, every mode the host runs ---
+  {
+    // One shard of a 100k-user population (16 slices) draws every period
+    // of a day per round, as the fleet loop's shards do.
+    fleet::PopulationConfig config;
+    config.users = 100000;
+    config.periods = 48;
+    const fleet::Population population(config);
+    fleet::Shard shard(population, 0, 16, 16);
+    struct Side {
+      simd::Mode mode;
+      const char* name;
+      double seconds = 0.0;
+      fleet::Shard::DrawCounts counts{};
+    };
+    std::vector<Side> sides = {{simd::Mode::kScalar, "scalar"}};
+    if (simd::avx2_supported()) sides.push_back({simd::Mode::kAvx2, "avx2"});
+    if (simd::avx512_supported()) {
+      sides.push_back({simd::Mode::kAvx512, "avx512"});
+    }
+    const simd::Mode original_mode = simd::mode();
+    const auto draw_day = [&](Side& side) {
+      simd::set_mode(side.mode);
+      side.counts = {};
+      for (std::size_t period = 0; period < config.periods; ++period) {
+        shard.draw_period(0, period);
+        const fleet::Shard::DrawCounts& counts = shard.draw_counts();
+        side.counts.survivors += counts.survivors;
+        side.counts.one_session += counts.one_session;
+        side.counts.fallbacks += counts.fallbacks;
+        side.counts.sessions += counts.sessions;
+      }
+    };
+    // Alternating rounds, the order reversed every other round, best round
+    // of each mode kept.
+    const std::size_t rounds = 7;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t k = 0; k < sides.size(); ++k) {
+        Side& side = sides[round % 2 == 0 ? k : sides.size() - 1 - k];
+        const double seconds = bench::time_reps(1, [&] { draw_day(side); });
+        if (round == 0 || seconds < side.seconds) side.seconds = seconds;
+      }
+    }
+    simd::set_mode(original_mode);
+    // The draws are a function of the population alone; a mode whose
+    // counts differ is a bug.
+    const fleet::Shard::DrawCounts& counts = sides[0].counts;
+    for (const Side& side : sides) {
+      if (side.counts.survivors != counts.survivors ||
+          side.counts.one_session != counts.one_session ||
+          side.counts.fallbacks != counts.fallbacks ||
+          side.counts.sessions != counts.sessions) {
+        std::fprintf(stderr, "FATAL: %s draw counts differ from scalar\n",
+                     side.name);
+        return 1;
+      }
+    }
+
+    const double user_periods =
+        static_cast<double>(config.users * config.periods);
+    bench::BenchReport report("draw_period");
+    report.add("rounds", static_cast<std::uint64_t>(rounds));
+    report.add("users", static_cast<std::uint64_t>(config.users));
+    report.add("survivors", counts.survivors);
+    report.add("one_session", counts.one_session);
+    report.add("fallbacks", counts.fallbacks);
+    report.add("sessions", counts.sessions);
+    bench::SuiteEntry entry{
+        "draw_period",
+        {{"survivors", static_cast<double>(counts.survivors)},
+         {"one_session", static_cast<double>(counts.one_session)},
+         {"fallbacks", static_cast<double>(counts.fallbacks)},
+         {"sessions", static_cast<double>(counts.sessions)}}};
+    std::printf("  draw_period         ");
+    double best_seconds = sides[0].seconds;
+    for (const Side& side : sides) {
+      const double ns = 1e9 * side.seconds / user_periods;
+      const std::string field = std::string(side.name) + "_ns_per_user";
+      report.add(field, ns);
+      entry.fields.emplace_back(field, ns);
+      std::printf(" %s %.2f ns", side.name, ns);
+      best_seconds = std::min(best_seconds, side.seconds);
+    }
+    std::printf(" per user-period");
+    if (sides.size() > 1) {  // a vector mode ran
+      const double speedup = sides[0].seconds / best_seconds;
+      report.add("best_speedup", speedup);
+      entry.fields.emplace_back("best_speedup", speedup);
+      std::printf(" (best %.2fx scalar)", speedup);
+    }
+    std::printf("; %llu survivors, %llu one-session, %llu fallbacks, %llu "
+                "sessions a day\n",
+                static_cast<unsigned long long>(counts.survivors),
+                static_cast<unsigned long long>(counts.one_session),
+                static_cast<unsigned long long>(counts.fallbacks),
+                static_cast<unsigned long long>(counts.sessions));
+    report.emit();
+    entries.push_back(std::move(entry));
   }
 
   // ---- fleet_sweep: a 10k-user fleet day on 1 thread vs 4 ----------------

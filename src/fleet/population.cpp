@@ -1,6 +1,10 @@
 #include "fleet/population.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "core/paper_data.hpp"
 
 namespace tdp::fleet {
@@ -54,12 +58,31 @@ Population::Population(PopulationConfig config)
   // Per-class diurnal session rates: a class-c user's day has
   // sessions_per_day expected sessions, distributed over periods like the
   // class's share of the published profile.
-  session_rate_.assign(classes * n, 0.0);
+  //
+  // Each rate's screen: a class-c user's Poisson mean is activity * rate_c
+  // with activity in [0.5, 1.5), so mean <= 1.5 * rate_c * (1 + eps) <
+  // 1.6 * rate_c and exp(-1.6 * rate_c) < exp(-mean), Knuth's termination
+  // limit, by a relative margin >= ~0.099 * rate_c: far above the few-ulp
+  // error of any faithful libm exp once rate_c >= 1e-12. A first uniform
+  // at or below the screen thus ends Knuth's walk at count 0 without the
+  // user's own exp(-mean). Classes outside that range screen nobody
+  // (-1.0): below 1e-12 the margin argument is void, and from 19 on some
+  // users could reach Poisson's normal-approximation regime (mean >= 30).
+  // A zero rate screens everybody (+infinity).
+  TDP_REQUIRE(classes <= simd::kMaxClasses, "patience class count above cap");
+  class_rate_.assign(n * simd::kMaxClasses, 0.0);
+  class_screen_.assign(n * simd::kMaxClasses,
+                       std::numeric_limits<double>::infinity());
   for (std::size_t c = 0; c < classes; ++c) {
     if (class_total[c] <= 0.0) continue;
     for (std::size_t i = 0; i < n; ++i) {
-      session_rate_[c * n + i] =
+      const double rate =
           config_.sessions_per_day * mix[i][c] / class_total[c];
+      class_rate_[i * simd::kMaxClasses + c] = rate;
+      if (rate > 0.0) {
+        class_screen_[i * simd::kMaxClasses + c] =
+            rate >= 1e-12 && rate < 19.0 ? std::exp(-1.6 * rate) : -1.0;
+      }
     }
   }
 
@@ -125,7 +148,17 @@ std::vector<WaitingFunctionPtr> Population::scaled_waiting(
 double Population::session_rate(std::uint32_t cls, std::size_t period) const {
   TDP_REQUIRE(cls < waiting_.size() && period < config_.periods,
               "class or period out of range");
-  return session_rate_[cls * config_.periods + period];
+  return class_rate_[period * simd::kMaxClasses + cls];
+}
+
+const double* Population::class_rates(std::size_t period) const {
+  TDP_REQUIRE(period < config_.periods, "period out of range");
+  return class_rate_.data() + period * simd::kMaxClasses;
+}
+
+const double* Population::class_screens(std::size_t period) const {
+  TDP_REQUIRE(period < config_.periods, "period out of range");
+  return class_screen_.data() + period * simd::kMaxClasses;
 }
 
 }  // namespace tdp::fleet

@@ -165,6 +165,19 @@ class Shard {
   /// period) and are held until simulate_period consumes them.
   void draw_period(std::size_t day, std::size_t period);
 
+  /// What the last draw did: the user-periods that passed the screen, of
+  /// them those drawn on the one-session path and those that resumed the
+  /// Rng walk (two or more sessions, or a mean of 30 or more), and the
+  /// sessions drawn. A function of the draw alone, so every SIMD mode
+  /// gives the same counts.
+  struct DrawCounts {
+    std::uint64_t survivors = 0;
+    std::uint64_t one_session = 0;
+    std::uint64_t fallbacks = 0;
+    std::uint64_t sessions = 0;
+  };
+  const DrawCounts& draw_counts() const { return draw_counts_; }
+
   /// Simulate one period of one day, recording one stripe per owned slice
   /// into `aggregator` (race-free: distinct shards own distinct slices):
   /// draw the period unless this shard holds exactly its draws, then
@@ -193,12 +206,10 @@ class Shard {
 
  private:
   /// Users per simd::fork_uniform_screen_batch call in the session loop — big
-  /// enough to amortize dispatch, small enough that the u1/state scratch
-  /// stays in L1 (2 KiB per array).
+  /// enough to amortize dispatch, small enough that the per-batch scratch
+  /// stays in L1 (2 KiB per array). A class index (below
+  /// simd::kMaxClasses) fits the held draws' one byte.
   static constexpr std::size_t kBatch = 256;
-  /// Patience classes a shard handles (per-class tables live on the stack;
-  /// a class index fits the held draws' one byte).
-  static constexpr std::size_t kMaxClasses = 32;
 
   const Population* population_;
   std::size_t begin_slice_;
@@ -236,6 +247,7 @@ class Shard {
   std::vector<std::uint8_t> session_class_;
   std::vector<SliceDraws> slice_draws_;
   std::uint64_t drawn_ = kNoDraws;
+  DrawCounts draw_counts_;
 };
 
 }  // namespace tdp::fleet

@@ -268,12 +268,12 @@ std::vector<std::unique_ptr<Shard>> two_shards(const Population& pop,
   return shards;
 }
 
-TEST(Shard, DrawingAheadThenApplyingMatchesTheInlineWalkBitwise) {
-  // The control loop draws a day's period t+1 while the pricer observes
-  // period t, then applies t+1's table to those draws. Over two days of a
-  // schedule that defers, that must give the stripes and rings the inline
-  // walk gives, and both must match the reference walk.
-  const Population pop(small_population(3000));
+/// Two days of `config` drawn ahead and inline on two shards each, against
+/// each other and the reference walk (stripes and rings); returns the
+/// inline shards' summed draw counts.
+Shard::DrawCounts expect_draw_ahead_matches_inline(
+    const PopulationConfig& config) {
+  const Population pop(config);
   const std::size_t n = pop.periods();
   const std::size_t slices = 6;
   Rng rng(41);
@@ -290,6 +290,7 @@ TEST(Shard, DrawingAheadThenApplyingMatchesTheInlineWalkBitwise) {
   StripedAggregator ahead_agg(slices, n);
   ReferenceWalk reference(pop, slices);
   std::uint64_t deferred = 0;
+  Shard::DrawCounts drawn;
   for (std::size_t day = 0; day < 2; ++day) {
     for (auto& shard : ahead_shards) shard->draw_period(day, 0);
     for (std::size_t period = 0; period < n; ++period) {
@@ -301,10 +302,15 @@ TEST(Shard, DrawingAheadThenApplyingMatchesTheInlineWalkBitwise) {
         shard->simulate_period(day, period, table, ahead_agg);
         if (period + 1 < n) shard->draw_period(day, period + 1);
       }
+      for (const auto& shard : inline_shards) {
+        drawn.one_session += shard->draw_counts().one_session;
+        drawn.fallbacks += shard->draw_counts().fallbacks;
+      }
       const std::vector<PeriodStats> expected =
           reference.step(day, period, table);
       for (std::size_t s = 0; s < slices; ++s) {
-        const std::string where = "day " + std::to_string(day) + " period " +
+        const std::string where = "users " + std::to_string(pop.users()) +
+                                  " day " + std::to_string(day) + " period " +
                                   std::to_string(period) + " slice " +
                                   std::to_string(s);
         expect_same_stats(ahead_agg.stripe(s, period),
@@ -336,6 +342,42 @@ TEST(Shard, DrawingAheadThenApplyingMatchesTheInlineWalkBitwise) {
     }
   }
   EXPECT_GT(deferred, 1000u) << "the schedule must defer sessions";
+  return drawn;
+}
+
+TEST(Shard, DrawingAheadThenApplyingMatchesTheInlineWalkBitwise) {
+  // The control loop draws a day's period t+1 while the pricer observes
+  // period t, then applies t+1's table to those draws. Over two days of a
+  // schedule that defers, that must give the stripes and rings the inline
+  // walk gives, and both must match the reference walk.
+  const Shard::DrawCounts paper = expect_draw_ahead_matches_inline(
+      small_population(3000));
+  EXPECT_GT(paper.one_session, 1000u) << "the one-session path must run";
+  EXPECT_GT(paper.fallbacks, 100u) << "the Rng fallback must run";
+
+  // 100 times the sessions: dozens of class-periods have rates of 19 or
+  // more (a screen of -1), users' means pass 30 (Poisson's normal
+  // approximation) and two or more sessions in a user-period are common.
+  PopulationConfig busy = small_population(600);
+  busy.sessions_per_day = 400.0;
+  const Shard::DrawCounts drawn = expect_draw_ahead_matches_inline(busy);
+  EXPECT_GT(drawn.fallbacks, drawn.one_session);
+  const Population pop(busy);
+  std::size_t unscreened = 0;
+  double top_rate = 0.0;
+  for (std::size_t period = 0; period < pop.periods(); ++period) {
+    for (std::uint32_t c = 0; c < pop.patience_classes(); ++c) {
+      if (pop.session_rate(c, period) >= 19.0) ++unscreened;
+    }
+    for (std::uint64_t u = 0; u < pop.users(); ++u) {
+      const UserSpec spec = pop.spec(u);
+      top_rate = std::max(
+          top_rate,
+          spec.activity * pop.session_rate(spec.patience_class, period));
+    }
+  }
+  EXPECT_GT(unscreened, 20u);
+  EXPECT_GE(top_rate, 30.0);
 }
 
 TEST(Shard, HeldDrawsOfAnotherPeriodAreRedrawn) {
@@ -373,6 +415,58 @@ TEST(Shard, HeldDrawsOfAnotherPeriodAreRedrawn) {
                 bits(fresh_agg.stripe(s, period).offered_work))
           << where;
     }
+  }
+}
+
+TEST(Shard, AFirstUniformExactlyOnKnuthsLimitDrawsNoSession) {
+  // Knuth's walk stops once its product is at or below exp(-mean), so a
+  // user-period whose first uniform equals that limit draws no session.
+  // Random draws never tie: pick a user whose period-20 uniform has exact
+  // exp preimages, then the sessions_per_day that makes the user's mean
+  // one of them, with Population's rate formula spelled out.
+  PopulationConfig config = small_population(64);
+  const Population probe(config);
+  const std::vector<paper::MixRow> mix = paper::table7_mix_48();
+  const std::size_t period = 20;
+  std::uint64_t tied = config.users;
+  for (std::uint64_t u = 0; u < config.users && tied == config.users; ++u) {
+    const UserSpec spec = probe.spec(u);
+    const std::uint32_t c = spec.patience_class;
+    const double u1 = probe.user_period_rng(u, period).uniform();
+    if (!(u1 > 0.4 && u1 < 0.6)) continue;
+    double total = 0.0;
+    for (const paper::MixRow& row : mix) total += row[c];
+    const double share = mix[period][c];
+    double spd = -std::log(u1) * total / (spec.activity * share);
+    for (int step = 0; step < 4096; ++step) spd = std::nextafter(spd, 0.0);
+    for (int step = 0; step < 8192; ++step, spd = std::nextafter(spd, 1e9)) {
+      if (std::exp(-(spec.activity * (spd * share / total))) == u1) {
+        config.sessions_per_day = spd;
+        tied = u;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(tied, config.users) << "no user-period could be tied";
+
+  const Population pop(config);
+  const UserSpec spec = pop.spec(tied);
+  ASSERT_EQ(std::exp(-(spec.activity *
+                       pop.session_rate(spec.patience_class, period))),
+            pop.user_period_rng(tied, period).uniform());
+  const std::size_t slices = 4;
+  const math::Vector rewards(pop.periods(), 0.0);
+  const std::vector<const math::Vector*> schedules(pop.patience_classes(),
+                                                   &rewards);
+  const DeferralTable table(pop, schedules, period);
+  Shard shard(pop, 0, slices, slices);
+  StripedAggregator aggregator(slices, pop.periods());
+  shard.simulate_period(0, period, table, aggregator);
+  ReferenceWalk reference(pop, slices);
+  const std::vector<PeriodStats> expected = reference.step(0, period, table);
+  for (std::size_t s = 0; s < slices; ++s) {
+    expect_same_stats(aggregator.stripe(s, period), expected[s],
+                      "slice " + std::to_string(s));
   }
 }
 
